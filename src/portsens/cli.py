@@ -44,10 +44,10 @@ from .danskin import (CloudError, directional_derivative, hadamard_probe,
 from .market import (CoefficientProcess, MarketModel, format_coefficient,
                      h1_from_values, parse_coefficient, scalar_constant,
                      zeros)
-from .modular import (ModularFunctional, amemiya_norm, holder_check,
-                      j_evaluator, j_functional, luxemburg_norm, norm_I,
-                      norm_J)
-from .paths import TimeGrid, cumulative, simulate
+from .modular import (ModularFunctional, amemiya_norm, density_logs,
+                      holder_check, j_evaluator, j_functional,
+                      luxemburg_norm, norm_I, norm_J)
+from .paths import TimeGrid, check_seed, cumulative, simulate
 from .sensitivity import (example1_report, example2_reports,
                           second_order_check, sensitivity_report)
 from .solver import optimal_terminal_wealth
@@ -184,7 +184,7 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         if "seed" not in mc:
             raise ConfigError("[mc] requires an explicit seed")
         paths, steps = int(mc["paths"]), int(mc["steps"])
-        horizon, seed = float(mc["horizon"]), int(mc["seed"])
+        horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
         block_paths = int(mc.get("block_paths", "8192"))
         if paths <= 0 or steps <= 0 or horizon <= 0:
             raise ConfigError("paths, steps and horizon must be positive")
@@ -476,11 +476,12 @@ def cmd_norms(args) -> int:
     ens = _make_ensemble(cfg)
     opt = optimal_terminal_wealth(model, u, ens)
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
+    logs = density_logs(mf, ens)
 
-    j = j_functional(payoff, mf, ens)
+    j = j_functional(payoff, mf, logs, ens.seed)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
     j_ok = abs(j.mean - model.x0) <= j_tol
-    F = j_evaluator(mf, ens)
+    F = j_evaluator(mf, logs)
     am = amemiya_norm(F, payoff)
     lux = luxemburg_norm(F, payoff)
     bound = 1.0 + model.x0
@@ -504,9 +505,9 @@ def cmd_norms(args) -> int:
 
     hold_ok = True
     if u.kind == "power":
-        ni = norm_I(opt.z, mf, ens)
-        nj = norm_J(opt.xstar, mf, ens)
-        hold = holder_check(opt.z, opt.xstar, mf, ens)
+        ni = norm_I(opt.z, mf, logs)
+        nj = norm_J(opt.xstar, mf, logs)
+        hold = holder_check(opt.z, opt.xstar, mf, logs)
         hold_ok = hold.passed
         rows += [
             ["norm_I_pricing_density", _r(ni), "", "", cfg.seed],
@@ -595,9 +596,17 @@ def cmd_secondorder(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**64)."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_config_flags(sp) -> None:
     sp.add_argument("--config", required=True, help="experiment file")
-    sp.add_argument("--seed", type=int, help="override [mc] seed")
+    sp.add_argument("--seed", type=_seed, help="override [mc] seed")
     sp.add_argument("--paths", type=int, help="override [mc] paths")
     sp.add_argument("--steps", type=int, help="override [mc] steps")
     sp.add_argument("--horizon", type=float, help="override [mc] horizon")
@@ -608,7 +617,7 @@ def _add_scale_flags(sp, paths: int, steps: int, seed: int) -> None:
     sp.add_argument("--T", type=float, default=1.0, help="horizon")
     sp.add_argument("--paths", type=int, default=paths)
     sp.add_argument("--steps", type=int, default=steps)
-    sp.add_argument("--seed", type=int, default=seed)
+    sp.add_argument("--seed", type=_seed, default=seed)
     sp.add_argument("--block-paths", type=int, default=8192,
                     dest="block_paths")
     sp.add_argument("--out", default=".", help="output directory")

@@ -24,9 +24,16 @@ holds exactly on the empirical measure, by the pointwise factorization
 The family here is a finite user-declared list (default: zero only), so
 the reported norm_I is an upper bound and norm_J a lower bound for their
 full-family counterparts; enlarging the family tightens both
-monotonically.  Generic Luxemburg and Amemiya norms of any convex modular
-evaluator are provided as well; note the Amemiya norm at k = 1 gives
+monotonically.
+
+Generic Luxemburg and Amemiya norms of any convex modular evaluator are
+provided as well; note the Amemiya norm at k = 1 gives
 amemiya(J, U(X*)) <= 1 + J(U(X*)) = 1 + x0, the budget-set bound.
+
+The functionals and norms take density samples, not an ensemble: the
+(family, M) array of log Y^nu that ``density_logs`` computes in one path
+pass.  A caller streams the paths once and evaluates every functional, norm
+and pairing on the same samples.
 """
 
 from __future__ import annotations
@@ -112,7 +119,16 @@ def density_logs(mf: ModularFunctional, ensemble: PathEnsemble,
     return np.stack(flat)
 
 
-def _payoff_values(Z, count: int) -> np.ndarray:
+def _check_logs(mf: ModularFunctional, logs: np.ndarray) -> None:
+    if logs.ndim != 2 or logs.shape[0] != len(mf.nu_family):
+        raise ModularError(f"density samples must have shape (family "
+                           f"{len(mf.nu_family)}, paths), got {logs.shape}")
+
+
+def _payoff_values(Z, mf: ModularFunctional, logs: np.ndarray) -> np.ndarray:
+    """Per-path payoff values, checked against the density samples."""
+    _check_logs(mf, logs)
+    count = logs.shape[1]
     vals = Z.values if isinstance(Z, PathFunctional) else np.asarray(Z, float)
     if vals.shape != (count,):
         raise ModularError(f"payoff must have one value per path "
@@ -120,16 +136,14 @@ def _payoff_values(Z, count: int) -> np.ndarray:
     return vals
 
 
-def j_functional(Z, mf: ModularFunctional, ensemble: PathEnsemble,
-                 workers=None) -> ValueEstimate:
-    """max over the family of mean(Y^nu * U^{-1}(|Z|))."""
-    vals = np.abs(_payoff_values(Z, ensemble.count))
+def j_functional(Z, mf: ModularFunctional, logs: np.ndarray,
+                 seed: int) -> ValueEstimate:
+    """max over the family of mean(Y^nu * U^{-1}(|Z|)) on density samples."""
+    vals = np.abs(_payoff_values(Z, mf, logs))
     wealth = np.asarray(ut.inverse(mf.utility, vals))
-    logs = density_logs(mf, ensemble, workers)
     best, best_i = None, -1
     for i in range(logs.shape[0]):
-        est = mean_estimate(np.exp(logs[i]) * wealth, ensemble.seed,
-                            f"j[nu={i}]")
+        est = mean_estimate(np.exp(logs[i]) * wealth, seed, f"j[nu={i}]")
         if best is None or est.mean > best.mean:
             best, best_i = est, i
     return ValueEstimate(mean=best.mean, se=best.se, count=best.count,
@@ -138,12 +152,11 @@ def j_functional(Z, mf: ModularFunctional, ensemble: PathEnsemble,
                          extras={"argmax_member": best_i})
 
 
-def i_modular(Z, mf: ModularFunctional, ensemble: PathEnsemble,
-              workers=None) -> ValueEstimate:
-    """min over the family of mean(|Z| * V(Y^nu / |Z|))."""
+def i_modular(Z, mf: ModularFunctional, logs: np.ndarray,
+              seed: int) -> ValueEstimate:
+    """min over the family of mean(|Z| * V(Y^nu / |Z|)) on density samples."""
     u = mf.utility
-    vals = np.abs(_payoff_values(Z, ensemble.count))
-    logs = density_logs(mf, ensemble, workers)
+    vals = np.abs(_payoff_values(Z, mf, logs))
     best, best_i = None, -1
     for i in range(logs.shape[0]):
         y = np.exp(logs[i])
@@ -161,7 +174,7 @@ def i_modular(Z, mf: ModularFunctional, ensemble: PathEnsemble,
             terms = np.where(vals > 0, vals * conj, 0.0)
         if not np.all(np.isfinite(terms)):
             raise ModularError("conjugate moment diverges on the sample")
-        est = mean_estimate(terms, ensemble.seed, f"i[nu={i}]")
+        est = mean_estimate(terms, seed, f"i[nu={i}]")
         if best is None or est.mean < best.mean:
             best, best_i = est, i
     return ValueEstimate(mean=best.mean, se=best.se, count=best.count,
@@ -175,13 +188,11 @@ def _require_power(u: ut.UtilitySpec, what: str) -> None:
         raise ModularError(f"{what} uses the explicit power-utility form")
 
 
-def norm_I(Z, mf: ModularFunctional, ensemble: PathEnsemble,
-           workers=None) -> float:
-    """(min over family of mean Y^{1-q} |Z|^q)^{1/q}."""
+def norm_I(Z, mf: ModularFunctional, logs: np.ndarray) -> float:
+    """(min over family of mean Y^{1-q} |Z|^q)^{1/q} on density samples."""
     _require_power(mf.utility, "norm_I")
     q = mf.utility.q
-    vals = np.abs(_payoff_values(Z, ensemble.count))
-    logs = density_logs(mf, ensemble, workers)
+    vals = np.abs(_payoff_values(Z, mf, logs))
     with np.errstate(over="ignore"):
         moments = [float(np.mean(np.exp((1.0 - q) * logs[i]) * vals**q))
                    for i in range(logs.shape[0])]
@@ -190,13 +201,11 @@ def norm_I(Z, mf: ModularFunctional, ensemble: PathEnsemble,
     return min(moments) ** (1.0 / q)
 
 
-def norm_J(X, mf: ModularFunctional, ensemble: PathEnsemble,
-           workers=None) -> float:
-    """(max over family of mean Y |X|^p)^{1/p}."""
+def norm_J(X, mf: ModularFunctional, logs: np.ndarray) -> float:
+    """(max over family of mean Y |X|^p)^{1/p} on density samples."""
     _require_power(mf.utility, "norm_J")
     p = mf.utility.p
-    vals = np.abs(_payoff_values(X, ensemble.count))
-    logs = density_logs(mf, ensemble, workers)
+    vals = np.abs(_payoff_values(X, mf, logs))
     with np.errstate(over="ignore"):
         moments = [float(np.mean(np.exp(logs[i]) * vals**p))
                    for i in range(logs.shape[0])]
@@ -205,13 +214,13 @@ def norm_J(X, mf: ModularFunctional, ensemble: PathEnsemble,
     return max(moments) ** (1.0 / p)
 
 
-def j_evaluator(mf: ModularFunctional, ensemble: PathEnsemble, workers=None):
-    """The J modular as a plain callable on payoff samples.
+def j_evaluator(mf: ModularFunctional, logs: np.ndarray):
+    """The J modular on density samples as a plain callable on payoffs.
 
-    Captures the density samples once, so it can be handed to the generic
+    Exponentiates the samples once, so it can be handed to the generic
     Luxemburg/Amemiya norms.
     """
-    logs = density_logs(mf, ensemble, workers)
+    _check_logs(mf, logs)
     y = np.exp(logs)
 
     def F(z: np.ndarray) -> float:
@@ -318,12 +327,11 @@ class HolderReport:
         return self.lhs <= self.rhs * (1.0 + self.slack)
 
 
-def holder_check(Y, Z, mf: ModularFunctional, ensemble: PathEnsemble,
-                 slack: float = 1e-9, workers=None) -> HolderReport:
+def holder_check(Y, Z, mf: ModularFunctional, logs: np.ndarray,
+                 slack: float = 1e-9) -> HolderReport:
     """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
-    yv = _payoff_values(Y, ensemble.count)
-    zv = _payoff_values(Z, ensemble.count)
+    yv = _payoff_values(Y, mf, logs)
+    zv = _payoff_values(Z, mf, logs)
     lhs = abs(float(np.mean(yv * zv)))
-    rhs = (norm_I(yv, mf, ensemble, workers)
-           * norm_J(zv, mf, ensemble, workers))
+    rhs = norm_I(yv, mf, logs) * norm_J(zv, mf, logs)
     return HolderReport(lhs=lhs, rhs=rhs, slack=slack)

@@ -3,11 +3,13 @@
 An ensemble is a recipe, not an array: path i draws its N x n increments from
 a dedicated Philox stream keyed by (seed, i), so any path can be regenerated
 bit-identically regardless of how paths are partitioned into blocks or how
-many workers process them.  Consumers stream over blocks of paths, reduce
-each block to a handful of per-path scalars, and concatenate those in path
-order; all cross-path reductions (means, standard errors) happen on the full
-M-vector in the caller.  This keeps memory at O(block) while making every
-result independent of block size and worker count.
+many workers process them.  Philox is counter-based, so a stream depends
+only on its key: each thread holds one generator and re-keys it for every
+path.  Consumers stream over blocks of paths, reduce each block to a handful
+of per-path scalars, and concatenate those in path order; all cross-path
+reductions (means, standard errors) happen on the full M-vector in the
+caller.  This keeps memory at O(block) while making every result
+independent of block size and worker count.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +37,37 @@ _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<6Qd")  # magic, version, seed, M, N, n, T
 
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
+
+# one Philox generator per thread: a generator is not thread-safe, and every
+# path overwrites its whole state, so nothing carries over between callers
+_THREAD_RNG = threading.local()
+
+
+def check_seed(seed: int) -> int:
+    """The seed unchanged if it fits the 64-bit Philox key word."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
+def _thread_generator() -> tuple[np.random.Generator, dict]:
+    """This thread's generator and the state template that re-keys it.
+
+    The template is the state of a fresh ``Generator(Philox(key))``:
+    counter 0 and an empty output buffer (``buffer_pos = 4``), without which
+    values buffered by one path would leak into the next.  Setting the
+    state copies the template, so only its key changes between paths.
+    """
+    pair = getattr(_THREAD_RNG, "pair", None)
+    if pair is None:
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, np.uint64),
+                           "key": np.zeros(2, np.uint64)},
+                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        gen = np.random.Generator(np.random.Philox(key=0))
+        pair = _THREAD_RNG.pair = (gen, state)
+    return pair
 
 
 class ResourceLimitError(RuntimeError):
@@ -87,6 +121,7 @@ class PathEnsemble:
     def __post_init__(self):
         if self.n < 1 or self.count < 1:
             raise ValueError("need n >= 1 and count >= 1")
+        check_seed(self.seed)
         if self.count * self.grid.steps * self.n > _MAX_CELLS:
             raise ResourceLimitError(
                 f"ensemble of {self.count}x{self.grid.steps}x{self.n} cells "
@@ -103,13 +138,14 @@ class PathEnsemble:
             raise IndexError(f"bad path range [{start}, {stop})")
         if self._stored is not None:
             return self._stored[start:stop]
-        shape = (self.grid.steps, self.n)
-        out = np.empty((stop - start, *shape))
-        root = np.uint64(self.seed)
+        out = np.empty((stop - start, self.grid.steps, self.n))
+        gen, state = _thread_generator()
+        key = state["state"]["key"]
+        key[0] = self.seed
         for i in range(start, stop):
-            key = np.array([root, np.uint64(i)], dtype=np.uint64)
-            gen = np.random.Generator(np.random.Philox(key=key))
-            out[i - start] = gen.standard_normal(shape)
+            key[1] = i
+            gen.bit_generator.state = state
+            gen.standard_normal(out=out[i - start])
         out *= np.sqrt(self.grid.dt)
         return out
 

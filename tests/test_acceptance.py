@@ -18,9 +18,9 @@ from portsens.estimate import difference_se
 from portsens.market import (MarketModel, check_h1, constant,
                              dlambda_direction, indicator,
                              kernel_preserving_perturbation, zeros)
-from portsens.modular import (ModularFunctional, amemiya_norm, holder_check,
-                              j_evaluator, j_functional, luxemburg_norm,
-                              norm_I, norm_J)
+from portsens.modular import (ModularFunctional, amemiya_norm, density_logs,
+                              holder_check, j_evaluator, j_functional,
+                              luxemburg_norm, norm_I, norm_J)
 from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import (example1_report, example2_reports,
                                   second_order_check, sensitivity_pair,
@@ -244,11 +244,12 @@ def test_criterion_9_modular_norms(capsys):
     ens = simulate(TimeGrid(1.0, 64), n=2, M=40_000, seed=1007)
     opt = optimal_terminal_wealth(model, u, ens)
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
+    logs = density_logs(mf, ens)
 
-    ni, nj = norm_I(opt.z, mf, ens), norm_J(opt.xstar, mf, ens)
-    homog = (abs(norm_I(3.0 * opt.z, mf, ens) - 3.0 * ni)
+    ni, nj = norm_I(opt.z, mf, logs), norm_J(opt.xstar, mf, logs)
+    homog = (abs(norm_I(3.0 * opt.z, mf, logs) - 3.0 * ni)
              <= 1e-12 * ni
-             and abs(norm_J(3.0 * opt.xstar, mf, ens) - 3.0 * nj)
+             and abs(norm_J(3.0 * opt.xstar, mf, logs) - 3.0 * nj)
              <= 1e-12 * nj)
 
     rng = np.random.default_rng(1009)
@@ -256,11 +257,11 @@ def test_criterion_9_modular_norms(capsys):
     for _ in range(100):
         Y = np.exp(rng.normal(size=ens.count) * 0.3)
         Z = np.exp(rng.normal(size=ens.count) * 0.4 - 0.2)
-        holder_ok = holder_ok and holder_check(Y, Z, mf, ens).passed
+        holder_ok = holder_ok and holder_check(Y, Z, mf, logs).passed
 
-    j = j_functional(payoff, mf, ens)
+    j = j_functional(payoff, mf, logs, ens.seed)
     j_ok = abs(j.mean - model.x0) <= 3.0 * j.se + 1e-9
-    am = amemiya_norm(j_evaluator(mf, ens), payoff)
+    am = amemiya_norm(j_evaluator(mf, logs), payoff)
     bound_ok = am <= 1.0 + model.x0 + 1e-9
     verdict(capsys, 9, "modular norms: homogeneity, pairing, budget",
             homog and holder_ok and j_ok and bound_ok,

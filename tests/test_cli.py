@@ -7,6 +7,7 @@ import pytest
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           format_config, load_config, main)
+from portsens.paths import PathEnsemble
 from portsens.valuation import SURFACE_HEADER, read_surface_csv
 
 CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
@@ -120,6 +121,24 @@ def test_norms_command(tmp_path):
     assert verdicts["holder_lhs"] == "true"
 
 
+def test_norms_makes_two_path_passes(tmp_path, monkeypatch):
+    # one pass solves for the optimal wealth, one yields the density
+    # samples that every functional, norm and pairing then reads
+    generated = []
+    increments = PathEnsemble.increments
+
+    def counted(self, start=0, stop=None):
+        dW = increments(self, start, stop)
+        generated.append(dW.shape[0])
+        return dW
+
+    monkeypatch.setattr(PathEnsemble, "increments", counted)
+    code = main(["norms", "--config", "configs/norms.ini", "--paths", "500",
+                 "--out", str(tmp_path / "n")])
+    assert code == 0
+    assert sum(generated) == 2 * 500
+
+
 def test_danskin_command(tmp_path):
     out = str(tmp_path / "d")
     code = main(["danskin", "--cloud", "configs/cloud.csv",
@@ -155,6 +174,16 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys):
+    # refused while parsing, before any setup or path generation
+    for argv in (["value", "--config", "configs/example1.ini"],
+                 ["example1"], ["example2"]):
+        assert main(argv + ["--seed", seed, "--out", str(tmp_path)]) == 1
+        assert "seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "PORTSENS_WORKERS" in capsys.readouterr().out
@@ -176,6 +205,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
     noseed.write_text(load_text("configs/example1.ini").replace(
         "seed = 7\n", ""))
     assert main(["value", "--config", str(noseed)]) == 2
+
+    for seed in (-1, 2**64):
+        badseed = tmp_path / "badseed.ini"
+        badseed.write_text(load_text("configs/example1.ini").replace(
+            "seed = 7\n", f"seed = {seed}\n"))
+        assert main(["value", "--config", str(badseed)]) == 2
+        assert "seed" in capsys.readouterr().err
     capsys.readouterr()
 
 

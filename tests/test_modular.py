@@ -36,6 +36,11 @@ def mf3(mod_model):
 
 
 @pytest.fixture(scope="module")
+def logs3(mf3, mod_ens):
+    return density_logs(mf3, mod_ens)
+
+
+@pytest.fixture(scope="module")
 def opt3(mod_model, mod_ens):
     return optimal_terminal_wealth(mod_model, power_utility(3.0), mod_ens)
 
@@ -58,27 +63,27 @@ def test_kernel_violation_rejected(mod_model, mod_ens):
         density_logs(leaky, mod_ens)
 
 
-def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, opt3):
+def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, logs3,
+                                           opt3):
     z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
     mf0 = ModularFunctional(model=mod_model, utility=power_utility(3.0))
     # single zero member: J inverts the utility and reprices the budget,
     # which the multiplier bisection pinned at x0 on these very samples
-    j0 = j_functional(z, mf0, mod_ens)
+    j0 = j_functional(z, mf0, density_logs(mf0, mod_ens), mod_ens.seed)
     assert abs(j0.mean - mod_model.x0) < 1e-9 * (1.0 + mod_model.x0)
     assert j0.extras["argmax_member"] == 0
     # the optimal payoff is replicable, so every member prices it at x0
     # and the maximum sits within Monte Carlo noise of the budget
-    j = j_functional(z, mf3, mod_ens)
+    j = j_functional(z, mf3, logs3, mod_ens.seed)
     assert abs(j.mean - mod_model.x0) < 3.0 * j.se
 
 
-def test_i_modular_power_branch_and_argmin(mod_ens, mf3, opt3):
+def test_i_modular_power_branch_and_argmin(mod_ens, mf3, logs3, opt3):
     z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
-    est = i_modular(z, mf3, mod_ens)
+    est = i_modular(z, mf3, logs3, mod_ens.seed)
     assert est.extras["argmin_member"] == 0
-    logs = density_logs(mf3, mod_ens)
     q = 1.5
-    manual = float(np.mean(2.0 * np.exp((1.0 - q) * logs[0]) * z ** q))
+    manual = float(np.mean(2.0 * np.exp((1.0 - q) * logs3[0]) * z ** q))
     assert est.mean == pytest.approx(manual, rel=1e-12)
 
 
@@ -86,8 +91,9 @@ def test_i_modular_generic_conjugate_branch(mod_model, mod_ens, rng):
     mf = ModularFunctional(model=mod_model, utility=log_utility())
     z = rng.lognormal(size=mod_ens.count)
     z[:100] = 0.0  # the conjugate term vanishes continuously at Z = 0
-    est = i_modular(z, mf, mod_ens)
-    y = np.exp(density_logs(mf, mod_ens)[0])
+    logs = density_logs(mf, mod_ens)
+    est = i_modular(z, mf, logs, mod_ens.seed)
+    y = np.exp(logs[0])
     manual = np.where(z > 0,
                       z * np.asarray(conjugate(log_utility(),
                                                y / np.where(z > 0, z, 1.0))),
@@ -95,10 +101,10 @@ def test_i_modular_generic_conjugate_branch(mod_model, mod_ens, rng):
     assert est.mean == pytest.approx(float(np.mean(manual)), rel=1e-12)
 
 
-def test_luxemburg_closed_form(mod_ens, mf3, opt3):
+def test_luxemburg_closed_form(mf3, logs3, opt3):
     # J(k U(X*)) = k^p x0 for power utility, so the Luxemburg norm of the
     # optimal payoff is exactly the p-th root of the replicated budget
-    F = j_evaluator(mf3, mod_ens)
+    F = j_evaluator(mf3, logs3)
     z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
     budget = F(z)
     lux = luxemburg_norm(F, z)
@@ -113,7 +119,7 @@ def test_amemiya_closed_form(mod_model, mod_ens):
         opt = optimal_terminal_wealth(mod_model, u, mod_ens)
         z = np.asarray(evaluate(u, opt.xstar))
         mf = ModularFunctional(model=mod_model, utility=u)
-        F = j_evaluator(mf, mod_ens)
+        F = j_evaluator(mf, density_logs(mf, mod_ens))
         budget = F(z)
         am = amemiya_norm(F, z)
         # min over k of (1 + k^p b) / k = q (p-1)^{1/p} b^{1/p}
@@ -127,74 +133,77 @@ def test_amemiya_closed_form(mod_model, mod_ens):
                                          rel=1e-9)
 
 
-def test_norms_match_lognormal_moments(mod_ens, mf3, opt3):
-    zhat = np.exp(density_logs(mf3, mod_ens)[0])
+def test_norms_match_lognormal_moments(mf3, logs3, opt3):
+    zhat = np.exp(logs3[0])
     # E[Zhat] = 1 and E[Zhat X*^3] = exp(0.2025) for lambda = 0.3, T = 1
-    assert norm_I(zhat, mf3, mod_ens) == pytest.approx(1.0, abs=0.02)
-    assert norm_J(opt3.xstar, mf3, mod_ens) \
+    assert norm_I(zhat, mf3, logs3) == pytest.approx(1.0, abs=0.02)
+    assert norm_J(opt3.xstar, mf3, logs3) \
         == pytest.approx(1.2244600851219147, abs=0.02)
 
 
-def test_norm_homogeneity(mod_ens, mf3, opt3, rng):
+def test_norm_homogeneity(mod_ens, mf3, logs3, rng):
     z = rng.lognormal(size=mod_ens.count)
-    assert norm_I(3.0 * z, mf3, mod_ens) \
-        == pytest.approx(3.0 * norm_I(z, mf3, mod_ens), rel=1e-12)
-    assert norm_J(3.0 * z, mf3, mod_ens) \
-        == pytest.approx(3.0 * norm_J(z, mf3, mod_ens), rel=1e-12)
-    F = j_evaluator(mf3, mod_ens)
+    assert norm_I(3.0 * z, mf3, logs3) \
+        == pytest.approx(3.0 * norm_I(z, mf3, logs3), rel=1e-12)
+    assert norm_J(3.0 * z, mf3, logs3) \
+        == pytest.approx(3.0 * norm_J(z, mf3, logs3), rel=1e-12)
+    F = j_evaluator(mf3, logs3)
     assert luxemburg_norm(F, 2.0 * z) \
         == pytest.approx(2.0 * luxemburg_norm(F, z), rel=1e-9)
     assert amemiya_norm(F, 2.0 * z) \
         == pytest.approx(2.0 * amemiya_norm(F, z), rel=1e-9)
 
 
-def test_luxemburg_triangle_inequality(mod_ens, mf3, rng):
-    F = j_evaluator(mf3, mod_ens)
+def test_luxemburg_triangle_inequality(mod_ens, mf3, logs3, rng):
+    F = j_evaluator(mf3, logs3)
     a = rng.lognormal(size=mod_ens.count)
     b = np.abs(rng.normal(size=mod_ens.count)) * 2.0
     lhs = luxemburg_norm(F, a + b)
     assert lhs <= (luxemburg_norm(F, a) + luxemburg_norm(F, b)) * (1 + 1e-9)
 
 
-def test_holder_inequality_on_random_pairs(mod_ens, mf3, rng):
+def test_holder_inequality_on_random_pairs(mod_ens, mf3, logs3, rng):
     for _ in range(20):
         y = rng.lognormal(sigma=0.8, size=mod_ens.count)
         z = rng.normal(size=mod_ens.count) * rng.lognormal(
             sigma=0.5, size=mod_ens.count)
-        rep = holder_check(y, z, mf3, mod_ens)
+        rep = holder_check(y, z, mf3, logs3)
         assert rep.passed
         assert rep.ratio <= 1.0 + 1e-9
     assert isinstance(rep, HolderReport)
 
 
-def test_zero_payoff(mod_ens, mf3):
+def test_zero_payoff(mod_ens, mf3, logs3):
     zero = np.zeros(mod_ens.count)
-    F = j_evaluator(mf3, mod_ens)
+    F = j_evaluator(mf3, logs3)
     assert luxemburg_norm(F, zero) == 0.0
     assert amemiya_norm(F, zero) == 0.0
-    assert j_functional(zero, mf3, mod_ens).mean == 0.0
-    assert norm_I(zero, mf3, mod_ens) == 0.0
+    assert j_functional(zero, mf3, logs3, mod_ens.seed).mean == 0.0
+    assert norm_I(zero, mf3, logs3) == 0.0
 
 
-def test_divergent_moments_raise(mod_ens, mf3):
+def test_divergent_moments_raise(mod_ens, mf3, logs3):
     huge = np.full(mod_ens.count, 1e308)
     with pytest.raises(ModularError):
-        norm_I(huge, mf3, mod_ens)
+        norm_I(huge, mf3, logs3)
     with pytest.raises(ModularError):
-        norm_J(huge, mf3, mod_ens)
+        norm_J(huge, mf3, logs3)
     with pytest.raises(ModularError):
-        i_modular(huge, mf3, mod_ens)
+        i_modular(huge, mf3, logs3, mod_ens.seed)
 
 
-def test_payoff_shape_guard(mod_ens, mf3):
+def test_payoff_shape_guard(mod_ens, mf3, logs3):
     with pytest.raises(ModularError):
-        j_functional(np.ones(7), mf3, mod_ens)
+        j_functional(np.ones(7), mf3, logs3, mod_ens.seed)
+    # density samples of another family size are refused as well
+    with pytest.raises(ModularError, match="family"):
+        norm_J(np.ones(mod_ens.count), mf3, logs3[:2])
 
 
 def test_norm_requires_power_utility(mod_model, mod_ens):
     mf = ModularFunctional(model=mod_model, utility=log_utility())
     with pytest.raises(ModularError, match="power"):
-        norm_I(np.ones(mod_ens.count), mf, mod_ens)
+        norm_I(np.ones(mod_ens.count), mf, np.zeros((1, mod_ens.count)))
 
 
 def test_degenerate_modulars_raise(mod_ens):

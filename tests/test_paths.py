@@ -7,6 +7,8 @@ bits.
 
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +41,68 @@ def test_increments_independent_of_block_size():
     assert np.array_equal(full, np.concatenate(parts))
     # and any sub-range slices out of the same stream
     assert np.array_equal(full[13:20], a.increments(13, 20))
+
+
+def fresh_stream(ens, i):
+    """Path i as a freshly built Generator(Philox(key=[seed, i])) draws it.
+
+    The key is built as uint64: numpy turns a plain list holding an int
+    above 2**63 into float64, which rounds the seed.
+    """
+    key = np.array([ens.seed, i], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    dW = gen.standard_normal((ens.grid.steps, ens.n))
+    return dW * math.sqrt(ens.grid.dt)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+def test_increments_pin_the_philox_per_path_scheme(seed):
+    ens = simulate(TimeGrid(1.0, 8), n=2, M=30, seed=seed, block_paths=8)
+    assert ens.scheme == "philox-per-path/1"
+    for start, stop in ((0, 30), (5, 13), (19, 30), (29, 30)):
+        got = ens.increments(start, stop)
+        for i in range(start, stop):
+            assert np.array_equal(got[i - start], fresh_stream(ens, i))
+
+
+def test_no_buffered_values_leak_between_paths():
+    # a one-draw path leaves part of the generator's output buffer unread;
+    # the next path on the same thread must not start from it
+    short = simulate(TimeGrid(1.0, 1), n=1, M=3, seed=5)
+    long = simulate(TimeGrid(1.0, 64), n=2, M=3, seed=6)
+    for i in range(3):
+        assert np.array_equal(short.increments(i, i + 1)[0],
+                              fresh_stream(short, i))
+        assert np.array_equal(long.increments(i, i + 1)[0],
+                              fresh_stream(long, i))
+
+
+def test_interleaved_ensembles_on_two_threads():
+    a = simulate(TimeGrid(1.0, 5), n=1, M=2000, seed=21, block_paths=50)
+    b = simulate(TimeGrid(2.0, 16), n=3, M=2000, seed=22, block_paths=50)
+    jobs = []
+    for ra, rb in zip(a.block_ranges(), b.block_ranges()):
+        jobs += [(a, ra), (b, rb)]  # the two ensembles' blocks alternate
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between paths, not blocks
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(ens.increments, *r) for ens, r in jobs]
+            pieces = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for ens in (a, b):
+        threaded = np.concatenate([p for (e, _), p in zip(jobs, pieces)
+                                   if e is ens])
+        assert np.array_equal(threaded, ens.increments())
+
+
+def test_seed_range():
+    grid = TimeGrid(1.0, 4)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(grid, n=1, M=2, seed=bad)
+    assert simulate(grid, n=1, M=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_map_blocks_bitwise_across_workers(monkeypatch):
