@@ -51,6 +51,18 @@ def weak_slope(tau, T):
     return occupation(tau, T) + (tau + 0.5) * d_occ + tau * T
 
 
+def weak_curvature(tau, T):
+    # d2/dtau2 of weak_value: 2 occ' + (tau + 1/2) occ'' + T, where
+    # occ''(tau) = int tau s^{3/2} phi(tau sqrt(s)) ds vanishes at tau = 0
+    d_occ, err = quad(lambda s: -math.sqrt(s) * norm.pdf(tau * math.sqrt(s)),
+                      0.0, T, epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-10
+    d2_occ, err = quad(lambda s: tau * s**1.5 * norm.pdf(tau * math.sqrt(s)),
+                       0.0, T, epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-10
+    return 2.0 * d_occ + (tau + 0.5) * d2_occ + T
+
+
 heading("sign-switching market (T = 1 unless noted)")
 for T in (1.0, 4.0):
     w = T / 2.0 - T**1.5 / (3.0 * math.sqrt(2.0 * math.pi))
@@ -65,6 +77,25 @@ for tau in (0.0, 0.05, 0.1, 0.2, 0.3):
 for tau in (0.05, 0.1, 0.2):
     show(f"strong_value_tau{tau:g}", (0.5 + tau) * 0.5 + tau * tau * 0.5)
 show("weak_slope_tau0.3", weak_slope(0.3, 1.0))
+# curvature at tau = 0: u_w''(0) = T - (4/3) T^{3/2} / sqrt(2 pi), negative
+# for T > 9 pi / 8, so the weak curve dips below its tangent at T = 4
+for T in (1.0, 4.0):
+    curv = T - 4.0 / 3.0 * T**1.5 / math.sqrt(2.0 * math.pi)
+    h = 1e-3
+    second_diff = (weak_value(h, T) - 2.0 * weak_value(0.0, T)
+                   + weak_value(-h, T)) / (h * h)
+    assert abs(weak_curvature(0.0, T) - curv) < 1e-12
+    assert abs(second_diff - curv) < 1e-5
+    show(f"weak_curvature_T{T:g}", curv)
+# below-tangent residuals u_w(e) - u_w(0) - e u_w'(0) of the exact T = 4
+# curve and their log-log slope: the third-order term takes over beyond
+# e ~ 0.1, so the decay check needs steps below that
+slope4 = 2.0 - 4.0**1.5 / (3.0 * math.sqrt(2.0 * math.pi))
+for steps in ((0.2, 0.1, 0.05, 0.025), (0.05, 0.025, 0.0125, 0.00625)):
+    res = [weak_value(e, 4.0) - weak_value(0.0, 4.0) - e * slope4
+           for e in steps]
+    fit = np.polyfit(np.log(steps), np.log([-r for r in res]), 1)[0]
+    show(f"residual_slope_T4_steps{steps[0]:g}-{steps[-1]:g}", float(fit))
 
 # ---------------------------------------------------------------------------
 # power-utility closed forms, constant price of risk

@@ -11,7 +11,7 @@ from portsens.danskin import CompactSet, support_value
 from portsens.estimate import ValueEstimate
 from portsens.market import CoefficientProcess, MarketModel
 from portsens.modular import ModularFunctional
-from portsens.paths import PathEnsemble, PathFunctional, TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid, simulate
 from portsens.sensitivity import sensitivity_pair
 from portsens.solver import optimal_terminal_wealth
 from portsens.utility import UtilitySpec, log_utility, power_utility
@@ -23,7 +23,6 @@ __all__ = [
     "MarketModel",
     "ModularFunctional",
     "PathEnsemble",
-    "PathFunctional",
     "PerturbationSpec",
     "TimeGrid",
     "UtilitySpec",

@@ -41,13 +41,13 @@ import numpy as np
 from . import utility as ut
 from .danskin import (CloudError, directional_derivative, hadamard_probe,
                       load_cloud, support_value)
-from .market import (CoefficientProcess, MarketModel, format_coefficient,
-                     h1_from_values, parse_coefficient, scalar_constant,
+from .market import (CoefficientProcess, MarketModel, check_h1_direction,
+                     format_coefficient, parse_coefficient, scalar_constant,
                      zeros)
 from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm, norm_I, norm_J)
-from .paths import TimeGrid, check_seed, cumulative, simulate
+from .paths import TimeGrid, check_seed, simulate
 from .sensitivity import (example1_report, example2_reports,
                           second_order_check, sensitivity_report)
 from .solver import optimal_terminal_wealth
@@ -438,26 +438,22 @@ def cmd_h1check(args) -> int:
     taus = [t for t in (cfg.taus or (1.0,)) if t != 0.0]
     if not taus:
         raise ConfigError("h1check needs a nonzero tau")
-    grid = TimeGrid(cfg.horizon, cfg.steps)
-    W = None
-    if not (model.sigma.is_deterministic and pert.dsigma.is_deterministic):
-        probe = simulate(grid, n=model.n, M=min(64, cfg.paths),
-                         seed=cfg.seed, block_paths=cfg.block_paths)
-        W = cumulative(probe.increments(0, probe.count))
-    base_v = model.sigma.evaluate(grid, W)
-    dir_v = pert.dsigma.evaluate(grid, W)
+    regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
+                                          TimeGrid(cfg.horizon, cfg.steps))
     rows, lines_mid, all_ok = [], [], True
-    for tau in taus:
-        rep = h1_from_values(base_v, base_v + tau * dir_v, model.d)
+    for tau, rep in zip(taus, reports):
         all_ok = all_ok and rep.ok
         rows.append([_r(tau), _flag(rep.full_rank), _flag(rep.kernel_equal),
                      _flag(rep.ok)])
         lines_mid.append(f"  tau={tau:g}: full rank "
                          f"{'yes' if rep.full_rank else 'NO'}, kernel "
-                         f"preserved {'yes' if rep.kernel_equal else 'NO'}")
+                         f"preserved {'yes' if rep.kernel_equal else 'NO'}"
+                         + ("" if rep.ok else " on "
+                            + regimes.describe(rep.worst_regime)))
     path = _write_csv(cfg.outdir, "h1.csv", H1_HEADER, rows)
-    lines = [f"kernel stability of sigma + tau dsigma: steps={cfg.steps} "
-             f"horizon={cfg.horizon:g} seed={cfg.seed}"]
+    lines = [f"kernel stability of sigma + tau dsigma, exact over "
+             f"{len(regimes)} reachable regimes: steps={cfg.steps} "
+             f"horizon={cfg.horizon:g}"]
     lines += lines_mid
     lines.append(f"verdict: {'stable' if all_ok else 'VIOLATED'}")
     lines.append(f"wrote {path}")
@@ -474,9 +470,9 @@ def cmd_norms(args) -> int:
     family = (zeros((model.n,)),) + cfg.nu_family
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = _make_ensemble(cfg)
-    opt = optimal_terminal_wealth(model, u, ens)
-    payoff = np.asarray(ut.evaluate(u, opt.xstar))
     logs = density_logs(mf, ens)
+    opt = optimal_terminal_wealth(model, u, logs[0], ens.seed)
+    payoff = np.asarray(ut.evaluate(u, opt.xstar))
 
     j = j_functional(payoff, mf, logs, ens.seed)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)

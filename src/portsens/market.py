@@ -6,15 +6,23 @@ All three are essentially bounded by construction and evaluate predictably
 (the value at node t_k uses path information up to t_k only).  The adapted
 indicator takes its ``high`` value on {W^j_{t_k} < c} and ``low`` elsewhere.
 
+Every kind takes finitely many values, so a set of coefficients takes
+finitely many joint values along a path.  ``RegimeTable`` lists the joint
+values the Brownian motion can reach on a grid and numbers the regime of
+each node; everything computed from coefficient values alone (the market
+price of risk, its directional derivative, rank and null-space checks) is
+computed once per regime and spread over nodes by that index.
+
 The market price of risk is lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1).
 Volatility perturbations are admissible only when they preserve the null
-space of sigma; ``check_h1`` tests this numerically and
-``kernel_preserving_perturbation`` constructs directions that satisfy it by
-design.
+space of sigma; ``check_h1`` tests this exactly over the reachable regimes
+and ``kernel_preserving_perturbation`` constructs directions that satisfy
+it by design.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field, fields
@@ -29,11 +37,7 @@ class CoefficientError(ValueError):
 
 
 class SingularVolatilityError(RuntimeError):
-    """sigma sigma^T is singular or beyond the condition cap at some node."""
-
-    def __init__(self, msg, worst_node=None):
-        super().__init__(msg)
-        self.worst_node = worst_node
+    """sigma sigma^T is singular or beyond the condition cap somewhere."""
 
 
 class KernelStabilityError(RuntimeError):
@@ -272,6 +276,112 @@ def format_coefficient(proc: CoefficientProcess) -> str:
 
 
 # ---------------------------------------------------------------------------
+# regimes: the reachable joint values of a set of coefficients
+
+class RegimeTable:
+    """The joint values of coefficient processes that paths can reach.
+
+    Time splits at the union of the piecewise breakpoints into segments,
+    and each indicator driver j splits the real line at its sorted
+    thresholds into intervals.  A regime is a segment that holds a left
+    node, crossed with one interval per driver.  Every such combination is
+    reached with positive probability, since W_{t_k} has a density for
+    k >= 1; only a segment whose one left node is t_0, where W = 0, reaches
+    nothing but the intervals that hold 0.
+
+    ``values(proc)`` gives a member's value in each regime, (R, *shape), as
+    a read-only broadcast view for a constant member, and ``index(W)`` the
+    regime of each node: (N,) when no member reads the paths, else (B, N)
+    from the left-node values of W (B, N+1, n).  A table of per-regime
+    values gathered by that index equals the member's ``evaluate`` node by
+    node.  Absent (None) members are skipped.
+    """
+
+    def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
+        procs = [p for p in procs if p is not None]
+        self.grid = grid
+        self.breaks = np.unique(np.concatenate(
+            [np.empty(0)]
+            + [p.breaks for p in procs if p.kind == "piecewise"]))
+        self.drivers = sorted({p.driver for p in procs
+                               if p.kind == "indicator"})
+        self.cuts = [np.unique([p.threshold for p in procs
+                                if p.kind == "indicator" and p.driver == j])
+                     for j in self.drivers]
+        sizes = [len(c) + 1 for c in self.cuts]
+        at_zero = tuple(int(np.searchsorted(c, 0.0, side="right"))
+                        for c in self.cuts)
+        combos = list(itertools.product(*map(range, sizes)))
+        seg = np.searchsorted(self.breaks, grid.left_nodes, side="right")
+        rows = []  # (segment, first left node, interval per driver)
+        for s in np.unique(seg):
+            nodes = np.flatnonzero(seg == s)
+            rows += [(s, nodes[0], c)
+                     for c in (combos if nodes[-1] > 0 else [at_zero])]
+        self.segment = np.array([r[0] for r in rows])
+        self.time = grid.left_nodes[[r[1] for r in rows]]
+        self.intervals = np.array([r[2] for r in rows], dtype=int)  # (R, J)
+        # node code = segment * prod(sizes) + mixed-radix interval digits;
+        # codes no path can produce map past the end of every table
+        self._strides = [int(np.prod(sizes[i + 1:], dtype=int))
+                         for i in range(len(sizes))]
+        width = int(np.prod(sizes, dtype=int))
+        ncodes = (len(self.breaks) + 1) * width
+        self._code_type = np.min_scalar_type(ncodes - 1)
+        self._lookup = np.full(ncodes, len(rows),
+                               dtype=np.min_scalar_type(len(rows)))
+        codes = self.segment * width + self.intervals @ np.array(
+            self._strides, dtype=int)
+        self._lookup[codes] = np.arange(len(rows))
+        self._seg_code = (seg * width).astype(self._code_type)
+        self._nodes = None if self.drivers else self._lookup[self._seg_code]
+
+    def __len__(self) -> int:
+        return len(self.segment)
+
+    def values(self, proc: CoefficientProcess) -> np.ndarray:
+        """Per-regime values of a member, shape (R, *shape)."""
+        if proc.kind == "constant":
+            return np.broadcast_to(proc.values, (len(self), *proc.shape))
+        if proc.kind == "piecewise":
+            return proc.values[np.searchsorted(proc.breaks, self.time,
+                                               side="right")]
+        j = self.drivers.index(proc.driver)
+        # high on {W^j < c}: the intervals at or below c's own cut
+        high = self.intervals[:, j] <= np.searchsorted(self.cuts[j],
+                                                       proc.threshold)
+        return np.where(high.reshape(high.shape + (1,) * len(proc.shape)),
+                        proc.high, proc.low)
+
+    def index(self, W: np.ndarray) -> np.ndarray:
+        """Regime number of every left node: (N,) or, with drivers, (B, N)."""
+        if self._nodes is not None:
+            return self._nodes
+        N = self.grid.steps
+        code = np.empty((W.shape[0], N), self._code_type)
+        code[:] = self._seg_code
+        for j, cuts, stride in zip(self.drivers, self.cuts, self._strides):
+            if j >= W.shape[-1]:
+                raise CoefficientError(f"driver index {j} out of range "
+                                       f"for n={W.shape[-1]}")
+            step = self._code_type.type(stride)
+            for c in cuts:
+                code += (W[:, :N, j] >= c) * step
+        return self._lookup[code]
+
+    def describe(self, r: int) -> str:
+        """The time segment and driver intervals of regime r."""
+        edges = np.concatenate(([0.0], self.breaks, [self.grid.horizon]))
+        s = self.segment[r]
+        parts = [f"t in [{max(edges[s], 0.0):g}, "
+                 f"{min(edges[s + 1], self.grid.horizon):g})"]
+        for j, cuts, i in zip(self.drivers, self.cuts, self.intervals[r]):
+            bounds = np.concatenate(([-np.inf], cuts, [np.inf]))
+            parts.append(f"W^{j} in [{bounds[i]:g}, {bounds[i + 1]:g})")
+        return ", ".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # market model and market price of risk
 
 @dataclass(frozen=True)
@@ -304,14 +414,6 @@ class MarketModel:
                 and self.rate.is_deterministic)
 
 
-@dataclass(frozen=True, eq=False)
-class MPRProcess:
-    """Per-node market price of risk, (N, n) or (B, N, n)."""
-
-    values: np.ndarray
-    worst_cond: float
-
-
 def _gram_cond(S: np.ndarray) -> np.ndarray:
     """2-norm condition numbers of a (..., d, d) stack of Gram matrices."""
     d = S.shape[-1]
@@ -329,63 +431,61 @@ def _gram_cond(S: np.ndarray) -> np.ndarray:
         return np.where(ev[..., 0] > 0, ev[..., -1] / ev[..., 0], np.inf)
 
 
-def _worst_node(cond: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(cond))
-    if cond.ndim == 1:
-        return (0, flat)
-    return tuple(int(v) for v in np.unravel_index(flat, cond.shape))  # (path, k)
-
-
 def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray, rate_v: np.ndarray,
                     cond_cap: float = 1e8) -> np.ndarray:
-    """lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1) from per-node values.
+    """lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1) from coefficients.
 
     mu_v is (..., d), sigma_v (..., d, n), rate_v (..., 1); leading axes
-    broadcast.  Raises SingularVolatilityError when the Gram matrix is
-    singular or its condition number exceeds the cap at any node.
+    (regimes or nodes) broadcast.  Raises SingularVolatilityError when the
+    Gram matrix is singular or its condition number exceeds the cap at any
+    of them.
     """
     excess = mu_v - rate_v
     d = sigma_v.shape[-2]
     if d == 1:
         gram = np.sum(sigma_v[..., 0, :] ** 2, axis=-1)
-        bad = ~(gram > 0)
-        if np.any(bad):
-            raise SingularVolatilityError("sigma sigma^T singular",
-                                          _worst_node(np.where(bad, np.inf, 1.0)))
+        if not np.all(gram > 0):
+            raise SingularVolatilityError("sigma sigma^T singular")
         return sigma_v[..., 0, :] * (excess[..., 0] / gram)[..., None]
     S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
     cond = _gram_cond(S)
     worst = float(np.max(cond))
     if not worst < cond_cap:
         raise SingularVolatilityError(
-            f"sigma sigma^T condition {worst:g} exceeds cap {cond_cap:g}",
-            _worst_node(cond))
+            f"sigma sigma^T condition {worst:g} exceeds cap {cond_cap:g}")
     excess_b = np.broadcast_arrays(excess, S[..., 0])[0]
     x = np.linalg.solve(np.broadcast_to(S, excess_b.shape + (S.shape[-1],)),
                         excess_b[..., None])[..., 0]
     return np.einsum("...dn,...d->...n", sigma_v, x)
 
 
-def market_price_of_risk(model: MarketModel, W: np.ndarray | None,
-                         grid: TimeGrid) -> MPRProcess:
-    """Market price of risk on the grid; W may be None for deterministic models."""
-    mu_v = model.mu.evaluate(grid, W)
-    sigma_v = model.sigma.evaluate(grid, W)
-    rate_v = model.rate.evaluate(grid, W)
-    vals = mpr_from_values(mu_v, sigma_v, rate_v, model.cond_cap)
-    if model.d == 1:
-        worst = 1.0
-    else:
-        S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
-        worst = float(np.max(_gram_cond(S)))
-    return MPRProcess(values=vals, worst_cond=worst)
+def mpr_table(model: MarketModel, regimes: RegimeTable) -> np.ndarray:
+    """Market price of risk per regime, (R, n); regimes must hold mu,
+    sigma and the rate."""
+    return mpr_from_values(regimes.values(model.mu),
+                           regimes.values(model.sigma),
+                           regimes.values(model.rate), model.cond_cap)
+
+
+def integrand(grid: TimeGrid, proc: CoefficientProcess) \
+        -> tuple[RegimeTable, np.ndarray]:
+    """A coefficient as a ``paths.path_sums`` integrand."""
+    regimes = RegimeTable(grid, proc)
+    return regimes, regimes.values(proc)
+
+
+def mpr_integrand(model: MarketModel, grid: TimeGrid) \
+        -> tuple[RegimeTable, np.ndarray]:
+    """The market price of risk as a ``paths.path_sums`` integrand."""
+    regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
+    return regimes, mpr_table(model, regimes)
 
 
 def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
-                      dsigma: CoefficientProcess | None,
-                      W: np.ndarray | None, grid: TimeGrid,
-                      dr: CoefficientProcess | None = None) -> np.ndarray:
-    """Directional derivative of the market price of risk.
+                      dsigma: CoefficientProcess | None, grid: TimeGrid,
+                      dr: CoefficientProcess | None = None) \
+        -> tuple[RegimeTable, np.ndarray]:
+    """Directional derivative of the market price of risk per regime.
 
     With S = sigma sigma^T and excess = mu - r 1:
 
@@ -394,45 +494,41 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
                   - sigma^T S^{-1} (sigma dsigma^T + dsigma sigma^T) S^{-1} excess
 
     The optional rate direction enters exactly as a drift direction -dr 1.
+    Returned as a ``paths.path_sums`` integrand: the regimes of exactly the
+    coefficients the formula reads (sigma and the drift and rate directions,
+    plus mu and the rate when sigma moves) and the (R, n) values.
     """
     d, n = model.d, model.n
-    sigma_v = model.sigma.evaluate(grid, W)
-    mu_v = model.mu.evaluate(grid, W)
-    rate_v = model.rate.evaluate(grid, W)
-    excess = mu_v - rate_v
-
-    dmu_v = None if dmu is None else dmu.evaluate(grid, W)
+    moved = (model.mu, model.rate, dsigma) if dsigma is not None else ()
+    regimes = RegimeTable(grid, model.sigma, dmu, dr, *moved)
+    sigma_v = regimes.values(model.sigma)
+    dmu_v = None if dmu is None else regimes.values(dmu)
     if dr is not None:
-        drv = dr.evaluate(grid, W)
-        drift_dir = -drv * np.ones(d)  # (..., 1) times (d,)
+        drift_dir = -regimes.values(dr) * np.ones(d)  # (R, 1) times (d,)
         dmu_v = drift_dir if dmu_v is None else dmu_v + drift_dir
-    dsig_v = None if dsigma is None else dsigma.evaluate(grid, W)
 
     sigmaT = np.swapaxes(sigma_v, -1, -2)
     S = sigma_v @ sigmaT
 
-    def solve(rhs):  # S^{-1} rhs for (..., d) right-hand sides
+    def solve(rhs):  # S^{-1} rhs for (R, d) right-hand sides
         if d == 1:
             return rhs / S[..., 0]
-        rhs_b = np.broadcast_arrays(rhs, S[..., 0])[0]
-        return np.linalg.solve(np.broadcast_to(S, rhs_b.shape + (d,)),
-                               rhs_b[..., None])[..., 0]
+        return np.linalg.solve(S, rhs[..., None])[..., 0]
 
-    out = None
+    out = np.zeros((len(regimes), n))
     if dmu_v is not None:
         out = np.einsum("...nd,...d->...n", sigmaT, solve(dmu_v))
-    if dsig_v is not None:
+    if dsigma is not None:
+        excess = regimes.values(model.mu) - regimes.values(model.rate)
+        dsig_v = regimes.values(dsigma)
         w = solve(excess)  # S^{-1} excess
-        dsigT = np.swapaxes(dsig_v, -1, -2)
-        term = np.einsum("...nd,...d->...n", dsigT, w)
+        term = np.einsum("...nd,...d->...n", np.swapaxes(dsig_v, -1, -2), w)
         mixed = (np.einsum("...dn,...en->...de", sigma_v, dsig_v)
                  + np.einsum("...dn,...en->...de", dsig_v, sigma_v))
         term = term - np.einsum("...nd,...d->...n", sigmaT,
                                 solve(np.einsum("...de,...e->...d", mixed, w)))
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros(sigma_v.shape[:-2] + (n,))
-    return np.asarray(out)
+        out = term if dmu_v is None else out + term
+    return regimes, out
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +539,7 @@ class H1Report:
     full_rank: bool
     inv_bound: float
     kernel_equal: bool
-    worst_node: tuple[int, int]
+    worst_regime: int  # first failing row, else the worst-conditioned one
 
     @property
     def ok(self) -> bool:
@@ -457,29 +553,35 @@ def _numerical_rank(s: np.ndarray, tol: float) -> np.ndarray:
 
 
 def check_h1(sigma_base: CoefficientProcess, sigma_pert: CoefficientProcess,
-             grid: TimeGrid, W: np.ndarray | None = None,
-             tol: float = 1e-10, max_paths: int = 64) -> H1Report:
+             grid: TimeGrid, tol: float = 1e-10) -> H1Report:
     """Full rank of the base volatility plus null-space equality of the pair.
 
     Kernel equality is decided by comparing the numerical rank of the stacked
-    (2d, n) matrix with the individual ranks at every checked node.  For
-    adapted volatilities at most ``max_paths`` paths are checked.
+    (2d, n) matrix with the individual ranks, in every regime the paths can
+    reach.
     """
     if sigma_base.shape != sigma_pert.shape:
         raise CoefficientError("volatility shapes differ")
-    if W is not None and W.shape[0] > max_paths:
-        W = W[:max_paths]
-    if W is None and not (sigma_base.is_deterministic
-                          and sigma_pert.is_deterministic):
-        raise CoefficientError("adapted volatility check needs paths")
-    return h1_from_values(sigma_base.evaluate(grid, W),
-                          sigma_pert.evaluate(grid, W),
-                          sigma_base.shape[0], tol)
+    regimes = RegimeTable(grid, sigma_base, sigma_pert)
+    return h1_from_values(regimes.values(sigma_base),
+                          regimes.values(sigma_pert), sigma_base.shape[0], tol)
+
+
+def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
+                       taus, grid: TimeGrid, tol: float = 1e-10) \
+        -> tuple[RegimeTable, list[H1Report]]:
+    """``check_h1`` of sigma against sigma + tau dsigma for each tau."""
+    if sigma.shape != dsigma.shape:
+        raise CoefficientError("volatility shapes differ")
+    regimes = RegimeTable(grid, sigma, dsigma)
+    base, step = regimes.values(sigma), regimes.values(dsigma)
+    return regimes, [h1_from_values(base, base + tau * step, sigma.shape[0],
+                                    tol) for tau in taus]
 
 
 def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray, d: int,
                    tol: float = 1e-10) -> H1Report:
-    """Same check on already-evaluated volatility node values."""
+    """Same check on volatility values, one (d, n) matrix per row."""
     base_v, pert_v = np.broadcast_arrays(base_v, pert_v)
 
     s_base = np.linalg.svd(base_v, compute_uv=False)
@@ -494,15 +596,16 @@ def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray, d: int,
     cut = tol * s_base[..., :1]
     rank_stack = np.sum(s_stack > cut, axis=-1)
 
-    full_rank = bool(np.all(rank_base == d))
-    kernel_equal = bool(np.all((rank_stack == rank_base)
-                               & (rank_pert == rank_base)))
+    full = rank_base == d
+    equal = (rank_stack == rank_base) & (rank_pert == rank_base)
     smin = s_base[..., -1]
     with np.errstate(divide="ignore"):
         inv_norm = np.where(smin > 0, 1.0 / smin**2, np.inf)
-    worst = _worst_node(inv_norm)
-    return H1Report(full_rank=full_rank, inv_bound=float(np.max(inv_norm)),
-                    kernel_equal=kernel_equal, worst_node=worst)
+    bad = np.ravel(~(full & equal))
+    worst = np.argmax(bad) if bad.any() else np.argmax(inv_norm)
+    return H1Report(full_rank=bool(np.all(full)),
+                    inv_bound=float(np.max(inv_norm)),
+                    kernel_equal=bool(np.all(equal)), worst_regime=int(worst))
 
 
 def kernel_preserving_perturbation(sigma_base: CoefficientProcess,

@@ -1,7 +1,7 @@
 """Budget and dual functionals on terminal payoffs, with their norms.
 
 A market with price of risk lambda and null-space directions nu (sigma
-nu = 0 node by node) prices payoffs through the density family
+nu = 0 in every reachable regime) prices payoffs through the density family
 Y^nu = exp(-int r dt) E(-int (lambda + nu) dW)_T.  Two convex functionals
 on payoff samples Z arise:
 
@@ -45,10 +45,9 @@ import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, mean_estimate
-from portsens.market import (CoefficientProcess, MarketModel,
-                             mpr_from_values, zeros)
-from portsens.paths import (PathEnsemble, PathFunctional, ito_sum,
-                            map_blocks, quad_sum)
+from portsens.market import (CoefficientProcess, MarketModel, RegimeTable,
+                             integrand, mpr_table, zeros)
+from portsens.paths import PathEnsemble, TimeGrid, path_sums
 
 
 class ModularError(RuntimeError):
@@ -75,19 +74,22 @@ class ModularFunctional:
         object.__setattr__(self, "nu_family", fam)
 
 
-def _validate_kernel(mf: ModularFunctional, grid, W) -> None:
-    """Every family member must lie in the null space of sigma nodewise."""
-    sg_v = mf.model.sigma.evaluate(grid, W)
-    scale = float(np.max(np.abs(sg_v))) or 1.0
+def _validate_kernel(mf: ModularFunctional, grid: TimeGrid) -> None:
+    """Every family member must lie in the null space of sigma, in every
+    regime the paths can reach."""
+    sigma = mf.model.sigma
     for i, nu in enumerate(mf.nu_family):
-        nu_v = nu.evaluate(grid, W)
+        regimes = RegimeTable(grid, sigma, nu)
+        sg_v, nu_v = regimes.values(sigma), regimes.values(nu)
+        scale = float(np.max(np.abs(sg_v))) or 1.0
         prod = np.einsum("...dn,...n->...d", sg_v, nu_v)
         worst = float(np.max(np.abs(prod))) if prod.size else 0.0
         nu_scale = float(np.max(np.abs(nu_v))) if nu_v.size else 0.0
         if worst > mf.kernel_tol * max(1.0, scale * nu_scale):
+            r = int(np.argmax(np.max(np.abs(prod), axis=-1)))
             raise ModularError(
                 f"family member {i} leaves the volatility null space "
-                f"(max |sigma nu| = {worst:g})")
+                f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
 
 
 def density_logs(mf: ModularFunctional, ensemble: PathEnsemble,
@@ -95,28 +97,15 @@ def density_logs(mf: ModularFunctional, ensemble: PathEnsemble,
     """log Y^nu per (family member, path), discount included; one pass."""
     grid = ensemble.grid
     model = mf.model
-    n_fam = len(mf.nu_family)
-
-    def block(start, stop, dW, W):
-        B = stop - start
-        dt = grid.dt
-        _validate_kernel(mf, grid, W)
-        lam = mpr_from_values(model.mu.evaluate(grid, W),
-                              model.sigma.evaluate(grid, W),
-                              model.rate.evaluate(grid, W), model.cond_cap)
-        R = np.sum(model.rate.evaluate(grid, W), axis=(-2, -1)) * dt
-        out = []
-        for nu in mf.nu_family:
-            gamma = lam + nu.evaluate(grid, W)
-            logy = (-R - ito_sum(gamma, dW)
-                    - 0.5 * quad_sum(gamma, gamma, dt))
-            out.append(np.broadcast_to(logy, (B,)).astype(float, copy=True))
-        return tuple(out)
-
-    flat = map_blocks(ensemble, block, workers)
-    if n_fam == 1 and not isinstance(flat, tuple):
-        flat = (flat,)
-    return np.stack(flat)
+    _validate_kernel(mf, grid)
+    sums = {"R": ("time", integrand(grid, model.rate))}
+    for i, nu in enumerate(mf.nu_family):
+        regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
+        gamma = (regimes, mpr_table(model, regimes) + regimes.values(nu))
+        sums.update({f"S{i}": ("ito", gamma), f"Q{i}": ("quad", gamma, gamma)})
+    s = path_sums(ensemble, sums, workers)
+    return np.stack([-s["R"] - s[f"S{i}"] - 0.5 * s[f"Q{i}"]
+                     for i in range(len(mf.nu_family))])
 
 
 def _check_logs(mf: ModularFunctional, logs: np.ndarray) -> None:
@@ -129,7 +118,7 @@ def _payoff_values(Z, mf: ModularFunctional, logs: np.ndarray) -> np.ndarray:
     """Per-path payoff values, checked against the density samples."""
     _check_logs(mf, logs)
     count = logs.shape[1]
-    vals = Z.values if isinstance(Z, PathFunctional) else np.asarray(Z, float)
+    vals = np.asarray(Z, float)
     if vals.shape != (count,):
         raise ModularError(f"payoff must have one value per path "
                            f"({count}), got shape {vals.shape}")
@@ -150,37 +139,6 @@ def j_functional(Z, mf: ModularFunctional, logs: np.ndarray,
                          seed=best.seed, estimator="j",
                          influence=best.influence,
                          extras={"argmax_member": best_i})
-
-
-def i_modular(Z, mf: ModularFunctional, logs: np.ndarray,
-              seed: int) -> ValueEstimate:
-    """min over the family of mean(|Z| * V(Y^nu / |Z|)) on density samples."""
-    u = mf.utility
-    vals = np.abs(_payoff_values(Z, mf, logs))
-    best, best_i = None, -1
-    for i in range(logs.shape[0]):
-        y = np.exp(logs[i])
-        if u.kind == "power":
-            # |Z| V(Y/|Z|) = (p-1) Y^{1-q} |Z|^q, continuous through Z = 0;
-            # overflow to inf is caught by the finiteness check below
-            with np.errstate(over="ignore"):
-                terms = ((u.p - 1.0) * np.exp((1.0 - u.q) * logs[i])
-                         * vals**u.q)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                conj = np.asarray(ut.conjugate(u, np.where(vals > 0,
-                                                           y / np.maximum(vals, 1e-300),
-                                                           1.0)))
-            terms = np.where(vals > 0, vals * conj, 0.0)
-        if not np.all(np.isfinite(terms)):
-            raise ModularError("conjugate moment diverges on the sample")
-        est = mean_estimate(terms, seed, f"i[nu={i}]")
-        if best is None or est.mean < best.mean:
-            best, best_i = est, i
-    return ValueEstimate(mean=best.mean, se=best.se, count=best.count,
-                         seed=best.seed, estimator="i",
-                         influence=best.influence,
-                         extras={"argmin_member": best_i})
 
 
 def _require_power(u: ut.UtilitySpec, what: str) -> None:

@@ -8,8 +8,10 @@ only on its key: each thread holds one generator and re-keys it for every
 path.  Consumers stream over blocks of paths, reduce each block to a handful
 of per-path scalars, and concatenate those in path order; all cross-path
 reductions (means, standard errors) happen on the full M-vector in the
-caller.  This keeps memory at O(block) while making every result
-independent of block size and worker count.
+caller.  ``path_sums`` is the one such consumer: it returns the named
+stochastic and time integrals that every estimator is built from.  This
+keeps memory at O(block) while making every result independent of block
+size and worker count.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -22,11 +24,10 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from portsens.estimate import ValueEstimate, mean_estimate
 
 WORKERS_ENV = "PORTSENS_WORKERS"
 
@@ -149,9 +150,6 @@ class PathEnsemble:
         out *= np.sqrt(self.grid.dt)
         return out
 
-    def with_block_paths(self, block_paths: int) -> "PathEnsemble":
-        return replace(self, block_paths=block_paths)
-
 
 def simulate(grid: TimeGrid, n: int, M: int, seed: int,
              block_paths: int = 8192) -> PathEnsemble:
@@ -202,23 +200,8 @@ def map_blocks(ensemble: PathEnsemble, block_fn, workers: int | None = None):
     return np.concatenate(pieces)
 
 
-@dataclass(frozen=True, eq=False)
-class PathFunctional:
-    """Per-path scalar values of one terminal functional."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError(f"non-finite path functional {self.label!r}")
-
-    def mean_estimate(self, seed: int) -> ValueEstimate:
-        return mean_estimate(self.values, seed, self.label or "path-functional")
-
-
 # ---------------------------------------------------------------------------
-# block-level kernels; H may be deterministic (N, n) or adapted (B, N, n)
+# block-level reductions; H may be deterministic (N, n) or adapted (B, N, n)
 
 def ito_sum(H: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Per-path sum_k <H_k, dW_k> with left-endpoint H."""
@@ -232,97 +215,66 @@ def quad_sum(H: np.ndarray, G: np.ndarray, dt: float) -> np.ndarray:
     return prod * dt
 
 
-def log_doleans(gamma: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
-    """Per-path log of the stochastic exponential of int gamma dW."""
-    return ito_sum(gamma, dW) - 0.5 * quad_sum(gamma, gamma, dt)
-
-
-def _as_values(integrand, grid: TimeGrid, W: np.ndarray) -> np.ndarray:
-    """Per-node values from an array, a coefficient-like object or a callable."""
-    if callable(integrand):
-        vals = integrand(grid, W)
-    elif hasattr(integrand, "evaluate"):
-        vals = integrand.evaluate(grid, W)
-    else:
-        vals = np.asarray(integrand, dtype=float)
-    if vals.ndim not in (2, 3):
-        raise ValueError("integrand must evaluate to (N, n) or (B, N, n)")
-    if vals.shape[-2] != grid.steps or vals.shape[-1] != W.shape[-1]:
-        raise ValueError(f"integrand shape {vals.shape} does not match "
-                         f"N={grid.steps}, n={W.shape[-1]}")
-    return vals
-
-
 # ---------------------------------------------------------------------------
-# public path functionals
+# the path-sum kernel
 
-def ito_integral(integrand, ensemble: PathEnsemble,
-                 workers: int | None = None) -> PathFunctional:
-    """Terminal Ito integral sum_k <H_{t_k}, dW_k> per path.
+def path_sums(ensemble: PathEnsemble, sums: dict,
+              workers: int | None = None) -> dict:
+    """Named per-path sums, all from one pass over the ensemble.
 
-    ``integrand`` is a deterministic (N, n) array, a coefficient process, or
-    a callable (grid, W_block) -> (B, N, n) using left-endpoint information
-    only.
-    """
-    def block(start, stop, dW, W):
-        return ito_sum(_as_values(integrand, ensemble.grid, W), dW)
+    Each request is ``("ito", a)`` for sum_k <a_k, dW_k>, ``("quad", a, b)``
+    for sum_k <a_k, b_k> dt, or ``("time", c)`` for sum_k sum_j c_kj dt.
+    An integrand is a pair ``(regimes, table)``: ``regimes.index(W)`` gives
+    the regime of every left node, (N,) when it depends on time only and
+    (B, N) when it reads the paths, and ``table[index]`` the node values
+    (see ``market.RegimeTable``).  A deterministic integrand thus reduces
+    as an (N, k) array and an adapted one as (B, N, k).  A table that is a
+    broadcast view, one value for every regime as a constant coefficient
+    gives, spreads as a broadcast view too: einsum sums a broadcast operand
+    in another order than a dense one, so a constant keeps the order it
+    has as ``CoefficientProcess.evaluate`` output, and a caller that wants
+    the dense order passes a dense table.
 
-    return PathFunctional(map_blocks(ensemble, block, workers), "ito-integral")
-
-
-def stochastic_exponential(gamma, ensemble: PathEnsemble,
-                           workers: int | None = None) -> PathFunctional:
-    """Terminal Doleans-Dade exponential exp(int gamma dW - 1/2 int |gamma|^2 dt).
-
-    Computed in log space, so the result is strictly positive by
-    construction.
+    Within a block, node values are gathered on first use and dropped after
+    the last request that names the same integrand object, so requests
+    listed in groups hold only one group's integrands at a time.  Returns
+    an (M,) array per name.
     """
     dt = ensemble.grid.dt
+    uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
 
     def block(start, stop, dW, W):
-        g = _as_values(gamma, ensemble.grid, W)
-        out = log_doleans(g, dW, dt)
-        return np.exp(out, out=out)
+        index, live, left = {}, {}, Counter(uses)
 
-    return PathFunctional(map_blocks(ensemble, block, workers), "stoch-exp")
+        def values(f):
+            key = id(f)
+            if key not in live:
+                regimes, table = f
+                if id(regimes) not in index:
+                    index[id(regimes)] = regimes.index(W)
+                idx = index[id(regimes)]
+                live[key] = (np.broadcast_to(table[0], idx.shape
+                                             + table.shape[1:])
+                             if table.strides[0] == 0 else table[idx])
+            vals = live[key]
+            left[key] -= 1
+            if not left[key]:
+                del live[key]
+            return vals
 
+        out = []
+        for kind, *fs in sums.values():
+            if kind == "ito":
+                v = ito_sum(values(fs[0]), dW)
+            elif kind == "quad":
+                v = quad_sum(values(fs[0]), values(fs[1]), dt)
+            else:
+                v = np.sum(values(fs[0]), axis=(-2, -1)) * dt
+            out.append(np.broadcast_to(v, (stop - start,)).astype(float,
+                                                                  copy=True))
+        return tuple(out)
 
-def girsanov_weight(lambda_new, lambda_base, ensemble: PathEnsemble,
-                    workers: int | None = None) -> PathFunctional:
-    """Density dP^new/dP per path: E(int (lambda_new - lambda_base) dW)_T."""
-    dt = ensemble.grid.dt
-
-    def block(start, stop, dW, W):
-        delta = (_as_values(lambda_new, ensemble.grid, W)
-                 - _as_values(lambda_base, ensemble.grid, W))
-        out = log_doleans(delta, dW, dt)
-        return np.exp(out, out=out)
-
-    return PathFunctional(map_blocks(ensemble, block, workers), "girsanov-weight")
-
-
-def shifted_brownian(ensemble: PathEnsemble, drift,
-                     workers: int | None = None) -> np.ndarray:
-    """Cumulative paths of W_t - int_0^t drift ds, shape (M, N+1, n).
-
-    Materializes the whole ensemble; for large M*N stream blocks instead and
-    apply ``shift_increments`` inside the block function.
-    """
-    grid = ensemble.grid
-    if ensemble.count * (grid.steps + 1) * ensemble.n > 2**27:
-        raise ResourceLimitError("shifted ensemble too large to materialize; "
-                                 "stream blocks with shift_increments instead")
-
-    def block(start, stop, dW, W):
-        vals = _as_values(drift, grid, W)
-        return cumulative(shift_increments(dW, vals, grid.dt))
-
-    return map_blocks(ensemble, block, workers)
-
-
-def shift_increments(dW: np.ndarray, drift_vals: np.ndarray, dt: float) -> np.ndarray:
-    """Increments of the drift-removed path: dW_k - drift_k dt."""
-    return dW - drift_vals * dt
+    return dict(zip(sums, map_blocks(ensemble, block, workers)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,28 +37,26 @@ from portsens import utility as ut
 from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
                                difference_se, mean_estimate)
 from portsens.market import (CoefficientError, MarketModel, constant,
-                             dlambda_direction, indicator, mpr_from_values)
-from portsens.paths import (PathEnsemble, TimeGrid, ito_sum, map_blocks,
-                            quad_sum, simulate)
+                             dlambda_direction, indicator, integrand,
+                             mpr_integrand, mpr_table)
+from portsens.paths import PathEnsemble, TimeGrid, path_sums, simulate
 from portsens.solver import bisect_budget
 from portsens.valuation import PerturbationSpec, value_surface
 
 
-def _direction_values(model: MarketModel, pert: PerturbationSpec,
-                      grid: TimeGrid, W: np.ndarray | None):
-    """Price-of-risk direction values and the rate direction, per node.
+def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
+    """The price-of-risk direction as a path-sum integrand.
 
-    Both branches return dense arrays so that reductions sum in the same
-    order regardless of how the direction was specified; the chain rule
-    through the price of risk is then reproducible bit for bit.
+    A coefficient direction goes through the chain rule once per regime of
+    the coefficients it reads; a direct dlambda is taken as given.  Both
+    spread to dense node arrays, so reductions sum in the same order either
+    way and the chain rule is reproducible bit for bit.
     """
     if pert.dlambda is not None:
-        return np.ascontiguousarray(pert.dlambda.evaluate(grid, W)), None
-    dlam = np.ascontiguousarray(
-        dlambda_direction(model, pert.dmu, pert.dsigma, W, grid,
-                          dr=pert.drate))
-    dr_v = pert.drate.evaluate(grid, W) if pert.drate is not None else None
-    return dlam, dr_v
+        regimes, table = integrand(grid, pert.dlambda)
+        return regimes, table.copy()
+    return dlambda_direction(model, pert.dmu, pert.dsigma, grid,
+                             dr=pert.drate)
 
 
 def _sens_arrays(model: MarketModel, u: ut.UtilitySpec,
@@ -73,34 +71,22 @@ def _sens_arrays(model: MarketModel, u: ut.UtilitySpec,
     dr       int dr dt
     """
     grid = ensemble.grid
-
-    def block(start, stop, dW, W):
-        B = stop - start
-        dt = grid.dt
-        mu_v = model.mu.evaluate(grid, W)
-        sg_v = model.sigma.evaluate(grid, W)
-        r_v = model.rate.evaluate(grid, W)
-        lam = mpr_from_values(mu_v, sg_v, r_v, model.cond_cap)
-        dlam, dr_v = _direction_values(model, pert, grid, W)
-
-        R = np.sum(r_v, axis=(-2, -1)) * dt
-        S1 = ito_sum(lam, dW)
-        Q11 = quad_sum(lam, lam, dt)
-        s2 = ito_sum(dlam, dW)
-        dq = quad_sum(lam, dlam, dt)
-        dR = (np.zeros(()) if dr_v is None
-              else np.sum(dr_v, axis=(-2, -1)) * dt)
-        if u.kind == "power":
-            payload = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
-        elif u.kind == "log":
-            payload = R + 0.5 * Q11
-        else:
-            payload = -(R + S1 + 0.5 * Q11)  # log Zhat
-        return tuple(np.broadcast_to(a, (B,)).astype(float, copy=True)
-                     for a in (payload, s2, dq, dR))
-
-    flat = map_blocks(ensemble, block, workers)
-    return dict(zip(("payload", "s2", "dq", "dr"), flat))
+    lam, dlam = mpr_integrand(model, grid), _direction(model, pert, grid)
+    sums = {"R": ("time", integrand(grid, model.rate)), "S1": ("ito", lam),
+            "Q11": ("quad", lam, lam), "s2": ("ito", dlam),
+            "dq": ("quad", lam, dlam)}
+    if pert.drate is not None:
+        sums["dR"] = ("time", integrand(grid, pert.drate))
+    s = path_sums(ensemble, sums, workers)
+    R, S1, Q11 = s["R"], s["S1"], s["Q11"]
+    if u.kind == "power":
+        payload = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
+    elif u.kind == "log":
+        payload = R + 0.5 * Q11
+    else:
+        payload = -(R + S1 + 0.5 * Q11)  # log Zhat
+    return {"payload": payload, "s2": s["s2"], "dq": s["dq"],
+            "dr": s.get("dR", np.zeros(ensemble.count))}
 
 
 def _power_sens(u, x0, v, fac, seed, name, extras) -> ValueEstimate:
@@ -151,15 +137,6 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
     return weak, strong
 
 
-def weak_sensitivity(model, u, pert, ensemble, workers=None) -> ValueEstimate:
-    return sensitivity_pair(model, u, pert, ensemble, workers)[0]
-
-
-def strong_sensitivity(model, u, pert, ensemble, workers=None) \
-        -> ValueEstimate:
-    return sensitivity_pair(model, u, pert, ensemble, workers)[1]
-
-
 def weak_sensitivity_at(model: MarketModel, u: ut.UtilitySpec,
                         direction: PerturbationSpec, at: PerturbationSpec,
                         theta: float, ensemble: PathEnsemble,
@@ -174,8 +151,8 @@ def weak_sensitivity_at(model: MarketModel, u: ut.UtilitySpec,
 
     with G the measure-change weight of the point.  At theta = 0 this
     reduces to the base-point formula (in its unreduced form, so the
-    estimate differs pathwise from ``weak_sensitivity`` while estimating
-    the same number).
+    estimate differs pathwise from the weak half of ``sensitivity_pair``
+    while estimating the same number).
     """
     direction.validate_for(model)
     at.validate_for(model)
@@ -183,49 +160,26 @@ def weak_sensitivity_at(model: MarketModel, u: ut.UtilitySpec,
         raise CoefficientError("point derivatives support mu, sigma and "
                                "lambda directions only")
     grid = ensemble.grid
-
-    def block(start, stop, dW, W):
-        B = stop - start
-        dt = grid.dt
-        mu_v = model.mu.evaluate(grid, W)
-        sg_v = model.sigma.evaluate(grid, W)
-        r_v = model.rate.evaluate(grid, W)
-        lam0 = mpr_from_values(mu_v, sg_v, r_v, model.cond_cap)
-        if at.dlambda is not None:
-            lam = lam0 + theta * at.dlambda.evaluate(grid, W)
-        else:
-            mu_t = (mu_v if at.dmu is None
-                    else mu_v + theta * at.dmu.evaluate(grid, W))
-            sg_t = (sg_v if at.dsigma is None
-                    else sg_v + theta * at.dsigma.evaluate(grid, W))
-            lam = mpr_from_values(mu_t, sg_t, r_v, model.cond_cap)
-        dlam, _ = _direction_values(model, direction, grid, W)
-
-        delta = lam - lam0
-        R = np.sum(r_v, axis=(-2, -1)) * dt
-        log_g = ito_sum(delta, dW) - 0.5 * quad_sum(delta, delta, dt)
-        S = ito_sum(lam, dW)
-        Q = quad_sum(lam, lam, dt)
-        # log Zhat^theta on the tilted measure
-        log_zw = -S + quad_sum(lam, delta, dt) - 0.5 * Q - R
-        factor = ito_sum(dlam, dW) - quad_sum(delta, dlam, dt)
-        return tuple(np.broadcast_to(a, (B,)).astype(float, copy=True)
-                     for a in (log_g, log_zw, factor))
-
-    log_g, log_zw, factor = map_blocks(ensemble, block, workers)
+    regimes = at.regimes(model, grid)
+    lam0 = mpr_table(model, regimes)
+    lam_t = at.moved_lambda(model, regimes, lam0, theta)
+    lam, delta = (regimes, lam_t), (regimes, lam_t - lam0)
+    dlam = _direction(model, direction, grid)
+    s = path_sums(ensemble, {
+        "G": ("ito", delta), "GG": ("quad", delta, delta),
+        "S": ("ito", lam), "Q": ("quad", lam, lam), "X": ("quad", lam, delta),
+        "R": ("time", integrand(grid, model.rate)), "F": ("ito", dlam),
+        "FF": ("quad", delta, dlam)}, workers)
+    log_g = s["G"] - 0.5 * s["GG"]
+    # log Zhat^theta on the tilted measure
+    log_zw = -s["S"] + s["X"] - 0.5 * s["Q"] - s["R"]
+    factor = s["F"] - s["FF"]
     seed = ensemble.seed
     name = f"weak-sens-at[theta={theta:g},{direction.label}]"
     x0 = model.x0
     if u.kind == "power":
-        a = np.exp(log_g + (1.0 - u.q) * log_zw)
-        scale = u.p * x0 ** (1.0 / u.p)
-        return delta_estimate(
-            [a, a * factor],
-            lambda m: scale * m[0] ** (-1.0 / u.p) * m[1],
-            lambda m: np.array([-scale / u.p
-                                * m[0] ** (-1.0 / u.p - 1.0) * m[1],
-                                scale * m[0] ** (-1.0 / u.p)]),
-            seed, name, extras={"theta": theta})
+        return _power_sens(u, x0, np.exp(log_g + (1.0 - u.q) * log_zw),
+                           factor, seed, name, {"theta": theta})
     if u.kind == "log":
         g = np.exp(log_g)
         uvals = math.log(x0) - log_zw
@@ -404,20 +358,11 @@ def discrepancy_report(lam, dlam, ensemble: PathEnsemble,
     ``lam`` and ``dlam`` are coefficient processes with the shape (n,) of
     the price of risk.
     """
-    grid = ensemble.grid
-
-    def block(start, stop, dW, W):
-        dt = grid.dt
-        lam_v = lam.evaluate(grid, W)
-        dlam_v = dlam.evaluate(grid, W)
-        s1 = ito_sum(lam_v, dW)
-        q11 = quad_sum(lam_v, lam_v, dt)
-        s2 = ito_sum(dlam_v, dW)
-        dq = quad_sum(lam_v, dlam_v, dt)
-        out = np.exp(s1 + 0.5 * q11) * (s2 - dq)
-        return np.broadcast_to(out, (stop - start,)).astype(float, copy=True)
-
-    vals = map_blocks(ensemble, block, workers)
+    lam, dlam = integrand(ensemble.grid, lam), integrand(ensemble.grid, dlam)
+    s = path_sums(ensemble, {"s1": ("ito", lam), "q11": ("quad", lam, lam),
+                             "s2": ("ito", dlam), "dq": ("quad", lam, dlam)},
+                  workers)
+    vals = np.exp(s["s1"] + 0.5 * s["q11"]) * (s["s2"] - s["dq"])
     est = mean_estimate(vals, ensemble.seed, "discrepancy")
     return DiscrepancyReport(value=est)
 
@@ -471,19 +416,23 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        eps: tuple = (0.2, 0.1, 0.05, 0.025),
                        workers=None) -> SecondOrderReport:
     eps = tuple(sorted(float(e) for e in eps))
-    taus = [0.0] + list(eps)
-    rows = value_surface(model, u, pert, taus, ensemble, workers)
-    by_tau = {r.tau: r.weak for r in rows}
-    base = by_tau[0.0]
-    deriv = weak_sensitivity(model, u, pert, ensemble, workers)
+    rows = value_surface(model, u, pert, [0.0] + list(eps), ensemble,
+                         workers)
+    deriv, _ = sensitivity_pair(model, u, pert, ensemble, workers)
+    return residual_decay(eps, rows[0].weak.mean,
+                          [r.weak.mean for r in rows[1:]], deriv.mean)
 
-    scale = abs(base.mean) + max(abs(by_tau[e].mean) for e in eps)
+
+def residual_decay(eps, base: float, curve, deriv: float) \
+        -> SecondOrderReport:
+    """Decay of the below-tangent part of curve[i] - base - eps[i] * deriv.
+
+    ``curve`` holds the values at the increasing steps ``eps``.
+    """
+    scale = abs(base) + max(abs(v) for v in curve)
     floor = 1e-12 * max(scale, 1.0)
-    residuals, neg = [], []
-    for e in eps:
-        r = by_tau[e].mean - base.mean - e * deriv.mean
-        residuals.append(r)
-        neg.append(max(-r, 0.0))
+    residuals = [v - base - e * deriv for e, v in zip(eps, curve)]
+    neg = [max(-r, 0.0) for r in residuals]
     pts = [(e, v) for e, v in zip(eps, neg) if v > floor]
     if len(pts) < 2:
         slope, vacuous = math.inf, True
@@ -491,7 +440,7 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
         xs = np.log([p[0] for p in pts])
         ys = np.log([p[1] for p in pts])
         slope, vacuous = float(np.polyfit(xs, ys, 1)[0]), False
-    return SecondOrderReport(eps=eps, residuals=tuple(residuals),
+    return SecondOrderReport(eps=tuple(eps), residuals=tuple(residuals),
                              negative_parts=tuple(neg), floor=floor,
                              slope=slope, vacuous=vacuous)
 

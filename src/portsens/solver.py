@@ -27,16 +27,15 @@ samples instead.
 from __future__ import annotations
 
 import csv
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate, mean_estimate
-from portsens.market import MarketModel, mpr_from_values
-from portsens.paths import (PathEnsemble, PathFunctional, cumulative,
-                            log_doleans, map_blocks, quad_sum)
+from portsens.market import (MarketModel, integrand, mpr_from_values,
+                             mpr_integrand, scalar_constant)
+from portsens.paths import PathEnsemble, path_sums
 
 
 class SolverError(RuntimeError):
@@ -61,68 +60,37 @@ class OptimalWealth:
 class ClosedFormValue:
     value: float
     formula: str
-    inputs_digest: str
-
-
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-    return h.hexdigest()[:12]
 
 
 def log_density_terms(model: MarketModel, ensemble: PathEnsemble,
                       workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (log E(-int lambda dW), int r dt) in one streaming pass."""
-    grid = ensemble.grid
+    """Per-path (log E(-int lambda dW), int r dt) in one streaming pass.
 
-    def block(start, stop, dW, W):
-        lam = mpr_from_values(model.mu.evaluate(grid, W),
-                              model.sigma.evaluate(grid, W),
-                              model.rate.evaluate(grid, W), model.cond_cap)
-        logz = log_doleans(-lam, dW, grid.dt)
-        rv = model.rate.evaluate(grid, W)
-        R = np.sum(rv, axis=(-2, -1)) * grid.dt
-        B = stop - start
-        return (np.broadcast_to(logz, (B,)).copy(),
-                np.broadcast_to(R, (B,)).copy())
-
-    return map_blocks(ensemble, block, workers)
-
-
-def state_price_density(model: MarketModel, ensemble: PathEnsemble,
-                        workers: int | None = None) -> PathFunctional:
-    """E(-int lambda dW)_T per path, with the minimal-measure choice nu = 0.
-
-    The rate discount is not included here; the solver applies it where the
-    budget needs it.
+    The first term is the state-price density of the minimal measure
+    (nu = 0) in logs; log Zhat subtracts the second.
     """
-    logz, _ = log_density_terms(model, ensemble, workers)
-    return PathFunctional(np.exp(logz), "state-price-density")
-
-
-def _power_stats(logzhat: np.ndarray, q: float,
-                 log_weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-path Zhat^{1-q} (times weights), computed in log space."""
-    expo = (1.0 - q) * logzhat
-    if log_weights is not None:
-        expo = expo + log_weights
-    return np.exp(expo)
+    lam = mpr_integrand(model, ensemble.grid)
+    s = path_sums(ensemble, {"S": ("ito", lam), "Q": ("quad", lam, lam),
+                             "R": ("time", integrand(ensemble.grid,
+                                                     model.rate))}, workers)
+    return -s["S"] - 0.5 * s["Q"], s["R"]
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
-                            ensemble: PathEnsemble,
-                            xstar: np.ndarray | None = None,
-                            workers: int | None = None) -> OptimalWealth:
-    """Solve the static problem on the ensemble, or wrap external samples.
+                            logzhat: np.ndarray, seed: int,
+                            xstar: np.ndarray | None = None) -> OptimalWealth:
+    """Solve the static problem on pricing-density samples, or wrap
+    external optimal-wealth samples.
 
-    Supported directly: power and log utility in a complete market (n = d)
-    or under deterministic coefficients, plus custom utilities via budget
-    bisection.  For anything else pass ``xstar`` samples computed elsewhere;
-    they are validated against the budget and wrapped unchanged.
+    ``logzhat`` holds log Zhat per path (discount included), e.g. the nu = 0
+    row of ``modular.density_logs`` or log E(-int lambda dW) - int r dt from
+    ``log_density_terms``; ``seed`` labels the estimates.  Supported
+    directly: power and log utility in a complete market (n = d) or under
+    deterministic coefficients, plus custom utilities via budget bisection.
+    For anything else pass ``xstar`` samples computed elsewhere; they are
+    validated against the budget and wrapped unchanged.
     """
-    logz, R = log_density_terms(model, ensemble, workers)
-    logzhat = logz - R
+    logzhat = np.asarray(logzhat, dtype=float)
     zhat = np.exp(logzhat)
 
     if xstar is not None:
@@ -133,7 +101,7 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
         if abs(budget - model.x0) > 0.05 * model.x0:
             raise SolverError(f"external optimal wealth misses the budget: "
                               f"mean(Z X) = {budget:g} vs x0 = {model.x0:g}")
-        val = mean_estimate(np.asarray(ut.evaluate(u, xstar)), ensemble.seed,
+        val = mean_estimate(np.asarray(ut.evaluate(u, xstar)), seed,
                             f"value[external,{u.label}]")
         y = float("nan")
         return OptimalWealth(xstar=xstar, y=y, z=zhat, value=val)
@@ -145,7 +113,7 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
     x0 = model.x0
     if u.kind == "power":
         q = u.q
-        v = _power_stats(logzhat, q)
+        v = np.exp((1.0 - q) * logzhat)  # Zhat^{1-q}
         m0 = float(np.mean(v))
         xs = x0 * np.exp(-q * logzhat) / m0
         y = (m0 / x0) ** (1.0 / q)
@@ -155,15 +123,15 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
             [v], lambda m: u.p * x0 ** (1 / u.p) * m[0] ** (1 / q),
             lambda m: np.array([u.p * x0 ** (1 / u.p) / q
                                 * m[0] ** (1 / q - 1)]),
-            ensemble.seed, f"value[power p={u.p:g}]")
+            seed, f"value[power p={u.p:g}]")
     elif u.kind == "log":
         xs = x0 / zhat
         y = 1.0 / x0
-        val = mean_estimate(np.log(x0) - logzhat, ensemble.seed, "value[log]")
+        val = mean_estimate(np.log(x0) - logzhat, seed, "value[log]")
     else:
         y = bisect_budget(u, zhat, x0)
         xs = np.asarray(ut.inverse_marginal(u, y * zhat))
-        val = mean_estimate(np.asarray(ut.evaluate(u, xs)), ensemble.seed,
+        val = mean_estimate(np.asarray(ut.evaluate(u, xs)), seed,
                             f"value[{u.label}]")
     return OptimalWealth(xstar=xs, y=y, z=zhat, value=val)
 
@@ -206,64 +174,34 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
 # ---------------------------------------------------------------------------
 # closed forms
 
+def _pieces(T: float, *procs) -> tuple[np.ndarray, list]:
+    """Lengths of the pieces of [0, T] on which every deterministic
+    coefficient is constant, and each coefficient's value on each piece."""
+    if not all(p.is_deterministic for p in procs):
+        raise SolverError("needs deterministic coefficients")
+    breaks = np.unique(np.concatenate([p._segments()[0] for p in procs]))
+    edges = np.concatenate(([0.0], breaks[(breaks > 0) & (breaks < T)], [T]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return np.diff(edges), [v[np.searchsorted(b, mid, side="right")]
+                            for b, v in (p._segments() for p in procs)]
+
+
 def integrate_product(a, b, T: float) -> float:
     """Exact int_0^T sum(a(t) * b(t)) dt for deterministic coefficients.
 
     With a = b this is the squared L2 norm; entries are summed, so matrix
     coefficients integrate their Frobenius inner product.
     """
-    if not (a.is_deterministic and b.is_deterministic):
-        raise SolverError("needs deterministic coefficients")
-    breaks = np.unique(np.concatenate([a._segments()[0], b._segments()[0]]))
-    breaks = breaks[(breaks > 0) & (breaks < T)]
-    edges = np.concatenate(([0.0], breaks, [T]))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        g = _PointGrid(0.5 * (lo + hi))
-        va = a.evaluate(g, None)[0]
-        vb = b.evaluate(g, None)[0]
-        total += float(np.sum(va * vb)) * (hi - lo)
-    return total
-
-
-def _integral(proc, T: float) -> float:
-    breaks, values = proc._segments()
-    edges = np.concatenate(([0.0], np.clip(breaks, 0.0, T), [T]))
-    lengths = np.diff(edges)
-    vals = np.array([float(np.sum(np.asarray(v))) for v in values])
-    return float(np.sum(vals * lengths))
+    lengths, (va, vb) = _pieces(T, a, b)
+    products = (va * vb).reshape(len(lengths), -1)
+    return float(np.sum(products * lengths[:, None]))
 
 
 def deterministic_mpr_integral_sq(model: MarketModel, T: float) -> float:
     """int_0^T |lambda|^2 dt for deterministic coefficients, exact in time."""
-    if not model.is_deterministic:
-        raise SolverError("needs deterministic coefficients")
-    # evaluate on the union of all breakpoints, then integrate piecewise
-    breaks = np.unique(np.concatenate([
-        p._segments()[0] for p in (model.mu, model.sigma, model.rate)]))
-    breaks = breaks[(breaks > 0) & (breaks < T)]
-    edges = np.concatenate(([0.0], breaks, [T]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (a + b)
-        grid1 = _PointGrid(t)
-        lam = mpr_from_values(model.mu.evaluate(grid1, None),
-                              model.sigma.evaluate(grid1, None),
-                              model.rate.evaluate(grid1, None), model.cond_cap)
-        total += float(np.sum(lam**2)) * (b - a)
-    return total
-
-
-class _PointGrid:
-    """Single-node stand-in so coefficients can be evaluated at one time."""
-
-    def __init__(self, t: float):
-        self.steps = 1
-        self._t = t
-
-    @property
-    def left_nodes(self):
-        return np.array([self._t])
+    lengths, values = _pieces(T, model.mu, model.sigma, model.rate)
+    lam = mpr_from_values(*values, model.cond_cap)
+    return float(np.sum(lam**2 * lengths[:, None]))
 
 
 def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
@@ -277,39 +215,31 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
     power utility, deterministic coefficients:
     p x0^{1/p} exp((1/p) int r dt) exp((q-1)/2 int |lambda|^2 dt).
     """
-    digest = _digest(model.d, model.n, u.label, model.x0, T)
     if u.kind == "log":
         if model.is_deterministic:
             lam2 = deterministic_mpr_integral_sq(model, T)
-            rint = _integral(model.rate, T)
+            rint = integrate_product(model.rate, scalar_constant(1.0), T)
             return ClosedFormValue(float(np.log(model.x0) + rint + 0.5 * lam2),
-                                   "log-deterministic", digest)
+                                   "log-deterministic")
         if ensemble is None:
             raise SolverError("adapted coefficients need an ensemble")
-        grid = ensemble.grid
-
-        def block(start, stop, dW, W):
-            lam = mpr_from_values(model.mu.evaluate(grid, W),
-                                  model.sigma.evaluate(grid, W),
-                                  model.rate.evaluate(grid, W), model.cond_cap)
-            rv = model.rate.evaluate(grid, W)
-            out = (0.5 * quad_sum(lam, lam, grid.dt)
-                   + np.sum(rv, axis=(-2, -1)) * grid.dt)
-            return np.broadcast_to(out, (stop - start,)).copy()
-
-        vals = map_blocks(ensemble, block, workers)
-        return ClosedFormValue(float(np.log(model.x0) + np.mean(vals)),
-                               "log-mc", digest)
+        lam = mpr_integrand(model, ensemble.grid)
+        s = path_sums(ensemble, {"Q": ("quad", lam, lam),
+                                 "R": ("time", integrand(ensemble.grid,
+                                                         model.rate))},
+                      workers)
+        return ClosedFormValue(float(np.log(model.x0)
+                                     + np.mean(0.5 * s["Q"] + s["R"])),
+                               "log-mc")
     if u.kind == "power":
         if not model.is_deterministic:
             raise SolverError("power closed form needs deterministic "
                               "coefficients")
         lam2 = deterministic_mpr_integral_sq(model, T)
-        rint = _integral(model.rate, T)
+        rint = integrate_product(model.rate, scalar_constant(1.0), T)
         val = (u.p * model.x0 ** (1 / u.p) * np.exp(rint / u.p)
                * np.exp((u.q - 1.0) / 2.0 * lam2))
-        return ClosedFormValue(float(val), f"power-deterministic p={u.p:g}",
-                               digest)
+        return ClosedFormValue(float(val), f"power-deterministic p={u.p:g}")
     raise SolverError(f"no closed form for utility {u.label!r}")
 
 

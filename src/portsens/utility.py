@@ -1,14 +1,14 @@
-"""Utility functions: evaluation, marginal, inverse, conjugate, hypotheses.
+"""Utility functions: evaluation, marginal, inverse, hypotheses.
 
 Three kinds are supported.  The positive-power family U(x) = p x^{1/p} with
 p > 1 is the model case: its marginal is U'(x) = x^{-1/q} with q = p/(p-1),
-the inverse marginal is I(y) = y^{-q}, and the Fenchel conjugate is
-V(y) = (p-1) y^{1-q}.  "sqrt" is the alias p = 2, i.e. U(x) = 2 sqrt(x).
-The logarithm is supported for the exact counterexamples even though it
-fails the growth and U(0+) = 0 requirements that the power family satisfies;
-``check_hypotheses`` reports this.  Custom utilities are supplied as a
-two-column monotone table and interpolated with a monotone cubic, which is
-enough for increasing concave functions given pointwise.
+and the inverse marginal is I(y) = y^{-q}.  "sqrt" is the alias p = 2,
+i.e. U(x) = 2 sqrt(x).  The logarithm is supported for the exact
+counterexamples even though it fails the growth and U(0+) = 0 requirements
+that the power family satisfies; ``check_hypotheses`` reports this.  Custom
+utilities are supplied as a two-column monotone table and interpolated with
+a monotone cubic, which is enough for increasing concave functions given
+pointwise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,24 +182,6 @@ def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
         if yv <= dhi:
             return hi
         return brentq(lambda t: der(t) - yv, lo, hi, xtol=1e-14, rtol=1e-12)
-
-    return np.vectorize(solve_one)(y)
-
-
-def conjugate(u: UtilitySpec, y) -> np.ndarray | float:
-    """Fenchel conjugate V(y) = sup_x [U(x) - x y] for y > 0."""
-    y = _check_domain(y, "y", strict=True)
-    if u.kind == "power":
-        return (u.p - 1.0) * y ** (1.0 - u.q)
-    if u.kind == "log":
-        return -np.log(y) - 1.0
-    fwd, _, _, (xlo, xhi), _ = u._interp()
-
-    def solve_one(yv):
-        res = minimize_scalar(lambda t: -(fwd(t) - t * yv),
-                              bounds=(xlo, xhi), method="bounded",
-                              options={"xatol": 1e-12})
-        return -res.fun
 
     return np.vectorize(solve_one)(y)
 

@@ -35,10 +35,10 @@ import numpy as np
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate, mean_estimate
 from portsens.market import (CoefficientError, CoefficientProcess,
-                             KernelStabilityError, MarketModel,
-                             h1_from_values, mpr_from_values)
-from portsens.paths import (PathEnsemble, cumulative, ito_sum, map_blocks,
-                            quad_sum)
+                             KernelStabilityError, MarketModel, RegimeTable,
+                             check_h1_direction, mpr_from_values,
+                             mpr_table)
+from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget
 
 
@@ -71,9 +71,33 @@ class PerturbationSpec:
             object.__setattr__(self, "label", "+".join(names))
 
     @property
+    def directions(self) -> tuple:
+        """(dmu, dsigma, drate, dlambda), absent ones as None."""
+        return (self.dmu, self.dsigma, self.drate, self.dlambda)
+
+    @property
     def is_deterministic(self) -> bool:
-        return all(p is None or p.is_deterministic
-                   for p in (self.dmu, self.dsigma, self.drate, self.dlambda))
+        return all(p is None or p.is_deterministic for p in self.directions)
+
+    def regimes(self, model: MarketModel, grid: TimeGrid) -> RegimeTable:
+        """The joint regimes of the market and every direction."""
+        return RegimeTable(grid, model.mu, model.sigma, model.rate,
+                           *self.directions)
+
+    def moved_lambda(self, model: MarketModel, regimes: RegimeTable,
+                     lam0: np.ndarray, tau: float) -> np.ndarray:
+        """Price of risk lambda^tau per regime, given lam0 at tau = 0."""
+        if self.dlambda is not None:
+            return lam0 + tau * regimes.values(self.dlambda)
+        mu, sg, r = (regimes.values(p)
+                     for p in (model.mu, model.sigma, model.rate))
+        if self.dmu is not None:
+            mu = mu + tau * regimes.values(self.dmu)
+        if self.dsigma is not None:
+            sg = sg + tau * regimes.values(self.dsigma)
+        if self.drate is not None:
+            r = r + tau * regimes.values(self.drate)
+        return mpr_from_values(mu, sg, r, model.cond_cap)
 
     def validate_for(self, model: MarketModel) -> None:
         want = {"dmu": (model.d,), "dsigma": (model.d, model.n),
@@ -112,30 +136,20 @@ def _check_solvable(model: MarketModel, pert: PerturbationSpec) -> None:
 
 
 def _refuse_kernel_break(model: MarketModel, pert: PerturbationSpec,
-                         taus, ensemble: PathEnsemble) -> None:
-    """Reject volatility directions that move the null space at some tau."""
+                         taus, grid: TimeGrid) -> None:
+    """Reject volatility directions that move the null space at some tau,
+    in any regime the paths can reach."""
     if pert.dsigma is None:
         return
-    probe_taus = {min(taus), max(taus)} - {0.0}
-    if not probe_taus:
-        return
-    grid = ensemble.grid
-    deterministic = (model.sigma.is_deterministic
-                     and pert.dsigma.is_deterministic)
-    if deterministic:
-        W = None
-    else:
-        dW = ensemble.increments(0, min(16, ensemble.count))
-        W = cumulative(dW)
-    base_v = model.sigma.evaluate(grid, W)
-    dir_v = pert.dsigma.evaluate(grid, W)
-    for tau in sorted(probe_taus):
-        rep = h1_from_values(base_v, base_v + tau * dir_v, model.d)
+    taus = sorted(set(taus) - {0.0})
+    regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
+                                          grid)
+    for tau, rep in zip(taus, reports):
         if not rep.ok:
             raise KernelStabilityError(
                 f"volatility direction breaks kernel stability at tau={tau:g} "
                 f"(full rank: {rep.full_rank}, kernel preserved: "
-                f"{rep.kernel_equal}, worst node {rep.worst_node})")
+                f"{rep.kernel_equal}) on {regimes.describe(rep.worst_regime)}")
 
 
 def _surface_arrays(model: MarketModel, pert: PerturbationSpec, taus,
@@ -149,48 +163,30 @@ def _surface_arrays(model: MarketModel, pert: PerturbationSpec, taus,
     lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (for log utility)
     """
     grid = ensemble.grid
-    n_tau = len(taus)
-
-    def block(start, stop, dW, W):
-        B = stop - start
-        dt = grid.dt
-        mu_v = model.mu.evaluate(grid, W)
-        sg_v = model.sigma.evaluate(grid, W)
-        r_v = model.rate.evaluate(grid, W)
-        lam0 = mpr_from_values(mu_v, sg_v, r_v, model.cond_cap)
-        dmu_v = pert.dmu.evaluate(grid, W) if pert.dmu is not None else None
-        dsg_v = (pert.dsigma.evaluate(grid, W)
-                 if pert.dsigma is not None else None)
-        dr_v = (pert.drate.evaluate(grid, W)
-                if pert.drate is not None else None)
-        dl_v = (pert.dlambda.evaluate(grid, W)
-                if pert.dlambda is not None else None)
-        out = []
-        for tau in taus:
-            if dl_v is not None:
-                lam = lam0 + tau * dl_v
-                r_tau = r_v
-            else:
-                mu_t = mu_v if dmu_v is None else mu_v + tau * dmu_v
-                sg_t = sg_v if dsg_v is None else sg_v + tau * dsg_v
-                r_tau = r_v if dr_v is None else r_v + tau * dr_v
-                lam = mpr_from_values(mu_t, sg_t, r_tau, model.cond_cap)
-            R = np.sum(r_tau, axis=(-2, -1)) * dt
-            Q = quad_sum(lam, lam, dt)
-            S = ito_sum(lam, dW)
-            delta = lam - lam0
-            log_g = ito_sum(delta, dW) - 0.5 * quad_sum(delta, delta, dt)
-            log_zw = -S + quad_sum(lam, delta, dt) - 0.5 * Q - R
-            log_zs = -S - 0.5 * Q - R
-            lin = R + 0.5 * Q
-            out.extend(np.broadcast_to(a, (B,)).astype(float, copy=True)
-                       for a in (log_g, log_zw, log_zs, lin))
-        return tuple(out)
-
-    flat = map_blocks(ensemble, block, workers)
-    keys = ("log_g", "log_zw", "log_zs", "lin")
-    return [{k: flat[4 * i + j] for j, k in enumerate(keys)}
-            for i in range(n_tau)]
+    regimes = pert.regimes(model, grid)
+    rates = RegimeTable(grid, model.rate, pert.drate)
+    lam0 = mpr_table(model, regimes)
+    r0 = rates.values(model.rate)
+    sums = {}
+    for i, tau in enumerate(taus):
+        lam_t = pert.moved_lambda(model, regimes, lam0, tau)
+        lam, delta = (regimes, lam_t), (regimes, lam_t - lam0)
+        r_tau = r0 if pert.drate is None \
+            else r0 + tau * rates.values(pert.drate)
+        sums.update({f"R{i}": ("time", (rates, r_tau)),
+                     f"Q{i}": ("quad", lam, lam), f"S{i}": ("ito", lam),
+                     f"G{i}": ("ito", delta),
+                     f"GG{i}": ("quad", delta, delta),
+                     f"X{i}": ("quad", lam, delta)})
+    s = path_sums(ensemble, sums, workers)
+    out = []
+    for i in range(len(taus)):
+        R, Q, S, X = s[f"R{i}"], s[f"Q{i}"], s[f"S{i}"], s[f"X{i}"]
+        out.append({"log_g": s[f"G{i}"] - 0.5 * s[f"GG{i}"],
+                    "log_zw": -S + X - 0.5 * Q - R,
+                    "log_zs": -S - 0.5 * Q - R,
+                    "lin": R + 0.5 * Q})
+    return out
 
 
 def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
@@ -239,7 +235,7 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
     taus = [float(t) for t in taus]
     pert.validate_for(model)
     _check_solvable(model, pert)
-    _refuse_kernel_break(model, pert, taus, ensemble)
+    _refuse_kernel_break(model, pert, taus, ensemble.grid)
     rows = []
     for tau, arrs in zip(taus, _surface_arrays(model, pert, taus, ensemble,
                                                workers)):
@@ -248,25 +244,6 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
                                  weak=False)
         rows.append(SurfaceRow(tau=tau, weak=weak, strong=strong))
     return rows
-
-
-def value_pair(model: MarketModel, u: ut.UtilitySpec, pert: PerturbationSpec,
-               tau: float, ensemble: PathEnsemble,
-               workers=None) -> tuple[ValueEstimate, ValueEstimate]:
-    row = value_surface(model, u, pert, [tau], ensemble, workers)[0]
-    return row.weak, row.strong
-
-
-def weak_value(model: MarketModel, u: ut.UtilitySpec, pert: PerturbationSpec,
-               tau: float, ensemble: PathEnsemble, workers=None) \
-        -> ValueEstimate:
-    return value_pair(model, u, pert, tau, ensemble, workers)[0]
-
-
-def strong_value(model: MarketModel, u: ut.UtilitySpec, pert: PerturbationSpec,
-                 tau: float, ensemble: PathEnsemble, workers=None) \
-        -> ValueEstimate:
-    return value_pair(model, u, pert, tau, ensemble, workers)[1]
 
 
 SURFACE_HEADER = ["tau", "u_weak", "se_weak", "u_strong", "se_strong",

@@ -98,6 +98,39 @@ def test_h1check_stable_and_violated(tmp_path):
     assert all(r[3] == "false" for r in rows[1:])
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_h1check_finds_a_rare_regime(tmp_path, capsys, seed):
+    # the direction rotates the row of sigma on {W < -3} only, which few
+    # sampled paths reach; the check covers every regime without paths
+    cfg = tmp_path / "rare.ini"
+    cfg.write_text(load_text("configs/h1_kernel.ini").replace(
+        "dsigma = const:[0.5,0.0]",
+        "dsigma = ind:j=0;c=-3.0;lo=[0.5,0.0];hi=[0.0,1.0]"))
+    out = tmp_path / "h1"
+    assert main(["h1check", "--config", str(cfg), "--seed", seed,
+                 "--out", str(out)]) == 3
+    assert "verdict: VIOLATED" in capsys.readouterr().out
+    assert all(r[3] == "false" for r in read_rows(out / "h1.csv")[1:])
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_value_refuses_a_rare_rank_loss(tmp_path, capsys, seed):
+    # sigma + 0.1 dsigma vanishes on {W < -3}: no 20-path sample gets
+    # there, but the regime is reachable, so the surface is refused
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[market]\nd = 1\nn = 1\nmu = const:[0.05]\n"
+                   "sigma = const:[1.0]\n\n[utility]\nspec = log\n\n"
+                   "[perturbation]\n"
+                   "dsigma = ind:j=0;c=-3.0;lo=[0.0];hi=[-10.0]\n"
+                   "taus = 0.0,0.1\n\n[mc]\npaths = 20\nsteps = 32\n"
+                   "horizon = 1.0\nseed = 5\n")
+    assert main(["value", "--config", str(cfg), "--paths", "20",
+                 "--seed", seed, "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err
+    assert "kernel stability at tau=0.1" in err
+    assert "W^0 in [-inf, -3)" in err
+
+
 def load_text(path):
     with open(path) as fh:
         return fh.read()
@@ -121,9 +154,9 @@ def test_norms_command(tmp_path):
     assert verdicts["holder_lhs"] == "true"
 
 
-def test_norms_makes_two_path_passes(tmp_path, monkeypatch):
-    # one pass solves for the optimal wealth, one yields the density
-    # samples that every functional, norm and pairing then reads
+def test_norms_makes_one_path_pass(tmp_path, monkeypatch):
+    # one pass yields the density samples; the zero member's row solves for
+    # the optimal wealth, and every functional, norm and pairing reads them
     generated = []
     increments = PathEnsemble.increments
 
@@ -136,7 +169,7 @@ def test_norms_makes_two_path_passes(tmp_path, monkeypatch):
     code = main(["norms", "--config", "configs/norms.ini", "--paths", "500",
                  "--out", str(tmp_path / "n")])
     assert code == 0
-    assert sum(generated) == 2 * 500
+    assert sum(generated) == 500
 
 
 def test_danskin_command(tmp_path):

@@ -1,0 +1,59 @@
+"""Golden bytes: every command's CSV on the shipped configs, at small sizes.
+
+Each digest is the sha256 of the CSV the command wrote, with the exit code
+it returned, recorded before the path-sum kernel and the regime tables
+replaced the per-block closures.  A refactor that keeps the arithmetic must
+keep every byte; one that changes it must say so and record new digests.
+"""
+
+import hashlib
+
+import pytest
+
+from portsens.cli import main
+
+SMALL = ["--paths", "2000", "--steps", "32"]
+
+CSV = {"value": "surface.csv", "sens": "sens.csv",
+       "secondorder": "secondorder.csv", "norms": "norms.csv",
+       "h1check": "h1.csv", "example1": "example1.csv",
+       "example2": "example2.csv"}
+
+GOLDEN = [
+    ("value", "example1", 0,
+     "848c5a64329ff1523a410d53e872335d0591dd11195c10524d0c6580c81ac623"),
+    ("value", "deterministic2d", 0,
+     "20d7a808286fc078a1e4a518be8aa3e33f7183054982b1b93a6134c14c365547"),
+    ("sens", "example1", 0,
+     "2b1fe675edc3d1f258e806ee0f340d5c328889ac6a7ae612318c9200a6a65416"),
+    ("sens", "deterministic2d", 0,
+     "805907b2880bc6c022eea4849410aa9c466fc050ada22679f37811df06515c3d"),
+    ("secondorder", "example1", 0,
+     "7182b72df20f9801c7800ef01393107c0f5cc64e16103a04c4afe1df9dee0b5e"),
+    ("secondorder", "deterministic2d", 0,
+     "de8601eaaf9f355a60224ea4b3cb763da092eaba893a5edd68e304af6b4812f7"),
+    ("norms", "example1", 3,
+     "0a1c8f68e22a177a0d8241fa304369ab93112b53b1328171e0bc6144d8504605"),
+    ("norms", "deterministic2d", 0,
+     "9130ca4e6d905338f4313537501db7cfa913ba95e0200f32a94b2f2d190b5fc9"),
+    ("norms", "norms", 0,
+     "939c68238084b9ceeb7978e554a6f15baf81cffc589020d26742a9e6424c2e13"),
+    ("h1check", "h1_kernel", 0,
+     "881ca22758fdfa5a31bce16e005219cb56c38da2f6210f557015f75db49e51e0"),
+    ("example1", None, 3,
+     "7930a3e9b04f4367f7959653b5a2900cc6225c7b7dd0402adf311aa6fed48f4f"),
+    ("example2", None, 0,
+     "3d33f6f3b41d55c9667f3e57f9f7e9717b62f952378fdf814549e0d75e71bb13"),
+]
+
+
+@pytest.mark.parametrize("command,config,code,digest", GOLDEN,
+                         ids=[f"{c}-{g or 'flags'}" for c, g, _, _ in GOLDEN])
+def test_csv_bytes_match_golden(command, config, code, digest, tmp_path,
+                                capsys):
+    argv = [command] + (["--config", f"configs/{config}.ini"]
+                        if config else []) + SMALL
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    data = (tmp_path / CSV[command]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from portsens.market import (CoefficientError, CoefficientProcess,
-                             MarketModel, SingularVolatilityError, check_h1,
-                             constant, dlambda_direction, format_coefficient,
-                             h1_from_values, indicator,
+                             MarketModel, RegimeTable,
+                             SingularVolatilityError, check_h1,
+                             check_h1_direction, constant, dlambda_direction,
+                             format_coefficient, h1_from_values, indicator,
                              kernel_preserving_perturbation,
-                             market_price_of_risk, merge_deterministic,
-                             mpr_from_values, parse_coefficient, piecewise,
+                             merge_deterministic, mpr_from_values,
+                             mpr_integrand, parse_coefficient, piecewise,
                              scalar_constant, zeros)
 from portsens.paths import TimeGrid, cumulative, simulate
 
@@ -126,7 +127,7 @@ def test_model_shape_validation():
 
 def test_mpr_square_market_solves_linear_system(det2d_model):
     grid = TimeGrid(1.0, 4)
-    lam = market_price_of_risk(det2d_model, None, grid).values
+    lam = mpr_integrand(det2d_model, grid)[1]
     sig = det2d_model.sigma.values
     mu = det2d_model.mu.values
     expect = np.linalg.solve(sig, mu - 0.01)
@@ -140,8 +141,8 @@ def test_mpr_degenerate_market_minimal_norm():
     # the row space of sigma
     model = MarketModel(d=1, n=2, mu=constant([0.06]),
                         sigma=constant([[0.2, 0.0]]))
-    lam = market_price_of_risk(model, None, TimeGrid(1.0, 2)).values
-    assert np.allclose(lam, [[0.3, 0.0], [0.3, 0.0]])
+    regimes, lam = mpr_integrand(model, TimeGrid(1.0, 2))
+    assert np.allclose(lam[regimes.index(None)], [[0.3, 0.0], [0.3, 0.0]])
 
 
 def test_mpr_fast_path_matches_general():
@@ -160,7 +161,7 @@ def test_mpr_rejects_singular_volatility():
     model = MarketModel(d=2, n=2, mu=constant([0.1, 0.1]),
                         sigma=constant([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularVolatilityError):
-        market_price_of_risk(model, None, TimeGrid(1.0, 2))
+        mpr_integrand(model, TimeGrid(1.0, 2))
     with pytest.raises(SingularVolatilityError):
         mpr_from_values(np.array([0.1]), np.array([[0.0, 0.0]]),
                         np.array([0.0]))
@@ -191,21 +192,46 @@ def _fd_dlambda(model, dmu, dsigma, dr, grid, W, h=1e-6):
 ])
 def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr):
     grid = TimeGrid(1.0, 4)
-    formula = dlambda_direction(det2d_model, dmu, dsigma, None, grid, dr=dr)
+    regimes, formula = dlambda_direction(det2d_model, dmu, dsigma, grid, dr=dr)
     fd = _fd_dlambda(det2d_model, dmu, dsigma, dr, grid, None)
-    assert np.allclose(formula, fd, atol=1e-8)
+    assert np.allclose(formula[regimes.index(None)], fd, atol=1e-8)
 
 
 def test_dlambda_direction_adapted(switch_model):
-    # indicator drift direction evaluated on actual paths
+    # indicator drift direction, spread over actual paths by regime
     ens = simulate(TimeGrid(1.0, 16), n=1, M=8, seed=5)
     W = cumulative(ens.increments(0, 8))
     dmu = indicator(0, 0.0, [0.2], [0.6])
     grid = ens.grid
-    formula = dlambda_direction(switch_model, dmu, None, W, grid)
+    regimes, formula = dlambda_direction(switch_model, dmu, None, grid)
+    assert formula.shape == (len(regimes), 1) == (2, 1)
     fd = _fd_dlambda(switch_model, dmu, None, None, grid, W)
-    assert formula.shape == (8, 16, 1)
-    assert np.allclose(formula, fd, atol=1e-8)
+    assert formula[regimes.index(W)].shape == (8, 16, 1)
+    assert np.allclose(formula[regimes.index(W)], fd, atol=1e-8)
+
+
+def test_regime_table_counts_only_reachable_regimes():
+    grid = TimeGrid(1.0, 8)
+    # the first segment holds t_0 alone, where W = 0 is above the cut
+    early = piecewise([0.1], [[1.0], [2.0]])
+    ind = indicator(0, -3.0, [0.0], [5.0])
+    regimes = RegimeTable(grid, early, ind, None)
+    assert len(regimes) == 1 + 2
+    assert regimes.describe(0) == "t in [0, 0.1), W^0 in [-3, inf)"
+    assert list(regimes.values(early)[:, 0]) == [1.0, 2.0, 2.0]
+    assert sorted(regimes.values(ind)[:, 0]) == [0.0, 0.0, 5.0]
+    # a cut below zero splits every later segment, two drivers multiply
+    two = RegimeTable(grid, indicator(0, -3.0, [0.0], [1.0]),
+                      indicator(0, 1.0, [0.0], [1.0]),
+                      indicator(1, 0.0, [0.0], [1.0]))
+    assert len(two) == 3 * 2
+    assert len(RegimeTable(grid, constant([1.0]))) == 1
+    W = np.zeros((1, 9, 2))
+    W[0, 1:, 0], W[0, 1:, 1] = -4.0, 2.0
+    assert two.describe(int(two.index(W)[0, 3])) \
+        == "t in [0, 1), W^0 in [-inf, -3), W^1 in [0, inf)"
+    with pytest.raises(CoefficientError):
+        two.index(np.zeros((1, 9, 1)))
 
 
 def test_h1_accepts_kernel_preserving_and_rejects_rotation():
@@ -221,15 +247,19 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
     assert not lost.ok
 
 
-def test_h1_adapted_needs_paths(switch_model):
+def test_h1_adapted_is_exact_over_regimes():
     sig = indicator(0, 0.0, [[1.0, 0.0]], [[2.0, 0.0]])
     grid = TimeGrid(1.0, 8)
-    with pytest.raises(CoefficientError):
-        check_h1(sig, sig, grid)
-    ens = simulate(grid, n=2, M=4, seed=1)
-    W = cumulative(ens.increments(0, 4))
-    rep = check_h1(sig, sig, grid, W)
-    assert rep.ok
+    assert check_h1(sig, sig, grid).ok
+    # a rotation on {W < -3} is found although few paths ever get there
+    base = constant([[1.0, 0.0]])
+    rare = indicator(0, -3.0, [[0.5, 0.0]], [[0.0, 1.0]])
+    regimes, reps = check_h1_direction(base, rare, [0.25, 1.0], grid)
+    assert not any(rep.ok for rep in reps)
+    assert "W^0 in [-inf, -3)" in regimes.describe(reps[0].worst_regime)
+    assert check_h1_direction(base, indicator(0, -3.0, [[0.5, 0.0]],
+                                              [[2.0, 0.0]]),
+                              [0.25, 1.0], grid)[1][0].ok
 
 
 def test_kernel_preserving_construction():

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from portsens.market import MarketModel, constant, zeros
+from portsens.market import MarketModel, constant, indicator, zeros
 from portsens.modular import (HolderReport, ModularError, ModularFunctional,
                               amemiya_norm, density_logs, holder_check,
-                              i_modular, j_evaluator, j_functional,
-                              luxemburg_norm, norm_I, norm_J)
+                              j_evaluator, j_functional, luxemburg_norm,
+                              norm_I, norm_J)
 from portsens.paths import TimeGrid, simulate
 from portsens.solver import optimal_terminal_wealth
-from portsens.utility import conjugate, evaluate, log_utility, power_utility
+from portsens.utility import evaluate, log_utility, power_utility
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +41,10 @@ def logs3(mf3, mod_ens):
 
 
 @pytest.fixture(scope="module")
-def opt3(mod_model, mod_ens):
-    return optimal_terminal_wealth(mod_model, power_utility(3.0), mod_ens)
+def opt3(mod_model, logs3, mod_ens):
+    # the zero member's samples are the minimal-measure pricing density
+    return optimal_terminal_wealth(mod_model, power_utility(3.0), logs3[0],
+                                   mod_ens.seed)
 
 
 def test_family_validation(mod_model):
@@ -61,6 +63,13 @@ def test_kernel_violation_rejected(mod_model, mod_ens):
                               nu_family=(constant([0.1, 0.0]),))
     with pytest.raises(ModularError, match="null space"):
         density_logs(leaky, mod_ens)
+    # a member that leaves the null space only on {W^0 < -3} is refused
+    # before any path is drawn, whether or not a path would get there
+    rare = ModularFunctional(model=mod_model, utility=power_utility(2.0),
+                             nu_family=(indicator(0, -3.0, [0.0, 0.2],
+                                                  [0.1, 0.2]),))
+    with pytest.raises(ModularError, match=r"W\^0 in \[-inf, -3\)"):
+        density_logs(rare, simulate(TimeGrid(1.0, 8), n=2, M=1, seed=1))
 
 
 def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, logs3,
@@ -78,29 +87,6 @@ def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, logs3,
     assert abs(j.mean - mod_model.x0) < 3.0 * j.se
 
 
-def test_i_modular_power_branch_and_argmin(mod_ens, mf3, logs3, opt3):
-    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
-    est = i_modular(z, mf3, logs3, mod_ens.seed)
-    assert est.extras["argmin_member"] == 0
-    q = 1.5
-    manual = float(np.mean(2.0 * np.exp((1.0 - q) * logs3[0]) * z ** q))
-    assert est.mean == pytest.approx(manual, rel=1e-12)
-
-
-def test_i_modular_generic_conjugate_branch(mod_model, mod_ens, rng):
-    mf = ModularFunctional(model=mod_model, utility=log_utility())
-    z = rng.lognormal(size=mod_ens.count)
-    z[:100] = 0.0  # the conjugate term vanishes continuously at Z = 0
-    logs = density_logs(mf, mod_ens)
-    est = i_modular(z, mf, logs, mod_ens.seed)
-    y = np.exp(logs[0])
-    manual = np.where(z > 0,
-                      z * np.asarray(conjugate(log_utility(),
-                                               y / np.where(z > 0, z, 1.0))),
-                      0.0)
-    assert est.mean == pytest.approx(float(np.mean(manual)), rel=1e-12)
-
-
 def test_luxemburg_closed_form(mf3, logs3, opt3):
     # J(k U(X*)) = k^p x0 for power utility, so the Luxemburg norm of the
     # optimal payoff is exactly the p-th root of the replicated budget
@@ -116,10 +102,11 @@ def test_amemiya_closed_form(mod_model, mod_ens):
     for p, expect in ((2.0, 2.0), (3.0, 1.8898815748423097)):
         u = power_utility(p)
         q = p / (p - 1.0)
-        opt = optimal_terminal_wealth(mod_model, u, mod_ens)
-        z = np.asarray(evaluate(u, opt.xstar))
         mf = ModularFunctional(model=mod_model, utility=u)
-        F = j_evaluator(mf, density_logs(mf, mod_ens))
+        logs = density_logs(mf, mod_ens)
+        opt = optimal_terminal_wealth(mod_model, u, logs[0], mod_ens.seed)
+        z = np.asarray(evaluate(u, opt.xstar))
+        F = j_evaluator(mf, logs)
         budget = F(z)
         am = amemiya_norm(F, z)
         # min over k of (1 + k^p b) / k = q (p-1)^{1/p} b^{1/p}
@@ -188,8 +175,6 @@ def test_divergent_moments_raise(mod_ens, mf3, logs3):
         norm_I(huge, mf3, logs3)
     with pytest.raises(ModularError):
         norm_J(huge, mf3, logs3)
-    with pytest.raises(ModularError):
-        i_modular(huge, mf3, logs3, mod_ens.seed)
 
 
 def test_payoff_shape_guard(mod_ens, mf3, logs3):

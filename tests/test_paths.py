@@ -13,12 +13,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from portsens.market import indicator
+from portsens.market import (RegimeTable, constant, indicator, integrand,
+                             piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
-                            cumulative, dump_ensemble, girsanov_weight,
-                            ito_integral, ito_sum, load_ensemble, log_doleans,
-                            map_blocks, quad_sum, shift_increments,
-                            shifted_brownian, simulate, stochastic_exponential)
+                            cumulative, dump_ensemble, ito_sum, load_ensemble,
+                            map_blocks, path_sums, quad_sum, simulate)
 
 
 def test_grid_validation():
@@ -138,15 +137,9 @@ def test_increment_moments(ens1d):
 
 def test_ito_isometry(ens1d):
     # E[(int H dW)^2] = E[int H^2 dt] for the adapted sign integrand
-    lam = indicator(0, 0.0, [0.0], [1.0])
-    vals = ito_integral(lam, ens1d).values
-    grid = ens1d.grid
-
-    def block(start, stop, dW, W):
-        H = lam.evaluate(grid, W)
-        return quad_sum(H, H, grid.dt)
-
-    qv = map_blocks(ens1d, block)
+    lam = integrand(ens1d.grid, indicator(0, 0.0, [0.0], [1.0]))
+    s = path_sums(ens1d, {"ito": ("ito", lam), "qv": ("quad", lam, lam)})
+    vals, qv = s["ito"], s["qv"]
     lhs, rhs = float(np.mean(vals**2)), float(np.mean(qv))
     se = float(np.std(vals**2 - qv)) / math.sqrt(ens1d.count)
     assert abs(lhs - rhs) <= 3 * se + 1e-12
@@ -160,12 +153,41 @@ def test_kernels_agree_with_direct_sums(rng):
     G = rng.normal(size=(5, 10, 3))
     qs = quad_sum(G, G, 0.25)
     assert np.allclose(qs, np.sum(G * G, axis=(1, 2)) * 0.25, atol=1e-15)
-    ld = log_doleans(H, dW, 0.1)
-    assert np.allclose(ld, ito_sum(H, dW) - 0.5 * np.sum(H * H) * 0.1)
+
+
+def test_path_sums_equal_sums_of_evaluated_coefficients():
+    # gathering per-regime tables by the regime index reproduces the
+    # evaluated node arrays, so every sum matches the direct reduction
+    # bit for bit, for any block size
+    ens = simulate(TimeGrid(1.0, 24), n=2, M=300, seed=14, block_paths=64)
+    grid = ens.grid
+    pw = piecewise([0.3, 0.55], [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
+    ind = indicator(1, -0.2, [0.1, 0.4], [-0.3, 1.1])
+    rate = constant([0.03])
+    a, b, c = integrand(grid, pw), integrand(grid, ind), integrand(grid, rate)
+    s = path_sums(ens, {"Ia": ("ito", a), "Ib": ("ito", b),
+                        "Qab": ("quad", a, b), "Qbb": ("quad", b, b),
+                        "R": ("time", c)})
+    dW = ens.increments()
+    W = cumulative(dW)
+    pv, iv, rv = (p.evaluate(grid, W) for p in (pw, ind, rate))
+    assert np.array_equal(s["Ia"], ito_sum(pv, dW))
+    assert np.array_equal(s["Ib"], ito_sum(iv, dW))
+    assert np.array_equal(s["Qab"], quad_sum(pv, iv, grid.dt))
+    assert np.array_equal(s["Qbb"], quad_sum(iv, iv, grid.dt))
+    assert np.array_equal(s["R"], np.full(300, np.sum(rv) * grid.dt))
+    # a joint table gathers the same values as each member's own table
+    joint = RegimeTable(grid, pw, ind)
+    assert len(joint) == 3 * 2
+    assert np.array_equal(joint.values(ind)[joint.index(W)], iv)
+    assert np.array_equal(joint.values(pw)[joint.index(W)],
+                          np.broadcast_to(pv, iv.shape))
 
 
 def test_stochastic_exponential_is_positive_mean_one(ens1d):
-    se_vals = stochastic_exponential(np.ones((64, 1)), ens1d).values
+    g = integrand(ens1d.grid, constant([1.0]))
+    s = path_sums(ens1d, {"S": ("ito", g), "Q": ("quad", g, g)})
+    se_vals = np.exp(s["S"] - 0.5 * s["Q"])
     assert np.all(se_vals > 0)
     est = se_vals.mean()
     tol = 3 * se_vals.std() / math.sqrt(ens1d.count)
@@ -175,7 +197,9 @@ def test_stochastic_exponential_is_positive_mean_one(ens1d):
 def test_girsanov_weight_tilts_the_mean(ens1d):
     # E[G f(W_T)] equals E[f(W_T + c T)] for the constant shift c
     c = 0.7
-    G = girsanov_weight(np.full((64, 1), c), np.zeros((64, 1)), ens1d).values
+    g = integrand(ens1d.grid, constant([c]))
+    s = path_sums(ens1d, {"S": ("ito", g), "Q": ("quad", g, g)})
+    G = np.exp(s["S"] - 0.5 * s["Q"])
     WT = np.sum(ens1d.increments(0, ens1d.count), axis=(1, 2))
     lhs = float(np.mean(G * WT))
     # per-path independent check, same paths: E[G W_T] = c T exactly in law
@@ -183,24 +207,9 @@ def test_girsanov_weight_tilts_the_mean(ens1d):
     assert abs(lhs - c) <= 3 * se
 
 
-def test_shifted_brownian_matches_manual_shift():
-    ens = simulate(TimeGrid(1.0, 16), n=1, M=20, seed=13, block_paths=8)
-    drift = np.full((16, 1), 0.5)
-    shifted = shifted_brownian(ens, drift)
-    dW = ens.increments(0, 20)
-    manual = cumulative(shift_increments(dW, drift, ens.grid.dt))
-    assert np.array_equal(shifted, manual)
-    assert shifted.shape == (20, 17, 1)
-    # drift removal moves the endpoint by exactly -0.5 T
-    assert np.allclose(shifted[:, -1, 0], cumulative(dW)[:, -1, 0] - 0.5)
-
-
 def test_resource_caps():
     with pytest.raises(ResourceLimitError):
         PathEnsemble(grid=TimeGrid(1.0, 10**6), n=64, count=10**7, seed=1)
-    big = simulate(TimeGrid(1.0, 2000), n=1, M=10**6, seed=1)
-    with pytest.raises(ResourceLimitError):
-        shifted_brownian(big, np.zeros((2000, 1)))
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -11,11 +11,11 @@ from portsens.market import (CoefficientError, constant, dlambda_direction,
 from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import (SecondOrderReport, example1_report,
                                   example2_reports, fd_sensitivity,
-                                  gap_report, second_order_check,
-                                  sensitivity_pair, sensitivity_report,
-                                  weak_sensitivity, weak_sensitivity_at)
+                                  gap_report, residual_decay,
+                                  second_order_check, sensitivity_pair,
+                                  sensitivity_report, weak_sensitivity_at)
 from portsens.utility import custom_utility, log_utility, power_utility
-from portsens.valuation import PerturbationSpec
+from portsens.valuation import PerturbationSpec, value_surface
 
 DMU2 = constant([0.04, 0.02])
 DRATE = scalar_constant(0.01)
@@ -82,9 +82,9 @@ def test_coefficient_and_mpr_directions_agree_pathwise(det2d_model, det_ens):
     # reproduce the estimates bit for bit, influence vectors included
     pert = PerturbationSpec(dmu=DMU2,
                             dsigma=constant([[0.02, 0.01], [0.0, 0.03]]))
-    grid = det_ens.grid
-    vals = dlambda_direction(det2d_model, pert.dmu, pert.dsigma, None, grid)
-    assert np.all(vals == vals[0])
+    _, vals = dlambda_direction(det2d_model, pert.dmu, pert.dsigma,
+                                det_ens.grid)
+    assert vals.shape == (1, 2)
     direct = PerturbationSpec(dlambda=constant(vals[0]))
     for u in (log_utility(), power_utility(3.0)):
         wa, sa = sensitivity_pair(det2d_model, u, pert, det_ens)
@@ -125,7 +125,7 @@ def test_fd_extras_record_steps(det2d_model, det_ens):
 
 def test_perturbed_point_derivative_reduces_to_base(switch_model, switch_ens):
     for u in (log_utility(), power_utility(2.0)):
-        base = weak_sensitivity(switch_model, u, UNIT_DRIFT, switch_ens)
+        base, _ = sensitivity_pair(switch_model, u, UNIT_DRIFT, switch_ens)
         at0 = weak_sensitivity_at(switch_model, u, UNIT_DRIFT, UNIT_DRIFT,
                                   0.0, switch_ens)
         gap = abs(base.mean - at0.mean)
@@ -143,7 +143,6 @@ def test_perturbed_point_derivative_matches_occupation_slope(switch_model,
 def test_perturbed_point_derivative_matches_curve_difference(switch_model,
                                                              switch_ens):
     from portsens.estimate import combine_linear
-    from portsens.valuation import value_surface
     u = power_utility(2.0)
     est = weak_sensitivity_at(switch_model, u, UNIT_DRIFT, UNIT_DRIFT, 0.25,
                               switch_ens)
@@ -211,6 +210,23 @@ def test_second_order_vacuous_on_convex_curves(det2d_model, det_ens,
         assert rep.passed
         assert all(v == 0.0 for v in rep.negative_parts)
         assert all(r > -rep.floor for r in rep.residuals)
+
+
+def test_second_order_check_fails_with_an_off_derivative(switch_model):
+    # at T = 4 the weak curve bends below its tangent, so the decay check
+    # is not vacuous; handed a derivative 0.05 off, the residual turns
+    # first order and the fitted slope drops to about 1
+    ens = simulate(TimeGrid(4.0, 400), n=1, M=30000, seed=505)
+    eps = (0.00625, 0.0125, 0.025, 0.05)
+    rows = value_surface(switch_model, log_utility(), UNIT_DRIFT,
+                         (0.0,) + eps, ens)
+    base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
+    deriv, _ = sensitivity_pair(switch_model, log_utility(), UNIT_DRIFT, ens)
+    good = residual_decay(eps, base, curve, deriv.mean)
+    assert not good.vacuous and good.slope >= 1.8 and good.passed
+    off = residual_decay(eps, base, curve, deriv.mean + 0.05)
+    assert not off.vacuous and not off.passed
+    assert 0.9 < off.slope < 1.2
 
 
 def test_second_order_report_slope_threshold():

@@ -12,8 +12,9 @@ from portsens.market import MarketModel, constant, indicator
 from portsens.paths import TimeGrid, simulate
 from portsens.solver import (SolverError, bisect_budget,
                              deterministic_mpr_integral_sq, integrate_product,
-                             load_xstar, optimal_terminal_wealth, save_xstar,
-                             state_price_density, value_closed_form)
+                             load_xstar, log_density_terms,
+                             optimal_terminal_wealth, save_xstar,
+                             value_closed_form)
 from portsens.utility import (custom_utility, evaluate, inverse_marginal,
                               log_utility, power_utility, sqrt_utility)
 from portsens.market import piecewise, scalar_constant
@@ -30,9 +31,14 @@ def unit_ens():
     return simulate(TimeGrid(1.0, 128), n=1, M=40000, seed=301)
 
 
+def solve(model, u, ens, xstar=None):
+    logz, R = log_density_terms(model, ens)
+    return optimal_terminal_wealth(model, u, logz - R, ens.seed, xstar=xstar)
+
+
 def test_power_p2_value_matches_oracle(unit_model, unit_ens):
     # E U(X*) = 2 e^{1/2} = 3.2974425414002564
-    opt = optimal_terminal_wealth(unit_model, sqrt_utility(), unit_ens)
+    opt = solve(unit_model, sqrt_utility(), unit_ens)
     assert abs(opt.value.mean - 3.2974425414002564) <= 3 * opt.value.se
     # budget holds exactly by construction on the sample
     budget = float(np.mean(opt.z * opt.xstar))
@@ -41,7 +47,7 @@ def test_power_p2_value_matches_oracle(unit_model, unit_ens):
 
 
 def test_power_p3_value_and_multiplier(unit_model, unit_ens):
-    opt = optimal_terminal_wealth(unit_model, power_utility(3.0), unit_ens)
+    opt = solve(unit_model, power_utility(3.0), unit_ens)
     assert abs(opt.value.mean - 3.852076250063224) <= 3 * opt.value.se
     # y = (m0 / x0)^{1/q} with m0 = E[Z^{1-q}] = 1.4549914146182013
     m0 = float(np.mean(opt.z ** (1.0 - 1.5)))
@@ -50,7 +56,7 @@ def test_power_p3_value_and_multiplier(unit_model, unit_ens):
 
 
 def test_log_value_matches_closed_form(unit_model, unit_ens):
-    opt = optimal_terminal_wealth(unit_model, log_utility(), unit_ens)
+    opt = solve(unit_model, log_utility(), unit_ens)
     # log x0 + int r + int |lambda|^2 / 2 = 0.5
     assert abs(opt.value.mean - 0.5) <= 3 * opt.value.se
     cf = value_closed_form(unit_model, log_utility(), T=1.0)
@@ -77,8 +83,8 @@ def test_custom_utility_budget_bisection(unit_model):
     ens = simulate(TimeGrid(1.0, 64), n=1, M=2000, seed=305)
     x = np.linspace(1e-6, 400.0, 6000)
     table = custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
-    opt = optimal_terminal_wealth(unit_model, table, ens)
-    exact = optimal_terminal_wealth(unit_model, sqrt_utility(), ens)
+    opt = solve(unit_model, table, ens)
+    exact = solve(unit_model, sqrt_utility(), ens)
     # same market, nearly the same optimizer: table accuracy, not MC noise
     assert float(np.mean(opt.z * opt.xstar)) == pytest.approx(1.0, rel=1e-9)
     inside = exact.xstar < 350.0  # beyond the table the solution saturates
@@ -96,16 +102,16 @@ def test_bisect_budget_brackets_extreme_budgets(rng):
 
 
 def test_external_xstar_wrap_and_budget_guard(unit_model, unit_ens):
-    opt = optimal_terminal_wealth(unit_model, sqrt_utility(), unit_ens)
-    wrapped = optimal_terminal_wealth(unit_model, sqrt_utility(), unit_ens,
+    opt = solve(unit_model, sqrt_utility(), unit_ens)
+    wrapped = solve(unit_model, sqrt_utility(), unit_ens,
                                       xstar=opt.xstar)
     assert wrapped.value.mean == pytest.approx(opt.value.mean, rel=1e-12)
     assert math.isnan(wrapped.y)
     with pytest.raises(SolverError):
-        optimal_terminal_wealth(unit_model, sqrt_utility(), unit_ens,
+        solve(unit_model, sqrt_utility(), unit_ens,
                                 xstar=3.0 * opt.xstar)
     with pytest.raises(SolverError):
-        optimal_terminal_wealth(unit_model, sqrt_utility(), unit_ens,
+        solve(unit_model, sqrt_utility(), unit_ens,
                                 xstar=opt.xstar[:10])
 
 
@@ -113,11 +119,11 @@ def test_incomplete_stochastic_market_refused(ens2d):
     model = MarketModel(d=1, n=2, mu=indicator(0, 0.0, [0.0], [0.5]),
                         sigma=constant([[1.0, 0.0]]))
     with pytest.raises(SolverError):
-        optimal_terminal_wealth(model, log_utility(), ens2d)
+        solve(model, log_utility(), ens2d)
 
 
 def test_state_price_density_mean_one(unit_model, unit_ens):
-    z = state_price_density(unit_model, unit_ens).values
+    z = np.exp(log_density_terms(unit_model, unit_ens)[0])
     se = float(np.std(z)) / math.sqrt(unit_ens.count)
     assert abs(float(np.mean(z)) - 1.0) <= 3 * se
 

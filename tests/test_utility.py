@@ -1,4 +1,4 @@
-"""Utility specs: closed forms, inverses, conjugates, hypothesis probes."""
+"""Utility specs: closed forms, inverses, hypothesis probes."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsens.utility import (UtilitySpec, check_hypotheses, conjugate,
-                              custom_utility, derivative, evaluate, inverse,
+from portsens.utility import (UtilitySpec, check_hypotheses, custom_utility,
+                              derivative, evaluate, inverse,
                               inverse_marginal, load_custom_utility,
                               log_utility, parse_utility, power_utility,
                               sqrt_utility)
@@ -53,18 +53,6 @@ def test_log_inverse_round_trip(y):
     assert inverse_marginal(u, math.exp(y)) == pytest.approx(math.exp(-y))
 
 
-def test_conjugate_closed_forms():
-    # V(y) = sup_x [U(x) - xy]; for U = p x^{1/p}: V(y) = (p-1) y^{1-q}
-    u = power_utility(2.0)
-    assert conjugate(u, 0.5) == pytest.approx(2.0)
-    assert conjugate(log_utility(), 2.0) == pytest.approx(-math.log(2.0) - 1.0)
-    # Fenchel-Young with equality at x = I(y)
-    for y in (0.25, 1.0, 3.0):
-        x = inverse_marginal(u, y)
-        assert conjugate(u, y) == pytest.approx(evaluate(u, x) - x * y,
-                                                rel=1e-9)
-
-
 def _table_utility():
     x = np.linspace(1e-6, 60.0, 4000)
     return custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
@@ -77,8 +65,6 @@ def test_custom_table_tracks_reference():
     assert np.allclose(inverse(u, evaluate(u, xs)), xs, rtol=1e-6)
     im = inverse_marginal(u, np.array([0.4, 1.0]))
     assert np.allclose(im, np.array([0.4, 1.0]) ** -2.0, rtol=1e-3)
-    v = conjugate(u, 0.5)
-    assert v == pytest.approx(conjugate(sqrt_utility(), 0.5), rel=1e-6)
 
 
 def test_custom_table_rejects_bad_input():

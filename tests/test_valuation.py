@@ -11,8 +11,8 @@ from portsens.market import (CoefficientError, KernelStabilityError,
 from portsens.paths import TimeGrid, simulate
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import (SURFACE_HEADER, PerturbationSpec,
-                                read_surface_csv, value_pair, value_surface,
-                                weak_value, write_surface_csv)
+                                read_surface_csv, value_surface,
+                                write_surface_csv)
 
 UNIT_DRIFT = PerturbationSpec(dmu=constant([1.0]))
 
@@ -63,7 +63,8 @@ def test_weak_equals_strong_at_tau_zero(switch_model, make_u):
     # the tilt weight is exp(0) path by path, so the two estimators share
     # every intermediate array, not just the limit
     ens = simulate(TimeGrid(1.0, 32), n=1, M=2000, seed=402)
-    w, s = value_pair(switch_model, make_u(), UNIT_DRIFT, 0.0, ens)
+    row, = value_surface(switch_model, make_u(), UNIT_DRIFT, [0.0], ens)
+    w, s = row.weak, row.strong
     assert w.mean == s.mean
     assert w.se == s.se
     np.testing.assert_array_equal(w.influence, s.influence)
@@ -165,16 +166,6 @@ def test_incomplete_adapted_market_refused(ens1d):
     pert = PerturbationSpec(dmu=constant([0.1]))
     with pytest.raises(CoefficientError, match="incomplete"):
         value_surface(model, log_utility(), pert, [0.0, 0.1], ens1d)
-
-
-def test_value_pair_matches_surface(switch_model):
-    ens = simulate(TimeGrid(1.0, 64), n=1, M=4000, seed=404)
-    rows = value_surface(switch_model, log_utility(), UNIT_DRIFT, [0.1], ens)
-    w, s = value_pair(switch_model, log_utility(), UNIT_DRIFT, 0.1, ens)
-    assert (w.mean, w.se) == (rows[0].weak.mean, rows[0].weak.se)
-    assert (s.mean, s.se) == (rows[0].strong.mean, rows[0].strong.se)
-    assert weak_value(switch_model, log_utility(), UNIT_DRIFT, 0.1,
-                      ens).mean == w.mean
 
 
 def test_surface_csv_round_trip(tmp_path, switch_model):
