@@ -354,7 +354,9 @@ class RegimeTable:
                         proc.high, proc.low)
 
     def index(self, W: np.ndarray) -> np.ndarray:
-        """Regime number of every left node: (N,) or, with drivers, (B, N)."""
+        """Regime number of every left node: (N,) or, with drivers, (B, N).
+
+        Without drivers W is not read and may be None."""
         if self._nodes is not None:
             return self._nodes
         N = self.grid.steps

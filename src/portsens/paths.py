@@ -173,21 +173,23 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
-def map_blocks(ensemble: PathEnsemble, block_fn, workers: int | None = None):
+def map_blocks(ensemble: PathEnsemble, block_fn, workers: int | None = None,
+               needs_w: bool = True):
     """Apply block_fn(start, stop, dW, W) over all blocks, in path order.
 
     block_fn returns one array or a tuple of arrays whose leading axis is the
-    block's path count; the results are concatenated along that axis.  Blocks
-    may be processed by several threads, but because every path owns its RNG
-    stream and reductions happen on the concatenated output, the result is
-    bit-identical for any worker count.
+    block's path count; the results are concatenated along that axis.  W is
+    None when ``needs_w`` is false, which saves building the cumulative
+    paths of every block.  Blocks may be processed by several threads, but
+    because every path owns its RNG stream and reductions happen on the
+    concatenated output, the result is bit-identical for any worker count.
     """
     ranges = list(ensemble.block_ranges())
 
     def run(rng):
         start, stop = rng
         dW = ensemble.increments(start, stop)
-        return block_fn(start, stop, dW, cumulative(dW))
+        return block_fn(start, stop, dW, cumulative(dW) if needs_w else None)
 
     nworkers = resolve_workers(workers)
     if nworkers == 1 or len(ranges) == 1:
@@ -237,11 +239,14 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
 
     Within a block, node values are gathered on first use and dropped after
     the last request that names the same integrand object, so requests
-    listed in groups hold only one group's integrands at a time.  Returns
-    an (M,) array per name.
+    listed in groups hold only one group's integrands at a time.  The
+    cumulative paths are built only when some regime table has drivers.
+    Returns an (M,) array per name.
     """
     dt = ensemble.grid.dt
-    uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
+    fields = [f for _, *fs in sums.values() for f in fs]
+    uses = Counter(id(f) for f in fields)
+    needs_w = any(regimes.drivers for regimes, _ in fields)
 
     def block(start, stop, dW, W):
         index, live, left = {}, {}, Counter(uses)
@@ -274,7 +279,7 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
                                                                   copy=True))
         return tuple(out)
 
-    return dict(zip(sums, map_blocks(ensemble, block, workers)))
+    return dict(zip(sums, map_blocks(ensemble, block, workers, needs_w)))
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
     else:
         y = bisect_budget(u, zhat, x0)
         xs = np.asarray(ut.inverse_marginal(u, y * zhat))
-        val = mean_estimate(np.asarray(ut.evaluate(u, xs)), seed,
-                            f"value[{u.label}]")
+        val = budget_estimate(np.asarray(ut.evaluate(u, xs)), zhat * xs, y,
+                              seed, f"value[{u.label}]")
     return OptimalWealth(xstar=xs, y=y, z=zhat, value=val)
 
 
@@ -169,6 +169,23 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
         if hi - lo <= rel_tol * hi:
             break
     return float(np.sqrt(lo * hi))
+
+
+def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,
+                    seed: int, estimator: str,
+                    extras: dict | None = None) -> ValueEstimate:
+    """Mean of per-path utilities at a budget-constrained optimum.
+
+    ``values`` is w U(X*) and ``spent`` w Zhat X* per path, where the
+    multiplier y of X* = I(y Zhat) was solved on these paths so that
+    mean(spent) = x0.  The estimate is mean(values).  Differentiating the
+    budget equation implicitly (U'(X*) = y Zhat) gives the first-order
+    effect of the multiplier's own noise, so the influence of a path is
+    w U(X*) - y (w Zhat X* - x0).
+    """
+    return delta_estimate([values, spent], lambda m: m[0],
+                          lambda m: np.array([1.0, -y]), seed, estimator,
+                          extras=extras)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,16 @@ p > 1 is the model case: its marginal is U'(x) = x^{-1/q} with q = p/(p-1),
 and the inverse marginal is I(y) = y^{-q}.  "sqrt" is the alias p = 2,
 i.e. U(x) = 2 sqrt(x).  The logarithm is supported for the exact
 counterexamples even though it fails the growth and U(0+) = 0 requirements
-that the power family satisfies; ``check_hypotheses`` reports this.  Custom
-utilities are supplied as a two-column monotone table and interpolated with
-a monotone cubic, which is enough for increasing concave functions given
-pointwise.
+that the power family satisfies; ``check_hypotheses`` reports this.
+
+Custom utilities are supplied as a two-column strictly increasing table and
+interpolated by the monotone piecewise cubic of Fritsch & Carlson (1980),
+with the node slopes of the usual PCHIP rule.  U' is then a
+quadratic on each piece, so I = (U')^{-1} is solved in closed form: the
+node slopes locate the piece and the piece's quadratic gives the root.  This
+needs node slopes that decrease strictly; a table whose slopes do not has no
+unique inverse marginal and is refused.  U^{-1} is the same kind of cubic
+through the swapped columns.
 """
 
 from __future__ import annotations
@@ -16,8 +22,70 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Moler's shape-preserving three-point slope at an end node for
+    increasing data: the one-sided estimate, or 0 where it is not positive."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if d > 0 else 0.0
+
+
+class _MonotoneCubic:
+    """Monotone piecewise cubic through strictly increasing (x, y) nodes.
+
+    ``slopes`` holds the Fritsch-Carlson node slopes: inside, the weighted
+    harmonic mean of the neighbouring secants, at the ends Moler's
+    three-point formula.  Piece i stores the power-basis coefficients
+    ``coef[:, i]`` of y_i + c t + b t^2 + a t^3 in t = x - x_i, as
+    (a, b, c, y_i).  Arguments are not range-checked.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        d = np.empty_like(x)
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x, self.h, self.slopes = x, h, d
+        self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def _piece(self, v):
+        i = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0,
+                    len(self.h) - 1)
+        return i, v - self.x[i]
+
+    def __call__(self, v):
+        i, t = self._piece(v)
+        a, b, c, y0 = self.coef[:, i]
+        return ((a * t + b) * t + c) * t + y0
+
+    def derivative(self, v):
+        i, t = self._piece(v)
+        a, b, c, _ = self.coef[:, i]
+        return (3.0 * a * t + 2.0 * b) * t + c
+
+    def inverse_derivative(self, y):
+        """The x with derivative(x) = y, saturated at the node range; needs
+        strictly decreasing node slopes."""
+        d = self.slopes
+        k = np.searchsorted(-d, -y)  # first node whose slope is <= y
+        i = np.clip(k - 1, 0, len(self.h) - 1)
+        a, b, c, _ = self.coef[:, i]
+        # on piece i solve A t^2 + B t + C = 0 with C = d_i - y > 0; the root
+        # in (0, h_i] is 2C / (sqrt(D) - B) = -(B + sqrt(D)) / (2A), and
+        # each form is free of cancellation for its sign of B
+        A, B, C = 3.0 * a, 2.0 * b, c - y
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(B <= 0, 2.0 * C / (root - B), -(B + root) / (2.0 * A))
+        x = self.x[i] + np.clip(t, 0.0, self.h[i])
+        return np.where(k == 0, self.x[0],
+                        np.where(k == len(d), self.x[-1], x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,20 +118,16 @@ class UtilitySpec:
             raise ValueError("conjugate exponent is specific to power utility")
         return self.p / (self.p - 1.0)
 
-    # interpolators are built lazily and cached on the instance
+    # interpolants are built lazily and cached on the instance
     def _interp(self):
         cache = self.__dict__.get("_interp_cache")
         if cache is None:
             x, u = self._table
-            du = np.diff(u)
-            dx = np.diff(x)
-            if np.any(dx <= 0) or np.any(du <= 0):
+            if np.any(np.diff(x) <= 0) or np.any(np.diff(u) <= 0):
                 raise ValueError("custom table must increase strictly in "
                                  "both columns")
-            fwd = PchipInterpolator(x, u, extrapolate=False)
-            inv = PchipInterpolator(u, x, extrapolate=False)
-            der = fwd.derivative()
-            cache = (fwd, inv, der, (x[0], x[-1]), (u[0], u[-1]))
+            cache = (_MonotoneCubic(x, u), _MonotoneCubic(u, x),
+                     (x[0], x[-1]), (u[0], u[-1]))
             object.__setattr__(self, "_interp_cache", cache)
         return cache
 
@@ -130,12 +194,11 @@ def evaluate(u: UtilitySpec, x) -> np.ndarray | float:
     if u.kind == "log":
         x = _check_domain(x, "x", strict=True)
         return np.log(x)
-    fwd, _, _, (xlo, xhi), _ = u._interp()
+    fwd, _, (xlo, xhi), _ = u._interp()
     x = _check_domain(x, "x")
-    out = fwd(np.clip(x, xlo, xhi))
     if np.any(x > xhi) or np.any(x < xlo):
         raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
-    return out
+    return fwd(x)
 
 
 def derivative(u: UtilitySpec, x) -> np.ndarray | float:
@@ -144,10 +207,10 @@ def derivative(u: UtilitySpec, x) -> np.ndarray | float:
         return x ** (1.0 / u.p - 1.0)
     if u.kind == "log":
         return 1.0 / x
-    fwd, _, der, (xlo, xhi), _ = u._interp()
+    fwd, _, (xlo, xhi), _ = u._interp()
     if np.any(x > xhi) or np.any(x < xlo):
         raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
-    return der(x)
+    return fwd.derivative(x)
 
 
 def inverse(u: UtilitySpec, y) -> np.ndarray | float:
@@ -159,31 +222,28 @@ def inverse(u: UtilitySpec, y) -> np.ndarray | float:
         return (y / u.p) ** u.p
     if u.kind == "log":
         return np.exp(y)
-    _, inv, _, _, (ulo, uhi) = u._interp()
+    _, inv, _, (ulo, uhi) = u._interp()
     if np.any(y > uhi) or np.any(y < ulo):
         raise ValueError(f"y outside the table range [{ulo:g}, {uhi:g}]")
     return inv(y)
 
 
 def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
-    """I(y) = (U')^{-1}(y), the solver's pointwise optimizer map."""
+    """I(y) = (U')^{-1}(y), the solver's pointwise optimizer map.
+
+    A custom table saturates at its ends: I(y) is the first node for y at or
+    above U' there and the last node for y at or below U' there.
+    """
     y = _check_domain(y, "y", strict=True)
     if u.kind == "power":
         return y ** (-u.q)
     if u.kind == "log":
         return 1.0 / y
-    fwd, _, der, (xlo, xhi), _ = u._interp()
-
-    def solve_one(yv):
-        lo, hi = xlo, xhi
-        dlo, dhi = der(lo), der(hi)
-        if yv >= dlo:
-            return lo
-        if yv <= dhi:
-            return hi
-        return brentq(lambda t: der(t) - yv, lo, hi, xtol=1e-14, rtol=1e-12)
-
-    return np.vectorize(solve_one)(y)
+    fwd = u._interp()[0]
+    if np.any(np.diff(fwd.slopes) >= 0):
+        raise ValueError(f"custom utility {u.label!r}: node slopes of U' do "
+                         "not decrease strictly, so U' has no unique inverse")
+    return fwd.inverse_derivative(y)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +278,7 @@ class HypothesesReport:
 
 def check_hypotheses(u: UtilitySpec, grid_points: int = 200) -> HypothesesReport:
     if u.kind == "custom":
-        xlo, xhi = u._interp()[3]
+        xlo, xhi = u._interp()[2]
         lo_probe, hi_probe = xlo, xhi
         xs = np.geomspace(max(xlo, 1e-300), xhi, grid_points)
     else:

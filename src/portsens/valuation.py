@@ -39,7 +39,7 @@ from portsens.market import (CoefficientError, CoefficientProcess,
                              check_h1_direction, mpr_from_values,
                              mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
-from portsens.solver import bisect_budget
+from portsens.solver import bisect_budget, budget_estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +216,17 @@ def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
             lambda m: np.array([scale / q * m[0] ** (1.0 / q - 1.0)]),
             seed, name, extras=extras)
     # custom utility: budget bisection under the relevant measure; the
-    # reported standard error is the plug-in one (multiplier noise ignored)
+    # multiplier y solves mean(g z X*) = x0, and differentiating that
+    # equation implicitly adds -y (g z X* - x0) to the influence of g U(X*)
     z = np.exp(arrs["log_zw"] if weak else arrs["log_zs"])
     w = g if weak else None
     y = bisect_budget(u, z, x0, weights=w)
     xs = np.asarray(ut.inverse_marginal(u, y * z))
-    vals = np.asarray(ut.evaluate(u, xs))
+    vals, spent = np.asarray(ut.evaluate(u, xs)), z * xs
     if weak:
-        vals = g * vals
-    est = mean_estimate(vals, seed, name, extras={**extras, "y": y})
-    return est
+        vals, spent = g * vals, g * spent
+    return budget_estimate(vals, spent, y, seed, name,
+                           extras={**extras, "y": y})
 
 
 def value_surface(model: MarketModel, u: ut.UtilitySpec,

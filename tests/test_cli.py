@@ -1,8 +1,15 @@
 """End-to-end command tests: artifacts, exit codes, reproducibility."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+import portsens
 
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
@@ -170,6 +177,56 @@ def test_norms_makes_one_path_pass(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "n")])
     assert code == 0
     assert sum(generated) == 500
+
+
+def custom_sqrt_config(tmp_path):
+    """configs/deterministic2d.ini with U(x) = 2 sqrt(x) tabulated on 801
+    log-spaced rows over [1e-4, 1e4] as its custom utility."""
+    x = 10.0 ** (-4.0 + 8.0 * np.arange(801) / 800)
+    table = tmp_path / "sqrt_table.txt"
+    np.savetxt(table, np.column_stack([x, 2.0 * np.sqrt(x)]), fmt="%.17g")
+    cfg = tmp_path / "custom.ini"
+    cfg.write_text(load_text("configs/deterministic2d.ini").replace(
+        "spec = power:p=3", f"spec = custom:file={table}"))
+    return str(cfg)
+
+
+def test_custom_value_standard_errors_match_sqrt(tmp_path):
+    # the multiplier is solved on the same paths, and its noise enters the
+    # table's standard errors as it enters the sqrt delta method
+    sqrt_cfg = tmp_path / "sqrt.ini"
+    sqrt_cfg.write_text(load_text("configs/deterministic2d.ini").replace(
+        "spec = power:p=3", "spec = sqrt"))
+    surfaces = []
+    for i, cfg in enumerate((custom_sqrt_config(tmp_path), str(sqrt_cfg))):
+        out = tmp_path / f"v{i}"
+        assert main(["value", "--config", cfg, "--paths", "200",
+                     "--out", str(out)]) == 0
+        surfaces.append(read_surface_csv(out / "surface.csv"))
+    custom, exact = surfaces
+    assert [r["tau"] for r in custom] == [0.0, 0.1, 0.2]
+    for got, want in zip(custom, exact):
+        for col in ("u_weak", "se_weak", "u_strong", "se_strong"):
+            assert got[col] == pytest.approx(want[col], rel=1.26e-5)
+
+
+@pytest.mark.parametrize("utility", ["power", "custom"])
+def test_value_command_imports_no_scipy(tmp_path, utility):
+    cfg = ("configs/deterministic2d.ini" if utility == "power"
+           else custom_sqrt_config(tmp_path))
+    argv = ["value", "--config", cfg, "--paths", "200",
+            "--out", str(tmp_path / "v")]
+    script = ("import json, sys\n"
+              "from portsens.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.split('.')[0] == 'scipy')]))")
+    src = os.path.dirname(os.path.dirname(portsens.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_danskin_command(tmp_path):

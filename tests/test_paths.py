@@ -13,8 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from portsens import paths as paths_mod
 from portsens.market import (RegimeTable, constant, indicator, integrand,
-                             piecewise)
+                             mpr_integrand, piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
                             cumulative, dump_ensemble, ito_sum, load_ensemble,
                             map_blocks, path_sums, quad_sum, simulate)
@@ -126,6 +127,27 @@ def test_map_blocks_tuple_results():
     a, b = map_blocks(ens, block)
     assert a.shape == b.shape == (50,)
     assert np.array_equal(a * a, b)
+
+
+def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
+                                                      det2d_model,
+                                                      switch_model):
+    built = []
+    real = paths_mod.cumulative
+
+    def counted(dW):
+        built.append(dW.shape[0])
+        return real(dW)
+
+    monkeypatch.setattr(paths_mod, "cumulative", counted)
+    grid = TimeGrid(1.0, 16)
+    cases = [(det2d_model, 2, []), (switch_model, 1, [20, 20, 10])]
+    for model, n, blocks in cases:
+        built.clear()
+        ens = simulate(grid, n=n, M=50, seed=13, block_paths=20)
+        lam = mpr_integrand(model, grid)
+        path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
+        assert built == blocks
 
 
 def test_increment_moments(ens1d):

@@ -79,7 +79,7 @@ def test_value_closed_form_log_adapted(switch_model, ens1d):
 
 
 def test_custom_utility_budget_bisection(unit_model):
-    # small ensemble: the table inverse runs a scalar root find per path
+    # the table's inverse marginal is a closed-form root per cubic piece
     ens = simulate(TimeGrid(1.0, 64), n=1, M=2000, seed=305)
     x = np.linspace(1e-6, 400.0, 6000)
     table = custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)

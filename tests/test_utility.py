@@ -67,6 +67,93 @@ def test_custom_table_tracks_reference():
     assert np.allclose(im, np.array([0.4, 1.0]) ** -2.0, rtol=1e-3)
 
 
+def _log_spaced_sqrt():
+    x = 10.0 ** (-4.0 + 8.0 * np.arange(801) / 800)
+    return x, 2.0 * np.sqrt(x)
+
+
+def _linear_sqrt():
+    x = np.linspace(1e-6, 60.0, 4000)
+    return x, 2.0 * np.sqrt(x)
+
+
+def _log1p():
+    x = np.linspace(0.01, 10.0, 50)
+    return x, np.log1p(x)
+
+
+def _kinked():
+    # U' first rises inside the second piece (U'' > 0 at its left node),
+    # and the right end slope is clamped to 0
+    return (np.array([0.5, 1.5, 2.5, 3.5, 4.0, 4.5]),
+            np.array([0.0, 1.0, 1.99, 2.09, 2.1, 2.102]))
+
+
+TABLES = pytest.mark.parametrize(
+    "make_table", [_log_spaced_sqrt, _linear_sqrt, _log1p, _kinked],
+    ids=["sqrt-log801", "sqrt-lin4000", "log1p-50", "kinked-6"])
+
+
+@TABLES
+def test_custom_cubic_matches_pchip(make_table):
+    from scipy.interpolate import PchipInterpolator
+
+    x, ux = make_table()
+    u = custom_utility(x, ux)
+    ref = PchipInterpolator(x, ux, extrapolate=False)
+    mids = 0.5 * (x[:-1] + x[1:])
+    xs = np.concatenate([x, mids, x[0] + (x[-1] - x[0]) * np.linspace(
+        0.0, 1.0, 1001), np.geomspace(x[0], x[-1], 1001)])
+    xs = np.clip(xs, x[0], x[-1])
+    for got, want in ((evaluate(u, xs), ref(xs)),
+                      (derivative(u, xs), ref.derivative()(xs))):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    us = np.clip(np.concatenate([ux, 0.5 * (ux[:-1] + ux[1:])]),
+                 ux[0], ux[-1])
+    back = PchipInterpolator(ux, x, extrapolate=False)(us)
+    assert np.all(np.abs(inverse(u, us) - back) <= 1e-14 * back)
+
+
+@TABLES
+def test_custom_inverse_marginal_inverts_the_marginal(make_table):
+    x, ux = make_table()
+    u = custom_utility(x, ux)
+    d_lo, d_hi = derivative(u, x[0]), derivative(u, x[-1])
+    y = np.geomspace(max(d_hi, 1e-3 * d_lo), d_lo, 20003)[1:-1]
+    # just below each node slope the root sits at the far end of a piece
+    # where U' first rises
+    near = np.outer(derivative(u, x[:-1]), 1.0 - np.geomspace(1e-15, 1e-3, 13))
+    y = np.sort(np.concatenate([y, near[near > d_hi]]))
+    xi = inverse_marginal(u, y)
+    assert np.all((xi >= x[0]) & (xi <= x[-1]))
+    assert np.all(np.diff(xi) < 0)
+    assert np.all(np.abs(derivative(u, xi) - y) <= 1e-12 * y)
+
+
+def test_custom_inverse_marginal_saturates_at_the_table_ends():
+    x, ux = _log_spaced_sqrt()
+    u = custom_utility(x, ux)
+    d_lo, d_hi = float(derivative(u, x[0])), float(derivative(u, x[-1]))
+    y = np.array([1e9, 2.0 * d_lo, d_lo, d_hi, 0.5 * d_hi, 1e-9])
+    np.testing.assert_array_equal(inverse_marginal(u, y),
+                                  [x[0]] * 3 + [x[-1]] * 3)
+    assert float(inverse_marginal(u, d_lo * (1 - 1e-9))) > x[0]
+    assert float(inverse_marginal(u, d_hi * (1 + 1e-9))) < x[-1]
+
+
+def test_custom_inverse_marginal_refuses_a_convex_table():
+    x = np.linspace(0.01, 5.0, 200)
+    convex = custom_utility(x, x ** 2)
+    assert float(evaluate(convex, 2.0)) == pytest.approx(4.0, rel=1e-4)
+    with pytest.raises(ValueError, match="no unique inverse"):
+        inverse_marginal(convex, 1.0)
+    # one kink that turns U' upward is enough
+    kinked = custom_utility([1.0, 2.0, 3.0, 4.0, 5.0],
+                            [1.0, 2.0, 2.5, 3.5, 4.0])
+    with pytest.raises(ValueError, match="no unique inverse"):
+        inverse_marginal(kinked, 0.7)
+
+
 def test_custom_table_rejects_bad_input():
     with pytest.raises(ValueError):
         custom_utility([1.0, 2.0], [1.0, 2.0])  # too short
