@@ -10,7 +10,7 @@ import argparse
 from portsens import utility as ut
 from portsens.market import MarketModel, constant, scalar_constant
 from portsens.paths import TimeGrid, simulate
-from portsens.sensitivity import gap_report, sensitivity_report
+from portsens.sensitivity import gap_report, sensitivity_reports
 from portsens.valuation import PerturbationSpec, value_surface
 
 
@@ -40,8 +40,8 @@ def main() -> int:
               f"(se {row.strong.se:.2g})")
 
     print("\nderivative formulas vs central differences:")
-    for side in ("weak", "strong"):
-        print(" ", sensitivity_report(model, u, pert, ens, side=side).line())
+    for rep in sensitivity_reports(model, u, pert, ens):
+        print(" ", rep.line())
 
     gap = gap_report(model, u, pert, ens)
     print(f"\nweak minus strong derivative: {gap.gap:+.6f} "

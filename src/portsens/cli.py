@@ -47,9 +47,9 @@ from .market import (CoefficientProcess, MarketModel, check_h1_direction,
 from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm, norm_I, norm_J)
-from .paths import TimeGrid, check_seed, simulate
+from .paths import TimeGrid, check_block_paths, check_seed, simulate
 from .sensitivity import (example1_report, example2_reports,
-                          second_order_check, sensitivity_report)
+                          second_order_check, sensitivity_reports)
 from .solver import optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface, write_surface_csv
 
@@ -91,7 +91,7 @@ class ExperimentConfig:
     steps: int | None = None
     horizon: float | None = None
     seed: int | None = None
-    block_paths: int = 8192
+    block_paths: int | None = None
     nu_family: tuple = ()
     outdir: str = "."
 
@@ -177,17 +177,17 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             if not taus:
                 raise ConfigError("taus must list at least one value")
 
-    paths = steps = horizon = seed = None
-    block_paths = 8192
+    paths = steps = horizon = seed = block_paths = None
     if cp.has_section("mc"):
         mc = cp["mc"]
         if "seed" not in mc:
             raise ConfigError("[mc] requires an explicit seed")
         paths, steps = int(mc["paths"]), int(mc["steps"])
         horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
-        block_paths = int(mc.get("block_paths", "8192"))
         if paths <= 0 or steps <= 0 or horizon <= 0:
             raise ConfigError("paths, steps and horizon must be positive")
+        if "block_paths" in mc:
+            block_paths = check_block_paths(int(mc["block_paths"]))
 
     nu_family = ()
     if cp.has_section("norms"):
@@ -241,8 +241,10 @@ def format_config(cfg: ExperimentConfig) -> str:
         lines.append("")
     if cfg.seed is not None:
         lines += ["[mc]", f"paths = {cfg.paths}", f"steps = {cfg.steps}",
-                  f"horizon = {cfg.horizon!r}", f"seed = {cfg.seed}",
-                  f"block_paths = {cfg.block_paths}", ""]
+                  f"horizon = {cfg.horizon!r}", f"seed = {cfg.seed}"]
+        if cfg.block_paths is not None:
+            lines.append(f"block_paths = {cfg.block_paths}")
+        lines.append("")
     if cfg.nu_family:
         lines.append("[norms]")
         lines += [f"nu{i} = {format_coefficient(nu)}"
@@ -340,8 +342,7 @@ def cmd_sens(args) -> int:
     if len(eps) < 2:
         raise ConfigError("--eps needs at least two step sizes")
     ens = _make_ensemble(cfg)
-    reports = [sensitivity_report(model, u, pert, ens, eps=eps, side=side)
-               for side in ("weak", "strong")]
+    reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
              _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se), _r(rep.gap),
              _r(rep.tolerance), _flag(rep.verdict), cfg.seed]
@@ -600,6 +601,14 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _block_paths(text: str) -> int:
+    """argparse type: a path count of at least 1."""
+    try:
+        return check_block_paths(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_config_flags(sp) -> None:
     sp.add_argument("--config", required=True, help="experiment file")
     sp.add_argument("--seed", type=_seed, help="override [mc] seed")
@@ -614,8 +623,9 @@ def _add_scale_flags(sp, paths: int, steps: int, seed: int) -> None:
     sp.add_argument("--paths", type=int, default=paths)
     sp.add_argument("--steps", type=int, default=steps)
     sp.add_argument("--seed", type=_seed, default=seed)
-    sp.add_argument("--block-paths", type=int, default=8192,
-                    dest="block_paths")
+    sp.add_argument("--block-paths", type=_block_paths, dest="block_paths",
+                    help="paths per block (default: about 2**18 increments "
+                         "per block); no effect on results")
     sp.add_argument("--out", default=".", help="output directory")
 
 

@@ -11,7 +11,10 @@ reductions (means, standard errors) happen on the full M-vector in the
 caller.  ``path_sums`` is the one such consumer: it returns the named
 stochastic and time integrals that every estimator is built from.  This
 keeps memory at O(block) while making every result independent of block
-size and worker count.
+size and worker count.  A block holds about ``_BLOCK_CELLS`` increments
+unless ``block_paths`` fixes its path count, so a block of long paths has
+fewer of them and every block array stays near the size of a core's L2
+cache whatever the grid.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -39,6 +42,10 @@ _DUMP_HEADER = struct.Struct("<6Qd")  # magic, version, seed, M, N, n, T
 
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
+# default block size in float64 cells (B*N*n): one (B, N, n) block array is
+# 2 MB, about the L2 of one core
+_BLOCK_CELLS = 2**18
+
 # one Philox generator per thread: a generator is not thread-safe, and every
 # path overwrites its whole state, so nothing carries over between callers
 _THREAD_RNG = threading.local()
@@ -49,6 +56,13 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return seed
+
+
+def check_block_paths(block_paths: int | None) -> int | None:
+    """The block size unchanged if it is None (the default) or positive."""
+    if block_paths is not None and block_paths < 1:
+        raise ValueError(f"block_paths must be at least 1, got {block_paths}")
+    return block_paths
 
 
 def _thread_generator() -> tuple[np.random.Generator, dict]:
@@ -108,7 +122,9 @@ class PathEnsemble:
     """M Brownian paths in R^n on a grid, defined by (seed, scheme).
 
     Increments are N(0, dt) i.i.d. per coordinate.  ``block_paths`` is a
-    memory knob only; it never affects values.
+    memory knob only; it never affects values.  By default (None) a block
+    holds as many paths as fit in ``_BLOCK_CELLS`` increments, and at
+    least one.
     """
 
     grid: TimeGrid
@@ -116,21 +132,24 @@ class PathEnsemble:
     count: int
     seed: int
     scheme: str = "philox-per-path/1"
-    block_paths: int = field(default=8192, compare=False)
+    block_paths: int | None = field(default=None, compare=False)
     _stored: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.count < 1:
             raise ValueError("need n >= 1 and count >= 1")
         check_seed(self.seed)
+        check_block_paths(self.block_paths)
         if self.count * self.grid.steps * self.n > _MAX_CELLS:
             raise ResourceLimitError(
                 f"ensemble of {self.count}x{self.grid.steps}x{self.n} cells "
                 "exceeds the resource cap")
 
     def block_ranges(self):
-        for start in range(0, self.count, self.block_paths):
-            yield start, min(start + self.block_paths, self.count)
+        step = self.block_paths or max(
+            1, _BLOCK_CELLS // (self.grid.steps * self.n))
+        for start in range(0, self.count, step):
+            yield start, min(start + step, self.count)
 
     def increments(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Increment array of shape (stop-start, N, n) for a path range."""
@@ -152,7 +171,7 @@ class PathEnsemble:
 
 
 def simulate(grid: TimeGrid, n: int, M: int, seed: int,
-             block_paths: int = 8192) -> PathEnsemble:
+             block_paths: int | None = None) -> PathEnsemble:
     """Seeded ensemble of M Brownian paths in R^n on the grid."""
     return PathEnsemble(grid=grid, n=n, count=M, seed=seed,
                         block_paths=block_paths)
@@ -298,7 +317,7 @@ def dump_ensemble(ensemble: PathEnsemble, path: str,
                 ensemble.increments(start, stop)).tobytes())
 
 
-def load_ensemble(path: str, block_paths: int = 8192) -> PathEnsemble:
+def load_ensemble(path: str, block_paths: int | None = None) -> PathEnsemble:
     """Read an ensemble dump; the result serves stored increments."""
     with open(path, "rb") as fh:
         header = fh.read(_DUMP_HEADER.size)

@@ -29,7 +29,7 @@ points when the price of risk is adapted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,11 +193,12 @@ def weak_sensitivity_at(model: MarketModel, u: ut.UtilitySpec,
 
 def fd_sensitivity(model: MarketModel, u: ut.UtilitySpec,
                    pert: PerturbationSpec, ensemble: PathEnsemble,
-                   eps: tuple = (0.2, 0.1, 0.05, 0.025), side: str = "weak",
-                   workers=None) -> ValueEstimate:
-    """Central differences of the value curve, Richardson-extrapolated.
+                   eps: tuple = (0.2, 0.1, 0.05, 0.025),
+                   workers=None) -> tuple[ValueEstimate, ValueEstimate]:
+    """(weak, strong) central differences of the value curves,
+    Richardson-extrapolated, from one pass.
 
-    The curve is simulated once on a shared tau grid (common random
+    Both curves are simulated once on a shared tau grid (common random
     numbers), each difference reuses the per-path influence vectors, and
     the two finest steps combine to (4 d_h - d_2h) / 3.  The extras carry
     the raw differences and the extrapolation correction, which bounds the
@@ -208,25 +209,22 @@ def fd_sensitivity(model: MarketModel, u: ut.UtilitySpec,
         raise ValueError("need at least two positive step sizes")
     taus = sorted({s * e for e in eps for s in (1.0, -1.0)})
     rows = value_surface(model, u, pert, taus, ensemble, workers)
-    by_tau = {r.tau: (r.weak if side == "weak" else r.strong) for r in rows}
-
-    diffs = {}
-    for e in eps:
-        hi, lo = by_tau[e], by_tau[-e]
-        diffs[e] = combine_linear([hi, lo], [0.5 / e, -0.5 / e],
-                                  f"central[{e:g}]")
     # eliminate the h^2 error term from the two finest steps
     h1, h2 = eps[0], eps[1]
-    fine, coarse = diffs[h1], diffs[h2]
     w = h2 * h2 / (h2 * h2 - h1 * h1)
-    rich = combine_linear([fine, coarse], [w, 1.0 - w],
-                          f"richardson[{side},{pert.label}]")
-    correction = rich.mean - fine.mean
-    extras = {"by_eps": {e: d.mean for e, d in diffs.items()},
-              "correction": correction, "side": side, "eps": eps}
-    return ValueEstimate(mean=rich.mean, se=rich.se, count=rich.count,
-                         seed=rich.seed, estimator=rich.estimator,
-                         influence=rich.influence, extras=extras)
+    out = []
+    for side in ("weak", "strong"):
+        by_tau = {r.tau: getattr(r, side) for r in rows}
+        diffs = {e: combine_linear([by_tau[e], by_tau[-e]],
+                                   [0.5 / e, -0.5 / e], f"central[{e:g}]")
+                 for e in eps}
+        fine = diffs[h1]
+        rich = combine_linear([fine, diffs[h2]], [w, 1.0 - w],
+                              f"richardson[{side},{pert.label}]")
+        out.append(replace(rich, extras={
+            "by_eps": {e: d.mean for e, d in diffs.items()},
+            "correction": rich.mean - fine.mean, "side": side, "eps": eps}))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,11 +247,13 @@ class SensitivityReport:
                 f"gap {self.gap:.2e} <= {self.tolerance:.2e}: {flag}")
 
 
-def sensitivity_report(model: MarketModel, u: ut.UtilitySpec,
-                       pert: PerturbationSpec, ensemble: PathEnsemble,
-                       eps: tuple = (0.2, 0.1, 0.05, 0.025),
-                       side: str = "weak", workers=None) -> SensitivityReport:
-    """Closed-form sensitivity against the Richardson difference.
+def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
+                        pert: PerturbationSpec, ensemble: PathEnsemble,
+                        eps: tuple = (0.2, 0.1, 0.05, 0.025),
+                        workers=None) -> tuple[SensitivityReport,
+                                               SensitivityReport]:
+    """(weak, strong) closed-form sensitivities against the Richardson
+    differences, from two path passes.
 
     The verdict tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
@@ -261,15 +261,18 @@ def sensitivity_report(model: MarketModel, u: ut.UtilitySpec,
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
     """
-    weak, strong = sensitivity_pair(model, u, pert, ensemble, workers)
-    formula = weak if side == "weak" else strong
-    fd = fd_sensitivity(model, u, pert, ensemble, eps, side, workers)
-    gap = abs(formula.mean - fd.mean)
-    tol = (3.0 * difference_se(formula, fd) + abs(fd.extras["correction"])
-           + 1e-11 * (1.0 + abs(formula.mean)))
-    return SensitivityReport(direction=pert.label, side=side, formula=formula,
-                             fd=fd, gap=gap, tolerance=tol,
-                             verdict=bool(gap <= tol))
+    formulas = sensitivity_pair(model, u, pert, ensemble, workers)
+    fds = fd_sensitivity(model, u, pert, ensemble, eps, workers)
+    reports = []
+    for side, formula, fd in zip(("weak", "strong"), formulas, fds):
+        gap = abs(formula.mean - fd.mean)
+        tol = (3.0 * difference_se(formula, fd)
+               + abs(fd.extras["correction"])
+               + 1e-11 * (1.0 + abs(formula.mean)))
+        reports.append(SensitivityReport(
+            direction=pert.label, side=side, formula=formula, fd=fd,
+            gap=gap, tolerance=tol, verdict=bool(gap <= tol)))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,7 @@ class Example1Report:
 
 
 def example1_report(T: float = 1.0, M: int = 200_000, N: int = 2000,
-                    seed: int = 20_08, block_paths: int = 8192,
+                    seed: int = 20_08, block_paths: int | None = None,
                     workers=None) -> Example1Report:
     model, pert = _example1_model()
     grid = TimeGrid(T, N)
@@ -368,7 +371,7 @@ def discrepancy_report(lam, dlam, ensemble: PathEnsemble,
 
 
 def example2_reports(T: float = 1.0, M: int = 50_000, N: int = 500,
-                     seed: int = 20_09, block_paths: int = 8192,
+                     seed: int = 20_09, block_paths: int | None = None,
                      workers=None) -> tuple[DiscrepancyReport,
                                             DiscrepancyReport]:
     """(deterministic, adapted) discrepancy pair on shared paths.

@@ -24,7 +24,7 @@ from portsens.modular import (ModularFunctional, amemiya_norm, density_logs,
 from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import (example1_report, example2_reports,
                                   second_order_check, sensitivity_pair,
-                                  sensitivity_report)
+                                  sensitivity_reports)
 from portsens.solver import (log_density_terms, optimal_terminal_wealth,
                              value_closed_form)
 from portsens.valuation import PerturbationSpec, value_surface
@@ -111,8 +111,8 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
             sigmas = abs(est.mean - expected) / est.se
             ok = ok and sigmas <= 3.0
             details.append(f"p={p:g} {pert.label} {sigmas:.2f} sigma")
-        rep = sensitivity_report(model, u, PerturbationSpec(dmu=dmu), ens2d,
-                                 side="weak")
+        rep, _ = sensitivity_reports(model, u, PerturbationSpec(dmu=dmu),
+                                     ens2d)
         ok = ok and rep.verdict
         details.append(f"p={p:g} fd gap {rep.gap:.2g} tol {rep.tolerance:.2g}")
     pert = PerturbationSpec(dmu=dmu,

@@ -161,22 +161,38 @@ def test_norms_command(tmp_path):
     assert verdicts["holder_lhs"] == "true"
 
 
-def test_norms_makes_one_path_pass(tmp_path, monkeypatch):
-    # one pass yields the density samples; the zero member's row solves for
-    # the optimal wealth, and every functional, norm and pairing reads them
-    generated = []
+@pytest.fixture
+def generated(monkeypatch):
+    """Path count of every increment block generated during the test."""
+    counts = []
     increments = PathEnsemble.increments
 
     def counted(self, start=0, stop=None):
         dW = increments(self, start, stop)
-        generated.append(dW.shape[0])
+        counts.append(dW.shape[0])
         return dW
 
     monkeypatch.setattr(PathEnsemble, "increments", counted)
+    return counts
+
+
+def test_norms_makes_one_path_pass(tmp_path, generated):
+    # one pass yields the density samples; the zero member's row solves for
+    # the optimal wealth, and every functional, norm and pairing reads them
     code = main(["norms", "--config", "configs/norms.ini", "--paths", "500",
                  "--out", str(tmp_path / "n")])
     assert code == 0
     assert sum(generated) == 500
+
+
+def test_sens_makes_two_path_passes(tmp_path, generated):
+    # one pass for both closed-form sensitivities, one for the value curves
+    # both finite differences read
+    code = main(["sens", "--config", "configs/deterministic2d.ini",
+                 "--paths", "500", "--steps", "16",
+                 "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert sum(generated) == 2 * 500
 
 
 def custom_sqrt_config(tmp_path):
@@ -272,6 +288,27 @@ def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys):
         assert main(argv + ["--seed", seed, "--out", str(tmp_path)]) == 1
         assert "seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("block", ["0", "-3"])
+def test_nonpositive_block_paths_flag_exits_one(block, tmp_path, capsys):
+    for command in ("example1", "example2"):
+        assert main([command, "--paths", "200", "--steps", "20",
+                     "--block-paths", block, "--out", str(tmp_path)]) == 1
+        assert "block" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("block", ["0", "-3"])
+def test_nonpositive_block_paths_key_exits_two(block, tmp_path, capsys):
+    cfg = tmp_path / "block.ini"
+    cfg.write_text(load_text("configs/example1.ini").replace(
+        "seed = 7\n", f"seed = 7\nblock_paths = {block}\n"))
+    out = tmp_path / "out"
+    assert main(["value", "--config", str(cfg), "--paths", "200",
+                 "--steps", "20", "--out", str(out)]) == 2
+    assert "block_paths" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -7,6 +7,7 @@ keep every byte; one that changes it must say so and record new digests.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -47,13 +48,35 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("command,config,code,digest", GOLDEN,
-                         ids=[f"{c}-{g or 'flags'}" for c, g, _, _ in GOLDEN])
+IDS = [f"{c}-{g or 'flags'}" for c, g, _, _ in GOLDEN]
+
+
+def csv_digest(argv, code, tmp_path, capsys):
+    """sha256 of the CSV that ``portsens argv`` writes, after checking the
+    exit code."""
+    assert main(argv + SMALL + ["--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    return hashlib.sha256((tmp_path / CSV[argv[0]]).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
 def test_csv_bytes_match_golden(command, config, code, digest, tmp_path,
                                 capsys):
     argv = [command] + (["--config", f"configs/{config}.ini"]
-                        if config else []) + SMALL
-    assert main(argv + ["--out", str(tmp_path)]) == code
-    capsys.readouterr()
-    data = (tmp_path / CSV[command]).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+                        if config else [])
+    assert csv_digest(argv, code, tmp_path, capsys) == digest
+
+
+@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
+def test_csv_bytes_match_golden_in_7_path_blocks(command, config, code,
+                                                 digest, tmp_path, capsys):
+    # the default block holds all 2000 short paths; 7-path blocks make
+    # every pass cross block boundaries, which must not move a byte
+    if config is None:
+        argv = [command, "--block-paths", "7"]
+    else:
+        text = (Path("configs") / f"{config}.ini").read_text()
+        cfg = tmp_path / "blocks.ini"
+        cfg.write_text(text.replace("[mc]\n", "[mc]\nblock_paths = 7\n"))
+        argv = [command, "--config", str(cfg)]
+    assert csv_digest(argv, code, tmp_path, capsys) == digest

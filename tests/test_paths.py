@@ -105,6 +105,26 @@ def test_seed_range():
     assert simulate(grid, n=1, M=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
+def test_default_blocks_fill_the_cell_budget():
+    cells = paths_mod._BLOCK_CELLS
+    for steps, n in ((64, 2), (2000, 1), (cells // 2 + 1, 3), (cells + 1, 1)):
+        ens = simulate(TimeGrid(1.0, steps), n=n, M=300, seed=1)
+        sizes = [stop - start for start, stop in ens.block_ranges()]
+        assert sum(sizes) == 300
+        # as many paths as the budget holds, and one when a path exceeds it
+        assert sizes[0] == min(300, max(1, cells // (steps * n)))
+        assert all(b * steps * n <= cells for b in sizes) or sizes[0] == 1
+
+
+def test_block_paths_range():
+    grid = TimeGrid(1.0, 4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="block_paths"):
+            simulate(grid, n=1, M=2, seed=1, block_paths=bad)
+    ens = simulate(grid, n=1, M=5, seed=1, block_paths=2)
+    assert list(ens.block_ranges()) == [(0, 2), (2, 4), (4, 5)]
+
+
 def test_map_blocks_bitwise_across_workers(monkeypatch):
     ens = simulate(TimeGrid(1.0, 32), n=1, M=500, seed=11, block_paths=64)
 

@@ -1,6 +1,7 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, constant, dlambda_direction,
                              scalar_constant, zeros)
 from portsens.paths import TimeGrid, simulate
-from portsens.sensitivity import (SecondOrderReport, example1_report,
-                                  example2_reports, fd_sensitivity,
-                                  gap_report, residual_decay,
+from portsens.sensitivity import (SecondOrderReport, _example1_model,
+                                  example1_report, example2_reports,
+                                  fd_sensitivity, gap_report, residual_decay,
                                   second_order_check, sensitivity_pair,
-                                  sensitivity_report, weak_sensitivity_at)
+                                  sensitivity_reports, weak_sensitivity_at)
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -97,8 +98,10 @@ def test_coefficient_and_mpr_directions_agree_pathwise(det2d_model, det_ens):
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
     pert = PerturbationSpec(dmu=DMU2, drate=DRATE)
-    rep = sensitivity_report(det2d_model, power_utility(3.0), pert, det_ens,
-                             side=side)
+    weak, strong = sensitivity_reports(det2d_model, power_utility(3.0),
+                                       pert, det_ens)
+    rep = weak if side == "weak" else strong
+    assert rep.side == side
     assert rep.verdict, rep.line()
     assert rep.gap <= rep.tolerance
 
@@ -106,15 +109,17 @@ def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
                                                    side):
-    rep = sensitivity_report(switch_model, log_utility(), UNIT_DRIFT,
-                             switch_ens, side=side)
+    weak, strong = sensitivity_reports(switch_model, log_utility(),
+                                       UNIT_DRIFT, switch_ens)
+    rep = weak if side == "weak" else strong
     assert rep.verdict, rep.line()
 
 
 def test_fd_extras_record_steps(det2d_model, det_ens):
     pert = PerturbationSpec(dmu=DMU2)
-    fd = fd_sensitivity(det2d_model, log_utility(), pert, det_ens,
-                        eps=(0.2, 0.1), side="strong")
+    _, fd = fd_sensitivity(det2d_model, log_utility(), pert, det_ens,
+                           eps=(0.2, 0.1))
+    assert fd.extras["side"] == "strong"
     assert set(fd.extras["by_eps"]) == {0.1, 0.2}
     # deterministic log curve is exactly quadratic in tau, so the central
     # differences already equal the slope and the correction is tiny
@@ -181,6 +186,21 @@ def test_example1_sign_switching_gap():
     assert rep.gap < 0.0
     assert rep.gap_sigmas > 5.0
     assert abs(rep.gap - rep.expected_gap) < 3.0 * rep.gap_se + 0.01
+
+
+def test_long_path_pass_holds_only_small_blocks():
+    # a path of 2000 steps is 16 kB, so a default block holds 131 of them:
+    # the pass keeps a few 2 MB block arrays, not 64 MB arrays of all paths
+    model, pert = _example1_model()
+    ens = simulate(TimeGrid(1.0, 2000), n=1, M=4000, seed=505)
+    tracemalloc.start()
+    try:
+        weak, strong = sensitivity_pair(model, log_utility(), pert, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert weak.mean < strong.mean
 
 
 def test_example2_discrepancy():
