@@ -23,6 +23,7 @@ it by design.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass, field, fields
@@ -300,13 +301,14 @@ class RegimeTable:
     def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
         procs = [p for p in procs if p is not None]
         self.grid = grid
-        self.breaks = np.unique(np.concatenate(
-            [np.empty(0)]
-            + [p.breaks for p in procs if p.kind == "piecewise"]))
+        self.breaks = np.array(sorted({b for p in procs
+                                       if p.kind == "piecewise"
+                                       for b in p.breaks.tolist()}), float)
         self.drivers = sorted({p.driver for p in procs
                                if p.kind == "indicator"})
-        self.cuts = [np.unique([p.threshold for p in procs
-                                if p.kind == "indicator" and p.driver == j])
+        self.cuts = [np.array(sorted({p.threshold for p in procs
+                                      if p.kind == "indicator"
+                                      and p.driver == j}), float)
                      for j in self.drivers]
         sizes = [len(c) + 1 for c in self.cuts]
         at_zero = tuple(int(np.searchsorted(c, 0.0, side="right"))
@@ -314,27 +316,29 @@ class RegimeTable:
         combos = list(itertools.product(*map(range, sizes)))
         seg = np.searchsorted(self.breaks, grid.left_nodes, side="right")
         rows = []  # (segment, first left node, interval per driver)
-        for s in np.unique(seg):
+        for s in sorted(set(seg.tolist())):
             nodes = np.flatnonzero(seg == s)
             rows += [(s, nodes[0], c)
                      for c in (combos if nodes[-1] > 0 else [at_zero])]
         self.segment = np.array([r[0] for r in rows])
         self.time = grid.left_nodes[[r[1] for r in rows]]
         self.intervals = np.array([r[2] for r in rows], dtype=int)  # (R, J)
-        # node code = segment * prod(sizes) + mixed-radix interval digits;
-        # codes no path can produce map past the end of every table
-        self._strides = [int(np.prod(sizes[i + 1:], dtype=int))
-                         for i in range(len(sizes))]
-        width = int(np.prod(sizes, dtype=int))
-        ncodes = (len(self.breaks) + 1) * width
+        # node code: the mixed-radix digits (segment, interval per driver),
+        # accumulated Horner-wise; codes no path can produce map past the
+        # end of every table
+        codes = self.segment
+        for i, size in enumerate(sizes):
+            codes = codes * size + self.intervals[:, i]
+        ncodes = (len(self.breaks) + 1) * math.prod(sizes)
         self._code_type = np.min_scalar_type(ncodes - 1)
         self._lookup = np.full(ncodes, len(rows),
                                dtype=np.min_scalar_type(len(rows)))
-        codes = self.segment * width + self.intervals @ np.array(
-            self._strides, dtype=int)
         self._lookup[codes] = np.arange(len(rows))
-        self._seg_code = (seg * width).astype(self._code_type)
-        self._nodes = None if self.drivers else self._lookup[self._seg_code]
+        # when every segment reaches every interval combination, as without
+        # time breaks, the codes are the regime numbers
+        self._identity = len(rows) == ncodes
+        self._base = (seg * math.prod(sizes[:1])).astype(self._code_type)
+        self._nodes = None if self.drivers else self._lookup[seg]
 
     def __len__(self) -> int:
         return len(self.segment)
@@ -353,23 +357,34 @@ class RegimeTable:
         return np.where(high.reshape(high.shape + (1,) * len(proc.shape)),
                         proc.high, proc.low)
 
-    def index(self, W: np.ndarray) -> np.ndarray:
+    def scratch(self, paths: int) -> list:
+        """Buffers for ``index`` on blocks of up to ``paths`` paths."""
+        types = [self._code_type, bool] + [self._lookup.dtype] * (
+            not self._identity)
+        return [np.empty((paths, self.grid.steps), t) for t in types]
+
+    def index(self, W: np.ndarray, out: list | None = None) -> np.ndarray:
         """Regime number of every left node: (N,) or, with drivers, (B, N).
 
-        Without drivers W is not read and may be None."""
+        Without drivers W is not read and may be None; with drivers ``out``
+        (from ``scratch``) receives the result in its first B rows."""
         if self._nodes is not None:
             return self._nodes
         N = self.grid.steps
-        code = np.empty((W.shape[0], N), self._code_type)
-        code[:] = self._seg_code
-        for j, cuts, stride in zip(self.drivers, self.cuts, self._strides):
+        code, flag, *regime = [a[:W.shape[0]] for a in
+                               out or self.scratch(W.shape[0])]
+        code[:] = self._base
+        for i, (j, cuts) in enumerate(zip(self.drivers, self.cuts)):
             if j >= W.shape[-1]:
                 raise CoefficientError(f"driver index {j} out of range "
                                        f"for n={W.shape[-1]}")
-            step = self._code_type.type(stride)
+            if i:
+                code *= len(cuts) + 1
             for c in cuts:
-                code += (W[:, :N, j] >= c) * step
-        return self._lookup[code]
+                code += np.greater_equal(W[:, :N, j], c, out=flag)
+        if self._identity:
+            return code
+        return np.take(self._lookup, code, out=regime[0], mode="clip")
 
     def describe(self, r: int) -> str:
         """The time segment and driver intervals of regime r."""

@@ -5,16 +5,18 @@ a dedicated Philox stream keyed by (seed, i), so any path can be regenerated
 bit-identically regardless of how paths are partitioned into blocks or how
 many workers process them.  Philox is counter-based, so a stream depends
 only on its key: each thread holds one generator and re-keys it for every
-path.  Consumers stream over blocks of paths, reduce each block to a handful
-of per-path scalars, and concatenate those in path order; all cross-path
-reductions (means, standard errors) happen on the full M-vector in the
-caller.  ``path_sums`` is the one such consumer: it returns the named
-stochastic and time integrals that every estimator is built from.  This
-keeps memory at O(block) while making every result independent of block
-size and worker count.  A block holds about ``_BLOCK_CELLS`` increments
-unless ``block_paths`` fixes its path count, so a block of long paths has
-fewer of them and every block array stays near the size of a core's L2
-cache whatever the grid.
+path.  ``path_sums`` is the one consumer: it streams over blocks of paths,
+reduces each block to the named per-path stochastic and time integrals that
+every estimator is built from, and writes them into (M,) arrays by path
+range; all cross-path reductions (means, standard errors) happen on the
+full M-vector in the caller.  Each worker of a pass allocates one scratch
+set, sized to the largest block, and every block writes its increments,
+cumulative paths, regime codes and node values into views of it, so a pass
+allocates nothing per block.  This keeps memory at O(block) while making
+every result independent of block size and worker count.  A block holds
+about ``_BLOCK_CELLS`` increments unless ``block_paths`` fixes its path
+count, so a block of long paths has fewer of them and every block array
+stays near the size of a core's L2 cache whatever the grid.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -24,21 +26,14 @@ have N entries (nodes t_0 .. t_{N-1}) while cumulative paths have N+1.
 from __future__ import annotations
 
 import os
-import struct
 import threading
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 WORKERS_ENV = "PORTSENS_WORKERS"
-
-# binary ensemble dump: 7 little-endian 64-bit header fields, then row-major
-# float64 increments of shape (M, N, n)
-_DUMP_MAGIC = int.from_bytes(b"BRWNPATH", "little")
-_DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<6Qd")  # magic, version, seed, M, N, n, T
 
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
@@ -133,7 +128,6 @@ class PathEnsemble:
     seed: int
     scheme: str = "philox-per-path/1"
     block_paths: int | None = field(default=None, compare=False)
-    _stored: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.count < 1:
@@ -151,14 +145,15 @@ class PathEnsemble:
         for start in range(0, self.count, step):
             yield start, min(start + step, self.count)
 
-    def increments(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Increment array of shape (stop-start, N, n) for a path range."""
+    def increments(self, start: int = 0, stop: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Increment array of shape (stop-start, N, n) for a path range,
+        written into ``out`` (C-contiguous float64 of that shape) if given."""
         stop = self.count if stop is None else stop
         if not 0 <= start <= stop <= self.count:
             raise IndexError(f"bad path range [{start}, {stop})")
-        if self._stored is not None:
-            return self._stored[start:stop]
-        out = np.empty((stop - start, self.grid.steps, self.n))
+        if out is None:
+            out = np.empty((stop - start, self.grid.steps, self.n))
         gen, state = _thread_generator()
         key = state["state"]["key"]
         key[0] = self.seed
@@ -177,63 +172,44 @@ def simulate(grid: TimeGrid, n: int, M: int, seed: int,
                         block_paths=block_paths)
 
 
-def cumulative(dW: np.ndarray) -> np.ndarray:
-    """Node values W_{t_0..t_N} (shape (B, N+1, n)) from increments."""
+def cumulative(dW: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Node values W_{t_0..t_N} (shape (B, N+1, n)) from increments,
+    written into ``out`` if given."""
     B, N, n = dW.shape
-    W = np.empty((B, N + 1, n))
+    W = np.empty((B, N + 1, n)) if out is None else out
     W[:, 0] = 0.0
     np.cumsum(dW, axis=1, out=W[:, 1:])
     return W
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
-
-
-def map_blocks(ensemble: PathEnsemble, block_fn, workers: int | None = None,
-               needs_w: bool = True):
-    """Apply block_fn(start, stop, dW, W) over all blocks, in path order.
-
-    block_fn returns one array or a tuple of arrays whose leading axis is the
-    block's path count; the results are concatenated along that axis.  W is
-    None when ``needs_w`` is false, which saves building the cumulative
-    paths of every block.  Blocks may be processed by several threads, but
-    because every path owns its RNG stream and reductions happen on the
-    concatenated output, the result is bit-identical for any worker count.
-    """
-    ranges = list(ensemble.block_ranges())
-
-    def run(rng):
-        start, stop = rng
-        dW = ensemble.increments(start, stop)
-        return block_fn(start, stop, dW, cumulative(dW) if needs_w else None)
-
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(ranges) == 1:
-        pieces = [run(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            pieces = list(pool.map(run, ranges))
-    if isinstance(pieces[0], tuple):
-        return tuple(np.concatenate(cols) for cols in zip(*pieces))
-    return np.concatenate(pieces)
-
-
 # ---------------------------------------------------------------------------
 # block-level reductions; H may be deterministic (N, n) or adapted (B, N, n)
 
-def ito_sum(H: np.ndarray, dW: np.ndarray) -> np.ndarray:
+def ito_sum(H: np.ndarray, dW: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Per-path sum_k <H_k, dW_k> with left-endpoint H."""
-    return np.einsum("...kj,bkj->b", H, dW) if H.ndim == 2 \
-        else np.einsum("bkj,bkj->b", H, dW)
+    return np.einsum("...kj,bkj->b", H, dW, out=out) if H.ndim == 2 \
+        else np.einsum("bkj,bkj->b", H, dW, out=out)
 
 
-def quad_sum(H: np.ndarray, G: np.ndarray, dt: float) -> np.ndarray:
+def quad_sum(H: np.ndarray, G: np.ndarray, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Per-path sum_k <H_k, G_k> dt (zero-dimensional if both deterministic)."""
-    prod = np.einsum("...kj,...kj->...", H, G)
-    return prod * dt
+    return np.multiply(np.einsum("...kj,...kj->...", H, G, out=out), dt,
+                       out=out)
+
+
+def _reduce(kind: str, args: list, dW, dt: float, out=None):
+    if kind == "ito":
+        return ito_sum(args[0], dW, out)
+    if kind == "quad":
+        return quad_sum(args[0], args[1], dt, out)
+    return np.multiply(np.sum(args[0], axis=(-2, -1), out=out), dt, out=out)
+
+
+def _spread(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """A table of one value in every regime as a broadcast view."""
+    return np.broadcast_to(table[0], shape + table.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -249,92 +225,96 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
     the regime of every left node, (N,) when it depends on time only and
     (B, N) when it reads the paths, and ``table[index]`` the node values
     (see ``market.RegimeTable``).  A deterministic integrand thus reduces
-    as an (N, k) array and an adapted one as (B, N, k).  A table that is a
-    broadcast view, one value for every regime as a constant coefficient
-    gives, spreads as a broadcast view too: einsum sums a broadcast operand
-    in another order than a dense one, so a constant keeps the order it
-    has as ``CoefficientProcess.evaluate`` output, and a caller that wants
-    the dense order passes a dense table.
+    as an (N, k) array, gathered once per pass, and an adapted one as
+    (B, N, k).  A broadcast table (one value in every regime, as from a
+    constant) spreads as a broadcast view, which einsum sums in another
+    order than a dense array: a constant keeps the order it has as
+    ``CoefficientProcess.evaluate`` output, a dense table the dense order.
 
-    Within a block, node values are gathered on first use and dropped after
-    the last request that names the same integrand object, so requests
-    listed in groups hold only one group's integrands at a time.  The
-    cumulative paths are built only when some regime table has drivers.
-    Returns an (M,) array per name.
+    Each worker allocates one scratch set per pass, sized to the largest
+    block: increments, cumulative paths (only if some gathered table has
+    drivers), index buffers per such table and node-value slots.  An
+    adapted integrand takes a slot on first use and frees it after the last
+    request that names the same integrand object, so requests listed in
+    groups hold one group's node values at a time.  Blocks write into views
+    of the scratch and into their path range of the outputs; worker w of k
+    takes blocks w, w + k, ...  Returns an (M,) array per name.
     """
-    dt = ensemble.grid.dt
-    fields = [f for _, *fs in sums.values() for f in fs]
-    uses = Counter(id(f) for f in fields)
-    needs_w = any(regimes.drivers for regimes, _ in fields)
-
-    def block(start, stop, dW, W):
-        index, live, left = {}, {}, Counter(uses)
-
-        def values(f):
-            key = id(f)
-            if key not in live:
-                regimes, table = f
-                if id(regimes) not in index:
-                    index[id(regimes)] = regimes.index(W)
-                idx = index[id(regimes)]
-                live[key] = (np.broadcast_to(table[0], idx.shape
-                                             + table.shape[1:])
-                             if table.strides[0] == 0 else table[idx])
-            vals = live[key]
-            left[key] -= 1
-            if not left[key]:
-                del live[key]
-            return vals
-
-        out = []
-        for kind, *fs in sums.values():
-            if kind == "ito":
-                v = ito_sum(values(fs[0]), dW)
-            elif kind == "quad":
-                v = quad_sum(values(fs[0]), values(fs[1]), dt)
-            else:
-                v = np.sum(values(fs[0]), axis=(-2, -1)) * dt
-            out.append(np.broadcast_to(v, (stop - start,)).astype(float,
-                                                                  copy=True))
-        return tuple(out)
-
-    return dict(zip(sums, map_blocks(ensemble, block, workers, needs_w)))
-
-
-# ---------------------------------------------------------------------------
-# binary ensemble dump
-
-def dump_ensemble(ensemble: PathEnsemble, path: str,
-                  workers: int | None = None) -> None:
-    """Write header + row-major float64 increments to ``path``."""
     grid = ensemble.grid
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION,
-                                   ensemble.seed, ensemble.count,
-                                   grid.steps, ensemble.n, grid.horizon))
-        for start, stop in ensemble.block_ranges():
-            fh.write(np.ascontiguousarray(
-                ensemble.increments(start, stop)).tobytes())
+    dt, N, n = grid.dt, grid.steps, ensemble.n
+    ranges = list(ensemble.block_ranges())
+    B = max(stop - start for start, stop in ranges)
+    out = {name: np.empty(ensemble.count) for name in sums}
+    uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
+    tables, slot_of, free, slots, plan = {}, {}, defaultdict(list), [], []
+    # an operand is a fixed node array or (table, regimes, slot, first): a
+    # spread view if slot is None, else gathered into the slot on first use
+    for name, (kind, *fs) in sums.items():
+        ops, done = [], []
+        for f in fs:
+            regimes, table = f
+            if not regimes.drivers:
+                idx = regimes.index(None)
+                ops.append(_spread(table, idx.shape)
+                           if table.strides[0] == 0 else table[idx])
+            elif table.strides[0] == 0:
+                ops.append((table, None, None, False))
+            else:
+                layout = (table.shape[1:], table.dtype)
+                first = id(f) not in slot_of
+                if first:
+                    if not free[layout]:
+                        free[layout].append(len(slots))
+                        slots.append(layout)
+                    slot_of[id(f)] = free[layout].pop()
+                    tables[id(regimes)] = regimes
+                ops.append((table, regimes, slot_of[id(f)], first))
+                uses[id(f)] -= 1
+                if not uses[id(f)]:
+                    done.append((layout, slot_of[id(f)]))
+        # a slot freed here serves the next request, not this one's operands
+        for layout, slot in done:
+            free[layout].append(slot)
+        if all(isinstance(op, np.ndarray) for op in ops) and kind != "ito":
+            out[name][:] = _reduce(kind, ops, None, dt)  # reads no paths
+        else:
+            plan.append((out[name], kind, ops))
 
+    def run(first_block: int) -> None:
+        dW = np.empty((B, N, n))
+        W = np.empty((B, N + 1, n)) if tables else None
+        scratch = {key: t.scratch(B) for key, t in tables.items()}
+        buf = [np.empty((B, N) + shape, dtype) for shape, dtype in slots]
+        for start, stop in ranges[first_block::nworkers]:
+            b = stop - start
+            dw = ensemble.increments(start, stop, out=dW[:b])
+            if tables:
+                w = cumulative(dw, out=W[:b])
+                index = {key: t.index(w, out=scratch[key])
+                         for key, t in tables.items()}
+            for res, kind, ops in plan:
+                args = []
+                for op in ops:
+                    if isinstance(op, np.ndarray):
+                        args.append(op)
+                    elif op[2] is None:
+                        args.append(_spread(op[0], (b, N)))
+                    else:
+                        table, regimes, slot, first = op
+                        args.append(buf[slot][:b])
+                        # every code is below len(table); "raise" would
+                        # copy through a hidden buffer
+                        if first:
+                            np.take(table, index[id(regimes)], axis=0,
+                                    out=args[-1], mode="clip")
+                _reduce(kind, args, dw, dt, res[start:stop])
 
-def load_ensemble(path: str, block_paths: int | None = None) -> PathEnsemble:
-    """Read an ensemble dump; the result serves stored increments."""
-    with open(path, "rb") as fh:
-        header = fh.read(_DUMP_HEADER.size)
-        if len(header) < _DUMP_HEADER.size:
-            raise ValueError("truncated ensemble file")
-        magic, version, seed, M, N, n, T = _DUMP_HEADER.unpack(header)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not an ensemble dump (bad magic)")
-        if version != _DUMP_VERSION:
-            raise ValueError(f"unsupported ensemble dump version {version}")
-        if M * N * n > _MAX_CELLS:
-            raise ResourceLimitError("stored ensemble exceeds the resource cap")
-        payload = fh.read(8 * M * N * n)
-    if len(payload) != 8 * M * N * n:
-        raise ValueError("truncated ensemble payload")
-    data = np.frombuffer(payload, dtype="<f8")
-    grid = TimeGrid(horizon=T, steps=N)
-    return PathEnsemble(grid=grid, n=n, count=M, seed=seed,
-                        scheme="stored/1", block_paths=block_paths,
-                        _stored=data.reshape(M, N, n))
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    nworkers = min(max(1, workers), len(ranges))
+    if nworkers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            list(pool.map(run, range(nworkers)))
+    return out

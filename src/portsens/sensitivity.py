@@ -41,7 +41,8 @@ from portsens.market import (CoefficientError, MarketModel, constant,
                              mpr_integrand, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums, simulate
 from portsens.solver import bisect_budget
-from portsens.valuation import PerturbationSpec, value_surface
+from portsens.valuation import (PerturbationSpec, surface_rows,
+                                 surface_sums, value_surface)
 
 
 def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
@@ -59,34 +60,20 @@ def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
                              dr=pert.drate)
 
 
-def _sens_arrays(model: MarketModel, u: ut.UtilitySpec,
-                 pert: PerturbationSpec, ensemble: PathEnsemble,
-                 workers=None) -> dict:
-    """Per-path ingredients of the base-point sensitivities, one pass.
-
-    payload  Zhat^{1-q} (power), int r dt + |lambda|^2 dt / 2 (log), or
-             log Zhat (custom)
-    s2       int Dlambda^T dW
-    dq       int lambda^T Dlambda dt
-    dr       int dr dt
-    """
-    grid = ensemble.grid
+def _sens_sums(model: MarketModel, pert: PerturbationSpec,
+               grid: TimeGrid) -> dict:
+    """The ``path_sums`` requests of the base-point sensitivities: r, s1,
+    q11 for int r dt, int lambda^T dW and int |lambda|^2 dt; s2 and dq for
+    int Dlambda^T dW and int lambda^T Dlambda dt; dr for int dr dt (rate
+    directions only).  No name is one of ``surface_sums``."""
+    pert.validate_for(model)
     lam, dlam = mpr_integrand(model, grid), _direction(model, pert, grid)
-    sums = {"R": ("time", integrand(grid, model.rate)), "S1": ("ito", lam),
-            "Q11": ("quad", lam, lam), "s2": ("ito", dlam),
+    sums = {"r": ("time", integrand(grid, model.rate)), "s1": ("ito", lam),
+            "q11": ("quad", lam, lam), "s2": ("ito", dlam),
             "dq": ("quad", lam, dlam)}
     if pert.drate is not None:
-        sums["dR"] = ("time", integrand(grid, pert.drate))
-    s = path_sums(ensemble, sums, workers)
-    R, S1, Q11 = s["R"], s["S1"], s["Q11"]
-    if u.kind == "power":
-        payload = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
-    elif u.kind == "log":
-        payload = R + 0.5 * Q11
-    else:
-        payload = -(R + S1 + 0.5 * Q11)  # log Zhat
-    return {"payload": payload, "s2": s["s2"], "dq": s["dq"],
-            "dr": s.get("dR", np.zeros(ensemble.count))}
+        sums["dr"] = ("time", integrand(grid, pert.drate))
+    return sums
 
 
 def _power_sens(u, x0, v, fac, seed, name, extras) -> ValueEstimate:
@@ -103,20 +90,26 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                      pert: PerturbationSpec, ensemble: PathEnsemble,
                      workers=None) -> tuple[ValueEstimate, ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
-    pert.validate_for(model)
-    arrs = _sens_arrays(model, u, pert, ensemble, workers)
-    seed = ensemble.seed
-    s2, dq, dR = arrs["s2"], arrs["dq"], arrs["dr"]
+    s = path_sums(ensemble, _sens_sums(model, pert, ensemble.grid), workers)
+    return _sens_estimates(model, u, pert, s, ensemble.seed)
+
+
+def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
+                    pert: PerturbationSpec, s: dict,
+                    seed: int) -> tuple[ValueEstimate, ValueEstimate]:
+    """(weak, strong) sensitivity estimates from the sums of ``_sens_sums``."""
+    R, S1, Q11, s2, dq = s["r"], s["s1"], s["q11"], s["s2"], s["dq"]
+    dR = s.get("dr", np.zeros(len(s2)))
     x0 = model.x0
     extras = {"direction": pert.label}
     if u.kind == "power":
-        v = arrs["payload"]
+        v = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
         weak = _power_sens(u, x0, v, s2 + dR / u.p, seed,
                            f"weak-sens[{pert.label}]", extras)
         strong = _power_sens(u, x0, v, (s2 + dq + dR) / u.p, seed,
                              f"strong-sens[{pert.label}]", extras)
     elif u.kind == "log":
-        lin = arrs["payload"]
+        lin = R + 0.5 * Q11
         weak = mean_estimate(s2 * (lin + math.log(x0)) + dq + dR, seed,
                              f"weak-sens[{pert.label}]", extras=extras)
         strong = mean_estimate(np.broadcast_to(dq + dR, s2.shape), seed,
@@ -125,7 +118,7 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
         if pert.drate is not None:
             raise CoefficientError("rate directions need power or log "
                                    "utility")
-        zhat = np.exp(arrs["payload"])
+        zhat = np.exp(-(R + S1 + 0.5 * Q11))
         y = bisect_budget(u, zhat, x0)
         xbar = np.asarray(ut.inverse_marginal(u, y * zhat))
         uvals = np.asarray(ut.evaluate(u, xbar))
@@ -418,10 +411,15 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        pert: PerturbationSpec, ensemble: PathEnsemble,
                        eps: tuple = (0.2, 0.1, 0.05, 0.025),
                        workers=None) -> SecondOrderReport:
+    """Residual decay of the weak value curve at [0] + eps against the
+    closed-form weak sensitivity, both from one path pass."""
     eps = tuple(sorted(float(e) for e in eps))
-    rows = value_surface(model, u, pert, [0.0] + list(eps), ensemble,
-                         workers)
-    deriv, _ = sensitivity_pair(model, u, pert, ensemble, workers)
+    taus = [0.0] + list(eps)
+    grid = ensemble.grid
+    s = path_sums(ensemble, {**surface_sums(model, pert, taus, grid),
+                             **_sens_sums(model, pert, grid)}, workers)
+    rows = surface_rows(model, u, taus, s, ensemble.seed)
+    deriv, _ = _sens_estimates(model, u, pert, s, ensemble.seed)
     return residual_decay(eps, rows[0].weak.mean,
                           [r.weak.mean for r in rows[1:]], deriv.mean)
 

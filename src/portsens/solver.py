@@ -196,7 +196,8 @@ def _pieces(T: float, *procs) -> tuple[np.ndarray, list]:
     coefficient is constant, and each coefficient's value on each piece."""
     if not all(p.is_deterministic for p in procs):
         raise SolverError("needs deterministic coefficients")
-    breaks = np.unique(np.concatenate([p._segments()[0] for p in procs]))
+    breaks = np.array(sorted({b for p in procs
+                             for b in p._segments()[0].tolist()}), float)
     edges = np.concatenate(([0.0], breaks[(breaks > 0) & (breaks < T)], [T]))
     mid = 0.5 * (edges[:-1] + edges[1:])
     return np.diff(edges), [v[np.searchsorted(b, mid, side="right")]

@@ -152,17 +152,15 @@ def _refuse_kernel_break(model: MarketModel, pert: PerturbationSpec,
                 f"{rep.kernel_equal}) on {regimes.describe(rep.worst_regime)}")
 
 
-def _surface_arrays(model: MarketModel, pert: PerturbationSpec, taus,
-                    ensemble: PathEnsemble, workers=None) -> list[dict]:
-    """One streaming pass; per tau the per-path building blocks.
-
-    Returns, for each tau, arrays of shape (M,):
-    log_g      log of the measure-change weight G
-    log_zw     log pricing density under the tilted measure, discount included
-    log_zs     same but on the base measure (strong)
-    lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (for log utility)
-    """
-    grid = ensemble.grid
+def surface_sums(model: MarketModel, pert: PerturbationSpec, taus,
+                 grid: TimeGrid) -> dict:
+    """The ``path_sums`` requests of the value surface over ``taus``, named
+    R, Q, S, G, GG and X with the tau's position appended, once the
+    perturbation is validated and refused where the market has no plug-in
+    optimizer or the volatility direction breaks the kernel."""
+    pert.validate_for(model)
+    _check_solvable(model, pert)
+    _refuse_kernel_break(model, pert, taus, grid)
     regimes = pert.regimes(model, grid)
     rates = RegimeTable(grid, model.rate, pert.drate)
     lam0 = mpr_table(model, regimes)
@@ -178,15 +176,31 @@ def _surface_arrays(model: MarketModel, pert: PerturbationSpec, taus,
                      f"G{i}": ("ito", delta),
                      f"GG{i}": ("quad", delta, delta),
                      f"X{i}": ("quad", lam, delta)})
-    s = path_sums(ensemble, sums, workers)
-    out = []
-    for i in range(len(taus)):
+    return sums
+
+
+def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus, s: dict,
+                 seed: int) -> list[SurfaceRow]:
+    """Weak and strong values per tau from the sums of ``surface_sums``.
+
+    Per tau the per-path building blocks are, as (M,) arrays:
+    log_g      log of the measure-change weight G
+    log_zw     log pricing density under the tilted measure, discount included
+    log_zs     same but on the base measure (strong)
+    lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (for log utility)
+    """
+    rows = []
+    for i, tau in enumerate(taus):
         R, Q, S, X = s[f"R{i}"], s[f"Q{i}"], s[f"S{i}"], s[f"X{i}"]
-        out.append({"log_g": s[f"G{i}"] - 0.5 * s[f"GG{i}"],
-                    "log_zw": -S + X - 0.5 * Q - R,
-                    "log_zs": -S - 0.5 * Q - R,
-                    "lin": R + 0.5 * Q})
-    return out
+        arrs = {"log_g": s[f"G{i}"] - 0.5 * s[f"GG{i}"],
+                "log_zw": -S + X - 0.5 * Q - R,
+                "log_zs": -S - 0.5 * Q - R,
+                "lin": R + 0.5 * Q}
+        rows.append(SurfaceRow(
+            tau=tau,
+            weak=_estimate_value(model, u, arrs, tau, seed, weak=True),
+            strong=_estimate_value(model, u, arrs, tau, seed, weak=False)))
+    return rows
 
 
 def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
@@ -234,17 +248,9 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
                   workers=None) -> list[SurfaceRow]:
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
-    pert.validate_for(model)
-    _check_solvable(model, pert)
-    _refuse_kernel_break(model, pert, taus, ensemble.grid)
-    rows = []
-    for tau, arrs in zip(taus, _surface_arrays(model, pert, taus, ensemble,
-                                               workers)):
-        weak = _estimate_value(model, u, arrs, tau, ensemble.seed, weak=True)
-        strong = _estimate_value(model, u, arrs, tau, ensemble.seed,
-                                 weak=False)
-        rows.append(SurfaceRow(tau=tau, weak=weak, strong=strong))
-    return rows
+    s = path_sums(ensemble, surface_sums(model, pert, taus, ensemble.grid),
+                  workers)
+    return surface_rows(model, u, taus, s, ensemble.seed)
 
 
 SURFACE_HEADER = ["tau", "u_weak", "se_weak", "u_strong", "se_strong",

@@ -167,8 +167,8 @@ def generated(monkeypatch):
     counts = []
     increments = PathEnsemble.increments
 
-    def counted(self, start=0, stop=None):
-        dW = increments(self, start, stop)
+    def counted(self, start=0, stop=None, out=None):
+        dW = increments(self, start, stop, out)
         counts.append(dW.shape[0])
         return dW
 
@@ -193,6 +193,15 @@ def test_sens_makes_two_path_passes(tmp_path, generated):
                  "--out", str(tmp_path / "s")])
     assert code == 0
     assert sum(generated) == 2 * 500
+
+
+def test_secondorder_makes_one_path_pass(tmp_path, generated):
+    # the value curve and the closed-form derivative read one pass
+    code = main(["secondorder", "--config", "configs/deterministic2d.ini",
+                 "--paths", "500", "--steps", "16",
+                 "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert sum(generated) == 500
 
 
 def custom_sqrt_config(tmp_path):
@@ -232,17 +241,36 @@ def test_value_command_imports_no_scipy(tmp_path, utility):
            else custom_sqrt_config(tmp_path))
     argv = ["value", "--config", cfg, "--paths", "200",
             "--out", str(tmp_path / "v")]
+    assert imported_modules(argv, "scipy") == [0, []]
+
+
+def imported_modules(argv, prefix):
+    """Exit code of ``main(argv)`` in a fresh interpreter and the modules
+    under ``prefix`` it has imported by then."""
     script = ("import json, sys\n"
               "from portsens.cli import main\n"
               f"code = main({argv!r})\n"
               "print(json.dumps([code, sorted(m for m in sys.modules\n"
-              "                               if m.split('.')[0] == 'scipy')]))")
+              f"    if (m + '.').startswith({prefix + '.'!r}))]))")
     src = os.path.dirname(os.path.dirname(portsens.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, code", [
+    (["value", "--config", "configs/deterministic2d.ini",
+      "--paths", "200"], 0),
+    (["norms", "--config", "configs/norms.ini", "--paths", "200"], 0),
+    # 200 paths cannot resolve the weak-strong gap: verdict exit 3
+    (["example1", "--paths", "200", "--steps", "32"], 3)],
+    ids=["value", "norms", "example1"])
+def test_commands_import_no_numpy_ma(tmp_path, command, code):
+    # numpy.ma costs every process about 12 ms and 1.3 MB at import
+    argv = command + ["--out", str(tmp_path / "o")]
+    assert imported_modules(argv, "numpy.ma") == [code, []]
 
 
 def test_danskin_command(tmp_path):

@@ -1,4 +1,4 @@
-"""Path engine: reproducibility, stochastic calculus kernels, serialization.
+"""Path engine: reproducibility and the stochastic calculus kernels.
 
 The load-bearing property is that every path owns its RNG stream, so any
 partitioning of the ensemble (block size, worker count) produces identical
@@ -17,8 +17,7 @@ from portsens import paths as paths_mod
 from portsens.market import (RegimeTable, constant, indicator, integrand,
                              mpr_integrand, piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
-                            cumulative, dump_ensemble, ito_sum, load_ensemble,
-                            map_blocks, path_sums, quad_sum, simulate)
+                            cumulative, ito_sum, path_sums, quad_sum, simulate)
 
 
 def test_grid_validation():
@@ -125,28 +124,146 @@ def test_block_paths_range():
     assert list(ens.block_ranges()) == [(0, 2), (2, 4), (4, 5)]
 
 
-def test_map_blocks_bitwise_across_workers(monkeypatch):
-    ens = simulate(TimeGrid(1.0, 32), n=1, M=500, seed=11, block_paths=64)
+def kernel_requests(grid, model):
+    """Every request kind over adapted, spread and deterministic operands.
 
-    def block(start, stop, dW, W):
-        return np.sum(W[:, -1, :], axis=1)
+    ``model`` is "switch" (price of risk 1 on {W < 0}; its codes are the
+    regime numbers) or "two-drivers" (a time break before the first step
+    and indicators on both coordinates, which needs the code lookup).
+    """
+    if model == "switch":
+        lam = integrand(grid, indicator(0, 0.0, [0.0], [1.0]))
+        det = integrand(grid, constant([0.5]))
+        spread = integrand(grid, constant([-0.25]))
+        return {"S": ("ito", lam), "Q": ("quad", lam, lam),
+                "X": ("quad", lam, det), "T": ("time", lam),
+                "C": ("ito", det), "CC": ("quad", det, det),
+                "Tc": ("time", spread)}
+    pw = piecewise([0.5 * grid.dt, 0.6], [[0.5, -1.0], [2.0, 0.25],
+                                          [-0.75, 1.5]])
+    ind0 = indicator(0, -0.1, [0.1, 0.4], [-0.3, 1.1])
+    ind1 = indicator(1, 0.2, [1.0, 0.0], [0.0, 2.0])
+    const = constant([0.3, -0.6])
+    joint = RegimeTable(grid, pw, ind0, ind1, const)
+    a, b, c, k = ((joint, joint.values(p)) for p in (pw, ind0, ind1, const))
+    d = (joint, joint.values(ind1) - joint.values(pw))
+    time_only = integrand(grid, pw)
+    # c is last named where d is first: d must not take c's node values
+    return {"Ia": ("ito", a), "Ib": ("ito", b), "Ic": ("ito", c),
+            "Ik": ("ito", k), "Qab": ("quad", a, b), "Qbc": ("quad", b, c),
+            "Qkc": ("quad", k, c), "Qtb": ("quad", time_only, b),
+            "Tk": ("time", k), "It": ("ito", time_only),
+            "Qtt": ("quad", time_only, time_only), "Tc": ("time", c),
+            "Qcd": ("quad", c, d), "Id": ("ito", d)}
 
-    base = map_blocks(ens, block, workers=1)
+
+def direct_sums(ens, requests):
+    """Each request reduced over the whole ensemble from node values
+    gathered afresh for it (the reference for ``path_sums``)."""
+    dW = ens.increments()
+    W = cumulative(dW)
+
+    def values(regimes, table):
+        idx = regimes.index(W)
+        return np.broadcast_to(table[0], idx.shape + table.shape[1:]) \
+            if table.strides[0] == 0 else table[idx]
+
+    out = {}
+    for name, (kind, *fs) in requests.items():
+        v = [values(*f) for f in fs]
+        if kind == "ito":
+            r = ito_sum(v[0], dW)
+        elif kind == "quad":
+            r = quad_sum(v[0], v[1], ens.grid.dt)
+        else:
+            r = np.sum(v[0], axis=(-2, -1)) * ens.grid.dt
+        out[name] = np.broadcast_to(r, (ens.count,))
+    return out
+
+
+@pytest.mark.parametrize("model", ["switch", "two-drivers"])
+def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
+    # every block writes its own path range of the outputs from its own
+    # scratch views, so neither the worker count nor the block size (100
+    # paths in 7-path blocks leave an uneven last block) moves a bit
+    grid = TimeGrid(1.0, 16)
+
+    def sums(workers, block_paths):
+        ens = simulate(grid, n=2, M=100, seed=11, block_paths=block_paths)
+        return path_sums(ens, kernel_requests(grid, model), workers)
+
+    base = sums(1, None)
+    want = direct_sums(simulate(grid, n=2, M=100, seed=11),
+                       kernel_requests(grid, model))
+    for name in want:
+        assert base[name].shape == (100,)
+        assert np.array_equal(base[name], want[name]), name
+    for workers, block_paths in ((2, None), (4, None), (1, 7), (2, 7),
+                                 (4, 7)):
+        got = sums(workers, block_paths)
+        for name in base:
+            assert np.array_equal(got[name], base[name]), \
+                (name, workers, block_paths)
     monkeypatch.setenv("PORTSENS_WORKERS", "4")
-    threaded = map_blocks(ens, block)
-    assert np.array_equal(base, threaded)
+    threaded = sums(None, 7)
+    assert all(np.array_equal(threaded[k], base[k]) for k in base)
 
 
-def test_map_blocks_tuple_results():
-    ens = simulate(TimeGrid(1.0, 8), n=1, M=50, seed=12, block_paths=16)
+def test_path_sums_reuse_one_increment_buffer(monkeypatch):
+    # one worker draws every block's increments into the same scratch
+    seen = []
+    increments = PathEnsemble.increments
 
-    def block(start, stop, dW, W):
-        s = np.sum(dW[:, :, 0], axis=1)
-        return s, s * s
+    def recorded(self, start=0, stop=None, out=None):
+        dW = increments(self, start, stop, out)
+        seen.append((dW.shape[0], dW.__array_interface__["data"][0]))
+        return dW
 
-    a, b = map_blocks(ens, block)
-    assert a.shape == b.shape == (50,)
-    assert np.array_equal(a * a, b)
+    monkeypatch.setattr(PathEnsemble, "increments", recorded)
+    grid = TimeGrid(1.0, 16)
+    ens = simulate(grid, n=2, M=100, seed=11, block_paths=7)
+    path_sums(ens, kernel_requests(grid, "two-drivers"), workers=1)
+    assert [b for b, _ in seen] == [7] * 14 + [2]
+    assert len({address for _, address in seen}) == 1
+
+
+def node_regimes(regimes, W):
+    """Regime of every left node, looked up row by row from its segment
+    and driver intervals (the reference for ``RegimeTable.index``)."""
+    grid = regimes.grid
+    row_of = {(s, *iv): r for r, (s, iv) in
+              enumerate(zip(regimes.segment.tolist(),
+                            regimes.intervals.tolist()))}
+    seg = np.searchsorted(regimes.breaks, grid.left_nodes, side="right")
+    digits = [np.searchsorted(c, W[:, :-1, j], side="right")
+              for j, c in zip(regimes.drivers, regimes.cuts)]
+    B, N = W.shape[0], grid.steps
+    return np.array([[row_of[(seg[k], *(d[b, k] for d in digits))]
+                      for k in range(N)] for b in range(B)])
+
+
+@pytest.mark.parametrize("breaks", [[], [0.4], [0.05], [0.4, 3.0]])
+def test_regime_index_matches_the_row_lookup(breaks):
+    # codes are the regime numbers when every segment reaches every
+    # interval combination; a break before the first step (only t_0 in its
+    # segment) or past the horizon (an empty segment) needs the lookup
+    grid = TimeGrid(1.0, 12)
+    procs = [indicator(0, -0.2, [0.0], [1.0]), indicator(0, 0.3, [1.0], [0.0]),
+             indicator(1, 0.0, [0.5], [0.0])]
+    if breaks:
+        procs.append(piecewise(breaks, np.arange(len(breaks) + 1.0)[:, None]))
+    regimes = RegimeTable(grid, *procs)
+    assert regimes._identity == (breaks in ([], [0.4]))
+    ens = simulate(grid, n=2, M=40, seed=15, block_paths=16)
+    W = cumulative(ens.increments())
+    want = node_regimes(regimes, W)
+    got = regimes.index(W)
+    assert np.array_equal(got, want) and got.max() < len(regimes)
+    scratch = regimes.scratch(16)
+    for start, stop in ens.block_ranges():
+        got = regimes.index(W[start:stop], out=scratch)
+        assert np.array_equal(got, want[start:stop])
+        assert any(np.shares_memory(got, buf) for buf in scratch)
 
 
 def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
@@ -155,9 +272,9 @@ def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
     built = []
     real = paths_mod.cumulative
 
-    def counted(dW):
+    def counted(dW, out=None):
         built.append(dW.shape[0])
-        return real(dW)
+        return real(dW, out)
 
     monkeypatch.setattr(paths_mod, "cumulative", counted)
     grid = TimeGrid(1.0, 16)
@@ -252,22 +369,3 @@ def test_girsanov_weight_tilts_the_mean(ens1d):
 def test_resource_caps():
     with pytest.raises(ResourceLimitError):
         PathEnsemble(grid=TimeGrid(1.0, 10**6), n=64, count=10**7, seed=1)
-
-
-def test_dump_load_round_trip(tmp_path):
-    ens = simulate(TimeGrid(0.5, 12), n=2, M=30, seed=99, block_paths=7)
-    file = tmp_path / "paths.bin"
-    dump_ensemble(ens, str(file))
-    back = load_ensemble(str(file), block_paths=11)
-    assert back.seed == 99 and back.count == 30 and back.n == 2
-    assert back.grid == ens.grid
-    assert np.array_equal(back.increments(0, 30), ens.increments(0, 30))
-    # stored ensembles still serve arbitrary ranges
-    assert np.array_equal(back.increments(5, 9), ens.increments(5, 9))
-
-
-def test_load_rejects_garbage(tmp_path):
-    file = tmp_path / "bad.bin"
-    file.write_bytes(b"not a path dump at all")
-    with pytest.raises(ValueError):
-        load_ensemble(str(file))
