@@ -14,7 +14,6 @@ tolerance.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,26 +146,6 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
                           taus=tuple(taus), max_gap=max(gaps), tolerance=tol)
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    difference: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.difference <= self.bound * (1.0 + 1e-12) + 1e-300
-
-
-def lipschitz_check(d1, d2, K: CompactSet) -> LipschitzReport:
-    """|v(d1) - v(d2)| <= ||d1 - d2|| * max ||z||."""
-    d1 = _check_dim(d1, K)
-    d2 = _check_dim(d2, K)
-    v1 = support_value(d1, K).value
-    v2 = support_value(d2, K).value
-    return LipschitzReport(difference=abs(v1 - v2),
-                           bound=float(np.linalg.norm(d1 - d2)) * K.radius)
-
-
 def load_cloud(path: str) -> CompactSet:
     """Point cloud from CSV, one point per row; a header row is optional."""
     rows = []
@@ -186,10 +165,3 @@ def load_cloud(path: str) -> CompactSet:
     if len(widths) != 1:
         raise CloudError(f"{path}: rows have mixed dimensions {widths}")
     return CompactSet(np.asarray(rows, dtype=float))
-
-
-def save_cloud(path: str, K: CompactSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in K.points:
-            w.writerow([repr(float(c)) for c in row])

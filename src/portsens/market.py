@@ -15,9 +15,8 @@ computed once per regime and spread over nodes by that index.
 
 The market price of risk is lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1).
 Volatility perturbations are admissible only when they preserve the null
-space of sigma; ``check_h1`` tests this exactly over the reachable regimes
-and ``kernel_preserving_perturbation`` constructs directions that satisfy
-it by design.
+space of sigma; ``check_h1_direction`` tests this exactly over the
+reachable regimes.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -137,21 +135,13 @@ class CoefficientProcess:
         below = below.reshape(below.shape + (1,) * len(self.shape))
         return np.where(below, self.high, self.low)
 
-    # -- algebra on deterministic coefficients (used by perturbation builders)
-
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(breaks, values per segment) of a deterministic coefficient."""
         if self.kind == "constant":
             return np.empty(0), self.values[None]
         if self.kind == "piecewise":
             return self.breaks, self.values
         raise CoefficientError("adapted coefficients have no segment form")
-
-    @staticmethod
-    def _from_segments(breaks: np.ndarray, values: np.ndarray,
-                       shape: tuple[int, ...]) -> "CoefficientProcess":
-        if len(breaks) == 0:
-            return constant(values[0].reshape(shape))
-        return piecewise(breaks, values.reshape(len(breaks) + 1, *shape))
 
 
 def constant(values) -> CoefficientProcess:
@@ -182,20 +172,6 @@ def indicator(driver: int, threshold: float, low, high) -> CoefficientProcess:
 def zeros(shape: tuple[int, ...]) -> CoefficientProcess:
     return CoefficientProcess(kind="constant", shape=shape,
                               values=np.zeros(shape))
-
-
-def merge_deterministic(a: CoefficientProcess, b: CoefficientProcess, fn) \
-        -> CoefficientProcess:
-    """Nodewise fn(a, b) of two deterministic coefficients of equal shape."""
-    ab, av = a._segments()
-    bb, bv = b._segments()
-    breaks = np.union1d(ab, bb)
-    ai = np.searchsorted(ab, breaks, side="right")
-    bi = np.searchsorted(bb, breaks, side="right")
-    av_full = av[np.concatenate(([0], ai))]
-    bv_full = bv[np.concatenate(([0], bi))]
-    out = fn(av_full, bv_full)
-    return CoefficientProcess._from_segments(breaks, out, out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -569,25 +545,16 @@ def _numerical_rank(s: np.ndarray, tol: float) -> np.ndarray:
     return np.sum(s > cut, axis=-1)
 
 
-def check_h1(sigma_base: CoefficientProcess, sigma_pert: CoefficientProcess,
-             grid: TimeGrid, tol: float = 1e-10) -> H1Report:
-    """Full rank of the base volatility plus null-space equality of the pair.
-
-    Kernel equality is decided by comparing the numerical rank of the stacked
-    (2d, n) matrix with the individual ranks, in every regime the paths can
-    reach.
-    """
-    if sigma_base.shape != sigma_pert.shape:
-        raise CoefficientError("volatility shapes differ")
-    regimes = RegimeTable(grid, sigma_base, sigma_pert)
-    return h1_from_values(regimes.values(sigma_base),
-                          regimes.values(sigma_pert), sigma_base.shape[0], tol)
-
-
 def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
                        taus, grid: TimeGrid, tol: float = 1e-10) \
         -> tuple[RegimeTable, list[H1Report]]:
-    """``check_h1`` of sigma against sigma + tau dsigma for each tau."""
+    """Full rank of sigma plus null-space equality of sigma and
+    sigma + tau dsigma, for each tau.
+
+    Kernel equality is decided by comparing the numerical rank of the
+    stacked (2d, n) matrix with the individual ranks, in every regime the
+    paths can reach.
+    """
     if sigma.shape != dsigma.shape:
         raise CoefficientError("volatility shapes differ")
     regimes = RegimeTable(grid, sigma, dsigma)
@@ -623,44 +590,3 @@ def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray, d: int,
     return H1Report(full_rank=bool(np.all(full)),
                     inv_bound=float(np.max(inv_norm)),
                     kernel_equal=bool(np.all(equal)), worst_regime=int(worst))
-
-
-def kernel_preserving_perturbation(sigma_base: CoefficientProcess,
-                                   A: CoefficientProcess, tau: float) \
-        -> tuple[CoefficientProcess, float]:
-    """Volatility sigma + tau * A (sigma sigma^T)^{-1} sigma and its safe bound.
-
-    The construction keeps Ker(sigma) for every |tau| below the returned
-    bound 1 / max_t ||A (sigma sigma^T)^{-1}||_2, because the perturbed matrix
-    is (I + tau A S^{-1}) sigma with the leading factor invertible there.
-    Only deterministic sigma and A are supported; the result is again a
-    deterministic coefficient.
-    """
-    if not (sigma_base.is_deterministic and A.is_deterministic):
-        raise CoefficientError("kernel-preserving construction needs "
-                               "deterministic sigma and direction")
-    d, n = sigma_base.shape
-    if A.shape != (d, d):
-        raise CoefficientError(f"direction must be ({d}, {d})")
-
-    def build(sig, a):
-        Sinv = np.linalg.inv(sig @ np.swapaxes(sig, -1, -2))
-        return sig + tau * (a @ Sinv @ sig)
-
-    out = merge_deterministic(sigma_base, A, build)
-    # safe bound from the same segment values
-    sb, sv = sigma_base._segments()
-    ab, av = A._segments()
-    breaks = np.union1d(sb, ab)
-    si = np.concatenate(([0], np.searchsorted(sb, breaks, side="right")))
-    ai = np.concatenate(([0], np.searchsorted(ab, breaks, side="right")))
-    worst = 0.0
-    for i, j in zip(si, ai):
-        S = sv[i] @ sv[i].T
-        M = av[j] @ np.linalg.inv(S)
-        worst = max(worst, float(np.linalg.norm(M, ord=2)))
-    safe = np.inf if worst == 0 else 1.0 / worst
-    if abs(tau) >= safe:
-        warnings.warn(f"tau={tau} is at or beyond the rank-safe bound {safe:g}",
-                      RuntimeWarning, stacklevel=2)
-    return out, safe

@@ -38,11 +38,11 @@ from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
                                difference_se, mean_estimate)
 from portsens.market import (CoefficientError, MarketModel, constant,
                              dlambda_direction, indicator, integrand,
-                             mpr_integrand, mpr_table)
+                             mpr_integrand)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums, simulate
 from portsens.solver import bisect_budget
-from portsens.valuation import (PerturbationSpec, surface_rows,
-                                 surface_sums, value_surface)
+from portsens.valuation import (PerturbationSpec, SurfaceRow,
+                                 surface_rows, surface_sums)
 
 
 def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
@@ -130,78 +130,30 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
     return weak, strong
 
 
-def weak_sensitivity_at(model: MarketModel, u: ut.UtilitySpec,
-                        direction: PerturbationSpec, at: PerturbationSpec,
-                        theta: float, ensemble: PathEnsemble,
-                        workers=None) -> ValueEstimate:
-    """Derivative of the weak value at the perturbed point lambda^theta.
-
-    Away from the base the derivative picks up a correction to the naive
-    stochastic-integral formula:
-
-        E[ G * U(X[lambda^theta]) *
-           ( int Dlambda^T dW - int (lambda^theta - lambda)^T Dlambda dt ) ]
-
-    with G the measure-change weight of the point.  At theta = 0 this
-    reduces to the base-point formula (in its unreduced form, so the
-    estimate differs pathwise from the weak half of ``sensitivity_pair``
-    while estimating the same number).
-    """
-    direction.validate_for(model)
-    at.validate_for(model)
-    if direction.drate is not None or at.drate is not None:
-        raise CoefficientError("point derivatives support mu, sigma and "
-                               "lambda directions only")
-    grid = ensemble.grid
-    regimes = at.regimes(model, grid)
-    lam0 = mpr_table(model, regimes)
-    lam_t = at.moved_lambda(model, regimes, lam0, theta)
-    lam, delta = (regimes, lam_t), (regimes, lam_t - lam0)
-    dlam = _direction(model, direction, grid)
-    s = path_sums(ensemble, {
-        "G": ("ito", delta), "GG": ("quad", delta, delta),
-        "S": ("ito", lam), "Q": ("quad", lam, lam), "X": ("quad", lam, delta),
-        "R": ("time", integrand(grid, model.rate)), "F": ("ito", dlam),
-        "FF": ("quad", delta, dlam)}, workers)
-    log_g = s["G"] - 0.5 * s["GG"]
-    # log Zhat^theta on the tilted measure
-    log_zw = -s["S"] + s["X"] - 0.5 * s["Q"] - s["R"]
-    factor = s["F"] - s["FF"]
-    seed = ensemble.seed
-    name = f"weak-sens-at[theta={theta:g},{direction.label}]"
-    x0 = model.x0
-    if u.kind == "power":
-        return _power_sens(u, x0, np.exp(log_g + (1.0 - u.q) * log_zw),
-                           factor, seed, name, {"theta": theta})
-    if u.kind == "log":
-        g = np.exp(log_g)
-        uvals = math.log(x0) - log_zw
-        return mean_estimate(g * uvals * factor, seed, name,
-                             extras={"theta": theta})
-    raise CoefficientError("point derivatives support power and log utility")
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
-def fd_sensitivity(model: MarketModel, u: ut.UtilitySpec,
-                   pert: PerturbationSpec, ensemble: PathEnsemble,
-                   eps: tuple = (0.2, 0.1, 0.05, 0.025),
-                   workers=None) -> tuple[ValueEstimate, ValueEstimate]:
-    """(weak, strong) central differences of the value curves,
-    Richardson-extrapolated, from one pass.
-
-    Both curves are simulated once on a shared tau grid (common random
-    numbers), each difference reuses the per-path influence vectors, and
-    the two finest steps combine to (4 d_h - d_2h) / 3.  The extras carry
-    the raw differences and the extrapolation correction, which bounds the
-    residual O(h^2) bias of the finest difference.
-    """
+def _fd_steps(eps) -> tuple[tuple, list]:
+    """The sorted difference steps and the tau grid +-eps they read."""
     eps = tuple(sorted(float(e) for e in eps))
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError("need at least two positive step sizes")
-    taus = sorted({s * e for e in eps for s in (1.0, -1.0)})
-    rows = value_surface(model, u, pert, taus, ensemble, workers)
+    return eps, sorted({s * e for e in eps for s in (1.0, -1.0)})
+
+
+def fd_sensitivity(rows: list[SurfaceRow], eps,
+                   label: str) -> tuple[ValueEstimate, ValueEstimate]:
+    """(weak, strong) central differences of the value curves,
+    Richardson-extrapolated.
+
+    ``rows`` is a value surface on shared paths (common random numbers)
+    that holds the taus +-eps; ``label`` names the direction.  Each
+    difference reuses the per-path influence vectors, and the two finest
+    steps combine to (4 d_h - d_2h) / 3.  The extras carry the raw
+    differences and the extrapolation correction, which bounds the
+    residual O(h^2) bias of the finest difference.
+    """
+    eps, _ = _fd_steps(eps)
     # eliminate the h^2 error term from the two finest steps
     h1, h2 = eps[0], eps[1]
     w = h2 * h2 / (h2 * h2 - h1 * h1)
@@ -213,11 +165,20 @@ def fd_sensitivity(model: MarketModel, u: ut.UtilitySpec,
                  for e in eps}
         fine = diffs[h1]
         rich = combine_linear([fine, diffs[h2]], [w, 1.0 - w],
-                              f"richardson[{side},{pert.label}]")
+                              f"richardson[{side},{label}]")
         out.append(replace(rich, extras={
             "by_eps": {e: d.mean for e, d in diffs.items()},
             "correction": rich.mean - fine.mean, "side": side, "eps": eps}))
     return tuple(out)
+
+
+def _surface_and_sens_sums(model: MarketModel, pert: PerturbationSpec, taus,
+                           ensemble: PathEnsemble, workers) -> dict:
+    """The sums of ``surface_sums`` over ``taus`` and of ``_sens_sums``,
+    from one path pass."""
+    grid = ensemble.grid
+    return path_sums(ensemble, {**surface_sums(model, pert, taus, grid),
+                                **_sens_sums(model, pert, grid)}, workers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +207,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         workers=None) -> tuple[SensitivityReport,
                                                SensitivityReport]:
     """(weak, strong) closed-form sensitivities against the Richardson
-    differences, from two path passes.
+    differences, from one path pass.
 
     The verdict tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
@@ -254,8 +215,11 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
     """
-    formulas = sensitivity_pair(model, u, pert, ensemble, workers)
-    fds = fd_sensitivity(model, u, pert, ensemble, eps, workers)
+    eps, taus = _fd_steps(eps)
+    s = _surface_and_sens_sums(model, pert, taus, ensemble, workers)
+    formulas = _sens_estimates(model, u, pert, s, ensemble.seed)
+    fds = fd_sensitivity(surface_rows(model, u, taus, s, ensemble.seed), eps,
+                         pert.label)
     reports = []
     for side, formula, fd in zip(("weak", "strong"), formulas, fds):
         gap = abs(formula.mean - fd.mean)
@@ -415,9 +379,7 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
     closed-form weak sensitivity, both from one path pass."""
     eps = tuple(sorted(float(e) for e in eps))
     taus = [0.0] + list(eps)
-    grid = ensemble.grid
-    s = path_sums(ensemble, {**surface_sums(model, pert, taus, grid),
-                             **_sens_sums(model, pert, grid)}, workers)
+    s = _surface_and_sens_sums(model, pert, taus, ensemble, workers)
     rows = surface_rows(model, u, taus, s, ensemble.seed)
     deriv, _ = _sens_estimates(model, u, pert, s, ensemble.seed)
     return residual_decay(eps, rows[0].weak.mean,
@@ -444,29 +406,3 @@ def residual_decay(eps, base: float, curve, deriv: float) \
     return SecondOrderReport(eps=tuple(eps), residuals=tuple(residuals),
                              negative_parts=tuple(neg), floor=floor,
                              slope=slope, vacuous=vacuous)
-
-
-# ---------------------------------------------------------------------------
-# weak-minus-strong contrast
-
-@dataclass(frozen=True, eq=False)
-class GapReport:
-    weak: ValueEstimate
-    strong: ValueEstimate
-    gap: float
-    se: float
-    expected_gap: float | None = None
-
-    @property
-    def sigmas_from_zero(self) -> float:
-        return abs(self.gap) / self.se if self.se > 0 else math.inf
-
-
-def gap_report(model: MarketModel, u: ut.UtilitySpec, pert: PerturbationSpec,
-               ensemble: PathEnsemble, expected_gap: float | None = None,
-               workers=None) -> GapReport:
-    weak, strong = sensitivity_pair(model, u, pert, ensemble, workers)
-    return GapReport(weak=weak, strong=strong,
-                     gap=weak.mean - strong.mean,
-                     se=difference_se(weak, strong),
-                     expected_gap=expected_gap)

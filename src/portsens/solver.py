@@ -20,13 +20,11 @@ deterministic coefficients this is the exact dual optimizer: any
 deterministic kernel component nu adds exp(q(q-1)/2 int |nu|^2 dt) >= 1 to
 E[Zhat^{1-q}] because nu is orthogonal to the price of risk pointwise.
 Incomplete markets with stochastic coefficients have no closed-form dual
-optimizer; there the caller supplies externally computed optimal-wealth
-samples instead.
+optimizer and are refused.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,53 +60,20 @@ class ClosedFormValue:
     formula: str
 
 
-def log_density_terms(model: MarketModel, ensemble: PathEnsemble,
-                      workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (log E(-int lambda dW), int r dt) in one streaming pass.
-
-    The first term is the state-price density of the minimal measure
-    (nu = 0) in logs; log Zhat subtracts the second.
-    """
-    lam = mpr_integrand(model, ensemble.grid)
-    s = path_sums(ensemble, {"S": ("ito", lam), "Q": ("quad", lam, lam),
-                             "R": ("time", integrand(ensemble.grid,
-                                                     model.rate))}, workers)
-    return -s["S"] - 0.5 * s["Q"], s["R"]
-
-
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
-                            logzhat: np.ndarray, seed: int,
-                            xstar: np.ndarray | None = None) -> OptimalWealth:
-    """Solve the static problem on pricing-density samples, or wrap
-    external optimal-wealth samples.
+                            logzhat: np.ndarray, seed: int) -> OptimalWealth:
+    """Solve the static problem on pricing-density samples.
 
     ``logzhat`` holds log Zhat per path (discount included), e.g. the nu = 0
-    row of ``modular.density_logs`` or log E(-int lambda dW) - int r dt from
-    ``log_density_terms``; ``seed`` labels the estimates.  Supported
-    directly: power and log utility in a complete market (n = d) or under
+    row of ``modular.density_logs``; ``seed`` labels the estimates.
+    Supported: power and log utility in a complete market (n = d) or under
     deterministic coefficients, plus custom utilities via budget bisection.
-    For anything else pass ``xstar`` samples computed elsewhere; they are
-    validated against the budget and wrapped unchanged.
     """
     logzhat = np.asarray(logzhat, dtype=float)
     zhat = np.exp(logzhat)
-
-    if xstar is not None:
-        xstar = np.asarray(xstar, dtype=float)
-        if xstar.shape != zhat.shape:
-            raise SolverError("external optimal wealth has wrong path count")
-        budget = float(np.mean(zhat * xstar))
-        if abs(budget - model.x0) > 0.05 * model.x0:
-            raise SolverError(f"external optimal wealth misses the budget: "
-                              f"mean(Z X) = {budget:g} vs x0 = {model.x0:g}")
-        val = mean_estimate(np.asarray(ut.evaluate(u, xstar)), seed,
-                            f"value[external,{u.label}]")
-        y = float("nan")
-        return OptimalWealth(xstar=xstar, y=y, z=zhat, value=val)
-
     if not (model.n == model.d or model.is_deterministic):
         raise SolverError("incomplete market with stochastic coefficients: "
-                          "supply external optimal-wealth samples")
+                          "no closed-form dual optimizer")
 
     x0 = model.x0
     if u.kind == "power":
@@ -259,26 +224,3 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
                * np.exp((u.q - 1.0) / 2.0 * lam2))
         return ClosedFormValue(float(val), f"power-deterministic p={u.p:g}")
     raise SolverError(f"no closed form for utility {u.label!r}")
-
-
-# ---------------------------------------------------------------------------
-# optimal-wealth CSV exchange
-
-def save_xstar(path: str, xstar: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_index", "xstar"])
-        for i, v in enumerate(np.ravel(xstar)):
-            w.writerow([i, repr(float(v))])
-
-
-def load_xstar(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["path_index", "xstar"]:
-        raise SolverError(f"{path}: expected header path_index,xstar")
-    idx = np.array([int(r[0]) for r in rows[1:]])
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    if not np.array_equal(idx, np.arange(len(idx))):
-        raise SolverError(f"{path}: path_index must be 0..M-1 in order")
-    return vals

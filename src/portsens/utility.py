@@ -1,11 +1,11 @@
-"""Utility functions: evaluation, marginal, inverse, hypotheses.
+"""Utility functions: evaluation, marginal and inverses.
 
 Three kinds are supported.  The positive-power family U(x) = p x^{1/p} with
 p > 1 is the model case: its marginal is U'(x) = x^{-1/q} with q = p/(p-1),
 and the inverse marginal is I(y) = y^{-q}.  "sqrt" is the alias p = 2,
 i.e. U(x) = 2 sqrt(x).  The logarithm is supported for the exact
 counterexamples even though it fails the growth and U(0+) = 0 requirements
-that the power family satisfies; ``check_hypotheses`` reports this.
+that the power family satisfies.
 
 Custom utilities are supplied as a two-column strictly increasing table and
 interpolated by the monotone piecewise cubic of Fritsch & Carlson (1980),
@@ -93,14 +93,11 @@ class UtilitySpec:
     """Utility abstraction used by the solver and the estimators.
 
     For kind 'power', p in (1, inf) and q = p/(p-1) is its conjugate
-    exponent.  growth (C, growth_p) records constants for the bound
-    U(x) <= C x^{1/growth_p}.
+    exponent.
     """
 
     kind: str  # 'power' | 'log' | 'custom'
     p: float | None = None
-    growth_c: float | None = None
-    growth_p: float | None = None
     label: str = ""
     _table: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -133,38 +130,34 @@ class UtilitySpec:
 
 
 def power_utility(p: float) -> UtilitySpec:
-    return UtilitySpec(kind="power", p=float(p), growth_c=float(p),
-                       growth_p=float(p), label=f"power:p={p:g}")
+    return UtilitySpec(kind="power", p=float(p), label=f"power:p={p:g}")
 
 
 def sqrt_utility() -> UtilitySpec:
     """U(x) = 2 sqrt(x), the p = 2 member of the power family."""
-    return UtilitySpec(kind="power", p=2.0, growth_c=2.0, growth_p=2.0,
-                       label="sqrt")
+    return UtilitySpec(kind="power", p=2.0, label="sqrt")
 
 
 def log_utility() -> UtilitySpec:
     return UtilitySpec(kind="log", label="log")
 
 
-def custom_utility(x: np.ndarray, u: np.ndarray, growth_c: float | None = None,
-                   growth_p: float | None = None, label: str = "custom") \
-        -> UtilitySpec:
+def custom_utility(x: np.ndarray, u: np.ndarray,
+                   label: str = "custom") -> UtilitySpec:
     """Utility from a strictly increasing two-column table (x, U(x))."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim != 1 or x.shape != u.shape or x.size < 4:
         raise ValueError("need two equally long columns with >= 4 rows")
-    return UtilitySpec(kind="custom", growth_c=growth_c, growth_p=growth_p,
-                       label=label, _table=(x, u))
+    return UtilitySpec(kind="custom", label=label, _table=(x, u))
 
 
-def load_custom_utility(path: str, **kwargs) -> UtilitySpec:
+def load_custom_utility(path: str) -> UtilitySpec:
     """Two-column whitespace- or comma-separated monotone table."""
     data = np.loadtxt(path, delimiter=None if _is_whitespace_table(path) else ",")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
-    return custom_utility(data[:, 0], data[:, 1], **kwargs)
+    return custom_utility(data[:, 0], data[:, 1])
 
 
 def _is_whitespace_table(path: str) -> bool:
@@ -244,85 +237,6 @@ def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
         raise ValueError(f"custom utility {u.label!r}: node slopes of U' do "
                          "not decrease strictly, so U' has no unique inverse")
     return fwd.inverse_derivative(y)
-
-
-# ---------------------------------------------------------------------------
-# hypothesis report
-
-@dataclass(frozen=True)
-class HypothesesReport:
-    """Numerical probes of the standing assumptions on U.
-
-    The limits behind the marginal-utility conditions cannot be tested
-    exactly; they are probed at 1e-8 and 1e+8 against thresholds.  The growth
-    bound is measured as max U(x)/x^{1/p} over a log-spaced grid.
-    """
-
-    marginal_blows_up_at_zero: bool
-    marginal_vanishes_at_infinity: bool
-    zero_at_zero: bool
-    growth_ok: bool
-    measured_growth_c: float
-    growth_p: float | None
-    strictly_increasing: bool
-    strictly_concave: bool
-
-    @property
-    def assumptions_hold(self) -> bool:
-        """True when U satisfies every assumption the derivative formulas use."""
-        return (self.marginal_blows_up_at_zero
-                and self.marginal_vanishes_at_infinity
-                and self.zero_at_zero and self.growth_ok
-                and self.strictly_increasing and self.strictly_concave)
-
-
-def check_hypotheses(u: UtilitySpec, grid_points: int = 200) -> HypothesesReport:
-    if u.kind == "custom":
-        xlo, xhi = u._interp()[2]
-        lo_probe, hi_probe = xlo, xhi
-        xs = np.geomspace(max(xlo, 1e-300), xhi, grid_points)
-    else:
-        lo_probe, hi_probe = 1e-8, 1e8
-        xs = np.geomspace(1e-8, 1e8, grid_points)
-
-    d_lo = float(derivative(u, lo_probe))
-    d_hi = float(derivative(u, hi_probe))
-    inada0 = d_lo >= 1e3 or (u.kind == "custom" and d_lo >= 10.0)
-    inada_inf = d_hi <= 1e-3 or (u.kind == "custom" and d_hi <= 0.1)
-
-    if u.kind == "custom":
-        zero_at_zero = abs(float(evaluate(u, lo_probe))) <= 0.05
-    else:
-        # decay toward zero, not just smallness at one point; log fails both
-        u_tiny = float(evaluate(u, 1e-16))
-        u_small = float(evaluate(u, 1e-8))
-        zero_at_zero = abs(u_tiny) <= 0.01 and abs(u_tiny) < 0.5 * abs(u_small)
-
-    gp = u.growth_p
-    if gp is None:
-        growth_ok, measured = False, float("inf")
-    else:
-        vals = np.asarray(evaluate(u, xs), dtype=float)
-        measured = float(np.max(vals / xs ** (1.0 / gp)))
-        declared = u.growth_c if u.growth_c is not None else measured
-        growth_ok = np.isfinite(measured) and measured <= declared * (1 + 1e-6)
-
-    uv = np.asarray(evaluate(u, xs), dtype=float)
-    increasing = bool(np.all(np.diff(uv) > 0))
-    mid = np.asarray(evaluate(u, 0.5 * (xs[:-1] + xs[1:])), dtype=float)
-    concave = bool(np.all(mid >= 0.5 * (uv[:-1] + uv[1:]) - 1e-12 * np.abs(mid))
-                   and np.any(mid > 0.5 * (uv[:-1] + uv[1:])))
-
-    return HypothesesReport(
-        marginal_blows_up_at_zero=inada0,
-        marginal_vanishes_at_infinity=inada_inf,
-        zero_at_zero=zero_at_zero,
-        growth_ok=growth_ok,
-        measured_growth_c=measured,
-        growth_p=gp,
-        strictly_increasing=increasing,
-        strictly_concave=concave,
-    )
 
 
 def parse_utility(text: str) -> UtilitySpec:

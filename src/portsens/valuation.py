@@ -266,13 +266,3 @@ def write_surface_csv(path: str, rows: list[SurfaceRow]) -> None:
                         repr(r.weak.mean), repr(r.weak.se),
                         repr(r.strong.mean), repr(r.strong.se),
                         repr(r.weight_mean), r.weak.seed])
-
-
-def read_surface_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    out = []
-    for r in rows:
-        out.append({k: (int(v) if k == "seed" else float(v))
-                    for k, v in r.items()})
-    return out

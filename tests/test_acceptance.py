@@ -15,9 +15,8 @@ from portsens.cli import main
 from portsens.danskin import (CompactSet, directional_derivative,
                               hadamard_probe, support_value)
 from portsens.estimate import difference_se
-from portsens.market import (MarketModel, check_h1, constant,
-                             dlambda_direction, indicator,
-                             kernel_preserving_perturbation, zeros)
+from portsens.market import (MarketModel, check_h1_direction, constant,
+                             dlambda_direction, indicator, zeros)
 from portsens.modular import (ModularFunctional, amemiya_norm, density_logs,
                               holder_check, j_evaluator, j_functional,
                               luxemburg_norm, norm_I, norm_J)
@@ -25,8 +24,7 @@ from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import (example1_report, example2_reports,
                                   second_order_check, sensitivity_pair,
                                   sensitivity_reports)
-from portsens.solver import (log_density_terms, optimal_terminal_wealth,
-                             value_closed_form)
+from portsens.solver import optimal_terminal_wealth, value_closed_form
 from portsens.valuation import PerturbationSpec, value_surface
 
 
@@ -176,9 +174,9 @@ def test_criterion_7_solver_closed_form(capsys):
     model = MarketModel(d=1, n=1, mu=constant([1.0]),
                         sigma=constant([[1.0]]))
     ens = simulate(TimeGrid(1.0, 64), n=1, M=40_000, seed=1004)
-    logz, R = log_density_terms(model, ens)
-    opt = optimal_terminal_wealth(model, ut.power_utility(2.0), logz - R,
-                                  ens.seed)
+    u = ut.power_utility(2.0)
+    logz = density_logs(ModularFunctional(model, u), ens)[0]
+    opt = optimal_terminal_wealth(model, u, logz, ens.seed)
     expected = 2.0 * math.exp(0.5)
     v_sigmas = abs(opt.value.mean - expected) / opt.value.se
     priced = opt.z * opt.xstar
@@ -296,10 +294,13 @@ def test_criterion_10_reproducibility_and_kernel(tmp_path, monkeypatch,
 
     grid = TimeGrid(1.0, 8)
     sigma = constant([[1.0, 0.0]])
-    scale = kernel_preserving_perturbation(sigma, constant([[0.5]]), 0.8)[0]
-    accepted = check_h1(sigma, scale, grid).ok
-    rotate = constant([[1.0, 0.8]])
-    rejected = not check_h1(sigma, rotate, grid).ok
+    # row scaling sigma + 0.8 [[0.5, 0]] keeps the kernel, the rotation
+    # sigma + [[0, 0.8]] moves it
+    _, (scale,) = check_h1_direction(sigma, constant([[0.5, 0.0]]), [0.8],
+                                     grid)
+    _, (rotate,) = check_h1_direction(sigma, constant([[0.0, 0.8]]), [1.0],
+                                      grid)
+    accepted, rejected = scale.ok, not rotate.ok
     verdict(capsys, 10, "bit-identical workers and kernel checker",
             identical and accepted and rejected,
             f"surface bytes equal for workers 1/2/5; row-scaling family "

@@ -15,7 +15,7 @@ from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           format_config, load_config, main)
 from portsens.paths import PathEnsemble
-from portsens.valuation import SURFACE_HEADER, read_surface_csv
+from portsens.valuation import SURFACE_HEADER
 
 CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
            "configs/norms.ini", "configs/h1_kernel.ini"]
@@ -26,6 +26,11 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def read_records(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_value_command(tmp_path):
     out = str(tmp_path / "v")
     code = main(["value", "--config", "configs/example1.ini",
@@ -33,9 +38,9 @@ def test_value_command(tmp_path):
     assert code == 0
     rows = read_rows(f"{out}/surface.csv")
     assert rows[0] == SURFACE_HEADER
-    recs = read_surface_csv(f"{out}/surface.csv")
-    assert [r["tau"] for r in recs] == [0.0, 0.05, 0.1, 0.2]
-    assert all(r["seed"] == 7 for r in recs)
+    recs = read_records(f"{out}/surface.csv")
+    assert [float(r["tau"]) for r in recs] == [0.0, 0.05, 0.1, 0.2]
+    assert all(int(r["seed"]) == 7 for r in recs)
     summary = (tmp_path / "v" / "surface_summary.txt").read_text()
     assert "tau=0.2" in summary
 
@@ -185,14 +190,14 @@ def test_norms_makes_one_path_pass(tmp_path, generated):
     assert sum(generated) == 500
 
 
-def test_sens_makes_two_path_passes(tmp_path, generated):
-    # one pass for both closed-form sensitivities, one for the value curves
-    # both finite differences read
+def test_sens_makes_one_path_pass(tmp_path, generated):
+    # both closed-form sensitivities and the value curves that both finite
+    # differences read come from one pass
     code = main(["sens", "--config", "configs/deterministic2d.ini",
                  "--paths", "500", "--steps", "16",
                  "--out", str(tmp_path / "s")])
     assert code == 0
-    assert sum(generated) == 2 * 500
+    assert sum(generated) == 500
 
 
 def test_secondorder_makes_one_path_pass(tmp_path, generated):
@@ -227,12 +232,13 @@ def test_custom_value_standard_errors_match_sqrt(tmp_path):
         out = tmp_path / f"v{i}"
         assert main(["value", "--config", cfg, "--paths", "200",
                      "--out", str(out)]) == 0
-        surfaces.append(read_surface_csv(out / "surface.csv"))
+        surfaces.append(read_records(out / "surface.csv"))
     custom, exact = surfaces
-    assert [r["tau"] for r in custom] == [0.0, 0.1, 0.2]
+    assert [float(r["tau"]) for r in custom] == [0.0, 0.1, 0.2]
     for got, want in zip(custom, exact):
         for col in ("u_weak", "se_weak", "u_strong", "se_strong"):
-            assert got[col] == pytest.approx(want[col], rel=1.26e-5)
+            assert float(got[col]) == pytest.approx(float(want[col]),
+                                                    rel=1.26e-5)
 
 
 @pytest.mark.parametrize("utility", ["power", "custom"])

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portsens.danskin import (CloudError, CompactSet, directional_derivative,
-                              hadamard_probe, lipschitz_check, load_cloud,
-                              save_cloud, support_value)
+                              hadamard_probe, load_cloud, support_value)
 
 DIAMOND = CompactSet(np.array([[1.0, 0.0], [-1.0, 0.0],
                                [0.0, 1.0], [0.0, -1.0]]))
@@ -110,16 +109,6 @@ def test_hadamard_probe_validation():
         hadamard_probe([1.0, 0.0, 0.0], [0.0, 1.0], DIAMOND)
 
 
-def test_lipschitz_bound(rng):
-    for _ in range(50):
-        K = CompactSet(rng.normal(size=(8, 3)) * 2.0)
-        rep = lipschitz_check(rng.normal(size=3), rng.normal(size=3), K)
-        assert rep.passed
-    same = lipschitz_check([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], K)
-    assert same.difference == 0.0 and same.bound == 0.0
-    assert same.passed
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
        st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
@@ -146,9 +135,10 @@ def test_cloud_validation():
 
 
 def test_cloud_csv_round_trip(tmp_path):
-    path = str(tmp_path / "cloud.csv")
-    save_cloud(path, DIAMOND)
-    back = load_cloud(path)
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(",".join(repr(float(c)) for c in row) + "\n"
+                            for row in DIAMOND.points))
+    back = load_cloud(str(path))
     np.testing.assert_array_equal(back.points, DIAMOND.points)
 
     with_header = tmp_path / "header.csv"

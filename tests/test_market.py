@@ -1,18 +1,14 @@
 """Coefficient processes, market price of risk, and kernel stability."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from portsens.market import (CoefficientError, CoefficientProcess,
                              MarketModel, RegimeTable,
-                             SingularVolatilityError, check_h1,
-                             check_h1_direction, constant, dlambda_direction,
-                             format_coefficient, h1_from_values, indicator,
-                             kernel_preserving_perturbation,
-                             merge_deterministic, mpr_from_values,
+                             SingularVolatilityError, check_h1_direction,
+                             constant, dlambda_direction, format_coefficient,
+                             h1_from_values, indicator, mpr_from_values,
                              mpr_integrand, parse_coefficient, piecewise,
                              scalar_constant, zeros)
 from portsens.paths import TimeGrid, cumulative, simulate
@@ -51,14 +47,6 @@ def test_indicator_reads_left_nodes():
         ind.evaluate(grid, None)
     with pytest.raises(CoefficientError):
         indicator(3, 0.0, [0.0], [1.0]).evaluate(grid, W)
-
-
-def test_merge_deterministic_unions_breakpoints():
-    a = piecewise([0.5], [[1.0], [2.0]])
-    b = piecewise([0.25], [[10.0], [20.0]])
-    merged = merge_deterministic(a, b, lambda x, y: x + y)
-    vals = merged.evaluate(TimeGrid(1.0, 8))
-    assert list(vals[:, 0]) == [11.0, 11.0, 21.0, 21.0, 22.0, 22.0, 22.0, 22.0]
 
 
 def test_equals_distinguishes_fields():
@@ -237,9 +225,9 @@ def test_regime_table_counts_only_reachable_regimes():
 def test_h1_accepts_kernel_preserving_and_rejects_rotation():
     sigma = constant([[1.0, 0.0]])
     grid = TimeGrid(1.0, 4)
-    ok = check_h1(sigma, constant([[1.5, 0.0]]), grid)
+    _, (ok,) = check_h1_direction(sigma, constant([[0.5, 0.0]]), [1.0], grid)
     assert ok.full_rank and ok.kernel_equal and ok.ok
-    bad = check_h1(sigma, constant([[1.0, 0.5]]), grid)
+    _, (bad,) = check_h1_direction(sigma, constant([[0.0, 0.5]]), [1.0], grid)
     assert not bad.kernel_equal and not bad.ok
     # rank loss of the perturbed matrix is also flagged
     lost = h1_from_values(np.broadcast_to([[1.0, 0.0]], (4, 1, 2)),
@@ -250,7 +238,7 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
 def test_h1_adapted_is_exact_over_regimes():
     sig = indicator(0, 0.0, [[1.0, 0.0]], [[2.0, 0.0]])
     grid = TimeGrid(1.0, 8)
-    assert check_h1(sig, sig, grid).ok
+    assert check_h1_direction(sig, zeros((1, 2)), [1.0], grid)[1][0].ok
     # a rotation on {W < -3} is found although few paths ever get there
     base = constant([[1.0, 0.0]])
     rare = indicator(0, -3.0, [[0.5, 0.0]], [[0.0, 1.0]])
@@ -260,19 +248,6 @@ def test_h1_adapted_is_exact_over_regimes():
     assert check_h1_direction(base, indicator(0, -3.0, [[0.5, 0.0]],
                                               [[2.0, 0.0]]),
                               [0.25, 1.0], grid)[1][0].ok
-
-
-def test_kernel_preserving_construction():
-    sigma = constant([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    A = constant([[0.3, 0.1], [0.0, 0.2]])
-    pert, bound = kernel_preserving_perturbation(sigma, A, tau=0.5)
-    assert math.isfinite(bound) and bound > 0.5
-    grid = TimeGrid(1.0, 4)
-    rep = h1_from_values(sigma.evaluate(grid), pert.evaluate(grid), d=2)
-    assert rep.ok
-    # at the bound the construction may lose rank; it must warn
-    with pytest.warns(RuntimeWarning):
-        kernel_preserving_perturbation(sigma, A, tau=2.0 * bound)
 
 
 def test_zeros_and_bound():

@@ -1,6 +1,10 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,9 +16,9 @@ from portsens.market import (CoefficientError, constant, dlambda_direction,
 from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import (SecondOrderReport, _example1_model,
                                   example1_report, example2_reports,
-                                  fd_sensitivity, gap_report, residual_decay,
+                                  fd_sensitivity, residual_decay,
                                   second_order_check, sensitivity_pair,
-                                  sensitivity_reports, weak_sensitivity_at)
+                                  sensitivity_reports)
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -117,61 +121,21 @@ def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
 
 def test_fd_extras_record_steps(det2d_model, det_ens):
     pert = PerturbationSpec(dmu=DMU2)
-    _, fd = fd_sensitivity(det2d_model, log_utility(), pert, det_ens,
-                           eps=(0.2, 0.1))
+    rows = value_surface(det2d_model, log_utility(), pert,
+                         [-0.2, -0.1, 0.1, 0.2], det_ens)
+    _, fd = fd_sensitivity(rows, (0.2, 0.1), pert.label)
     assert fd.extras["side"] == "strong"
     assert set(fd.extras["by_eps"]) == {0.1, 0.2}
     # deterministic log curve is exactly quadratic in tau, so the central
     # differences already equal the slope and the correction is tiny
     assert abs(fd.extras["correction"]) < 1e-12
     with pytest.raises(ValueError):
-        fd_sensitivity(det2d_model, log_utility(), pert, det_ens, eps=(0.1,))
-
-
-def test_perturbed_point_derivative_reduces_to_base(switch_model, switch_ens):
-    for u in (log_utility(), power_utility(2.0)):
-        base, _ = sensitivity_pair(switch_model, u, UNIT_DRIFT, switch_ens)
-        at0 = weak_sensitivity_at(switch_model, u, UNIT_DRIFT, UNIT_DRIFT,
-                                  0.0, switch_ens)
-        gap = abs(base.mean - at0.mean)
-        assert gap < 3.0 * difference_se(base, at0) + 1e-12, u.label
-
-
-def test_perturbed_point_derivative_matches_occupation_slope(switch_model,
-                                                             switch_ens):
-    # d/dtau [ (tau + 1/2) int Phi(-tau sqrt(s)) ds + tau^2 / 2 ] at 0.3
-    est = weak_sensitivity_at(switch_model, log_utility(), UNIT_DRIFT,
-                              UNIT_DRIFT, 0.3, switch_ens)
-    assert abs(est.mean - 0.5138070661060832) < 3.0 * est.se + 0.01
-
-
-def test_perturbed_point_derivative_matches_curve_difference(switch_model,
-                                                             switch_ens):
-    from portsens.estimate import combine_linear
-    u = power_utility(2.0)
-    est = weak_sensitivity_at(switch_model, u, UNIT_DRIFT, UNIT_DRIFT, 0.25,
-                              switch_ens)
-    rows = value_surface(switch_model, u, UNIT_DRIFT, [0.2, 0.3], switch_ens)
-    fd = combine_linear([rows[1].weak, rows[0].weak], [10.0, -10.0],
-                        "central[0.05]")
-    assert abs(est.mean - fd.mean) < 3.0 * difference_se(est, fd) + 0.005
-
-
-def test_perturbed_point_refusals(switch_model, switch_ens):
-    with_rate = PerturbationSpec(dmu=constant([1.0]), drate=DRATE)
-    with pytest.raises(CoefficientError):
-        weak_sensitivity_at(switch_model, log_utility(), with_rate,
-                            UNIT_DRIFT, 0.1, switch_ens)
-    x = np.linspace(1e-6, 60.0, 500)
-    table = custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
-    with pytest.raises(CoefficientError):
-        weak_sensitivity_at(switch_model, table, UNIT_DRIFT, UNIT_DRIFT, 0.1,
-                            switch_ens)
+        fd_sensitivity(rows, (0.1,), pert.label)
 
 
 def test_custom_utility_rate_direction_refused(det2d_model, det_ens):
     x = np.linspace(1e-6, 60.0, 500)
-    table = custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
+    table = custom_utility(x, 2.0 * np.sqrt(x))
     pert = PerturbationSpec(dmu=DMU2, drate=DRATE)
     with pytest.raises(CoefficientError):
         sensitivity_pair(det2d_model, table, pert, det_ens)
@@ -259,12 +223,24 @@ def test_second_order_report_slope_threshold():
 
 
 def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
-    adapted = gap_report(switch_model, log_utility(), UNIT_DRIFT, switch_ens,
-                         expected_gap=-0.13298076013381088)
-    assert adapted.gap < 0.0
-    assert adapted.sigmas_from_zero > 5.0
-    assert abs(adapted.gap - adapted.expected_gap) < 3.0 * adapted.se + 0.01
-    flat = gap_report(det2d_model, log_utility(),
-                      PerturbationSpec(dmu=DMU2), det_ens)
-    assert abs(flat.gap) <= 3.0 * flat.se + 1e-12
-    assert flat.expected_gap is None
+    weak, strong = sensitivity_pair(switch_model, log_utility(), UNIT_DRIFT,
+                                    switch_ens)
+    gap, se = weak.mean - strong.mean, difference_se(weak, strong)
+    assert gap < 0.0
+    assert abs(gap) / se > 5.0
+    assert abs(gap - -0.13298076013381088) < 3.0 * se + 0.01
+    weak, strong = sensitivity_pair(det2d_model, log_utility(),
+                                    PerturbationSpec(dmu=DMU2), det_ens)
+    gap, se = weak.mean - strong.mean, difference_se(weak, strong)
+    assert abs(gap) <= 3.0 * se + 1e-12
+
+
+def test_sensitivity_demo_prints_the_gap():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_sensitivity_demo.py"),
+         "--paths", "2000", "--steps", "16"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "weak minus strong derivative: " in proc.stdout

@@ -1,4 +1,4 @@
-"""Static optimizer: closed-form values, budgets, multipliers, persistence.
+"""Static optimizer: closed-form values, budgets and multipliers.
 
 Frozen constants come from scripts/derive_oracles.py.
 """
@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from portsens.market import MarketModel, constant, indicator
+from portsens.modular import ModularFunctional, density_logs
 from portsens.paths import TimeGrid, simulate
 from portsens.solver import (SolverError, bisect_budget,
                              deterministic_mpr_integral_sq, integrate_product,
-                             load_xstar, log_density_terms,
-                             optimal_terminal_wealth, save_xstar,
-                             value_closed_form)
+                             optimal_terminal_wealth, value_closed_form)
 from portsens.utility import (custom_utility, evaluate, inverse_marginal,
                               log_utility, power_utility, sqrt_utility)
 from portsens.market import piecewise, scalar_constant
@@ -31,9 +30,10 @@ def unit_ens():
     return simulate(TimeGrid(1.0, 128), n=1, M=40000, seed=301)
 
 
-def solve(model, u, ens, xstar=None):
-    logz, R = log_density_terms(model, ens)
-    return optimal_terminal_wealth(model, u, logz - R, ens.seed, xstar=xstar)
+def solve(model, u, ens):
+    # the nu = 0 density row, as the norms command feeds the solver
+    logz = density_logs(ModularFunctional(model, u), ens)[0]
+    return optimal_terminal_wealth(model, u, logz, ens.seed)
 
 
 def test_power_p2_value_matches_oracle(unit_model, unit_ens):
@@ -82,7 +82,7 @@ def test_custom_utility_budget_bisection(unit_model):
     # the table's inverse marginal is a closed-form root per cubic piece
     ens = simulate(TimeGrid(1.0, 64), n=1, M=2000, seed=305)
     x = np.linspace(1e-6, 400.0, 6000)
-    table = custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
+    table = custom_utility(x, 2.0 * np.sqrt(x))
     opt = solve(unit_model, table, ens)
     exact = solve(unit_model, sqrt_utility(), ens)
     # same market, nearly the same optimizer: table accuracy, not MC noise
@@ -101,20 +101,6 @@ def test_bisect_budget_brackets_extreme_budgets(rng):
         assert float(np.mean(zhat * xs)) == pytest.approx(x0, rel=1e-9)
 
 
-def test_external_xstar_wrap_and_budget_guard(unit_model, unit_ens):
-    opt = solve(unit_model, sqrt_utility(), unit_ens)
-    wrapped = solve(unit_model, sqrt_utility(), unit_ens,
-                                      xstar=opt.xstar)
-    assert wrapped.value.mean == pytest.approx(opt.value.mean, rel=1e-12)
-    assert math.isnan(wrapped.y)
-    with pytest.raises(SolverError):
-        solve(unit_model, sqrt_utility(), unit_ens,
-                                xstar=3.0 * opt.xstar)
-    with pytest.raises(SolverError):
-        solve(unit_model, sqrt_utility(), unit_ens,
-                                xstar=opt.xstar[:10])
-
-
 def test_incomplete_stochastic_market_refused(ens2d):
     model = MarketModel(d=1, n=2, mu=indicator(0, 0.0, [0.0], [0.5]),
                         sigma=constant([[1.0, 0.0]]))
@@ -123,7 +109,8 @@ def test_incomplete_stochastic_market_refused(ens2d):
 
 
 def test_state_price_density_mean_one(unit_model, unit_ens):
-    z = np.exp(log_density_terms(unit_model, unit_ens)[0])
+    mf = ModularFunctional(unit_model, log_utility())
+    z = np.exp(density_logs(mf, unit_ens)[0])
     se = float(np.std(z)) / math.sqrt(unit_ens.count)
     assert abs(float(np.mean(z)) - 1.0) <= 3 * se
 
@@ -150,17 +137,3 @@ def test_deterministic_mpr_integral(det2d_model):
     expect = (0.1 / 0.5) ** 2 * 0.5 + (0.05 / 0.5) ** 2 * 0.5
     assert deterministic_mpr_integral_sq(model, 1.0) \
         == pytest.approx(expect, rel=1e-12)
-
-
-def test_xstar_round_trip(tmp_path, rng):
-    xs = np.exp(rng.normal(size=50))
-    file = tmp_path / "xstar.csv"
-    save_xstar(str(file), xs)
-    back = load_xstar(str(file))
-    assert np.array_equal(back, xs)
-    # shuffled indices are rejected
-    lines = file.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SolverError):
-        load_xstar(str(file))

@@ -1,4 +1,4 @@
-"""Utility specs: closed forms, inverses, hypothesis probes."""
+"""Utility specs: closed forms, inverses and custom tables."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsens.utility import (UtilitySpec, check_hypotheses, custom_utility,
+from portsens.utility import (UtilitySpec, custom_utility,
                               derivative, evaluate, inverse,
                               inverse_marginal, load_custom_utility,
                               log_utility, parse_utility, power_utility,
@@ -55,7 +55,7 @@ def test_log_inverse_round_trip(y):
 
 def _table_utility():
     x = np.linspace(1e-6, 60.0, 4000)
-    return custom_utility(x, 2.0 * np.sqrt(x), growth_c=2.0, growth_p=2.0)
+    return custom_utility(x, 2.0 * np.sqrt(x))
 
 
 def test_custom_table_tracks_reference():
@@ -171,25 +171,6 @@ def test_load_custom_utility(tmp_path):
     np.savetxt(table, np.column_stack([x, np.log1p(x)]), delimiter=",")
     u = load_custom_utility(str(table))
     assert evaluate(u, 1.0) == pytest.approx(math.log(2.0), rel=1e-4)
-
-
-def test_check_hypotheses_power_and_log():
-    rep = check_hypotheses(power_utility(3.0))
-    assert rep.assumptions_hold
-    assert rep.zero_at_zero and rep.strictly_concave
-    # log fails positivity at zero: U(0+) = -inf
-    rep_log = check_hypotheses(log_utility())
-    assert not rep_log.zero_at_zero
-    assert rep_log.marginal_blows_up_at_zero
-    assert not rep_log.assumptions_hold
-
-
-def test_check_hypotheses_flags_convex_table():
-    x = np.linspace(0.01, 5.0, 200)
-    convex = custom_utility(x, x ** 2)
-    rep = check_hypotheses(convex)
-    assert not rep.strictly_concave
-    assert not rep.assumptions_hold
 
 
 def test_parse_utility_round_trip():
