@@ -2,7 +2,9 @@
 
 Prints the weak/strong value surface, both derivative formulas checked
 against central differences, and the weak-minus-strong contrast, all on
-one path ensemble.  Runs in a few seconds; --paths / --steps rescale it.
+one path ensemble.  With deterministic coefficients the two derivatives
+are equal, so the script exits 3 when they differ by more than 3 standard
+errors.  Runs in a few seconds; --paths / --steps rescale it.
 """
 
 import argparse
@@ -14,6 +16,16 @@ from portsens.market import MarketModel, constant, scalar_constant
 from portsens.paths import TimeGrid, simulate
 from portsens.sensitivity import sensitivity_reports
 from portsens.valuation import PerturbationSpec, value_surface
+
+
+def agreement(gap: float, se: float) -> tuple[bool, str]:
+    """Whether the weak and strong derivatives agree within 3 standard
+    errors of their difference, and the verdict line that says so."""
+    if abs(gap) <= 3.0 * se:
+        return True, ("deterministic coefficients, so the two formulations "
+                      "agree within Monte Carlo error")
+    return False, ("FAIL: deterministic coefficients make the two "
+                   "formulations equal, but they differ by more than 3 se")
 
 
 def main() -> int:
@@ -51,9 +63,9 @@ def main() -> int:
     sigmas = abs(gap) / se if se > 0 else math.inf
     print(f"\nweak minus strong derivative: {gap:+.6f} "
           f"(se {se:.2g}, {sigmas:.2f} sigma from zero)")
-    print("deterministic coefficients, so the two formulations agree "
-          "within Monte Carlo error")
-    return 0
+    ok, verdict = agreement(gap, se)
+    print(verdict)
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm, norm_I, norm_J)
 from .paths import TimeGrid, check_block_paths, check_seed, simulate
-from .sensitivity import (example1_report, example2_reports,
+from .sensitivity import (check_steps, example1_report, example2_reports,
                           second_order_check, sensitivity_reports)
 from .solver import optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface, write_surface_csv
@@ -112,6 +112,16 @@ def _floats(text: str) -> tuple:
         return tuple(float(p) for p in parts if p)
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from None
+
+
+def _steps(text: str) -> tuple:
+    """The --eps step sizes, in the order given, once they are checked."""
+    eps = _floats(text)
+    try:
+        check_steps(eps)
+    except ValueError as exc:
+        raise ConfigError(f"--eps: {exc}") from None
+    return eps
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -338,9 +348,7 @@ def cmd_sens(args) -> int:
     cfg = _load(args)
     model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
         _need(cfg, "pert")
-    eps = _floats(args.eps)
-    if len(eps) < 2:
-        raise ConfigError("--eps needs at least two step sizes")
+    eps = _steps(args.eps)
     ens = _make_ensemble(cfg)
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
@@ -468,6 +476,10 @@ NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
 def cmd_norms(args) -> int:
     cfg = _load(args)
     model, u = _need(cfg, "model"), _need(cfg, "utility")
+    if ut.infimum(u) < 0:
+        # U^{-1}(|Z|) is the optimal wealth only where U(X*) >= 0
+        raise ConfigError(f"norms needs a utility with U >= 0; "
+                          f"{u.label} takes negative values")
     family = (zeros((model.n,)),) + cfg.nu_family
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = _make_ensemble(cfg)
@@ -563,9 +575,7 @@ def cmd_secondorder(args) -> int:
     cfg = _load(args)
     model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
         _need(cfg, "pert")
-    eps = _floats(args.eps)
-    if len(eps) < 2:
-        raise ConfigError("--eps needs at least two step sizes")
+    eps = _steps(args.eps)
     ens = _make_ensemble(cfg)
     rep = second_order_check(model, u, pert, ens, eps=eps)
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),

@@ -13,10 +13,13 @@ full M-vector in the caller.  Each worker of a pass allocates one scratch
 set, sized to the largest block, and every block writes its increments,
 cumulative paths, regime codes and node values into views of it, so a pass
 allocates nothing per block.  This keeps memory at O(block) while making
-every result independent of block size and worker count.  A block holds
-about ``_BLOCK_CELLS`` increments unless ``block_paths`` fixes its path
-count, so a block of long paths has fewer of them and every block array
-stays near the size of a core's L2 cache whatever the grid.
+every result independent of block size and worker count.  Unless
+``block_paths`` fixes its path count, a block holds as many paths as fit
+one worker's whole scratch set in ``_SCRATCH_BYTES``, and at least one: a
+pass that reads only increments gets blocks of 2**18 increment cells, and a
+pass that also builds paths, regime codes and adapted node values gets
+fewer paths, so each worker's scratch stays near the size of a core's L2
+cache whatever the grid and the requests.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -37,9 +40,9 @@ WORKERS_ENV = "PORTSENS_WORKERS"
 
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
-# default block size in float64 cells (B*N*n): one (B, N, n) block array is
-# 2 MB, about the L2 of one core
-_BLOCK_CELLS = 2**18
+# default scratch bytes of one worker's block buffers (increments, paths,
+# regime codes, node values): 2 MB, about the L2 of one core
+_SCRATCH_BYTES = 2**21
 
 # one Philox generator per thread: a generator is not thread-safe, and every
 # path overwrites its whole state, so nothing carries over between callers
@@ -117,9 +120,9 @@ class PathEnsemble:
     """M Brownian paths in R^n on a grid, defined by (seed, scheme).
 
     Increments are N(0, dt) i.i.d. per coordinate.  ``block_paths`` is a
-    memory knob only; it never affects values.  By default (None) a block
-    holds as many paths as fit in ``_BLOCK_CELLS`` increments, and at
-    least one.
+    memory knob only; it never affects values.  By default (None)
+    ``path_sums`` sizes blocks so that one worker's scratch set fits in
+    ``_SCRATCH_BYTES``, with at least one path per block.
     """
 
     grid: TimeGrid
@@ -139,9 +142,8 @@ class PathEnsemble:
                 f"ensemble of {self.count}x{self.grid.steps}x{self.n} cells "
                 "exceeds the resource cap")
 
-    def block_ranges(self):
-        step = self.block_paths or max(
-            1, _BLOCK_CELLS // (self.grid.steps * self.n))
+    def block_ranges(self, step: int):
+        """Consecutive path ranges of ``step`` paths, the last one shorter."""
         for start in range(0, self.count, step):
             yield start, min(start + step, self.count)
 
@@ -236,14 +238,15 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
     drivers), index buffers per such table and node-value slots.  An
     adapted integrand takes a slot on first use and frees it after the last
     request that names the same integrand object, so requests listed in
-    groups hold one group's node values at a time.  Blocks write into views
-    of the scratch and into their path range of the outputs; worker w of k
-    takes blocks w, w + k, ...  Returns an (M,) array per name.
+    groups hold one group's node values at a time.  Unless the ensemble's
+    ``block_paths`` fixes it, a block holds as many paths as keep that
+    scratch set within ``_SCRATCH_BYTES``, and at least one.  Blocks write
+    into views of the scratch and into their path range of the outputs;
+    worker w of k takes blocks w, w + k, ...  Returns an (M,) array per
+    name.
     """
     grid = ensemble.grid
     dt, N, n = grid.dt, grid.steps, ensemble.n
-    ranges = list(ensemble.block_ranges())
-    B = max(stop - start for start, stop in ranges)
     out = {name: np.empty(ensemble.count) for name in sums}
     uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
     tables, slot_of, free, slots, plan = {}, {}, defaultdict(list), [], []
@@ -279,6 +282,16 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
             out[name][:] = _reduce(kind, ops, None, dt)  # reads no paths
         else:
             plan.append((out[name], kind, ops))
+
+    # one path's share of the scratch set that ``run`` allocates
+    per_path = 8 * N * n + sum(np.empty((1, N) + shape, dtype).nbytes
+                               for shape, dtype in slots)
+    if tables:
+        per_path += 8 * (N + 1) * n + sum(
+            a.nbytes for t in tables.values() for a in t.scratch(1))
+    ranges = list(ensemble.block_ranges(
+        ensemble.block_paths or max(1, _SCRATCH_BYTES // per_path)))
+    B = max(stop - start for start, stop in ranges)
 
     def run(first_block: int) -> None:
         dW = np.empty((B, N, n))

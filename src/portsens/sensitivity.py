@@ -133,11 +133,18 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
 # ---------------------------------------------------------------------------
 # finite differences
 
-def _fd_steps(eps) -> tuple[tuple, list]:
-    """The sorted difference steps and the tau grid +-eps they read."""
+def check_steps(eps) -> tuple:
+    """The step sizes in increasing order, if there are at least two and
+    every one is positive."""
     eps = tuple(sorted(float(e) for e in eps))
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError("need at least two positive step sizes")
+    return eps
+
+
+def _fd_steps(eps) -> tuple[tuple, list]:
+    """The sorted difference steps and the tau grid +-eps they read."""
+    eps = check_steps(eps)
     return eps, sorted({s * e for e in eps for s in (1.0, -1.0)})
 
 
@@ -377,7 +384,7 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        workers=None) -> SecondOrderReport:
     """Residual decay of the weak value curve at [0] + eps against the
     closed-form weak sensitivity, both from one path pass."""
-    eps = tuple(sorted(float(e) for e in eps))
+    eps = check_steps(eps)
     taus = [0.0] + list(eps)
     s = _surface_and_sens_sums(model, pert, taus, ensemble, workers)
     rows = surface_rows(model, u, taus, s, ensemble.seed)

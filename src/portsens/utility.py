@@ -206,6 +206,16 @@ def derivative(u: UtilitySpec, x) -> np.ndarray | float:
     return fwd.derivative(x)
 
 
+def infimum(u: UtilitySpec) -> float:
+    """inf U over the domain: U(0) = 0 for power, -inf for log and the
+    first tabulated value for a custom table."""
+    if u.kind == "power":
+        return 0.0
+    if u.kind == "log":
+        return -np.inf
+    return float(u._table[1][0])
+
+
 def inverse(u: UtilitySpec, y) -> np.ndarray | float:
     """U^{-1}(y): for power, (y/p)^p; for log, exp(y)."""
     y = np.asarray(y, dtype=float)

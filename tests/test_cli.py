@@ -166,6 +166,34 @@ def test_norms_command(tmp_path):
     assert verdicts["holder_lhs"] == "true"
 
 
+@pytest.mark.parametrize("shift", [None, 1.0, 0.0],
+                         ids=["log", "custom-negative", "custom-positive"])
+def test_norms_refuses_utilities_with_negative_values(shift, tmp_path,
+                                                      capsys):
+    # the J functional prices U^{-1}(|Z|), the optimal wealth only where
+    # U(X*) >= 0: log utility and a table starting below zero are refused
+    # before any path is drawn; a table of positive values is not
+    if shift is None:
+        cfg = "configs/example1.ini"
+    else:
+        x = 10.0 ** (-4.0 + 8.0 * np.arange(801) / 800)
+        table = tmp_path / "table.txt"
+        np.savetxt(table, np.column_stack([x, 2.0 * np.sqrt(x) - shift]),
+                   fmt="%.17g")
+        cfg = tmp_path / "custom.ini"
+        cfg.write_text(load_text("configs/norms.ini").replace(
+            "spec = power:p=3", f"spec = custom:file={table}"))
+    out = tmp_path / "out"
+    code = main(["norms", "--config", str(cfg), "--paths", "200",
+                 "--steps", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    if shift != 0.0:
+        assert code == 2 and "takes negative values" in err
+        assert not out.exists()
+    else:
+        assert code != 2 and "negative values" not in err
+
+
 @pytest.fixture
 def generated(monkeypatch):
     """Path count of every increment block generated during the test."""
@@ -322,6 +350,19 @@ def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys):
         assert main(argv + ["--seed", seed, "--out", str(tmp_path)]) == 1
         assert "seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1"])
+@pytest.mark.parametrize("command", ["sens", "secondorder"])
+def test_bad_eps_flag_exits_two(command, eps, tmp_path, capsys):
+    # a non-positive step or a single one is a usage error of the flag,
+    # refused before the path pass, not a numerical failure or a row
+    out = tmp_path / "out"
+    assert main([command, "--config", "configs/deterministic2d.ini",
+                 "--paths", "500", "--steps", "16", f"--eps={eps}",
+                 "--out", str(out)]) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", ["0", "-3"])

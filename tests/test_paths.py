@@ -8,6 +8,7 @@ bits.
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_increments_independent_of_block_size():
     a = simulate(grid, n=2, M=100, seed=7, block_paths=100)
     b = simulate(grid, n=2, M=100, seed=7, block_paths=7)
     full = a.increments(0, 100)
-    parts = [b.increments(s, t) for s, t in b.block_ranges()]
+    parts = [b.increments(s, t) for s, t in b.block_ranges(7)]
     assert np.array_equal(full, np.concatenate(parts))
     # and any sub-range slices out of the same stream
     assert np.array_equal(full[13:20], a.increments(13, 20))
@@ -80,7 +81,7 @@ def test_interleaved_ensembles_on_two_threads():
     a = simulate(TimeGrid(1.0, 5), n=1, M=2000, seed=21, block_paths=50)
     b = simulate(TimeGrid(2.0, 16), n=3, M=2000, seed=22, block_paths=50)
     jobs = []
-    for ra, rb in zip(a.block_ranges(), b.block_ranges()):
+    for ra, rb in zip(a.block_ranges(50), b.block_ranges(50)):
         jobs += [(a, ra), (b, rb)]  # the two ensembles' blocks alternate
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads between paths, not blocks
@@ -104,15 +105,44 @@ def test_seed_range():
     assert simulate(grid, n=1, M=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
-def test_default_blocks_fill_the_cell_budget():
-    cells = paths_mod._BLOCK_CELLS
-    for steps, n in ((64, 2), (2000, 1), (cells // 2 + 1, 3), (cells + 1, 1)):
-        ens = simulate(TimeGrid(1.0, steps), n=n, M=300, seed=1)
-        sizes = [stop - start for start, stop in ens.block_ranges()]
-        assert sum(sizes) == 300
-        # as many paths as the budget holds, and one when a path exceeds it
-        assert sizes[0] == min(300, max(1, cells // (steps * n)))
-        assert all(b * steps * n <= cells for b in sizes) or sizes[0] == 1
+def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
+                                                switch_model):
+    # a block holds as many paths as fit one worker's whole scratch set in
+    # 2 MiB: 2048 when the pass reads only increments (64 steps, n = 2);
+    # 40 when it also builds paths, regime codes and flags and a node-value
+    # slot (52 kB for a path of 2000 steps); 1 when one path's increments
+    # alone exceed the budget
+    budget = paths_mod._SCRATCH_BYTES
+    sizes, held = [], []
+    increments = PathEnsemble.increments
+
+    def recorded(self, start=0, stop=None, out=None):
+        if not sizes:
+            held.append(tracemalloc.get_traced_memory()[0])
+        sizes.append(stop - start)
+        return increments(self, start, stop, out)
+
+    monkeypatch.setattr(PathEnsemble, "increments", recorded)
+    cases = [(det2d_model, 64, 2, 3000, [2048, 952]),
+             (switch_model, 2000, 1, 100, [40, 40, 20]),
+             (det2d_model, 2**17 + 1, 2, 3, [1, 1, 1])]
+    for model, steps, n, M, blocks in cases:
+        grid = TimeGrid(1.0, steps)
+        ens = simulate(grid, n=n, M=M, seed=1)
+        lam = mpr_integrand(model, grid)
+        sizes.clear()
+        held.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)},
+                      workers=1)
+        finally:
+            tracemalloc.stop()
+        assert sizes == blocks
+        # where a path fits, the pass holds at its first draw the scratch
+        # set within the budget plus under 64 kB of outputs and node tables
+        assert blocks[0] == 1 or held[0] - before <= budget + 2**16
 
 
 def test_block_paths_range():
@@ -121,7 +151,7 @@ def test_block_paths_range():
         with pytest.raises(ValueError, match="block_paths"):
             simulate(grid, n=1, M=2, seed=1, block_paths=bad)
     ens = simulate(grid, n=1, M=5, seed=1, block_paths=2)
-    assert list(ens.block_ranges()) == [(0, 2), (2, 4), (4, 5)]
+    assert list(ens.block_ranges(ens.block_paths)) == [(0, 2), (2, 4), (4, 5)]
 
 
 def kernel_requests(grid, model):
@@ -260,7 +290,7 @@ def test_regime_index_matches_the_row_lookup(breaks):
     got = regimes.index(W)
     assert np.array_equal(got, want) and got.max() < len(regimes)
     scratch = regimes.scratch(16)
-    for start, stop in ens.block_ranges():
+    for start, stop in ens.block_ranges(16):
         got = regimes.index(W[start:stop], out=scratch)
         assert np.array_equal(got, want[start:stop])
         assert any(np.shares_memory(got, buf) for buf in scratch)

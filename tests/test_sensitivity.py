@@ -1,8 +1,10 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
+import importlib.util
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -153,8 +155,10 @@ def test_example1_sign_switching_gap():
 
 
 def test_long_path_pass_holds_only_small_blocks():
-    # a path of 2000 steps is 16 kB, so a default block holds 131 of them:
-    # the pass keeps a few 2 MB block arrays, not 64 MB arrays of all paths
+    # increments, paths, regime codes and flags and the price-of-risk slot
+    # of a path of 2000 steps take 52 kB, so a default block holds 40 of
+    # them: the pass keeps one 2 MB scratch set, not 64 MB arrays of all
+    # paths
     model, pert = _example1_model()
     ens = simulate(TimeGrid(1.0, 2000), n=1, M=4000, seed=505)
     tracemalloc.start()
@@ -163,7 +167,7 @@ def test_long_path_pass_holds_only_small_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
     assert weak.mean < strong.mean
 
 
@@ -194,6 +198,15 @@ def test_second_order_vacuous_on_convex_curves(det2d_model, det_ens,
         assert rep.passed
         assert all(v == 0.0 for v in rep.negative_parts)
         assert all(r > -rep.floor for r in rep.residuals)
+
+
+def test_second_order_check_refuses_bad_steps(switch_model):
+    # the expansion steps are checked as the difference steps are
+    ens = simulate(TimeGrid(1.0, 8), n=1, M=10, seed=1)
+    for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,)):
+        with pytest.raises(ValueError, match="positive step"):
+            second_order_check(switch_model, log_utility(), UNIT_DRIFT, ens,
+                               eps=eps)
 
 
 def test_second_order_check_fails_with_an_off_derivative(switch_model):
@@ -235,12 +248,32 @@ def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
     assert abs(gap) <= 3.0 * se + 1e-12
 
 
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+    / "run_sensitivity_demo.py"
+
+
 def test_sensitivity_demo_prints_the_gap():
-    root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_sensitivity_demo.py"),
-         "--paths", "2000", "--steps", "16"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        [sys.executable, str(DEMO), "--paths", "2000", "--steps", "16"],
+        env=dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src")),
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     assert "weak minus strong derivative: " in proc.stdout
+    # the verdict line and the exit code follow the sigma printed above
+    sigmas = float(re.search(r"([0-9.]+|inf) sigma from zero",
+                             proc.stdout).group(1))
+    agree = sigmas <= 3.0
+    assert proc.returncode == (0 if agree else 3), proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("FAIL") != agree
+    assert ("agree within Monte Carlo error" in last) == agree
+
+
+def test_sensitivity_demo_fails_a_gap_beyond_three_se():
+    spec = importlib.util.spec_from_file_location("sensitivity_demo", DEMO)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    for gap, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
+                        (0.31, 0.1, False), (-0.31, 0.1, False),
+                        (1e-3, 0.0, False), (0.0, 0.0, True)):
+        got, line = demo.agreement(gap, se)
+        assert got == ok and line.startswith("FAIL") != ok
