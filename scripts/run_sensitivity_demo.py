@@ -13,7 +13,7 @@ import math
 from portsens import utility as ut
 from portsens.estimate import difference_se
 from portsens.market import MarketModel, constant, scalar_constant
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_reports
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -42,8 +42,8 @@ def main() -> int:
     u = ut.power_utility(3.0)
     pert = PerturbationSpec(dmu=constant([0.04, 0.02]),
                             drate=scalar_constant(0.01))
-    ens = simulate(TimeGrid(1.0, args.steps), n=2, M=args.paths,
-                   seed=args.seed)
+    ens = PathEnsemble(TimeGrid(1.0, args.steps), n=2, count=args.paths,
+                       seed=args.seed)
 
     print(f"two-asset market, power p=3, direction {pert.label}, "
           f"{ens.count} paths, seed {ens.seed}")

@@ -11,7 +11,7 @@ from portsens.danskin import CompactSet, support_value
 from portsens.estimate import ValueEstimate
 from portsens.market import CoefficientProcess, MarketModel
 from portsens.modular import ModularFunctional
-from portsens.paths import PathEnsemble, TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_pair
 from portsens.solver import optimal_terminal_wealth
 from portsens.utility import UtilitySpec, log_utility, power_utility
@@ -31,7 +31,6 @@ __all__ = [
     "optimal_terminal_wealth",
     "power_utility",
     "sensitivity_pair",
-    "simulate",
     "support_value",
     "value_surface",
 ]

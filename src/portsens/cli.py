@@ -32,7 +32,6 @@ import argparse
 import configparser
 import csv
 import dataclasses
-import math
 import os
 import sys
 
@@ -41,13 +40,12 @@ import numpy as np
 from . import utility as ut
 from .danskin import (CloudError, directional_derivative, hadamard_probe,
                       load_cloud, support_value)
-from .market import (CoefficientProcess, MarketModel, check_h1_direction,
-                     format_coefficient, parse_coefficient, scalar_constant,
-                     zeros)
+from .market import (MarketModel, check_h1_direction, format_coefficient,
+                     parse_coefficient, scalar_constant, zeros)
 from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm, norm_I, norm_J)
-from .paths import TimeGrid, check_block_paths, check_seed, simulate
+from .paths import PathEnsemble, TimeGrid, check_seed
 from .sensitivity import (check_steps, example1_report, example2_reports,
                           second_order_check, sensitivity_reports)
 from .solver import optimal_terminal_wealth
@@ -91,7 +89,6 @@ class ExperimentConfig:
     steps: int | None = None
     horizon: float | None = None
     seed: int | None = None
-    block_paths: int | None = None
     nu_family: tuple = ()
     outdir: str = "."
 
@@ -100,7 +97,7 @@ _KEYS = {
     "market": {"d", "n", "mu", "sigma", "r", "x0"},
     "utility": {"spec"},
     "perturbation": {"dmu", "dsigma", "dr", "dlambda", "taus", "label"},
-    "mc": {"paths", "steps", "horizon", "seed", "block_paths"},
+    "mc": {"paths", "steps", "horizon", "seed"},
     "norms": None,  # any nu* keys
     "output": {"directory"},
 }
@@ -187,7 +184,7 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             if not taus:
                 raise ConfigError("taus must list at least one value")
 
-    paths = steps = horizon = seed = block_paths = None
+    paths = steps = horizon = seed = None
     if cp.has_section("mc"):
         mc = cp["mc"]
         if "seed" not in mc:
@@ -196,8 +193,6 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
         if paths <= 0 or steps <= 0 or horizon <= 0:
             raise ConfigError("paths, steps and horizon must be positive")
-        if "block_paths" in mc:
-            block_paths = check_block_paths(int(mc["block_paths"]))
 
     nu_family = ()
     if cp.has_section("norms"):
@@ -213,8 +208,7 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     return ExperimentConfig(model=model, utility=utility,
                             utility_text=utility_text, pert=pert, taus=taus,
                             paths=paths, steps=steps, horizon=horizon,
-                            seed=seed, block_paths=block_paths,
-                            nu_family=nu_family, outdir=outdir)
+                            seed=seed, nu_family=nu_family, outdir=outdir)
 
 
 def _format_utility(cfg: ExperimentConfig) -> str:
@@ -251,10 +245,7 @@ def format_config(cfg: ExperimentConfig) -> str:
         lines.append("")
     if cfg.seed is not None:
         lines += ["[mc]", f"paths = {cfg.paths}", f"steps = {cfg.steps}",
-                  f"horizon = {cfg.horizon!r}", f"seed = {cfg.seed}"]
-        if cfg.block_paths is not None:
-            lines.append(f"block_paths = {cfg.block_paths}")
-        lines.append("")
+                  f"horizon = {cfg.horizon!r}", f"seed = {cfg.seed}", ""]
     if cfg.nu_family:
         lines.append("[norms]")
         lines += [f"nu{i} = {format_coefficient(nu)}"
@@ -287,9 +278,8 @@ def _need(cfg: ExperimentConfig, what: str):
 
 def _make_ensemble(cfg: ExperimentConfig):
     _need(cfg, "seed")
-    grid = TimeGrid(cfg.horizon, cfg.steps)
-    return simulate(grid, n=cfg.model.n, M=cfg.paths, seed=cfg.seed,
-                    block_paths=cfg.block_paths)
+    return PathEnsemble(TimeGrid(cfg.horizon, cfg.steps), n=cfg.model.n,
+                        count=cfg.paths, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +364,7 @@ EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
 
 def cmd_example1(args) -> int:
     rep = example1_report(T=args.T, M=args.paths, N=args.steps,
-                          seed=args.seed, block_paths=args.block_paths)
+                          seed=args.seed)
     checks = [
         ("strong", rep.strong, rep.expected_strong, args.tol_strong,
          abs(rep.strong.mean - rep.expected_strong) <= args.tol_strong),
@@ -410,8 +400,7 @@ EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 
 def cmd_example2(args) -> int:
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
-                                    seed=args.seed,
-                                    block_paths=args.block_paths)
+                                    seed=args.seed)
     det_ok = det.sigmas_from_zero <= 3.0
     ad_ok = adapted.value.mean > 0 and adapted.sigmas_from_zero > 3.0
     rows = [
@@ -480,6 +469,9 @@ def cmd_norms(args) -> int:
         # U^{-1}(|Z|) is the optimal wealth only where U(X*) >= 0
         raise ConfigError(f"norms needs a utility with U >= 0; "
                           f"{u.label} takes negative values")
+    if u.kind == "custom":
+        raise ConfigError("norms needs a power utility; a custom utility "
+                          "table cannot be inverted over the Amemiya scan")
     family = (zeros((model.n,)),) + cfg.nu_family
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = _make_ensemble(cfg)
@@ -611,14 +603,6 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _block_paths(text: str) -> int:
-    """argparse type: a path count of at least 1."""
-    try:
-        return check_block_paths(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _add_config_flags(sp) -> None:
     sp.add_argument("--config", required=True, help="experiment file")
     sp.add_argument("--seed", type=_seed, help="override [mc] seed")
@@ -633,9 +617,6 @@ def _add_scale_flags(sp, paths: int, steps: int, seed: int) -> None:
     sp.add_argument("--paths", type=int, default=paths)
     sp.add_argument("--steps", type=int, default=steps)
     sp.add_argument("--seed", type=_seed, default=seed)
-    sp.add_argument("--block-paths", type=_block_paths, dest="block_paths",
-                    help="paths per block (default: about 2**18 increments "
-                         "per block); no effect on results")
     sp.add_argument("--out", default=".", help="output directory")
 
 

@@ -30,6 +30,9 @@ import numpy as np
 
 from portsens.paths import TimeGrid
 
+_COND_CAP = 1e8  # largest condition number of sigma sigma^T accepted
+_RANK_TOL = 1e-10  # singular values below this share of the largest are 0
+
 
 class CoefficientError(ValueError):
     pass
@@ -387,7 +390,6 @@ class MarketModel:
     sigma: CoefficientProcess
     rate: CoefficientProcess = field(default_factory=lambda: scalar_constant(0.0))
     x0: float = 1.0
-    cond_cap: float = 1e8
 
     def __post_init__(self):
         if self.n < self.d:
@@ -424,8 +426,8 @@ def _gram_cond(S: np.ndarray) -> np.ndarray:
         return np.where(ev[..., 0] > 0, ev[..., -1] / ev[..., 0], np.inf)
 
 
-def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray, rate_v: np.ndarray,
-                    cond_cap: float = 1e8) -> np.ndarray:
+def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray,
+                    rate_v: np.ndarray) -> np.ndarray:
     """lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1) from coefficients.
 
     mu_v is (..., d), sigma_v (..., d, n), rate_v (..., 1); leading axes
@@ -443,9 +445,9 @@ def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray, rate_v: np.ndarray,
     S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
     cond = _gram_cond(S)
     worst = float(np.max(cond))
-    if not worst < cond_cap:
+    if not worst < _COND_CAP:
         raise SingularVolatilityError(
-            f"sigma sigma^T condition {worst:g} exceeds cap {cond_cap:g}")
+            f"sigma sigma^T condition {worst:g} exceeds cap {_COND_CAP:g}")
     excess_b = np.broadcast_arrays(excess, S[..., 0])[0]
     x = np.linalg.solve(np.broadcast_to(S, excess_b.shape + (S.shape[-1],)),
                         excess_b[..., None])[..., 0]
@@ -457,7 +459,7 @@ def mpr_table(model: MarketModel, regimes: RegimeTable) -> np.ndarray:
     sigma and the rate."""
     return mpr_from_values(regimes.values(model.mu),
                            regimes.values(model.sigma),
-                           regimes.values(model.rate), model.cond_cap)
+                           regimes.values(model.rate))
 
 
 def integrand(grid: TimeGrid, proc: CoefficientProcess) \
@@ -530,23 +532,22 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
 @dataclass(frozen=True)
 class H1Report:
     full_rank: bool
-    inv_bound: float
     kernel_equal: bool
-    worst_regime: int  # first failing row, else the worst-conditioned one
+    worst_regime: int  # first failing row; read only when not ok
 
     @property
     def ok(self) -> bool:
         return self.full_rank and self.kernel_equal
 
 
-def _numerical_rank(s: np.ndarray, tol: float) -> np.ndarray:
+def _numerical_rank(s: np.ndarray) -> np.ndarray:
     """Ranks from singular-value stacks (..., k) at a relative threshold."""
-    cut = tol * s[..., :1]
+    cut = _RANK_TOL * s[..., :1]
     return np.sum(s > cut, axis=-1)
 
 
 def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
-                       taus, grid: TimeGrid, tol: float = 1e-10) \
+                       taus, grid: TimeGrid) \
         -> tuple[RegimeTable, list[H1Report]]:
     """Full rank of sigma plus null-space equality of sigma and
     sigma + tau dsigma, for each tau.
@@ -559,12 +560,12 @@ def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
         raise CoefficientError("volatility shapes differ")
     regimes = RegimeTable(grid, sigma, dsigma)
     base, step = regimes.values(sigma), regimes.values(dsigma)
-    return regimes, [h1_from_values(base, base + tau * step, sigma.shape[0],
-                                    tol) for tau in taus]
+    return regimes, [h1_from_values(base, base + tau * step, sigma.shape[0])
+                     for tau in taus]
 
 
-def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray, d: int,
-                   tol: float = 1e-10) -> H1Report:
+def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray,
+                   d: int) -> H1Report:
     """Same check on volatility values, one (d, n) matrix per row."""
     base_v, pert_v = np.broadcast_arrays(base_v, pert_v)
 
@@ -573,20 +574,15 @@ def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray, d: int,
     stacked = np.concatenate((base_v, pert_v), axis=-2)
     s_stack = np.linalg.svd(stacked, compute_uv=False)
 
-    rank_base = _numerical_rank(s_base, tol)
-    rank_pert = _numerical_rank(s_pert, tol)
+    rank_base = _numerical_rank(s_base)
+    rank_pert = _numerical_rank(s_pert)
     # stacked spectrum is compared against the base scale so that a rank-
     # deficient pair cannot hide behind its own tiny leading singular value
-    cut = tol * s_base[..., :1]
+    cut = _RANK_TOL * s_base[..., :1]
     rank_stack = np.sum(s_stack > cut, axis=-1)
 
     full = rank_base == d
     equal = (rank_stack == rank_base) & (rank_pert == rank_base)
-    smin = s_base[..., -1]
-    with np.errstate(divide="ignore"):
-        inv_norm = np.where(smin > 0, 1.0 / smin**2, np.inf)
-    bad = np.ravel(~(full & equal))
-    worst = np.argmax(bad) if bad.any() else np.argmax(inv_norm)
     return H1Report(full_rank=bool(np.all(full)),
-                    inv_bound=float(np.max(inv_norm)),
-                    kernel_equal=bool(np.all(equal)), worst_regime=int(worst))
+                    kernel_equal=bool(np.all(equal)),
+                    worst_regime=int(np.argmax(np.ravel(~(full & equal)))))

@@ -49,6 +49,11 @@ from portsens.market import (CoefficientProcess, MarketModel, RegimeTable,
                              integrand, mpr_table, zeros)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 
+_KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
+_REL_TOL = 1e-12  # relative width at which the norm searches stop
+_MAX_ITER = 200  # steps of each doubling, halving or section loop
+_HOLDER_SLACK = 1e-9  # relative rounding allowance of the Hölder pairing
+
 
 class ModularError(RuntimeError):
     pass
@@ -61,7 +66,6 @@ class ModularFunctional:
     model: MarketModel
     utility: ut.UtilitySpec
     nu_family: tuple = ()
-    kernel_tol: float = 1e-10
 
     def __post_init__(self):
         fam = tuple(self.nu_family) or (zeros((self.model.n,)),)
@@ -85,15 +89,14 @@ def _validate_kernel(mf: ModularFunctional, grid: TimeGrid) -> None:
         prod = np.einsum("...dn,...n->...d", sg_v, nu_v)
         worst = float(np.max(np.abs(prod))) if prod.size else 0.0
         nu_scale = float(np.max(np.abs(nu_v))) if nu_v.size else 0.0
-        if worst > mf.kernel_tol * max(1.0, scale * nu_scale):
+        if worst > _KERNEL_TOL * max(1.0, scale * nu_scale):
             r = int(np.argmax(np.max(np.abs(prod), axis=-1)))
             raise ModularError(
                 f"family member {i} leaves the volatility null space "
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
 
 
-def density_logs(mf: ModularFunctional, ensemble: PathEnsemble,
-                 workers=None) -> np.ndarray:
+def density_logs(mf: ModularFunctional, ensemble: PathEnsemble) -> np.ndarray:
     """log Y^nu per (family member, path), discount included; one pass."""
     grid = ensemble.grid
     model = mf.model
@@ -103,7 +106,7 @@ def density_logs(mf: ModularFunctional, ensemble: PathEnsemble,
         regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
         gamma = (regimes, mpr_table(model, regimes) + regimes.values(nu))
         sums.update({f"S{i}": ("ito", gamma), f"Q{i}": ("quad", gamma, gamma)})
-    s = path_sums(ensemble, sums, workers)
+    s = path_sums(ensemble, sums)
     return np.stack([-s["R"] - s[f"S{i}"] - 0.5 * s[f"Q{i}"]
                      for i in range(len(mf.nu_family))])
 
@@ -188,7 +191,7 @@ def j_evaluator(mf: ModularFunctional, logs: np.ndarray):
     return F
 
 
-def luxemburg_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+def luxemburg_norm(F, Z) -> float:
     """inf over beta > 0 with F(Z / beta) <= 1, by bisection.
 
     F must be convex with F(0) = 0, so F(Z / beta) is nonincreasing in
@@ -205,32 +208,32 @@ def luxemburg_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
         return v <= 1.0
 
     good = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if ok(good):
             break
         good *= 2.0
     else:
         raise ModularError("no finite scale brings the modular below 1")
     bad = good / 2.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not ok(bad):
             break
         good = bad
         bad /= 2.0
         if bad < 1e-300:
             return 0.0  # below 1 at every scale
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = math.sqrt(bad * good)
         if ok(mid):
             good = mid
         else:
             bad = mid
-        if good - bad <= rel_tol * good:
+        if good - bad <= _REL_TOL * good:
             break
     return good
 
 
-def amemiya_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+def amemiya_norm(F, Z) -> float:
     """min over k > 0 of (1 + F(k Z)) / k, golden-section on log k.
 
     The objective is unimodal in log k for convex F, so a coarse scan
@@ -256,7 +259,7 @@ def amemiya_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     g_c, g_d = g(c), g(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if g_c < g_d:
             b, d, g_d = d, c, g_c
             c = b - invphi * (b - a)
@@ -265,7 +268,7 @@ def amemiya_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
             a, c, g_c = c, d, g_d
             d = a + invphi * (b - a)
             g_d = g(d)
-        if b - a <= rel_tol:
+        if b - a <= _REL_TOL:
             break
     return g(0.5 * (a + b))
 
@@ -274,22 +277,17 @@ def amemiya_norm(F, Z, rel_tol: float = 1e-12, max_iter: int = 200) -> float:
 class HolderReport:
     lhs: float
     rhs: float
-    slack: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else math.inf
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + self.slack)
+        return self.lhs <= self.rhs * (1.0 + _HOLDER_SLACK)
 
 
-def holder_check(Y, Z, mf: ModularFunctional, logs: np.ndarray,
-                 slack: float = 1e-9) -> HolderReport:
+def holder_check(Y, Z, mf: ModularFunctional,
+                 logs: np.ndarray) -> HolderReport:
     """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
     yv = _payoff_values(Y, mf, logs)
     zv = _payoff_values(Z, mf, logs)
     lhs = abs(float(np.mean(yv * zv)))
     rhs = norm_I(yv, mf, logs) * norm_J(zv, mf, logs)
-    return HolderReport(lhs=lhs, rhs=rhs, slack=slack)
+    return HolderReport(lhs=lhs, rhs=rhs)

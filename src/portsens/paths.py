@@ -13,13 +13,13 @@ full M-vector in the caller.  Each worker of a pass allocates one scratch
 set, sized to the largest block, and every block writes its increments,
 cumulative paths, regime codes and node values into views of it, so a pass
 allocates nothing per block.  This keeps memory at O(block) while making
-every result independent of block size and worker count.  Unless
-``block_paths`` fixes its path count, a block holds as many paths as fit
-one worker's whole scratch set in ``_SCRATCH_BYTES``, and at least one: a
-pass that reads only increments gets blocks of 2**18 increment cells, and a
-pass that also builds paths, regime codes and adapted node values gets
-fewer paths, so each worker's scratch stays near the size of a core's L2
-cache whatever the grid and the requests.
+every result independent of block size and worker count.  A block holds
+as many paths as fit one worker's whole scratch set in ``_SCRATCH_BYTES``,
+and at least one: a pass that reads only increments gets blocks of 2**18
+increment cells, and a pass that also builds paths, regime codes and
+adapted node values gets fewer paths, so each worker's scratch stays near
+the size of a core's L2 cache whatever the grid and the requests.  Tests
+fix the path count instead through an ensemble's ``block_paths``.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -54,13 +54,6 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return seed
-
-
-def check_block_paths(block_paths: int | None) -> int | None:
-    """The block size unchanged if it is None (the default) or positive."""
-    if block_paths is not None and block_paths < 1:
-        raise ValueError(f"block_paths must be at least 1, got {block_paths}")
-    return block_paths
 
 
 def _thread_generator() -> tuple[np.random.Generator, dict]:
@@ -119,10 +112,10 @@ class TimeGrid:
 class PathEnsemble:
     """M Brownian paths in R^n on a grid, defined by (seed, scheme).
 
-    Increments are N(0, dt) i.i.d. per coordinate.  ``block_paths`` is a
-    memory knob only; it never affects values.  By default (None)
+    Increments are N(0, dt) i.i.d. per coordinate.  By default (None)
     ``path_sums`` sizes blocks so that one worker's scratch set fits in
-    ``_SCRATCH_BYTES``, with at least one path per block.
+    ``_SCRATCH_BYTES``, with at least one path per block; a positive
+    ``block_paths`` fixes the block size for tests and never affects values.
     """
 
     grid: TimeGrid
@@ -136,7 +129,9 @@ class PathEnsemble:
         if self.n < 1 or self.count < 1:
             raise ValueError("need n >= 1 and count >= 1")
         check_seed(self.seed)
-        check_block_paths(self.block_paths)
+        if self.block_paths is not None and self.block_paths < 1:
+            raise ValueError(
+                f"block_paths must be at least 1, got {self.block_paths}")
         if self.count * self.grid.steps * self.n > _MAX_CELLS:
             raise ResourceLimitError(
                 f"ensemble of {self.count}x{self.grid.steps}x{self.n} cells "
@@ -165,13 +160,6 @@ class PathEnsemble:
             gen.standard_normal(out=out[i - start])
         out *= np.sqrt(self.grid.dt)
         return out
-
-
-def simulate(grid: TimeGrid, n: int, M: int, seed: int,
-             block_paths: int | None = None) -> PathEnsemble:
-    """Seeded ensemble of M Brownian paths in R^n on the grid."""
-    return PathEnsemble(grid=grid, n=n, count=M, seed=seed,
-                        block_paths=block_paths)
 
 
 def cumulative(dW: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -217,8 +205,7 @@ def _spread(table: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the path-sum kernel
 
-def path_sums(ensemble: PathEnsemble, sums: dict,
-              workers: int | None = None) -> dict:
+def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
     """Named per-path sums, all from one pass over the ensemble.
 
     Each request is ``("ito", a)`` for sum_k <a_k, dW_k>, ``("quad", a, b)``
@@ -227,10 +214,11 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
     the regime of every left node, (N,) when it depends on time only and
     (B, N) when it reads the paths, and ``table[index]`` the node values
     (see ``market.RegimeTable``).  A deterministic integrand thus reduces
-    as an (N, k) array, gathered once per pass, and an adapted one as
-    (B, N, k).  A broadcast table (one value in every regime, as from a
-    constant) spreads as a broadcast view, which einsum sums in another
-    order than a dense array: a constant keeps the order it has as
+    as an (N, k) array, gathered once per pass however many requests name
+    the same integrand object, and an adapted one as (B, N, k).  A
+    broadcast table (one value in every regime, as from a constant)
+    spreads as a broadcast view, which einsum sums in another order than a
+    dense array: a constant keeps the order it has as
     ``CoefficientProcess.evaluate`` output, a dense table the dense order.
 
     Each worker allocates one scratch set per pass, sized to the largest
@@ -242,14 +230,15 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
     ``block_paths`` fixes it, a block holds as many paths as keep that
     scratch set within ``_SCRATCH_BYTES``, and at least one.  Blocks write
     into views of the scratch and into their path range of the outputs;
-    worker w of k takes blocks w, w + k, ...  Returns an (M,) array per
-    name.
+    with k workers (``PORTSENS_WORKERS``, default 1) worker w takes blocks
+    w, w + k, ...  Returns an (M,) array per name.
     """
     grid = ensemble.grid
     dt, N, n = grid.dt, grid.steps, ensemble.n
     out = {name: np.empty(ensemble.count) for name in sums}
     uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
     tables, slot_of, free, slots, plan = {}, {}, defaultdict(list), [], []
+    fixed = {}  # node array of each deterministic integrand, by id
     # an operand is a fixed node array or (table, regimes, slot, first): a
     # spread view if slot is None, else gathered into the slot on first use
     for name, (kind, *fs) in sums.items():
@@ -257,9 +246,11 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
         for f in fs:
             regimes, table = f
             if not regimes.drivers:
-                idx = regimes.index(None)
-                ops.append(_spread(table, idx.shape)
-                           if table.strides[0] == 0 else table[idx])
+                if id(f) not in fixed:
+                    idx = regimes.index(None)
+                    fixed[id(f)] = _spread(table, idx.shape) \
+                        if table.strides[0] == 0 else table[idx]
+                ops.append(fixed[id(f)])
             elif table.strides[0] == 0:
                 ops.append((table, None, None, False))
             else:
@@ -322,9 +313,8 @@ def path_sums(ensemble: PathEnsemble, sums: dict,
                                     out=args[-1], mode="clip")
                 _reduce(kind, args, dw, dt, res[start:stop])
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    nworkers = min(max(1, workers), len(ranges))
+    nworkers = min(max(1, int(os.environ.get(WORKERS_ENV, "1"))),
+                   len(ranges))
     if nworkers == 1:
         run(0)
     else:

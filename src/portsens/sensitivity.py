@@ -39,7 +39,7 @@ from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
 from portsens.market import (CoefficientError, MarketModel, constant,
                              dlambda_direction, indicator, integrand,
                              mpr_integrand)
-from portsens.paths import PathEnsemble, TimeGrid, path_sums, simulate
+from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
                                  surface_rows, surface_sums)
@@ -87,10 +87,11 @@ def _power_sens(u, x0, v, fac, seed, name, extras) -> ValueEstimate:
 
 
 def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
-                     pert: PerturbationSpec, ensemble: PathEnsemble,
-                     workers=None) -> tuple[ValueEstimate, ValueEstimate]:
+                     pert: PerturbationSpec,
+                     ensemble: PathEnsemble) -> tuple[ValueEstimate,
+                                                      ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
-    s = path_sums(ensemble, _sens_sums(model, pert, ensemble.grid), workers)
+    s = path_sums(ensemble, _sens_sums(model, pert, ensemble.grid))
     return _sens_estimates(model, u, pert, s, ensemble.seed)
 
 
@@ -180,12 +181,12 @@ def fd_sensitivity(rows: list[SurfaceRow], eps,
 
 
 def _surface_and_sens_sums(model: MarketModel, pert: PerturbationSpec, taus,
-                           ensemble: PathEnsemble, workers) -> dict:
+                           ensemble: PathEnsemble) -> dict:
     """The sums of ``surface_sums`` over ``taus`` and of ``_sens_sums``,
     from one path pass."""
     grid = ensemble.grid
     return path_sums(ensemble, {**surface_sums(model, pert, taus, grid),
-                                **_sens_sums(model, pert, grid)}, workers)
+                                **_sens_sums(model, pert, grid)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +211,8 @@ class SensitivityReport:
 
 def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
-                        eps: tuple = (0.2, 0.1, 0.05, 0.025),
-                        workers=None) -> tuple[SensitivityReport,
-                                               SensitivityReport]:
+                        eps: tuple = (0.2, 0.1, 0.05, 0.025)) \
+        -> tuple[SensitivityReport, SensitivityReport]:
     """(weak, strong) closed-form sensitivities against the Richardson
     differences, from one path pass.
 
@@ -223,7 +223,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     reproduces the formula path by path and only rounding noise remains.
     """
     eps, taus = _fd_steps(eps)
-    s = _surface_and_sens_sums(model, pert, taus, ensemble, workers)
+    s = _surface_and_sens_sums(model, pert, taus, ensemble)
     formulas = _sens_estimates(model, u, pert, s, ensemble.seed)
     fds = fd_sensitivity(surface_rows(model, u, taus, s, ensemble.seed), eps,
                          pert.label)
@@ -283,13 +283,10 @@ class Example1Report:
 
 
 def example1_report(T: float = 1.0, M: int = 200_000, N: int = 2000,
-                    seed: int = 20_08, block_paths: int | None = None,
-                    workers=None) -> Example1Report:
+                    seed: int = 20_08) -> Example1Report:
     model, pert = _example1_model()
-    grid = TimeGrid(T, N)
-    ensemble = simulate(grid, n=1, M=M, seed=seed, block_paths=block_paths)
-    weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble,
-                                    workers)
+    ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
+    weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble)
     return Example1Report(
         horizon=T, weak=weak, strong=strong,
         expected_weak=T / 2.0 - T ** 1.5 / (3.0 * math.sqrt(2.0 * math.pi)),
@@ -318,8 +315,7 @@ class DiscrepancyReport:
         return abs(self.value.mean) / self.value.se
 
 
-def discrepancy_report(lam, dlam, ensemble: PathEnsemble,
-                       workers=None) -> DiscrepancyReport:
+def discrepancy_report(lam, dlam, ensemble: PathEnsemble) -> DiscrepancyReport:
     """Monte Carlo estimate of the discrepancy functional.
 
     ``lam`` and ``dlam`` are coefficient processes with the shape (n,) of
@@ -327,28 +323,24 @@ def discrepancy_report(lam, dlam, ensemble: PathEnsemble,
     """
     lam, dlam = integrand(ensemble.grid, lam), integrand(ensemble.grid, dlam)
     s = path_sums(ensemble, {"s1": ("ito", lam), "q11": ("quad", lam, lam),
-                             "s2": ("ito", dlam), "dq": ("quad", lam, dlam)},
-                  workers)
+                             "s2": ("ito", dlam), "dq": ("quad", lam, dlam)})
     vals = np.exp(s["s1"] + 0.5 * s["q11"]) * (s["s2"] - s["dq"])
     est = mean_estimate(vals, ensemble.seed, "discrepancy")
     return DiscrepancyReport(value=est)
 
 
 def example2_reports(T: float = 1.0, M: int = 50_000, N: int = 500,
-                     seed: int = 20_09, block_paths: int | None = None,
-                     workers=None) -> tuple[DiscrepancyReport,
-                                            DiscrepancyReport]:
+                     seed: int = 20_09) -> tuple[DiscrepancyReport,
+                                                 DiscrepancyReport]:
     """(deterministic, adapted) discrepancy pair on shared paths.
 
     The deterministic case takes lambda = 1 and must vanish; the adapted
     case takes lambda = 1 on {W < 0} with direction -1 and must not.
     """
-    grid = TimeGrid(T, N)
-    ensemble = simulate(grid, n=1, M=M, seed=seed, block_paths=block_paths)
-    det = discrepancy_report(constant([1.0]), constant([-1.0]), ensemble,
-                             workers)
+    ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
+    det = discrepancy_report(constant([1.0]), constant([-1.0]), ensemble)
     adapted = discrepancy_report(indicator(0, 0.0, [0.0], [1.0]),
-                                 constant([-1.0]), ensemble, workers)
+                                 constant([-1.0]), ensemble)
     return det, adapted
 
 
@@ -380,13 +372,13 @@ class SecondOrderReport:
 
 def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        pert: PerturbationSpec, ensemble: PathEnsemble,
-                       eps: tuple = (0.2, 0.1, 0.05, 0.025),
-                       workers=None) -> SecondOrderReport:
+                       eps: tuple = (0.2, 0.1, 0.05, 0.025)) \
+        -> SecondOrderReport:
     """Residual decay of the weak value curve at [0] + eps against the
     closed-form weak sensitivity, both from one path pass."""
     eps = check_steps(eps)
     taus = [0.0] + list(eps)
-    s = _surface_and_sens_sums(model, pert, taus, ensemble, workers)
+    s = _surface_and_sens_sums(model, pert, taus, ensemble)
     rows = surface_rows(model, u, taus, s, ensemble.seed)
     deriv, _ = _sens_estimates(model, u, pert, s, ensemble.seed)
     return residual_decay(eps, rows[0].weak.mean,

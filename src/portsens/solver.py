@@ -35,6 +35,9 @@ from portsens.market import (MarketModel, integrand, mpr_from_values,
                              mpr_integrand, scalar_constant)
 from portsens.paths import PathEnsemble, path_sums
 
+_REL_TOL = 1e-12  # relative bracket width at which the bisection stops
+_MAX_ITER = 200  # steps of each bracket expansion and of the bisection
+
 
 class SolverError(RuntimeError):
     pass
@@ -102,8 +105,7 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
 
 
 def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
-                  weights: np.ndarray | None = None,
-                  rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+                  weights: np.ndarray | None = None) -> float:
     """Solve mean(w Zhat I(y Zhat)) = x0; the map is strictly decreasing in y."""
 
     def budget(y):
@@ -113,25 +115,25 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
         return float(np.mean(b)) - x0
 
     lo = hi = float(ut.derivative(u, x0))
-    for _ in range(200):
+    for _ in range(_MAX_ITER):
         if budget(hi) < 0:
             break
         hi *= 2.0
     else:
         raise SolverError("budget bracket expansion failed (upper)")
-    for _ in range(200):
+    for _ in range(_MAX_ITER):
         if budget(lo) > 0:
             break
         lo /= 2.0
     else:
         raise SolverError("budget bracket expansion failed (lower)")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = np.sqrt(lo * hi)
         if budget(mid) > 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= _REL_TOL * hi:
             break
     return float(np.sqrt(lo * hi))
 
@@ -183,13 +185,12 @@ def integrate_product(a, b, T: float) -> float:
 def deterministic_mpr_integral_sq(model: MarketModel, T: float) -> float:
     """int_0^T |lambda|^2 dt for deterministic coefficients, exact in time."""
     lengths, values = _pieces(T, model.mu, model.sigma, model.rate)
-    lam = mpr_from_values(*values, model.cond_cap)
+    lam = mpr_from_values(*values)
     return float(np.sum(lam**2 * lengths[:, None]))
 
 
 def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
-                      ensemble: PathEnsemble | None = None,
-                      workers: int | None = None) -> ClosedFormValue:
+                      ensemble: PathEnsemble | None = None) -> ClosedFormValue:
     """Value of the base problem where a closed form exists.
 
     log utility: log x0 + int r dt + 1/2 E int |lambda|^2 dt (the expectation
@@ -209,8 +210,7 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
         lam = mpr_integrand(model, ensemble.grid)
         s = path_sums(ensemble, {"Q": ("quad", lam, lam),
                                  "R": ("time", integrand(ensemble.grid,
-                                                         model.rate))},
-                      workers)
+                                                         model.rate))})
         return ClosedFormValue(float(np.log(model.x0)
                                      + np.mean(0.5 * s["Q"] + s["R"])),
                                "log-mc")

@@ -142,14 +142,13 @@ def log_utility() -> UtilitySpec:
     return UtilitySpec(kind="log", label="log")
 
 
-def custom_utility(x: np.ndarray, u: np.ndarray,
-                   label: str = "custom") -> UtilitySpec:
+def custom_utility(x: np.ndarray, u: np.ndarray) -> UtilitySpec:
     """Utility from a strictly increasing two-column table (x, U(x))."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim != 1 or x.shape != u.shape or x.size < 4:
         raise ValueError("need two equally long columns with >= 4 rows")
-    return UtilitySpec(kind="custom", label=label, _table=(x, u))
+    return UtilitySpec(kind="custom", label="custom", _table=(x, u))
 
 
 def load_custom_utility(path: str) -> UtilitySpec:

@@ -97,7 +97,7 @@ class PerturbationSpec:
             sg = sg + tau * regimes.values(self.dsigma)
         if self.drate is not None:
             r = r + tau * regimes.values(self.drate)
-        return mpr_from_values(mu, sg, r, model.cond_cap)
+        return mpr_from_values(mu, sg, r)
 
     def validate_for(self, model: MarketModel) -> None:
         want = {"dmu": (model.d,), "dsigma": (model.d, model.n),
@@ -244,12 +244,11 @@ def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
 
 
 def value_surface(model: MarketModel, u: ut.UtilitySpec,
-                  pert: PerturbationSpec, taus, ensemble: PathEnsemble,
-                  workers=None) -> list[SurfaceRow]:
+                  pert: PerturbationSpec, taus,
+                  ensemble: PathEnsemble) -> list[SurfaceRow]:
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
-    s = path_sums(ensemble, surface_sums(model, pert, taus, ensemble.grid),
-                  workers)
+    s = path_sums(ensemble, surface_sums(model, pert, taus, ensemble.grid))
     return surface_rows(model, u, taus, s, ensemble.seed)
 
 

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from portsens.market import MarketModel, constant, indicator
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 
 
 @pytest.fixture(scope="session")
 def ens1d():
     """8000 one-dimensional paths on a 64-step unit-horizon grid."""
-    return simulate(TimeGrid(1.0, 64), n=1, M=8000, seed=101)
+    return PathEnsemble(TimeGrid(1.0, 64), n=1, count=8000, seed=101)
 
 
 @pytest.fixture(scope="session")
 def ens2d():
-    return simulate(TimeGrid(1.0, 64), n=2, M=8000, seed=102)
+    return PathEnsemble(TimeGrid(1.0, 64), n=2, count=8000, seed=102)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from portsens.market import (MarketModel, check_h1_direction, constant,
 from portsens.modular import (ModularFunctional, amemiya_norm, density_logs,
                               holder_check, j_evaluator, j_functional,
                               luxemburg_norm, norm_I, norm_J)
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (example1_report, example2_reports,
                                   second_order_check, sensitivity_pair,
                                   sensitivity_reports)
@@ -51,7 +51,7 @@ def det2d():
 
 @pytest.fixture(scope="module")
 def ens2d():
-    return simulate(TimeGrid(1.0, 32), n=2, M=40_000, seed=1003)
+    return PathEnsemble(TimeGrid(1.0, 32), n=2, count=40_000, seed=1003)
 
 
 def test_criterion_1_strong_sensitivity(switch_report, capsys):
@@ -149,12 +149,12 @@ def test_criterion_6_second_order_residual(det2d, ens2d, capsys):
     switch = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [1.0]),
                          sigma=constant([[1.0]]))
     unit = PerturbationSpec(dmu=constant([1.0]))
-    sw_ens = simulate(TimeGrid(1.0, 400), n=1, M=30_000, seed=1006)
+    sw_ens = PathEnsemble(TimeGrid(1.0, 400), n=1, count=30_000, seed=1006)
     sw_rep = second_order_check(switch, ut.log_utility(), unit, sw_ens)
     # at T = 4 the weak curve bends below its tangent, u_w''(0) = -0.255
     # (scripts/derive_oracles.py); its third-order term takes over beyond
     # steps of about 0.1, so the steps stay below that
-    t4_ens = simulate(TimeGrid(4.0, 400), n=1, M=30_000, seed=1010)
+    t4_ens = PathEnsemble(TimeGrid(4.0, 400), n=1, count=30_000, seed=1010)
     t4_rep = second_order_check(switch, ut.log_utility(), unit, t4_ens,
                                 eps=(0.05, 0.025, 0.0125, 0.00625))
 
@@ -173,7 +173,7 @@ def test_criterion_6_second_order_residual(det2d, ens2d, capsys):
 def test_criterion_7_solver_closed_form(capsys):
     model = MarketModel(d=1, n=1, mu=constant([1.0]),
                         sigma=constant([[1.0]]))
-    ens = simulate(TimeGrid(1.0, 64), n=1, M=40_000, seed=1004)
+    ens = PathEnsemble(TimeGrid(1.0, 64), n=1, count=40_000, seed=1004)
     u = ut.power_utility(2.0)
     logz = density_logs(ModularFunctional(model, u), ens)[0]
     opt = optimal_terminal_wealth(model, u, logz, ens.seed)
@@ -250,7 +250,7 @@ def test_criterion_9_modular_norms(capsys):
     u = ut.power_utility(3.0)
     family = (zeros((2,)), constant([0.0, 0.3]), constant([0.0, -0.5]))
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
-    ens = simulate(TimeGrid(1.0, 64), n=2, M=40_000, seed=1007)
+    ens = PathEnsemble(TimeGrid(1.0, 64), n=2, count=40_000, seed=1007)
     logs = density_logs(mf, ens)
     opt = optimal_terminal_wealth(model, u, logs[0], ens.seed)
     payoff = np.asarray(ut.evaluate(u, opt.xstar))

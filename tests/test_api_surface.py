@@ -1,8 +1,10 @@
 """Every public top-level function and class in the package serves a command
 or a script: some other code in ``src/portsens`` or ``scripts`` names it.
+Likewise every default serves a setting that some command or script varies:
+a call in that code sets it.
 
-Tests do not count as callers, so a helper that only tests exercise fails
-here.  ``__init__.py`` only re-exports and is not scanned.
+Tests do not count as callers, so a helper or a setting that only tests
+exercise fails here.  ``__init__.py`` only re-exports and is not scanned.
 """
 
 import ast
@@ -58,3 +60,87 @@ def _sources():
 def test_every_public_name_has_a_caller():
     # an allowed name that gains a caller leaves the list too
     assert unused_public_names(_sources()) == sorted(ALLOWED)
+
+
+# "function.parameter" or "Dataclass.field" -> why its default stays
+# although no command or script sets it
+ALLOWED_DEFAULTS = {
+    "hadamard_probe.directions": "criterion 8's approach sequences",
+    "hadamard_probe.taus": "criterion 8's approach sequences",
+    "value_closed_form.ensemble": "the reference for the adapted log case",
+    "PathEnsemble.scheme": "read by the benchmark's environment probe",
+    "PathEnsemble.block_paths": "the block-size seam that tests use",
+}
+
+
+def _is_dataclass(node) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) \
+                == "dataclass":
+            return True
+    return False
+
+
+def _defaults(tree) -> list:
+    """(callable name, parameter, positional index or None) of every
+    defaulted parameter of a def and defaulted field of a dataclass.
+
+    A method's index leaves out ``self``, and ``__init__`` is called by
+    its class name."""
+    out, owner = [], {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef):
+                owner[sub] = node.name
+        if _is_dataclass(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            out += [(node.name, f.target.id, i) for i, f in enumerate(fields)
+                    if f.value is not None]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        params = node.args.posonlyargs + node.args.args
+        if node in owner:
+            params = params[1:]
+            name = owner[node] if name == "__init__" else name
+        first = len(params) - len(node.args.defaults)
+        out += [(name, a.arg, i) for i, a in enumerate(params) if i >= first]
+        out += [(name, a.arg, None) for a, d in
+                zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _calls(tree) -> list:
+    """(called name, positional count, keywords, passes * or **)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            star = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            out.append((name, len(node.args), {k.arg for k in node.keywords},
+                        star))
+    return out
+
+
+def unset_defaults(files) -> list:
+    """Defaults that no call in ``files`` sets, as "name.parameter"."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in files]
+    calls = [c for tree in trees for c in _calls(tree)]
+    return sorted(f"{name}.{param}" for tree in trees
+                  for name, param, index in _defaults(tree)
+                  if not any(called == name and (
+                      star or param in keywords
+                      or (index is not None and npos > index))
+                      for called, npos, keywords, star in calls))
+
+
+def test_every_default_is_set_by_a_caller():
+    # an allowed default that gains a caller leaves the list too
+    assert unset_defaults(_sources()) == sorted(ALLOWED_DEFAULTS)

@@ -8,12 +8,14 @@ A case without a digest is a refusal: the command exits with its code and
 writes no CSV.
 """
 
+import functools
 import hashlib
-from pathlib import Path
 
 import pytest
 
+from portsens import cli, paths, sensitivity
 from portsens.cli import main
+from portsens.paths import PathEnsemble
 
 SMALL = ["--paths", "2000", "--steps", "32"]
 
@@ -62,24 +64,39 @@ def csv_digest(argv, code, tmp_path, capsys):
         if path.exists() else None
 
 
+def command_argv(command, config):
+    return [command] + (["--config", f"configs/{config}.ini"]
+                        if config else [])
+
+
 @pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
 def test_csv_bytes_match_golden(command, config, code, digest, tmp_path,
                                 capsys):
-    argv = [command] + (["--config", f"configs/{config}.ini"]
-                        if config else [])
-    assert csv_digest(argv, code, tmp_path, capsys) == digest
+    assert csv_digest(command_argv(command, config), code, tmp_path,
+                      capsys) == digest
 
 
 @pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
 def test_csv_bytes_match_golden_in_7_path_blocks(command, config, code,
-                                                 digest, tmp_path, capsys):
-    # the default block holds all 2000 short paths; 7-path blocks make
-    # every pass cross block boundaries, which must not move a byte
-    if config is None:
-        argv = [command, "--block-paths", "7"]
-    else:
-        text = (Path("configs") / f"{config}.ini").read_text()
-        cfg = tmp_path / "blocks.ini"
-        cfg.write_text(text.replace("[mc]\n", "[mc]\nblock_paths = 7\n"))
-        argv = [command, "--config", str(cfg)]
-    assert csv_digest(argv, code, tmp_path, capsys) == digest
+                                                 digest, tmp_path, capsys,
+                                                 monkeypatch):
+    # the default block holds all 2000 short paths; 7-path blocks, fixed
+    # through every ensemble's block_paths, make every pass cross block
+    # boundaries, which must not move a byte
+    seven = functools.partial(PathEnsemble, block_paths=7)
+    monkeypatch.setattr(cli, "PathEnsemble", seven)
+    monkeypatch.setattr(sensitivity, "PathEnsemble", seven)
+    assert csv_digest(command_argv(command, config), code, tmp_path,
+                      capsys) == digest
+
+
+@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
+def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
+                                                digest, tmp_path, capsys,
+                                                monkeypatch):
+    # a 3.5 kB scratch budget makes the computed blocks small, from 3 paths
+    # (value and sens on example1.ini) to 14 (example2), with an uneven
+    # last block; the sizes must not move a byte either
+    monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
+    assert csv_digest(command_argv(command, config), code, tmp_path,
+                      capsys) == digest

@@ -11,7 +11,7 @@ from portsens.market import (CoefficientError, CoefficientProcess,
                              h1_from_values, indicator, mpr_from_values,
                              mpr_integrand, parse_coefficient, piecewise,
                              scalar_constant, zeros)
-from portsens.paths import TimeGrid, cumulative, simulate
+from portsens.paths import PathEnsemble, TimeGrid, cumulative
 
 
 def test_constant_infers_shape():
@@ -187,7 +187,7 @@ def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr):
 
 def test_dlambda_direction_adapted(switch_model):
     # indicator drift direction, spread over actual paths by regime
-    ens = simulate(TimeGrid(1.0, 16), n=1, M=8, seed=5)
+    ens = PathEnsemble(TimeGrid(1.0, 16), n=1, count=8, seed=5)
     W = cumulative(ens.increments(0, 8))
     dmu = indicator(0, 0.0, [0.2], [0.6])
     grid = ens.grid

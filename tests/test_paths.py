@@ -18,7 +18,7 @@ from portsens import paths as paths_mod
 from portsens.market import (RegimeTable, constant, indicator, integrand,
                              mpr_integrand, piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
-                            cumulative, ito_sum, path_sums, quad_sum, simulate)
+                            cumulative, ito_sum, path_sums, quad_sum)
 
 
 def test_grid_validation():
@@ -34,8 +34,8 @@ def test_grid_validation():
 
 def test_increments_independent_of_block_size():
     grid = TimeGrid(1.0, 16)
-    a = simulate(grid, n=2, M=100, seed=7, block_paths=100)
-    b = simulate(grid, n=2, M=100, seed=7, block_paths=7)
+    a = PathEnsemble(grid, n=2, count=100, seed=7, block_paths=100)
+    b = PathEnsemble(grid, n=2, count=100, seed=7, block_paths=7)
     full = a.increments(0, 100)
     parts = [b.increments(s, t) for s, t in b.block_ranges(7)]
     assert np.array_equal(full, np.concatenate(parts))
@@ -57,7 +57,8 @@ def fresh_stream(ens, i):
 
 @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
 def test_increments_pin_the_philox_per_path_scheme(seed):
-    ens = simulate(TimeGrid(1.0, 8), n=2, M=30, seed=seed, block_paths=8)
+    ens = PathEnsemble(TimeGrid(1.0, 8), n=2, count=30, seed=seed,
+                       block_paths=8)
     assert ens.scheme == "philox-per-path/1"
     for start, stop in ((0, 30), (5, 13), (19, 30), (29, 30)):
         got = ens.increments(start, stop)
@@ -68,8 +69,8 @@ def test_increments_pin_the_philox_per_path_scheme(seed):
 def test_no_buffered_values_leak_between_paths():
     # a one-draw path leaves part of the generator's output buffer unread;
     # the next path on the same thread must not start from it
-    short = simulate(TimeGrid(1.0, 1), n=1, M=3, seed=5)
-    long = simulate(TimeGrid(1.0, 64), n=2, M=3, seed=6)
+    short = PathEnsemble(TimeGrid(1.0, 1), n=1, count=3, seed=5)
+    long = PathEnsemble(TimeGrid(1.0, 64), n=2, count=3, seed=6)
     for i in range(3):
         assert np.array_equal(short.increments(i, i + 1)[0],
                               fresh_stream(short, i))
@@ -78,8 +79,10 @@ def test_no_buffered_values_leak_between_paths():
 
 
 def test_interleaved_ensembles_on_two_threads():
-    a = simulate(TimeGrid(1.0, 5), n=1, M=2000, seed=21, block_paths=50)
-    b = simulate(TimeGrid(2.0, 16), n=3, M=2000, seed=22, block_paths=50)
+    a = PathEnsemble(TimeGrid(1.0, 5), n=1, count=2000, seed=21,
+                     block_paths=50)
+    b = PathEnsemble(TimeGrid(2.0, 16), n=3, count=2000, seed=22,
+                     block_paths=50)
     jobs = []
     for ra, rb in zip(a.block_ranges(50), b.block_ranges(50)):
         jobs += [(a, ra), (b, rb)]  # the two ensembles' blocks alternate
@@ -101,8 +104,8 @@ def test_seed_range():
     grid = TimeGrid(1.0, 4)
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            simulate(grid, n=1, M=2, seed=bad)
-    assert simulate(grid, n=1, M=2, seed=2**64 - 1).seed == 2**64 - 1
+            PathEnsemble(grid, n=1, count=2, seed=bad)
+    assert PathEnsemble(grid, n=1, count=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
@@ -112,6 +115,7 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
     # 40 when it also builds paths, regime codes and flags and a node-value
     # slot (52 kB for a path of 2000 steps); 1 when one path's increments
     # alone exceed the budget
+    monkeypatch.setenv("PORTSENS_WORKERS", "1")
     budget = paths_mod._SCRATCH_BYTES
     sizes, held = [], []
     increments = PathEnsemble.increments
@@ -128,29 +132,31 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
              (det2d_model, 2**17 + 1, 2, 3, [1, 1, 1])]
     for model, steps, n, M, blocks in cases:
         grid = TimeGrid(1.0, steps)
-        ens = simulate(grid, n=n, M=M, seed=1)
+        ens = PathEnsemble(grid, n=n, count=M, seed=1)
         lam = mpr_integrand(model, grid)
         sizes.clear()
         held.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)},
-                      workers=1)
+            path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
         finally:
             tracemalloc.stop()
         assert sizes == blocks
         # where a path fits, the pass holds at its first draw the scratch
-        # set within the budget plus under 64 kB of outputs and node tables
-        assert blocks[0] == 1 or held[0] - before <= budget + 2**16
+        # set within the budget plus under 64 kB of outputs and node tables;
+        # where it does not, one path's increments and the price of risk,
+        # gathered once for both requests that name it, as (N, n) arrays
+        scratch = budget if blocks[0] > 1 else 2 * 8 * steps * n
+        assert held[0] - before <= scratch + 2**16
 
 
 def test_block_paths_range():
     grid = TimeGrid(1.0, 4)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="block_paths"):
-            simulate(grid, n=1, M=2, seed=1, block_paths=bad)
-    ens = simulate(grid, n=1, M=5, seed=1, block_paths=2)
+            PathEnsemble(grid, n=1, count=2, seed=1, block_paths=bad)
+    ens = PathEnsemble(grid, n=1, count=5, seed=1, block_paths=2)
     assert list(ens.block_ranges(ens.block_paths)) == [(0, 2), (2, 4), (4, 5)]
 
 
@@ -219,11 +225,13 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
     grid = TimeGrid(1.0, 16)
 
     def sums(workers, block_paths):
-        ens = simulate(grid, n=2, M=100, seed=11, block_paths=block_paths)
-        return path_sums(ens, kernel_requests(grid, model), workers)
+        monkeypatch.setenv("PORTSENS_WORKERS", str(workers))
+        ens = PathEnsemble(grid, n=2, count=100, seed=11,
+                           block_paths=block_paths)
+        return path_sums(ens, kernel_requests(grid, model))
 
     base = sums(1, None)
-    want = direct_sums(simulate(grid, n=2, M=100, seed=11),
+    want = direct_sums(PathEnsemble(grid, n=2, count=100, seed=11),
                        kernel_requests(grid, model))
     for name in want:
         assert base[name].shape == (100,)
@@ -234,13 +242,11 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
         for name in base:
             assert np.array_equal(got[name], base[name]), \
                 (name, workers, block_paths)
-    monkeypatch.setenv("PORTSENS_WORKERS", "4")
-    threaded = sums(None, 7)
-    assert all(np.array_equal(threaded[k], base[k]) for k in base)
 
 
 def test_path_sums_reuse_one_increment_buffer(monkeypatch):
     # one worker draws every block's increments into the same scratch
+    monkeypatch.setenv("PORTSENS_WORKERS", "1")
     seen = []
     increments = PathEnsemble.increments
 
@@ -251,8 +257,8 @@ def test_path_sums_reuse_one_increment_buffer(monkeypatch):
 
     monkeypatch.setattr(PathEnsemble, "increments", recorded)
     grid = TimeGrid(1.0, 16)
-    ens = simulate(grid, n=2, M=100, seed=11, block_paths=7)
-    path_sums(ens, kernel_requests(grid, "two-drivers"), workers=1)
+    ens = PathEnsemble(grid, n=2, count=100, seed=11, block_paths=7)
+    path_sums(ens, kernel_requests(grid, "two-drivers"))
     assert [b for b, _ in seen] == [7] * 14 + [2]
     assert len({address for _, address in seen}) == 1
 
@@ -284,7 +290,7 @@ def test_regime_index_matches_the_row_lookup(breaks):
         procs.append(piecewise(breaks, np.arange(len(breaks) + 1.0)[:, None]))
     regimes = RegimeTable(grid, *procs)
     assert regimes._identity == (breaks in ([], [0.4]))
-    ens = simulate(grid, n=2, M=40, seed=15, block_paths=16)
+    ens = PathEnsemble(grid, n=2, count=40, seed=15, block_paths=16)
     W = cumulative(ens.increments())
     want = node_regimes(regimes, W)
     got = regimes.index(W)
@@ -311,7 +317,7 @@ def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
     cases = [(det2d_model, 2, []), (switch_model, 1, [20, 20, 10])]
     for model, n, blocks in cases:
         built.clear()
-        ens = simulate(grid, n=n, M=50, seed=13, block_paths=20)
+        ens = PathEnsemble(grid, n=n, count=50, seed=13, block_paths=20)
         lam = mpr_integrand(model, grid)
         path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
         assert built == blocks
@@ -348,7 +354,8 @@ def test_path_sums_equal_sums_of_evaluated_coefficients():
     # gathering per-regime tables by the regime index reproduces the
     # evaluated node arrays, so every sum matches the direct reduction
     # bit for bit, for any block size
-    ens = simulate(TimeGrid(1.0, 24), n=2, M=300, seed=14, block_paths=64)
+    ens = PathEnsemble(TimeGrid(1.0, 24), n=2, count=300, seed=14,
+                       block_paths=64)
     grid = ens.grid
     pw = piecewise([0.3, 0.55], [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
     ind = indicator(1, -0.2, [0.1, 0.4], [-0.3, 1.1])

@@ -15,7 +15,7 @@ import pytest
 from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, constant, dlambda_direction,
                              scalar_constant, zeros)
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (SecondOrderReport, _example1_model,
                                   example1_report, example2_reports,
                                   fd_sensitivity, residual_decay,
@@ -32,12 +32,12 @@ UNIT_DRIFT = PerturbationSpec(dmu=constant([1.0]))
 @pytest.fixture(scope="module")
 def det_ens():
     # constant coefficients: no time-discretization error, only MC noise
-    return simulate(TimeGrid(1.0, 32), n=2, M=40000, seed=501)
+    return PathEnsemble(TimeGrid(1.0, 32), n=2, count=40000, seed=501)
 
 
 @pytest.fixture(scope="module")
 def switch_ens():
-    return simulate(TimeGrid(1.0, 400), n=1, M=30000, seed=502)
+    return PathEnsemble(TimeGrid(1.0, 400), n=1, count=30000, seed=502)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +160,7 @@ def test_long_path_pass_holds_only_small_blocks():
     # them: the pass keeps one 2 MB scratch set, not 64 MB arrays of all
     # paths
     model, pert = _example1_model()
-    ens = simulate(TimeGrid(1.0, 2000), n=1, M=4000, seed=505)
+    ens = PathEnsemble(TimeGrid(1.0, 2000), n=1, count=4000, seed=505)
     tracemalloc.start()
     try:
         weak, strong = sensitivity_pair(model, log_utility(), pert, ens)
@@ -202,7 +202,7 @@ def test_second_order_vacuous_on_convex_curves(det2d_model, det_ens,
 
 def test_second_order_check_refuses_bad_steps(switch_model):
     # the expansion steps are checked as the difference steps are
-    ens = simulate(TimeGrid(1.0, 8), n=1, M=10, seed=1)
+    ens = PathEnsemble(TimeGrid(1.0, 8), n=1, count=10, seed=1)
     for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,)):
         with pytest.raises(ValueError, match="positive step"):
             second_order_check(switch_model, log_utility(), UNIT_DRIFT, ens,
@@ -213,7 +213,7 @@ def test_second_order_check_fails_with_an_off_derivative(switch_model):
     # at T = 4 the weak curve bends below its tangent, so the decay check
     # is not vacuous; handed a derivative 0.05 off, the residual turns
     # first order and the fitted slope drops to about 1
-    ens = simulate(TimeGrid(4.0, 400), n=1, M=30000, seed=505)
+    ens = PathEnsemble(TimeGrid(4.0, 400), n=1, count=30000, seed=505)
     eps = (0.00625, 0.0125, 0.025, 0.05)
     rows = value_surface(switch_model, log_utility(), UNIT_DRIFT,
                          (0.0,) + eps, ens)

@@ -10,7 +10,7 @@ import pytest
 
 from portsens.market import MarketModel, constant, indicator
 from portsens.modular import ModularFunctional, density_logs
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import (SolverError, bisect_budget,
                              deterministic_mpr_integral_sq, integrate_product,
                              optimal_terminal_wealth, value_closed_form)
@@ -27,7 +27,7 @@ def unit_model():
 
 @pytest.fixture(scope="module")
 def unit_ens():
-    return simulate(TimeGrid(1.0, 128), n=1, M=40000, seed=301)
+    return PathEnsemble(TimeGrid(1.0, 128), n=1, count=40000, seed=301)
 
 
 def solve(model, u, ens):
@@ -80,7 +80,7 @@ def test_value_closed_form_log_adapted(switch_model, ens1d):
 
 def test_custom_utility_budget_bisection(unit_model):
     # the table's inverse marginal is a closed-form root per cubic piece
-    ens = simulate(TimeGrid(1.0, 64), n=1, M=2000, seed=305)
+    ens = PathEnsemble(TimeGrid(1.0, 64), n=1, count=2000, seed=305)
     x = np.linspace(1e-6, 400.0, 6000)
     table = custom_utility(x, 2.0 * np.sqrt(x))
     opt = solve(unit_model, table, ens)

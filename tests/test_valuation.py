@@ -9,7 +9,7 @@ import pytest
 from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator, scalar_constant)
-from portsens.paths import TimeGrid, simulate
+from portsens.paths import PathEnsemble, TimeGrid
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import (SURFACE_HEADER, PerturbationSpec,
                                 value_surface, write_surface_csv)
@@ -21,7 +21,7 @@ UNIT_DRIFT = PerturbationSpec(dmu=constant([1.0]))
 def switch_ens():
     """Finer grid than the shared fixtures: the indicator coefficient has an
     O(N^-1/2) occupation-time bias, kept below the test allowance here."""
-    return simulate(TimeGrid(1.0, 400), n=1, M=30000, seed=401)
+    return PathEnsemble(TimeGrid(1.0, 400), n=1, count=30000, seed=401)
 
 
 def test_perturbation_spec_validation():
@@ -61,7 +61,7 @@ def test_perturbation_shape_check(det2d_model):
 def test_weak_equals_strong_at_tau_zero(switch_model, make_u):
     # the tilt weight is exp(0) path by path, so the two estimators share
     # every intermediate array, not just the limit
-    ens = simulate(TimeGrid(1.0, 32), n=1, M=2000, seed=402)
+    ens = PathEnsemble(TimeGrid(1.0, 32), n=1, count=2000, seed=402)
     row, = value_surface(switch_model, make_u(), UNIT_DRIFT, [0.0], ens)
     w, s = row.weak, row.strong
     assert w.mean == s.mean
@@ -78,7 +78,7 @@ def test_deterministic_market_values_match_closed_form(det2d_model):
     r, dr, p, T = 0.01, 0.01, 3.0, 1.0
     q = p / (p - 1.0)
     pert = PerturbationSpec(dmu=constant(dmu), drate=scalar_constant(dr))
-    ens = simulate(TimeGrid(T, 32), n=2, M=40000, seed=403)
+    ens = PathEnsemble(TimeGrid(T, 32), n=2, count=40000, seed=403)
     taus = [0.0, 0.1, 0.2]
     rows = value_surface(det2d_model, power_utility(p), pert, taus, ens)
     for row in rows:
@@ -168,7 +168,7 @@ def test_incomplete_adapted_market_refused(ens1d):
 
 
 def test_surface_csv_round_trip(tmp_path, switch_model):
-    ens = simulate(TimeGrid(1.0, 16), n=1, M=500, seed=405)
+    ens = PathEnsemble(TimeGrid(1.0, 16), n=1, count=500, seed=405)
     rows = value_surface(switch_model, power_utility(2.0), UNIT_DRIFT,
                          [0.0, 0.37, 1.25], ens)
     path = tmp_path / "surface.csv"
