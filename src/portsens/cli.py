@@ -46,10 +46,11 @@ from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm, norm_I, norm_J)
 from .paths import PathEnsemble, TimeGrid, check_seed
-from .sensitivity import (check_steps, example1_report, example2_reports,
-                          second_order_check, sensitivity_reports)
+from .sensitivity import (DEFAULT_STEPS, check_steps, example1_report,
+                          example2_reports, second_order_check,
+                          sensitivity_reports)
 from .solver import optimal_terminal_wealth
-from .valuation import PerturbationSpec, value_surface, write_surface_csv
+from .valuation import PerturbationSpec, value_surface
 
 
 class ConfigError(ValueError):
@@ -307,6 +308,10 @@ def _emit_summary(outdir: str, name: str, lines: list) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+SURFACE_HEADER = ["tau", "u_weak", "se_weak", "u_strong", "se_strong",
+                  "weight_mean", "seed"]
+
+
 def cmd_value(args) -> int:
     cfg = _load(args)
     model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
@@ -315,9 +320,10 @@ def cmd_value(args) -> int:
         raise ConfigError("value needs taus in [perturbation]")
     ens = _make_ensemble(cfg)
     rows = value_surface(model, u, pert, cfg.taus, ens)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    path = os.path.join(cfg.outdir, "surface.csv")
-    write_surface_csv(path, rows)
+    path = _write_csv(cfg.outdir, "surface.csv", SURFACE_HEADER,
+                      [[_r(r.tau), _r(r.weak.mean), _r(r.weak.se),
+                        _r(r.strong.mean), _r(r.strong.se),
+                        _r(r.weight_mean), cfg.seed] for r in rows])
     lines = [f"value surface: utility={u.label} direction={pert.label} "
              f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
              f"seed={cfg.seed}"]
@@ -476,10 +482,10 @@ def cmd_norms(args) -> int:
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = _make_ensemble(cfg)
     logs = density_logs(mf, ens)
-    opt = optimal_terminal_wealth(model, u, logs[0], ens.seed)
+    opt = optimal_terminal_wealth(model, u, logs[0])
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
 
-    j = j_functional(payoff, mf, logs, ens.seed)
+    j = j_functional(payoff, mf, logs)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
     j_ok = abs(j.mean - model.x0) <= j_tol
     F = j_evaluator(mf, logs)
@@ -504,25 +510,23 @@ def cmd_norms(args) -> int:
              f"  amemiya = {am:.6g} <= 1 + x0 = {bound:g}: "
              f"{'ok' if am_ok else 'FAIL'};  luxemburg = {lux:.6g}"]
 
-    hold_ok = True
-    if u.kind == "power":
-        ni = norm_I(opt.z, mf, logs)
-        nj = norm_J(opt.xstar, mf, logs)
-        hold = holder_check(opt.z, opt.xstar, mf, logs)
-        hold_ok = hold.passed
-        rows += [
-            ["norm_I_pricing_density", _r(ni), "", "", cfg.seed],
-            ["norm_J_optimal_wealth", _r(nj), "", "", cfg.seed],
-            ["holder_lhs", _r(hold.lhs), "", _flag(hold.passed), cfg.seed],
-            ["holder_rhs", _r(hold.rhs), "", "", cfg.seed],
-        ]
-        lines.append(f"  norm_I(density) = {ni:.6g}, norm_J(wealth) = "
-                     f"{nj:.6g}, pairing {hold.lhs:.6g} <= {hold.rhs:.6g}: "
-                     f"{'ok' if hold.passed else 'FAIL'}")
+    # the refusals above leave only power utilities
+    ni = norm_I(opt.z, mf, logs)
+    nj = norm_J(opt.xstar, mf, logs)
+    hold = holder_check(opt.z, opt.xstar, mf, logs)
+    rows += [
+        ["norm_I_pricing_density", _r(ni), "", "", cfg.seed],
+        ["norm_J_optimal_wealth", _r(nj), "", "", cfg.seed],
+        ["holder_lhs", _r(hold.lhs), "", _flag(hold.passed), cfg.seed],
+        ["holder_rhs", _r(hold.rhs), "", "", cfg.seed],
+    ]
+    lines.append(f"  norm_I(density) = {ni:.6g}, norm_J(wealth) = "
+                 f"{nj:.6g}, pairing {hold.lhs:.6g} <= {hold.rhs:.6g}: "
+                 f"{'ok' if hold.passed else 'FAIL'}")
     path = _write_csv(cfg.outdir, "norms.csv", NORMS_HEADER, rows)
     lines.append(f"wrote {path}")
     _emit_summary(cfg.outdir, "norms", lines)
-    return 0 if j_ok and am_ok and hold_ok else 3
+    return 0 if j_ok and am_ok and hold.passed else 3
 
 
 DANSKIN_HEADER = ["value", "argmax", "radius", "derivative", "probe_gap",
@@ -582,10 +586,10 @@ def cmd_secondorder(args) -> int:
         lines.append(f"  eps={e:g}: residual {res:.4g}, below-tangent part "
                      f"{neg:.4g}")
     if rep.vacuous:
-        lines.append(f"  no below-tangent part above the floor "
+        lines.append(f"  fewer than two residuals above the floor "
                      f"{rep.floor:.2g}; decay check vacuous: ok")
     else:
-        lines.append(f"  log-log slope {rep.slope:.3f} "
+        lines.append(f"  log-log slope of |residual| {rep.slope:.3f} "
                      f"(need >= 1.8): {'ok' if rep.passed else 'FAIL'}")
     lines.append(f"wrote {path}")
     _emit_summary(cfg.outdir, "secondorder", lines)
@@ -620,6 +624,9 @@ def _add_scale_flags(sp, paths: int, steps: int, seed: int) -> None:
     sp.add_argument("--out", default=".", help="output directory")
 
 
+_DEFAULT_EPS = ",".join(map(repr, DEFAULT_STEPS))
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="portsens",
                 description="perturbation experiments for optimal "
@@ -634,7 +641,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sens", help="sensitivities vs differences")
     _add_config_flags(sp)
-    sp.add_argument("--eps", default="0.2,0.1,0.05,0.025",
+    sp.add_argument("--eps", default=_DEFAULT_EPS,
                     help="difference step sizes")
     sp.set_defaults(func=cmd_sens)
 
@@ -668,7 +675,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("secondorder", help="residual decay of the tangent")
     _add_config_flags(sp)
-    sp.add_argument("--eps", default="0.2,0.1,0.05,0.025",
+    sp.add_argument("--eps", default=_DEFAULT_EPS,
                     help="expansion step sizes")
     sp.set_defaults(func=cmd_secondorder)
     return p

@@ -4,9 +4,10 @@ Every estimator in this package reduces a per-path vector to a scalar.  For a
 plain sample mean the standard error is the sample standard deviation over
 sqrt(M).  Nonlinear functionals of several means (for example a power of a
 weighted mean) carry a per-path influence vector: the first-order expansion
-of the functional around the sample means.  Standard errors of such
-functionals, and of differences of correlated estimates computed on common
-random numbers, are read off the influence vectors.
+of the functional around the sample means.  Every estimate carries one, of
+the ensemble's length, so standard errors of such functionals, and of
+differences of correlated estimates computed on common random numbers, are
+read off the influence vectors.
 """
 
 from __future__ import annotations
@@ -18,19 +19,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ValueEstimate:
-    """Monte Carlo estimate with provenance.
+    """Monte Carlo estimate with its per-path influence.
 
     ``influence`` holds the per-path first-order contributions, centered so
-    that ``mean(influence) == 0`` and ``se == std(influence)/sqrt(count)``.
+    that ``mean(influence) == 0`` and ``se == std(influence)/sqrt(M)``.
     """
 
     mean: float
     se: float
-    count: int
-    seed: int
     estimator: str
-    influence: np.ndarray | None = field(default=None, repr=False, compare=False)
-    extras: dict = field(default_factory=dict, repr=False, compare=False)
+    influence: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.mean) or not np.isfinite(self.se):
@@ -45,19 +43,17 @@ def _se_of(centered: np.ndarray) -> float:
     return float(np.std(centered, ddof=1) / np.sqrt(m))
 
 
-def mean_estimate(values: np.ndarray, seed: int, estimator: str,
-                  extras: dict | None = None) -> ValueEstimate:
+def mean_estimate(values: np.ndarray, estimator: str) -> ValueEstimate:
     """Plain sample mean of per-path values."""
     values = np.asarray(values, dtype=float).ravel()
     m = float(np.mean(values))
     centered = values - m
-    return ValueEstimate(mean=m, se=_se_of(centered), count=values.shape[0],
-                         seed=seed, estimator=estimator,
-                         influence=centered, extras=extras or {})
+    return ValueEstimate(mean=m, se=_se_of(centered), estimator=estimator,
+                         influence=centered)
 
 
-def delta_estimate(parts: list[np.ndarray], fn, grad_fn, seed: int,
-                   estimator: str, extras: dict | None = None) -> ValueEstimate:
+def delta_estimate(parts: list[np.ndarray], fn, grad_fn,
+                   estimator: str) -> ValueEstimate:
     """Smooth functional g(m_1, ..., m_k) of several sample means.
 
     ``fn`` maps the vector of means to the estimate, ``grad_fn`` to its
@@ -71,9 +67,8 @@ def delta_estimate(parts: list[np.ndarray], fn, grad_fn, seed: int,
     infl = np.zeros_like(cols[0])
     for gj, cj, mj in zip(grad, cols, means):
         infl += gj * (cj - mj)
-    return ValueEstimate(mean=g, se=_se_of(infl), count=cols[0].shape[0],
-                         seed=seed, estimator=estimator,
-                         influence=infl, extras=extras or {})
+    return ValueEstimate(mean=g, se=_se_of(infl), estimator=estimator,
+                         influence=infl)
 
 
 def combine_linear(estimates: list[ValueEstimate], coeffs: list[float],
@@ -86,23 +81,13 @@ def combine_linear(estimates: list[ValueEstimate], coeffs: list[float],
     if not estimates:
         raise ValueError("empty combination")
     mean = float(sum(c * e.mean for c, e in zip(coeffs, estimates)))
-    m = estimates[0].count
-    if any(e.influence is None or e.count != m for e in estimates):
-        # fall back to independence when influence vectors are unavailable
-        se = float(np.sqrt(sum((c * e.se) ** 2 for c, e in zip(coeffs, estimates))))
-        infl = None
-    else:
-        infl = np.zeros(m)
-        for c, e in zip(coeffs, estimates):
-            infl += c * e.influence
-        se = _se_of(infl)
-    return ValueEstimate(mean=mean, se=se, count=m, seed=estimates[0].seed,
-                         estimator=estimator, influence=infl)
+    infl = np.zeros(estimates[0].influence.shape[0])
+    for c, e in zip(coeffs, estimates):
+        infl += c * e.influence
+    return ValueEstimate(mean=mean, se=_se_of(infl), estimator=estimator,
+                         influence=infl)
 
 
 def difference_se(a: ValueEstimate, b: ValueEstimate) -> float:
     """Standard error of a.mean - b.mean under common random numbers."""
-    if (a.influence is not None and b.influence is not None
-            and a.count == b.count):
-        return _se_of(a.influence - b.influence)
-    return float(np.hypot(a.se, b.se))
+    return _se_of(a.influence - b.influence)

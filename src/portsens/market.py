@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,19 +92,6 @@ class CoefficientProcess:
                 raise CoefficientError("driver index must be >= 0")
         if not np.isfinite(self.bound):
             raise CoefficientError("coefficient values must be finite")
-
-    def equals(self, other: "CoefficientProcess") -> bool:
-        """Field-by-field equality (dataclass eq is disabled for array fields)."""
-        if not isinstance(other, CoefficientProcess):
-            return False
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if a is None or b is None or not np.array_equal(a, b):
-                    return False
-            elif a != b:
-                return False
-        return True
 
     @property
     def is_deterministic(self) -> bool:

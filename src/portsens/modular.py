@@ -128,20 +128,18 @@ def _payoff_values(Z, mf: ModularFunctional, logs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def j_functional(Z, mf: ModularFunctional, logs: np.ndarray,
-                 seed: int) -> ValueEstimate:
-    """max over the family of mean(Y^nu * U^{-1}(|Z|)) on density samples."""
+def j_functional(Z, mf: ModularFunctional,
+                 logs: np.ndarray) -> ValueEstimate:
+    """max over the family of mean(Y^nu * U^{-1}(|Z|)) on density samples:
+    the estimate of the first maximizing member i, named ``j[nu=i]``."""
     vals = np.abs(_payoff_values(Z, mf, logs))
     wealth = np.asarray(ut.inverse(mf.utility, vals))
-    best, best_i = None, -1
+    best = None
     for i in range(logs.shape[0]):
-        est = mean_estimate(np.exp(logs[i]) * wealth, seed, f"j[nu={i}]")
+        est = mean_estimate(np.exp(logs[i]) * wealth, f"j[nu={i}]")
         if best is None or est.mean > best.mean:
-            best, best_i = est, i
-    return ValueEstimate(mean=best.mean, se=best.se, count=best.count,
-                         seed=best.seed, estimator="j",
-                         influence=best.influence,
-                         extras={"argmax_member": best_i})
+            best = est
+    return best
 
 
 def _require_power(u: ut.UtilitySpec, what: str) -> None:

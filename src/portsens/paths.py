@@ -197,11 +197,6 @@ def _reduce(kind: str, args: list, dW, dt: float, out=None):
     return np.multiply(np.sum(args[0], axis=(-2, -1), out=out), dt, out=out)
 
 
-def _spread(table: np.ndarray, shape: tuple) -> np.ndarray:
-    """A table of one value in every regime as a broadcast view."""
-    return np.broadcast_to(table[0], shape + table.shape[1:])
-
-
 # ---------------------------------------------------------------------------
 # the path-sum kernel
 
@@ -216,10 +211,11 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
     (see ``market.RegimeTable``).  A deterministic integrand thus reduces
     as an (N, k) array, gathered once per pass however many requests name
     the same integrand object, and an adapted one as (B, N, k).  A
-    broadcast table (one value in every regime, as from a constant)
-    spreads as a broadcast view, which einsum sums in another order than a
-    dense array: a constant keeps the order it has as
-    ``CoefficientProcess.evaluate`` output, a dense table the dense order.
+    deterministic broadcast table (one value in every regime, as from a
+    constant) spreads as a broadcast view, which einsum sums in another
+    order than a dense array: a constant keeps the order it has as
+    ``CoefficientProcess.evaluate`` output.  A table with drivers is
+    gathered into dense node values whatever its strides.
 
     Each worker allocates one scratch set per pass, sized to the largest
     block: increments, cumulative paths (only if some gathered table has
@@ -239,8 +235,8 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
     uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
     tables, slot_of, free, slots, plan = {}, {}, defaultdict(list), [], []
     fixed = {}  # node array of each deterministic integrand, by id
-    # an operand is a fixed node array or (table, regimes, slot, first): a
-    # spread view if slot is None, else gathered into the slot on first use
+    # an operand is a fixed node array or (table, regimes, slot, first),
+    # gathered into the slot on first use
     for name, (kind, *fs) in sums.items():
         ops, done = [], []
         for f in fs:
@@ -248,11 +244,10 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
             if not regimes.drivers:
                 if id(f) not in fixed:
                     idx = regimes.index(None)
-                    fixed[id(f)] = _spread(table, idx.shape) \
+                    fixed[id(f)] = np.broadcast_to(
+                        table[0], idx.shape + table.shape[1:]) \
                         if table.strides[0] == 0 else table[idx]
                 ops.append(fixed[id(f)])
-            elif table.strides[0] == 0:
-                ops.append((table, None, None, False))
             else:
                 layout = (table.shape[1:], table.dtype)
                 first = id(f) not in slot_of
@@ -301,8 +296,6 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
                 for op in ops:
                     if isinstance(op, np.ndarray):
                         args.append(op)
-                    elif op[2] is None:
-                        args.append(_spread(op[0], (b, N)))
                     else:
                         table, regimes, slot, first = op
                         args.append(buf[slot][:b])

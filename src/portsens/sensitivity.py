@@ -29,7 +29,7 @@ points when the price of risk is adapted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +76,14 @@ def _sens_sums(model: MarketModel, pert: PerturbationSpec,
     return sums
 
 
-def _power_sens(u, x0, v, fac, seed, name, extras) -> ValueEstimate:
+def _power_sens(u, x0, v, fac, name) -> ValueEstimate:
     scale = u.p * x0 ** (1.0 / u.p)
     return delta_estimate(
         [v, v * fac],
         lambda m: scale * m[0] ** (-1.0 / u.p) * m[1],
         lambda m: np.array([-scale / u.p * m[0] ** (-1.0 / u.p - 1.0) * m[1],
                             scale * m[0] ** (-1.0 / u.p)]),
-        seed, name, extras=extras)
+        name)
 
 
 def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
@@ -92,29 +92,27 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                                                       ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
     s = path_sums(ensemble, _sens_sums(model, pert, ensemble.grid))
-    return _sens_estimates(model, u, pert, s, ensemble.seed)
+    return _sens_estimates(model, u, pert, s)
 
 
 def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
-                    pert: PerturbationSpec, s: dict,
-                    seed: int) -> tuple[ValueEstimate, ValueEstimate]:
+                    pert: PerturbationSpec,
+                    s: dict) -> tuple[ValueEstimate, ValueEstimate]:
     """(weak, strong) sensitivity estimates from the sums of ``_sens_sums``."""
     R, S1, Q11, s2, dq = s["r"], s["s1"], s["q11"], s["s2"], s["dq"]
     dR = s.get("dr", np.zeros(len(s2)))
     x0 = model.x0
-    extras = {"direction": pert.label}
+    weak_name = f"weak-sens[{pert.label}]"
+    strong_name = f"strong-sens[{pert.label}]"
     if u.kind == "power":
         v = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
-        weak = _power_sens(u, x0, v, s2 + dR / u.p, seed,
-                           f"weak-sens[{pert.label}]", extras)
-        strong = _power_sens(u, x0, v, (s2 + dq + dR) / u.p, seed,
-                             f"strong-sens[{pert.label}]", extras)
+        weak = _power_sens(u, x0, v, s2 + dR / u.p, weak_name)
+        strong = _power_sens(u, x0, v, (s2 + dq + dR) / u.p, strong_name)
     elif u.kind == "log":
         lin = R + 0.5 * Q11
-        weak = mean_estimate(s2 * (lin + math.log(x0)) + dq + dR, seed,
-                             f"weak-sens[{pert.label}]", extras=extras)
-        strong = mean_estimate(np.broadcast_to(dq + dR, s2.shape), seed,
-                               f"strong-sens[{pert.label}]", extras=extras)
+        weak = mean_estimate(s2 * (lin + math.log(x0)) + dq + dR, weak_name)
+        strong = mean_estimate(np.broadcast_to(dq + dR, s2.shape),
+                               strong_name)
     else:
         if pert.drate is not None:
             raise CoefficientError("rate directions need power or log "
@@ -123,16 +121,19 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
         y = bisect_budget(u, zhat, x0)
         xbar = np.asarray(ut.inverse_marginal(u, y * zhat))
         uvals = np.asarray(ut.evaluate(u, xbar))
-        weak = mean_estimate(uvals * s2, seed, f"weak-sens[{pert.label}]",
-                             extras=extras)
+        weak = mean_estimate(uvals * s2, weak_name)
         # envelope form: only the pricing density moves the strong value
-        strong = mean_estimate(y * zhat * xbar * (s2 + dq), seed,
-                               f"strong-sens[{pert.label}]", extras=extras)
+        strong = mean_estimate(y * zhat * xbar * (s2 + dq), strong_name)
     return weak, strong
 
 
 # ---------------------------------------------------------------------------
 # finite differences
+
+# the difference steps of ``sens`` and the expansion steps of
+# ``secondorder`` unless --eps names others
+DEFAULT_STEPS = (0.2, 0.1, 0.05, 0.025)
+
 
 def check_steps(eps) -> tuple:
     """The step sizes in increasing order, if there are at least two and
@@ -149,17 +150,17 @@ def _fd_steps(eps) -> tuple[tuple, list]:
     return eps, sorted({s * e for e in eps for s in (1.0, -1.0)})
 
 
-def fd_sensitivity(rows: list[SurfaceRow], eps,
-                   label: str) -> tuple[ValueEstimate, ValueEstimate]:
+def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
+        -> tuple[tuple[ValueEstimate, float], tuple[ValueEstimate, float]]:
     """(weak, strong) central differences of the value curves,
-    Richardson-extrapolated.
+    Richardson-extrapolated, each with its extrapolation correction.
 
     ``rows`` is a value surface on shared paths (common random numbers)
     that holds the taus +-eps; ``label`` names the direction.  Each
     difference reuses the per-path influence vectors, and the two finest
-    steps combine to (4 d_h - d_2h) / 3.  The extras carry the raw
-    differences and the extrapolation correction, which bounds the
-    residual O(h^2) bias of the finest difference.
+    steps combine to (4 d_h - d_2h) / 3.  The correction, the extrapolated
+    value minus the finest difference, bounds the residual O(h^2) bias of
+    the finest difference.
     """
     eps, _ = _fd_steps(eps)
     # eliminate the h^2 error term from the two finest steps
@@ -168,15 +169,12 @@ def fd_sensitivity(rows: list[SurfaceRow], eps,
     out = []
     for side in ("weak", "strong"):
         by_tau = {r.tau: getattr(r, side) for r in rows}
-        diffs = {e: combine_linear([by_tau[e], by_tau[-e]],
-                                   [0.5 / e, -0.5 / e], f"central[{e:g}]")
-                 for e in eps}
-        fine = diffs[h1]
-        rich = combine_linear([fine, diffs[h2]], [w, 1.0 - w],
+        fine, coarse = (combine_linear([by_tau[e], by_tau[-e]],
+                                       [0.5 / e, -0.5 / e], f"central[{e:g}]")
+                        for e in (h1, h2))
+        rich = combine_linear([fine, coarse], [w, 1.0 - w],
                               f"richardson[{side},{label}]")
-        out.append(replace(rich, extras={
-            "by_eps": {e: d.mean for e, d in diffs.items()},
-            "correction": rich.mean - fine.mean, "side": side, "eps": eps}))
+        out.append((rich, rich.mean - fine.mean))
     return tuple(out)
 
 
@@ -211,7 +209,7 @@ class SensitivityReport:
 
 def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
-                        eps: tuple = (0.2, 0.1, 0.05, 0.025)) \
+                        eps: tuple = DEFAULT_STEPS) \
         -> tuple[SensitivityReport, SensitivityReport]:
     """(weak, strong) closed-form sensitivities against the Richardson
     differences, from one path pass.
@@ -224,14 +222,13 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     """
     eps, taus = _fd_steps(eps)
     s = _surface_and_sens_sums(model, pert, taus, ensemble)
-    formulas = _sens_estimates(model, u, pert, s, ensemble.seed)
-    fds = fd_sensitivity(surface_rows(model, u, taus, s, ensemble.seed), eps,
-                         pert.label)
+    formulas = _sens_estimates(model, u, pert, s)
+    fds = fd_sensitivity(surface_rows(model, u, taus, s), eps, pert.label)
     reports = []
-    for side, formula, fd in zip(("weak", "strong"), formulas, fds):
+    for side, formula, (fd, correction) in zip(("weak", "strong"), formulas,
+                                               fds):
         gap = abs(formula.mean - fd.mean)
-        tol = (3.0 * difference_se(formula, fd)
-               + abs(fd.extras["correction"])
+        tol = (3.0 * difference_se(formula, fd) + abs(correction)
                + 1e-11 * (1.0 + abs(formula.mean)))
         reports.append(SensitivityReport(
             direction=pert.label, side=side, formula=formula, fd=fd,
@@ -325,7 +322,7 @@ def discrepancy_report(lam, dlam, ensemble: PathEnsemble) -> DiscrepancyReport:
     s = path_sums(ensemble, {"s1": ("ito", lam), "q11": ("quad", lam, lam),
                              "s2": ("ito", dlam), "dq": ("quad", lam, dlam)})
     vals = np.exp(s["s1"] + 0.5 * s["q11"]) * (s["s2"] - s["dq"])
-    est = mean_estimate(vals, ensemble.seed, "discrepancy")
+    est = mean_estimate(vals, "discrepancy")
     return DiscrepancyReport(value=est)
 
 
@@ -349,13 +346,15 @@ def example2_reports(T: float = 1.0, M: int = 50_000, N: int = 500,
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderReport:
-    """How fast the below-tangent part of the value curve vanishes.
+    """How fast the first-order residual of the value curve vanishes.
 
-    The first-order expansion u(eps) ~ u(0) + eps * D can overshoot the
-    curve; the overshoot must be second order for D to be the derivative.
-    The report fits a log-log slope to the negative residual parts that
-    exceed the numerical floor; with no such points the check is vacuous
-    and the slope reported as infinity.
+    The residual u(eps) - u(0) - eps * D of the first-order expansion must
+    be second order in eps for D to be the derivative; a wrong D leaves a
+    first-order residual on either side of the tangent.  The report fits a
+    log-log slope to |residual| over the steps where it exceeds the
+    numerical floor; with fewer than two such steps the check is vacuous
+    and the slope reported as infinity.  ``negative_parts`` records the
+    below-tangent part of each residual.
     """
 
     eps: tuple
@@ -372,22 +371,21 @@ class SecondOrderReport:
 
 def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        pert: PerturbationSpec, ensemble: PathEnsemble,
-                       eps: tuple = (0.2, 0.1, 0.05, 0.025)) \
-        -> SecondOrderReport:
+                       eps: tuple = DEFAULT_STEPS) -> SecondOrderReport:
     """Residual decay of the weak value curve at [0] + eps against the
     closed-form weak sensitivity, both from one path pass."""
     eps = check_steps(eps)
     taus = [0.0] + list(eps)
     s = _surface_and_sens_sums(model, pert, taus, ensemble)
-    rows = surface_rows(model, u, taus, s, ensemble.seed)
-    deriv, _ = _sens_estimates(model, u, pert, s, ensemble.seed)
+    rows = surface_rows(model, u, taus, s)
+    deriv, _ = _sens_estimates(model, u, pert, s)
     return residual_decay(eps, rows[0].weak.mean,
                           [r.weak.mean for r in rows[1:]], deriv.mean)
 
 
 def residual_decay(eps, base: float, curve, deriv: float) \
         -> SecondOrderReport:
-    """Decay of the below-tangent part of curve[i] - base - eps[i] * deriv.
+    """Decay of |curve[i] - base - eps[i] * deriv| with the step.
 
     ``curve`` holds the values at the increasing steps ``eps``.
     """
@@ -395,7 +393,7 @@ def residual_decay(eps, base: float, curve, deriv: float) \
     floor = 1e-12 * max(scale, 1.0)
     residuals = [v - base - e * deriv for e, v in zip(eps, curve)]
     neg = [max(-r, 0.0) for r in residuals]
-    pts = [(e, v) for e, v in zip(eps, neg) if v > floor]
+    pts = [(e, abs(r)) for e, r in zip(eps, residuals) if abs(r) > floor]
     if len(pts) < 2:
         slope, vacuous = math.inf, True
     else:

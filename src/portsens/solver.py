@@ -1,12 +1,17 @@
-"""Optimal terminal wealth and value of the base utility-maximization problem.
+"""Static solutions of the base utility-maximization problem.
 
 The martingale method reduces the dynamic problem to a static one: maximize
 E[U(X)] over terminal payoffs X subject to the budget E[Zhat X] = x0, where
 Zhat is the pricing density built from the market price of risk (and the
 rate discount when there is one).  The optimizer is X* = I(y Zhat) with
-I = (U')^{-1} and y > 0 solving the budget equation.
+I = (U')^{-1} and y > 0 solving the budget equation.  ``bisect_budget``
+solves that equation for a custom utility table and ``budget_estimate``
+turns the solution into an estimate; ``valuation`` and ``sensitivity``
+call both.
 
-For power utility U(x) = p x^{1/p} everything is explicit:
+For power utility U(x) = p x^{1/p} everything is explicit, and
+``optimal_terminal_wealth`` returns the optimal wealth samples that the
+``norms`` command reads:
 
     X* = x0 Zhat^{-q} / E[Zhat^{1-q}],      q = p/(p-1),
     value = p x0^{1/p} E[Zhat^{1-q}]^{1/q}.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens import utility as ut
-from portsens.estimate import ValueEstimate, delta_estimate, mean_estimate
+from portsens.estimate import ValueEstimate, delta_estimate
 from portsens.market import (MarketModel, integrand, mpr_from_values,
                              mpr_integrand, scalar_constant)
 from portsens.paths import PathEnsemble, path_sums
@@ -45,10 +50,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OptimalWealth:
-    """Optimal terminal wealth samples with multiplier and density."""
+    """Optimal terminal wealth samples with density and value."""
 
     xstar: np.ndarray
-    y: float
     z: np.ndarray  # pricing density per path, discount included
     value: ValueEstimate
 
@@ -64,44 +68,33 @@ class ClosedFormValue:
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
-                            logzhat: np.ndarray, seed: int) -> OptimalWealth:
-    """Solve the static problem on pricing-density samples.
+                            logzhat: np.ndarray) -> OptimalWealth:
+    """Solve the static problem for power utility on pricing-density samples.
 
     ``logzhat`` holds log Zhat per path (discount included), e.g. the nu = 0
-    row of ``modular.density_logs``; ``seed`` labels the estimates.
-    Supported: power and log utility in a complete market (n = d) or under
-    deterministic coefficients, plus custom utilities via budget bisection.
+    row of ``modular.density_logs``.  The market must be complete (n = d)
+    or have deterministic coefficients.  Log and custom utilities are
+    refused: ``valuation.value_surface`` values them at tau = 0.
     """
-    logzhat = np.asarray(logzhat, dtype=float)
-    zhat = np.exp(logzhat)
+    if u.kind != "power":
+        raise SolverError(f"optimal wealth needs a power utility, "
+                          f"got {u.label!r}")
     if not (model.n == model.d or model.is_deterministic):
         raise SolverError("incomplete market with stochastic coefficients: "
                           "no closed-form dual optimizer")
-
-    x0 = model.x0
-    if u.kind == "power":
-        q = u.q
-        v = np.exp((1.0 - q) * logzhat)  # Zhat^{1-q}
-        m0 = float(np.mean(v))
-        xs = x0 * np.exp(-q * logzhat) / m0
-        y = (m0 / x0) ** (1.0 / q)
-        # mean U(X*) equals p x0^{1/p} m0^{1/q} exactly; the delta method
-        # tracks the nonlinearity of the m0 power
-        val = delta_estimate(
-            [v], lambda m: u.p * x0 ** (1 / u.p) * m[0] ** (1 / q),
-            lambda m: np.array([u.p * x0 ** (1 / u.p) / q
-                                * m[0] ** (1 / q - 1)]),
-            seed, f"value[power p={u.p:g}]")
-    elif u.kind == "log":
-        xs = x0 / zhat
-        y = 1.0 / x0
-        val = mean_estimate(np.log(x0) - logzhat, seed, "value[log]")
-    else:
-        y = bisect_budget(u, zhat, x0)
-        xs = np.asarray(ut.inverse_marginal(u, y * zhat))
-        val = budget_estimate(np.asarray(ut.evaluate(u, xs)), zhat * xs, y,
-                              seed, f"value[{u.label}]")
-    return OptimalWealth(xstar=xs, y=y, z=zhat, value=val)
+    logzhat = np.asarray(logzhat, dtype=float)
+    x0, q = model.x0, u.q
+    v = np.exp((1.0 - q) * logzhat)  # Zhat^{1-q}
+    m0 = float(np.mean(v))
+    xs = x0 * np.exp(-q * logzhat) / m0
+    # mean U(X*) equals p x0^{1/p} m0^{1/q} exactly; the delta method
+    # tracks the nonlinearity of the m0 power
+    val = delta_estimate(
+        [v], lambda m: u.p * x0 ** (1 / u.p) * m[0] ** (1 / q),
+        lambda m: np.array([u.p * x0 ** (1 / u.p) / q
+                            * m[0] ** (1 / q - 1)]),
+        f"value[power p={u.p:g}]")
+    return OptimalWealth(xstar=xs, z=np.exp(logzhat), value=val)
 
 
 def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
@@ -139,8 +132,7 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
 
 
 def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,
-                    seed: int, estimator: str,
-                    extras: dict | None = None) -> ValueEstimate:
+                    estimator: str) -> ValueEstimate:
     """Mean of per-path utilities at a budget-constrained optimum.
 
     ``values`` is w U(X*) and ``spent`` w Zhat X* per path, where the
@@ -151,8 +143,7 @@ def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,
     w U(X*) - y (w Zhat X* - x0).
     """
     return delta_estimate([values, spent], lambda m: m[0],
-                          lambda m: np.array([1.0, -y]), seed, estimator,
-                          extras=extras)
+                          lambda m: np.array([1.0, -y]), estimator)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ dominant variance contribution.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,13 +110,13 @@ class PerturbationSpec:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceRow:
+    """Weak and strong values at one tau, with the sample mean of the
+    measure-change weight G (1 at tau = 0)."""
+
     tau: float
     weak: ValueEstimate
     strong: ValueEstimate
-
-    @property
-    def weight_mean(self) -> float:
-        return self.weak.extras["weight_mean"]
+    weight_mean: float
 
 
 def _check_solvable(model: MarketModel, pert: PerturbationSpec) -> None:
@@ -179,12 +178,13 @@ def surface_sums(model: MarketModel, pert: PerturbationSpec, taus,
     return sums
 
 
-def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus, s: dict,
-                 seed: int) -> list[SurfaceRow]:
+def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus,
+                 s: dict) -> list[SurfaceRow]:
     """Weak and strong values per tau from the sums of ``surface_sums``.
 
     Per tau the per-path building blocks are, as (M,) arrays:
     log_g      log of the measure-change weight G
+    g          the weight G itself
     log_zw     log pricing density under the tilted measure, discount included
     log_zs     same but on the base measure (strong)
     lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (for log utility)
@@ -192,32 +192,29 @@ def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus, s: dict,
     rows = []
     for i, tau in enumerate(taus):
         R, Q, S, X = s[f"R{i}"], s[f"Q{i}"], s[f"S{i}"], s[f"X{i}"]
-        arrs = {"log_g": s[f"G{i}"] - 0.5 * s[f"GG{i}"],
+        log_g = s[f"G{i}"] - 0.5 * s[f"GG{i}"]
+        arrs = {"log_g": log_g, "g": np.exp(log_g),
                 "log_zw": -S + X - 0.5 * Q - R,
                 "log_zs": -S - 0.5 * Q - R,
                 "lin": R + 0.5 * Q}
         rows.append(SurfaceRow(
             tau=tau,
-            weak=_estimate_value(model, u, arrs, tau, seed, weak=True),
-            strong=_estimate_value(model, u, arrs, tau, seed, weak=False)))
+            weak=_estimate_value(model, u, arrs, tau, weak=True),
+            strong=_estimate_value(model, u, arrs, tau, weak=False),
+            weight_mean=float(np.mean(arrs["g"]))))
     return rows
 
 
 def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
-                    tau: float, seed: int, weak: bool) -> ValueEstimate:
+                    tau: float, weak: bool) -> ValueEstimate:
     side = "weak" if weak else "strong"
     name = f"{side}-value[tau={tau:g},{u.label}]"
-    x0 = model.x0
-    if weak:
-        g = np.exp(arrs["log_g"])
-        extras = {"tau": tau, "weight_mean": float(np.mean(g))}
-    else:
-        extras = {"tau": tau, "weight_mean": 1.0}
+    x0, g = model.x0, arrs["g"]
     if u.kind == "log":
         vals = arrs["lin"] + np.log(x0)
         if weak:
             vals = g * vals
-        return mean_estimate(vals, seed, name, extras=extras)
+        return mean_estimate(vals, name)
     if u.kind == "power":
         q = u.q
         expo = (1.0 - q) * (arrs["log_zw"] if weak else arrs["log_zs"])
@@ -228,7 +225,7 @@ def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
         return delta_estimate(
             [v], lambda m: scale * m[0] ** (1.0 / q),
             lambda m: np.array([scale / q * m[0] ** (1.0 / q - 1.0)]),
-            seed, name, extras=extras)
+            name)
     # custom utility: budget bisection under the relevant measure; the
     # multiplier y solves mean(g z X*) = x0, and differentiating that
     # equation implicitly adds -y (g z X* - x0) to the influence of g U(X*)
@@ -239,8 +236,7 @@ def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
     vals, spent = np.asarray(ut.evaluate(u, xs)), z * xs
     if weak:
         vals, spent = g * vals, g * spent
-    return budget_estimate(vals, spent, y, seed, name,
-                           extras={**extras, "y": y})
+    return budget_estimate(vals, spent, y, name)
 
 
 def value_surface(model: MarketModel, u: ut.UtilitySpec,
@@ -249,19 +245,4 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
     s = path_sums(ensemble, surface_sums(model, pert, taus, ensemble.grid))
-    return surface_rows(model, u, taus, s, ensemble.seed)
-
-
-SURFACE_HEADER = ["tau", "u_weak", "se_weak", "u_strong", "se_strong",
-                  "weight_mean", "seed"]
-
-
-def write_surface_csv(path: str, rows: list[SurfaceRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SURFACE_HEADER)
-        for r in rows:
-            w.writerow([repr(float(r.tau)),
-                        repr(r.weak.mean), repr(r.weak.se),
-                        repr(r.strong.mean), repr(r.strong.se),
-                        repr(r.weight_mean), r.weak.seed])
+    return surface_rows(model, u, taus, s)

@@ -1,10 +1,13 @@
 """Every public top-level function and class in the package serves a command
 or a script: some other code in ``src/portsens`` or ``scripts`` names it.
-Likewise every default serves a setting that some command or script varies:
-a call in that code sets it.
+Every public method and property of a public class is reached there
+through an attribute access.  Likewise every default serves a setting that
+some command or script varies: a call in that code sets it.
 
 Tests do not count as callers, so a helper or a setting that only tests
-exercise fails here.  ``__init__.py`` only re-exports and is not scanned.
+exercise fails here.  An attribute of a module alias, such as
+``ut.evaluate``, names a module's function, never a method.
+``__init__.py`` only re-exports and is not scanned.
 """
 
 import ast
@@ -51,6 +54,45 @@ def unused_public_names(files) -> list:
                              for owner, names in refs if owner is not node))
 
 
+def _module_aliases(tree) -> set:
+    """Names a file binds to modules: every ``import`` and each
+    ``from ... import`` of a package module."""
+    modules = {p.stem for p in (ROOT / "src" / "portsens").glob("*.py")}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.asname or a.name for a in node.names
+                    if a.name in modules}
+    return out
+
+
+def _on_alias(node, aliases) -> bool:
+    """Whether an attribute node reads an attribute of a module alias."""
+    return isinstance(node.value, ast.Name) and node.value.id in aliases
+
+
+def unreached_methods(files) -> list:
+    """"Class.method" of every public method and property of a public
+    top-level class whose name no attribute access in ``files`` reads."""
+    methods, reached = [], set()
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = _module_aliases(tree)
+        reached |= {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and not _on_alias(node, aliases)}
+        methods += [(node.name, sub.name) for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not sub.name.startswith("_")]
+    return sorted(f"{cls}.{name}" for cls, name in methods
+                  if name not in reached)
+
+
 def _sources():
     pkg = sorted(p for p in (ROOT / "src" / "portsens").glob("*.py")
                  if p.name != "__init__.py")
@@ -62,6 +104,19 @@ def test_every_public_name_has_a_caller():
     assert unused_public_names(_sources()) == sorted(ALLOWED)
 
 
+# "Class.method" -> why it stays although no command or script reaches it
+ALLOWED_METHODS = {
+    "CoefficientProcess.evaluate": "the node values that tests compare "
+                                   "regime gathers against; the benchmark "
+                                   "tracer wraps it",
+}
+
+
+def test_every_public_method_has_a_caller():
+    # an allowed method that gains a caller leaves the list too
+    assert unreached_methods(_sources()) == sorted(ALLOWED_METHODS)
+
+
 # "function.parameter" or "Dataclass.field" -> why its default stays
 # although no command or script sets it
 ALLOWED_DEFAULTS = {
@@ -70,6 +125,9 @@ ALLOWED_DEFAULTS = {
     "value_closed_form.ensemble": "the reference for the adapted log case",
     "PathEnsemble.scheme": "read by the benchmark's environment probe",
     "PathEnsemble.block_paths": "the block-size seam that tests use",
+    "evaluate.W": "CoefficientProcess.evaluate's paths: tests compare "
+                  "regime gathers against the method, and the benchmark "
+                  "tracer wraps it",
 }
 
 
@@ -83,8 +141,9 @@ def _is_dataclass(node) -> bool:
 
 
 def _defaults(tree) -> list:
-    """(callable name, parameter, positional index or None) of every
-    defaulted parameter of a def and defaulted field of a dataclass.
+    """(callable name, parameter, positional index or None, is a method)
+    of every defaulted parameter of a def and defaulted field of a
+    dataclass.
 
     A method's index leaves out ``self``, and ``__init__`` is called by
     its class name."""
@@ -97,48 +156,55 @@ def _defaults(tree) -> list:
                 owner[sub] = node.name
         if _is_dataclass(node):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
-            out += [(node.name, f.target.id, i) for i, f in enumerate(fields)
-                    if f.value is not None]
+            out += [(node.name, f.target.id, i, False)
+                    for i, f in enumerate(fields) if f.value is not None]
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
-        name = node.name
+        name, method = node.name, node in owner
         params = node.args.posonlyargs + node.args.args
-        if node in owner:
+        if method:
             params = params[1:]
-            name = owner[node] if name == "__init__" else name
+            if name == "__init__":
+                name, method = owner[node], False
         first = len(params) - len(node.args.defaults)
-        out += [(name, a.arg, i) for i, a in enumerate(params) if i >= first]
-        out += [(name, a.arg, None) for a, d in
+        out += [(name, a.arg, i, method) for i, a in enumerate(params)
+                if i >= first]
+        out += [(name, a.arg, None, method) for a, d in
                 zip(node.args.kwonlyargs, node.args.kw_defaults)
                 if d is not None]
     return out
 
 
 def _calls(tree) -> list:
-    """(called name, positional count, keywords, passes * or **)."""
-    out = []
+    """(called name, positional count, keywords, passes * or **, called
+    on a module alias)."""
+    out, aliases = [], _module_aliases(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "id", getattr(func, "attr", None))
             star = any(isinstance(a, ast.Starred) for a in node.args) \
                 or any(k.arg is None for k in node.keywords)
+            on_alias = isinstance(func, ast.Attribute) \
+                and _on_alias(func, aliases)
             out.append((name, len(node.args), {k.arg for k in node.keywords},
-                        star))
+                        star, on_alias))
     return out
 
 
 def unset_defaults(files) -> list:
-    """Defaults that no call in ``files`` sets, as "name.parameter"."""
+    """Defaults that no call in ``files`` sets, as "name.parameter"; a
+    call on a module alias sets no method's default."""
     trees = [ast.parse(path.read_text(), str(path)) for path in files]
     calls = [c for tree in trees for c in _calls(tree)]
     return sorted(f"{name}.{param}" for tree in trees
-                  for name, param, index in _defaults(tree)
-                  if not any(called == name and (
-                      star or param in keywords
-                      or (index is not None and npos > index))
-                      for called, npos, keywords, star in calls))
+                  for name, param, index, method in _defaults(tree)
+                  if not any(called == name and not (method and on_alias)
+                             and (star or param in keywords
+                                  or (index is not None and npos > index))
+                             for called, npos, keywords, star, on_alias
+                             in calls))
 
 
 def test_every_default_is_set_by_a_caller():

@@ -13,9 +13,8 @@ import portsens
 
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
-                          format_config, load_config, main)
+                          SURFACE_HEADER, format_config, load_config, main)
 from portsens.paths import PathEnsemble
-from portsens.valuation import SURFACE_HEADER
 
 CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
            "configs/norms.ini", "configs/h1_kernel.ini"]
@@ -333,7 +332,8 @@ def test_secondorder_command(tmp_path):
     rows = read_rows(f"{out}/secondorder.csv")
     assert rows[0] == SECOND_HEADER
     assert len(rows) == 5
-    assert all(r[5] == "true" and r[6] == "true" for r in rows[1:])
+    # the curve lies above its tangent, and |residual| decays at order 2
+    assert all(r[5] == "false" and r[6] == "true" for r in rows[1:])
 
 
 def test_usage_errors_exit_one(capsys):

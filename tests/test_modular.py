@@ -1,7 +1,5 @@
 """Budget and dual modulars, their norms, and the Hölder pairing."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from portsens.modular import (HolderReport, ModularError, ModularFunctional,
                               norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import optimal_terminal_wealth
-from portsens.utility import evaluate, log_utility, power_utility
+from portsens.utility import evaluate, inverse, log_utility, power_utility
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +41,7 @@ def logs3(mf3, mod_ens):
 @pytest.fixture(scope="module")
 def opt3(mod_model, logs3, mod_ens):
     # the zero member's samples are the minimal-measure pricing density
-    return optimal_terminal_wealth(mod_model, power_utility(3.0), logs3[0],
-                                   mod_ens.seed)
+    return optimal_terminal_wealth(mod_model, power_utility(3.0), logs3[0])
 
 
 def test_family_validation(mod_model):
@@ -79,13 +76,17 @@ def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, logs3,
     mf0 = ModularFunctional(model=mod_model, utility=power_utility(3.0))
     # single zero member: J inverts the utility and reprices the budget,
     # which the multiplier bisection pinned at x0 on these very samples
-    j0 = j_functional(z, mf0, density_logs(mf0, mod_ens), mod_ens.seed)
+    j0 = j_functional(z, mf0, density_logs(mf0, mod_ens))
     assert abs(j0.mean - mod_model.x0) < 1e-9 * (1.0 + mod_model.x0)
-    assert j0.extras["argmax_member"] == 0
+    assert j0.estimator == "j[nu=0]"
     # the optimal payoff is replicable, so every member prices it at x0
     # and the maximum sits within Monte Carlo noise of the budget
-    j = j_functional(z, mf3, logs3, mod_ens.seed)
+    j = j_functional(z, mf3, logs3)
     assert abs(j.mean - mod_model.x0) < 3.0 * j.se
+    # the maximizing member's own estimate comes back unchanged
+    member = int(j.estimator[len("j[nu="):-1])
+    wealth = np.asarray(inverse(power_utility(3.0), np.abs(z)))
+    assert j.mean == float(np.mean(np.exp(logs3[member]) * wealth))
 
 
 def test_luxemburg_closed_form(mf3, logs3, opt3):
@@ -105,7 +106,7 @@ def test_amemiya_closed_form(mod_model, mod_ens):
         q = p / (p - 1.0)
         mf = ModularFunctional(model=mod_model, utility=u)
         logs = density_logs(mf, mod_ens)
-        opt = optimal_terminal_wealth(mod_model, u, logs[0], mod_ens.seed)
+        opt = optimal_terminal_wealth(mod_model, u, logs[0])
         z = np.asarray(evaluate(u, opt.xstar))
         F = j_evaluator(mf, logs)
         budget = F(z)
@@ -166,7 +167,7 @@ def test_zero_payoff(mod_ens, mf3, logs3):
     F = j_evaluator(mf3, logs3)
     assert luxemburg_norm(F, zero) == 0.0
     assert amemiya_norm(F, zero) == 0.0
-    assert j_functional(zero, mf3, logs3, mod_ens.seed).mean == 0.0
+    assert j_functional(zero, mf3, logs3).mean == 0.0
     assert norm_I(zero, mf3, logs3) == 0.0
 
 
@@ -180,7 +181,7 @@ def test_divergent_moments_raise(mod_ens, mf3, logs3):
 
 def test_payoff_shape_guard(mod_ens, mf3, logs3):
     with pytest.raises(ModularError):
-        j_functional(np.ones(7), mf3, logs3, mod_ens.seed)
+        j_functional(np.ones(7), mf3, logs3)
     # density samples of another family size are refused as well
     with pytest.raises(ModularError, match="family"):
         norm_J(np.ones(mod_ens.count), mf3, logs3[:2])

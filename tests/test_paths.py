@@ -6,7 +6,6 @@ bits.
 """
 
 import math
-import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -181,7 +180,10 @@ def kernel_requests(grid, model):
     ind1 = indicator(1, 0.2, [1.0, 0.0], [0.0, 2.0])
     const = constant([0.3, -0.6])
     joint = RegimeTable(grid, pw, ind0, ind1, const)
-    a, b, c, k = ((joint, joint.values(p)) for p in (pw, ind0, ind1, const))
+    # every table with drivers is dense, as the market's tables are; a
+    # constant member's broadcast view is copied
+    a, b, c, k = ((joint, np.array(joint.values(p)))
+                  for p in (pw, ind0, ind1, const))
     d = (joint, joint.values(ind1) - joint.values(pw))
     time_only = integrand(grid, pw)
     # c is last named where d is first: d must not take c's node values
@@ -201,8 +203,9 @@ def direct_sums(ens, requests):
 
     def values(regimes, table):
         idx = regimes.index(W)
+        spread = not regimes.drivers and table.strides[0] == 0
         return np.broadcast_to(table[0], idx.shape + table.shape[1:]) \
-            if table.strides[0] == 0 else table[idx]
+            if spread else table[idx]
 
     out = {}
     for name, (kind, *fs) in requests.items():

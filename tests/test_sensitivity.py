@@ -1,7 +1,6 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
 import importlib.util
-import math
 import os
 import pathlib
 import re
@@ -121,16 +120,15 @@ def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
     assert rep.verdict, rep.line()
 
 
-def test_fd_extras_record_steps(det2d_model, det_ens):
+def test_fd_correction_vanishes_on_quadratic_curve(det2d_model, det_ens):
     pert = PerturbationSpec(dmu=DMU2)
     rows = value_surface(det2d_model, log_utility(), pert,
                          [-0.2, -0.1, 0.1, 0.2], det_ens)
-    _, fd = fd_sensitivity(rows, (0.2, 0.1), pert.label)
-    assert fd.extras["side"] == "strong"
-    assert set(fd.extras["by_eps"]) == {0.1, 0.2}
+    _, (fd, correction) = fd_sensitivity(rows, (0.2, 0.1), pert.label)
+    assert fd.estimator == "richardson[strong,dmu]"
     # deterministic log curve is exactly quadratic in tau, so the central
     # differences already equal the slope and the correction is tiny
-    assert abs(fd.extras["correction"]) < 1e-12
+    assert abs(correction) < 1e-12
     with pytest.raises(ValueError):
         fd_sensitivity(rows, (0.1,), pert.label)
 
@@ -184,20 +182,24 @@ def test_example2_discrepancy():
         < 3.0 * adapted.value.se + 0.02
 
 
-def test_second_order_vacuous_on_convex_curves(det2d_model, det_ens,
-                                               switch_model, switch_ens):
-    # both value curves lie above their tangents, so the negative parts
-    # are empty and the check passes vacuously
-    for model, u, pert, ens in [
-            (det2d_model, power_utility(3.0), PerturbationSpec(dmu=DMU2),
-             det_ens),
-            (switch_model, log_utility(), UNIT_DRIFT, switch_ens)]:
-        rep = second_order_check(model, u, pert, ens)
-        assert rep.vacuous
-        assert rep.slope == math.inf
-        assert rep.passed
-        assert all(v == 0.0 for v in rep.negative_parts)
-        assert all(r > -rep.floor for r in rep.residuals)
+def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
+        det2d_model):
+    # the deterministic2d curve lies above its tangent, so no residual has
+    # a below-tangent part; the check fits |residual| and still fails a
+    # derivative 0.05 off, whose residual turns first order
+    u, pert = power_utility(3.0), PerturbationSpec(dmu=DMU2, drate=DRATE)
+    ens = PathEnsemble(TimeGrid(1.0, 32), n=2, count=2000, seed=11)
+    rep = second_order_check(det2d_model, u, pert, ens)
+    assert all(v == 0.0 for v in rep.negative_parts)
+    assert not rep.vacuous and rep.passed and 1.9 < rep.slope < 2.1
+    rows = value_surface(det2d_model, u, pert, (0.0,) + rep.eps, ens)
+    base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
+    deriv, _ = sensitivity_pair(det2d_model, u, pert, ens)
+    assert residual_decay(rep.eps, base, curve, deriv.mean).slope \
+        == rep.slope
+    off = residual_decay(rep.eps, base, curve, deriv.mean - 0.05)
+    assert not off.vacuous and not off.passed
+    assert 0.9 < off.slope < 1.2
 
 
 def test_second_order_check_refuses_bad_steps(switch_model):

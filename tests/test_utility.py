@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsens.utility import (UtilitySpec, custom_utility,
+from portsens.utility import (custom_utility,
                               derivative, evaluate, inverse,
                               inverse_marginal, load_custom_utility,
                               log_utility, parse_utility, power_utility,

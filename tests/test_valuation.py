@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from portsens.cli import SURFACE_HEADER, main
 from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator, scalar_constant)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.utility import custom_utility, log_utility, power_utility
-from portsens.valuation import (SURFACE_HEADER, PerturbationSpec,
-                                value_surface, write_surface_csv)
+from portsens.valuation import PerturbationSpec, value_surface
 
 UNIT_DRIFT = PerturbationSpec(dmu=constant([1.0]))
 
@@ -129,7 +129,6 @@ def test_weight_mean_tracks_unit_expectation(switch_model, switch_ens):
     rows = value_surface(switch_model, log_utility(), UNIT_DRIFT, [0.0, 0.2],
                          switch_ens)
     assert rows[0].weight_mean == 1.0
-    assert rows[0].strong.extras["weight_mean"] == 1.0
     # E[G] = 1 exactly, also in discrete time
     assert rows[1].weight_mean == pytest.approx(1.0, abs=0.02)
 
@@ -171,8 +170,15 @@ def test_surface_csv_round_trip(tmp_path, switch_model):
     ens = PathEnsemble(TimeGrid(1.0, 16), n=1, count=500, seed=405)
     rows = value_surface(switch_model, power_utility(2.0), UNIT_DRIFT,
                          [0.0, 0.37, 1.25], ens)
+    config = tmp_path / "switch.ini"
+    config.write_text(
+        "[market]\nd = 1\nn = 1\nmu = ind:j=0;c=0.0;lo=[0.0];hi=[1.0]\n"
+        "sigma = const:[1.0]\n[utility]\nspec = power:p=2\n"
+        "[perturbation]\ndmu = const:[1.0]\ntaus = 0.0,0.37,1.25\n"
+        "[mc]\npaths = 500\nsteps = 16\nhorizon = 1.0\nseed = 405\n")
+    assert main(["value", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
     path = tmp_path / "surface.csv"
-    write_surface_csv(str(path), rows)
     header = path.read_text().splitlines()[0]
     assert header.split(",") == SURFACE_HEADER
     with open(path, newline="") as fh:
