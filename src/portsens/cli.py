@@ -38,8 +38,8 @@ import sys
 import numpy as np
 
 from . import utility as ut
-from .danskin import (CloudError, directional_derivative, hadamard_probe,
-                      load_cloud, support_value)
+from .danskin import (TIE_TOL, CloudError, directional_derivative,
+                      hadamard_probe, load_cloud, support_value)
 from .market import (MarketModel, check_h1_direction, format_coefficient,
                      parse_coefficient, scalar_constant, zeros)
 from .modular import (ModularFunctional, amemiya_norm, density_logs,
@@ -47,7 +47,7 @@ from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       luxemburg_norm, norm_I, norm_J)
 from .paths import PathEnsemble, TimeGrid, check_seed
 from .sensitivity import (DEFAULT_STEPS, check_steps, example1_report,
-                          example2_reports, second_order_check,
+                          example2_reports, fd_steps, second_order_check,
                           sensitivity_reports)
 from .solver import optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
@@ -283,8 +283,33 @@ def _make_ensemble(cfg: ExperimentConfig):
                         count=cfg.paths, seed=cfg.seed)
 
 
+def _perturbed(args, title: str):
+    """What ``value``, ``sens`` and ``secondorder`` read: the config, its
+    model, utility and direction, the ensemble, and the summary heading."""
+    cfg = _load(args)
+    model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
+    heading = (f"{title}: utility={u.label} direction={pert.label} "
+               f"paths={cfg.paths} steps={cfg.steps} "
+               f"horizon={cfg.horizon:g} seed={cfg.seed}")
+    return cfg, model, u, pert, _make_ensemble(cfg), heading
+
+
 # ---------------------------------------------------------------------------
 # artifact emission
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Result:
+    """What a command computed: ``main`` writes ``rows`` under ``header``
+    to ``<stem>.csv`` and ``lines`` to ``<stem>_summary.txt`` in ``outdir``,
+    and exits 0 if ``passed``, else 3."""
+
+    outdir: str
+    stem: str
+    header: list
+    rows: list
+    lines: list
+    passed: bool
+
 
 def _write_csv(outdir: str, name: str, header: list, rows: list) -> str:
     os.makedirs(outdir, exist_ok=True)
@@ -298,11 +323,14 @@ def _write_csv(outdir: str, name: str, header: list, rows: list) -> str:
 
 
 def _emit_summary(outdir: str, name: str, lines: list) -> None:
-    os.makedirs(outdir, exist_ok=True)
     text = "\n".join(lines) + "\n"
     with open(os.path.join(outdir, f"{name}_summary.txt"), "w") as fh:
         fh.write(text)
     sys.stdout.write(text)
+
+
+def _ok(passed) -> str:
+    return "ok" if passed else "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -312,71 +340,56 @@ SURFACE_HEADER = ["tau", "u_weak", "se_weak", "u_strong", "se_strong",
                   "weight_mean", "seed"]
 
 
-def cmd_value(args) -> int:
-    cfg = _load(args)
-    model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
-        _need(cfg, "pert")
+def cmd_value(args) -> _Result:
+    cfg, model, u, pert, ens, heading = _perturbed(args, "value surface")
     if cfg.taus is None:
         raise ConfigError("value needs taus in [perturbation]")
-    ens = _make_ensemble(cfg)
     rows = value_surface(model, u, pert, cfg.taus, ens)
-    path = _write_csv(cfg.outdir, "surface.csv", SURFACE_HEADER,
-                      [[_r(r.tau), _r(r.weak.mean), _r(r.weak.se),
-                        _r(r.strong.mean), _r(r.strong.se),
-                        _r(r.weight_mean), cfg.seed] for r in rows])
-    lines = [f"value surface: utility={u.label} direction={pert.label} "
-             f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
-             f"seed={cfg.seed}"]
-    for r in rows:
-        lines.append(f"  tau={r.tau:g}: weak={r.weak.mean:.6g} "
-                     f"(se {r.weak.se:.2g})  strong={r.strong.mean:.6g} "
-                     f"(se {r.strong.se:.2g})")
-    lines.append(f"wrote {path}")
-    _emit_summary(cfg.outdir, "surface", lines)
-    return 0
+    lines = [heading] + [f"  tau={r.tau:g}: weak={r.weak.mean:.6g} "
+                         f"(se {r.weak.se:.2g})  strong={r.strong.mean:.6g} "
+                         f"(se {r.strong.se:.2g})" for r in rows]
+    return _Result(cfg.outdir, "surface", SURFACE_HEADER,
+                   [[_r(r.tau), _r(r.weak.mean), _r(r.weak.se),
+                     _r(r.strong.mean), _r(r.strong.se), _r(r.weight_mean),
+                     cfg.seed] for r in rows], lines, True)
 
 
 SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
                "gap", "tolerance", "verdict", "seed"]
 
 
-def cmd_sens(args) -> int:
-    cfg = _load(args)
-    model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
-        _need(cfg, "pert")
-    eps = _steps(args.eps)
-    ens = _make_ensemble(cfg)
+def cmd_sens(args) -> _Result:
+    cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
+    eps, _ = fd_steps(_steps(args.eps))
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
              _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se), _r(rep.gap),
              _r(rep.tolerance), _flag(rep.verdict), cfg.seed]
             for rep in reports]
-    path = _write_csv(cfg.outdir, "sens.csv", SENS_HEADER, rows)
-    lines = [f"sensitivities: utility={u.label} direction={pert.label} "
-             f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
-             f"seed={cfg.seed}",
+    lines = [heading,
              f"  difference steps: {', '.join(f'{e:g}' for e in eps)}; "
              "tolerance = 3 se of the paired contrast plus the "
              "extrapolation correction"]
     lines += ["  " + rep.line() for rep in reports]
-    lines.append(f"wrote {path}")
-    _emit_summary(cfg.outdir, "sens", lines)
-    return 0 if all(rep.verdict for rep in reports) else 3
+    return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines,
+                   all(rep.verdict for rep in reports))
 
 
 EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
                    "abs_error", "tolerance", "verdict", "seed"]
 
+# largest |estimate - expected| that example1 accepts on each side
+_TOL_STRONG = 0.01
+_TOL_WEAK = 0.015
 
-def cmd_example1(args) -> int:
+
+def cmd_example1(args) -> _Result:
     rep = example1_report(T=args.T, M=args.paths, N=args.steps,
                           seed=args.seed)
-    checks = [
-        ("strong", rep.strong, rep.expected_strong, args.tol_strong,
-         abs(rep.strong.mean - rep.expected_strong) <= args.tol_strong),
-        ("weak", rep.weak, rep.expected_weak, args.tol_weak,
-         abs(rep.weak.mean - rep.expected_weak) <= args.tol_weak),
-    ]
+    checks = [(side, est, expected, tol, abs(est.mean - expected) <= tol)
+              for side, est, expected, tol in (
+                  ("strong", rep.strong, rep.expected_strong, _TOL_STRONG),
+                  ("weak", rep.weak, rep.expected_weak, _TOL_WEAK))]
     rows = [[_r(args.T), side, _r(est.mean), _r(est.se), _r(expected),
              _r(abs(est.mean - expected)), _r(tol), _flag(ok), args.seed]
             for side, est, expected, tol, ok in checks]
@@ -385,55 +398,48 @@ def cmd_example1(args) -> int:
     rows.append([_r(args.T), "gap", _r(rep.gap), _r(rep.gap_se),
                  _r(rep.expected_gap), _r(abs(rep.gap - rep.expected_gap)),
                  _r(5.0 * rep.gap_se), _flag(gap_ok), args.seed])
-    path = _write_csv(args.out, "example1.csv", EXAMPLE1_HEADER, rows)
     lines = [f"sign-switching market, unit drift direction: T={args.T:g} "
              f"paths={args.paths} steps={args.steps} seed={args.seed}"]
-    for side, est, expected, tol, ok in checks:
-        lines.append(f"  {side}: {est.mean:.6g} (se {est.se:.2g}), expected "
-                     f"{expected:.6g}, |error| <= {tol:g}: "
-                     f"{'ok' if ok else 'FAIL'}")
+    lines += [f"  {side}: {est.mean:.6g} (se {est.se:.2g}), expected "
+              f"{expected:.6g}, |error| <= {tol:g}: {_ok(ok)}"
+              for side, est, expected, tol, ok in checks]
     lines.append(f"  weak - strong = {rep.gap:.6g} (se {rep.gap_se:.2g}, "
                  f"{rep.gap_sigmas:.1f} sigma), expected "
                  f"{rep.expected_gap:.6g}, negative and > 5 sigma: "
-                 f"{'ok' if gap_ok else 'FAIL'}")
-    lines.append(f"wrote {path}")
-    _emit_summary(args.out, "example1", lines)
-    return 0 if gap_ok and all(c[-1] for c in checks) else 3
+                 f"{_ok(gap_ok)}")
+    return _Result(args.out, "example1", EXAMPLE1_HEADER, rows, lines,
+                   gap_ok and all(c[-1] for c in checks))
 
 
 EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 
 
-def cmd_example2(args) -> int:
+def cmd_example2(args) -> _Result:
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
                                     seed=args.seed)
     det_ok = det.sigmas_from_zero <= 3.0
     ad_ok = adapted.value.mean > 0 and adapted.sigmas_from_zero > 3.0
-    rows = [
-        ["deterministic", _r(det.value.mean), _r(det.value.se),
-         _r(det.sigmas_from_zero), _flag(det_ok), args.seed],
-        ["adapted", _r(adapted.value.mean), _r(adapted.value.se),
-         _r(adapted.sigmas_from_zero), _flag(ad_ok), args.seed],
-    ]
-    path = _write_csv(args.out, "example2.csv", EXAMPLE2_HEADER, rows)
+    rows = [[case, _r(rep.value.mean), _r(rep.value.se),
+             _r(rep.sigmas_from_zero), _flag(ok), args.seed]
+            for case, rep, ok in (("deterministic", det, det_ok),
+                                  ("adapted", adapted, ad_ok))]
     lines = [f"discrepancy functional: T={args.T:g} paths={args.paths} "
              f"steps={args.steps} seed={args.seed}",
              f"  deterministic price of risk: {det.value.mean:.4g} "
              f"(se {det.value.se:.2g}, {det.sigmas_from_zero:.2f} sigma); "
-             f"within 3 sigma of 0: {'ok' if det_ok else 'FAIL'}",
+             f"within 3 sigma of 0: {_ok(det_ok)}",
              f"  adapted price of risk: {adapted.value.mean:.4g} "
              f"(se {adapted.value.se:.2g}, "
              f"{adapted.sigmas_from_zero:.1f} sigma); positive beyond "
-             f"3 sigma: {'ok' if ad_ok else 'FAIL'}",
-             f"wrote {path}"]
-    _emit_summary(args.out, "example2", lines)
-    return 0 if det_ok and ad_ok else 3
+             f"3 sigma: {_ok(ad_ok)}"]
+    return _Result(args.out, "example2", EXAMPLE2_HEADER, rows, lines,
+                   det_ok and ad_ok)
 
 
 H1_HEADER = ["tau", "full_rank", "kernel_equal", "ok"]
 
 
-def cmd_h1check(args) -> int:
+def cmd_h1check(args) -> _Result:
     cfg = _load(args)
     model, pert = _need(cfg, "model"), _need(cfg, "pert")
     if pert.dsigma is None:
@@ -444,31 +450,26 @@ def cmd_h1check(args) -> int:
         raise ConfigError("h1check needs a nonzero tau")
     regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
                                           TimeGrid(cfg.horizon, cfg.steps))
-    rows, lines_mid, all_ok = [], [], True
-    for tau, rep in zip(taus, reports):
-        all_ok = all_ok and rep.ok
-        rows.append([_r(tau), _flag(rep.full_rank), _flag(rep.kernel_equal),
-                     _flag(rep.ok)])
-        lines_mid.append(f"  tau={tau:g}: full rank "
-                         f"{'yes' if rep.full_rank else 'NO'}, kernel "
-                         f"preserved {'yes' if rep.kernel_equal else 'NO'}"
-                         + ("" if rep.ok else " on "
-                            + regimes.describe(rep.worst_regime)))
-    path = _write_csv(cfg.outdir, "h1.csv", H1_HEADER, rows)
+    all_ok = all(rep.ok for rep in reports)
+    rows = [[_r(tau), _flag(rep.full_rank), _flag(rep.kernel_equal),
+             _flag(rep.ok)] for tau, rep in zip(taus, reports)]
     lines = [f"kernel stability of sigma + tau dsigma, exact over "
              f"{len(regimes)} reachable regimes: steps={cfg.steps} "
              f"horizon={cfg.horizon:g}"]
-    lines += lines_mid
+    lines += [f"  tau={tau:g}: full rank "
+              f"{'yes' if rep.full_rank else 'NO'}, kernel "
+              f"preserved {'yes' if rep.kernel_equal else 'NO'}"
+              + ("" if rep.ok else " on "
+                 + regimes.describe(rep.worst_regime))
+              for tau, rep in zip(taus, reports)]
     lines.append(f"verdict: {'stable' if all_ok else 'VIOLATED'}")
-    lines.append(f"wrote {path}")
-    _emit_summary(cfg.outdir, "h1", lines)
-    return 0 if all_ok else 3
+    return _Result(cfg.outdir, "h1", H1_HEADER, rows, lines, all_ok)
 
 
 NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
 
 
-def cmd_norms(args) -> int:
+def cmd_norms(args) -> _Result:
     cfg = _load(args)
     model, u = _need(cfg, "model"), _need(cfg, "utility")
     if ut.infimum(u) < 0:
@@ -493,6 +494,10 @@ def cmd_norms(args) -> int:
     lux = luxemburg_norm(F, payoff)
     bound = 1.0 + model.x0
     am_ok = am <= bound + j_tol
+    # the refusals above leave only power utilities
+    ni = norm_I(opt.z, mf, logs)
+    nj = norm_J(opt.xstar, mf, logs)
+    hold = holder_check(opt.z, opt.xstar, mf, logs)
 
     rows = [
         ["j_at_optimal_payoff", _r(j.mean), _r(j.se), _flag(j_ok), cfg.seed],
@@ -500,54 +505,44 @@ def cmd_norms(args) -> int:
         ["amemiya_norm", _r(am), "", _flag(am_ok), cfg.seed],
         ["luxemburg_norm", _r(lux), "", "", cfg.seed],
         ["amemiya_bound", _r(bound), "", "", cfg.seed],
-    ]
-    lines = [f"modular norms: utility={u.label} family size {len(family)} "
-             f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
-             f"seed={cfg.seed}",
-             f"  j(optimal payoff) = {j.mean:.6g} (se {j.se:.2g}), budget "
-             f"x0 = {model.x0:g}, |gap| <= {j_tol:.2g}: "
-             f"{'ok' if j_ok else 'FAIL'}",
-             f"  amemiya = {am:.6g} <= 1 + x0 = {bound:g}: "
-             f"{'ok' if am_ok else 'FAIL'};  luxemburg = {lux:.6g}"]
-
-    # the refusals above leave only power utilities
-    ni = norm_I(opt.z, mf, logs)
-    nj = norm_J(opt.xstar, mf, logs)
-    hold = holder_check(opt.z, opt.xstar, mf, logs)
-    rows += [
         ["norm_I_pricing_density", _r(ni), "", "", cfg.seed],
         ["norm_J_optimal_wealth", _r(nj), "", "", cfg.seed],
         ["holder_lhs", _r(hold.lhs), "", _flag(hold.passed), cfg.seed],
         ["holder_rhs", _r(hold.rhs), "", "", cfg.seed],
     ]
-    lines.append(f"  norm_I(density) = {ni:.6g}, norm_J(wealth) = "
-                 f"{nj:.6g}, pairing {hold.lhs:.6g} <= {hold.rhs:.6g}: "
-                 f"{'ok' if hold.passed else 'FAIL'}")
-    path = _write_csv(cfg.outdir, "norms.csv", NORMS_HEADER, rows)
-    lines.append(f"wrote {path}")
-    _emit_summary(cfg.outdir, "norms", lines)
-    return 0 if j_ok and am_ok and hold.passed else 3
+    lines = [f"modular norms: utility={u.label} family size {len(family)} "
+             f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
+             f"seed={cfg.seed}",
+             f"  j(optimal payoff) = {j.mean:.6g} (se {j.se:.2g}), budget "
+             f"x0 = {model.x0:g}, |gap| <= {j_tol:.2g}: {_ok(j_ok)}",
+             f"  amemiya = {am:.6g} <= 1 + x0 = {bound:g}: "
+             f"{_ok(am_ok)};  luxemburg = {lux:.6g}",
+             f"  norm_I(density) = {ni:.6g}, norm_J(wealth) = "
+             f"{nj:.6g}, pairing {hold.lhs:.6g} <= {hold.rhs:.6g}: "
+             f"{_ok(hold.passed)}"]
+    return _Result(cfg.outdir, "norms", NORMS_HEADER, rows, lines,
+                   j_ok and am_ok and hold.passed)
 
 
 DANSKIN_HEADER = ["value", "argmax", "radius", "derivative", "probe_gap",
                   "probe_tolerance", "probe_ok"]
 
 
-def cmd_danskin(args) -> int:
+def cmd_danskin(args) -> _Result:
     K = load_cloud(args.cloud)
     d = _floats(args.direction)
-    res = support_value(d, K, args.tie_tol)
+    res = support_value(d, K)
     arg_text = ";".join(str(i) for i in res.argmax)
     lines = [f"support function of {args.cloud} ({K.count} points in "
-             f"R^{K.m}), tie tolerance {args.tie_tol:g}",
+             f"R^{K.m}), tie tolerance {TIE_TOL:g}",
              f"  v({args.direction}) = {res.value:.12g}",
              f"  argmax point indices: {arg_text}",
              f"  radius max|z| = {res.radius:.6g}"]
     deriv_cols, probe_ok = ["", "", "", ""], True
     if args.delta is not None:
         delta = _floats(args.delta)
-        dv = directional_derivative(d, delta, K, args.tie_tol)
-        probe = hadamard_probe(d, delta, K, tie_tol=args.tie_tol)
+        dv = directional_derivative(d, delta, K)
+        probe = hadamard_probe(d, delta, K)
         probe_ok = probe.passed
         deriv_cols = [_r(dv), _r(probe.max_gap), _r(probe.tolerance),
                       _flag(probe.passed)]
@@ -557,43 +552,32 @@ def cmd_danskin(args) -> int:
                      f"(last gap {abs(probe.quotients[-1] - dv):.2g}, "
                      f"tolerance {probe.tolerance:.2g})")
     row = [_r(res.value), arg_text, _r(res.radius)] + deriv_cols
-    path = _write_csv(args.out, "danskin.csv", DANSKIN_HEADER, [row])
-    lines.append(f"wrote {path}")
-    _emit_summary(args.out, "danskin", lines)
-    return 0 if probe_ok else 3
+    return _Result(args.out, "danskin", DANSKIN_HEADER, [row], lines,
+                   probe_ok)
 
 
 SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
                  "vacuous", "passed", "seed"]
 
 
-def cmd_secondorder(args) -> int:
-    cfg = _load(args)
-    model, u, pert = _need(cfg, "model"), _need(cfg, "utility"), \
-        _need(cfg, "pert")
-    eps = _steps(args.eps)
-    ens = _make_ensemble(cfg)
-    rep = second_order_check(model, u, pert, ens, eps=eps)
+def cmd_secondorder(args) -> _Result:
+    cfg, model, u, pert, ens, heading = _perturbed(
+        args, "first-order residual decay")
+    rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
+    steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),
              _flag(rep.vacuous), _flag(rep.passed), cfg.seed]
-            for e, res, neg in zip(rep.eps, rep.residuals,
-                                   rep.negative_parts)]
-    path = _write_csv(cfg.outdir, "secondorder.csv", SECOND_HEADER, rows)
-    lines = [f"first-order residual decay: utility={u.label} "
-             f"direction={pert.label} paths={cfg.paths} steps={cfg.steps} "
-             f"horizon={cfg.horizon:g} seed={cfg.seed}"]
-    for e, res, neg in zip(rep.eps, rep.residuals, rep.negative_parts):
-        lines.append(f"  eps={e:g}: residual {res:.4g}, below-tangent part "
-                     f"{neg:.4g}")
+            for e, res, neg in steps]
+    lines = [heading] + [f"  eps={e:g}: residual {res:.4g}, below-tangent "
+                         f"part {neg:.4g}" for e, res, neg in steps]
     if rep.vacuous:
         lines.append(f"  fewer than two residuals above the floor "
                      f"{rep.floor:.2g}; decay check vacuous: ok")
     else:
         lines.append(f"  log-log slope of |residual| {rep.slope:.3f} "
-                     f"(need >= 1.8): {'ok' if rep.passed else 'FAIL'}")
-    lines.append(f"wrote {path}")
-    _emit_summary(cfg.outdir, "secondorder", lines)
-    return 0 if rep.passed else 3
+                     f"(need >= 1.8): {_ok(rep.passed)}")
+    return _Result(cfg.outdir, "secondorder", SECOND_HEADER, rows, lines,
+                   rep.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -607,24 +591,48 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--config", required=True, help="experiment file")
-    sp.add_argument("--seed", type=_seed, help="override [mc] seed")
-    sp.add_argument("--paths", type=int, help="override [mc] paths")
-    sp.add_argument("--steps", type=int, help="override [mc] steps")
-    sp.add_argument("--horizon", type=float, help="override [mc] horizon")
-    sp.add_argument("--out", help="override [output] directory")
+# each flag is (name, add_argument keywords)
+_CONFIG_FLAGS = (
+    ("--config", dict(required=True, help="experiment file")),
+    ("--seed", dict(type=_seed, help="override [mc] seed")),
+    ("--paths", dict(type=int, help="override [mc] paths")),
+    ("--steps", dict(type=int, help="override [mc] steps")),
+    ("--horizon", dict(type=float, help="override [mc] horizon")),
+    ("--out", dict(help="override [output] directory")))
 
 
-def _add_scale_flags(sp, paths: int, steps: int, seed: int) -> None:
-    sp.add_argument("--T", type=float, default=1.0, help="horizon")
-    sp.add_argument("--paths", type=int, default=paths)
-    sp.add_argument("--steps", type=int, default=steps)
-    sp.add_argument("--seed", type=_seed, default=seed)
-    sp.add_argument("--out", default=".", help="output directory")
+def _eps_flag(text: str) -> tuple:
+    return (("--eps", dict(default=",".join(map(repr, DEFAULT_STEPS)),
+                           help=text)),)
 
 
-_DEFAULT_EPS = ",".join(map(repr, DEFAULT_STEPS))
+def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
+    return (("--T", dict(type=float, default=1.0, help="horizon")),
+            ("--paths", dict(type=int, default=paths)),
+            ("--steps", dict(type=int, default=steps)),
+            ("--seed", dict(type=_seed, default=seed)),
+            ("--out", dict(default=".", help="output directory")))
+
+
+# (name, handler, help, flags) of every command
+_COMMANDS = (
+    ("value", cmd_value, "weak/strong value surface", _CONFIG_FLAGS),
+    ("sens", cmd_sens, "sensitivities vs differences",
+     _CONFIG_FLAGS + _eps_flag("difference step sizes")),
+    ("example1", cmd_example1, "sign-switching market, drift direction",
+     _scale_flags(paths=200_000, steps=2000, seed=7)),
+    ("example2", cmd_example2, "discrepancy functional",
+     _scale_flags(paths=50_000, steps=500, seed=9)),
+    ("h1check", cmd_h1check, "kernel stability of dsigma", _CONFIG_FLAGS),
+    ("norms", cmd_norms, "modular functionals and norms", _CONFIG_FLAGS),
+    ("danskin", cmd_danskin, "support function of a point cloud",
+     (("--cloud", dict(required=True, help="CSV, one point per row")),
+      ("--direction", dict(required=True, help="e.g. '2,1'")),
+      ("--delta", dict(help="direction of differentiation")),
+      ("--out", dict(default=".", help="output directory")))),
+    ("secondorder", cmd_secondorder, "residual decay of the tangent",
+     _CONFIG_FLAGS + _eps_flag("expansion step sizes")),
+)
 
 
 def _build_parser() -> _Parser:
@@ -634,50 +642,11 @@ def _build_parser() -> _Parser:
                 epilog="PORTSENS_WORKERS sets the thread count; results "
                        "are bit-identical for any value.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("value", help="weak/strong value surface")
-    _add_config_flags(sp)
-    sp.set_defaults(func=cmd_value)
-
-    sp = sub.add_parser("sens", help="sensitivities vs differences")
-    _add_config_flags(sp)
-    sp.add_argument("--eps", default=_DEFAULT_EPS,
-                    help="difference step sizes")
-    sp.set_defaults(func=cmd_sens)
-
-    sp = sub.add_parser("example1",
-                        help="sign-switching market, drift direction")
-    _add_scale_flags(sp, paths=200_000, steps=2000, seed=7)
-    sp.add_argument("--tol-strong", type=float, default=0.01,
-                    dest="tol_strong")
-    sp.add_argument("--tol-weak", type=float, default=0.015, dest="tol_weak")
-    sp.set_defaults(func=cmd_example1)
-
-    sp = sub.add_parser("example2", help="discrepancy functional")
-    _add_scale_flags(sp, paths=50_000, steps=500, seed=9)
-    sp.set_defaults(func=cmd_example2)
-
-    sp = sub.add_parser("h1check", help="kernel stability of dsigma")
-    _add_config_flags(sp)
-    sp.set_defaults(func=cmd_h1check)
-
-    sp = sub.add_parser("norms", help="modular functionals and norms")
-    _add_config_flags(sp)
-    sp.set_defaults(func=cmd_norms)
-
-    sp = sub.add_parser("danskin", help="support function of a point cloud")
-    sp.add_argument("--cloud", required=True, help="CSV, one point per row")
-    sp.add_argument("--direction", required=True, help="e.g. '2,1'")
-    sp.add_argument("--delta", help="direction of differentiation")
-    sp.add_argument("--tie-tol", type=float, default=1e-12, dest="tie_tol")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.set_defaults(func=cmd_danskin)
-
-    sp = sub.add_parser("secondorder", help="residual decay of the tangent")
-    _add_config_flags(sp)
-    sp.add_argument("--eps", default=_DEFAULT_EPS,
-                    help="expansion step sizes")
-    sp.set_defaults(func=cmd_secondorder)
+    for name, func, text, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -691,7 +660,11 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        res = args.func(args)
+        path = _write_csv(res.outdir, f"{res.stem}.csv", res.header,
+                          res.rows)
+        _emit_summary(res.outdir, res.stem, res.lines + [f"wrote {path}"])
+        return 0 if res.passed else 3
     except (ConfigError, CloudError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ directions h_k -> delta, not just the fixed one).  Everything here is
 exact enumeration, which makes the module a test bed for envelope-type
 differentiation claims: ties in S(d) are where the derivative is genuinely
 one-sided, so they get first-class treatment through a relative tie
-tolerance.
+tolerance, ``TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# points within TIE_TOL * (1 + |v|) of the support value v tie with the max
+TIE_TOL = 1e-12
 
 
 class CloudError(ValueError):
@@ -70,24 +74,23 @@ def _check_dim(d: np.ndarray, K: CompactSet) -> np.ndarray:
     return d
 
 
-def support_value(d, K: CompactSet, tie_tol: float = 1e-12) -> SupportResult:
+def support_value(d, K: CompactSet) -> SupportResult:
     """max over the cloud of <d, z> with its tie set."""
     d = _check_dim(d, K)
     inner = K.points @ d
     v = float(np.max(inner))
-    ties = np.nonzero(inner >= v - tie_tol * (1.0 + abs(v)))[0]
+    ties = np.nonzero(inner >= v - TIE_TOL * (1.0 + abs(v)))[0]
     return SupportResult(value=v, argmax=tuple(int(i) for i in ties),
                          radius=K.radius)
 
 
-def directional_derivative(d_base, delta, K: CompactSet,
-                           tie_tol: float = 1e-12) -> float:
+def directional_derivative(d_base, delta, K: CompactSet) -> float:
     """One-sided derivative of the support function: max over the tie set.
 
     This is the envelope formula: only the maximizers at the base point
     feel an infinitesimal change of direction.
     """
-    res = support_value(d_base, K, tie_tol)
+    res = support_value(d_base, K)
     delta = _check_dim(delta, K)
     return float(np.max(K.points[list(res.argmax)] @ delta))
 
@@ -109,7 +112,7 @@ class HadamardReport:
 
 
 def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
-                   taus=None, tie_tol: float = 1e-12) -> HadamardReport:
+                   taus=None) -> HadamardReport:
     """Check (v(d + tau_k h_k) - v(d)) / tau_k -> directional derivative.
 
     ``directions`` is a sequence h_k converging to delta (default: delta
@@ -131,12 +134,12 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
     if len(directions) != len(taus):
         raise CloudError("need one direction per step")
 
-    v0 = support_value(d_base, K, tie_tol).value
+    v0 = support_value(d_base, K).value
     quotients = []
     for h, tau in zip(directions, taus):
-        vt = support_value(d_base + tau * h, K, tie_tol).value
+        vt = support_value(d_base + tau * h, K).value
         quotients.append((vt - v0) / tau)
-    deriv = directional_derivative(d_base, delta, K, tie_tol)
+    deriv = directional_derivative(d_base, delta, K)
     # |quotient_k - derivative| <= radius * |h_k - delta| once tau resolves
     # the ties, by the Lipschitz bound applied to the direction drift
     drift = float(np.linalg.norm(directions[-1] - delta))

@@ -144,9 +144,10 @@ def check_steps(eps) -> tuple:
     return eps
 
 
-def _fd_steps(eps) -> tuple[tuple, list]:
-    """The sorted difference steps and the tau grid +-eps they read."""
-    eps = check_steps(eps)
+def fd_steps(eps) -> tuple[tuple, list]:
+    """The two finest difference steps, the only ones ``fd_sensitivity``
+    combines, and the tau grid +-h they read."""
+    eps = check_steps(eps)[:2]
     return eps, sorted({s * e for e in eps for s in (1.0, -1.0)})
 
 
@@ -156,15 +157,14 @@ def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
     Richardson-extrapolated, each with its extrapolation correction.
 
     ``rows`` is a value surface on shared paths (common random numbers)
-    that holds the taus +-eps; ``label`` names the direction.  Each
-    difference reuses the per-path influence vectors, and the two finest
-    steps combine to (4 d_h - d_2h) / 3.  The correction, the extrapolated
+    that holds the taus of ``fd_steps(eps)``; ``label`` names the
+    direction.  Each difference reuses the per-path influence vectors, and
+    the two finest steps combine to (4 d_h - d_2h) / 3.  The correction, the extrapolated
     value minus the finest difference, bounds the residual O(h^2) bias of
     the finest difference.
     """
-    eps, _ = _fd_steps(eps)
     # eliminate the h^2 error term from the two finest steps
-    h1, h2 = eps[0], eps[1]
+    (h1, h2), _ = fd_steps(eps)
     w = h2 * h2 / (h2 * h2 - h1 * h1)
     out = []
     for side in ("weak", "strong"):
@@ -220,7 +220,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
     """
-    eps, taus = _fd_steps(eps)
+    eps, taus = fd_steps(eps)
     s = _surface_and_sens_sums(model, pert, taus, ensemble)
     formulas = _sens_estimates(model, u, pert, s)
     fds = fd_sensitivity(surface_rows(model, u, taus, s), eps, pert.label)
@@ -312,33 +312,31 @@ class DiscrepancyReport:
         return abs(self.value.mean) / self.value.se
 
 
-def discrepancy_report(lam, dlam, ensemble: PathEnsemble) -> DiscrepancyReport:
-    """Monte Carlo estimate of the discrepancy functional.
-
-    ``lam`` and ``dlam`` are coefficient processes with the shape (n,) of
-    the price of risk.
-    """
-    lam, dlam = integrand(ensemble.grid, lam), integrand(ensemble.grid, dlam)
-    s = path_sums(ensemble, {"s1": ("ito", lam), "q11": ("quad", lam, lam),
-                             "s2": ("ito", dlam), "dq": ("quad", lam, dlam)})
-    vals = np.exp(s["s1"] + 0.5 * s["q11"]) * (s["s2"] - s["dq"])
-    est = mean_estimate(vals, "discrepancy")
-    return DiscrepancyReport(value=est)
-
-
 def example2_reports(T: float = 1.0, M: int = 50_000, N: int = 500,
                      seed: int = 20_09) -> tuple[DiscrepancyReport,
                                                  DiscrepancyReport]:
-    """(deterministic, adapted) discrepancy pair on shared paths.
+    """(deterministic, adapted) discrepancy pair from one pass over shared
+    paths.
 
     The deterministic case takes lambda = 1 and must vanish; the adapted
-    case takes lambda = 1 on {W < 0} with direction -1 and must not.
+    case takes lambda = 1 on {W < 0} and must not.  Both take the direction
+    Dlambda = -1.
     """
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
-    det = discrepancy_report(constant([1.0]), constant([-1.0]), ensemble)
-    adapted = discrepancy_report(indicator(0, 0.0, [0.0], [1.0]),
-                                 constant([-1.0]), ensemble)
-    return det, adapted
+    grid = ensemble.grid
+    dlam = integrand(grid, constant([-1.0]))
+    sums = {"s2": ("ito", dlam)}
+    cases = ("det", constant([1.0])), \
+        ("adapted", indicator(0, 0.0, [0.0], [1.0]))
+    for case, lam in cases:
+        lam = integrand(grid, lam)
+        sums.update({f"{case}.s1": ("ito", lam),
+                     f"{case}.q11": ("quad", lam, lam),
+                     f"{case}.dq": ("quad", lam, dlam)})
+    s = path_sums(ensemble, sums)
+    return tuple(DiscrepancyReport(value=mean_estimate(
+        np.exp(s[f"{case}.s1"] + 0.5 * s[f"{case}.q11"])
+        * (s["s2"] - s[f"{case}.dq"]), "discrepancy")) for case, _ in cases)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 
 import portsens
 
+from portsens import sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           SURFACE_HEADER, format_config, load_config, main)
-from portsens.paths import PathEnsemble
+from portsens.paths import PathEnsemble, path_sums
 
 CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
            "configs/norms.ini", "configs/h1_kernel.ini"]
@@ -69,8 +70,7 @@ def test_sens_command(tmp_path):
 def test_example1_command(tmp_path):
     out = str(tmp_path / "e1")
     code = main(["example1", "--paths", "20000", "--steps", "200",
-                 "--seed", "71", "--tol-strong", "0.03",
-                 "--tol-weak", "0.04", "--out", out])
+                 "--seed", "71", "--out", out])
     assert code == 0
     rows = read_rows(f"{out}/example1.csv")
     assert rows[0] == EXAMPLE1_HEADER
@@ -228,6 +228,32 @@ def test_sens_makes_one_path_pass(tmp_path, generated):
     assert sum(generated) == 500
 
 
+def test_example2_makes_one_path_pass(tmp_path, generated):
+    # both discrepancy cases read the same paths in one pass
+    code = main(["example2", "--paths", "500", "--steps", "20",
+                 "--out", str(tmp_path / "e2")])
+    assert code == 0
+    assert sum(generated) == 500
+
+
+def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
+    # the Richardson difference reads +-h of the two finest steps only:
+    # 4 taus of 6 surface sums and the 6 sensitivity sums, where all four
+    # default steps would make 8 taus and 54 requests
+    requests = []
+
+    def counted(ensemble, sums):
+        requests.append(len(sums))
+        return path_sums(ensemble, sums)
+
+    monkeypatch.setattr(sensitivity, "path_sums", counted)
+    code = main(["sens", "--config", "configs/deterministic2d.ini",
+                 "--paths", "500", "--steps", "16",
+                 "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert requests == [30]
+
+
 def test_secondorder_makes_one_path_pass(tmp_path, generated):
     # the value curve and the closed-form derivative read one pass
     code = main(["secondorder", "--config", "configs/deterministic2d.ini",
@@ -374,6 +400,19 @@ def test_block_paths_flag_is_unknown(block, tmp_path, capsys):
                      "--block-paths", block, "--out", str(tmp_path)]) == 1
         assert "unrecognized arguments: --block-paths" \
             in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["example1", "--tol-strong", "0.03"],
+    ["example1", "--tol-weak", "0.04"],
+    ["danskin", "--cloud", "configs/cloud.csv", "--direction", "2,1",
+     "--tie-tol", "1e-9"]], ids=["tol-strong", "tol-weak", "tie-tol"])
+def test_tolerance_flags_are_unknown(argv, tmp_path, capsys):
+    # the tolerances are fixed; no flag sets them
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    flag = next(a for a in argv if a.startswith("--t"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

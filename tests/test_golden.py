@@ -1,11 +1,15 @@
-"""Golden bytes: every command's CSV on the shipped configs, at small sizes.
+"""Golden bytes: every command's CSV and summary on the shipped configs, at
+small sizes.
 
-Each digest is the sha256 of the CSV the command wrote, with the exit code
-it returned, recorded before the path-sum kernel and the regime tables
-replaced the per-block closures.  A refactor that keeps the arithmetic must
-keep every byte; one that changes it must say so and record new digests.
-A case without a digest is a refusal: the command exits with its code and
-writes no CSV.
+Each CSV digest is the sha256 of the CSV the command wrote, with the exit
+code it returned, recorded before the path-sum kernel and the regime tables
+replaced the per-block closures.  Each summary digest is the sha256 of the
+``<stem>_summary.txt`` it wrote, with the output directory of its final
+``wrote`` line replaced by ``OUT``; the command must print exactly that
+file.  A refactor that keeps the arithmetic must keep every byte; one that
+changes it must say so and record new digests.  A case without digests is
+a refusal: the command exits with its code and writes no CSV, no summary
+and nothing to stdout.
 """
 
 import functools
@@ -19,51 +23,76 @@ from portsens.paths import PathEnsemble
 
 SMALL = ["--paths", "2000", "--steps", "32"]
 
-CSV = {"value": "surface.csv", "sens": "sens.csv",
-       "secondorder": "secondorder.csv", "norms": "norms.csv",
-       "h1check": "h1.csv", "example1": "example1.csv",
-       "example2": "example2.csv"}
+# every command writes <stem>.csv and <stem>_summary.txt
+STEM = {"value": "surface", "sens": "sens", "secondorder": "secondorder",
+        "norms": "norms", "h1check": "h1", "example1": "example1",
+        "example2": "example2"}
 
+# (command, config, exit code, CSV digest, summary digest)
 GOLDEN = [
     ("value", "example1", 0,
-     "848c5a64329ff1523a410d53e872335d0591dd11195c10524d0c6580c81ac623"),
+     "848c5a64329ff1523a410d53e872335d0591dd11195c10524d0c6580c81ac623",
+     "415260c1cf3906452bbd15a9a31e30b459957db49ecb45296fb7e558f96e2d4d"),
     ("value", "deterministic2d", 0,
-     "20d7a808286fc078a1e4a518be8aa3e33f7183054982b1b93a6134c14c365547"),
+     "20d7a808286fc078a1e4a518be8aa3e33f7183054982b1b93a6134c14c365547",
+     "2e593245c18dce7dc746ac00d2094f6f069e621c11b9d57f46cc0134069f14da"),
+    # summaries re-recorded when sens began to read only the two steps it
+    # combines and to name just those: the CSVs held
     ("sens", "example1", 0,
-     "2b1fe675edc3d1f258e806ee0f340d5c328889ac6a7ae612318c9200a6a65416"),
+     "2b1fe675edc3d1f258e806ee0f340d5c328889ac6a7ae612318c9200a6a65416",
+     "f7bc879398497f5c7095a7669f4704850f6426d307dda539ccd4c034383dc764"),
     ("sens", "deterministic2d", 0,
-     "805907b2880bc6c022eea4849410aa9c466fc050ada22679f37811df06515c3d"),
+     "805907b2880bc6c022eea4849410aa9c466fc050ada22679f37811df06515c3d",
+     "c8eede28409867b05fdddef29b424939df96f4bf628b76b43c3928264af47385"),
     # re-recorded when the decay check moved from the below-tangent part
     # to |residual|: only the slope and vacuous columns changed
     ("secondorder", "example1", 0,
-     "3c2ff34e510cf7ab710b3e0726cddea437b54803e48317a9d56b09b971eb2c82"),
+     "3c2ff34e510cf7ab710b3e0726cddea437b54803e48317a9d56b09b971eb2c82",
+     "baea2dc4acd328c217c7dabb1bb48847d6b578508c5eac5b647f40a82237f6b4"),
     ("secondorder", "deterministic2d", 0,
-     "e966b6bf56fe00b061dd3f7b6370462095a554a6a8a785379895015c19ea7a7f"),
-    ("norms", "example1", 2, None),  # log utility: refused, no CSV
+     "e966b6bf56fe00b061dd3f7b6370462095a554a6a8a785379895015c19ea7a7f",
+     "b816f3c1ac522f8eb3557b32b0f3ffb1951d018c0c0b9716e59675ba494a04ea"),
+    ("norms", "example1", 2, None, None),  # log utility: refused, no CSV
     ("norms", "deterministic2d", 0,
-     "9130ca4e6d905338f4313537501db7cfa913ba95e0200f32a94b2f2d190b5fc9"),
+     "9130ca4e6d905338f4313537501db7cfa913ba95e0200f32a94b2f2d190b5fc9",
+     "46ca1d9528ecb7266a3351c604d4d3a747f299f2a3e0cfd5734cb8353ea96c62"),
     ("norms", "norms", 0,
-     "939c68238084b9ceeb7978e554a6f15baf81cffc589020d26742a9e6424c2e13"),
+     "939c68238084b9ceeb7978e554a6f15baf81cffc589020d26742a9e6424c2e13",
+     "42dba3f1c874403b997ccc8fd2e01974c62b1e34270e0c2e27d3f7a8466fbd2b"),
     ("h1check", "h1_kernel", 0,
-     "881ca22758fdfa5a31bce16e005219cb56c38da2f6210f557015f75db49e51e0"),
+     "881ca22758fdfa5a31bce16e005219cb56c38da2f6210f557015f75db49e51e0",
+     "f844b5ee623103015770d9f3e2d6ec6ac3dd9a0778066c1947f020cd3f7c470f"),
     ("example1", None, 3,
-     "7930a3e9b04f4367f7959653b5a2900cc6225c7b7dd0402adf311aa6fed48f4f"),
+     "7930a3e9b04f4367f7959653b5a2900cc6225c7b7dd0402adf311aa6fed48f4f",
+     "fff2fe7d967962f09940ea2c4db8fd6322a63d5be318f99cf913bf882e4d595b"),
     ("example2", None, 0,
-     "3d33f6f3b41d55c9667f3e57f9f7e9717b62f952378fdf814549e0d75e71bb13"),
+     "3d33f6f3b41d55c9667f3e57f9f7e9717b62f952378fdf814549e0d75e71bb13",
+     "fcb51290656d4429bb467adac650dad4089eb837cfbf6800401c2b45293ca6d0"),
 ]
 
 
-IDS = [f"{c}-{g or 'flags'}" for c, g, _, _ in GOLDEN]
+IDS = [f"{c}-{g or 'flags'}" for c, g, *_ in GOLDEN]
+CASE = "command,config,code,csv_digest,summary_digest"
 
 
-def csv_digest(argv, code, tmp_path, capsys):
-    """sha256 of the CSV that ``portsens argv`` writes, after checking the
-    exit code, or None if it wrote none."""
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(argv, code, tmp_path, capsys):
+    """sha256 of the CSV and of the summary that ``portsens argv`` writes,
+    None for each it did not write, after checking the exit code and that
+    stdout is the summary."""
     assert main(argv + SMALL + ["--out", str(tmp_path)]) == code
-    capsys.readouterr()
-    path = tmp_path / CSV[argv[0]]
-    return hashlib.sha256(path.read_bytes()).hexdigest() \
-        if path.exists() else None
+    stdout = capsys.readouterr().out
+    stem = STEM[argv[0]]
+    csv_path = tmp_path / f"{stem}.csv"
+    summary_path = tmp_path / f"{stem}_summary.txt"
+    summary = summary_path.read_text() if summary_path.exists() else ""
+    assert stdout == summary
+    return (_sha256(csv_path.read_bytes()) if csv_path.exists() else None,
+            _sha256(summary.replace(f"wrote {tmp_path}", "wrote OUT")
+                    .encode()) if summary_path.exists() else None)
 
 
 def command_argv(command, config):
@@ -71,16 +100,17 @@ def command_argv(command, config):
                         if config else [])
 
 
-@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
-def test_csv_bytes_match_golden(command, config, code, digest, tmp_path,
-                                capsys):
-    assert csv_digest(command_argv(command, config), code, tmp_path,
-                      capsys) == digest
+@pytest.mark.parametrize(CASE, GOLDEN, ids=IDS)
+def test_csv_bytes_match_golden(command, config, code, csv_digest,
+                                summary_digest, tmp_path, capsys):
+    assert digests(command_argv(command, config), code, tmp_path,
+                   capsys) == (csv_digest, summary_digest)
 
 
-@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
+@pytest.mark.parametrize(CASE, GOLDEN, ids=IDS)
 def test_csv_bytes_match_golden_in_7_path_blocks(command, config, code,
-                                                 digest, tmp_path, capsys,
+                                                 csv_digest, summary_digest,
+                                                 tmp_path, capsys,
                                                  monkeypatch):
     # the default block holds all 2000 short paths; 7-path blocks, fixed
     # through every ensemble's block_paths, make every pass cross block
@@ -88,17 +118,18 @@ def test_csv_bytes_match_golden_in_7_path_blocks(command, config, code,
     seven = functools.partial(PathEnsemble, block_paths=7)
     monkeypatch.setattr(cli, "PathEnsemble", seven)
     monkeypatch.setattr(sensitivity, "PathEnsemble", seven)
-    assert csv_digest(command_argv(command, config), code, tmp_path,
-                      capsys) == digest
+    assert digests(command_argv(command, config), code, tmp_path,
+                   capsys) == (csv_digest, summary_digest)
 
 
-@pytest.mark.parametrize("command,config,code,digest", GOLDEN, ids=IDS)
+@pytest.mark.parametrize(CASE, GOLDEN, ids=IDS)
 def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
-                                                digest, tmp_path, capsys,
+                                                csv_digest, summary_digest,
+                                                tmp_path, capsys,
                                                 monkeypatch):
     # a 3.5 kB scratch budget makes the computed blocks small, from 3 paths
     # (value and sens on example1.ini) to 14 (example2), with an uneven
     # last block; the sizes must not move a byte either
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
-    assert csv_digest(command_argv(command, config), code, tmp_path,
-                      capsys) == digest
+    assert digests(command_argv(command, config), code, tmp_path,
+                   capsys) == (csv_digest, summary_digest)
