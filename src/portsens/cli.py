@@ -81,17 +81,17 @@ def _flag(b) -> str:
 class ExperimentConfig:
     """Parsed experiment file; commands check the sections they need."""
 
-    model: MarketModel | None = None
-    utility: ut.UtilitySpec | None = None
-    utility_text: str | None = None
-    pert: PerturbationSpec | None = None
-    taus: tuple | None = None
-    paths: int | None = None
-    steps: int | None = None
-    horizon: float | None = None
-    seed: int | None = None
-    nu_family: tuple = ()
-    outdir: str = "."
+    model: MarketModel | None
+    utility: ut.UtilitySpec | None
+    utility_text: str | None
+    pert: PerturbationSpec | None
+    taus: tuple | None
+    paths: int | None
+    steps: int | None
+    horizon: float | None
+    seed: int | None
+    nu_family: tuple
+    outdir: str
 
 
 _KEYS = {

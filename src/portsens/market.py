@@ -125,14 +125,6 @@ class CoefficientProcess:
         below = below.reshape(below.shape + (1,) * len(self.shape))
         return np.where(below, self.high, self.low)
 
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(breaks, values per segment) of a deterministic coefficient."""
-        if self.kind == "constant":
-            return np.empty(0), self.values[None]
-        if self.kind == "piecewise":
-            return self.breaks, self.values
-        raise CoefficientError("adapted coefficients have no segment form")
-
 
 def constant(values) -> CoefficientProcess:
     vals = np.asarray(values, dtype=float)
@@ -397,11 +389,9 @@ class MarketModel:
 
 
 def _gram_cond(S: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a (..., d, d) stack of Gram matrices."""
-    d = S.shape[-1]
-    if d == 1:
-        return np.ones(S.shape[:-2])
-    if d == 2:
+    """2-norm condition numbers of a (..., d, d) stack of Gram matrices,
+    d >= 2."""
+    if S.shape[-1] == 2:
         half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
         det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
         disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))

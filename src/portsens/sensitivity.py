@@ -279,8 +279,7 @@ class Example1Report:
         return abs(self.gap) / self.gap_se if self.gap_se > 0 else math.inf
 
 
-def example1_report(T: float = 1.0, M: int = 200_000, N: int = 2000,
-                    seed: int = 20_08) -> Example1Report:
+def example1_report(T: float, M: int, N: int, seed: int) -> Example1Report:
     model, pert = _example1_model()
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
     weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble)
@@ -312,9 +311,8 @@ class DiscrepancyReport:
         return abs(self.value.mean) / self.value.se
 
 
-def example2_reports(T: float = 1.0, M: int = 50_000, N: int = 500,
-                     seed: int = 20_09) -> tuple[DiscrepancyReport,
-                                                 DiscrepancyReport]:
+def example2_reports(T: float, M: int, N: int, seed: int) \
+        -> tuple[DiscrepancyReport, DiscrepancyReport]:
     """(deterministic, adapted) discrepancy pair from one pass over shared
     paths.
 

@@ -5,9 +5,9 @@ E[U(X)] over terminal payoffs X subject to the budget E[Zhat X] = x0, where
 Zhat is the pricing density built from the market price of risk (and the
 rate discount when there is one).  The optimizer is X* = I(y Zhat) with
 I = (U')^{-1} and y > 0 solving the budget equation.  ``bisect_budget``
-solves that equation for a custom utility table and ``budget_estimate``
-turns the solution into an estimate; ``valuation`` and ``sensitivity``
-call both.
+solves that equation for a custom utility table; ``valuation`` and
+``sensitivity`` call it, and ``budget_estimate`` turns ``valuation``'s
+solution into an estimate.
 
 For power utility U(x) = p x^{1/p} everything is explicit, and
 ``optimal_terminal_wealth`` returns the optimal wealth samples that the
@@ -17,8 +17,9 @@ For power utility U(x) = p x^{1/p} everything is explicit, and
     value = p x0^{1/p} E[Zhat^{1-q}]^{1/q}.
 
 On a fixed ensemble the budget is normalized by the sample mean of
-Zhat^{1-q}, so mean(Zhat X*) = x0 holds exactly and the sample mean of
-U(X*) coincides with the plug-in value formula path by path.
+Zhat^{1-q}, so mean(Zhat X*) = x0 holds exactly.  For deterministic
+coefficients ``value_closed_form`` gives the value as the grid sums that
+the estimators' expectation is made of.
 
 The density uses the minimal measure (kernel component nu = 0).  For
 deterministic coefficients this is the exact dual optimizer: any
@@ -36,9 +37,8 @@ import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate
-from portsens.market import (MarketModel, integrand, mpr_from_values,
-                             mpr_integrand, scalar_constant)
-from portsens.paths import PathEnsemble, path_sums
+from portsens.market import MarketModel, RegimeTable, mpr_table
+from portsens.paths import TimeGrid
 
 _REL_TOL = 1e-12  # relative bracket width at which the bisection stops
 _MAX_ITER = 200  # steps of each bracket expansion and of the bisection
@@ -50,21 +50,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OptimalWealth:
-    """Optimal terminal wealth samples with density and value."""
+    """Optimal terminal wealth samples with their pricing density."""
 
     xstar: np.ndarray
     z: np.ndarray  # pricing density per path, discount included
-    value: ValueEstimate
 
     def __post_init__(self):
         if np.any(self.xstar <= 0):
             raise SolverError("optimal wealth must be strictly positive")
-
-
-@dataclass(frozen=True)
-class ClosedFormValue:
-    value: float
-    formula: str
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
@@ -83,18 +76,10 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
         raise SolverError("incomplete market with stochastic coefficients: "
                           "no closed-form dual optimizer")
     logzhat = np.asarray(logzhat, dtype=float)
-    x0, q = model.x0, u.q
-    v = np.exp((1.0 - q) * logzhat)  # Zhat^{1-q}
-    m0 = float(np.mean(v))
-    xs = x0 * np.exp(-q * logzhat) / m0
-    # mean U(X*) equals p x0^{1/p} m0^{1/q} exactly; the delta method
-    # tracks the nonlinearity of the m0 power
-    val = delta_estimate(
-        [v], lambda m: u.p * x0 ** (1 / u.p) * m[0] ** (1 / q),
-        lambda m: np.array([u.p * x0 ** (1 / u.p) / q
-                            * m[0] ** (1 / q - 1)]),
-        f"value[power p={u.p:g}]")
-    return OptimalWealth(xstar=xs, z=np.exp(logzhat), value=val)
+    q = u.q
+    m0 = float(np.mean(np.exp((1.0 - q) * logzhat)))  # mean Zhat^{1-q}
+    return OptimalWealth(xstar=model.x0 * np.exp(-q * logzhat) / m0,
+                         z=np.exp(logzhat))
 
 
 def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
@@ -149,69 +134,29 @@ def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _pieces(T: float, *procs) -> tuple[np.ndarray, list]:
-    """Lengths of the pieces of [0, T] on which every deterministic
-    coefficient is constant, and each coefficient's value on each piece."""
-    if not all(p.is_deterministic for p in procs):
-        raise SolverError("needs deterministic coefficients")
-    breaks = np.array(sorted({b for p in procs
-                             for b in p._segments()[0].tolist()}), float)
-    edges = np.concatenate(([0.0], breaks[(breaks > 0) & (breaks < T)], [T]))
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return np.diff(edges), [v[np.searchsorted(b, mid, side="right")]
-                            for b, v in (p._segments() for p in procs)]
+def value_closed_form(model: MarketModel, u: ut.UtilitySpec,
+                      grid: TimeGrid) -> float:
+    """Value of the base problem for deterministic coefficients, exact on
+    the grid.
 
+    The time integrals are the left-node sums of the path-sum kernel: each
+    regime's value times dt times the nodes it holds.  So the value is
+    exactly the expectation the Monte Carlo estimators target, also where
+    breakpoints fall between nodes.
 
-def integrate_product(a, b, T: float) -> float:
-    """Exact int_0^T sum(a(t) * b(t)) dt for deterministic coefficients.
-
-    With a = b this is the squared L2 norm; entries are summed, so matrix
-    coefficients integrate their Frobenius inner product.
+    log utility:   log x0 + int r dt + 1/2 int |lambda|^2 dt;
+    power utility: p x0^{1/p} exp((1/p) int r dt) exp((q-1)/2 int |lambda|^2 dt).
     """
-    lengths, (va, vb) = _pieces(T, a, b)
-    products = (va * vb).reshape(len(lengths), -1)
-    return float(np.sum(products * lengths[:, None]))
-
-
-def deterministic_mpr_integral_sq(model: MarketModel, T: float) -> float:
-    """int_0^T |lambda|^2 dt for deterministic coefficients, exact in time."""
-    lengths, values = _pieces(T, model.mu, model.sigma, model.rate)
-    lam = mpr_from_values(*values)
-    return float(np.sum(lam**2 * lengths[:, None]))
-
-
-def value_closed_form(model: MarketModel, u: ut.UtilitySpec, T: float,
-                      ensemble: PathEnsemble | None = None) -> ClosedFormValue:
-    """Value of the base problem where a closed form exists.
-
-    log utility: log x0 + int r dt + 1/2 E int |lambda|^2 dt (the expectation
-    is exact for deterministic coefficients and a Monte Carlo mean otherwise,
-    in which case an ensemble is required).
-    power utility, deterministic coefficients:
-    p x0^{1/p} exp((1/p) int r dt) exp((q-1)/2 int |lambda|^2 dt).
-    """
+    if not model.is_deterministic:
+        raise SolverError("closed forms need deterministic coefficients")
+    if u.kind not in ("log", "power"):
+        raise SolverError(f"no closed form for utility {u.label!r}")
+    regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
+    occupation = grid.dt * np.bincount(regimes.index(None),
+                                       minlength=len(regimes))
+    rint = float(occupation @ regimes.values(model.rate)[:, 0])
+    lam2 = float(occupation @ np.sum(mpr_table(model, regimes) ** 2, axis=1))
     if u.kind == "log":
-        if model.is_deterministic:
-            lam2 = deterministic_mpr_integral_sq(model, T)
-            rint = integrate_product(model.rate, scalar_constant(1.0), T)
-            return ClosedFormValue(float(np.log(model.x0) + rint + 0.5 * lam2),
-                                   "log-deterministic")
-        if ensemble is None:
-            raise SolverError("adapted coefficients need an ensemble")
-        lam = mpr_integrand(model, ensemble.grid)
-        s = path_sums(ensemble, {"Q": ("quad", lam, lam),
-                                 "R": ("time", integrand(ensemble.grid,
-                                                         model.rate))})
-        return ClosedFormValue(float(np.log(model.x0)
-                                     + np.mean(0.5 * s["Q"] + s["R"])),
-                               "log-mc")
-    if u.kind == "power":
-        if not model.is_deterministic:
-            raise SolverError("power closed form needs deterministic "
-                              "coefficients")
-        lam2 = deterministic_mpr_integral_sq(model, T)
-        rint = integrate_product(model.rate, scalar_constant(1.0), T)
-        val = (u.p * model.x0 ** (1 / u.p) * np.exp(rint / u.p)
-               * np.exp((u.q - 1.0) / 2.0 * lam2))
-        return ClosedFormValue(float(val), f"power-deterministic p={u.p:g}")
-    raise SolverError(f"no closed form for utility {u.label!r}")
+        return float(np.log(model.x0) + rint + 0.5 * lam2)
+    return float(u.p * model.x0 ** (1 / u.p) * np.exp(rint / u.p)
+                 * np.exp((u.q - 1.0) / 2.0 * lam2))

@@ -97,8 +97,8 @@ class UtilitySpec:
     """
 
     kind: str  # 'power' | 'log' | 'custom'
+    label: str
     p: float | None = None
-    label: str = ""
     _table: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -101,7 +101,7 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
     for p in (2.0, 3.0):
         u = ut.power_utility(p)
         q = p / (p - 1.0)
-        base = value_closed_form(model, u, T).value
+        base = value_closed_form(model, u, grid)
         expected = float(base * (q - 1.0) * (lam @ dlam) * T)
         for pert in (PerturbationSpec(dmu=dmu),
                      PerturbationSpec(dlambda=constant(dlam))):
@@ -175,16 +175,18 @@ def test_criterion_7_solver_closed_form(capsys):
                         sigma=constant([[1.0]]))
     ens = PathEnsemble(TimeGrid(1.0, 64), n=1, count=40_000, seed=1004)
     u = ut.power_utility(2.0)
+    row, = value_surface(model, u, PerturbationSpec(dmu=constant([0.0])),
+                         [0.0], ens)
     logz = density_logs(ModularFunctional(model, u), ens)[0]
     opt = optimal_terminal_wealth(model, u, logz)
     expected = 2.0 * math.exp(0.5)
-    v_sigmas = abs(opt.value.mean - expected) / opt.value.se
+    v_sigmas = abs(row.strong.mean - expected) / row.strong.se
     priced = opt.z * opt.xstar
     budget_se = float(np.std(priced, ddof=1) / math.sqrt(priced.size))
     b_sigmas = abs(float(np.mean(priced)) - model.x0) / budget_se
     verdict(capsys, 7, "optimal wealth value and budget",
             v_sigmas <= 3.0 and b_sigmas <= 3.0,
-            f"value {opt.value.mean:.5f} vs 2 sqrt(e) = {expected:.5f} "
+            f"value {row.strong.mean:.5f} vs 2 sqrt(e) = {expected:.5f} "
             f"({v_sigmas:.2f} sigma); budget {b_sigmas:.2f} sigma from x0")
 
 

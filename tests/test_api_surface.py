@@ -8,6 +8,10 @@ Tests do not count as callers, so a helper or a setting that only tests
 exercise fails here.  An attribute of a module alias, such as
 ``ut.evaluate``, names a module's function, never a method.
 ``__init__.py`` only re-exports and is not scanned.
+
+Conversely every default is left to some call, in that code or in the
+tests: a default that every call overrides only hides what a call must
+say.
 """
 
 import ast
@@ -122,7 +126,6 @@ def test_every_public_method_has_a_caller():
 ALLOWED_DEFAULTS = {
     "hadamard_probe.directions": "criterion 8's approach sequences",
     "hadamard_probe.taus": "criterion 8's approach sequences",
-    "value_closed_form.ensemble": "the reference for the adapted log case",
     "PathEnsemble.scheme": "read by the benchmark's environment probe",
     "PathEnsemble.block_paths": "the block-size seam that tests use",
     "evaluate.W": "CoefficientProcess.evaluate's paths: tests compare "
@@ -138,6 +141,18 @@ def _is_dataclass(node) -> bool:
                 == "dataclass":
             return True
     return False
+
+
+def _has_default(f) -> bool:
+    """Whether a dataclass field has a default: a plain value, or a
+    ``field(...)`` given ``default`` or ``default_factory``."""
+    if f.value is None:
+        return False
+    if isinstance(f.value, ast.Call) \
+            and getattr(f.value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory")
+                   for k in f.value.keywords)
+    return True
 
 
 def _defaults(tree) -> list:
@@ -157,7 +172,7 @@ def _defaults(tree) -> list:
         if _is_dataclass(node):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
             out += [(node.name, f.target.id, i, False)
-                    for i, f in enumerate(fields) if f.value is not None]
+                    for i, f in enumerate(fields) if _has_default(f)]
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -193,20 +208,48 @@ def _calls(tree) -> list:
     return out
 
 
+def _matching(calls, name, method) -> list:
+    """The calls of ``name``; a call on a module alias calls no method."""
+    return [c for c in calls if c[0] == name and not (method and c[4])]
+
+
+def _sets(call, param, index) -> bool:
+    """Whether a call may set a parameter: by keyword, by position or
+    through * or **."""
+    _, npos, keywords, star, _ = call
+    return star or param in keywords or (index is not None and npos > index)
+
+
 def unset_defaults(files) -> list:
-    """Defaults that no call in ``files`` sets, as "name.parameter"; a
-    call on a module alias sets no method's default."""
+    """Defaults that no call in ``files`` sets, as "name.parameter"."""
     trees = [ast.parse(path.read_text(), str(path)) for path in files]
     calls = [c for tree in trees for c in _calls(tree)]
     return sorted(f"{name}.{param}" for tree in trees
                   for name, param, index, method in _defaults(tree)
-                  if not any(called == name and not (method and on_alias)
-                             and (star or param in keywords
-                                  or (index is not None and npos > index))
-                             for called, npos, keywords, star, on_alias
-                             in calls))
+                  if not any(_sets(c, param, index)
+                             for c in _matching(calls, name, method)))
 
 
 def test_every_default_is_set_by_a_caller():
     # an allowed default that gains a caller leaves the list too
     assert unset_defaults(_sources()) == sorted(ALLOWED_DEFAULTS)
+
+
+def defaults_every_call_sets(files, callers) -> list:
+    """Defaults of ``files`` that every call in ``callers`` sets, as
+    "name.parameter": no call relies on them, so they only hide what a
+    call must say.  A call through * or ** may leave any default."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in files]
+    calls = [c for path in callers
+             for c in _calls(ast.parse(path.read_text(), str(path)))]
+    return sorted(f"{name}.{param}" for tree in trees
+                  for name, param, index, method in _defaults(tree)
+                  if all(_sets(c, param, index) and not c[3]
+                         for c in _matching(calls, name, method)))
+
+
+def test_every_default_is_left_to_some_call():
+    # the dual of the test above; tests count here, since a default that a
+    # test leaves saves that test from spelling it out
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert defaults_every_call_sets(_sources(), _sources() + tests) == []

@@ -12,7 +12,6 @@ from portsens.market import MarketModel, constant, indicator, piecewise
 from portsens.modular import ModularFunctional, density_logs
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import (SolverError, bisect_budget,
-                             deterministic_mpr_integral_sq, integrate_product,
                              optimal_terminal_wealth, value_closed_form)
 from portsens.utility import (custom_utility, derivative, inverse_marginal,
                               log_utility, power_utility, sqrt_utility)
@@ -45,9 +44,10 @@ def static_value(model, u, ens):
 
 def test_power_p2_value_matches_oracle(unit_model, unit_ens):
     # E U(X*) = 2 e^{1/2} = 3.2974425414002564
-    opt = solve(unit_model, sqrt_utility(), unit_ens)
-    assert abs(opt.value.mean - 3.2974425414002564) <= 3 * opt.value.se
+    value = static_value(unit_model, sqrt_utility(), unit_ens)
+    assert abs(value.mean - 3.2974425414002564) <= 3 * value.se
     # budget holds exactly by construction on the sample
+    opt = solve(unit_model, sqrt_utility(), unit_ens)
     budget = float(np.mean(opt.z * opt.xstar))
     assert budget == pytest.approx(1.0, abs=1e-12)
     assert np.all(opt.xstar > 0)
@@ -55,8 +55,9 @@ def test_power_p2_value_matches_oracle(unit_model, unit_ens):
 
 def test_power_p3_value_and_multiplier(unit_model, unit_ens):
     u = power_utility(3.0)
+    value = static_value(unit_model, u, unit_ens)
+    assert abs(value.mean - 3.852076250063224) <= 3 * value.se
     opt = solve(unit_model, u, unit_ens)
-    assert abs(opt.value.mean - 3.852076250063224) <= 3 * opt.value.se
     # U'(X*) = y Zhat with y = (m0 / x0)^{1/q} on every path, where
     # m0 = E[Z^{1-q}] = 1.4549914146182013
     m0 = float(np.mean(opt.z ** (1.0 - 1.5)))
@@ -71,23 +72,43 @@ def test_log_value_matches_closed_form(unit_model, unit_ens):
     # martingale term is dropped
     assert value.mean == pytest.approx(0.5, rel=1e-12)
     assert value.se == 0.0
-    cf = value_closed_form(unit_model, log_utility(), T=1.0)
-    assert cf.value == pytest.approx(0.5)
+    assert value_closed_form(unit_model, log_utility(), unit_ens.grid) \
+        == pytest.approx(0.5)
 
 
 def test_value_closed_form_power(det2d_model):
-    cf = value_closed_form(det2d_model, power_utility(3.0), T=1.0)
-    assert cf.value == pytest.approx(3.1261207041437253, rel=1e-12)
-    assert cf.formula.startswith("power-deterministic")
+    value = value_closed_form(det2d_model, power_utility(3.0),
+                              TimeGrid(1.0, 64))
+    assert value == pytest.approx(3.1261207041437253, rel=1e-12)
 
 
 def test_value_closed_form_log_adapted(switch_model, ens1d):
-    with pytest.raises(SolverError):
-        value_closed_form(switch_model, log_utility(), T=1.0)
-    cf = value_closed_form(switch_model, log_utility(), T=1.0,
-                           ensemble=ens1d)
     # log x0 + E int 1_{W<0} dt / 2 = T/4
-    assert cf.value == pytest.approx(0.25, abs=0.01)
+    value = static_value(switch_model, log_utility(), ens1d)
+    assert value.mean == pytest.approx(0.25, abs=0.01)
+
+
+def test_closed_form_is_the_grid_expectation():
+    # breakpoints between nodes: the kernel's left-node sums, not the time
+    # integrals, are what the estimators' expectation is made of
+    model = MarketModel(d=1, n=1, mu=piecewise([1.0 / 3.0], [[0.3], [0.8]]),
+                        sigma=constant([[0.5]]),
+                        rate=piecewise([0.5], [[0.01], [0.04]]))
+    ens = PathEnsemble(TimeGrid(1.0, 64), n=1, count=500, seed=306)
+    value = static_value(model, log_utility(), ens)
+    assert value.se == 0.0
+    assert value.mean == pytest.approx(
+        value_closed_form(model, log_utility(), ens.grid), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["adapted-power", "custom"])
+def test_value_closed_form_refusals(case, switch_model, unit_model):
+    x = np.linspace(1e-6, 400.0, 100)
+    model, u = {"adapted-power": (switch_model, power_utility(3.0)),
+                "custom": (unit_model,
+                           custom_utility(x, 2.0 * np.sqrt(x)))}[case]
+    with pytest.raises(SolverError):
+        value_closed_form(model, u, grid=TimeGrid(1.0, 64))
 
 
 def test_custom_utility_budget_bisection(unit_model):
@@ -133,25 +154,18 @@ def test_state_price_density_mean_one(unit_model, unit_ens):
     assert abs(float(np.mean(z)) - 1.0) <= 3 * se
 
 
-def test_integrate_product_exact_misaligned_breaks():
-    a = piecewise([1.0 / 3.0], [[2.0], [4.0]])
-    b = piecewise([0.5], [[1.0], [3.0]])
-    # int = 2*1/3 + 4*(1/2-1/3) + 12*1/2 = 0.6667 + 0.6667 + 6.0
-    assert integrate_product(a, b, 1.0) == pytest.approx(2.0 / 3.0
-                                                         + 2.0 / 3.0 + 6.0)
-    with pytest.raises(SolverError):
-        integrate_product(indicator(0, 0.0, [0.0], [1.0]), b, 1.0)
-
-
 def test_deterministic_mpr_integral(det2d_model):
-    # |lambda|^2 with lambda from scripts/derive_oracles.py
+    # log x0 + int r + |lambda|^2 / 2, lambda from scripts/derive_oracles.py
     lam = np.array([0.2833333333333333, 0.26666666666666666])
-    assert deterministic_mpr_integral_sq(det2d_model, 1.0) \
-        == pytest.approx(float(lam @ lam), rel=1e-12)
-    # piecewise rate shifts lambda segment by segment
+    grid = TimeGrid(1.0, 64)
+    assert value_closed_form(det2d_model, log_utility(), grid) \
+        == pytest.approx(0.01 + 0.5 * float(lam @ lam), rel=1e-12)
+    # piecewise rate shifts lambda segment by segment; the break at 0.5 is
+    # a node, so the left-node sums are the time integrals
     model = MarketModel(d=1, n=1, mu=constant([0.1]),
                         sigma=constant([[0.5]]),
                         rate=piecewise([0.5], [[0.0], [0.05]]))
-    expect = (0.1 / 0.5) ** 2 * 0.5 + (0.05 / 0.5) ** 2 * 0.5
-    assert deterministic_mpr_integral_sq(model, 1.0) \
+    expect = (0.05 * 0.5 + 0.5 * ((0.1 / 0.5) ** 2 * 0.5
+                                  + (0.05 / 0.5) ** 2 * 0.5))
+    assert value_closed_form(model, log_utility(), grid) \
         == pytest.approx(expect, rel=1e-12)
