@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,6 +310,7 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
     if nworkers == 1:
         run(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             list(pool.map(run, range(nworkers)))
     return out

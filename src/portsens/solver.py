@@ -5,9 +5,9 @@ E[U(X)] over terminal payoffs X subject to the budget E[Zhat X] = x0, where
 Zhat is the pricing density built from the market price of risk (and the
 rate discount when there is one).  The optimizer is X* = I(y Zhat) with
 I = (U')^{-1} and y > 0 solving the budget equation.  ``bisect_budget``
-solves that equation for a custom utility table; ``valuation`` and
-``sensitivity`` call it, and ``budget_estimate`` turns ``valuation``'s
-solution into an estimate.
+solves that equation for a custom utility table by bracketed regula falsi;
+``valuation`` and ``sensitivity`` call it, and ``budget_estimate`` turns
+``valuation``'s solution into an estimate.
 
 For power utility U(x) = p x^{1/p} everything is explicit, and
 ``optimal_terminal_wealth`` returns the optimal wealth samples that the
@@ -31,6 +31,7 @@ optimizer and are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ from portsens.estimate import ValueEstimate, delta_estimate
 from portsens.market import MarketModel, RegimeTable, mpr_table
 from portsens.paths import TimeGrid
 
-_REL_TOL = 1e-12  # relative bracket width at which the bisection stops
-_MAX_ITER = 200  # steps of each bracket expansion and of the bisection
+_REL_TOL = 1e-12  # relative bracket width at which the search stops
+_MAX_ITER = 200  # steps of each bracket expansion and of the search
 
 
 class SolverError(RuntimeError):
@@ -84,36 +85,55 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
 
 def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
                   weights: np.ndarray | None = None) -> float:
-    """Solve mean(w Zhat I(y Zhat)) = x0; the map is strictly decreasing in y."""
+    """Solve mean(w Zhat I(y Zhat)) = x0; the map is strictly decreasing in y.
+
+    The bracket grows from U'(x0) by doubling and halving.  Illinois regula
+    falsi on log y (Dowell & Jarratt 1971) narrows it: the secant point of
+    the ends replaces the end of its sign, and an end kept twice in a row
+    has the weight of its budget halved, so both ends converge.  Returns
+    the secant point of the final bracket.
+    """
+
+    wz = zhat if weights is None else weights * zhat
 
     def budget(y):
-        b = zhat * np.asarray(ut.inverse_marginal(u, y * zhat))
-        if weights is not None:
-            b = weights * b
-        return float(np.mean(b)) - x0
+        return float(np.mean(wz * ut.inverse_marginal(u, y * zhat))) - x0
 
-    lo = hi = float(ut.derivative(u, x0))
+    y0 = float(ut.derivative(u, x0))
+    y, b = [y0, y0], [budget(y0)] * 2  # the low and the high end
     for _ in range(_MAX_ITER):
-        if budget(hi) < 0:
+        if b[1] < 0:
             break
-        hi *= 2.0
+        y[1] *= 2.0
+        b[1] = budget(y[1])
     else:
         raise SolverError("budget bracket expansion failed (upper)")
     for _ in range(_MAX_ITER):
-        if budget(lo) > 0:
+        if b[0] > 0:
             break
-        lo /= 2.0
+        y[0] /= 2.0
+        b[0] = budget(y[0])
     else:
         raise SolverError("budget bracket expansion failed (lower)")
+    # log y and Illinois weight of each end, and the end replaced last
+    t, w, last = [math.log(v) for v in y], [1.0, 1.0], None
+
+    def secant(b_lo, b_hi):
+        return t[0] + (t[1] - t[0]) * b_lo / (b_lo - b_hi)
+
     for _ in range(_MAX_ITER):
-        mid = np.sqrt(lo * hi)
-        if budget(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _REL_TOL * hi:
+        if -math.expm1(t[0] - t[1]) <= _REL_TOL:  # (hi - lo) / hi
             break
-    return float(np.sqrt(lo * hi))
+        # half the stop width or more from either end, so that an end next
+        # to the root closes the bracket in one step
+        s = min(max(secant(w[0] * b[0], w[1] * b[1]), t[0] + _REL_TOL / 2),
+                t[1] - _REL_TOL / 2)
+        f = budget(math.exp(s))
+        k = int(f <= 0)
+        if k == last:
+            w[1 - k] /= 2.0
+        t[k], b[k], w[k], last = s, f, 1.0, k
+    return math.exp(secant(*b))
 
 
 def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,

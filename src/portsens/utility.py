@@ -52,6 +52,7 @@ class _MonotoneCubic:
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         self.x, self.h, self.slopes = x, h, d
+        self.slopes_decrease = not np.any(d[1:] >= d[:-1])
         self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
     def _piece(self, v):
@@ -242,7 +243,7 @@ def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
     if u.kind == "log":
         return 1.0 / y
     fwd = u._interp()[0]
-    if np.any(np.diff(fwd.slopes) >= 0):
+    if not fwd.slopes_decrease:
         raise ValueError(f"custom utility {u.label!r}: node slopes of U' do "
                          "not decrease strictly, so U' has no unique inverse")
     return fwd.inverse_derivative(y)

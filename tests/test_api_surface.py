@@ -7,7 +7,7 @@ some command or script varies: a call in that code sets it.
 Tests do not count as callers, so a helper or a setting that only tests
 exercise fails here.  An attribute of a module alias, such as
 ``ut.evaluate``, names a module's function, never a method.
-``__init__.py`` only re-exports and is not scanned.
+``__init__.py`` defines nothing but the version and is not scanned.
 
 Conversely every default is left to some call, in that code or in the
 tests: a default that every call overrides only hides what a call must

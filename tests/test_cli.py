@@ -304,6 +304,16 @@ def test_value_command_imports_no_scipy(tmp_path, utility):
     assert imported_modules(argv, "scipy") == [0, []]
 
 
+def run_python(script):
+    """The JSON that ``script`` prints last, run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(portsens.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def imported_modules(argv, prefix):
     """Exit code of ``main(argv)`` in a fresh interpreter and the modules
     under ``prefix`` it has imported by then."""
@@ -312,12 +322,23 @@ def imported_modules(argv, prefix):
               f"code = main({argv!r})\n"
               "print(json.dumps([code, sorted(m for m in sys.modules\n"
               f"    if (m + '.').startswith({prefix + '.'!r}))]))")
-    src = os.path.dirname(os.path.dirname(portsens.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return run_python(script)
+
+
+def test_cli_imports_the_traced_layers_but_no_danskin_or_pool():
+    # the benchmark tracer wraps every LAYERS module after importing only
+    # portsens.cli; danskin and the thread pool load when a run needs them
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    loaded, layers = run_python(
+        "import json, sys\n"
+        "import portsens.cli\n"
+        "loaded = sorted(sys.modules)\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import tracing\n"
+        "print(json.dumps([loaded, tracing.LAYERS]))")
+    assert {f"portsens.{layer}" for layer in layers} <= set(loaded)
+    assert "portsens.danskin" not in loaded
+    assert "concurrent.futures" not in loaded
 
 
 @pytest.mark.parametrize("command, code", [
@@ -348,6 +369,19 @@ def test_danskin_command(tmp_path):
                  "--direction", "2,1", "--out", out2]) == 0
     rows = read_rows(f"{out2}/danskin.csv")
     assert rows[1][3] == ""  # no delta, no derivative columns
+
+
+@pytest.mark.parametrize("cloud, direction", [
+    ("1.0,0.0\n0.0,oops\n", "2,1"), ("1.0,0.0\n0.0,1.0\n", "2,1,0")],
+    ids=["malformed-cloud", "wrong-dimension"])
+def test_danskin_input_errors_exit_two(cloud, direction, tmp_path, capsys):
+    path = tmp_path / "cloud.csv"
+    path.write_text(cloud)
+    out = tmp_path / "out"
+    assert main(["danskin", "--cloud", str(path), "--direction", direction,
+                 "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_secondorder_command(tmp_path):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from portsens import utility
 from portsens.market import MarketModel, constant, indicator, piecewise
 from portsens.modular import ModularFunctional, density_logs
 from portsens.paths import PathEnsemble, TimeGrid
@@ -130,6 +131,34 @@ def test_bisect_budget_brackets_extreme_budgets(rng):
         y = bisect_budget(sqrt_utility(), zhat, x0)
         xs = inverse_marginal(sqrt_utility(), y * zhat)
         assert float(np.mean(zhat * xs)) == pytest.approx(x0, rel=1e-9)
+
+
+# multipliers that geometric bisection to relative width 1e-12 finds on the
+# 2 sqrt(x) table below, by (x0, weighted)
+_TABLE_MULTIPLIERS = {(1.0, False): 1.0448286061891312,
+                      (0.01, True): 10.576235497338054,
+                      (50.0, False): 0.14776100896132974}
+
+
+@pytest.mark.parametrize("x0, weighted", sorted(_TABLE_MULTIPLIERS))
+def test_bisect_budget_needs_few_budget_evaluations(x0, weighted,
+                                                     monkeypatch):
+    # the log-spaced 801-row table of the custom-utility benchmark
+    x = 10.0 ** np.linspace(-4.0, 4.0, 801)
+    table = custom_utility(x, 2.0 * np.sqrt(x))
+    zhat = np.exp(np.linspace(-1.0, 1.0, 30) ** 3)
+    w = 1.0 + 0.5 * np.cos(np.arange(30.0)) if weighted else None
+    calls = []
+
+    def counted(u, y):
+        calls.append(1)
+        return inverse_marginal(u, y)
+
+    # each budget evaluation is one inverse_marginal call
+    monkeypatch.setattr(utility, "inverse_marginal", counted)
+    y = bisect_budget(table, zhat, x0, weights=w)
+    assert y == pytest.approx(_TABLE_MULTIPLIERS[x0, weighted], rel=1e-12)
+    assert len(calls) <= 20
 
 
 def test_incomplete_stochastic_market_refused(ens2d):
