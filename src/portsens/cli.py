@@ -38,15 +38,16 @@ import sys
 import numpy as np
 
 from . import utility as ut
-from .market import (MarketModel, check_h1_direction, format_coefficient,
-                     parse_coefficient, scalar_constant, zeros)
+from .market import (CoefficientError, MarketModel, check_h1_direction,
+                     format_coefficient, parse_coefficient, scalar_constant,
+                     zeros)
 from .modular import (ModularFunctional, amemiya_norm, density_logs,
                       holder_check, j_evaluator, j_functional,
                       luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
-from .sensitivity import (DEFAULT_STEPS, check_steps, example1_report,
-                          example2_reports, fd_steps, second_order_check,
-                          sensitivity_reports)
+from .sensitivity import (DEFAULT_STEPS, check_rate_direction, check_steps,
+                          example1_report, example2_reports, fd_steps,
+                          second_order_check, sensitivity_reports)
 from .solver import optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
@@ -283,13 +284,29 @@ def _make_ensemble(cfg: ExperimentConfig):
 
 def _perturbed(args, title: str):
     """What ``value``, ``sens`` and ``secondorder`` read: the config, its
-    model, utility and direction, the ensemble, and the summary heading."""
+    model, utility and direction, the ensemble, and the summary heading.
+    A custom utility must be tabulated at x0, where the multiplier search
+    starts."""
     cfg = _load(args)
     model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
+    if u.kind == "custom":
+        try:
+            ut.derivative(u, model.x0)
+        except ValueError as exc:
+            raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
     heading = (f"{title}: utility={u.label} direction={pert.label} "
                f"paths={cfg.paths} steps={cfg.steps} "
                f"horizon={cfg.horizon:g} seed={cfg.seed}")
     return cfg, model, u, pert, _make_ensemble(cfg), heading
+
+
+def _rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
+    """What ``sens`` and ``secondorder`` check before the pass: a rate
+    direction needs a utility whose sensitivities have a rate term."""
+    try:
+        check_rate_direction(u, pert)
+    except CoefficientError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +375,7 @@ SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
 
 def cmd_sens(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
+    _rate_direction(u, pert)
     eps, _ = fd_steps(_steps(args.eps))
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
@@ -475,8 +493,8 @@ def cmd_norms(args) -> _Result:
         raise ConfigError(f"norms needs a utility with U >= 0; "
                           f"{u.label} takes negative values")
     if u.kind == "custom":
-        raise ConfigError("norms needs a power utility; a custom utility "
-                          "table cannot be inverted over the Amemiya scan")
+        raise ConfigError("norms needs a power utility; the optimal wealth "
+                          "of a custom utility table has no closed form")
     family = (zeros((model.n,)),) + cfg.nu_family
     mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = _make_ensemble(cfg)
@@ -564,6 +582,7 @@ SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
 def cmd_secondorder(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(
         args, "first-order residual decay")
+    _rate_direction(u, pert)
     rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
     steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),

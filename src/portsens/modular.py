@@ -234,8 +234,17 @@ def luxemburg_norm(F, Z) -> float:
 def amemiya_norm(F, Z) -> float:
     """min over k > 0 of (1 + F(k Z)) / k, golden-section on log k.
 
-    The objective is unimodal in log k for convex F, so a coarse scan
-    brackets the minimum and golden-section pins it down.
+    For convex F with F(0) = 0, k F'(k Z) - F(k Z) - 1 is nondecreasing in
+    k, so the objective g(t) = (1 + F(e^t Z)) e^{-t} falls strictly, then
+    stays at its minimum, then rises: it is unimodal in t = log k.  A walk
+    on the grid t = -45, -44.5, .., 45 brackets the minimum: from t = 0 it
+    steps left while the left neighbour is no larger (through an infinite
+    right tail too), and if it took no left step, right while the right
+    neighbour is strictly smaller.  It stops at the first grid minimum, as
+    a scan of the whole grid would, after a few evaluations instead of 181;
+    golden-section on the two neighbouring grid intervals pins it down.
+    A nan at a grid point the walk does not visit goes unnoticed; only a
+    non-convex F can produce one.
     """
     z = np.asarray(Z, dtype=float)
     if not np.any(z):
@@ -248,9 +257,15 @@ def amemiya_norm(F, Z) -> float:
         return (1.0 + v) * math.exp(-t) if math.isfinite(v) else math.inf
 
     ts = np.linspace(-45.0, 45.0, 181)
-    gs = [g(t) for t in ts]
-    k = int(np.argmin(gs))
-    if k == 0 or k == len(ts) - 1:
+    last = len(ts) - 1
+    k = last // 2  # ts[k] == 0.0
+    g_k = g(ts[k])
+    while k > 0 and (g_left := g(ts[k - 1])) <= g_k:
+        k, g_k = k - 1, g_left
+    if k == last // 2:
+        while k < last and (g_right := g(ts[k + 1])) < g_k:
+            k, g_k = k + 1, g_right
+    if k == 0 or k == last:
         raise ModularError("Amemiya norm has no interior minimum in range")
     a, b = float(ts[k - 1]), float(ts[k + 1])
 

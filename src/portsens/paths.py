@@ -1,25 +1,26 @@
 """Seeded Brownian path ensembles with streaming Ito quadrature.
 
-An ensemble is a recipe, not an array: path i draws its N x n increments from
-a dedicated Philox stream keyed by (seed, i), so any path can be regenerated
-bit-identically regardless of how paths are partitioned into blocks or how
-many workers process them.  Philox is counter-based, so a stream depends
-only on its key: each thread holds one generator and re-keys it for every
-path.  ``path_sums`` is the one consumer: it streams over blocks of paths,
-reduces each block to the named per-path stochastic and time integrals that
-every estimator is built from, and writes them into (M,) arrays by path
-range; all cross-path reductions (means, standard errors) happen on the
-full M-vector in the caller.  Each worker of a pass allocates one scratch
-set, sized to the largest block, and every block writes its increments,
-cumulative paths, regime codes and node values into views of it, so a pass
-allocates nothing per block.  This keeps memory at O(block) while making
-every result independent of block size and worker count.  A block holds
-as many paths as fit one worker's whole scratch set in ``_SCRATCH_BYTES``,
-and at least one: a pass that reads only increments gets blocks of 2**18
-increment cells, and a pass that also builds paths, regime codes and
-adapted node values gets fewer paths, so each worker's scratch stays near
-the size of a core's L2 cache whatever the grid and the requests.  Tests
-fix the path count instead through an ensemble's ``block_paths``.
+An ensemble is a recipe, not an array: path i draws its N x n increments
+from a dedicated Philox stream keyed by (seed, i), so any path can be
+regenerated bit-identically regardless of how paths are partitioned into
+blocks or how many workers process them.  Philox is counter-based, so a
+stream depends only on its key: each thread holds one generator and re-keys
+it for every path from a state template of plain Python ints, which numpy
+reads faster than uint64 arrays.  ``path_sums`` is the one consumer: it
+streams over blocks of paths, reduces each block to the named per-path
+stochastic and time integrals that every estimator is built from, and writes
+them into (M,) arrays by path range; all cross-path reductions (means,
+standard errors) happen on the full M-vector in the caller.  Each worker of
+a pass allocates one scratch set, sized to the largest block, and every
+block writes its increments, cumulative paths, regime codes and node values
+into views of it, so a pass allocates nothing per block.  This keeps memory
+at O(block) while making every result independent of block size and worker
+count.  A block holds as many paths as fit one worker's whole scratch set in
+``_SCRATCH_BYTES``, and at least one: a pass that reads only increments gets
+blocks of 2**18 increment cells, and a pass that also builds paths, regime
+codes and adapted node values gets fewer paths, so each worker's scratch
+stays near the size of a core's L2 cache whatever the grid and the requests.
+Tests fix the path count instead through an ensemble's ``block_paths``.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -61,14 +62,15 @@ def _thread_generator() -> tuple[np.random.Generator, dict]:
     The template is the state of a fresh ``Generator(Philox(key))``:
     counter 0 and an empty output buffer (``buffer_pos = 4``), without which
     values buffered by one path would leak into the next.  Setting the
-    state copies the template, so only its key changes between paths.
+    state copies the template, so only its key changes between paths.  Its
+    words are Python ints: numpy sets the same uint64 state from them
+    faster than from uint64 arrays, and re-keying is paid once per path.
     """
     pair = getattr(_THREAD_RNG, "pair", None)
     if pair is None:
         state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, np.uint64),
-                           "key": np.zeros(2, np.uint64)},
-                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "state": {"counter": [0] * 4, "key": [0, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
         gen = np.random.Generator(np.random.Philox(key=0))
         pair = _THREAD_RNG.pair = (gen, state)

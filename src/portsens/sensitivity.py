@@ -60,17 +60,29 @@ def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
                              dr=pert.drate)
 
 
-def _sens_sums(model: MarketModel, pert: PerturbationSpec,
-               grid: TimeGrid) -> dict:
+def check_rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
+    """Refuse a rate direction under a custom utility: the closed-form
+    sensitivities of a table have no rate term."""
+    if u.kind == "custom" and pert.drate is not None:
+        raise CoefficientError("rate directions need power or log utility")
+
+
+def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
+               pert: PerturbationSpec, grid: TimeGrid) -> dict:
     """The ``path_sums`` requests of the base-point sensitivities: r, s1,
     q11 for int r dt, int lambda^T dW and int |lambda|^2 dt; s2 and dq for
     int Dlambda^T dW and int lambda^T Dlambda dt; dr for int dr dt (rate
-    directions only).  No name is one of ``surface_sums``."""
+    directions only).  Log utility never reads s1, so it is left out there.
+    No name is one of ``surface_sums``.  The direction is checked before
+    any path is drawn."""
     pert.validate_for(model)
+    check_rate_direction(u, pert)
     lam, dlam = mpr_integrand(model, grid), _direction(model, pert, grid)
-    sums = {"r": ("time", integrand(grid, model.rate)), "s1": ("ito", lam),
+    sums = {"r": ("time", integrand(grid, model.rate)),
             "q11": ("quad", lam, lam), "s2": ("ito", dlam),
             "dq": ("quad", lam, dlam)}
+    if u.kind != "log":
+        sums["s1"] = ("ito", lam)
     if pert.drate is not None:
         sums["dr"] = ("time", integrand(grid, pert.drate))
     return sums
@@ -91,7 +103,7 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                      ensemble: PathEnsemble) -> tuple[ValueEstimate,
                                                       ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
-    s = path_sums(ensemble, _sens_sums(model, pert, ensemble.grid))
+    s = path_sums(ensemble, _sens_sums(model, u, pert, ensemble.grid))
     return _sens_estimates(model, u, pert, s)
 
 
@@ -99,13 +111,13 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
                     pert: PerturbationSpec,
                     s: dict) -> tuple[ValueEstimate, ValueEstimate]:
     """(weak, strong) sensitivity estimates from the sums of ``_sens_sums``."""
-    R, S1, Q11, s2, dq = s["r"], s["s1"], s["q11"], s["s2"], s["dq"]
+    R, Q11, s2, dq = s["r"], s["q11"], s["s2"], s["dq"]
     dR = s.get("dr", np.zeros(len(s2)))
     x0 = model.x0
     weak_name = f"weak-sens[{pert.label}]"
     strong_name = f"strong-sens[{pert.label}]"
     if u.kind == "power":
-        v = np.exp((u.q - 1.0) * (R + S1 + 0.5 * Q11))
+        v = np.exp((u.q - 1.0) * (R + s["s1"] + 0.5 * Q11))
         weak = _power_sens(u, x0, v, s2 + dR / u.p, weak_name)
         strong = _power_sens(u, x0, v, (s2 + dq + dR) / u.p, strong_name)
     elif u.kind == "log":
@@ -114,10 +126,7 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
         strong = mean_estimate(np.broadcast_to(dq + dR, s2.shape),
                                strong_name)
     else:
-        if pert.drate is not None:
-            raise CoefficientError("rate directions need power or log "
-                                   "utility")
-        zhat = np.exp(-(R + S1 + 0.5 * Q11))
+        zhat = np.exp(-(R + s["s1"] + 0.5 * Q11))
         y = bisect_budget(u, zhat, x0)
         xbar = np.asarray(ut.inverse_marginal(u, y * zhat))
         uvals = np.asarray(ut.evaluate(u, xbar))
@@ -178,13 +187,14 @@ def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
     return tuple(out)
 
 
-def _surface_and_sens_sums(model: MarketModel, pert: PerturbationSpec, taus,
+def _surface_and_sens_sums(model: MarketModel, u: ut.UtilitySpec,
+                           pert: PerturbationSpec, taus,
                            ensemble: PathEnsemble) -> dict:
     """The sums of ``surface_sums`` over ``taus`` and of ``_sens_sums``,
     from one path pass."""
     grid = ensemble.grid
-    return path_sums(ensemble, {**surface_sums(model, pert, taus, grid),
-                                **_sens_sums(model, pert, grid)})
+    return path_sums(ensemble, {**surface_sums(model, u, pert, taus, grid),
+                                **_sens_sums(model, u, pert, grid)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +231,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     reproduces the formula path by path and only rounding noise remains.
     """
     eps, taus = fd_steps(eps)
-    s = _surface_and_sens_sums(model, pert, taus, ensemble)
+    s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
     formulas = _sens_estimates(model, u, pert, s)
     fds = fd_sensitivity(surface_rows(model, u, taus, s), eps, pert.label)
     reports = []
@@ -372,7 +382,7 @@ def second_order_check(model: MarketModel, u: ut.UtilitySpec,
     closed-form weak sensitivity, both from one path pass."""
     eps = check_steps(eps)
     taus = [0.0] + list(eps)
-    s = _surface_and_sens_sums(model, pert, taus, ensemble)
+    s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
     rows = surface_rows(model, u, taus, s)
     deriv, _ = _sens_estimates(model, u, pert, s)
     return residual_decay(eps, rows[0].weak.mean,

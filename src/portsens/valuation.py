@@ -151,12 +151,13 @@ def _refuse_kernel_break(model: MarketModel, pert: PerturbationSpec,
                 f"{rep.kernel_equal}) on {regimes.describe(rep.worst_regime)}")
 
 
-def surface_sums(model: MarketModel, pert: PerturbationSpec, taus,
-                 grid: TimeGrid) -> dict:
+def surface_sums(model: MarketModel, u: ut.UtilitySpec,
+                 pert: PerturbationSpec, taus, grid: TimeGrid) -> dict:
     """The ``path_sums`` requests of the value surface over ``taus``, named
     R, Q, S, G, GG and X with the tau's position appended, once the
     perturbation is validated and refused where the market has no plug-in
-    optimizer or the volatility direction breaks the kernel."""
+    optimizer or the volatility direction breaks the kernel.  The log
+    estimators read neither S nor X, so log utility requests neither."""
     pert.validate_for(model)
     _check_solvable(model, pert)
     _refuse_kernel_break(model, pert, taus, grid)
@@ -171,10 +172,11 @@ def surface_sums(model: MarketModel, pert: PerturbationSpec, taus,
         r_tau = r0 if pert.drate is None \
             else r0 + tau * rates.values(pert.drate)
         sums.update({f"R{i}": ("time", (rates, r_tau)),
-                     f"Q{i}": ("quad", lam, lam), f"S{i}": ("ito", lam),
-                     f"G{i}": ("ito", delta),
-                     f"GG{i}": ("quad", delta, delta),
-                     f"X{i}": ("quad", lam, delta)})
+                     f"Q{i}": ("quad", lam, lam), f"G{i}": ("ito", delta),
+                     f"GG{i}": ("quad", delta, delta)})
+        if u.kind != "log":
+            sums.update({f"S{i}": ("ito", lam),
+                         f"X{i}": ("quad", lam, delta)})
     return sums
 
 
@@ -187,16 +189,19 @@ def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus,
     g          the weight G itself
     log_zw     log pricing density under the tilted measure, discount included
     log_zs     same but on the base measure (strong)
-    lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (for log utility)
+    lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (log utility only,
+               which has neither log_zw nor log_zs)
     """
     rows = []
     for i, tau in enumerate(taus):
-        R, Q, S, X = s[f"R{i}"], s[f"Q{i}"], s[f"S{i}"], s[f"X{i}"]
+        R, Q = s[f"R{i}"], s[f"Q{i}"]
         log_g = s[f"G{i}"] - 0.5 * s[f"GG{i}"]
-        arrs = {"log_g": log_g, "g": np.exp(log_g),
-                "log_zw": -S + X - 0.5 * Q - R,
-                "log_zs": -S - 0.5 * Q - R,
-                "lin": R + 0.5 * Q}
+        arrs = {"log_g": log_g, "g": np.exp(log_g)}
+        if u.kind == "log":
+            arrs["lin"] = R + 0.5 * Q
+        else:
+            S, X = s[f"S{i}"], s[f"X{i}"]
+            arrs.update(log_zw=-S + X - 0.5 * Q - R, log_zs=-S - 0.5 * Q - R)
         rows.append(SurfaceRow(
             tau=tau,
             weak=_estimate_value(model, u, arrs, tau, weak=True),
@@ -244,5 +249,6 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
                   ensemble: PathEnsemble) -> list[SurfaceRow]:
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
-    s = path_sums(ensemble, surface_sums(model, pert, taus, ensemble.grid))
+    s = path_sums(ensemble,
+                  surface_sums(model, u, pert, taus, ensemble.grid))
     return surface_rows(model, u, taus, s)

@@ -172,7 +172,7 @@ def test_norms_refuses_utilities_with_negative_values(shift, tmp_path,
     # the J functional prices U^{-1}(|Z|), the optimal wealth only where
     # U(X*) >= 0: log utility and a table starting below zero are refused
     # before any path is drawn; so is a table of positive values, because
-    # the Amemiya scan reads U^{-1} far outside any finite table
+    # the optimal wealth that norms reads is closed-form for power only
     if shift is None:
         cfg = "configs/example1.ini"
     else:
@@ -238,8 +238,11 @@ def test_example2_makes_one_path_pass(tmp_path, generated):
 
 def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
     # the Richardson difference reads +-h of the two finest steps only:
-    # 4 taus of 6 surface sums and the 6 sensitivity sums, where all four
-    # default steps would make 8 taus and 54 requests
+    # 4 taus of 6 surface sums and the 6 sensitivity sums (the rate
+    # direction's included), where all four default steps would make 8
+    # taus and 54 requests; log utility reads neither int lambda^T dW nor
+    # the tilt cross term, so example1.ini makes 4 taus of 4 and 4
+    # sensitivity sums
     requests = []
 
     def counted(ensemble, sums):
@@ -247,11 +250,12 @@ def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
         return path_sums(ensemble, sums)
 
     monkeypatch.setattr(sensitivity, "path_sums", counted)
-    code = main(["sens", "--config", "configs/deterministic2d.ini",
-                 "--paths", "500", "--steps", "16",
-                 "--out", str(tmp_path / "s")])
-    assert code == 0
-    assert requests == [30]
+    for i, config in enumerate(("configs/deterministic2d.ini",
+                                "configs/example1.ini")):
+        code = main(["sens", "--config", config, "--paths", "500",
+                     "--steps", "16", "--out", str(tmp_path / f"s{i}")])
+        assert code == 0
+    assert requests == [30, 20]
 
 
 def test_secondorder_makes_one_path_pass(tmp_path, generated):
@@ -273,6 +277,29 @@ def custom_sqrt_config(tmp_path):
     cfg.write_text(load_text("configs/deterministic2d.ini").replace(
         "spec = power:p=3", f"spec = custom:file={table}"))
     return str(cfg)
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("value", "x0"), ("sens", "x0"), ("secondorder", "x0"), ("sens", "dr"),
+    ("secondorder", "dr")],
+    ids=["value-x0", "sens-x0", "secondorder-x0", "sens-dr", "secondorder-dr"])
+def test_custom_utility_inputs_refused_before_the_pass(
+        command, bad, tmp_path, capsys, generated):
+    # an x0 outside the table, or a rate direction that the closed-form
+    # sensitivities of a table cannot take, is a bad input: exit 2 with no
+    # path drawn and nothing written
+    cfg = custom_sqrt_config(tmp_path)
+    if bad == "x0":  # without the rate direction, refused as well
+        norm_write(tmp_path / "custom.ini", load_text(cfg).replace(
+            "x0 = 1.0", "x0 = 20000.0").replace("dr = const:[0.01]\n", ""))
+    message = {"x0": "x outside the table range",
+               "dr": "rate directions"}[bad]
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--paths", "30",
+                 "--steps", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error" in err and message in err
+    assert not out.exists() and sum(generated) == 0
 
 
 def test_custom_value_standard_errors_match_sqrt(tmp_path):

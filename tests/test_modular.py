@@ -1,13 +1,15 @@
 """Budget and dual modulars, their norms, and the Hölder pairing."""
 
+import math
+
 import numpy as np
 import pytest
 
 from portsens.market import MarketModel, constant, indicator, zeros
-from portsens.modular import (HolderReport, ModularError, ModularFunctional,
-                              amemiya_norm, density_logs, holder_check,
-                              j_evaluator, j_functional, luxemburg_norm,
-                              norm_I, norm_J)
+from portsens.modular import (_MAX_ITER, _REL_TOL, HolderReport,
+                              ModularError, ModularFunctional, amemiya_norm,
+                              density_logs, holder_check, j_evaluator,
+                              j_functional, luxemburg_norm, norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import optimal_terminal_wealth
 from portsens.utility import evaluate, inverse, log_utility, power_utility
@@ -199,3 +201,99 @@ def test_degenerate_modulars_raise(mod_ens):
         luxemburg_norm(lambda v: 2.0, z)
     with pytest.raises(ModularError, match="interior"):
         amemiya_norm(lambda v: 0.0, z)
+
+
+def scanned_amemiya(F, Z) -> float:
+    """The Amemiya norm with its bracket from a scan of all 181 grid points
+    (the first minimum by argmin), then the golden-section step of
+    ``amemiya_norm``: the reference that the walk must equal bit for bit."""
+    z = np.asarray(Z, dtype=float)
+
+    def g(t):
+        v = F(math.exp(t) * z)
+        if math.isnan(v):
+            raise ModularError("modular evaluated to nan")
+        return (1.0 + v) * math.exp(-t) if math.isfinite(v) else math.inf
+
+    ts = np.linspace(-45.0, 45.0, 181)
+    gs = [g(t) for t in ts]
+    k = int(np.argmin(gs))
+    if k == 0 or k == len(ts) - 1:
+        raise ModularError("Amemiya norm has no interior minimum in range")
+    a, b = float(ts[k - 1]), float(ts[k + 1])
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    g_c, g_d = g(c), g(d)
+    for _ in range(_MAX_ITER):
+        if g_c < g_d:
+            b, d, g_d = d, c, g_c
+            c = b - invphi * (b - a)
+            g_c = g(c)
+        else:
+            a, c, g_c = c, d, g_d
+            d = a + invphi * (b - a)
+            g_d = g(d)
+        if b - a <= _REL_TOL:
+            break
+    return g(0.5 * (a + b))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_amemiya_walk_matches_the_full_scan(scale, mod_model, mod_ens, mf3,
+                                            logs3, opt3, rng):
+    # a scaled modular moves the minimum about 10 grid points either way,
+    # so the walk runs in both directions
+    mf2 = ModularFunctional(model=mod_model, utility=power_utility(2.0))
+    logs2 = density_logs(mf2, mod_ens)
+    z2 = np.asarray(evaluate(power_utility(2.0), optimal_terminal_wealth(
+        mod_model, power_utility(2.0), logs2[0]).xstar))
+    z3 = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    for F, z in ((j_evaluator(mf3, logs3), z3),
+                 (j_evaluator(mf3, logs3), rng.lognormal(size=mod_ens.count)),
+                 (j_evaluator(mf2, logs2), z2)):
+        def G(v, F=F):
+            return scale * F(v)
+
+        assert amemiya_norm(G, z) == scanned_amemiya(G, z)
+
+
+def test_amemiya_walk_evaluates_few_grid_points(mf3, logs3, opt3):
+    # about 3 walk steps and 61 golden-section evaluations, where a scan of
+    # the whole grid makes 181 before the same golden-section step
+    F = j_evaluator(mf3, logs3)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return F(v)
+
+    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    am = amemiya_norm(counted, z)
+    assert len(calls) <= 70
+    assert am == scanned_amemiya(F, z)
+
+
+@pytest.mark.parametrize("c", [math.exp(100.0), math.exp(-100.0)],
+                         ids=["left-end", "right-end"])
+def test_amemiya_minimum_at_a_grid_end_raises(c):
+    # g(t) = e^{-t} + c e^t has its minimum at t = -log(c) / 2 = -+50,
+    # beyond either end of the grid
+    z = np.ones(4)
+    with pytest.raises(ModularError, match="no interior minimum"):
+        amemiya_norm(lambda v: c * float(np.mean(v)) ** 2, z)
+    with pytest.raises(ModularError, match="no interior minimum"):
+        scanned_amemiya(lambda v: c * float(np.mean(v)) ** 2, z)
+
+
+def test_amemiya_walk_crosses_an_infinite_tail():
+    # finite only while max |v| <= 1/2: g is infinite from t = -0.5 on, so
+    # the walk steps left through the tail from t = 0 to its minimum
+    def F(v):
+        return 4.0 * float(np.mean(v)) ** 2 if np.max(v) <= 0.5 \
+            else math.inf
+
+    z = np.ones(4)
+    am = amemiya_norm(F, z)
+    assert am == scanned_amemiya(F, z)
+    assert am == pytest.approx(4.0, rel=1e-6)
