@@ -38,12 +38,11 @@ import sys
 import numpy as np
 
 from . import utility as ut
-from .market import (CoefficientError, MarketModel, check_h1_direction,
-                     format_coefficient, parse_coefficient, scalar_constant,
-                     zeros)
-from .modular import (ModularFunctional, amemiya_norm, density_logs,
-                      holder_check, j_evaluator, j_functional,
-                      luxemburg_norm)
+from .market import (CoefficientError, MarketModel, check_drivers,
+                     check_h1_direction, format_coefficient,
+                     parse_coefficient, scalar_constant, zeros)
+from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
+                      j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
 from .sensitivity import (DEFAULT_STEPS, check_rate_direction, check_steps,
                           example1_report, example2_reports, fd_steps,
@@ -200,6 +199,7 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError("[norms] needs a [market] section")
         items = sorted(cp["norms"].items())
         nu_family = tuple(parse_coefficient(v, (model.n,)) for _, v in items)
+        check_drivers(model.n, *nu_family)
 
     outdir = "."
     if cp.has_section("output"):
@@ -495,23 +495,21 @@ def cmd_norms(args) -> _Result:
     if u.kind == "custom":
         raise ConfigError("norms needs a power utility; the optimal wealth "
                           "of a custom utility table has no closed form")
+    # the refusals above leave only power utilities
     family = (zeros((model.n,)),) + cfg.nu_family
-    mf = ModularFunctional(model=model, utility=u, nu_family=family)
-    ens = _make_ensemble(cfg)
-    logs = density_logs(mf, ens)
+    logs = density_logs(model, family, _make_ensemble(cfg))
     opt = optimal_terminal_wealth(model, u, logs[0])
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
 
-    j = j_functional(payoff, mf, logs)
+    j = j_functional(payoff, u.p, logs)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
     j_ok = abs(j.mean - model.x0) <= j_tol
-    F = j_evaluator(mf, logs)
+    F = j_evaluator(u.p, logs)
     am = amemiya_norm(F, payoff)
     lux = luxemburg_norm(F, payoff)
     bound = 1.0 + model.x0
     am_ok = am <= bound + j_tol
-    # the refusals above leave only power utilities
-    hold = holder_check(opt.z, opt.xstar, mf, logs)
+    hold = holder_check(opt.z, opt.xstar, u.p, logs)
 
     rows = [
         ["j_at_optimal_payoff", _r(j.mean), _r(j.se), _flag(j_ok), cfg.seed],
@@ -611,13 +609,24 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(cast):
+    """argparse type: a number of type ``cast`` above zero."""
+    def parse(text: str):
+        if not (value := cast(text)) > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
 # each flag is (name, add_argument keywords)
 _CONFIG_FLAGS = (
     ("--config", dict(required=True, help="experiment file")),
     ("--seed", dict(type=_seed, help="override [mc] seed")),
-    ("--paths", dict(type=int, help="override [mc] paths")),
-    ("--steps", dict(type=int, help="override [mc] steps")),
-    ("--horizon", dict(type=float, help="override [mc] horizon")),
+    ("--paths", dict(type=_positive(int), help="override [mc] paths")),
+    ("--steps", dict(type=_positive(int), help="override [mc] steps")),
+    ("--horizon", dict(type=_positive(float), help="override [mc] horizon")),
     ("--out", dict(help="override [output] directory")))
 
 
@@ -627,9 +636,9 @@ def _eps_flag(text: str) -> tuple:
 
 
 def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
-    return (("--T", dict(type=float, default=1.0, help="horizon")),
-            ("--paths", dict(type=int, default=paths)),
-            ("--steps", dict(type=int, default=steps)),
+    return (("--T", dict(type=_positive(float), default=1.0, help="horizon")),
+            ("--paths", dict(type=_positive(int), default=paths)),
+            ("--steps", dict(type=_positive(int), default=steps)),
             ("--seed", dict(type=_seed, default=seed)),
             ("--out", dict(default=".", help="output directory")))
 

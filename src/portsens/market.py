@@ -156,6 +156,14 @@ def zeros(shape: tuple[int, ...]) -> CoefficientProcess:
                               values=np.zeros(shape))
 
 
+def check_drivers(n: int, *procs: CoefficientProcess | None) -> None:
+    """Refuse an indicator on a Brownian coordinate outside 0 .. n-1."""
+    for p in procs:
+        if p is not None and p.kind == "indicator" and p.driver >= n:
+            raise CoefficientError(f"driver index {p.driver} out of range "
+                                   f"for n={n}")
+
+
 # ---------------------------------------------------------------------------
 # coefficient mini-language: const:[...] | pw:t=[...];v=[...] |
 # ind:j=<int>;c=<float>;lo=[...];hi=[...]   (matrices row-major)
@@ -333,9 +341,6 @@ class RegimeTable:
                                out or self.scratch(W.shape[0])]
         code[:] = self._base
         for i, (j, cuts) in enumerate(zip(self.drivers, self.cuts)):
-            if j >= W.shape[-1]:
-                raise CoefficientError(f"driver index {j} out of range "
-                                       f"for n={W.shape[-1]}")
             if i:
                 code *= len(cuts) + 1
             for c in cuts:
@@ -381,6 +386,7 @@ class MarketModel:
             raise ValueError(f"sigma must have shape ({self.d}, {self.n})")
         if self.rate.shape != (1,):
             raise ValueError("rate must have shape (1,)")
+        check_drivers(self.n, self.mu, self.sigma, self.rate)
 
     @property
     def is_deterministic(self) -> bool:

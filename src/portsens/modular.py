@@ -1,5 +1,9 @@
 """Budget and dual functionals on terminal payoffs, with their norms.
 
+Everything here is for the paper's model case, the positive-power utility
+U(x) = p x^{1/p} with p > 1, and takes its exponent p; q = p/(p-1).
+``portsens norms`` refuses every other utility before it gets here.
+
 A market with price of risk lambda and null-space directions nu (sigma
 nu = 0 in every reachable regime) prices payoffs through the density family
 Y^nu = exp(-int r dt) E(-int (lambda + nu) dW)_T.  Two convex functionals
@@ -8,11 +12,11 @@ on payoff samples Z arise:
     J(Z) = max over the family of mean( Y^nu * U^{-1}(|Z|) )
     I(Z) = min over the family of mean( |Z| * V(Y^nu / |Z|) )
 
-with V the convex conjugate of the utility.  J is the cost of replicating
-the wealth profile whose utility is Z, so J(U(X*)) equals the initial
-wealth exactly at the optimizer; I is its dual companion.  For power
-utility I has the explicit form (p - 1) * mean(Y^{1-q} |Z|^q), and the
-induced norms simplify to weighted q- and p-means:
+with U^{-1}(|z|) = (|z|/p)^p and V the convex conjugate of the utility.
+J is the cost of replicating the wealth profile whose utility is Z, so
+J(U(X*)) equals the initial wealth exactly at the optimizer; I is its dual
+companion, explicitly (p - 1) * mean(Y^{1-q} |Z|^q).  The induced norms
+are weighted q- and p-means:
 
     norm_I(Z) = (min over family of mean Y^{1-q} |Z|^q)^{1/q}
     norm_J(X) = (max over family of mean Y |X|^p)^{1/p}
@@ -21,14 +25,13 @@ They pair in a Hölder inequality |mean(YZ)| <= norm_I(Y) * norm_J(Z) that
 holds exactly on the empirical measure, by the pointwise factorization
 |YZ| = (W^{-1/p}|Y|) (W^{1/p}|Z|) with the density as weight.
 
-The family here is a finite user-declared list (default: zero only), so
-the reported norm_I is an upper bound and norm_J a lower bound for their
-full-family counterparts; enlarging the family tightens both
-monotonically.
+The family is a finite tuple of (n,) coefficient processes, zero first, so
+norm_I is an upper and norm_J a lower bound for their full-family
+counterparts; enlarging the family tightens both monotonically.
 
-Generic Luxemburg and Amemiya norms of any convex modular evaluator are
-provided as well; note the Amemiya norm at k = 1 gives
-amemiya(J, U(X*)) <= 1 + J(U(X*)) = 1 + x0, the budget-set bound.
+The Luxemburg and Amemiya norms take any convex modular F with F(0) = 0;
+note the Amemiya norm at k = 1 gives amemiya(J, U(X*)) <= 1 + J(U(X*)) =
+1 + x0, the budget-set bound.
 
 The functionals and norms take density samples, not an ensemble: the
 (family, M) array of log Y^nu that ``density_logs`` computes in one path
@@ -43,10 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from portsens import utility as ut
 from portsens.estimate import ValueEstimate, mean_estimate
-from portsens.market import (CoefficientProcess, MarketModel, RegimeTable,
-                             integrand, mpr_table, zeros)
+from portsens.market import MarketModel, RegimeTable, integrand, mpr_table
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
@@ -59,30 +60,11 @@ class ModularError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class ModularFunctional:
-    """Market, utility and a finite family of null-space directions."""
-
-    model: MarketModel
-    utility: ut.UtilitySpec
-    nu_family: tuple = ()
-
-    def __post_init__(self):
-        fam = tuple(self.nu_family) or (zeros((self.model.n,)),)
-        for nu in fam:
-            if not isinstance(nu, CoefficientProcess) \
-                    or nu.shape != (self.model.n,):
-                raise ModularError(
-                    f"family members must be ({self.model.n},) coefficient "
-                    "processes")
-        object.__setattr__(self, "nu_family", fam)
-
-
-def _validate_kernel(mf: ModularFunctional, grid: TimeGrid) -> None:
+def _validate_kernel(model: MarketModel, family: tuple, grid: TimeGrid):
     """Every family member must lie in the null space of sigma, in every
     regime the paths can reach."""
-    sigma = mf.model.sigma
-    for i, nu in enumerate(mf.nu_family):
+    sigma = model.sigma
+    for i, nu in enumerate(family):
         regimes = RegimeTable(grid, sigma, nu)
         sg_v, nu_v = regimes.values(sigma), regimes.values(nu)
         scale = float(np.max(np.abs(sg_v))) or 1.0
@@ -96,95 +78,63 @@ def _validate_kernel(mf: ModularFunctional, grid: TimeGrid) -> None:
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
 
 
-def density_logs(mf: ModularFunctional, ensemble: PathEnsemble) -> np.ndarray:
+def density_logs(model: MarketModel, family: tuple,
+                 ensemble: PathEnsemble) -> np.ndarray:
     """log Y^nu per (family member, path), discount included; one pass."""
     grid = ensemble.grid
-    model = mf.model
-    _validate_kernel(mf, grid)
+    _validate_kernel(model, family, grid)
     sums = {"R": ("time", integrand(grid, model.rate))}
-    for i, nu in enumerate(mf.nu_family):
+    for i, nu in enumerate(family):
         regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
         gamma = (regimes, mpr_table(model, regimes) + regimes.values(nu))
         sums.update({f"S{i}": ("ito", gamma), f"Q{i}": ("quad", gamma, gamma)})
     s = path_sums(ensemble, sums)
     return np.stack([-s["R"] - s[f"S{i}"] - 0.5 * s[f"Q{i}"]
-                     for i in range(len(mf.nu_family))])
+                     for i in range(len(family))])
 
 
-def _check_logs(mf: ModularFunctional, logs: np.ndarray) -> None:
-    if logs.ndim != 2 or logs.shape[0] != len(mf.nu_family):
-        raise ModularError(f"density samples must have shape (family "
-                           f"{len(mf.nu_family)}, paths), got {logs.shape}")
+def _wealth(z, p: float) -> np.ndarray:
+    """U^{-1}(|z|) = (|z| / p)^p, the wealth whose utility is |z|."""
+    return (np.abs(z) / p) ** p
 
 
-def _payoff_values(Z, mf: ModularFunctional, logs: np.ndarray) -> np.ndarray:
-    """Per-path payoff values, checked against the density samples."""
-    _check_logs(mf, logs)
-    count = logs.shape[1]
-    vals = np.asarray(Z, float)
-    if vals.shape != (count,):
-        raise ModularError(f"payoff must have one value per path "
-                           f"({count}), got shape {vals.shape}")
-    return vals
-
-
-def j_functional(Z, mf: ModularFunctional,
-                 logs: np.ndarray) -> ValueEstimate:
+def j_functional(Z, p: float, logs: np.ndarray) -> ValueEstimate:
     """max over the family of mean(Y^nu * U^{-1}(|Z|)) on density samples:
     the estimate of the first maximizing member i, named ``j[nu=i]``."""
-    vals = np.abs(_payoff_values(Z, mf, logs))
-    wealth = np.asarray(ut.inverse(mf.utility, vals))
-    best = None
-    for i in range(logs.shape[0]):
-        est = mean_estimate(np.exp(logs[i]) * wealth, f"j[nu={i}]")
-        if best is None or est.mean > best.mean:
-            best = est
-    return best
+    wealth = _wealth(Z, p)
+    return max((mean_estimate(np.exp(row) * wealth, f"j[nu={i}]")
+                for i, row in enumerate(logs)), key=lambda est: est.mean)
 
 
-def _require_power(u: ut.UtilitySpec, what: str) -> None:
-    if u.kind != "power":
-        raise ModularError(f"{what} uses the explicit power-utility form")
-
-
-def norm_I(Z, mf: ModularFunctional, logs: np.ndarray) -> float:
+def norm_I(Z, p: float, logs: np.ndarray) -> float:
     """(min over family of mean Y^{1-q} |Z|^q)^{1/q} on density samples."""
-    _require_power(mf.utility, "norm_I")
-    q = mf.utility.q
-    vals = np.abs(_payoff_values(Z, mf, logs))
+    q = p / (p - 1.0)
+    vals = np.abs(Z)
     with np.errstate(over="ignore"):
-        moments = [float(np.mean(np.exp((1.0 - q) * logs[i]) * vals**q))
-                   for i in range(logs.shape[0])]
+        moments = [float(np.mean(np.exp((1.0 - q) * row) * vals**q))
+                   for row in logs]
     if not all(math.isfinite(m) for m in moments):
         raise ModularError("q-moment diverges on the sample")
     return min(moments) ** (1.0 / q)
 
 
-def norm_J(X, mf: ModularFunctional, logs: np.ndarray) -> float:
+def norm_J(X, p: float, logs: np.ndarray) -> float:
     """(max over family of mean Y |X|^p)^{1/p} on density samples."""
-    _require_power(mf.utility, "norm_J")
-    p = mf.utility.p
-    vals = np.abs(_payoff_values(X, mf, logs))
+    vals = np.abs(X)
     with np.errstate(over="ignore"):
-        moments = [float(np.mean(np.exp(logs[i]) * vals**p))
-                   for i in range(logs.shape[0])]
+        moments = [float(np.mean(np.exp(row) * vals**p)) for row in logs]
     if not all(math.isfinite(m) for m in moments):
         raise ModularError("p-moment diverges on the sample")
     return max(moments) ** (1.0 / p)
 
 
-def j_evaluator(mf: ModularFunctional, logs: np.ndarray):
-    """The J modular on density samples as a plain callable on payoffs.
-
-    Exponentiates the samples once, so it can be handed to the generic
-    Luxemburg/Amemiya norms.
-    """
-    _check_logs(mf, logs)
+def j_evaluator(p: float, logs: np.ndarray):
+    """The J modular on density samples as a plain callable on payoffs,
+    for the Luxemburg and Amemiya norms; exponentiates the samples once."""
     y = np.exp(logs)
 
     def F(z: np.ndarray) -> float:
-        wealth = np.asarray(ut.inverse(mf.utility, np.abs(z)))
-        return float(np.max(np.mean(y * wealth, axis=1)))
+        return float(np.max(np.mean(y * _wealth(z, p), axis=1)))
 
     return F
 
@@ -205,21 +155,24 @@ def luxemburg_norm(F, Z) -> float:
             raise ModularError("modular evaluated to nan")
         return v <= 1.0
 
-    good = 1.0
-    for _ in range(_MAX_ITER):
-        if ok(good):
-            break
-        good *= 2.0
+    # bracket [bad, good] by halving from 1 while F stays <= 1, or doubling
+    # while it stays above 1: no scale is evaluated twice
+    if ok(1.0):
+        good, bad = 1.0, 0.5
+        for _ in range(_MAX_ITER):
+            if not ok(bad):
+                break
+            good, bad = bad, bad / 2.0
+            if bad < 1e-300:
+                return 0.0  # below 1 at every scale
     else:
-        raise ModularError("no finite scale brings the modular below 1")
-    bad = good / 2.0
-    for _ in range(_MAX_ITER):
-        if not ok(bad):
-            break
-        good = bad
-        bad /= 2.0
-        if bad < 1e-300:
-            return 0.0  # below 1 at every scale
+        bad, good = 1.0, 2.0
+        for _ in range(_MAX_ITER - 1):
+            if ok(good):
+                break
+            bad, good = good, good * 2.0
+        else:
+            raise ModularError("no finite scale brings the modular below 1")
     for _ in range(_MAX_ITER):
         mid = math.sqrt(bad * good)
         if ok(mid):
@@ -301,11 +254,7 @@ class HolderReport:
         return self.lhs <= self.rhs * (1.0 + _HOLDER_SLACK)
 
 
-def holder_check(Y, Z, mf: ModularFunctional,
-                 logs: np.ndarray) -> HolderReport:
+def holder_check(Y, Z, p: float, logs: np.ndarray) -> HolderReport:
     """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
-    yv = _payoff_values(Y, mf, logs)
-    zv = _payoff_values(Z, mf, logs)
-    return HolderReport(lhs=abs(float(np.mean(yv * zv))),
-                        norm_i=norm_I(yv, mf, logs),
-                        norm_j=norm_J(zv, mf, logs))
+    return HolderReport(lhs=abs(float(np.mean(Y * Z))),
+                        norm_i=norm_I(Y, p, logs), norm_j=norm_J(Z, p, logs))

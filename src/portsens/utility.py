@@ -1,4 +1,4 @@
-"""Utility functions: evaluation, marginal and inverses.
+"""Utility functions: evaluation, marginal and inverse marginal.
 
 Three kinds are supported.  The positive-power family U(x) = p x^{1/p} with
 p > 1 is the model case: its marginal is U'(x) = x^{-1/q} with q = p/(p-1),
@@ -13,12 +13,12 @@ with the node slopes of the usual PCHIP rule.  U' is then a
 quadratic on each piece, so I = (U')^{-1} is solved in closed form: the
 node slopes locate the piece and the piece's quadratic gives the root.  This
 needs node slopes that decrease strictly; a table whose slopes do not has no
-unique inverse marginal and is refused.  U^{-1} is the same kind of cubic
-through the swapped columns.
+unique inverse marginal and is refused.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,18 +116,14 @@ class UtilitySpec:
             raise ValueError("conjugate exponent is specific to power utility")
         return self.p / (self.p - 1.0)
 
-    # interpolants are built lazily and cached on the instance
-    def _interp(self):
-        cache = self.__dict__.get("_interp_cache")
-        if cache is None:
-            x, u = self._table
-            if np.any(np.diff(x) <= 0) or np.any(np.diff(u) <= 0):
-                raise ValueError("custom table must increase strictly in "
-                                 "both columns")
-            cache = (_MonotoneCubic(x, u), _MonotoneCubic(u, x),
-                     (x[0], x[-1]), (u[0], u[-1]))
-            object.__setattr__(self, "_interp_cache", cache)
-        return cache
+    @functools.cached_property
+    def _interp(self) -> _MonotoneCubic:
+        """A custom table's interpolant, built on first use."""
+        x, u = self._table
+        if np.any(np.diff(x) <= 0) or np.any(np.diff(u) <= 0):
+            raise ValueError("custom table must increase strictly in both "
+                             "columns")
+        return _MonotoneCubic(x, u)
 
 
 def power_utility(p: float) -> UtilitySpec:
@@ -180,6 +176,15 @@ def _check_domain(x, name, strict=False):
     return x
 
 
+def _in_table(u: UtilitySpec, x) -> _MonotoneCubic:
+    """A custom table's interpolant, once x is checked against its range."""
+    fwd = u._interp
+    xlo, xhi = fwd.x[0], fwd.x[-1]
+    if np.any(x > xhi) or np.any(x < xlo):
+        raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
+    return fwd
+
+
 def evaluate(u: UtilitySpec, x) -> np.ndarray | float:
     if u.kind == "power":
         x = _check_domain(x, "x")
@@ -187,11 +192,8 @@ def evaluate(u: UtilitySpec, x) -> np.ndarray | float:
     if u.kind == "log":
         x = _check_domain(x, "x", strict=True)
         return np.log(x)
-    fwd, _, (xlo, xhi), _ = u._interp()
     x = _check_domain(x, "x")
-    if np.any(x > xhi) or np.any(x < xlo):
-        raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
-    return fwd(x)
+    return _in_table(u, x)(x)
 
 
 def derivative(u: UtilitySpec, x) -> np.ndarray | float:
@@ -200,10 +202,7 @@ def derivative(u: UtilitySpec, x) -> np.ndarray | float:
         return x ** (1.0 / u.p - 1.0)
     if u.kind == "log":
         return 1.0 / x
-    fwd, _, (xlo, xhi), _ = u._interp()
-    if np.any(x > xhi) or np.any(x < xlo):
-        raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
-    return fwd.derivative(x)
+    return _in_table(u, x).derivative(x)
 
 
 def infimum(u: UtilitySpec) -> float:
@@ -214,21 +213,6 @@ def infimum(u: UtilitySpec) -> float:
     if u.kind == "log":
         return -np.inf
     return float(u._table[1][0])
-
-
-def inverse(u: UtilitySpec, y) -> np.ndarray | float:
-    """U^{-1}(y): for power, (y/p)^p; for log, exp(y)."""
-    y = np.asarray(y, dtype=float)
-    if u.kind == "power":
-        if np.any(y < 0):
-            raise ValueError("power utility takes nonnegative values only")
-        return (y / u.p) ** u.p
-    if u.kind == "log":
-        return np.exp(y)
-    _, inv, _, (ulo, uhi) = u._interp()
-    if np.any(y > uhi) or np.any(y < ulo):
-        raise ValueError(f"y outside the table range [{ulo:g}, {uhi:g}]")
-    return inv(y)
 
 
 def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
@@ -242,7 +226,7 @@ def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
         return y ** (-u.q)
     if u.kind == "log":
         return 1.0 / y
-    fwd = u._interp()[0]
+    fwd = u._interp
     if not fwd.slopes_decrease:
         raise ValueError(f"custom utility {u.label!r}: node slopes of U' do "
                          "not decrease strictly, so U' has no unique inverse")

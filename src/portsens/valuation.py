@@ -35,8 +35,8 @@ from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate, mean_estimate
 from portsens.market import (CoefficientError, CoefficientProcess,
                              KernelStabilityError, MarketModel, RegimeTable,
-                             check_h1_direction, mpr_from_values,
-                             mpr_table)
+                             check_drivers, check_h1_direction,
+                             mpr_from_values, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 
@@ -106,6 +106,7 @@ class PerturbationSpec:
             if proc is not None and proc.shape != want[name]:
                 raise CoefficientError(
                     f"{name} must have shape {want[name]}, got {proc.shape}")
+        check_drivers(model.n, *self.directions)
 
 
 @dataclass(frozen=True, eq=False)

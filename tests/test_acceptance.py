@@ -17,9 +17,8 @@ from portsens.danskin import (CompactSet, directional_derivative,
 from portsens.estimate import difference_se
 from portsens.market import (MarketModel, check_h1_direction, constant,
                              dlambda_direction, indicator, zeros)
-from portsens.modular import (ModularFunctional, amemiya_norm, density_logs,
-                              holder_check, j_evaluator, j_functional,
-                              norm_I, norm_J)
+from portsens.modular import (amemiya_norm, density_logs, holder_check,
+                              j_evaluator, j_functional, norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (example1_report, example2_reports,
                                   second_order_check, sensitivity_pair,
@@ -177,7 +176,7 @@ def test_criterion_7_solver_closed_form(capsys):
     u = ut.power_utility(2.0)
     row, = value_surface(model, u, PerturbationSpec(dmu=constant([0.0])),
                          [0.0], ens)
-    logz = density_logs(ModularFunctional(model, u), ens)[0]
+    logz = density_logs(model, (zeros((1,)),), ens)[0]
     opt = optimal_terminal_wealth(model, u, logz)
     expected = 2.0 * math.exp(0.5)
     v_sigmas = abs(row.strong.mean - expected) / row.strong.se
@@ -251,16 +250,15 @@ def test_criterion_9_modular_norms(capsys):
                         sigma=constant([[0.2, 0.0]]))
     u = ut.power_utility(3.0)
     family = (zeros((2,)), constant([0.0, 0.3]), constant([0.0, -0.5]))
-    mf = ModularFunctional(model=model, utility=u, nu_family=family)
     ens = PathEnsemble(TimeGrid(1.0, 64), n=2, count=40_000, seed=1007)
-    logs = density_logs(mf, ens)
+    logs = density_logs(model, family, ens)
     opt = optimal_terminal_wealth(model, u, logs[0])
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
 
-    ni, nj = norm_I(opt.z, mf, logs), norm_J(opt.xstar, mf, logs)
-    homog = (abs(norm_I(3.0 * opt.z, mf, logs) - 3.0 * ni)
+    ni, nj = norm_I(opt.z, u.p, logs), norm_J(opt.xstar, u.p, logs)
+    homog = (abs(norm_I(3.0 * opt.z, u.p, logs) - 3.0 * ni)
              <= 1e-12 * ni
-             and abs(norm_J(3.0 * opt.xstar, mf, logs) - 3.0 * nj)
+             and abs(norm_J(3.0 * opt.xstar, u.p, logs) - 3.0 * nj)
              <= 1e-12 * nj)
 
     rng = np.random.default_rng(1009)
@@ -268,11 +266,11 @@ def test_criterion_9_modular_norms(capsys):
     for _ in range(100):
         Y = np.exp(rng.normal(size=ens.count) * 0.3)
         Z = np.exp(rng.normal(size=ens.count) * 0.4 - 0.2)
-        holder_ok = holder_ok and holder_check(Y, Z, mf, logs).passed
+        holder_ok = holder_ok and holder_check(Y, Z, u.p, logs).passed
 
-    j = j_functional(payoff, mf, logs)
+    j = j_functional(payoff, u.p, logs)
     j_ok = abs(j.mean - model.x0) <= 3.0 * j.se + 1e-9
-    am = amemiya_norm(j_evaluator(mf, logs), payoff)
+    am = amemiya_norm(j_evaluator(u.p, logs), payoff)
     bound_ok = am <= 1.0 + model.x0 + 1e-9
     verdict(capsys, 9, "modular norms: homogeneity, pairing, budget",
             homog and holder_ok and j_ok and bound_ok,

@@ -11,10 +11,11 @@ import pytest
 
 import portsens
 
-from portsens import sensitivity
+from portsens import cli, sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           SURFACE_HEADER, format_config, load_config, main)
+from portsens.modular import luxemburg_norm
 from portsens.paths import PathEnsemble, path_sums
 
 CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
@@ -218,6 +219,30 @@ def test_norms_makes_one_path_pass(tmp_path, generated):
     assert sum(generated) == 500
 
 
+def test_norms_luxemburg_bracket_evaluates_no_scale_twice(tmp_path,
+                                                          monkeypatch):
+    # on the benchmark's norms run the modular exceeds 1 at scale 1, so
+    # the bracket doubles once; bracket and bisection then take 42
+    # evaluations, each at its own scale
+    seen = []
+
+    def counted(F, Z):
+        def G(z):
+            seen.append(z.tobytes())
+            return F(z)
+
+        return luxemburg_norm(G, Z)
+
+    monkeypatch.setattr(cli, "luxemburg_norm", counted)
+    out = tmp_path / "n"
+    assert main(["norms", "--config", "configs/norms.ini", "--paths", "15000",
+                 "--seed", "13", "--out", str(out)]) == 0
+    assert len(seen) == 42 and len(set(seen)) == 42
+    values = {r["quantity"]: r["value"]
+              for r in read_records(out / "norms.csv")}
+    assert values["luxemburg_norm"] == "1.0003926898323896"
+
+
 def test_sens_makes_one_path_pass(tmp_path, generated):
     # both closed-form sensitivities and the value curves that both finite
     # differences read come from one pass
@@ -300,6 +325,47 @@ def test_custom_utility_inputs_refused_before_the_pass(
     err = capsys.readouterr().err
     assert code == 2 and "config error" in err and message in err
     assert not out.exists() and sum(generated) == 0
+
+
+@pytest.mark.parametrize("command, config, good, bad", [
+    ("value", "example1", "mu = ind:j=0;", "mu = ind:j=3;"),
+    ("norms", "norms", "nu1 = const:[0.0,0.3]",
+     "nu1 = ind:j=5;c=0.0;lo=[0.0,0.3];hi=[0.0,-0.3]"),
+    ("h1check", "h1_kernel", "dsigma = const:[0.5,0.0]",
+     "dsigma = ind:j=4;c=0.0;lo=[0.5,0.0];hi=[1.0,0.0]")],
+    ids=["value-market", "norms-member", "h1check-direction"])
+def test_driver_out_of_range_refused_with_the_config(
+        command, config, good, bad, tmp_path, capsys, generated):
+    # an indicator on a Brownian coordinate the market does not have, in
+    # the market, a direction or a [norms] member, is a config error: exit
+    # 2 with no path drawn and nothing written
+    text = load_text(f"configs/{config}.ini")
+    assert good in text
+    cfg = norm_write(tmp_path / "bad.ini", text.replace(good, bad))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--paths", "200",
+                 "--steps", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error" in err and "driver index" in err
+    assert not out.exists() and sum(generated) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--config", "configs/example1.ini", "--paths", "0"],
+    ["value", "--config", "configs/example1.ini", "--steps", "0"],
+    ["norms", "--config", "configs/norms.ini", "--horizon", "-1"],
+    ["example1", "--paths", "0", "--steps", "20"],
+    ["example1", "--steps", "0", "--paths", "200"],
+    ["example1", "--T", "-1", "--paths", "200", "--steps", "20"],
+    ["example2", "--paths", "-5", "--steps", "20"],
+    ["example2", "--T", "0", "--paths", "200", "--steps", "20"]],
+    ids=["value-paths", "value-steps", "norms-horizon", "example1-paths",
+         "example1-steps", "example1-T", "example2-paths", "example2-T"])
+def test_non_positive_scale_flag_exits_one(argv, tmp_path, capsys):
+    # refused while parsing, as a bad seed is, before any setup
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_custom_value_standard_errors_match_sqrt(tmp_path):

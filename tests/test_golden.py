@@ -14,6 +14,8 @@ and nothing to stdout.
 
 import functools
 import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -22,6 +24,8 @@ from portsens.cli import main
 from portsens.paths import PathEnsemble
 
 SMALL = ["--paths", "2000", "--steps", "32"]
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # every command writes <stem>.csv and <stem>_summary.txt
 STEM = {"value": "surface", "sens": "sens", "secondorder": "secondorder",
@@ -133,3 +137,21 @@ def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
     assert digests(command_argv(command, config), code, tmp_path,
                    capsys) == (csv_digest, summary_digest)
+
+
+@pytest.mark.parametrize("name", ["switch-adapted", "norms-incomplete",
+                                  "sens-det2d"])
+def test_benchmark_bytes_match_its_reference(name, tmp_path, monkeypatch,
+                                             capsys):
+    # the benchmark refuses a change whose CSV at a workload's default seed
+    # differs from the digest in perfbench/reference.json; run each
+    # byte-checked workload's command line here, in-process, against it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    work = WORKLOADS[name]
+    assert main(work.argv(work.default_seed, str(tmp_path))) in (0, 3)
+    capsys.readouterr()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert _sha256((tmp_path / work.csv).read_bytes()) \
+        == reference["digests"][name]

@@ -213,8 +213,11 @@ def test_regime_table_counts_only_reachable_regimes():
     W[0, 1:, 0], W[0, 1:, 1] = -4.0, 2.0
     assert two.describe(int(two.index(W)[0, 3])) \
         == "t in [0, 1), W^0 in [-inf, -3), W^1 in [0, inf)"
-    with pytest.raises(CoefficientError):
-        two.index(np.zeros((1, 9, 1)))
+    # a driver beyond the market's Brownian coordinates is refused when the
+    # market is built, before any table indexes paths
+    with pytest.raises(CoefficientError, match="driver index 1"):
+        MarketModel(d=1, n=1, mu=indicator(1, 0.0, [0.0], [1.0]),
+                    sigma=constant([[1.0]]))
 
 
 def test_h1_accepts_kernel_preserving_and_rejects_rotation():

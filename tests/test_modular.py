@@ -7,12 +7,14 @@ import pytest
 
 from portsens.market import MarketModel, constant, indicator, zeros
 from portsens.modular import (_MAX_ITER, _REL_TOL, HolderReport,
-                              ModularError, ModularFunctional, amemiya_norm,
-                              density_logs, holder_check, j_evaluator,
-                              j_functional, luxemburg_norm, norm_I, norm_J)
+                              ModularError, amemiya_norm, density_logs,
+                              holder_check, j_evaluator, j_functional,
+                              luxemburg_norm, norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import optimal_terminal_wealth
-from portsens.utility import evaluate, inverse, log_utility, power_utility
+from portsens.utility import evaluate, power_utility
+
+ZERO = (zeros((2,)),)  # the family of the zero direction alone
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +31,10 @@ def mod_ens():
 
 
 @pytest.fixture(scope="module")
-def mf3(mod_model):
-    fam = (zeros((2,)), constant([0.0, 0.3]), constant([0.0, -0.5]))
-    return ModularFunctional(model=mod_model, utility=power_utility(3.0),
-                             nu_family=fam)
-
-
-@pytest.fixture(scope="module")
-def logs3(mf3, mod_ens):
-    return density_logs(mf3, mod_ens)
+def logs3(mod_model, mod_ens):
+    # density samples of a three-member family, read with p = 3
+    fam = ZERO + (constant([0.0, 0.3]), constant([0.0, -0.5]))
+    return density_logs(mod_model, fam, mod_ens)
 
 
 @pytest.fixture(scope="module")
@@ -46,55 +43,40 @@ def opt3(mod_model, logs3, mod_ens):
     return optimal_terminal_wealth(mod_model, power_utility(3.0), logs3[0])
 
 
-def test_family_validation(mod_model):
-    mf = ModularFunctional(model=mod_model, utility=power_utility(2.0))
-    assert len(mf.nu_family) == 1  # zero direction inserted
-    with pytest.raises(ModularError):
-        ModularFunctional(model=mod_model, utility=power_utility(2.0),
-                          nu_family=(np.array([0.0, 0.1]),))
-    with pytest.raises(ModularError):
-        ModularFunctional(model=mod_model, utility=power_utility(2.0),
-                          nu_family=(constant([0.1]),))
-
-
 def test_kernel_violation_rejected(mod_model, mod_ens):
-    leaky = ModularFunctional(model=mod_model, utility=power_utility(2.0),
-                              nu_family=(constant([0.1, 0.0]),))
     with pytest.raises(ModularError, match="null space"):
-        density_logs(leaky, mod_ens)
+        density_logs(mod_model, (constant([0.1, 0.0]),), mod_ens)
     # a member that leaves the null space only on {W^0 < -3} is refused
     # before any path is drawn, whether or not a path would get there
-    rare = ModularFunctional(model=mod_model, utility=power_utility(2.0),
-                             nu_family=(indicator(0, -3.0, [0.0, 0.2],
-                                                  [0.1, 0.2]),))
+    rare = indicator(0, -3.0, [0.0, 0.2], [0.1, 0.2])
     with pytest.raises(ModularError, match=r"W\^0 in \[-inf, -3\)"):
-        density_logs(rare, PathEnsemble(TimeGrid(1.0, 8), n=2, count=1,
-                                        seed=1))
+        density_logs(mod_model, (rare,), PathEnsemble(
+            TimeGrid(1.0, 8), n=2, count=1, seed=1))
 
 
-def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, mf3, logs3,
-                                           opt3):
+def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, logs3, opt3):
     z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
-    mf0 = ModularFunctional(model=mod_model, utility=power_utility(3.0))
     # single zero member: J inverts the utility and reprices the budget,
     # which the multiplier bisection pinned at x0 on these very samples
-    j0 = j_functional(z, mf0, density_logs(mf0, mod_ens))
+    j0 = j_functional(z, 3.0, density_logs(mod_model, ZERO, mod_ens))
     assert abs(j0.mean - mod_model.x0) < 1e-9 * (1.0 + mod_model.x0)
     assert j0.estimator == "j[nu=0]"
     # the optimal payoff is replicable, so every member prices it at x0
     # and the maximum sits within Monte Carlo noise of the budget
-    j = j_functional(z, mf3, logs3)
+    j = j_functional(z, 3.0, logs3)
     assert abs(j.mean - mod_model.x0) < 3.0 * j.se
-    # the maximizing member's own estimate comes back unchanged
+    # the maximizing member's own estimate comes back unchanged; U^{-1}(z)
+    # = (z / p)^p is the optimal wealth itself
     member = int(j.estimator[len("j[nu="):-1])
-    wealth = np.asarray(inverse(power_utility(3.0), np.abs(z)))
+    wealth = (np.abs(z) / 3.0) ** 3.0
+    assert wealth == pytest.approx(opt3.xstar, rel=1e-12)
     assert j.mean == float(np.mean(np.exp(logs3[member]) * wealth))
 
 
-def test_luxemburg_closed_form(mf3, logs3, opt3):
+def test_luxemburg_closed_form(logs3, opt3):
     # J(k U(X*)) = k^p x0 for power utility, so the Luxemburg norm of the
     # optimal payoff is exactly the p-th root of the replicated budget
-    F = j_evaluator(mf3, logs3)
+    F = j_evaluator(3.0, logs3)
     z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
     budget = F(z)
     lux = luxemburg_norm(F, z)
@@ -106,11 +88,10 @@ def test_amemiya_closed_form(mod_model, mod_ens):
     for p, expect in ((2.0, 2.0), (3.0, 1.8898815748423097)):
         u = power_utility(p)
         q = p / (p - 1.0)
-        mf = ModularFunctional(model=mod_model, utility=u)
-        logs = density_logs(mf, mod_ens)
+        logs = density_logs(mod_model, ZERO, mod_ens)
         opt = optimal_terminal_wealth(mod_model, u, logs[0])
         z = np.asarray(evaluate(u, opt.xstar))
-        F = j_evaluator(mf, logs)
+        F = j_evaluator(p, logs)
         budget = F(z)
         am = amemiya_norm(F, z)
         # min over k of (1 + k^p b) / k = q (p-1)^{1/p} b^{1/p}
@@ -124,75 +105,61 @@ def test_amemiya_closed_form(mod_model, mod_ens):
                                          rel=1e-9)
 
 
-def test_norms_match_lognormal_moments(mf3, logs3, opt3):
+def test_norms_match_lognormal_moments(logs3, opt3):
     zhat = np.exp(logs3[0])
     # E[Zhat] = 1 and E[Zhat X*^3] = exp(0.2025) for lambda = 0.3, T = 1
-    assert norm_I(zhat, mf3, logs3) == pytest.approx(1.0, abs=0.02)
-    assert norm_J(opt3.xstar, mf3, logs3) \
+    assert norm_I(zhat, 3.0, logs3) == pytest.approx(1.0, abs=0.02)
+    assert norm_J(opt3.xstar, 3.0, logs3) \
         == pytest.approx(1.2244600851219147, abs=0.02)
 
 
-def test_norm_homogeneity(mod_ens, mf3, logs3, rng):
+def test_norm_homogeneity(mod_ens, logs3, rng):
     z = rng.lognormal(size=mod_ens.count)
-    assert norm_I(3.0 * z, mf3, logs3) \
-        == pytest.approx(3.0 * norm_I(z, mf3, logs3), rel=1e-12)
-    assert norm_J(3.0 * z, mf3, logs3) \
-        == pytest.approx(3.0 * norm_J(z, mf3, logs3), rel=1e-12)
-    F = j_evaluator(mf3, logs3)
+    assert norm_I(3.0 * z, 3.0, logs3) \
+        == pytest.approx(3.0 * norm_I(z, 3.0, logs3), rel=1e-12)
+    assert norm_J(3.0 * z, 3.0, logs3) \
+        == pytest.approx(3.0 * norm_J(z, 3.0, logs3), rel=1e-12)
+    F = j_evaluator(3.0, logs3)
     assert luxemburg_norm(F, 2.0 * z) \
         == pytest.approx(2.0 * luxemburg_norm(F, z), rel=1e-9)
     assert amemiya_norm(F, 2.0 * z) \
         == pytest.approx(2.0 * amemiya_norm(F, z), rel=1e-9)
 
 
-def test_luxemburg_triangle_inequality(mod_ens, mf3, logs3, rng):
-    F = j_evaluator(mf3, logs3)
+def test_luxemburg_triangle_inequality(mod_ens, logs3, rng):
+    F = j_evaluator(3.0, logs3)
     a = rng.lognormal(size=mod_ens.count)
     b = np.abs(rng.normal(size=mod_ens.count)) * 2.0
     lhs = luxemburg_norm(F, a + b)
     assert lhs <= (luxemburg_norm(F, a) + luxemburg_norm(F, b)) * (1 + 1e-9)
 
 
-def test_holder_inequality_on_random_pairs(mod_ens, mf3, logs3, rng):
+def test_holder_inequality_on_random_pairs(mod_ens, logs3, rng):
     for _ in range(20):
         y = rng.lognormal(sigma=0.8, size=mod_ens.count)
         z = rng.normal(size=mod_ens.count) * rng.lognormal(
             sigma=0.5, size=mod_ens.count)
-        rep = holder_check(y, z, mf3, logs3)
+        rep = holder_check(y, z, 3.0, logs3)
         assert rep.passed
         assert rep.passed
     assert isinstance(rep, HolderReport)
 
 
-def test_zero_payoff(mod_ens, mf3, logs3):
+def test_zero_payoff(mod_ens, logs3):
     zero = np.zeros(mod_ens.count)
-    F = j_evaluator(mf3, logs3)
+    F = j_evaluator(3.0, logs3)
     assert luxemburg_norm(F, zero) == 0.0
     assert amemiya_norm(F, zero) == 0.0
-    assert j_functional(zero, mf3, logs3).mean == 0.0
-    assert norm_I(zero, mf3, logs3) == 0.0
+    assert j_functional(zero, 3.0, logs3).mean == 0.0
+    assert norm_I(zero, 3.0, logs3) == 0.0
 
 
-def test_divergent_moments_raise(mod_ens, mf3, logs3):
+def test_divergent_moments_raise(mod_ens, logs3):
     huge = np.full(mod_ens.count, 1e308)
     with pytest.raises(ModularError):
-        norm_I(huge, mf3, logs3)
+        norm_I(huge, 3.0, logs3)
     with pytest.raises(ModularError):
-        norm_J(huge, mf3, logs3)
-
-
-def test_payoff_shape_guard(mod_ens, mf3, logs3):
-    with pytest.raises(ModularError):
-        j_functional(np.ones(7), mf3, logs3)
-    # density samples of another family size are refused as well
-    with pytest.raises(ModularError, match="family"):
-        norm_J(np.ones(mod_ens.count), mf3, logs3[:2])
-
-
-def test_norm_requires_power_utility(mod_model, mod_ens):
-    mf = ModularFunctional(model=mod_model, utility=log_utility())
-    with pytest.raises(ModularError, match="power"):
-        norm_I(np.ones(mod_ens.count), mf, np.zeros((1, mod_ens.count)))
+        norm_J(huge, 3.0, logs3)
 
 
 def test_degenerate_modulars_raise(mod_ens):
@@ -201,6 +168,77 @@ def test_degenerate_modulars_raise(mod_ens):
         luxemburg_norm(lambda v: 2.0, z)
     with pytest.raises(ModularError, match="interior"):
         amemiya_norm(lambda v: 0.0, z)
+
+
+def doubled_luxemburg(F, Z) -> float:
+    """The Luxemburg norm with its bracket from doubling 1 until F <= 1 and
+    then halving from half that scale, which evaluates that half again
+    after a doubling step: the reference that the one-pass bracket must
+    equal bit for bit."""
+    z = np.asarray(Z, dtype=float)
+
+    def ok(beta):
+        return F(z / beta) <= 1.0
+
+    good = 1.0
+    for _ in range(_MAX_ITER):
+        if ok(good):
+            break
+        good *= 2.0
+    else:
+        raise ModularError("no finite scale brings the modular below 1")
+    bad = good / 2.0
+    for _ in range(_MAX_ITER):
+        if not ok(bad):
+            break
+        good = bad
+        bad /= 2.0
+        if bad < 1e-300:
+            return 0.0
+    for _ in range(_MAX_ITER):
+        mid = math.sqrt(bad * good)
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+        if good - bad <= _REL_TOL * good:
+            break
+    return good
+
+
+@pytest.mark.parametrize("scale", [1e-6, 0.5, 1.0, 2.0, 1e6])
+def test_luxemburg_bracket_evaluates_each_scale_once(scale, logs3, opt3):
+    # scales above 1 double the bracket from 1, scales below halve it; the
+    # bracket and so the bisection and its result are the reference's
+    F = j_evaluator(3.0, logs3)
+    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    seen = []
+
+    def G(v):
+        seen.append(v.tobytes())
+        return scale * F(v)
+
+    lux = luxemburg_norm(G, z)
+    assert len(set(seen)) == len(seen)
+    assert lux == doubled_luxemburg(G, z)
+    assert lux == pytest.approx(scale ** (1.0 / 3.0), rel=0.03)
+
+
+def test_luxemburg_keeps_its_degenerate_results(mod_ens):
+    # a modular below 1 at every scale stops halving after _MAX_ITER steps,
+    # before the 1e-300 floor, and bisects there as the reference does
+    z = np.ones(mod_ens.count)
+    assert luxemburg_norm(lambda v: 0.5, z) \
+        == doubled_luxemburg(lambda v: 0.5, z) == 3.111507638932532e-61
+    calls = []
+
+    def above(v):
+        calls.append(1)
+        return 2.0
+
+    with pytest.raises(ModularError, match="no finite scale"):
+        luxemburg_norm(above, z)
+    assert len(calls) == _MAX_ITER
 
 
 def scanned_amemiya(F, Z) -> float:
@@ -240,28 +278,27 @@ def scanned_amemiya(F, Z) -> float:
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
-def test_amemiya_walk_matches_the_full_scan(scale, mod_model, mod_ens, mf3,
+def test_amemiya_walk_matches_the_full_scan(scale, mod_model, mod_ens,
                                             logs3, opt3, rng):
     # a scaled modular moves the minimum about 10 grid points either way,
     # so the walk runs in both directions
-    mf2 = ModularFunctional(model=mod_model, utility=power_utility(2.0))
-    logs2 = density_logs(mf2, mod_ens)
+    logs2 = density_logs(mod_model, ZERO, mod_ens)
     z2 = np.asarray(evaluate(power_utility(2.0), optimal_terminal_wealth(
         mod_model, power_utility(2.0), logs2[0]).xstar))
     z3 = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
-    for F, z in ((j_evaluator(mf3, logs3), z3),
-                 (j_evaluator(mf3, logs3), rng.lognormal(size=mod_ens.count)),
-                 (j_evaluator(mf2, logs2), z2)):
+    for F, z in ((j_evaluator(3.0, logs3), z3),
+                 (j_evaluator(3.0, logs3), rng.lognormal(size=mod_ens.count)),
+                 (j_evaluator(2.0, logs2), z2)):
         def G(v, F=F):
             return scale * F(v)
 
         assert amemiya_norm(G, z) == scanned_amemiya(G, z)
 
 
-def test_amemiya_walk_evaluates_few_grid_points(mf3, logs3, opt3):
+def test_amemiya_walk_evaluates_few_grid_points(logs3, opt3):
     # about 3 walk steps and 61 golden-section evaluations, where a scan of
     # the whole grid makes 181 before the same golden-section step
-    F = j_evaluator(mf3, logs3)
+    F = j_evaluator(3.0, logs3)
     calls = []
 
     def counted(v):

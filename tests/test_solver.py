@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from portsens import utility
-from portsens.market import MarketModel, constant, indicator, piecewise
-from portsens.modular import ModularFunctional, density_logs
+from portsens.market import (MarketModel, constant, indicator, piecewise,
+                             zeros)
+from portsens.modular import density_logs
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import (SolverError, bisect_budget,
                              optimal_terminal_wealth, value_closed_form)
@@ -32,7 +33,7 @@ def unit_ens():
 
 def solve(model, u, ens):
     # the nu = 0 density row, as the norms command feeds the solver
-    logz = density_logs(ModularFunctional(model, u), ens)[0]
+    logz = density_logs(model, (zeros((model.n,)),), ens)[0]
     return optimal_terminal_wealth(model, u, logz)
 
 
@@ -177,8 +178,7 @@ def test_only_power_utility_solved(unit_model, unit_ens):
 
 
 def test_state_price_density_mean_one(unit_model, unit_ens):
-    mf = ModularFunctional(unit_model, log_utility())
-    z = np.exp(density_logs(mf, unit_ens)[0])
+    z = np.exp(density_logs(unit_model, (zeros((1,)),), unit_ens)[0])
     se = float(np.std(z)) / math.sqrt(unit_ens.count)
     assert abs(float(np.mean(z)) - 1.0) <= 3 * se
 

@@ -1,4 +1,4 @@
-"""Utility specs: closed forms, inverses and custom tables."""
+"""Utility specs: closed forms, inverse marginals and custom tables."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from portsens.utility import (custom_utility,
-                              derivative, evaluate, inverse,
+                              derivative, evaluate,
                               inverse_marginal, load_custom_utility,
                               log_utility, parse_utility, power_utility,
                               sqrt_utility)
@@ -38,8 +38,6 @@ def test_log_values():
 @given(st.floats(1.2, 10.0), st.floats(-20.0, 20.0))
 def test_power_inverse_round_trip(p, logx):
     u = power_utility(p)
-    x = math.exp(logx)
-    assert inverse(u, evaluate(u, x)) == pytest.approx(x, rel=1e-9)
     # marginal inverse: U'(I(y)) = y
     y = math.exp(logx / 4.0)
     assert derivative(u, inverse_marginal(u, y)) == pytest.approx(y, rel=1e-9)
@@ -49,7 +47,6 @@ def test_power_inverse_round_trip(p, logx):
 @given(st.floats(-5.0, 5.0))
 def test_log_inverse_round_trip(y):
     u = log_utility()
-    assert evaluate(u, inverse(u, y)) == pytest.approx(y, abs=1e-12)
     assert inverse_marginal(u, math.exp(y)) == pytest.approx(math.exp(-y))
 
 
@@ -62,7 +59,6 @@ def test_custom_table_tracks_reference():
     u = _table_utility()
     xs = np.array([0.5, 1.0, 4.0, 25.0])
     assert np.allclose(evaluate(u, xs), 2.0 * np.sqrt(xs), rtol=1e-6)
-    assert np.allclose(inverse(u, evaluate(u, xs)), xs, rtol=1e-6)
     im = inverse_marginal(u, np.array([0.4, 1.0]))
     assert np.allclose(im, np.array([0.4, 1.0]) ** -2.0, rtol=1e-3)
 
@@ -108,10 +104,6 @@ def test_custom_cubic_matches_pchip(make_table):
     for got, want in ((evaluate(u, xs), ref(xs)),
                       (derivative(u, xs), ref.derivative()(xs))):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-    us = np.clip(np.concatenate([ux, 0.5 * (ux[:-1] + ux[1:])]),
-                 ux[0], ux[-1])
-    back = PchipInterpolator(ux, x, extrapolate=False)(us)
-    assert np.all(np.abs(inverse(u, us) - back) <= 1e-14 * back)
 
 
 @TABLES
