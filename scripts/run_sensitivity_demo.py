@@ -2,20 +2,24 @@
 
 Prints the weak/strong value surface, both derivative formulas checked
 against central differences, and the weak-minus-strong contrast, all on
-one path ensemble.  With deterministic coefficients the two derivatives
-are equal, so the script exits 3 when they differ by more than 3 standard
-errors.  Runs in a few seconds; --paths / --steps rescale it.
+one path ensemble.  The market, utility, direction and taus are those of
+configs/deterministic2d.ini.  With deterministic coefficients the two
+derivatives are equal, so the script exits 3 when they differ by more than
+3 standard errors.  Runs in a few seconds; --paths / --steps rescale it.
 """
 
 import argparse
 import math
+import pathlib
 
-from portsens import utility as ut
+from portsens.cli import load_config
 from portsens.estimate import difference_se
-from portsens.market import MarketModel, constant, scalar_constant
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_reports
-from portsens.valuation import PerturbationSpec, value_surface
+from portsens.valuation import value_surface
+
+CONFIG = (pathlib.Path(__file__).resolve().parents[1] / "configs"
+          / "deterministic2d.ini")
 
 
 def agreement(gap: float, se: float) -> tuple[bool, str]:
@@ -29,26 +33,20 @@ def agreement(gap: float, se: float) -> tuple[bool, str]:
 
 
 def main() -> int:
+    cfg = load_config(str(CONFIG))
+    model, u, pert = cfg.model, cfg.utility, cfg.pert
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--paths", type=int, default=40_000)
-    ap.add_argument("--steps", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--paths", type=int, default=cfg.paths)
+    ap.add_argument("--steps", type=int, default=cfg.steps)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
     args = ap.parse_args()
+    ens = PathEnsemble(TimeGrid(cfg.horizon, args.steps), n=model.n,
+                       count=args.paths, seed=args.seed)
 
-    model = MarketModel(d=2, n=2,
-                        mu=constant([0.08, 0.05]),
-                        sigma=constant([[0.2, 0.05], [0.0, 0.15]]),
-                        rate=constant([0.01]))
-    u = ut.power_utility(3.0)
-    pert = PerturbationSpec(dmu=constant([0.04, 0.02]),
-                            drate=scalar_constant(0.01))
-    ens = PathEnsemble(TimeGrid(1.0, args.steps), n=2, count=args.paths,
-                       seed=args.seed)
-
-    print(f"two-asset market, power p=3, direction {pert.label}, "
+    print(f"two-asset market, power p={u.p:g}, direction {pert.label}, "
           f"{ens.count} paths, seed {ens.seed}")
     print("\nvalue surface (weak | strong):")
-    for row in value_surface(model, u, pert, [0.0, 0.1, 0.2], ens):
+    for row in value_surface(model, u, pert, cfg.taus, ens):
         print(f"  tau={row.tau:4.2f}  {row.weak.mean:.6f} "
               f"(se {row.weak.se:.2g})  |  {row.strong.mean:.6f} "
               f"(se {row.strong.se:.2g})")

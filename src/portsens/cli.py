@@ -39,15 +39,15 @@ import numpy as np
 
 from . import utility as ut
 from .market import (CoefficientError, MarketModel, check_drivers,
-                     check_h1_direction, format_coefficient,
-                     parse_coefficient, scalar_constant, zeros)
+                     check_h1_direction, parse_coefficient,
+                     scalar_constant, zeros)
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
 from .sensitivity import (DEFAULT_STEPS, check_rate_direction, check_steps,
                           example1_report, example2_reports, fd_steps,
                           second_order_check, sensitivity_reports)
-from .solver import optimal_terminal_wealth
+from .solver import check_dual_optimizer, optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
 
@@ -81,7 +81,6 @@ class ExperimentConfig:
 
     model: MarketModel | None
     utility: ut.UtilitySpec | None
-    utility_text: str | None
     pert: PerturbationSpec | None
     taus: tuple | None
     paths: int | None
@@ -157,10 +156,9 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
                             rate=rate,
                             x0=float(m.get("x0", "1.0")))
 
-    utility = utility_text = None
+    utility = None
     if cp.has_section("utility"):
-        utility_text = cp["utility"]["spec"].strip()
-        utility = ut.parse_utility(utility_text)
+        utility = ut.parse_utility(cp["utility"]["spec"])
 
     pert, taus = None, None
     if cp.has_section("perturbation"):
@@ -205,54 +203,10 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     if cp.has_section("output"):
         outdir = cp["output"].get("directory", ".").strip() or "."
 
-    return ExperimentConfig(model=model, utility=utility,
-                            utility_text=utility_text, pert=pert, taus=taus,
-                            paths=paths, steps=steps, horizon=horizon,
-                            seed=seed, nu_family=nu_family, outdir=outdir)
-
-
-def _format_utility(cfg: ExperimentConfig) -> str:
-    u = cfg.utility
-    if u.kind == "log":
-        return "log"
-    if u.kind == "power":
-        return f"power:p={u.p!r}"
-    return cfg.utility_text  # custom keeps its file reference
-
-
-def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; loading it back reproduces the config."""
-    lines = []
-    if cfg.model is not None:
-        m = cfg.model
-        lines += ["[market]", f"d = {m.d}", f"n = {m.n}",
-                  f"mu = {format_coefficient(m.mu)}",
-                  f"sigma = {format_coefficient(m.sigma)}",
-                  f"r = {format_coefficient(m.rate)}",
-                  f"x0 = {m.x0!r}", ""]
-    if cfg.utility is not None:
-        lines += ["[utility]", f"spec = {_format_utility(cfg)}", ""]
-    if cfg.pert is not None:
-        lines.append("[perturbation]")
-        for key, proc in [("dmu", cfg.pert.dmu), ("dsigma", cfg.pert.dsigma),
-                          ("dr", cfg.pert.drate),
-                          ("dlambda", cfg.pert.dlambda)]:
-            if proc is not None:
-                lines.append(f"{key} = {format_coefficient(proc)}")
-        lines.append(f"label = {cfg.pert.label}")
-        if cfg.taus is not None:
-            lines.append("taus = " + ",".join(repr(t) for t in cfg.taus))
-        lines.append("")
-    if cfg.seed is not None:
-        lines += ["[mc]", f"paths = {cfg.paths}", f"steps = {cfg.steps}",
-                  f"horizon = {cfg.horizon!r}", f"seed = {cfg.seed}", ""]
-    if cfg.nu_family:
-        lines.append("[norms]")
-        lines += [f"nu{i} = {format_coefficient(nu)}"
-                  for i, nu in enumerate(cfg.nu_family)]
-        lines.append("")
-    lines += ["[output]", f"directory = {cfg.outdir}", ""]
-    return "\n".join(lines)
+    return ExperimentConfig(model=model, utility=utility, pert=pert,
+                            taus=taus, paths=paths, steps=steps,
+                            horizon=horizon, seed=seed, nu_family=nu_family,
+                            outdir=outdir)
 
 
 def _load(args) -> ExperimentConfig:
@@ -495,6 +449,7 @@ def cmd_norms(args) -> _Result:
     if u.kind == "custom":
         raise ConfigError("norms needs a power utility; the optimal wealth "
                           "of a custom utility table has no closed form")
+    check_dual_optimizer(model)
     # the refusals above leave only power utilities
     family = (zeros((model.n,)),) + cfg.nu_family
     logs = density_logs(model, family, _make_ensemble(cfg))

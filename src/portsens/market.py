@@ -229,19 +229,6 @@ def parse_coefficient(text: str, shape: tuple[int, ...]) -> CoefficientProcess:
     raise CoefficientError(f"unknown coefficient spec {text!r}")
 
 
-def _fmt_list(arr: np.ndarray) -> str:
-    return "[" + ",".join(repr(float(v)) for v in np.ravel(arr)) + "]"
-
-
-def format_coefficient(proc: CoefficientProcess) -> str:
-    if proc.kind == "constant":
-        return "const:" + _fmt_list(proc.values)
-    if proc.kind == "piecewise":
-        return f"pw:t={_fmt_list(proc.breaks)};v={_fmt_list(proc.values)}"
-    return (f"ind:j={proc.driver};c={proc.threshold!r};"
-            f"lo={_fmt_list(proc.low)};hi={_fmt_list(proc.high)}")
-
-
 # ---------------------------------------------------------------------------
 # regimes: the reachable joint values of a set of coefficients
 
@@ -395,16 +382,8 @@ class MarketModel:
 
 
 def _gram_cond(S: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a (..., d, d) stack of Gram matrices,
-    d >= 2."""
-    if S.shape[-1] == 2:
-        half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
-        det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
-        disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))
-        lo = half_tr - disc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lo > 0, (half_tr + disc) / lo, np.inf)
-    ev = np.linalg.eigvalsh(S)
+    """2-norm condition numbers of a (..., d, d) stack of Gram matrices."""
+    ev = np.linalg.eigvalsh(S)  # ascending
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(ev[..., 0] > 0, ev[..., -1] / ev[..., 0], np.inf)
 

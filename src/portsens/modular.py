@@ -143,7 +143,8 @@ def luxemburg_norm(F, Z) -> float:
     """inf over beta > 0 with F(Z / beta) <= 1, by bisection.
 
     F must be convex with F(0) = 0, so F(Z / beta) is nonincreasing in
-    beta and the set {F <= 1} is a half line.
+    beta and the set {F <= 1} is a half line.  Returns 0 when F stays
+    <= 1 down to beta = 2**-_MAX_ITER.
     """
     z = np.asarray(Z, dtype=float)
     if not np.any(z):
@@ -163,8 +164,8 @@ def luxemburg_norm(F, Z) -> float:
             if not ok(bad):
                 break
             good, bad = bad, bad / 2.0
-            if bad < 1e-300:
-                return 0.0  # below 1 at every scale
+        else:
+            return 0.0  # at most 1 at every scale tried
     else:
         bad, good = 1.0, 2.0
         for _ in range(_MAX_ITER - 1):

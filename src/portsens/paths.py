@@ -1,26 +1,18 @@
-"""Seeded Brownian path ensembles with streaming Ito quadrature.
+"""Seeded Brownian path ensembles and the one path-sum kernel.
 
 An ensemble is a recipe, not an array: path i draws its N x n increments
-from a dedicated Philox stream keyed by (seed, i), so any path can be
-regenerated bit-identically regardless of how paths are partitioned into
-blocks or how many workers process them.  Philox is counter-based, so a
-stream depends only on its key: each thread holds one generator and re-keys
-it for every path from a state template of plain Python ints, which numpy
-reads faster than uint64 arrays.  ``path_sums`` is the one consumer: it
-streams over blocks of paths, reduces each block to the named per-path
-stochastic and time integrals that every estimator is built from, and writes
-them into (M,) arrays by path range; all cross-path reductions (means,
-standard errors) happen on the full M-vector in the caller.  Each worker of
-a pass allocates one scratch set, sized to the largest block, and every
-block writes its increments, cumulative paths, regime codes and node values
-into views of it, so a pass allocates nothing per block.  This keeps memory
-at O(block) while making every result independent of block size and worker
-count.  A block holds as many paths as fit one worker's whole scratch set in
-``_SCRATCH_BYTES``, and at least one: a pass that reads only increments gets
-blocks of 2**18 increment cells, and a pass that also builds paths, regime
-codes and adapted node values gets fewer paths, so each worker's scratch
-stays near the size of a core's L2 cache whatever the grid and the requests.
-Tests fix the path count instead through an ensemble's ``block_paths``.
+from a Philox stream keyed by (seed, i), so any path regenerates bit for bit
+however paths are split into blocks or workers.  Each thread holds one
+generator and re-keys it for every path from a state template of plain
+Python ints, which numpy reads faster than uint64 arrays.
+
+``path_sums`` streams blocks of paths through one scratch set per worker
+and reduces each block to named per-path stochastic and time integrals,
+written into (M,) arrays by path range; means and standard errors are the
+caller's.  Memory stays at O(block), and no result depends on block size or
+worker count.  A block holds as many paths as fit one worker's scratch set
+in ``_SCRATCH_BYTES``, about a core's L2 cache, and at least one; tests fix
+the count instead through an ensemble's ``block_paths``.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -206,29 +198,21 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
 
     Each request is ``("ito", a)`` for sum_k <a_k, dW_k>, ``("quad", a, b)``
     for sum_k <a_k, b_k> dt, or ``("time", c)`` for sum_k sum_j c_kj dt.
-    An integrand is a pair ``(regimes, table)``: ``regimes.index(W)`` gives
-    the regime of every left node, (N,) when it depends on time only and
-    (B, N) when it reads the paths, and ``table[index]`` the node values
-    (see ``market.RegimeTable``).  A deterministic integrand thus reduces
-    as an (N, k) array, gathered once per pass however many requests name
-    the same integrand object, and an adapted one as (B, N, k).  A
-    deterministic broadcast table (one value in every regime, as from a
-    constant) spreads as a broadcast view, which einsum sums in another
-    order than a dense array: a constant keeps the order it has as
-    ``CoefficientProcess.evaluate`` output.  A table with drivers is
-    gathered into dense node values whatever its strides.
+    An integrand is a pair ``(regimes, table)`` whose node values are
+    ``table[regimes.index(W)]`` (see ``market.RegimeTable``): (N, k) when
+    it depends on time only, gathered once per pass however many requests
+    name the same integrand object, and (B, N, k) when it reads the paths.
 
     Each worker allocates one scratch set per pass, sized to the largest
-    block: increments, cumulative paths (only if some gathered table has
-    drivers), index buffers per such table and node-value slots.  An
-    adapted integrand takes a slot on first use and frees it after the last
-    request that names the same integrand object, so requests listed in
-    groups hold one group's node values at a time.  Unless the ensemble's
-    ``block_paths`` fixes it, a block holds as many paths as keep that
-    scratch set within ``_SCRATCH_BYTES``, and at least one.  Blocks write
-    into views of the scratch and into their path range of the outputs;
-    with k workers (``PORTSENS_WORKERS``, default 1) worker w takes blocks
-    w, w + k, ...  Returns an (M,) array per name.
+    block: increments, cumulative paths (only if some table has drivers),
+    index buffers per such table and node-value slots.  An adapted
+    integrand takes a slot on first use and frees it after the last request
+    that names the same object, so requests listed in groups hold one
+    group's node values at a time.  Unless the ensemble's ``block_paths``
+    fixes it, a block holds as many paths as keep that scratch set within
+    ``_SCRATCH_BYTES``, and at least one.  With k workers
+    (``PORTSENS_WORKERS``, default 1) worker w takes blocks w, w + k, ...
+    Returns an (M,) array per name.
     """
     grid = ensemble.grid
     dt, N, n = grid.dt, grid.steps, ensemble.n
@@ -244,10 +228,7 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
             regimes, table = f
             if not regimes.drivers:
                 if id(f) not in fixed:
-                    idx = regimes.index(None)
-                    fixed[id(f)] = np.broadcast_to(
-                        table[0], idx.shape + table.shape[1:]) \
-                        if table.strides[0] == 0 else table[idx]
+                    fixed[id(f)] = table[regimes.index(None)]
                 ops.append(fixed[id(f)])
             else:
                 layout = (table.shape[1:], table.dtype)

@@ -46,16 +46,11 @@ from portsens.valuation import (PerturbationSpec, SurfaceRow,
 
 
 def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
-    """The price-of-risk direction as a path-sum integrand.
-
-    A coefficient direction goes through the chain rule once per regime of
-    the coefficients it reads; a direct dlambda is taken as given.  Both
-    spread to dense node arrays, so reductions sum in the same order either
-    way and the chain rule is reproducible bit for bit.
-    """
+    """The price-of-risk direction as a path-sum integrand: a direct
+    dlambda as given, a coefficient direction through the chain rule once
+    per regime of the coefficients it reads."""
     if pert.dlambda is not None:
-        regimes, table = integrand(grid, pert.dlambda)
-        return regimes, table.copy()
+        return integrand(grid, pert.dlambda)
     return dlambda_direction(model, pert.dmu, pert.dsigma, grid,
                              dr=pert.drate)
 

@@ -61,21 +61,28 @@ class OptimalWealth:
             raise SolverError("optimal wealth must be strictly positive")
 
 
+def check_dual_optimizer(model: MarketModel) -> None:
+    """Refuse a market whose minimal measure need not be the dual
+    optimizer: an incomplete one (n > d) with stochastic coefficients."""
+    if not (model.n == model.d or model.is_deterministic):
+        raise SolverError("incomplete market with stochastic coefficients: "
+                          "no closed-form dual optimizer")
+
+
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
                             logzhat: np.ndarray) -> OptimalWealth:
     """Solve the static problem for power utility on pricing-density samples.
 
     ``logzhat`` holds log Zhat per path (discount included), e.g. the nu = 0
     row of ``modular.density_logs``.  The market must be complete (n = d)
-    or have deterministic coefficients.  Log and custom utilities are
-    refused: ``valuation.value_surface`` values them at tau = 0.
+    or have deterministic coefficients (``check_dual_optimizer``).  Log and
+    custom utilities are refused: ``valuation.value_surface`` values them
+    at tau = 0.
     """
     if u.kind != "power":
         raise SolverError(f"optimal wealth needs a power utility, "
                           f"got {u.label!r}")
-    if not (model.n == model.d or model.is_deterministic):
-        raise SolverError("incomplete market with stochastic coefficients: "
-                          "no closed-form dual optimizer")
+    check_dual_optimizer(model)
     logzhat = np.asarray(logzhat, dtype=float)
     q = u.q
     m0 = float(np.mean(np.exp((1.0 - q) * logzhat)))  # mean Zhat^{1-q}

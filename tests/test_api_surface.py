@@ -23,7 +23,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED = {
     "value_closed_form": "the closed-form reference the solver and "
                          "acceptance tests compare estimates against",
-    "format_config": "canonical config text for the planned per-run record",
 }
 
 

@@ -14,12 +14,9 @@ import portsens
 from portsens import cli, sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
-                          SURFACE_HEADER, format_config, load_config, main)
+                          SURFACE_HEADER, main)
 from portsens.modular import luxemburg_norm
 from portsens.paths import PathEnsemble, path_sums
-
-CONFIGS = ["configs/example1.ini", "configs/deterministic2d.ini",
-           "configs/norms.ini", "configs/h1_kernel.ini"]
 
 
 def read_rows(path):
@@ -350,6 +347,24 @@ def test_driver_out_of_range_refused_with_the_config(
     assert not out.exists() and sum(generated) == 0
 
 
+def test_norms_refuses_an_incomplete_adapted_market_before_the_pass(
+        tmp_path, capsys, generated):
+    # an adapted drift in the incomplete market of configs/norms.ini has no
+    # closed-form dual optimizer: exit 3 with no path drawn and nothing
+    # written, as value refuses that market before its pass
+    text = load_text("configs/norms.ini")
+    assert "mu = const:[0.06]" in text
+    cfg = norm_write(tmp_path / "adapted.ini", text.replace(
+        "mu = const:[0.06]", "mu = ind:j=0;c=0.0;lo=[0.06];hi=[0.1]"))
+    out = tmp_path / "out"
+    code = main(["norms", "--config", str(cfg), "--paths", "3000",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and "failure" in err
+    assert "incomplete market with stochastic coefficients" in err
+    assert not out.exists() and sum(generated) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["value", "--config", "configs/example1.ini", "--paths", "0"],
     ["value", "--config", "configs/example1.ini", "--steps", "0"],
@@ -599,13 +614,3 @@ def test_numerical_failures_exit_three(tmp_path, capsys):
     out = str(tmp_path / "rv")
     assert main(["value", "--config", str(rotate), "--out", out]) == 3
     assert "failure" in capsys.readouterr().err
-
-
-def test_format_config_round_trip(tmp_path):
-    for name in CONFIGS:
-        cfg = load_config(name)
-        text = format_config(cfg)
-        copy = tmp_path / "copy.ini"
-        copy.write_text(text)
-        again = load_config(str(copy))
-        assert format_config(again) == text, name

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from portsens.market import (CoefficientError, MarketModel, RegimeTable,
                              SingularVolatilityError, check_h1_direction,
-                             constant, dlambda_direction, format_coefficient,
-                             h1_from_values, indicator, mpr_from_values,
-                             mpr_integrand, parse_coefficient, piecewise,
-                             scalar_constant, zeros)
+                             constant, dlambda_direction, h1_from_values,
+                             indicator, mpr_from_values, mpr_integrand,
+                             parse_coefficient, piecewise, scalar_constant,
+                             zeros)
 from portsens.paths import PathEnsemble, TimeGrid, cumulative
 
 
@@ -48,22 +48,36 @@ def test_indicator_reads_left_nodes():
         indicator(3, 0.0, [0.0], [1.0]).evaluate(grid, W)
 
 
-COEFF_CASES = [
-    "const:[1.5]",
-    "const:[1.0,-2.0,0.5,3.0]",
-    "pw:t=[0.5];v=[1.0,2.0]",
-    "ind:j=0;c=0.0;lo=[0.0];hi=[1.0]",
-    "ind:j=1;c=-0.5;lo=[1.0,0.0];hi=[0.0,2.0]",
-]
+# each text with the constructor call that builds the same process
+COEFF_CASES = {
+    "const:[1.5]": constant([1.5]),
+    "const:[1.0,-2.0,0.5,3.0]": constant([[1.0, -2.0], [0.5, 3.0]]),
+    "pw:t=[0.5];v=[1.0,2.0]": piecewise([0.5], [[1.0], [2.0]]),
+    "ind:j=0;c=0.0;lo=[0.0];hi=[1.0]": indicator(0, 0.0, [0.0], [1.0]),
+    "ind:j=1;c=-0.5;lo=[1.0,0.0];hi=[0.0,2.0]":
+        indicator(1, -0.5, [1.0, 0.0], [0.0, 2.0]),
+}
 COEFF_SHAPES = [(1,), (2, 2), (1,), (1,), (2,)]
+
+
+def assert_same_process(got, want):
+    """Equal kind, shape, driver, threshold and value arrays."""
+    assert (got.kind, got.shape, got.driver, got.threshold) \
+        == (want.kind, want.shape, want.driver, want.threshold)
+    for name in ("values", "breaks", "low", "high"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("text,shape", list(zip(COEFF_CASES, COEFF_SHAPES)))
 def test_mini_language_round_trip(text, shape):
-    proc = parse_coefficient(text, shape)
-    out = format_coefficient(proc)
-    again = parse_coefficient(out, shape)
-    assert format_coefficient(again) == out
+    assert_same_process(parse_coefficient(text, shape), COEFF_CASES[text])
+
+
+def _text(values) -> str:
+    return "[" + ",".join(repr(v) for v in values) + "]"
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,20 +85,20 @@ def test_mini_language_round_trip(text, shape):
                 max_size=6),
        st.integers(0, 2))
 def test_mini_language_round_trip_random(values, kind):
+    # a process built by its constructor, written in the mini-language with
+    # every number in repr, parses back to the same fields
     shape = (len(values),)
     if kind == 0:
-        proc = constant(values)
+        proc, text = constant(values), "const:" + _text(values)
     elif kind == 1:
-        proc = piecewise([0.3, 0.7], [values, [v + 1 for v in values],
-                                      [v - 1 for v in values]])
+        rows = [values, [v + 1 for v in values], [v - 1 for v in values]]
+        proc = piecewise([0.3, 0.7], rows)
+        text = "pw:t=[0.3,0.7];v=" + _text(v for row in rows for v in row)
     else:
-        proc = indicator(1, 0.25, values, [v * 2 for v in values])
-    # the text form writes every field with repr, so equal texts mean
-    # equal kinds, shapes, values, breaks, drivers and thresholds
-    out = format_coefficient(proc)
-    again = parse_coefficient(out, shape)
-    assert format_coefficient(again) == out
-    assert again.kind == proc.kind and again.shape == proc.shape
+        high = [v * 2 for v in values]
+        proc = indicator(1, 0.25, values, high)
+        text = f"ind:j=1;c=0.25;lo={_text(values)};hi={_text(high)}"
+    assert_same_process(parse_coefficient(text, shape), proc)
 
 
 def test_parse_rejects_malformed():
@@ -148,6 +162,22 @@ def test_mpr_rejects_singular_volatility():
     with pytest.raises(SingularVolatilityError):
         mpr_from_values(np.array([0.1]), np.array([[0.0, 0.0]]),
                         np.array([0.0]))
+
+
+@pytest.mark.parametrize("sigma, refused", [
+    ([[1.0, 0.0], [0.0, 1e-5]], True),  # finite, condition 1e10
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], True),  # singular
+    ([[0.2, 0.05, 0.0], [0.0, 0.15, 0.02], [0.01, 0.0, 0.3]], False)],
+    ids=["ill-conditioned-d2", "singular-d3", "well-conditioned-d3"])
+def test_gram_condition_gates_every_dimension(sigma, refused):
+    sigma_v = np.array(sigma)
+    mu_v, rate_v = np.full(len(sigma), 0.05), np.array([0.01])
+    if refused:
+        with pytest.raises(SingularVolatilityError, match="exceeds cap"):
+            mpr_from_values(mu_v, sigma_v, rate_v)
+    else:
+        lam = mpr_from_values(mu_v, sigma_v, rate_v)
+        assert np.allclose(sigma_v @ lam, mu_v - rate_v, atol=1e-14)
 
 
 def _fd_dlambda(model, dmu, dsigma, dr, grid, W, h=1e-6):

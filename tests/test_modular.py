@@ -193,8 +193,8 @@ def doubled_luxemburg(F, Z) -> float:
             break
         good = bad
         bad /= 2.0
-        if bad < 1e-300:
-            return 0.0
+    else:
+        return 0.0
     for _ in range(_MAX_ITER):
         mid = math.sqrt(bad * good)
         if ok(mid):
@@ -225,11 +225,18 @@ def test_luxemburg_bracket_evaluates_each_scale_once(scale, logs3, opt3):
 
 
 def test_luxemburg_keeps_its_degenerate_results(mod_ens):
-    # a modular below 1 at every scale stops halving after _MAX_ITER steps,
-    # before the 1e-300 floor, and bisects there as the reference does
+    # a modular below 1 at every scale halves the scale _MAX_ITER times
+    # and gives 0, as the reference does
     z = np.ones(mod_ens.count)
-    assert luxemburg_norm(lambda v: 0.5, z) \
-        == doubled_luxemburg(lambda v: 0.5, z) == 3.111507638932532e-61
+    calls = []
+
+    def below(v):
+        calls.append(1)
+        return 0.5
+
+    assert luxemburg_norm(below, z) == 0.0
+    assert len(calls) == 1 + _MAX_ITER
+    assert doubled_luxemburg(below, z) == 0.0
     calls = []
 
     def above(v):

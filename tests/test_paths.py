@@ -200,16 +200,9 @@ def direct_sums(ens, requests):
     gathered afresh for it (the reference for ``path_sums``)."""
     dW = ens.increments()
     W = cumulative(dW)
-
-    def values(regimes, table):
-        idx = regimes.index(W)
-        spread = not regimes.drivers and table.strides[0] == 0
-        return np.broadcast_to(table[0], idx.shape + table.shape[1:]) \
-            if spread else table[idx]
-
     out = {}
     for name, (kind, *fs) in requests.items():
-        v = [values(*f) for f in fs]
+        v = [table[regimes.index(W)] for regimes, table in fs]
         if kind == "ito":
             r = ito_sum(v[0], dW)
         elif kind == "quad":
@@ -245,6 +238,21 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
         for name in base:
             assert np.array_equal(got[name], base[name]), \
                 (name, workers, block_paths)
+
+
+@pytest.mark.parametrize("kind", ["ito", "quad", "time"])
+def test_path_sums_ignore_table_strides(kind):
+    # a constant's table is a broadcast view with stride 0 across regimes;
+    # the kernel gathers it as it gathers a dense copy, so both sum the
+    # same bits
+    grid = TimeGrid(1.0, 100)
+    ens = PathEnsemble(grid, n=3, count=20, seed=4)
+    regimes, view = integrand(grid, constant([0.1, -0.7, 1.3]))
+    assert view.strides[0] == 0
+    arity = 2 if kind == "quad" else 1
+    sums = [path_sums(ens, {"x": (kind,) + ((regimes, table),) * arity})["x"]
+            for table in (view, np.array(view))]
+    assert np.array_equal(sums[0], sums[1])
 
 
 def test_path_sums_reuse_one_increment_buffer(monkeypatch):
