@@ -239,13 +239,13 @@ def _make_ensemble(cfg: ExperimentConfig):
 def _perturbed(args, title: str):
     """What ``value``, ``sens`` and ``secondorder`` read: the config, its
     model, utility and direction, the ensemble, and the summary heading.
-    A custom utility must be tabulated at x0, where the multiplier search
-    starts."""
+    A custom utility must be tabulated at x0 and invertible at U'(x0),
+    the multiplier search's first point."""
     cfg = _load(args)
     model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
     if u.kind == "custom":
         try:
-            ut.derivative(u, model.x0)
+            ut.inverse_marginal(u, ut.derivative(u, model.x0))
         except ValueError as exc:
             raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
     heading = (f"{title}: utility={u.label} direction={pert.label} "
@@ -442,15 +442,12 @@ NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
 def cmd_norms(args) -> _Result:
     cfg = _load(args)
     model, u = _need(cfg, "model"), _need(cfg, "utility")
-    if ut.infimum(u) < 0:
-        # U^{-1}(|Z|) is the optimal wealth only where U(X*) >= 0
-        raise ConfigError(f"norms needs a utility with U >= 0; "
-                          f"{u.label} takes negative values")
-    if u.kind == "custom":
-        raise ConfigError("norms needs a power utility; the optimal wealth "
-                          "of a custom utility table has no closed form")
+    if u.kind != "power":
+        raise ConfigError(f"norms needs a power utility, got {u.label}: "
+                          "U^{-1}(|Z|) is the optimal wealth only where "
+                          "U >= 0, and in closed form only for power "
+                          "utility")
     check_dual_optimizer(model)
-    # the refusals above leave only power utilities
     family = (zeros((model.n,)),) + cfg.nu_family
     logs = density_logs(model, family, _make_ensemble(cfg))
     opt = optimal_terminal_wealth(model, u, logs[0])

@@ -40,7 +40,7 @@ from portsens.market import (CoefficientError, MarketModel, constant,
                              dlambda_direction, indicator, integrand,
                              mpr_integrand)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
-from portsens.solver import bisect_budget
+from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
                                  surface_rows, surface_sums)
 
@@ -125,9 +125,20 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
         y = bisect_budget(u, zhat, x0)
         xbar = np.asarray(ut.inverse_marginal(u, y * zhat))
         uvals = np.asarray(ut.evaluate(u, xbar))
-        weak = mean_estimate(uvals * s2, weak_name)
+        spent, fac = zhat * xbar, s2 + dq
+        # y is solved on these paths, so its noise enters both estimates
+        # (solver.budget_estimate): each one's slope is its y-derivative
+        # over the budget's, with dX/dy = zhat / U''(X) and U'(X) = y zhat
+        dx = zhat / ut.second_derivative(u, xbar)
+        dspent = float(np.mean(zhat * dx))
+        weak = budget_estimate(uvals * s2, spent,
+                               y * float(np.mean(zhat * dx * s2)) / dspent,
+                               weak_name)
         # envelope form: only the pricing density moves the strong value
-        strong = mean_estimate(y * zhat * xbar * (s2 + dq), strong_name)
+        strong = budget_estimate(
+            y * spent * fac, spent,
+            float(np.mean(zhat * (xbar + y * dx) * fac)) / dspent,
+            strong_name)
     return weak, strong
 
 

@@ -7,7 +7,7 @@ rate discount when there is one).  The optimizer is X* = I(y Zhat) with
 I = (U')^{-1} and y > 0 solving the budget equation.  ``bisect_budget``
 solves that equation for a custom utility table by bracketed regula falsi;
 ``valuation`` and ``sensitivity`` call it, and ``budget_estimate`` turns
-``valuation``'s solution into an estimate.
+their solutions into estimates whose errors include the multiplier's.
 
 For power utility U(x) = p x^{1/p} everything is explicit, and
 ``optimal_terminal_wealth`` returns the optimal wealth samples that the
@@ -26,7 +26,9 @@ deterministic coefficients this is the exact dual optimizer: any
 deterministic kernel component nu adds exp(q(q-1)/2 int |nu|^2 dt) >= 1 to
 E[Zhat^{1-q}] because nu is orthogonal to the price of risk pointwise.
 Incomplete markets with stochastic coefficients have no closed-form dual
-optimizer and are refused.
+optimizer.  ``check_dual_optimizer`` is the one test of that rule: every
+command that needs the optimizer, with or without a perturbation, calls it
+before drawing a path.
 """
 
 from __future__ import annotations
@@ -61,10 +63,13 @@ class OptimalWealth:
             raise SolverError("optimal wealth must be strictly positive")
 
 
-def check_dual_optimizer(model: MarketModel) -> None:
+def check_dual_optimizer(model: MarketModel, *directions) -> None:
     """Refuse a market whose minimal measure need not be the dual
-    optimizer: an incomplete one (n > d) with stochastic coefficients."""
-    if not (model.n == model.d or model.is_deterministic):
+    optimizer: an incomplete one (n > d) where the market or one of the
+    coefficient ``directions`` given (None for an absent one) is
+    stochastic."""
+    if not (model.n == model.d or model.is_deterministic and all(
+            p is None or p.is_deterministic for p in directions)):
         raise SolverError("incomplete market with stochastic coefficients: "
                           "no closed-form dual optimizer")
 
@@ -143,19 +148,21 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
     return math.exp(secant(*b))
 
 
-def budget_estimate(values: np.ndarray, spent: np.ndarray, y: float,
+def budget_estimate(values: np.ndarray, spent: np.ndarray, slope: float,
                     estimator: str) -> ValueEstimate:
-    """Mean of per-path utilities at a budget-constrained optimum.
+    """Mean of per-path terms at a budget-constrained optimum.
 
-    ``values`` is w U(X*) and ``spent`` w Zhat X* per path, where the
-    multiplier y of X* = I(y Zhat) was solved on these paths so that
-    mean(spent) = x0.  The estimate is mean(values).  Differentiating the
-    budget equation implicitly (U'(X*) = y Zhat) gives the first-order
-    effect of the multiplier's own noise, so the influence of a path is
-    w U(X*) - y (w Zhat X* - x0).
+    ``spent`` is w Zhat X* per path, where the multiplier y of
+    X* = I(y Zhat) was solved on these paths so that mean(spent) = x0, and
+    ``values`` are terms that depend on y through X*.  The estimate is
+    mean(values).  Differentiating the budget equation implicitly gives
+    the first-order effect of the multiplier's own noise, so the influence
+    of a path is values - slope (spent - x0), where ``slope`` is the ratio
+    of the y-derivatives of mean(values) and of mean(spent).  For values
+    w U(X*) the slope is y itself, because U'(X*) = y Zhat.
     """
     return delta_estimate([values, spent], lambda m: m[0],
-                          lambda m: np.array([1.0, -y]), estimator)
+                          lambda m: np.array([1.0, -slope]), estimator)
 
 
 # ---------------------------------------------------------------------------

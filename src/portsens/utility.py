@@ -70,6 +70,11 @@ class _MonotoneCubic:
         a, b, c, _ = self.coef[:, i]
         return (3.0 * a * t + 2.0 * b) * t + c
 
+    def second_derivative(self, v):
+        i, t = self._piece(v)
+        a, b, _, _ = self.coef[:, i]
+        return 6.0 * a * t + 2.0 * b
+
     def inverse_derivative(self, y):
         """The x with derivative(x) = y, saturated at the node range; needs
         strictly decreasing node slopes."""
@@ -205,14 +210,14 @@ def derivative(u: UtilitySpec, x) -> np.ndarray | float:
     return _in_table(u, x).derivative(x)
 
 
-def infimum(u: UtilitySpec) -> float:
-    """inf U over the domain: U(0) = 0 for power, -inf for log and the
-    first tabulated value for a custom table."""
-    if u.kind == "power":
-        return 0.0
-    if u.kind == "log":
-        return -np.inf
-    return float(u._table[1][0])
+def second_derivative(u: UtilitySpec, x) -> np.ndarray | float:
+    """U''(x) of a custom table, where the sensitivities read how the
+    optimal wealth moves with the budget multiplier; the other kinds'
+    sensitivities are closed-form and do not ask for it."""
+    if u.kind != "custom":
+        raise ValueError("second derivatives are read for custom tables only")
+    x = _check_domain(x, "x", strict=True)
+    return _in_table(u, x).second_derivative(x)
 
 
 def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:

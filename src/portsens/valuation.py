@@ -23,6 +23,11 @@ centered integrands keep zero mean under the tilted measure.  This is what
 lets the logarithmic estimator drop the martingale term int lambda dW from
 log Zhat on both sides, which costs nothing in bias and removes the
 dominant variance contribution.
+
+The plug-in optimizer takes the minimal pricing measure as the dual
+optimizer, which holds in complete markets and for deterministic
+coefficients and directions.  ``surface_sums`` refuses every other market
+through ``solver.check_dual_optimizer``, the one test of that rule.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from portsens.market import (CoefficientError, CoefficientProcess,
                              check_drivers, check_h1_direction,
                              mpr_from_values, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
-from portsens.solver import bisect_budget, budget_estimate
+from portsens.solver import (bisect_budget, budget_estimate,
+                             check_dual_optimizer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +79,6 @@ class PerturbationSpec:
     def directions(self) -> tuple:
         """(dmu, dsigma, drate, dlambda), absent ones as None."""
         return (self.dmu, self.dsigma, self.drate, self.dlambda)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return all(p is None or p.is_deterministic for p in self.directions)
 
     def regimes(self, model: MarketModel, grid: TimeGrid) -> RegimeTable:
         """The joint regimes of the market and every direction."""
@@ -120,21 +122,6 @@ class SurfaceRow:
     weight_mean: float
 
 
-def _check_solvable(model: MarketModel, pert: PerturbationSpec) -> None:
-    """The plug-in optimizer assumes the minimal pricing measure is optimal.
-
-    That holds in complete markets (n = d) and for deterministic
-    coefficients; an incomplete market whose perturbed coefficients are
-    adapted is out of scope here.
-    """
-    if model.n == model.d:
-        return
-    if model.is_deterministic and pert.is_deterministic:
-        return
-    raise CoefficientError("incomplete market with adapted coefficients: "
-                           "perturbed values have no plug-in optimizer")
-
-
 def _refuse_kernel_break(model: MarketModel, pert: PerturbationSpec,
                          taus, grid: TimeGrid) -> None:
     """Reject volatility directions that move the null space at some tau,
@@ -160,7 +147,7 @@ def surface_sums(model: MarketModel, u: ut.UtilitySpec,
     optimizer or the volatility direction breaks the kernel.  The log
     estimators read neither S nor X, so log utility requests neither."""
     pert.validate_for(model)
-    _check_solvable(model, pert)
+    check_dual_optimizer(model, *pert.directions)
     _refuse_kernel_break(model, pert, taus, grid)
     regimes = pert.regimes(model, grid)
     rates = RegimeTable(grid, model.rate, pert.drate)

@@ -77,6 +77,24 @@ def test_example1_command(tmp_path):
     assert float(rows[3][2]) < 0  # the gap itself
 
 
+def test_example1_market_is_its_config(tmp_path):
+    # example1 builds the sign-switching market by hand; sens on
+    # configs/example1.ini must read the same market, direction and paths,
+    # so both print the same bits on each side (the path-sum kernel does
+    # not depend on which other sums a pass requests)
+    assert main(["example1", "--paths", "2000", "--steps", "200",
+                 "--seed", "7", "--out", str(tmp_path / "e1")]) == 0
+    assert main(["sens", "--config", "configs/example1.ini", "--paths",
+                 "2000", "--steps", "200", "--seed", "7",
+                 "--out", str(tmp_path / "s")]) == 0
+    hand = {r["side"]: r for r in read_records(tmp_path / "e1/example1.csv")}
+    config = read_records(tmp_path / "s/sens.csv")
+    assert [r["side"] for r in config] == ["weak", "strong"]
+    for rec in config:
+        assert (rec["formula"], rec["se_formula"]) == \
+            (hand[rec["side"]]["estimate"], hand[rec["side"]]["se"])
+
+
 def test_example2_command(tmp_path):
     out = str(tmp_path / "e2")
     code = main(["example2", "--paths", "20000", "--steps", "300",
@@ -168,9 +186,9 @@ def test_norms_command(tmp_path):
 def test_norms_refuses_utilities_with_negative_values(shift, tmp_path,
                                                       capsys):
     # the J functional prices U^{-1}(|Z|), the optimal wealth only where
-    # U(X*) >= 0: log utility and a table starting below zero are refused
-    # before any path is drawn; so is a table of positive values, because
-    # the optimal wealth that norms reads is closed-form for power only
+    # U(X*) >= 0, and norms reads that wealth in closed form, which power
+    # utility alone has: log utility and tables below or above zero are
+    # refused by one rule with one message before any path is drawn
     if shift is None:
         cfg = "configs/example1.ini"
     else:
@@ -186,10 +204,8 @@ def test_norms_refuses_utilities_with_negative_values(shift, tmp_path,
                  "--steps", "16", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
-    if shift != 0.0:
-        assert "takes negative values" in err
-    else:
-        assert "custom utility table" in err
+    assert "norms needs a power utility" in err
+    assert "only where U >= 0, and in closed form only for power" in err
 
 
 @pytest.fixture
@@ -303,19 +319,29 @@ def custom_sqrt_config(tmp_path):
 
 @pytest.mark.parametrize("command, bad", [
     ("value", "x0"), ("sens", "x0"), ("secondorder", "x0"), ("sens", "dr"),
-    ("secondorder", "dr")],
-    ids=["value-x0", "sens-x0", "secondorder-x0", "sens-dr", "secondorder-dr"])
+    ("secondorder", "dr"), ("value", "convex"), ("sens", "convex"),
+    ("secondorder", "convex")],
+    ids=["value-x0", "sens-x0", "secondorder-x0", "sens-dr", "secondorder-dr",
+         "value-convex", "sens-convex", "secondorder-convex"])
 def test_custom_utility_inputs_refused_before_the_pass(
         command, bad, tmp_path, capsys, generated):
-    # an x0 outside the table, or a rate direction that the closed-form
-    # sensitivities of a table cannot take, is a bad input: exit 2 with no
+    # an x0 outside the table, a rate direction that the closed-form
+    # sensitivities of a table cannot take, or a convex table, whose U' has
+    # no inverse for the multiplier search, is a bad input: exit 2 with no
     # path drawn and nothing written
     cfg = custom_sqrt_config(tmp_path)
-    if bad == "x0":  # without the rate direction, refused as well
-        norm_write(tmp_path / "custom.ini", load_text(cfg).replace(
-            "x0 = 1.0", "x0 = 20000.0").replace("dr = const:[0.01]\n", ""))
+    if bad != "dr":  # without the rate direction, refused as well
+        text = load_text(cfg).replace("dr = const:[0.01]\n", "")
+        if bad == "x0":
+            text = text.replace("x0 = 1.0", "x0 = 20000.0")
+        norm_write(tmp_path / "custom.ini", text)
+    if bad == "convex":  # U(x) = x^2 + x over the same rows
+        x = np.loadtxt(tmp_path / "sqrt_table.txt")[:, 0]
+        np.savetxt(tmp_path / "sqrt_table.txt",
+                   np.column_stack([x, x * x + x]), fmt="%.17g")
     message = {"x0": "x outside the table range",
-               "dr": "rate directions"}[bad]
+               "dr": "rate directions",
+               "convex": "node slopes of U' do not decrease strictly"}[bad]
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--paths", "30",
                  "--steps", "16", "--out", str(out)])
@@ -347,21 +373,34 @@ def test_driver_out_of_range_refused_with_the_config(
     assert not out.exists() and sum(generated) == 0
 
 
-def test_norms_refuses_an_incomplete_adapted_market_before_the_pass(
-        tmp_path, capsys, generated):
-    # an adapted drift in the incomplete market of configs/norms.ini has no
-    # closed-form dual optimizer: exit 3 with no path drawn and nothing
-    # written, as value refuses that market before its pass
+@pytest.mark.parametrize("command, adapted", [
+    ("norms", "mu"), ("value", "mu"), ("sens", "mu"), ("secondorder", "mu"),
+    ("value", "dmu")],
+    ids=["norms", "value", "sens", "secondorder", "value-direction"])
+def test_incomplete_adapted_market_refused_before_the_pass(
+        command, adapted, tmp_path, capsys, generated):
+    # an adapted drift, or an adapted drift direction, in the incomplete
+    # market of configs/norms.ini has no closed-form dual optimizer: every
+    # command that needs one refuses it with the same message, exit 3,
+    # no path drawn and nothing written
     text = load_text("configs/norms.ini")
-    assert "mu = const:[0.06]" in text
-    cfg = norm_write(tmp_path / "adapted.ini", text.replace(
-        "mu = const:[0.06]", "mu = ind:j=0;c=0.0;lo=[0.06];hi=[0.1]"))
+    assert "mu = const:[0.06]" in text and "[perturbation]" not in text
+    dmu = "const:[0.01]"
+    if adapted == "mu":
+        text = text.replace("mu = const:[0.06]",
+                            "mu = ind:j=0;c=0.0;lo=[0.06];hi=[0.1]")
+    else:
+        dmu = "ind:j=1;c=0.0;lo=[0.01];hi=[0.02]"
+    if command != "norms":
+        text += f"\n[perturbation]\ndmu = {dmu}\ntaus = 0.0,0.1\n"
+    cfg = norm_write(tmp_path / "adapted.ini", text)
     out = tmp_path / "out"
-    code = main(["norms", "--config", str(cfg), "--paths", "3000",
+    code = main([command, "--config", str(cfg), "--paths", "3000",
                  "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3 and "failure" in err
-    assert "incomplete market with stochastic coefficients" in err
+    assert ("incomplete market with stochastic coefficients: no "
+            "closed-form dual optimizer") in err
     assert not out.exists() and sum(generated) == 0
 
 
@@ -401,6 +440,31 @@ def test_custom_value_standard_errors_match_sqrt(tmp_path):
         for col in ("u_weak", "se_weak", "u_strong", "se_strong"):
             assert float(got[col]) == pytest.approx(float(want[col]),
                                                     rel=1.26e-5)
+
+
+def test_custom_sens_standard_errors_match_sqrt(tmp_path):
+    # the sensitivities of the table read the multiplier solved on the
+    # same paths, and its noise enters their standard errors as it enters
+    # the sqrt delta method; without the rate direction, which a table
+    # refuses.  Over seeds 1-8 at 200 and 2000 paths the largest relative
+    # gap was 2.4e-6 in formula and 1.7e-4 in se_formula; without the
+    # multiplier's noise the se_formula gap was up to 0.14
+    tables = []
+    for i, cfg in enumerate((custom_sqrt_config(tmp_path),
+                             "configs/deterministic2d.ini")):
+        text = load_text(cfg).replace("dr = const:[0.01]\n", "")
+        cfg = norm_write(tmp_path / f"s{i}.ini",
+                         text.replace("spec = power:p=3", "spec = sqrt"))
+        out = tmp_path / f"s{i}"
+        assert main(["sens", "--config", str(cfg), "--paths", "200",
+                     "--out", str(out)]) == 0
+        tables.append(read_records(out / "sens.csv"))
+    custom, exact = tables
+    assert [r["side"] for r in custom] == ["weak", "strong"]
+    for got, want in zip(custom, exact):
+        for col in ("formula", "se_formula"):
+            assert float(got[col]) == pytest.approx(float(want[col]),
+                                                    rel=2e-4)
 
 
 @pytest.mark.parametrize("utility", ["power", "custom"])

@@ -10,10 +10,10 @@ import pytest
 
 from portsens import utility
 from portsens.market import (MarketModel, constant, indicator, piecewise,
-                             zeros)
+                             scalar_constant, zeros)
 from portsens.modular import density_logs
 from portsens.paths import PathEnsemble, TimeGrid
-from portsens.solver import (SolverError, bisect_budget,
+from portsens.solver import (SolverError, bisect_budget, check_dual_optimizer,
                              optimal_terminal_wealth, value_closed_form)
 from portsens.utility import (custom_utility, derivative, inverse_marginal,
                               log_utility, power_utility, sqrt_utility)
@@ -167,6 +167,21 @@ def test_incomplete_stochastic_market_refused(ens2d):
                         sigma=constant([[1.0, 0.0]]))
     with pytest.raises(SolverError):
         solve(model, sqrt_utility(), ens2d)
+
+
+def test_dual_optimizer_needs_deterministic_directions():
+    # n > d: the market and every direction given must be deterministic;
+    # n == d: anything adapted is solved
+    incomplete = MarketModel(d=1, n=2, mu=constant([0.06]),
+                             sigma=constant([[0.2, 0.0]]))
+    det = PerturbationSpec(dmu=constant([0.1]), drate=scalar_constant(0.01))
+    adapted = PerturbationSpec(dmu=indicator(1, 0.0, [0.0], [0.1]))
+    check_dual_optimizer(incomplete, *det.directions)
+    with pytest.raises(SolverError, match="incomplete market"):
+        check_dual_optimizer(incomplete, *adapted.directions)
+    complete = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [0.5]),
+                           sigma=constant([[1.0]]))
+    check_dual_optimizer(complete, *adapted.directions)
 
 
 def test_only_power_utility_solved(unit_model, unit_ens):

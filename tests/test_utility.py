@@ -10,7 +10,7 @@ from portsens.utility import (custom_utility,
                               derivative, evaluate,
                               inverse_marginal, load_custom_utility,
                               log_utility, parse_utility, power_utility,
-                              sqrt_utility)
+                              second_derivative, sqrt_utility)
 
 
 def test_power_values():
@@ -102,8 +102,11 @@ def test_custom_cubic_matches_pchip(make_table):
         0.0, 1.0, 1001), np.geomspace(x[0], x[-1], 1001)])
     xs = np.clip(xs, x[0], x[-1])
     for got, want in ((evaluate(u, xs), ref(xs)),
-                      (derivative(u, xs), ref.derivative()(xs))):
+                      (derivative(u, xs), ref.derivative()(xs)),
+                      (second_derivative(u, xs), ref.derivative(2)(xs))):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    with pytest.raises(ValueError, match="custom tables only"):
+        second_derivative(sqrt_utility(), xs)
 
 
 @TABLES

@@ -11,6 +11,7 @@ from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator, scalar_constant)
 from portsens.paths import PathEnsemble, TimeGrid
+from portsens.solver import SolverError
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -32,11 +33,8 @@ def test_perturbation_spec_validation():
     spec = PerturbationSpec(dmu=constant([0.1, 0.2]),
                             drate=scalar_constant(0.01))
     assert spec.label == "dmu+drate"
-    assert spec.is_deterministic
     named = PerturbationSpec(dmu=constant([1.0]), label="bump")
     assert named.label == "bump"
-    adapted = PerturbationSpec(dmu=indicator(0, 0.0, [0.0], [1.0]))
-    assert not adapted.is_deterministic
 
 
 def test_perturbation_shape_check(det2d_model):
@@ -162,7 +160,7 @@ def test_incomplete_adapted_market_refused(ens1d):
     model = MarketModel(d=1, n=2, mu=indicator(0, 0.0, [0.0], [0.5]),
                         sigma=constant([[1.0, 0.0]]))
     pert = PerturbationSpec(dmu=constant([0.1]))
-    with pytest.raises(CoefficientError, match="incomplete"):
+    with pytest.raises(SolverError, match="incomplete"):
         value_surface(model, log_utility(), pert, [0.0, 0.1], ens1d)
 
 
