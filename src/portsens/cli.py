@@ -245,9 +245,13 @@ def _perturbed(args, title: str):
     model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
     if u.kind == "custom":
         try:
-            ut.inverse_marginal(u, ut.derivative(u, model.x0))
+            y0 = ut.derivative(u, model.x0)
         except ValueError as exc:
             raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
+        try:
+            ut.inverse_marginal(u, y0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     heading = (f"{title}: utility={u.label} direction={pert.label} "
                f"paths={cfg.paths} steps={cfg.steps} "
                f"horizon={cfg.horizon:g} seed={cfg.seed}")

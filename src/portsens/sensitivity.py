@@ -128,8 +128,9 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
         spent, fac = zhat * xbar, s2 + dq
         # y is solved on these paths, so its noise enters both estimates
         # (solver.budget_estimate): each one's slope is its y-derivative
-        # over the budget's, with dX/dy = zhat / U''(X) and U'(X) = y zhat
-        dx = zhat / ut.second_derivative(u, xbar)
+        # over the budget's, with dX/dy = zhat I'(y zhat), which is 0 where
+        # X saturates at a table end, and U'(X) = y zhat where it is not
+        dx = zhat * ut.inverse_marginal_slope(u, xbar)
         dspent = float(np.mean(zhat * dx))
         weak = budget_estimate(uvals * s2, spent,
                                y * float(np.mean(zhat * dx * s2)) / dspent,

@@ -159,7 +159,8 @@ def budget_estimate(values: np.ndarray, spent: np.ndarray, slope: float,
     the first-order effect of the multiplier's own noise, so the influence
     of a path is values - slope (spent - x0), where ``slope`` is the ratio
     of the y-derivatives of mean(values) and of mean(spent).  For values
-    w U(X*) the slope is y itself, because U'(X*) = y Zhat.
+    w U(X*) the slope is y itself, because U'(X*) = y Zhat wherever X*
+    moves with y (a table's X* saturated at an end row does not).
     """
     return delta_estimate([values, spent], lambda m: m[0],
                           lambda m: np.array([1.0, -slope]), estimator)

@@ -210,14 +210,19 @@ def derivative(u: UtilitySpec, x) -> np.ndarray | float:
     return _in_table(u, x).derivative(x)
 
 
-def second_derivative(u: UtilitySpec, x) -> np.ndarray | float:
-    """U''(x) of a custom table, where the sensitivities read how the
-    optimal wealth moves with the budget multiplier; the other kinds'
-    sensitivities are closed-form and do not ask for it."""
+def inverse_marginal_slope(u: UtilitySpec, x) -> np.ndarray:
+    """dI/dy at y = U'(x) for the optimal wealth x = I(y) of a custom table:
+    1 / U''(x) inside the node range and 0 at its ends, where I saturates
+    and x no longer moves with y.  The sensitivities read it for the
+    multiplier's noise; the other kinds' are closed-form and do not."""
     if u.kind != "custom":
-        raise ValueError("second derivatives are read for custom tables only")
-    x = _check_domain(x, "x", strict=True)
-    return _in_table(u, x).second_derivative(x)
+        raise ValueError("inverse-marginal slopes are read for custom tables "
+                         "only")
+    x = _check_domain(x, "x")
+    fwd = _in_table(u, x)
+    inside = (x > fwd.x[0]) & (x < fwd.x[-1])
+    with np.errstate(divide="ignore"):
+        return np.where(inside, 1.0 / fwd.second_derivative(x), 0.0)
 
 
 def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
