@@ -32,6 +32,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -39,8 +40,7 @@ import numpy as np
 
 from . import utility as ut
 from .market import (CoefficientError, MarketModel, check_drivers,
-                     check_h1_direction, parse_coefficient,
-                     scalar_constant, zeros)
+                     check_h1_direction, constant, parse_coefficient)
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
@@ -102,17 +102,21 @@ _KEYS = {
 
 
 def _floats(text: str) -> tuple:
+    """The finite numbers of a comma- or space-separated list."""
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
-        return tuple(float(p) for p in parts if p)
+        vals = tuple(float(p) for p in parts if p)
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"non-finite number in list {text!r}")
+    return vals
 
 
 def _steps(text: str) -> tuple:
     """The --eps step sizes, in the order given, once they are checked."""
-    eps = _floats(text)
     try:
+        eps = _floats(text)
         check_steps(eps)
     except ValueError as exc:
         raise ConfigError(f"--eps: {exc}") from None
@@ -149,7 +153,7 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         m = cp["market"]
         d, n = int(m["d"]), int(m["n"])
         rate = (parse_coefficient(m["r"], (1,)) if "r" in m
-                else scalar_constant(0.0))
+                else constant([0.0]))
         model = MarketModel(d=d, n=n,
                             mu=parse_coefficient(m["mu"], (d,)),
                             sigma=parse_coefficient(m["sigma"], (d, n)),
@@ -188,8 +192,9 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError("[mc] requires an explicit seed")
         paths, steps = int(mc["paths"]), int(mc["steps"])
         horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
-        if paths <= 0 or steps <= 0 or horizon <= 0:
-            raise ConfigError("paths, steps and horizon must be positive")
+        if paths <= 0 or steps <= 0 or not 0 < horizon < math.inf:
+            raise ConfigError("paths, steps and horizon must be positive, "
+                              "and horizon finite")
 
     nu_family = ()
     if cp.has_section("norms"):
@@ -452,7 +457,7 @@ def cmd_norms(args) -> _Result:
                           "U >= 0, and in closed form only for power "
                           "utility")
     check_dual_optimizer(model)
-    family = (zeros((model.n,)),) + cfg.nu_family
+    family = (constant(np.zeros(model.n)),) + cfg.nu_family
     logs = density_logs(model, family, _make_ensemble(cfg))
     opt = optimal_terminal_wealth(model, u, logs[0])
     payoff = np.asarray(ut.evaluate(u, opt.xstar))
@@ -566,10 +571,11 @@ def _seed(text: str) -> int:
 
 
 def _positive(cast):
-    """argparse type: a number of type ``cast`` above zero."""
+    """argparse type: a finite number of type ``cast`` above zero."""
     def parse(text: str):
-        if not (value := cast(text)) > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < (value := cast(text)) < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's "invalid int value: ..."

@@ -1,12 +1,14 @@
 """Market coefficients, market price of risk, and kernel-stability checks.
 
-Coefficients come in three declarative kinds: constant, deterministic
-piecewise-constant in time, and adapted indicator of a Brownian coordinate.
-All three are essentially bounded by construction and evaluate predictably
-(the value at node t_k uses path information up to t_k only).  The adapted
-indicator takes its ``high`` value on {W^j_{t_k} < c} and ``low`` elsewhere.
+A coefficient is a stack of value rows plus a rule that picks the row at
+each node.  Two kinds differ in the rule: deterministic piecewise-constant
+in time, where the time segment picks the row (a constant is one segment),
+and adapted indicator of a Brownian coordinate, where row 1 applies on
+{W^j_{t_k} < c} and row 0 elsewhere.  Both are essentially bounded by
+construction and evaluate predictably (the value at node t_k uses path
+information up to t_k only).
 
-Every kind takes finitely many values, so a set of coefficients takes
+Every coefficient takes finitely many values, so a set of coefficients takes
 finitely many joint values along a path.  ``RegimeTable`` lists the joint
 values the Brownian motion can reach on a grid and numbers the regime of
 each node; everything computed from coefficient values alone (the market
@@ -48,60 +50,51 @@ class KernelStabilityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientProcess:
-    """One bounded coefficient process of scalar, vector or matrix shape.
+    """One bounded coefficient process of scalar, vector or matrix shape,
+    stored as value rows ``values`` (k, *shape) and a rule that picks one.
 
-    kind 'constant':  values has the declared shape.
-    kind 'piecewise': breaks (k,) strictly increasing interior breakpoints,
-                      values (k+1, *shape); segment i applies on
-                      [breaks[i-1], breaks[i]).
-    kind 'indicator': value is high where W^driver < threshold else low,
-                      evaluated at the left node of each step.
+    kind 'piecewise': breaks (k-1,) strictly increasing interior
+                      breakpoints; row i applies on [breaks[i-1], breaks[i]).
+    kind 'indicator': k = 2; row 1 applies where W^driver < threshold,
+                      row 0 elsewhere, read at the left node of each step.
     """
 
     kind: str
-    shape: tuple[int, ...]
-    values: np.ndarray | None = None
+    values: np.ndarray
     breaks: np.ndarray | None = None
     driver: int = 0
     threshold: float = 0.0
-    low: np.ndarray | None = None
-    high: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "piecewise", "indicator"):
+        if self.kind == "piecewise":
+            if self.breaks is None:
+                raise CoefficientError("piecewise needs breaks")
+            if np.any(np.diff(self.breaks) <= 0):
+                raise CoefficientError("breakpoints must increase strictly")
+        elif self.kind != "indicator":
             raise CoefficientError(f"unknown coefficient kind {self.kind!r}")
+        if self.driver < 0:
+            raise CoefficientError("driver index must be >= 0")
+        rows = 2 if self.kind == "indicator" else len(self.breaks) + 1
+        if len(self.values) != rows:
+            raise CoefficientError(f"{self.kind} needs {rows} value rows")
         if len(self.shape) > 2:
             raise CoefficientError("coefficients are at most matrix-shaped")
-        if self.kind == "constant":
-            if self.values is None or self.values.shape != self.shape:
-                raise CoefficientError("constant values must match the shape")
-        elif self.kind == "piecewise":
-            if self.breaks is None or self.values is None:
-                raise CoefficientError("piecewise needs breaks and values")
-            if self.values.shape != (len(self.breaks) + 1, *self.shape):
-                raise CoefficientError("piecewise needs one more value row "
-                                       "than breakpoints")
-            if len(self.breaks) and not np.all(np.diff(self.breaks) > 0):
-                raise CoefficientError("breakpoints must increase strictly")
-        else:
-            if self.low is None or self.high is None:
-                raise CoefficientError("indicator needs low and high values")
-            if self.low.shape != self.shape or self.high.shape != self.shape:
-                raise CoefficientError("indicator values must match the shape")
-            if self.driver < 0:
-                raise CoefficientError("driver index must be >= 0")
-        if not np.isfinite(self.bound):
-            raise CoefficientError("coefficient values must be finite")
+        if not (np.isfinite(self.bound) and math.isfinite(self.threshold)):
+            raise CoefficientError("coefficient values and threshold must "
+                                   "be finite")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape[1:]
 
     @property
     def is_deterministic(self) -> bool:
-        return self.kind != "indicator"
+        return self.kind == "piecewise"
 
     @property
     def bound(self) -> float:
-        """Uniform bound on |values|, finite for every kind."""
-        if self.kind == "indicator":
-            return float(max(np.max(np.abs(self.low)), np.max(np.abs(self.high))))
+        """Uniform bound on |values|."""
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def evaluate(self, grid: TimeGrid, W: np.ndarray | None = None) -> np.ndarray:
@@ -110,50 +103,32 @@ class CoefficientProcess:
         W carries cumulative node values (B, N+1, n); only the left nodes
         t_0 .. t_{N-1} are read, which keeps the evaluation predictable.
         """
-        N = grid.steps
-        if self.kind == "constant":
-            return np.broadcast_to(self.values, (N, *self.shape))
         if self.kind == "piecewise":
-            idx = np.searchsorted(self.breaks, grid.left_nodes, side="right")
-            return self.values[idx]
+            return self.values[np.searchsorted(self.breaks, grid.left_nodes,
+                                               side="right")]
         if W is None:
             raise CoefficientError("indicator coefficient needs paths")
         if self.driver >= W.shape[-1]:
             raise CoefficientError(f"driver index {self.driver} out of range "
                                    f"for n={W.shape[-1]}")
-        below = W[:, :N, self.driver] < self.threshold  # (B, N)
-        below = below.reshape(below.shape + (1,) * len(self.shape))
-        return np.where(below, self.high, self.low)
-
-
-def constant(values) -> CoefficientProcess:
-    vals = np.asarray(values, dtype=float)
-    return CoefficientProcess(kind="constant", shape=vals.shape, values=vals)
-
-
-def scalar_constant(value: float) -> CoefficientProcess:
-    return CoefficientProcess(kind="constant", shape=(1,),
-                              values=np.asarray([float(value)]))
+        return self.values[(W[:, :grid.steps, self.driver]
+                            < self.threshold).astype(int)]
 
 
 def piecewise(breaks, values) -> CoefficientProcess:
-    breaks = np.asarray(breaks, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return CoefficientProcess(kind="piecewise", shape=values.shape[1:],
-                              breaks=breaks, values=values)
+    return CoefficientProcess(kind="piecewise",
+                              values=np.asarray(values, dtype=float),
+                              breaks=np.asarray(breaks, dtype=float))
+
+
+def constant(values) -> CoefficientProcess:
+    return piecewise([], [values])
 
 
 def indicator(driver: int, threshold: float, low, high) -> CoefficientProcess:
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    return CoefficientProcess(kind="indicator", shape=low.shape,
-                              driver=driver, threshold=float(threshold),
-                              low=low, high=high)
-
-
-def zeros(shape: tuple[int, ...]) -> CoefficientProcess:
-    return CoefficientProcess(kind="constant", shape=shape,
-                              values=np.zeros(shape))
+    return CoefficientProcess(kind="indicator",
+                              values=np.asarray([low, high], dtype=float),
+                              driver=driver, threshold=float(threshold))
 
 
 def check_drivers(n: int, *procs: CoefficientProcess | None) -> None:
@@ -203,8 +178,7 @@ def parse_coefficient(text: str, shape: tuple[int, ...]) -> CoefficientProcess:
         if vals.size != size:
             raise CoefficientError(f"const needs {size} entries for shape "
                                    f"{shape}, got {vals.size}")
-        return CoefficientProcess(kind="constant", shape=shape,
-                                  values=vals.reshape(shape))
+        return constant(vals.reshape(shape))
     if text.startswith("pw:"):
         f = _fields(text[len("pw:"):])
         if set(f) != {"t", "v"}:
@@ -243,12 +217,11 @@ class RegimeTable:
     k >= 1; only a segment whose one left node is t_0, where W = 0, reaches
     nothing but the intervals that hold 0.
 
-    ``values(proc)`` gives a member's value in each regime, (R, *shape), as
-    a read-only broadcast view for a constant member, and ``index(W)`` the
-    regime of each node: (N,) when no member reads the paths, else (B, N)
-    from the left-node values of W (B, N+1, n).  A table of per-regime
-    values gathered by that index equals the member's ``evaluate`` node by
-    node.  Absent (None) members are skipped.
+    ``values(proc)`` gives a member's value in each regime, (R, *shape),
+    and ``index(W)`` the regime of each node: (N,) when no member reads
+    the paths, else (B, N) from the left-node values of W (B, N+1, n).  A
+    table of per-regime values gathered by that index equals the member's
+    ``evaluate`` node by node.  Absent (None) members are skipped.
     """
 
     def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
@@ -298,17 +271,13 @@ class RegimeTable:
 
     def values(self, proc: CoefficientProcess) -> np.ndarray:
         """Per-regime values of a member, shape (R, *shape)."""
-        if proc.kind == "constant":
-            return np.broadcast_to(proc.values, (len(self), *proc.shape))
         if proc.kind == "piecewise":
             return proc.values[np.searchsorted(proc.breaks, self.time,
                                                side="right")]
         j = self.drivers.index(proc.driver)
-        # high on {W^j < c}: the intervals at or below c's own cut
-        high = self.intervals[:, j] <= np.searchsorted(self.cuts[j],
-                                                       proc.threshold)
-        return np.where(high.reshape(high.shape + (1,) * len(proc.shape)),
-                        proc.high, proc.low)
+        # row 1 on {W^j < c}: the intervals at or below c's own cut
+        return proc.values[(self.intervals[:, j] <= np.searchsorted(
+            self.cuts[j], proc.threshold)).astype(int)]
 
     def scratch(self, paths: int) -> list:
         """Buffers for ``index`` on blocks of up to ``paths`` paths."""
@@ -359,14 +328,14 @@ class MarketModel:
     n: int
     mu: CoefficientProcess
     sigma: CoefficientProcess
-    rate: CoefficientProcess = field(default_factory=lambda: scalar_constant(0.0))
+    rate: CoefficientProcess = field(default_factory=lambda: constant([0.0]))
     x0: float = 1.0
 
     def __post_init__(self):
         if self.n < self.d:
             raise ValueError("need n >= d")
-        if not self.x0 > 0:
-            raise ValueError("initial wealth must be positive")
+        if not 0 < self.x0 < math.inf:
+            raise ValueError("initial wealth must be positive and finite")
         if self.mu.shape != (self.d,):
             raise ValueError(f"mu must have shape ({self.d},)")
         if self.sigma.shape != (self.d, self.n):
@@ -395,15 +364,9 @@ def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray,
     mu_v is (..., d), sigma_v (..., d, n), rate_v (..., 1); leading axes
     (regimes or nodes) broadcast.  Raises SingularVolatilityError when the
     Gram matrix is singular or its condition number exceeds the cap at any
-    of them.
+    of them; d = 1 passes the same gate.
     """
     excess = mu_v - rate_v
-    d = sigma_v.shape[-2]
-    if d == 1:
-        gram = np.sum(sigma_v[..., 0, :] ** 2, axis=-1)
-        if not np.all(gram > 0):
-            raise SingularVolatilityError("sigma sigma^T singular")
-        return sigma_v[..., 0, :] * (excess[..., 0] / gram)[..., None]
     S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
     cond = _gram_cond(S)
     worst = float(np.max(cond))
@@ -468,8 +431,6 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
     S = sigma_v @ sigmaT
 
     def solve(rhs):  # S^{-1} rhs for (R, d) right-hand sides
-        if d == 1:
-            return rhs / S[..., 0]
         return np.linalg.solve(S, rhs[..., None])[..., 0]
 
     out = np.zeros((len(regimes), n))

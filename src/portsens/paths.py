@@ -81,8 +81,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.steps < 1:
             raise ValueError("need at least one step")
 
@@ -171,8 +171,7 @@ def cumulative(dW: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def ito_sum(H: np.ndarray, dW: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """Per-path sum_k <H_k, dW_k> with left-endpoint H."""
-    return np.einsum("...kj,bkj->b", H, dW, out=out) if H.ndim == 2 \
-        else np.einsum("bkj,bkj->b", H, dW, out=out)
+    return np.einsum("...kj,...kj->...", H, dW, out=out)
 
 
 def quad_sum(H: np.ndarray, G: np.ndarray, dt: float,

@@ -153,10 +153,12 @@ DEFAULT_STEPS = (0.2, 0.1, 0.05, 0.025)
 
 def check_steps(eps) -> tuple:
     """The step sizes in increasing order, if there are at least two and
-    every one is positive."""
+    they are finite, positive and distinct."""
     eps = tuple(sorted(float(e) for e in eps))
-    if len(eps) < 2 or not all(e > 0 for e in eps):
-        raise ValueError("need at least two positive step sizes")
+    if (len(eps) < 2 or len(set(eps)) < len(eps)
+            or not all(0 < e < math.inf for e in eps)):
+        raise ValueError("need at least two distinct finite positive step "
+                         "sizes")
     return eps
 
 

@@ -110,8 +110,9 @@ class UtilitySpec:
     def __post_init__(self):
         if self.kind not in ("power", "log", "custom"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if self.kind == "power" and not (self.p is not None and self.p > 1):
-            raise ValueError("power utility needs p > 1")
+        if self.kind == "power" and not (self.p is not None
+                                         and 1 < self.p < np.inf):
+            raise ValueError("power utility needs 1 < p < inf")
         if self.kind == "custom" and self._table is None:
             raise ValueError("custom utility needs a table")
 
@@ -125,9 +126,10 @@ class UtilitySpec:
     def _interp(self) -> _MonotoneCubic:
         """A custom table's interpolant, built on first use."""
         x, u = self._table
-        if np.any(np.diff(x) <= 0) or np.any(np.diff(u) <= 0):
-            raise ValueError("custom table must increase strictly in both "
-                             "columns")
+        if (not np.all(np.isfinite(self._table)) or np.any(np.diff(x) <= 0)
+                or np.any(np.diff(u) <= 0)):
+            raise ValueError("custom table must be finite and increase "
+                             "strictly in both columns")
         return _MonotoneCubic(x, u)
 
 

@@ -16,7 +16,7 @@ from portsens.danskin import (CompactSet, directional_derivative,
                               hadamard_probe, support_value)
 from portsens.estimate import difference_se
 from portsens.market import (MarketModel, check_h1_direction, constant,
-                             dlambda_direction, indicator, zeros)
+                             dlambda_direction, indicator)
 from portsens.modular import (amemiya_norm, density_logs, holder_check,
                               j_evaluator, j_functional, norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
@@ -93,9 +93,9 @@ def test_criterion_3_deterministic_coincidence(det2d, ens2d, capsys):
 def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
     model, grid, T = det2d, ens2d.grid, ens2d.grid.horizon
     dmu = constant([0.04, 0.02])
-    sigma_v = model.sigma.values
-    lam = np.linalg.solve(sigma_v, model.mu.values - model.rate.values)
-    dlam = np.linalg.solve(sigma_v, dmu.values)
+    sigma_v = model.sigma.values[0]
+    lam = np.linalg.solve(sigma_v, model.mu.values[0] - model.rate.values[0])
+    dlam = np.linalg.solve(sigma_v, dmu.values[0])
     details, ok = [], True
     for p in (2.0, 3.0):
         u = ut.power_utility(p)
@@ -176,7 +176,7 @@ def test_criterion_7_solver_closed_form(capsys):
     u = ut.power_utility(2.0)
     row, = value_surface(model, u, PerturbationSpec(dmu=constant([0.0])),
                          [0.0], ens)
-    logz = density_logs(model, (zeros((1,)),), ens)[0]
+    logz = density_logs(model, (constant([0.0]),), ens)[0]
     opt = optimal_terminal_wealth(model, u, logz)
     expected = 2.0 * math.exp(0.5)
     v_sigmas = abs(row.strong.mean - expected) / row.strong.se
@@ -249,7 +249,8 @@ def test_criterion_9_modular_norms(capsys):
     model = MarketModel(d=1, n=2, mu=constant([0.06]),
                         sigma=constant([[0.2, 0.0]]))
     u = ut.power_utility(3.0)
-    family = (zeros((2,)), constant([0.0, 0.3]), constant([0.0, -0.5]))
+    family = (constant([0.0, 0.0]), constant([0.0, 0.3]),
+              constant([0.0, -0.5]))
     ens = PathEnsemble(TimeGrid(1.0, 64), n=2, count=40_000, seed=1007)
     logs = density_logs(model, family, ens)
     opt = optimal_terminal_wealth(model, u, logs[0])

@@ -410,13 +410,16 @@ def test_incomplete_adapted_market_refused_before_the_pass(
     ["value", "--config", "configs/example1.ini", "--paths", "0"],
     ["value", "--config", "configs/example1.ini", "--steps", "0"],
     ["norms", "--config", "configs/norms.ini", "--horizon", "-1"],
+    ["value", "--config", "configs/example1.ini", "--horizon", "inf"],
     ["example1", "--paths", "0", "--steps", "20"],
     ["example1", "--steps", "0", "--paths", "200"],
     ["example1", "--T", "-1", "--paths", "200", "--steps", "20"],
+    ["example1", "--T", "inf", "--paths", "200", "--steps", "20"],
     ["example2", "--paths", "-5", "--steps", "20"],
     ["example2", "--T", "0", "--paths", "200", "--steps", "20"]],
-    ids=["value-paths", "value-steps", "norms-horizon", "example1-paths",
-         "example1-steps", "example1-T", "example2-paths", "example2-T"])
+    ids=["value-paths", "value-steps", "norms-horizon", "value-horizon-inf",
+         "example1-paths", "example1-steps", "example1-T", "example1-T-inf",
+         "example2-paths", "example2-T"])
 def test_non_positive_scale_flag_exits_one(argv, tmp_path, capsys):
     # refused while parsing, as a bad seed is, before any setup
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -617,17 +620,41 @@ def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1"])
+@pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1", "0.1,0.1",
+                                 "0.05,inf"])
 @pytest.mark.parametrize("command", ["sens", "secondorder"])
 def test_bad_eps_flag_exits_two(command, eps, tmp_path, capsys):
-    # a non-positive step or a single one is a usage error of the flag,
-    # refused before the path pass, not a numerical failure or a row
+    # a non-positive, non-finite or repeated step, or a single one, is a
+    # usage error of the flag, refused before the path pass, not a
+    # numerical failure or a row
     out = tmp_path / "out"
     assert main([command, "--config", "configs/deterministic2d.ini",
                  "--paths", "500", "--steps", "16", f"--eps={eps}",
                  "--out", str(out)]) == 2
     assert "--eps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("horizon = 1.0", "horizon = inf"), ("horizon = 1.0", "horizon = nan"),
+    ("x0 = 1.0", "x0 = inf"), ("taus = 0.0,0.1,0.2", "taus = 0.0,nan"),
+    (None, "nan,1")],
+    ids=["horizon-inf", "horizon-nan", "x0-inf", "taus-nan",
+         "danskin-direction"])
+def test_non_finite_input_exits_two(good, bad, tmp_path, capsys, generated):
+    # a non-finite number in a config or a number-list flag is refused
+    # while the input is read: exit 2, nothing written and no path drawn
+    if good is None:
+        argv = ["danskin", "--cloud", "configs/cloud.csv", "--direction", bad]
+    else:
+        text = load_text("configs/deterministic2d.ini")
+        assert good in text
+        cfg = norm_write(tmp_path / "bad.ini", text.replace(good, bad))
+        argv = ["value", "--config", str(cfg), "--paths", "200"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and sum(generated) == 0
 
 
 @pytest.mark.parametrize("block", ["0", "-3", "7"])

@@ -8,8 +8,7 @@ from portsens.market import (CoefficientError, MarketModel, RegimeTable,
                              SingularVolatilityError, check_h1_direction,
                              constant, dlambda_direction, h1_from_values,
                              indicator, mpr_from_values, mpr_integrand,
-                             parse_coefficient, piecewise, scalar_constant,
-                             zeros)
+                             parse_coefficient, piecewise)
 from portsens.paths import PathEnsemble, TimeGrid, cumulative
 
 
@@ -20,7 +19,7 @@ def test_constant_infers_shape():
     vals = c.evaluate(grid)
     assert vals.shape == (4, 2, 2)
     assert np.all(vals == c.values)
-    assert scalar_constant(0.05).shape == (1,)
+    assert constant([0.05]).shape == (1,)
 
 
 def test_piecewise_segment_selection():
@@ -61,10 +60,10 @@ COEFF_SHAPES = [(1,), (2, 2), (1,), (1,), (2,)]
 
 
 def assert_same_process(got, want):
-    """Equal kind, shape, driver, threshold and value arrays."""
+    """Equal kind, shape, driver, threshold, value rows and breaks."""
     assert (got.kind, got.shape, got.driver, got.threshold) \
         == (want.kind, want.shape, want.driver, want.threshold)
-    for name in ("values", "breaks", "low", "high"):
+    for name in ("values", "breaks"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -103,7 +102,8 @@ def test_mini_language_round_trip_random(values, kind):
 
 def test_parse_rejects_malformed():
     for text in ["const:[1.0", "pw:t=[0.5];v=[1.0]", "ind:j=0;c=0.0",
-                 "mystery:[1.0]", "const:[a,b]"]:
+                 "mystery:[1.0]", "const:[a,b]",
+                 "ind:j=0;c=nan;lo=[0.0];hi=[1.0]"]:
         with pytest.raises(CoefficientError):
             parse_coefficient(text, (1,))
     with pytest.raises(CoefficientError):
@@ -114,9 +114,10 @@ def test_model_shape_validation():
     with pytest.raises(ValueError):
         MarketModel(d=2, n=1, mu=constant([0.1, 0.1]),
                     sigma=constant([[1.0], [1.0]]))
-    with pytest.raises(ValueError):
-        MarketModel(d=1, n=1, mu=constant([0.1]),
-                    sigma=constant([[1.0]]), x0=0.0)
+    for x0 in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            MarketModel(d=1, n=1, mu=constant([0.1]),
+                        sigma=constant([[1.0]]), x0=x0)
     with pytest.raises(ValueError):
         MarketModel(d=1, n=1, mu=constant([0.1, 0.2]),
                     sigma=constant([[1.0]]))
@@ -125,8 +126,8 @@ def test_model_shape_validation():
 def test_mpr_square_market_solves_linear_system(det2d_model):
     grid = TimeGrid(1.0, 4)
     lam = mpr_integrand(det2d_model, grid)[1]
-    sig = det2d_model.sigma.values
-    mu = det2d_model.mu.values
+    sig = det2d_model.sigma.values[0]
+    mu = det2d_model.mu.values[0]
     expect = np.linalg.solve(sig, mu - 0.01)
     assert np.allclose(lam, expect, atol=1e-14)
     # frozen oracle: scripts/derive_oracles.py
@@ -142,18 +143,6 @@ def test_mpr_degenerate_market_minimal_norm():
     assert np.allclose(lam[regimes.index(None)], [[0.3, 0.0], [0.3, 0.0]])
 
 
-def test_mpr_fast_path_matches_general():
-    # the d = 1 shortcut and the generic solve agree bitwise-close
-    mu_v = np.array([[0.06], [0.02]])
-    sigma_v = np.array([[[0.2, 0.1]], [[0.3, -0.1]]])
-    rate_v = np.array([[0.01], [0.0]])
-    lam = mpr_from_values(mu_v, sigma_v, rate_v)
-    for k in range(2):
-        S = sigma_v[k] @ sigma_v[k].T
-        expect = sigma_v[k].T @ np.linalg.solve(S, mu_v[k] - rate_v[k])
-        assert np.allclose(lam[k], expect, atol=1e-15)
-
-
 def test_mpr_rejects_singular_volatility():
     model = MarketModel(d=2, n=2, mu=constant([0.1, 0.1]),
                         sigma=constant([[1.0, 1.0], [1.0, 1.0]]))
@@ -165,10 +154,13 @@ def test_mpr_rejects_singular_volatility():
 
 
 @pytest.mark.parametrize("sigma, refused", [
+    ([[0.0, 0.0]], True),  # zero Gram scalar
+    ([[0.2, 0.1]], False),
     ([[1.0, 0.0], [0.0, 1e-5]], True),  # finite, condition 1e10
     ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], True),  # singular
     ([[0.2, 0.05, 0.0], [0.0, 0.15, 0.02], [0.01, 0.0, 0.3]], False)],
-    ids=["ill-conditioned-d2", "singular-d3", "well-conditioned-d3"])
+    ids=["singular-d1", "well-conditioned-d1", "ill-conditioned-d2",
+         "singular-d3", "well-conditioned-d3"])
 def test_gram_condition_gates_every_dimension(sigma, refused):
     sigma_v = np.array(sigma)
     mu_v, rate_v = np.full(len(sigma), 0.05), np.array([0.01])
@@ -199,9 +191,9 @@ def _fd_dlambda(model, dmu, dsigma, dr, grid, W, h=1e-6):
 @pytest.mark.parametrize("dmu,dsigma,dr", [
     (constant([0.04, 0.02]), None, None),
     (None, constant([[0.05, -0.02], [0.01, 0.03]]), None),
-    (None, None, scalar_constant(0.01)),
+    (None, None, constant([0.01])),
     (constant([0.04, 0.02]), constant([[0.05, -0.02], [0.01, 0.03]]),
-     scalar_constant(0.01)),
+     constant([0.01])),
 ])
 def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr):
     grid = TimeGrid(1.0, 4)
@@ -266,7 +258,8 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
 def test_h1_adapted_is_exact_over_regimes():
     sig = indicator(0, 0.0, [[1.0, 0.0]], [[2.0, 0.0]])
     grid = TimeGrid(1.0, 8)
-    assert check_h1_direction(sig, zeros((1, 2)), [1.0], grid)[1][0].ok
+    zero = constant([[0.0, 0.0]])
+    assert check_h1_direction(sig, zero, [1.0], grid)[1][0].ok
     # a rotation on {W < -3} is found although few paths ever get there
     base = constant([[1.0, 0.0]])
     rare = indicator(0, -3.0, [[0.5, 0.0]], [[0.0, 1.0]])
@@ -279,7 +272,7 @@ def test_h1_adapted_is_exact_over_regimes():
 
 
 def test_zeros_and_bound():
-    z = zeros((2, 3))
+    z = constant(np.zeros((2, 3)))
     assert z.bound == 0.0
     assert indicator(0, 0.0, [-3.0], [2.0]).bound == 3.0
     with pytest.raises(CoefficientError):

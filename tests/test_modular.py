@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from portsens.market import MarketModel, constant, indicator, zeros
+from portsens.market import MarketModel, constant, indicator
 from portsens.modular import (_MAX_ITER, _REL_TOL, HolderReport,
                               ModularError, amemiya_norm, density_logs,
                               holder_check, j_evaluator, j_functional,
@@ -14,7 +14,7 @@ from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import optimal_terminal_wealth
 from portsens.utility import evaluate, power_utility
 
-ZERO = (zeros((2,)),)  # the family of the zero direction alone
+ZERO = (constant([0.0, 0.0]),)  # the family of the zero direction alone
 
 
 @pytest.fixture(scope="module")

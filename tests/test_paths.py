@@ -21,8 +21,9 @@ from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 10)
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            TimeGrid(horizon, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
     g = TimeGrid(2.0, 8)
@@ -242,16 +243,16 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
 
 @pytest.mark.parametrize("kind", ["ito", "quad", "time"])
 def test_path_sums_ignore_table_strides(kind):
-    # a constant's table is a broadcast view with stride 0 across regimes;
-    # the kernel gathers it as it gathers a dense copy, so both sum the
-    # same bits
+    # a table given as a broadcast view with stride 0 across regimes is
+    # gathered as a dense copy is, so both sum the same bits
     grid = TimeGrid(1.0, 100)
     ens = PathEnsemble(grid, n=3, count=20, seed=4)
-    regimes, view = integrand(grid, constant([0.1, -0.7, 1.3]))
+    regimes, table = integrand(grid, constant([0.1, -0.7, 1.3]))
+    view = np.broadcast_to(table[0], table.shape)
     assert view.strides[0] == 0
     arity = 2 if kind == "quad" else 1
-    sums = [path_sums(ens, {"x": (kind,) + ((regimes, table),) * arity})["x"]
-            for table in (view, np.array(view))]
+    sums = [path_sums(ens, {"x": (kind,) + ((regimes, t),) * arity})["x"]
+            for t in (view, table)]
     assert np.array_equal(sums[0], sums[1])
 
 

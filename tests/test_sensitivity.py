@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from portsens.estimate import difference_se
-from portsens.market import (CoefficientError, constant, dlambda_direction,
-                             scalar_constant, zeros)
+from portsens.market import CoefficientError, constant, dlambda_direction
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (SecondOrderReport, _example1_model,
                                   example1_report, example2_reports,
@@ -24,7 +23,7 @@ from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
 
 DMU2 = constant([0.04, 0.02])
-DRATE = scalar_constant(0.01)
+DRATE = constant([0.01])
 UNIT_DRIFT = PerturbationSpec(dmu=constant([1.0]))
 
 
@@ -75,7 +74,7 @@ def test_log_sensitivity_matches_closed_form(det2d_model, det_ens):
 
 
 def test_zero_direction_gives_zero_sensitivity(det2d_model, det_ens):
-    pert = PerturbationSpec(dmu=zeros((2,)))
+    pert = PerturbationSpec(dmu=constant([0.0, 0.0]))
     for u in (log_utility(), power_utility(3.0)):
         weak, strong = sensitivity_pair(det2d_model, u, pert, det_ens)
         assert (weak.mean, weak.se) == (0.0, 0.0)

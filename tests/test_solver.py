@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from portsens import utility
-from portsens.market import (MarketModel, constant, indicator, piecewise,
-                             scalar_constant, zeros)
+from portsens.market import MarketModel, constant, indicator, piecewise
 from portsens.modular import density_logs
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import (SolverError, bisect_budget, check_dual_optimizer,
@@ -33,7 +32,7 @@ def unit_ens():
 
 def solve(model, u, ens):
     # the nu = 0 density row, as the norms command feeds the solver
-    logz = density_logs(model, (zeros((model.n,)),), ens)[0]
+    logz = density_logs(model, (constant(np.zeros(model.n)),), ens)[0]
     return optimal_terminal_wealth(model, u, logz)
 
 
@@ -174,7 +173,7 @@ def test_dual_optimizer_needs_deterministic_directions():
     # n == d: anything adapted is solved
     incomplete = MarketModel(d=1, n=2, mu=constant([0.06]),
                              sigma=constant([[0.2, 0.0]]))
-    det = PerturbationSpec(dmu=constant([0.1]), drate=scalar_constant(0.01))
+    det = PerturbationSpec(dmu=constant([0.1]), drate=constant([0.01]))
     adapted = PerturbationSpec(dmu=indicator(1, 0.0, [0.0], [0.1]))
     check_dual_optimizer(incomplete, *det.directions)
     with pytest.raises(SolverError, match="incomplete market"):
@@ -193,7 +192,7 @@ def test_only_power_utility_solved(unit_model, unit_ens):
 
 
 def test_state_price_density_mean_one(unit_model, unit_ens):
-    z = np.exp(density_logs(unit_model, (zeros((1,)),), unit_ens)[0])
+    z = np.exp(density_logs(unit_model, (constant([0.0]),), unit_ens)[0])
     se = float(np.std(z)) / math.sqrt(unit_ens.count)
     assert abs(float(np.mean(z)) - 1.0) <= 3 * se
 

@@ -20,8 +20,9 @@ def test_power_values():
     assert u.q == pytest.approx(1.5)
     assert sqrt_utility().p == 2.0
     assert evaluate(sqrt_utility(), 4.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        power_utility(1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            power_utility(p)
 
 
 def test_log_values():
@@ -157,6 +158,9 @@ def test_custom_table_rejects_bad_input():
     u = custom_utility([1.0, 2.0, 3.0, 2.5], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         evaluate(u, 2.0)  # x column not increasing
+    u = custom_utility([1.0, 2.0, 3.0, np.inf], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(u, 2.0)
     u2 = _table_utility()
     with pytest.raises(ValueError):
         evaluate(u2, 100.0)  # outside the table

@@ -9,7 +9,7 @@ import pytest
 from portsens.cli import SURFACE_HEADER, main
 from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, KernelStabilityError,
-                             MarketModel, constant, indicator, scalar_constant)
+                             MarketModel, constant, indicator)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import SolverError
 from portsens.utility import custom_utility, log_utility, power_utility
@@ -31,7 +31,7 @@ def test_perturbation_spec_validation():
     with pytest.raises(CoefficientError):
         PerturbationSpec()
     spec = PerturbationSpec(dmu=constant([0.1, 0.2]),
-                            drate=scalar_constant(0.01))
+                            drate=constant([0.01]))
     assert spec.label == "dmu+drate"
     named = PerturbationSpec(dmu=constant([1.0]), label="bump")
     assert named.label == "bump"
@@ -40,7 +40,7 @@ def test_perturbation_spec_validation():
 def test_perturbation_shape_check(det2d_model):
     ok = PerturbationSpec(dmu=constant([0.04, 0.02]),
                           dsigma=constant([[0.1, 0.0], [0.0, 0.1]]),
-                          drate=scalar_constant(0.01))
+                          drate=constant([0.01]))
     ok.validate_for(det2d_model)
     for bad in (PerturbationSpec(dmu=constant([0.04])),
                 PerturbationSpec(dsigma=constant([[0.1, 0.0]])),
@@ -75,7 +75,7 @@ def test_deterministic_market_values_match_closed_form(det2d_model):
     dmu = np.array([0.04, 0.02])
     r, dr, p, T = 0.01, 0.01, 3.0, 1.0
     q = p / (p - 1.0)
-    pert = PerturbationSpec(dmu=constant(dmu), drate=scalar_constant(dr))
+    pert = PerturbationSpec(dmu=constant(dmu), drate=constant([dr]))
     ens = PathEnsemble(TimeGrid(T, 32), n=2, count=40000, seed=403)
     taus = [0.0, 0.1, 0.2]
     rows = value_surface(det2d_model, power_utility(p), pert, taus, ens)
