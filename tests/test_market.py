@@ -143,6 +143,19 @@ def test_mpr_degenerate_market_minimal_norm():
     assert np.allclose(lam[regimes.index(None)], [[0.3, 0.0], [0.3, 0.0]])
 
 
+def test_mpr_fast_path_matches_general():
+    # d = 1 regimes stacked with distinct rates take the general solve and
+    # match sigma^T (sigma sigma^T)^{-1} (mu - r) row by row
+    mu_v = np.array([[0.06], [0.02]])
+    sigma_v = np.array([[[0.2, 0.1]], [[0.3, -0.1]]])
+    rate_v = np.array([[0.01], [0.0]])
+    lam = mpr_from_values(mu_v, sigma_v, rate_v)
+    for k in range(2):
+        S = sigma_v[k] @ sigma_v[k].T
+        expect = sigma_v[k].T @ np.linalg.solve(S, mu_v[k] - rate_v[k])
+        assert np.allclose(lam[k], expect, atol=1e-15)
+
+
 def test_mpr_rejects_singular_volatility():
     model = MarketModel(d=2, n=2, mu=constant([0.1, 0.1]),
                         sigma=constant([[1.0, 1.0], [1.0, 1.0]]))
