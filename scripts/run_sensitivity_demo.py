@@ -9,11 +9,10 @@ derivatives are equal, so the script exits 3 when they differ by more than
 """
 
 import argparse
-import math
 import pathlib
 
 from portsens.cli import load_config
-from portsens.estimate import difference_se
+from portsens.estimate import combine_linear
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_reports
 from portsens.valuation import value_surface
@@ -56,12 +55,11 @@ def main() -> int:
     for rep in (weak, strong):
         print(" ", rep.line())
 
-    gap = weak.formula.mean - strong.formula.mean
-    se = difference_se(weak.formula, strong.formula)
-    sigmas = abs(gap) / se if se > 0 else math.inf
-    print(f"\nweak minus strong derivative: {gap:+.6f} "
-          f"(se {se:.2g}, {sigmas:.2f} sigma from zero)")
-    ok, verdict = agreement(gap, se)
+    gap = combine_linear([weak.formula, strong.formula], [1.0, -1.0],
+                         "weak-minus-strong")
+    print(f"\nweak minus strong derivative: {gap.mean:+.6f} "
+          f"(se {gap.se:.2g}, {gap.sigmas:.2f} sigma from zero)")
+    ok, verdict = agreement(gap.mean, gap.se)
     print(verdict)
     return 0 if ok else 3
 

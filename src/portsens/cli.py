@@ -44,9 +44,9 @@ from .market import (CoefficientError, MarketModel, check_drivers,
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
-from .sensitivity import (DEFAULT_STEPS, check_rate_direction, check_steps,
-                          example1_report, example2_reports, fd_steps,
-                          second_order_check, sensitivity_reports)
+from .sensitivity import (DEFAULT_STEPS, check_steps, example1_report,
+                          example2_reports, fd_steps, second_order_check,
+                          sensitivity_reports)
 from .solver import check_dual_optimizer, optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
@@ -192,9 +192,10 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError("[mc] requires an explicit seed")
         paths, steps = int(mc["paths"]), int(mc["steps"])
         horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
-        if paths <= 0 or steps <= 0 or not 0 < horizon < math.inf:
-            raise ConfigError("paths, steps and horizon must be positive, "
-                              "and horizon finite")
+        if paths < 2 or steps <= 0 or not 0 < horizon < math.inf:
+            raise ConfigError("paths must be at least 2 (a standard error "
+                              "needs two), steps and horizon positive, and "
+                              "horizon finite")
 
     nu_family = ()
     if cp.has_section("norms"):
@@ -244,32 +245,19 @@ def _make_ensemble(cfg: ExperimentConfig):
 def _perturbed(args, title: str):
     """What ``value``, ``sens`` and ``secondorder`` read: the config, its
     model, utility and direction, the ensemble, and the summary heading.
-    A custom utility must be tabulated at x0 and invertible at U'(x0),
-    the multiplier search's first point."""
+    A custom utility must be tabulated at x0, the multiplier search's
+    first point."""
     cfg = _load(args)
     model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
     if u.kind == "custom":
         try:
-            y0 = ut.derivative(u, model.x0)
+            ut.derivative(u, model.x0)
         except ValueError as exc:
             raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
-        try:
-            ut.inverse_marginal(u, y0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     heading = (f"{title}: utility={u.label} direction={pert.label} "
                f"paths={cfg.paths} steps={cfg.steps} "
                f"horizon={cfg.horizon:g} seed={cfg.seed}")
     return cfg, model, u, pert, _make_ensemble(cfg), heading
-
-
-def _rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
-    """What ``sens`` and ``secondorder`` check before the pass: a rate
-    direction needs a utility whose sensitivities have a rate term."""
-    try:
-        check_rate_direction(u, pert)
-    except CoefficientError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +326,6 @@ SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
 
 def cmd_sens(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
-    _rate_direction(u, pert)
     eps, _ = fd_steps(_steps(args.eps))
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
@@ -373,17 +360,18 @@ def cmd_example1(args) -> _Result:
              _r(abs(est.mean - expected)), _r(tol), _flag(ok), args.seed]
             for side, est, expected, tol, ok in checks]
     # the weak-minus-strong gap must be negative and clearly resolved
-    gap_ok = rep.gap < 0 and rep.gap_sigmas > 5.0
-    rows.append([_r(args.T), "gap", _r(rep.gap), _r(rep.gap_se),
-                 _r(rep.expected_gap), _r(abs(rep.gap - rep.expected_gap)),
-                 _r(5.0 * rep.gap_se), _flag(gap_ok), args.seed])
+    gap = rep.gap
+    gap_ok = gap.mean < 0 and gap.sigmas > 5.0
+    rows.append([_r(args.T), "gap", _r(gap.mean), _r(gap.se),
+                 _r(rep.expected_gap), _r(abs(gap.mean - rep.expected_gap)),
+                 _r(5.0 * gap.se), _flag(gap_ok), args.seed])
     lines = [f"sign-switching market, unit drift direction: T={args.T:g} "
              f"paths={args.paths} steps={args.steps} seed={args.seed}"]
     lines += [f"  {side}: {est.mean:.6g} (se {est.se:.2g}), expected "
               f"{expected:.6g}, |error| <= {tol:g}: {_ok(ok)}"
               for side, est, expected, tol, ok in checks]
-    lines.append(f"  weak - strong = {rep.gap:.6g} (se {rep.gap_se:.2g}, "
-                 f"{rep.gap_sigmas:.1f} sigma), expected "
+    lines.append(f"  weak - strong = {gap.mean:.6g} (se {gap.se:.2g}, "
+                 f"{gap.sigmas:.1f} sigma), expected "
                  f"{rep.expected_gap:.6g}, negative and > 5 sigma: "
                  f"{_ok(gap_ok)}")
     return _Result(args.out, "example1", EXAMPLE1_HEADER, rows, lines,
@@ -396,21 +384,20 @@ EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 def cmd_example2(args) -> _Result:
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
                                     seed=args.seed)
-    det_ok = det.sigmas_from_zero <= 3.0
-    ad_ok = adapted.value.mean > 0 and adapted.sigmas_from_zero > 3.0
-    rows = [[case, _r(rep.value.mean), _r(rep.value.se),
-             _r(rep.sigmas_from_zero), _flag(ok), args.seed]
-            for case, rep, ok in (("deterministic", det, det_ok),
+    det_ok = det.sigmas <= 3.0
+    ad_ok = adapted.mean > 0 and adapted.sigmas > 3.0
+    rows = [[case, _r(est.mean), _r(est.se), _r(est.sigmas), _flag(ok),
+             args.seed]
+            for case, est, ok in (("deterministic", det, det_ok),
                                   ("adapted", adapted, ad_ok))]
     lines = [f"discrepancy functional: T={args.T:g} paths={args.paths} "
              f"steps={args.steps} seed={args.seed}",
-             f"  deterministic price of risk: {det.value.mean:.4g} "
-             f"(se {det.value.se:.2g}, {det.sigmas_from_zero:.2f} sigma); "
+             f"  deterministic price of risk: {det.mean:.4g} "
+             f"(se {det.se:.2g}, {det.sigmas:.2f} sigma); "
              f"within 3 sigma of 0: {_ok(det_ok)}",
-             f"  adapted price of risk: {adapted.value.mean:.4g} "
-             f"(se {adapted.value.se:.2g}, "
-             f"{adapted.sigmas_from_zero:.1f} sigma); positive beyond "
-             f"3 sigma: {_ok(ad_ok)}"]
+             f"  adapted price of risk: {adapted.mean:.4g} "
+             f"(se {adapted.se:.2g}, {adapted.sigmas:.1f} sigma); positive "
+             f"beyond 3 sigma: {_ok(ad_ok)}"]
     return _Result(args.out, "example2", EXAMPLE2_HEADER, rows, lines,
                    det_ok and ad_ok)
 
@@ -541,7 +528,6 @@ SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
 def cmd_secondorder(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(
         args, "first-order residual decay")
-    _rate_direction(u, pert)
     rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
     steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),
@@ -570,23 +556,30 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive(cast):
-    """argparse type: a finite number of type ``cast`` above zero."""
+def _positive(cast, least=0):
+    """argparse type: a finite number of type ``cast`` above zero and at
+    least ``least``."""
     def parse(text: str):
         if not 0 < (value := cast(text)) < math.inf:
             raise argparse.ArgumentTypeError(
                 f"must be positive and finite, got {text}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's "invalid int value: ..."
     return parse
 
 
+# a standard error needs at least two paths
+_PATHS = _positive(int, least=2)
+
 # each flag is (name, add_argument keywords)
 _CONFIG_FLAGS = (
     ("--config", dict(required=True, help="experiment file")),
     ("--seed", dict(type=_seed, help="override [mc] seed")),
-    ("--paths", dict(type=_positive(int), help="override [mc] paths")),
+    ("--paths", dict(type=_PATHS, help="override [mc] paths")),
     ("--steps", dict(type=_positive(int), help="override [mc] steps")),
     ("--horizon", dict(type=_positive(float), help="override [mc] horizon")),
     ("--out", dict(help="override [output] directory")))
@@ -599,7 +592,7 @@ def _eps_flag(text: str) -> tuple:
 
 def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
     return (("--T", dict(type=_positive(float), default=1.0, help="horizon")),
-            ("--paths", dict(type=_positive(int), default=paths)),
+            ("--paths", dict(type=_PATHS, default=paths)),
             ("--steps", dict(type=_positive(int), default=steps)),
             ("--seed", dict(type=_seed, default=seed)),
             ("--out", dict(default=".", help="output directory")))
@@ -657,7 +650,8 @@ def main(argv=None) -> int:
                           res.rows)
         _emit_summary(res.outdir, res.stem, res.lines + [f"wrote {path}"])
         return 0 if res.passed else 3
-    except (ConfigError, OSError, configparser.Error) as exc:
+    except (ConfigError, CoefficientError, OSError,
+            configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError,

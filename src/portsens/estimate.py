@@ -12,6 +12,7 @@ read off the influence vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,21 @@ class ValueEstimate:
             raise ValueError(f"non-finite estimate in {self.estimator!r}: "
                              f"mean={self.mean} se={self.se}")
 
+    @property
+    def sigmas(self) -> float:
+        """|mean| in standard errors; with se = 0, 0 for a zero mean and
+        infinity otherwise."""
+        if self.se == 0:
+            return math.inf if self.mean != 0 else 0.0
+        return abs(self.mean) / self.se
+
 
 def _se_of(centered: np.ndarray) -> float:
+    """The standard error of a mean; nan below two values, which have no
+    sample variance."""
     m = centered.shape[0]
     if m < 2:
-        return float("nan") if m == 0 else 0.0
+        return float("nan")
     return float(np.std(centered, ddof=1) / np.sqrt(m))
 
 

@@ -281,21 +281,13 @@ class Example1Report:
     horizon: float
     weak: ValueEstimate
     strong: ValueEstimate
+    gap: ValueEstimate  # weak minus strong, on the same paths
     expected_weak: float
     expected_strong: float
-    gap_se: float
-
-    @property
-    def gap(self) -> float:
-        return self.weak.mean - self.strong.mean
 
     @property
     def expected_gap(self) -> float:
         return self.expected_weak - self.expected_strong
-
-    @property
-    def gap_sigmas(self) -> float:
-        return abs(self.gap) / self.gap_se if self.gap_se > 0 else math.inf
 
 
 def example1_report(T: float, M: int, N: int, seed: int) -> Example1Report:
@@ -304,40 +296,23 @@ def example1_report(T: float, M: int, N: int, seed: int) -> Example1Report:
     weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble)
     return Example1Report(
         horizon=T, weak=weak, strong=strong,
+        gap=combine_linear([weak, strong], [1.0, -1.0],
+                           f"weak-minus-strong[{pert.label}]"),
         expected_weak=T / 2.0 - T ** 1.5 / (3.0 * math.sqrt(2.0 * math.pi)),
-        expected_strong=T / 2.0,
-        gap_se=difference_se(weak, strong))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscrepancyReport:
-    """Value of E[ exp(int lambda dW + int |lambda|^2 dt / 2) *
-    (int Dlambda dW - int lambda^T Dlambda dt) ].
-
-    This is the obstruction to reusing the base-point derivative formula
-    at a perturbed point (square-root utility normalization).  It vanishes
-    for every deterministic price of risk but not in general: with
-    Dlambda = -1 and lambda = 1 on {W < 0} the expectation is strictly
-    positive.
-    """
-
-    value: ValueEstimate
-
-    @property
-    def sigmas_from_zero(self) -> float:
-        if self.value.se == 0:
-            return math.inf if self.value.mean != 0 else 0.0
-        return abs(self.value.mean) / self.value.se
+        expected_strong=T / 2.0)
 
 
 def example2_reports(T: float, M: int, N: int, seed: int) \
-        -> tuple[DiscrepancyReport, DiscrepancyReport]:
-    """(deterministic, adapted) discrepancy pair from one pass over shared
-    paths.
+        -> tuple[ValueEstimate, ValueEstimate]:
+    """(deterministic, adapted) values of the discrepancy functional
+    E[ exp(int lambda dW + int |lambda|^2 dt / 2) *
+    (int Dlambda dW - int lambda^T Dlambda dt) ] from one pass over shared
+    paths: the obstruction to reusing the base-point derivative formula at
+    a perturbed point (square-root utility normalization).
 
-    The deterministic case takes lambda = 1 and must vanish; the adapted
-    case takes lambda = 1 on {W < 0} and must not.  Both take the direction
-    Dlambda = -1.
+    Both take Dlambda = -1.  The deterministic case takes lambda = 1 and
+    vanishes, as for every deterministic price of risk; the adapted case
+    takes lambda = 1 on {W < 0} and is strictly positive.
     """
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
     grid = ensemble.grid
@@ -351,9 +326,9 @@ def example2_reports(T: float, M: int, N: int, seed: int) \
                      f"{case}.q11": ("quad", lam, lam),
                      f"{case}.dq": ("quad", lam, dlam)})
     s = path_sums(ensemble, sums)
-    return tuple(DiscrepancyReport(value=mean_estimate(
+    return tuple(mean_estimate(
         np.exp(s[f"{case}.s1"] + 0.5 * s[f"{case}.q11"])
-        * (s["s2"] - s[f"{case}.dq"]), "discrepancy")) for case, _ in cases)
+        * (s["s2"] - s[f"{case}.dq"]), "discrepancy") for case, _ in cases)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,18 @@ i.e. U(x) = 2 sqrt(x).  The logarithm is supported for the exact
 counterexamples even though it fails the growth and U(0+) = 0 requirements
 that the power family satisfies.
 
-Custom utilities are supplied as a two-column strictly increasing table and
-interpolated by the monotone piecewise cubic of Fritsch & Carlson (1980),
-with the node slopes of the usual PCHIP rule.  U' is then a
-quadratic on each piece, so I = (U')^{-1} is solved in closed form: the
-node slopes locate the piece and the piece's quadratic gives the root.  This
-needs node slopes that decrease strictly; a table whose slopes do not has no
-unique inverse marginal and is refused.
+Custom utilities are supplied as a two-column table and interpolated by the
+monotone piecewise cubic of Fritsch & Carlson (1980), with the node slopes
+of the usual PCHIP rule.  U' is then a quadratic on each piece, so
+I = (U')^{-1} is solved in closed form: the node slopes locate the piece and
+the piece's quadratic gives the root.  A table is checked once, when it is
+read: it must be finite, increase strictly in both columns and be concave,
+i.e. have node slopes that decrease strictly, for U' to have a unique
+inverse.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +52,6 @@ class _MonotoneCubic:
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         self.x, self.h, self.slopes = x, h, d
-        self.slopes_decrease = not np.any(d[1:] >= d[:-1])
         self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
     def _piece(self, v):
@@ -99,13 +98,13 @@ class UtilitySpec:
     """Utility abstraction used by the solver and the estimators.
 
     For kind 'power', p in (1, inf) and q = p/(p-1) is its conjugate
-    exponent.
+    exponent; for kind 'custom', ``cubic`` interpolates the checked table.
     """
 
     kind: str  # 'power' | 'log' | 'custom'
     label: str
     p: float | None = None
-    _table: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    cubic: _MonotoneCubic | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("power", "log", "custom"):
@@ -113,7 +112,7 @@ class UtilitySpec:
         if self.kind == "power" and not (self.p is not None
                                          and 1 < self.p < np.inf):
             raise ValueError("power utility needs 1 < p < inf")
-        if self.kind == "custom" and self._table is None:
+        if self.kind == "custom" and self.cubic is None:
             raise ValueError("custom utility needs a table")
 
     @property
@@ -121,16 +120,6 @@ class UtilitySpec:
         if self.kind != "power":
             raise ValueError("conjugate exponent is specific to power utility")
         return self.p / (self.p - 1.0)
-
-    @functools.cached_property
-    def _interp(self) -> _MonotoneCubic:
-        """A custom table's interpolant, built on first use."""
-        x, u = self._table
-        if (not np.all(np.isfinite(self._table)) or np.any(np.diff(x) <= 0)
-                or np.any(np.diff(u) <= 0)):
-            raise ValueError("custom table must be finite and increase "
-                             "strictly in both columns")
-        return _MonotoneCubic(x, u)
 
 
 def power_utility(p: float) -> UtilitySpec:
@@ -147,12 +136,21 @@ def log_utility() -> UtilitySpec:
 
 
 def custom_utility(x: np.ndarray, u: np.ndarray) -> UtilitySpec:
-    """Utility from a strictly increasing two-column table (x, U(x))."""
+    """Utility from a two-column table (x, U(x)) that is finite, strictly
+    increasing in both columns and concave."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim != 1 or x.shape != u.shape or x.size < 4:
         raise ValueError("need two equally long columns with >= 4 rows")
-    return UtilitySpec(kind="custom", label="custom", _table=(x, u))
+    table = np.stack([x, u])
+    if not np.all(np.isfinite(table)) or np.any(np.diff(table) <= 0):
+        raise ValueError("custom table must be finite and increase "
+                         "strictly in both columns")
+    cubic = _MonotoneCubic(x, u)
+    if np.any(np.diff(cubic.slopes) >= 0):
+        raise ValueError("custom utility 'custom': node slopes of U' do not "
+                         "decrease strictly, so U' has no unique inverse")
+    return UtilitySpec(kind="custom", label="custom", cubic=cubic)
 
 
 def load_custom_utility(path: str) -> UtilitySpec:
@@ -185,7 +183,7 @@ def _check_domain(x, name, strict=False):
 
 def _in_table(u: UtilitySpec, x) -> _MonotoneCubic:
     """A custom table's interpolant, once x is checked against its range."""
-    fwd = u._interp
+    fwd = u.cubic
     xlo, xhi = fwd.x[0], fwd.x[-1]
     if np.any(x > xhi) or np.any(x < xlo):
         raise ValueError(f"x outside the table range [{xlo:g}, {xhi:g}]")
@@ -238,11 +236,7 @@ def inverse_marginal(u: UtilitySpec, y) -> np.ndarray | float:
         return y ** (-u.q)
     if u.kind == "log":
         return 1.0 / y
-    fwd = u._interp
-    if not fwd.slopes_decrease:
-        raise ValueError(f"custom utility {u.label!r}: node slopes of U' do "
-                         "not decrease strictly, so U' has no unique inverse")
-    return fwd.inverse_derivative(y)
+    return u.cubic.inverse_derivative(y)
 
 
 def parse_utility(text: str) -> UtilitySpec:

@@ -2,7 +2,7 @@
 
 Every test computes its criterion at the stated sizes and tolerances,
 prints `[criterion k] name: PASS/FAIL (details)` past the capture plugin,
-then asserts.  `scripts/run_acceptance.py` runs just this file.
+then asserts.
 """
 
 import math
@@ -65,14 +65,14 @@ def test_criterion_1_strong_sensitivity(switch_report, capsys):
 def test_criterion_2_weak_sensitivity_and_gap(switch_report, capsys):
     rep = switch_report
     err = abs(rep.weak.mean - rep.expected_weak)
-    ok = err <= 0.015 and rep.gap < 0 and rep.gap_sigmas > 5.0
+    ok = err <= 0.015 and rep.gap.mean < 0 and rep.gap.sigmas > 5.0
     t4 = example1_report(T=4.0, M=50_000, N=1000, seed=1002)
-    ok = ok and t4.gap < 0 and t4.gap_sigmas > 5.0
+    ok = ok and t4.gap.mean < 0 and t4.gap.sigmas > 5.0
     verdict(capsys, 2, "weak drift sensitivity and weak-strong gap",
             ok,
             f"estimate {rep.weak.mean:.5f} vs {rep.expected_weak:.5f} "
-            f"+- 0.015; gap {rep.gap:.4f} at {rep.gap_sigmas:.0f} sigma; "
-            f"T=4 gap {t4.gap:.3f} at {t4.gap_sigmas:.0f} sigma")
+            f"+- 0.015; gap {rep.gap.mean:.4f} at {rep.gap.sigmas:.0f} "
+            f"sigma; T=4 gap {t4.gap.mean:.3f} at {t4.gap.sigmas:.0f} sigma")
 
 
 def test_criterion_3_deterministic_coincidence(det2d, ens2d, capsys):
@@ -130,15 +130,12 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
 
 def test_criterion_5_discrepancy_functional(capsys):
     det, adapted = example2_reports(T=1.0, M=50_000, N=500, seed=1005)
-    ok = (det.sigmas_from_zero <= 3.0
-          and adapted.value.mean > 0
-          and adapted.sigmas_from_zero > 3.0)
+    ok = det.sigmas <= 3.0 and adapted.mean > 0 and adapted.sigmas > 3.0
     verdict(capsys, 5, "discrepancy functional, deterministic vs adapted",
             ok,
-            f"deterministic {det.value.mean:.2g} at "
-            f"{det.sigmas_from_zero:.2f} sigma; adapted "
-            f"{adapted.value.mean:.4f} at {adapted.sigmas_from_zero:.0f} "
-            f"sigma above zero")
+            f"deterministic {det.mean:.2g} at {det.sigmas:.2f} sigma; "
+            f"adapted {adapted.mean:.4f} at {adapted.sigmas:.0f} sigma "
+            f"above zero")
 
 
 def test_criterion_6_second_order_residual(det2d, ens2d, capsys):

@@ -130,6 +130,8 @@ ALLOWED_DEFAULTS = {
     "evaluate.W": "CoefficientProcess.evaluate's paths: tests compare "
                   "regime gathers against the method, and the benchmark "
                   "tracer wraps it",
+    "main.argv": "the console script calls cli.main() and argparse reads "
+                 "sys.argv; tests and the benchmark pass argv",
 }
 
 

@@ -320,36 +320,88 @@ def custom_sqrt_config(tmp_path):
 @pytest.mark.parametrize("command, bad", [
     ("value", "x0"), ("sens", "x0"), ("secondorder", "x0"), ("sens", "dr"),
     ("secondorder", "dr"), ("value", "convex"), ("sens", "convex"),
-    ("secondorder", "convex")],
+    ("secondorder", "convex"), ("value", "inf-row"),
+    ("value", "repeated-value")],
     ids=["value-x0", "sens-x0", "secondorder-x0", "sens-dr", "secondorder-dr",
-         "value-convex", "sens-convex", "secondorder-convex"])
+         "value-convex", "sens-convex", "secondorder-convex", "value-inf-row",
+         "value-repeated-value"])
 def test_custom_utility_inputs_refused_before_the_pass(
         command, bad, tmp_path, capsys, generated):
     # an x0 outside the table, a rate direction that the closed-form
-    # sensitivities of a table cannot take, or a convex table, whose U' has
-    # no inverse for the multiplier search, is a bad input: exit 2 with no
-    # path drawn and nothing written
+    # sensitivities of a table cannot take, a convex table, whose U' has
+    # no inverse for the multiplier search, or a table that is not finite
+    # and strictly increasing is a bad input: exit 2 with no path drawn and
+    # nothing written
     cfg = custom_sqrt_config(tmp_path)
     if bad != "dr":  # without the rate direction, refused as well
         text = load_text(cfg).replace("dr = const:[0.01]\n", "")
         if bad == "x0":
             text = text.replace("x0 = 1.0", "x0 = 20000.0")
         norm_write(tmp_path / "custom.ini", text)
+    table = np.loadtxt(tmp_path / "sqrt_table.txt")
+    x, u = table[:, 0], table[:, 1]
     if bad == "convex":  # U(x) = x^2 + x over the same rows
-        x = np.loadtxt(tmp_path / "sqrt_table.txt")[:, 0]
-        np.savetxt(tmp_path / "sqrt_table.txt",
-                   np.column_stack([x, x * x + x]), fmt="%.17g")
-    # only the x0 refusal names x0
+        u = x * x + x
+    elif bad == "inf-row":
+        x[-1] = u[-1] = np.inf
+    elif bad == "repeated-value":
+        u[500] = u[499]
+    np.savetxt(tmp_path / "sqrt_table.txt", np.column_stack([x, u]),
+               fmt="%.17g")
+    unordered = ("config error: custom table must be finite and increase "
+                 "strictly in both columns")
     message = {"x0": "x0 = 20000: x outside the table range",
                "dr": "rate directions",
                "convex": "config error: custom utility 'custom': node "
-                         "slopes of U' do not decrease strictly"}[bad]
+                         "slopes of U' do not decrease strictly",
+               "inf-row": unordered, "repeated-value": unordered}[bad]
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--paths", "30",
                  "--steps", "16", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2 and "config error" in err and message in err
+    # only the x0 refusal names x0
+    assert ("x0 =" in err) == (bad == "x0")
     assert not out.exists() and sum(generated) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--config", "configs/deterministic2d.ini"],
+    ["sens", "--config", "configs/deterministic2d.ini"],
+    ["secondorder", "--config", "configs/deterministic2d.ini"],
+    ["norms", "--config", "configs/norms.ini"],
+    ["example1", "--steps", "50"],
+    ["example2", "--steps", "50"]],
+    ids=["value", "sens", "secondorder", "norms", "example1", "example2"])
+def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
+    # a standard error needs two paths, so one path is refused while
+    # parsing, before any setup
+    assert main(argv + ["--paths", "1", "--out", str(tmp_path / "out")]) == 1
+    assert "--paths: must be at least 2, got 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir()) and sum(generated) == 0
+
+
+def test_one_path_in_the_config_is_a_config_error(tmp_path, capsys,
+                                                 generated):
+    text = load_text("configs/deterministic2d.ini")
+    cfg = norm_write(tmp_path / "one.ini",
+                     text.replace("paths = 40000", "paths = 1"))
+    out = tmp_path / "out"
+    assert main(["value", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "paths must be at least 2" in capsys.readouterr().err
+    assert not out.exists() and sum(generated) == 0
+
+
+def test_readme_configuration_reference_loads_and_runs(tmp_path):
+    readme = load_text("README.md")
+    block = readme.split("## Configuration reference")[1]
+    block = block.split("```ini\n")[1].split("```")[0]
+    cfg = norm_write(tmp_path / "reference.ini", block)
+    assert cli.load_config(str(cfg)).utility.label == "power:p=3"
+    out = tmp_path / "out"
+    assert main(["value", "--config", str(cfg), "--paths", "200",
+                 "--steps", "16", "--out", str(out)]) == 0
+    assert len(read_rows(out / "surface.csv")) == 4
 
 
 @pytest.mark.parametrize("command, config, good, bad", [

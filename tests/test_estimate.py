@@ -26,6 +26,18 @@ def test_value_estimate_rejects_nonfinite():
     with pytest.raises(ValueError):
         ValueEstimate(mean=math.nan, se=0.0, estimator="x",
                       influence=np.zeros(1))
+    # one value has no standard error
+    with pytest.raises(ValueError, match="non-finite"):
+        mean_estimate([2.0], estimator="one")
+
+
+def test_sigmas_is_the_mean_in_standard_errors():
+    est = mean_estimate([-1.0, -2.0, -3.0, -6.0], estimator="m")
+    assert est.sigmas == 3.0 / est.se
+    # with se = 0 a zero mean is 0 sigma from zero, any other infinitely far
+    zero = np.zeros(2)
+    assert ValueEstimate(0.0, 0.0, "z", zero).sigmas == 0.0
+    assert ValueEstimate(-1e-300, 0.0, "c", zero).sigmas == math.inf
 
 
 def test_delta_estimate_chain_rule(rng):

@@ -146,9 +146,9 @@ def test_example1_sign_switching_gap():
     assert rep.expected_weak == pytest.approx(0.3670192398661891, rel=1e-12)
     assert abs(rep.strong.mean - 0.5) < 3.0 * rep.strong.se + 0.005
     assert abs(rep.weak.mean - rep.expected_weak) < 3.0 * rep.weak.se + 0.01
-    assert rep.gap < 0.0
-    assert rep.gap_sigmas > 5.0
-    assert abs(rep.gap - rep.expected_gap) < 3.0 * rep.gap_se + 0.01
+    assert rep.gap.mean < 0.0
+    assert rep.gap.sigmas > 5.0
+    assert abs(rep.gap.mean - rep.expected_gap) < 3.0 * rep.gap.se + 0.01
 
 
 def test_long_path_pass_holds_only_small_blocks():
@@ -171,14 +171,14 @@ def test_long_path_pass_holds_only_small_blocks():
 def test_example2_discrepancy():
     det, adapted = example2_reports(T=1.0, M=30000, N=500, seed=504)
     # deterministic price of risk: the functional vanishes identically
-    assert det.sigmas_from_zero < 3.0
+    assert det.sigmas < 3.0
     # adapted price of risk: strictly positive obstruction
-    assert adapted.value.mean > 0.0
-    assert adapted.sigmas_from_zero > 5.0
+    assert adapted.mean > 0.0
+    assert adapted.sigmas > 5.0
     # independent Euler estimate at N=1000 sits at 0.3841 +- 0.0023; the
     # N=500 grid carries a visible positive step bias, allowed for here
-    assert abs(adapted.value.mean - 0.3841250605911561) \
-        < 3.0 * adapted.value.se + 0.02
+    assert abs(adapted.mean - 0.3841250605911561) \
+        < 3.0 * adapted.se + 0.02
 
 
 def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
