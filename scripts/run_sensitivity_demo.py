@@ -11,7 +11,7 @@ derivatives are equal, so the script exits 3 when they differ by more than
 import argparse
 import pathlib
 
-from portsens.cli import load_config
+from portsens.cli import _PATHS, _positive, _seed, load_config
 from portsens.estimate import combine_linear
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_reports
@@ -21,23 +21,13 @@ CONFIG = (pathlib.Path(__file__).resolve().parents[1] / "configs"
           / "deterministic2d.ini")
 
 
-def agreement(gap: float, se: float) -> tuple[bool, str]:
-    """Whether the weak and strong derivatives agree within 3 standard
-    errors of their difference, and the verdict line that says so."""
-    if abs(gap) <= 3.0 * se:
-        return True, ("deterministic coefficients, so the two formulations "
-                      "agree within Monte Carlo error")
-    return False, ("FAIL: deterministic coefficients make the two "
-                   "formulations equal, but they differ by more than 3 se")
-
-
 def main() -> int:
     cfg = load_config(str(CONFIG))
     model, u, pert = cfg.model, cfg.utility, cfg.pert
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--paths", type=int, default=cfg.paths)
-    ap.add_argument("--steps", type=int, default=cfg.steps)
-    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--paths", type=_PATHS, default=cfg.paths)
+    ap.add_argument("--steps", type=_positive(int), default=cfg.steps)
+    ap.add_argument("--seed", type=_seed, default=cfg.seed)
     args = ap.parse_args()
     ens = PathEnsemble(TimeGrid(cfg.horizon, args.steps), n=model.n,
                        count=args.paths, seed=args.seed)
@@ -59,9 +49,13 @@ def main() -> int:
                          "weak-minus-strong")
     print(f"\nweak minus strong derivative: {gap.mean:+.6f} "
           f"(se {gap.se:.2g}, {gap.sigmas:.2f} sigma from zero)")
-    ok, verdict = agreement(gap.mean, gap.se)
-    print(verdict)
-    return 0 if ok else 3
+    if gap.sigmas <= 3.0:
+        print("deterministic coefficients, so the two formulations agree "
+              "within Monte Carlo error")
+        return 0
+    print("FAIL: deterministic coefficients make the two formulations "
+          "equal, but they differ by more than 3 se")
+    return 3
 
 
 if __name__ == "__main__":

@@ -44,9 +44,9 @@ from .market import (CoefficientError, MarketModel, check_drivers,
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
-from .sensitivity import (DEFAULT_STEPS, check_steps, example1_report,
-                          example2_reports, fd_steps, second_order_check,
-                          sensitivity_reports)
+from .sensitivity import (DIFFERENCE_STEPS, EXPANSION_STEPS, check_steps,
+                          example1_report, example2_reports,
+                          second_order_check, sensitivity_reports)
 from .solver import check_dual_optimizer, optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
@@ -114,13 +114,11 @@ def _floats(text: str) -> tuple:
 
 
 def _steps(text: str) -> tuple:
-    """The --eps step sizes, in the order given, once they are checked."""
+    """The --eps step sizes, checked and in increasing order."""
     try:
-        eps = _floats(text)
-        check_steps(eps)
+        return check_steps(_floats(text))
     except ValueError as exc:
         raise ConfigError(f"--eps: {exc}") from None
-    return eps
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -244,16 +242,9 @@ def _make_ensemble(cfg: ExperimentConfig):
 
 def _perturbed(args, title: str):
     """What ``value``, ``sens`` and ``secondorder`` read: the config, its
-    model, utility and direction, the ensemble, and the summary heading.
-    A custom utility must be tabulated at x0, the multiplier search's
-    first point."""
+    model, utility and direction, the ensemble, and the summary heading."""
     cfg = _load(args)
     model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
-    if u.kind == "custom":
-        try:
-            ut.derivative(u, model.x0)
-        except ValueError as exc:
-            raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
     heading = (f"{title}: utility={u.label} direction={pert.label} "
                f"paths={cfg.paths} steps={cfg.steps} "
                f"horizon={cfg.horizon:g} seed={cfg.seed}")
@@ -326,7 +317,7 @@ SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
 
 def cmd_sens(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
-    eps, _ = fd_steps(_steps(args.eps))
+    eps = _steps(args.eps)
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
              _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se), _r(rep.gap),
@@ -446,8 +437,8 @@ def cmd_norms(args) -> _Result:
     check_dual_optimizer(model)
     family = (constant(np.zeros(model.n)),) + cfg.nu_family
     logs = density_logs(model, family, _make_ensemble(cfg))
-    opt = optimal_terminal_wealth(model, u, logs[0])
-    payoff = np.asarray(ut.evaluate(u, opt.xstar))
+    xstar = optimal_terminal_wealth(model, u, logs[0])
+    payoff = np.asarray(ut.evaluate(u, xstar))
 
     j = j_functional(payoff, u.p, logs)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
@@ -457,7 +448,7 @@ def cmd_norms(args) -> _Result:
     lux = luxemburg_norm(F, payoff)
     bound = 1.0 + model.x0
     am_ok = am <= bound + j_tol
-    hold = holder_check(opt.z, opt.xstar, u.p, logs)
+    hold = holder_check(np.exp(logs[0]), xstar, u.p, logs)
 
     rows = [
         ["j_at_optimal_payoff", _r(j.mean), _r(j.se), _flag(j_ok), cfg.seed],
@@ -585,9 +576,8 @@ _CONFIG_FLAGS = (
     ("--out", dict(help="override [output] directory")))
 
 
-def _eps_flag(text: str) -> tuple:
-    return (("--eps", dict(default=",".join(map(repr, DEFAULT_STEPS)),
-                           help=text)),)
+def _eps_flag(steps: tuple, text: str) -> tuple:
+    return (("--eps", dict(default=",".join(map(repr, steps)), help=text)),)
 
 
 def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
@@ -602,8 +592,8 @@ def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
 _COMMANDS = (
     ("value", cmd_value, "weak/strong value surface", _CONFIG_FLAGS),
     ("sens", cmd_sens, "sensitivities vs differences",
-     _CONFIG_FLAGS + _eps_flag("difference step sizes; only the two "
-                               "finest are read")),
+     _CONFIG_FLAGS + _eps_flag(DIFFERENCE_STEPS,
+                               "difference step sizes; each is read")),
     ("example1", cmd_example1, "sign-switching market, drift direction",
      _scale_flags(paths=200_000, steps=2000, seed=7)),
     ("example2", cmd_example2, "discrepancy functional",
@@ -616,7 +606,8 @@ _COMMANDS = (
       ("--delta", dict(help="direction of differentiation")),
       ("--out", dict(default=".", help="output directory")))),
     ("secondorder", cmd_secondorder, "residual decay of the tangent",
-     _CONFIG_FLAGS + _eps_flag("expansion step sizes; each is read")),
+     _CONFIG_FLAGS + _eps_flag(EXPANSION_STEPS,
+                               "expansion step sizes; each is read")),
 )
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from portsens.estimate import ValueEstimate, mean_estimate
 from portsens.market import MarketModel, RegimeTable, integrand, mpr_table
-from portsens.paths import PathEnsemble, TimeGrid, path_sums
+from portsens.paths import PathEnsemble, path_sums
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
 _REL_TOL = 1e-12  # relative width at which the norm searches stop
@@ -60,13 +60,18 @@ class ModularError(RuntimeError):
     pass
 
 
-def _validate_kernel(model: MarketModel, family: tuple, grid: TimeGrid):
-    """Every family member must lie in the null space of sigma, in every
-    regime the paths can reach."""
-    sigma = model.sigma
+def density_logs(model: MarketModel, family: tuple,
+                 ensemble: PathEnsemble) -> np.ndarray:
+    """log Y^nu per (family member, path), discount included; one pass.
+
+    Every member must lie in the null space of sigma in every regime the
+    paths can reach; each is checked on the regimes of its own density
+    before the pass."""
+    grid = ensemble.grid
+    sums = {"R": ("time", integrand(grid, model.rate))}
     for i, nu in enumerate(family):
-        regimes = RegimeTable(grid, sigma, nu)
-        sg_v, nu_v = regimes.values(sigma), regimes.values(nu)
+        regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
+        sg_v, nu_v = regimes.values(model.sigma), regimes.values(nu)
         scale = float(np.max(np.abs(sg_v))) or 1.0
         prod = np.einsum("...dn,...n->...d", sg_v, nu_v)
         worst = float(np.max(np.abs(prod))) if prod.size else 0.0
@@ -76,17 +81,7 @@ def _validate_kernel(model: MarketModel, family: tuple, grid: TimeGrid):
             raise ModularError(
                 f"family member {i} leaves the volatility null space "
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
-
-
-def density_logs(model: MarketModel, family: tuple,
-                 ensemble: PathEnsemble) -> np.ndarray:
-    """log Y^nu per (family member, path), discount included; one pass."""
-    grid = ensemble.grid
-    _validate_kernel(model, family, grid)
-    sums = {"R": ("time", integrand(grid, model.rate))}
-    for i, nu in enumerate(family):
-        regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
-        gamma = (regimes, mpr_table(model, regimes) + regimes.values(nu))
+        gamma = (regimes, mpr_table(model, regimes) + nu_v)
         sums.update({f"S{i}": ("ito", gamma), f"Q{i}": ("quad", gamma, gamma)})
     s = path_sums(ensemble, sums)
     return np.stack([-s["R"] - s[f"S{i}"] - 0.5 * s[f"Q{i}"]

@@ -17,7 +17,10 @@ value curves of the valuation module under common random numbers.  That is
 a stronger property than unbiasedness: central finite differences of the
 simulated curve converge to the formula estimate at the deterministic rate
 O(eps^2) with no Monte Carlo noise in the difference, which makes the
-formula-versus-difference verdicts sharp.
+formula-versus-difference verdicts sharp.  The differences read every
+step they are given: a Richardson tableau of central differences, coarse
+to fine, removes one more even power of the step per column
+(``fd_sensitivity``).
 
 Two classical pitfalls are packaged as reports: the drift example where
 the weak and strong sensitivities genuinely differ (an adapted price of
@@ -42,7 +45,8 @@ from portsens.market import (CoefficientError, MarketModel, constant,
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
-                                 surface_rows, surface_sums)
+                                check_experiment, surface_rows,
+                                surface_sums)
 
 
 def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
@@ -68,9 +72,9 @@ def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
     q11 for int r dt, int lambda^T dW and int |lambda|^2 dt; s2 and dq for
     int Dlambda^T dW and int lambda^T Dlambda dt; dr for int dr dt (rate
     directions only).  Log utility never reads s1, so it is left out there.
-    No name is one of ``surface_sums``.  The direction is checked before
-    any path is drawn."""
-    pert.validate_for(model)
+    No name is one of ``surface_sums``.  A rate direction under a custom
+    utility is refused here, the one rule that only the sensitivities
+    have; ``valuation.check_experiment`` admits the rest."""
     check_rate_direction(u, pert)
     lam, dlam = mpr_integrand(model, grid), _direction(model, pert, grid)
     sums = {"r": ("time", integrand(grid, model.rate)),
@@ -98,6 +102,7 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                      ensemble: PathEnsemble) -> tuple[ValueEstimate,
                                                       ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
+    check_experiment(model, u, pert, (), ensemble.grid)
     s = path_sums(ensemble, _sens_sums(model, u, pert, ensemble.grid))
     return _sens_estimates(model, u, pert, s)
 
@@ -148,7 +153,8 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
 
 # the difference steps of ``sens`` and the expansion steps of
 # ``secondorder`` unless --eps names others
-DEFAULT_STEPS = (0.2, 0.1, 0.05, 0.025)
+DIFFERENCE_STEPS = (0.05, 0.025)
+EXPANSION_STEPS = (0.2, 0.1, 0.05, 0.025)
 
 
 def check_steps(eps) -> tuple:
@@ -162,37 +168,40 @@ def check_steps(eps) -> tuple:
     return eps
 
 
-def fd_steps(eps) -> tuple[tuple, list]:
-    """The two finest difference steps, the only ones ``fd_sensitivity``
-    combines, and the tau grid +-h they read."""
-    eps = check_steps(eps)[:2]
-    return eps, sorted({s * e for e in eps for s in (1.0, -1.0)})
-
-
 def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
         -> tuple[tuple[ValueEstimate, float], tuple[ValueEstimate, float]]:
     """(weak, strong) central differences of the value curves,
-    Richardson-extrapolated, each with its extrapolation correction.
+    Richardson-extrapolated over every step, each with its extrapolation
+    correction.
 
     ``rows`` is a value surface on shared paths (common random numbers)
-    that holds the taus of ``fd_steps(eps)``; ``label`` names the
-    direction.  Each difference reuses the per-path influence vectors, and
-    the two finest steps combine to (4 d_h - d_2h) / 3.  The correction, the extrapolated
-    value minus the finest difference, bounds the residual O(h^2) bias of
-    the finest difference.
+    that holds +-h for every step h of ``eps``; ``label`` names the
+    direction.  With the steps ordered coarse to fine, h_0 > h_1 > ..., the
+    tableau starts from the central differences T_i0 at h_i and removes
+    one more even power of h per column:
+
+        T_ij = w T_i,j-1 + (1 - w) T_i-1,j-1,
+        w = h_{i-j}^2 / (h_{i-j}^2 - h_i^2).
+
+    Each entry combines the per-path influence vectors.  The estimate is
+    the top entry; its correction, the top entry minus the finest entry one
+    order below it, bounds the residual bias of that entry.
     """
-    # eliminate the h^2 error term from the two finest steps
-    (h1, h2), _ = fd_steps(eps)
-    w = h2 * h2 / (h2 * h2 - h1 * h1)
+    h = check_steps(eps)[::-1]
     out = []
     for side in ("weak", "strong"):
         by_tau = {r.tau: getattr(r, side) for r in rows}
-        fine, coarse = (combine_linear([by_tau[e], by_tau[-e]],
-                                       [0.5 / e, -0.5 / e], f"central[{e:g}]")
-                        for e in (h1, h2))
-        rich = combine_linear([fine, coarse], [w, 1.0 - w],
-                              f"richardson[{side},{label}]")
-        out.append((rich, rich.mean - fine.mean))
+        col = [combine_linear([by_tau[e], by_tau[-e]], [0.5 / e, -0.5 / e],
+                              f"central[{e:g}]") for e in h]
+        for j in range(1, len(h)):
+            below, col = col, []
+            for m in range(len(below) - 1):  # T_ij with i = m + j
+                coarse = h[m] * h[m]
+                w = coarse / (coarse - h[m + j] * h[m + j])
+                col.append(combine_linear([below[m + 1], below[m]],
+                                          [w, 1.0 - w],
+                                          f"richardson[{side},{label}]"))
+        out.append((col[0], col[0].mean - below[-1].mean))
     return tuple(out)
 
 
@@ -200,8 +209,9 @@ def _surface_and_sens_sums(model: MarketModel, u: ut.UtilitySpec,
                            pert: PerturbationSpec, taus,
                            ensemble: PathEnsemble) -> dict:
     """The sums of ``surface_sums`` over ``taus`` and of ``_sens_sums``,
-    from one path pass."""
+    from one path pass once the experiment is admitted."""
     grid = ensemble.grid
+    check_experiment(model, u, pert, taus, grid)
     return path_sums(ensemble, {**surface_sums(model, u, pert, taus, grid),
                                 **_sens_sums(model, u, pert, grid)})
 
@@ -228,10 +238,10 @@ class SensitivityReport:
 
 def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
-                        eps: tuple = DEFAULT_STEPS) \
+                        eps: tuple = DIFFERENCE_STEPS) \
         -> tuple[SensitivityReport, SensitivityReport]:
     """(weak, strong) closed-form sensitivities against the Richardson
-    differences, from one path pass.
+    differences over every step of ``eps``, from one path pass.
 
     The verdict tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
@@ -239,7 +249,8 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
     """
-    eps, taus = fd_steps(eps)
+    eps = check_steps(eps)
+    taus = sorted({s * e for e in eps for s in (1.0, -1.0)})
     s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
     formulas = _sens_estimates(model, u, pert, s)
     fds = fd_sensitivity(surface_rows(model, u, taus, s), eps, pert.label)
@@ -361,7 +372,7 @@ class SecondOrderReport:
 
 def second_order_check(model: MarketModel, u: ut.UtilitySpec,
                        pert: PerturbationSpec, ensemble: PathEnsemble,
-                       eps: tuple = DEFAULT_STEPS) -> SecondOrderReport:
+                       eps: tuple = EXPANSION_STEPS) -> SecondOrderReport:
     """Residual decay of the weak value curve at [0] + eps against the
     closed-form weak sensitivity, both from one path pass."""
     eps = check_steps(eps)

@@ -11,7 +11,8 @@ their solutions into estimates whose errors include the multiplier's.
 
 For power utility U(x) = p x^{1/p} everything is explicit, and
 ``optimal_terminal_wealth`` returns the optimal wealth samples that the
-``norms`` command reads:
+``norms`` command reads; ``cli.cmd_norms`` refuses every other utility and
+every market without a closed-form dual optimizer before its pass:
 
     X* = x0 Zhat^{-q} / E[Zhat^{1-q}],      q = p/(p-1),
     value = p x0^{1/p} E[Zhat^{1-q}]^{1/q}.
@@ -34,7 +35,6 @@ before drawing a path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,18 +51,6 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalWealth:
-    """Optimal terminal wealth samples with their pricing density."""
-
-    xstar: np.ndarray
-    z: np.ndarray  # pricing density per path, discount included
-
-    def __post_init__(self):
-        if np.any(self.xstar <= 0):
-            raise SolverError("optimal wealth must be strictly positive")
-
-
 def check_dual_optimizer(model: MarketModel, *directions) -> None:
     """Refuse a market whose minimal measure need not be the dual
     optimizer: an incomplete one (n > d) where the market or one of the
@@ -75,24 +63,20 @@ def check_dual_optimizer(model: MarketModel, *directions) -> None:
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
-                            logzhat: np.ndarray) -> OptimalWealth:
-    """Solve the static problem for power utility on pricing-density samples.
+                            logzhat: np.ndarray) -> np.ndarray:
+    """The optimal wealth X* per path for a power utility.
 
     ``logzhat`` holds log Zhat per path (discount included), e.g. the nu = 0
-    row of ``modular.density_logs``.  The market must be complete (n = d)
-    or have deterministic coefficients (``check_dual_optimizer``).  Log and
-    custom utilities are refused: ``valuation.value_surface`` values them
-    at tau = 0.
+    row of ``modular.density_logs``; the market must be complete (n = d)
+    or have deterministic coefficients (``check_dual_optimizer``).
     """
-    if u.kind != "power":
-        raise SolverError(f"optimal wealth needs a power utility, "
-                          f"got {u.label!r}")
-    check_dual_optimizer(model)
     logzhat = np.asarray(logzhat, dtype=float)
     q = u.q
     m0 = float(np.mean(np.exp((1.0 - q) * logzhat)))  # mean Zhat^{1-q}
-    return OptimalWealth(xstar=model.x0 * np.exp(-q * logzhat) / m0,
-                         z=np.exp(logzhat))
+    xstar = model.x0 * np.exp(-q * logzhat) / m0
+    if np.any(xstar <= 0):
+        raise SolverError("optimal wealth must be strictly positive")
+    return xstar
 
 
 def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,

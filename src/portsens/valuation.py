@@ -26,8 +26,11 @@ dominant variance contribution.
 
 The plug-in optimizer takes the minimal pricing measure as the dual
 optimizer, which holds in complete markets and for deterministic
-coefficients and directions.  ``surface_sums`` refuses every other market
-through ``solver.check_dual_optimizer``, the one test of that rule.
+coefficients and directions; ``solver.check_dual_optimizer`` is the one
+test of that rule.  ``check_experiment`` is the one admission check of
+every value and sensitivity experiment, with that test among its rules:
+``value_surface``, ``sensitivity.sensitivity_pair`` and the fused pass of
+``sens`` and ``secondorder`` each run it once before drawing a path.
 """
 
 from __future__ import annotations
@@ -122,33 +125,40 @@ class SurfaceRow:
     weight_mean: float
 
 
-def _refuse_kernel_break(model: MarketModel, pert: PerturbationSpec,
-                         taus, grid: TimeGrid) -> None:
-    """Reject volatility directions that move the null space at some tau,
-    in any regime the paths can reach."""
-    if pert.dsigma is None:
-        return
-    taus = sorted(set(taus) - {0.0})
-    regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
-                                          grid)
-    for tau, rep in zip(taus, reports):
-        if not rep.ok:
-            raise KernelStabilityError(
-                f"volatility direction breaks kernel stability at tau={tau:g} "
-                f"(full rank: {rep.full_rank}, kernel preserved: "
-                f"{rep.kernel_equal}) on {regimes.describe(rep.worst_regime)}")
+def check_experiment(model: MarketModel, u: ut.UtilitySpec,
+                     pert: PerturbationSpec, taus, grid: TimeGrid) -> None:
+    """Admit a value or sensitivity experiment before any path is drawn:
+    the directions must fit the market, the market must have a plug-in
+    optimizer (``solver.check_dual_optimizer``), a volatility direction
+    must keep the null space at every nonzero tau in every regime the paths
+    can reach, and a custom utility must be tabulated at x0, the
+    multiplier search's first point."""
+    pert.validate_for(model)
+    check_dual_optimizer(model, *pert.directions)
+    if pert.dsigma is not None:
+        moved = sorted(set(taus) - {0.0})
+        regimes, reports = check_h1_direction(model.sigma, pert.dsigma,
+                                              moved, grid)
+        for tau, rep in zip(moved, reports):
+            if not rep.ok:
+                raise KernelStabilityError(
+                    f"volatility direction breaks kernel stability at "
+                    f"tau={tau:g} (full rank: {rep.full_rank}, kernel "
+                    f"preserved: {rep.kernel_equal}) on "
+                    f"{regimes.describe(rep.worst_regime)}")
+    if u.kind == "custom":
+        try:
+            ut.derivative(u, model.x0)
+        except ValueError as exc:
+            raise CoefficientError(f"x0 = {model.x0:g}: {exc}") from None
 
 
 def surface_sums(model: MarketModel, u: ut.UtilitySpec,
                  pert: PerturbationSpec, taus, grid: TimeGrid) -> dict:
     """The ``path_sums`` requests of the value surface over ``taus``, named
-    R, Q, S, G, GG and X with the tau's position appended, once the
-    perturbation is validated and refused where the market has no plug-in
-    optimizer or the volatility direction breaks the kernel.  The log
-    estimators read neither S nor X, so log utility requests neither."""
-    pert.validate_for(model)
-    check_dual_optimizer(model, *pert.directions)
-    _refuse_kernel_break(model, pert, taus, grid)
+    R, Q, S, G, GG and X with the tau's position appended, for an
+    experiment that ``check_experiment`` admitted.  The log estimators read
+    neither S nor X, so log utility requests neither."""
     regimes = pert.regimes(model, grid)
     rates = RegimeTable(grid, model.rate, pert.drate)
     lam0 = mpr_table(model, regimes)
@@ -237,6 +247,7 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
                   ensemble: PathEnsemble) -> list[SurfaceRow]:
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
+    check_experiment(model, u, pert, taus, ensemble.grid)
     s = path_sums(ensemble,
                   surface_sums(model, u, pert, taus, ensemble.grid))
     return surface_rows(model, u, taus, s)

@@ -34,5 +34,20 @@ def switch_model():
 
 
 @pytest.fixture
+def generated(monkeypatch):
+    """Path count of every increment block generated during the test."""
+    counts = []
+    increments = PathEnsemble.increments
+
+    def counted(self, start=0, stop=None, out=None):
+        dW = increments(self, start, stop, out)
+        counts.append(dW.shape[0])
+        return dW
+
+    monkeypatch.setattr(PathEnsemble, "increments", counted)
+    return counts
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -174,10 +174,10 @@ def test_criterion_7_solver_closed_form(capsys):
     row, = value_surface(model, u, PerturbationSpec(dmu=constant([0.0])),
                          [0.0], ens)
     logz = density_logs(model, (constant([0.0]),), ens)[0]
-    opt = optimal_terminal_wealth(model, u, logz)
+    xstar = optimal_terminal_wealth(model, u, logz)
     expected = 2.0 * math.exp(0.5)
     v_sigmas = abs(row.strong.mean - expected) / row.strong.se
-    priced = opt.z * opt.xstar
+    priced = np.exp(logz) * xstar
     budget_se = float(np.std(priced, ddof=1) / math.sqrt(priced.size))
     b_sigmas = abs(float(np.mean(priced)) - model.x0) / budget_se
     verdict(capsys, 7, "optimal wealth value and budget",
@@ -250,13 +250,13 @@ def test_criterion_9_modular_norms(capsys):
               constant([0.0, -0.5]))
     ens = PathEnsemble(TimeGrid(1.0, 64), n=2, count=40_000, seed=1007)
     logs = density_logs(model, family, ens)
-    opt = optimal_terminal_wealth(model, u, logs[0])
-    payoff = np.asarray(ut.evaluate(u, opt.xstar))
+    xstar, z = optimal_terminal_wealth(model, u, logs[0]), np.exp(logs[0])
+    payoff = np.asarray(ut.evaluate(u, xstar))
 
-    ni, nj = norm_I(opt.z, u.p, logs), norm_J(opt.xstar, u.p, logs)
-    homog = (abs(norm_I(3.0 * opt.z, u.p, logs) - 3.0 * ni)
+    ni, nj = norm_I(z, u.p, logs), norm_J(xstar, u.p, logs)
+    homog = (abs(norm_I(3.0 * z, u.p, logs) - 3.0 * ni)
              <= 1e-12 * ni
-             and abs(norm_J(3.0 * opt.xstar, u.p, logs) - 3.0 * nj)
+             and abs(norm_J(3.0 * xstar, u.p, logs) - 3.0 * nj)
              <= 1e-12 * nj)
 
     rng = np.random.default_rng(1009)

@@ -254,3 +254,26 @@ def test_every_default_is_left_to_some_call():
     # test leaves saves that test from spelling it out
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert defaults_every_call_sets(_sources(), _sources() + tests) == []
+
+
+def unused_imports(files) -> list:
+    """"file: name" of every name an import binds in ``files`` that the
+    same file never reads; ``from __future__`` imports bind nothing."""
+    out = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {a.asname or a.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        out += [f"{path.relative_to(ROOT)}: {name}"
+                for name in sorted(bound - read)]
+    return out
+
+
+def test_every_import_is_read():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert unused_imports(_sources() + tests) == []

@@ -16,7 +16,7 @@ from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           SURFACE_HEADER, main)
 from portsens.modular import luxemburg_norm
-from portsens.paths import PathEnsemble, path_sums
+from portsens.paths import path_sums
 
 
 def read_rows(path):
@@ -208,21 +208,6 @@ def test_norms_refuses_utilities_with_negative_values(shift, tmp_path,
     assert "only where U >= 0, and in closed form only for power" in err
 
 
-@pytest.fixture
-def generated(monkeypatch):
-    """Path count of every increment block generated during the test."""
-    counts = []
-    increments = PathEnsemble.increments
-
-    def counted(self, start=0, stop=None, out=None):
-        dW = increments(self, start, stop, out)
-        counts.append(dW.shape[0])
-        return dW
-
-    monkeypatch.setattr(PathEnsemble, "increments", counted)
-    return counts
-
-
 def test_norms_makes_one_path_pass(tmp_path, generated):
     # one pass yields the density samples; the zero member's row solves for
     # the optimal wealth, and every functional, norm and pairing reads them
@@ -275,12 +260,11 @@ def test_example2_makes_one_path_pass(tmp_path, generated):
 
 
 def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
-    # the Richardson difference reads +-h of the two finest steps only:
-    # 4 taus of 6 surface sums and the 6 sensitivity sums (the rate
-    # direction's included), where all four default steps would make 8
-    # taus and 54 requests; log utility reads neither int lambda^T dW nor
+    # the Richardson tableau reads +-h of every step: the two default steps
+    # make 4 taus of 6 surface sums and the 6 sensitivity sums (the rate
+    # direction's included); log utility reads neither int lambda^T dW nor
     # the tilt cross term, so example1.ini makes 4 taus of 4 and 4
-    # sensitivity sums
+    # sensitivity sums.  Three steps make 6 taus, all of them read.
     requests = []
 
     def counted(ensemble, sums):
@@ -288,12 +272,24 @@ def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
         return path_sums(ensemble, sums)
 
     monkeypatch.setattr(sensitivity, "path_sums", counted)
-    for i, config in enumerate(("configs/deterministic2d.ini",
-                                "configs/example1.ini")):
+    runs = (("configs/deterministic2d.ini", []),
+            ("configs/example1.ini", []),
+            ("configs/deterministic2d.ini", ["--eps=0.05,0.025"]),
+            ("configs/deterministic2d.ini", ["--eps=0.1,0.05,0.025"]))
+    for i, (config, eps) in enumerate(runs):
         code = main(["sens", "--config", config, "--paths", "500",
-                     "--steps", "16", "--out", str(tmp_path / f"s{i}")])
+                     "--steps", "16", "--out", str(tmp_path / f"s{i}")]
+                    + eps)
         assert code == 0
-    assert requests == [30, 20]
+    assert requests == [30, 20, 30, 42]
+    # the default is the two steps it names
+    assert (tmp_path / "s2" / "sens.csv").read_bytes() \
+        == (tmp_path / "s0" / "sens.csv").read_bytes()
+    summary = (tmp_path / "s3" / "sens_summary.txt").read_text()
+    assert "difference steps: 0.025, 0.05, 0.1;" in summary
+    for rec in read_records(tmp_path / "s3" / "sens.csv"):
+        assert float(rec["gap"]) <= float(rec["tolerance"])
+        assert rec["verdict"] == "true"
 
 
 def test_secondorder_makes_one_path_pass(tmp_path, generated):

@@ -55,7 +55,7 @@ def test_kernel_violation_rejected(mod_model, mod_ens):
 
 
 def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, logs3, opt3):
-    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    z = np.asarray(evaluate(power_utility(3.0), opt3))
     # single zero member: J inverts the utility and reprices the budget,
     # which the multiplier bisection pinned at x0 on these very samples
     j0 = j_functional(z, 3.0, density_logs(mod_model, ZERO, mod_ens))
@@ -69,7 +69,7 @@ def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, logs3, opt3):
     # = (z / p)^p is the optimal wealth itself
     member = int(j.estimator[len("j[nu="):-1])
     wealth = (np.abs(z) / 3.0) ** 3.0
-    assert wealth == pytest.approx(opt3.xstar, rel=1e-12)
+    assert wealth == pytest.approx(opt3, rel=1e-12)
     assert j.mean == float(np.mean(np.exp(logs3[member]) * wealth))
 
 
@@ -77,7 +77,7 @@ def test_luxemburg_closed_form(logs3, opt3):
     # J(k U(X*)) = k^p x0 for power utility, so the Luxemburg norm of the
     # optimal payoff is exactly the p-th root of the replicated budget
     F = j_evaluator(3.0, logs3)
-    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    z = np.asarray(evaluate(power_utility(3.0), opt3))
     budget = F(z)
     lux = luxemburg_norm(F, z)
     assert lux == pytest.approx(budget ** (1.0 / 3.0), rel=1e-9)
@@ -89,8 +89,8 @@ def test_amemiya_closed_form(mod_model, mod_ens):
         u = power_utility(p)
         q = p / (p - 1.0)
         logs = density_logs(mod_model, ZERO, mod_ens)
-        opt = optimal_terminal_wealth(mod_model, u, logs[0])
-        z = np.asarray(evaluate(u, opt.xstar))
+        xstar = optimal_terminal_wealth(mod_model, u, logs[0])
+        z = np.asarray(evaluate(u, xstar))
         F = j_evaluator(p, logs)
         budget = F(z)
         am = amemiya_norm(F, z)
@@ -109,7 +109,7 @@ def test_norms_match_lognormal_moments(logs3, opt3):
     zhat = np.exp(logs3[0])
     # E[Zhat] = 1 and E[Zhat X*^3] = exp(0.2025) for lambda = 0.3, T = 1
     assert norm_I(zhat, 3.0, logs3) == pytest.approx(1.0, abs=0.02)
-    assert norm_J(opt3.xstar, 3.0, logs3) \
+    assert norm_J(opt3, 3.0, logs3) \
         == pytest.approx(1.2244600851219147, abs=0.02)
 
 
@@ -211,7 +211,7 @@ def test_luxemburg_bracket_evaluates_each_scale_once(scale, logs3, opt3):
     # scales above 1 double the bracket from 1, scales below halve it; the
     # bracket and so the bisection and its result are the reference's
     F = j_evaluator(3.0, logs3)
-    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    z = np.asarray(evaluate(power_utility(3.0), opt3))
     seen = []
 
     def G(v):
@@ -291,8 +291,8 @@ def test_amemiya_walk_matches_the_full_scan(scale, mod_model, mod_ens,
     # so the walk runs in both directions
     logs2 = density_logs(mod_model, ZERO, mod_ens)
     z2 = np.asarray(evaluate(power_utility(2.0), optimal_terminal_wealth(
-        mod_model, power_utility(2.0), logs2[0]).xstar))
-    z3 = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+        mod_model, power_utility(2.0), logs2[0])))
+    z3 = np.asarray(evaluate(power_utility(3.0), opt3))
     for F, z in ((j_evaluator(3.0, logs3), z3),
                  (j_evaluator(3.0, logs3), rng.lognormal(size=mod_ens.count)),
                  (j_evaluator(2.0, logs2), z2)):
@@ -312,7 +312,7 @@ def test_amemiya_walk_evaluates_few_grid_points(logs3, opt3):
         calls.append(1)
         return F(v)
 
-    z = np.asarray(evaluate(power_utility(3.0), opt3.xstar))
+    z = np.asarray(evaluate(power_utility(3.0), opt3))
     am = amemiya_norm(counted, z)
     assert len(calls) <= 70
     assert am == scanned_amemiya(F, z)

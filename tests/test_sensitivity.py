@@ -1,6 +1,5 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
-import importlib.util
 import os
 import pathlib
 import re
@@ -11,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from portsens.estimate import difference_se
+from portsens.estimate import ValueEstimate, difference_se, mean_estimate
 from portsens.market import CoefficientError, constant, dlambda_direction
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (SecondOrderReport, _example1_model,
@@ -20,7 +19,7 @@ from portsens.sensitivity import (SecondOrderReport, _example1_model,
                                   second_order_check, sensitivity_pair,
                                   sensitivity_reports)
 from portsens.utility import custom_utility, log_utility, power_utility
-from portsens.valuation import PerturbationSpec, value_surface
+from portsens.valuation import PerturbationSpec, SurfaceRow, value_surface
 
 DMU2 = constant([0.04, 0.02])
 DRATE = constant([0.01])
@@ -130,6 +129,25 @@ def test_fd_correction_vanishes_on_quadratic_curve(det2d_model, det_ens):
     assert abs(correction) < 1e-12
     with pytest.raises(ValueError):
         fd_sensitivity(rows, (0.1,), pert.label)
+
+
+def test_richardson_tableau_reads_every_step():
+    # u(tau) = 1 + 0.7 tau + 0.3 tau^2 + 2 tau^3 + 5 tau^4 + 9 tau^5 + 4 tau^6
+    # with one noise vector shared by every tau: the central difference at
+    # h is 0.7 + 2 h^2 + 9 h^4, so three steps remove both error terms,
+    # where the two finest alone leave -2.25e-4
+    coeffs = (1.0, 0.7, 0.3, 2.0, 5.0, 9.0, 4.0)
+    noise = np.random.default_rng(7).normal(size=1000)
+    rows = []
+    for tau in (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2):
+        value = sum(c * tau ** k for k, c in enumerate(coeffs))
+        est = mean_estimate(value + noise, f"u[{tau:g}]")
+        rows.append(SurfaceRow(tau=tau, weak=est, strong=est,
+                               weight_mean=1.0))
+    (weak, _), (strong, _) = fd_sensitivity(rows, (0.2, 0.1, 0.05), "poly")
+    assert abs(weak.mean - 0.7) < 1e-12 and abs(strong.mean - 0.7) < 1e-12
+    (two, _), _ = fd_sensitivity(rows, (0.1, 0.05), "poly")
+    assert two.mean - 0.7 == pytest.approx(-2.25e-4, rel=1e-6)
 
 
 def test_custom_utility_rate_direction_refused(det2d_model, det_ens):
@@ -270,11 +288,26 @@ def test_sensitivity_demo_prints_the_gap():
 
 
 def test_sensitivity_demo_fails_a_gap_beyond_three_se():
-    spec = importlib.util.spec_from_file_location("sensitivity_demo", DEMO)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    # the demo decides with gap.sigmas <= 3 on the estimate it prints;
+    # at se = 0 only a zero gap agrees
     for gap, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
                         (0.31, 0.1, False), (-0.31, 0.1, False),
                         (1e-3, 0.0, False), (0.0, 0.0, True)):
-        got, line = demo.agreement(gap, se)
-        assert got == ok and line.startswith("FAIL") != ok
+        est = ValueEstimate(mean=gap, se=se, estimator="weak-minus-strong",
+                            influence=np.zeros(2))
+        assert (est.sigmas <= 3.0) == ok
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--paths", "1"), ("--steps", "0"), ("--seed", "-1")])
+def test_sensitivity_demo_bad_flag_is_a_usage_error(flag, value):
+    # the commands' own argparse types: refused while parsing, so nothing
+    # is printed and no path is drawn
+    proc = subprocess.run(
+        [sys.executable, str(DEMO), "--paths", "200", "--steps", "8",
+         flag, value],
+        env=dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"argument {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr

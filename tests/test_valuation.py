@@ -11,6 +11,7 @@ from portsens.estimate import difference_se
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator)
 from portsens.paths import PathEnsemble, TimeGrid
+from portsens.sensitivity import sensitivity_pair
 from portsens.solver import SolverError
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
@@ -156,12 +157,32 @@ def test_kernel_breaking_volatility_refused(ens1d):
     assert rows[1].strong.mean < rows[0].strong.mean  # lambda shrinks
 
 
-def test_incomplete_adapted_market_refused(ens1d):
+def test_incomplete_adapted_market_refused(ens1d, generated):
+    # one admission check before every pass: the closed-form
+    # sensitivities refuse what the value surface refuses, and neither
+    # draws a path first
     model = MarketModel(d=1, n=2, mu=indicator(0, 0.0, [0.0], [0.5]),
                         sigma=constant([[1.0, 0.0]]))
     pert = PerturbationSpec(dmu=constant([0.1]))
     with pytest.raises(SolverError, match="incomplete"):
         value_surface(model, log_utility(), pert, [0.0, 0.1], ens1d)
+    with pytest.raises(SolverError, match="incomplete"):
+        sensitivity_pair(model, power_utility(3.0), pert, ens1d)
+    assert sum(generated) == 0
+
+
+def test_custom_table_x0_refused_before_the_pass(generated):
+    # the multiplier search starts at U'(x0), so the table must hold x0
+    x = np.linspace(1e-6, 60.0, 500)
+    model = MarketModel(d=1, n=1, mu=constant([0.1]),
+                        sigma=constant([[0.2]]), x0=100.0)
+    ens = PathEnsemble(TimeGrid(1.0, 16), n=1, count=200, seed=1)
+    with pytest.raises(CoefficientError,
+                       match=r"x0 = 100: x outside the table range"):
+        value_surface(model, custom_utility(x, 2.0 * np.sqrt(x)),
+                      PerturbationSpec(dmu=constant([0.01])), [0.0, 0.1],
+                      ens)
+    assert sum(generated) == 0
 
 
 def test_surface_csv_round_trip(tmp_path, switch_model):
