@@ -3,7 +3,9 @@
 Commands
 --------
 value        weak and strong value surface over a tau grid
-sens         closed-form sensitivities against Richardson differences
+sens         closed-form sensitivities against Richardson differences, and
+             weak against strong where market and direction are
+             deterministic
 example1     sign-switching market, unit drift direction: weak vs strong
 example2     discrepancy functional: deterministic vs adapted price of risk
 h1check      kernel stability of a volatility perturbation
@@ -39,8 +41,10 @@ import sys
 import numpy as np
 
 from . import utility as ut
+from .estimate import combine_linear
 from .market import (CoefficientError, MarketModel, check_drivers,
-                     check_h1_direction, constant, parse_coefficient)
+                     check_h1_direction, constant, deterministic,
+                     parse_coefficient)
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid, check_seed
@@ -328,8 +332,18 @@ def cmd_sens(args) -> _Result:
              "tolerance = 3 se of the paired contrast plus the "
              "extrapolation correction"]
     lines += ["  " + rep.line() for rep in reports]
-    return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines,
-                   all(rep.verdict for rep in reports))
+    passed = all(rep.verdict for rep in reports)
+    # deterministic coefficients and directions make the two derivatives
+    # equal, so their paired difference must be Monte Carlo noise
+    if deterministic(model.mu, model.sigma, model.rate, *pert.directions):
+        gap = combine_linear([rep.formula for rep in reports], [1.0, -1.0],
+                             f"weak-minus-strong[{pert.label}]")
+        gap_ok = gap.sigmas <= 3.0
+        lines.append(f"  weak - strong = {gap.mean:.6g} (se {gap.se:.2g}, "
+                     f"{gap.sigmas:.2f} sigma); deterministic market and "
+                     f"direction, so within 3 sigma of 0: {_ok(gap_ok)}")
+        passed = passed and gap_ok
+    return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines, passed)
 
 
 EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",

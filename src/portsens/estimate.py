@@ -98,7 +98,3 @@ def combine_linear(estimates: list[ValueEstimate], coeffs: list[float],
     return ValueEstimate(mean=mean, se=_se_of(infl), estimator=estimator,
                          influence=infl)
 
-
-def difference_se(a: ValueEstimate, b: ValueEstimate) -> float:
-    """Standard error of a.mean - b.mean under common random numbers."""
-    return _se_of(a.influence - b.influence)

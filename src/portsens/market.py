@@ -131,6 +131,14 @@ def indicator(driver: int, threshold: float, low, high) -> CoefficientProcess:
                               driver=driver, threshold=float(threshold))
 
 
+def deterministic(*procs: CoefficientProcess | None) -> bool:
+    """Whether every coefficient given is deterministic, None standing for
+    an absent direction.  A market and directions that all are make the
+    minimal measure the dual optimizer and the weak and strong
+    sensitivities equal."""
+    return all(p is None or p.is_deterministic for p in procs)
+
+
 def check_drivers(n: int, *procs: CoefficientProcess | None) -> None:
     """Refuse an indicator on a Brownian coordinate outside 0 .. n-1."""
     for p in procs:
@@ -322,7 +330,8 @@ class RegimeTable:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """d risky assets driven by an n-dimensional Brownian motion, n >= d."""
+    """d risky assets driven by an n-dimensional Brownian motion,
+    1 <= d <= n."""
 
     d: int
     n: int
@@ -332,8 +341,8 @@ class MarketModel:
     x0: float = 1.0
 
     def __post_init__(self):
-        if self.n < self.d:
-            raise ValueError("need n >= d")
+        if not 1 <= self.d <= self.n:
+            raise ValueError("need 1 <= d <= n")
         if not 0 < self.x0 < math.inf:
             raise ValueError("initial wealth must be positive and finite")
         if self.mu.shape != (self.d,):
@@ -346,8 +355,7 @@ class MarketModel:
 
     @property
     def is_deterministic(self) -> bool:
-        return (self.mu.is_deterministic and self.sigma.is_deterministic
-                and self.rate.is_deterministic)
+        return deterministic(self.mu, self.sigma, self.rate)
 
 
 def _gram_cond(S: np.ndarray) -> np.ndarray:
@@ -477,35 +485,48 @@ def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
 
     Kernel equality is decided by comparing the numerical rank of the
     stacked (2d, n) matrix with the individual ranks, in every regime the
-    paths can reach.
+    paths can reach.  Given no tau, one report holds for every small
+    tau != 0: full rank and ker sigma in ker dsigma, the half of kernel
+    equality that is the same at every tau != 0.  The other half, rank
+    (sigma + tau dsigma) = rank sigma, follows for small tau from full rank.
     """
     if sigma.shape != dsigma.shape:
         raise CoefficientError("volatility shapes differ")
     regimes = RegimeTable(grid, sigma, dsigma)
     base, step = regimes.values(sigma), regimes.values(dsigma)
-    return regimes, [h1_from_values(base, base + tau * step, sigma.shape[0])
+    d = sigma.shape[0]
+    if not taus:
+        rank_base, _, kept = _ranks(base, step)
+        return regimes, [_report(rank_base == d, kept)]
+    return regimes, [h1_from_values(base, base + tau * step, d)
                      for tau in taus]
+
+
+def _ranks(base_v: np.ndarray, other_v: np.ndarray) -> tuple:
+    """(rank of base, rank of other, whether stacking other under base
+    keeps the rank of base), one (d, n) matrix per row."""
+    base_v, other_v = np.broadcast_arrays(base_v, other_v)
+    s_base = np.linalg.svd(base_v, compute_uv=False)
+    s_other = np.linalg.svd(other_v, compute_uv=False)
+    stacked = np.concatenate((base_v, other_v), axis=-2)
+    s_stack = np.linalg.svd(stacked, compute_uv=False)
+
+    rank_base = _numerical_rank(s_base)
+    # stacked spectrum is compared against the base scale so that a rank-
+    # deficient pair cannot hide behind its own tiny leading singular value
+    cut = _RANK_TOL * s_base[..., :1]
+    kept = np.sum(s_stack > cut, axis=-1) == rank_base
+    return rank_base, _numerical_rank(s_other), kept
+
+
+def _report(full: np.ndarray, equal: np.ndarray) -> H1Report:
+    return H1Report(full_rank=bool(np.all(full)),
+                    kernel_equal=bool(np.all(equal)),
+                    worst_regime=int(np.argmax(np.ravel(~(full & equal)))))
 
 
 def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray,
                    d: int) -> H1Report:
     """Same check on volatility values, one (d, n) matrix per row."""
-    base_v, pert_v = np.broadcast_arrays(base_v, pert_v)
-
-    s_base = np.linalg.svd(base_v, compute_uv=False)
-    s_pert = np.linalg.svd(pert_v, compute_uv=False)
-    stacked = np.concatenate((base_v, pert_v), axis=-2)
-    s_stack = np.linalg.svd(stacked, compute_uv=False)
-
-    rank_base = _numerical_rank(s_base)
-    rank_pert = _numerical_rank(s_pert)
-    # stacked spectrum is compared against the base scale so that a rank-
-    # deficient pair cannot hide behind its own tiny leading singular value
-    cut = _RANK_TOL * s_base[..., :1]
-    rank_stack = np.sum(s_stack > cut, axis=-1)
-
-    full = rank_base == d
-    equal = (rank_stack == rank_base) & (rank_pert == rank_base)
-    return H1Report(full_rank=bool(np.all(full)),
-                    kernel_equal=bool(np.all(equal)),
-                    worst_regime=int(np.argmax(np.ravel(~(full & equal)))))
+    rank_base, rank_pert, kept = _ranks(base_v, pert_v)
+    return _report(rank_base == d, kept & (rank_pert == rank_base))

@@ -38,7 +38,7 @@ import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
-                               difference_se, mean_estimate)
+                               mean_estimate)
 from portsens.market import (CoefficientError, MarketModel, constant,
                              dlambda_direction, indicator, integrand,
                              mpr_integrand)
@@ -168,17 +168,18 @@ def check_steps(eps) -> tuple:
     return eps
 
 
-def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
+def fd_sensitivity(rows: list[SurfaceRow], h, label: str) \
         -> tuple[tuple[ValueEstimate, float], tuple[ValueEstimate, float]]:
     """(weak, strong) central differences of the value curves,
     Richardson-extrapolated over every step, each with its extrapolation
     correction.
 
     ``rows`` is a value surface on shared paths (common random numbers)
-    that holds +-h for every step h of ``eps``; ``label`` names the
-    direction.  With the steps ordered coarse to fine, h_0 > h_1 > ..., the
-    tableau starts from the central differences T_i0 at h_i and removes
-    one more even power of h per column:
+    that holds +-h_i for every step h_i of ``h``; ``label`` names the
+    direction.  ``h`` holds steps that ``check_steps`` admitted, ordered
+    coarse to fine, h_0 > h_1 > ....  The tableau starts from the central
+    differences T_i0 at h_i and removes one more even power of h per
+    column:
 
         T_ij = w T_i,j-1 + (1 - w) T_i-1,j-1,
         w = h_{i-j}^2 / (h_{i-j}^2 - h_i^2).
@@ -187,7 +188,6 @@ def fd_sensitivity(rows: list[SurfaceRow], eps, label: str) \
     the top entry; its correction, the top entry minus the finest entry one
     order below it, bounds the residual bias of that entry.
     """
-    h = check_steps(eps)[::-1]
     out = []
     for side in ("weak", "strong"):
         by_tau = {r.tau: getattr(r, side) for r in rows}
@@ -253,12 +253,14 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     taus = sorted({s * e for e in eps for s in (1.0, -1.0)})
     s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
     formulas = _sens_estimates(model, u, pert, s)
-    fds = fd_sensitivity(surface_rows(model, u, taus, s), eps, pert.label)
+    fds = fd_sensitivity(surface_rows(model, u, taus, s), eps[::-1],
+                         pert.label)
     reports = []
     for side, formula, (fd, correction) in zip(("weak", "strong"), formulas,
                                                fds):
         gap = abs(formula.mean - fd.mean)
-        tol = (3.0 * difference_se(formula, fd) + abs(correction)
+        contrast = combine_linear([formula, fd], [1.0, -1.0], "contrast")
+        tol = (3.0 * contrast.se + abs(correction)
                + 1e-11 * (1.0 + abs(formula.mean)))
         reports.append(SensitivityReport(
             direction=pert.label, side=side, formula=formula, fd=fd,

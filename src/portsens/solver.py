@@ -40,7 +40,8 @@ import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate
-from portsens.market import MarketModel, RegimeTable, mpr_table
+from portsens.market import (MarketModel, RegimeTable, deterministic,
+                             mpr_table)
 from portsens.paths import TimeGrid
 
 _REL_TOL = 1e-12  # relative bracket width at which the search stops
@@ -56,8 +57,8 @@ def check_dual_optimizer(model: MarketModel, *directions) -> None:
     optimizer: an incomplete one (n > d) where the market or one of the
     coefficient ``directions`` given (None for an absent one) is
     stochastic."""
-    if not (model.n == model.d or model.is_deterministic and all(
-            p is None or p.is_deterministic for p in directions)):
+    if not (model.n == model.d or deterministic(
+            model.mu, model.sigma, model.rate, *directions)):
         raise SolverError("incomplete market with stochastic coefficients: "
                           "no closed-form dual optimizer")
 

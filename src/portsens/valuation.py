@@ -130,20 +130,22 @@ def check_experiment(model: MarketModel, u: ut.UtilitySpec,
     """Admit a value or sensitivity experiment before any path is drawn:
     the directions must fit the market, the market must have a plug-in
     optimizer (``solver.check_dual_optimizer``), a volatility direction
-    must keep the null space at every nonzero tau in every regime the paths
-    can reach, and a custom utility must be tabulated at x0, the
-    multiplier search's first point."""
+    must keep the null space in every regime the paths can reach, at every
+    nonzero tau of ``taus`` or, if there is none, as for the formulas
+    alone, at every small tau, and a custom utility must be tabulated at
+    x0, the multiplier search's first point."""
     pert.validate_for(model)
     check_dual_optimizer(model, *pert.directions)
     if pert.dsigma is not None:
         moved = sorted(set(taus) - {0.0})
         regimes, reports = check_h1_direction(model.sigma, pert.dsigma,
                                               moved, grid)
-        for tau, rep in zip(moved, reports):
+        for where, rep in zip([f"tau={t:g}" for t in moved] or ["small tau"],
+                              reports):
             if not rep.ok:
                 raise KernelStabilityError(
                     f"volatility direction breaks kernel stability at "
-                    f"tau={tau:g} (full rank: {rep.full_rank}, kernel "
+                    f"{where} (full rank: {rep.full_rank}, kernel "
                     f"preserved: {rep.kernel_equal}) on "
                     f"{regimes.describe(rep.worst_regime)}")
     if u.kind == "custom":

@@ -14,7 +14,7 @@ from portsens import utility as ut
 from portsens.cli import main
 from portsens.danskin import (CompactSet, directional_derivative,
                               hadamard_probe, support_value)
-from portsens.estimate import difference_se
+from portsens.estimate import combine_linear
 from portsens.market import (MarketModel, check_h1_direction, constant,
                              dlambda_direction, indicator)
 from portsens.modular import (amemiya_norm, density_logs, holder_check,
@@ -81,9 +81,8 @@ def test_criterion_3_deterministic_coincidence(det2d, ens2d, capsys):
                          [0.0, 0.1, 0.2], ens2d)
     worst = 0.0
     for row in rows:
-        se = difference_se(row.weak, row.strong)
-        gap = abs(row.weak.mean - row.strong.mean)
-        worst = max(worst, gap / se if se > 0 else 0.0)
+        gap = combine_linear([row.weak, row.strong], [1.0, -1.0], "gap")
+        worst = max(worst, gap.sigmas)
     verdict(capsys, 3, "weak equals strong for deterministic coefficients",
             worst <= 3.0,
             f"largest |u_w - u_s| over taus {{0, 0.1, 0.2}} is "

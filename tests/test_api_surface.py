@@ -277,3 +277,26 @@ def unused_imports(files) -> list:
 def test_every_import_is_read():
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert unused_imports(_sources() + tests) == []
+
+
+def private_imports(files) -> list:
+    """"file: module.name" of every underscore name that ``files`` import
+    from another portsens module, relatively or by package name."""
+    out = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if not (node.level or module.split(".")[0] == "portsens"):
+                continue
+            out += [f"{path.relative_to(ROOT)}: {module}.{a.name}"
+                    for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_no_private_name_is_imported_across_modules():
+    # commands and scripts reach each other through public names only, so
+    # a private helper can change without breaking a caller elsewhere
+    assert private_imports(_sources()) == []

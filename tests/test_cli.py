@@ -1,6 +1,7 @@
 """End-to-end command tests: artifacts, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -63,6 +64,58 @@ def test_sens_command(tmp_path):
     assert rows[0] == SENS_HEADER
     assert [r[1] for r in rows[1:]] == ["weak", "strong"]
     assert all(r[8] == "true" for r in rows[1:])
+
+
+def contrast_lines(summary):
+    return [line for line in summary.splitlines()
+            if line.startswith("  weak - strong = ")]
+
+
+def test_sens_contrasts_weak_and_strong_where_deterministic(tmp_path,
+                                                           capsys):
+    # a deterministic market and direction make the two derivatives equal:
+    # sens states their paired difference, 2.35 se from zero here, and
+    # passes it within 3; the adapted example1.ini market states none
+    assert main(["sens", "--config", "configs/deterministic2d.ini",
+                 "--paths", "2000", "--steps", "16",
+                 "--out", str(tmp_path / "det")]) == 0
+    (line,) = contrast_lines(capsys.readouterr().out)
+    assert "2.35 sigma" in line and line.endswith(": ok")
+    assert main(["sens", "--config", "configs/example1.ini", "--paths",
+                 "500", "--steps", "16", "--out", str(tmp_path / "ad")]) == 0
+    assert contrast_lines(capsys.readouterr().out) == []
+
+
+def test_sens_fails_a_weak_strong_gap_beyond_three_se(tmp_path, capsys,
+                                                      monkeypatch):
+    # weak sits 2.35 se below strong on these paths; the strong formula
+    # moved up by 4 of its standard errors, with its difference moved
+    # alike so that each side still matches, puts the gap 4.5 se below
+    # zero: every sens.csv verdict holds and the contrast alone fails
+    formulas, fds, shift = sensitivity._sens_estimates, \
+        sensitivity.fd_sensitivity, []
+
+    def moved(est):
+        return dataclasses.replace(est, mean=est.mean + shift[0])
+
+    def shifted_formulas(*args):
+        weak, strong = formulas(*args)
+        shift.append(4.0 * strong.se)
+        return weak, moved(strong)
+
+    def shifted_fds(*args):
+        weak, (strong, correction) = fds(*args)
+        return weak, (moved(strong), correction)
+
+    monkeypatch.setattr(sensitivity, "_sens_estimates", shifted_formulas)
+    monkeypatch.setattr(sensitivity, "fd_sensitivity", shifted_fds)
+    out = tmp_path / "s"
+    assert main(["sens", "--config", "configs/deterministic2d.ini",
+                 "--paths", "2000", "--steps", "16", "--out", str(out)]) == 3
+    (line,) = contrast_lines(capsys.readouterr().out)
+    assert "4.49 sigma" in line and line.endswith(": FAIL")
+    assert [r["verdict"] for r in read_records(out / "sens.csv")] \
+        == ["true", "true"]
 
 
 def test_example1_command(tmp_path):
@@ -375,6 +428,26 @@ def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
     assert main(argv + ["--paths", "1", "--out", str(tmp_path / "out")]) == 1
     assert "--paths: must be at least 2, got 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir()) and sum(generated) == 0
+
+
+@pytest.mark.parametrize("command, config", [
+    ("value", "deterministic2d"), ("norms", "norms")])
+def test_market_without_assets_is_a_config_error(command, config, tmp_path,
+                                                 capsys, generated):
+    # d = 0 leaves nothing to trade: refused when the config is read, exit
+    # 2, with no path drawn and nothing written
+    text = load_text(f"configs/{config}.ini").splitlines()
+    for key, value in (("d", "0"), ("mu", "const:[]"),
+                       ("sigma", "const:[]")):
+        text = [f"{key} = {value}" if line.startswith(f"{key} = ")
+                else line for line in text]
+    cfg = norm_write(tmp_path / "empty.ini", "\n".join(text) + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--paths", "200",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: need 1 <= d <= n" in err
+    assert not out.exists() and sum(generated) == 0
 
 
 def test_one_path_in_the_config_is_a_config_error(tmp_path, capsys,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
-                               difference_se, mean_estimate)
+                               mean_estimate)
 
 
 def test_mean_estimate_matches_formulas(rng):
@@ -38,6 +38,12 @@ def test_sigmas_is_the_mean_in_standard_errors():
     zero = np.zeros(2)
     assert ValueEstimate(0.0, 0.0, "z", zero).sigmas == 0.0
     assert ValueEstimate(-1e-300, 0.0, "c", zero).sigmas == math.inf
+    # the 3-sigma rule of example2's and sens's deterministic verdicts; at
+    # se = 0 only a zero mean passes it
+    for mean, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
+                         (0.31, 0.1, False), (-0.31, 0.1, False),
+                         (1e-3, 0.0, False), (0.0, 0.0, True)):
+        assert (ValueEstimate(mean, se, "g", zero).sigmas <= 3.0) == ok
 
 
 def test_delta_estimate_chain_rule(rng):
@@ -90,13 +96,13 @@ def test_combine_linear_homogeneous(coeffs, a, b):
     assert two.mean == pytest.approx((a + b) * once.mean, rel=1e-12, abs=1e-9)
 
 
-def test_difference_se_uses_common_randomness(rng):
+def test_paired_difference_uses_common_randomness(rng):
     x = rng.normal(size=10000)
     noise = rng.normal(scale=0.01, size=10000)
     ex = mean_estimate(x, estimator="x")
     ey = mean_estimate(x + noise, estimator="y")
-    paired = difference_se(ex, ey)
+    paired = combine_linear([ex, ey], [1.0, -1.0], "x-y").se
     # the paired error sees only the small decoupled part
     assert paired < 0.1 * math.hypot(ex.se, ey.se)
-    assert difference_se(ex, ex) == 0.0
+    assert combine_linear([ex, ex], [1.0, -1.0], "x-x").se == 0.0
 

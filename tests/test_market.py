@@ -121,6 +121,10 @@ def test_model_shape_validation():
     with pytest.raises(ValueError):
         MarketModel(d=1, n=1, mu=constant([0.1, 0.2]),
                     sigma=constant([[1.0]]))
+    # a market with no asset
+    with pytest.raises(ValueError, match="need 1 <= d <= n"):
+        MarketModel(d=0, n=1, mu=constant(np.zeros(0)),
+                    sigma=constant(np.zeros((0, 1))))
 
 
 def test_mpr_square_market_solves_linear_system(det2d_model):
@@ -262,6 +266,13 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
     assert ok.full_rank and ok.kernel_equal and ok.ok
     _, (bad,) = check_h1_direction(sigma, constant([[0.0, 0.5]]), [1.0], grid)
     assert not bad.kernel_equal and not bad.ok
+    # with no tau, the report holds for every small tau: the rotation
+    # fails it, and -sigma, which loses rank at tau = 1 only, passes
+    assert not check_h1_direction(sigma, constant([[0.0, 0.5]]), [],
+                                  grid)[1][0].ok
+    shrink = constant([[-1.0, 0.0]])
+    assert check_h1_direction(sigma, shrink, [], grid)[1][0].ok
+    assert not check_h1_direction(sigma, shrink, [1.0], grid)[1][0].ok
     # rank loss of the perturbed matrix is also flagged
     lost = h1_from_values(np.broadcast_to([[1.0, 0.0]], (4, 1, 2)),
                           np.zeros((4, 1, 2)), d=1)

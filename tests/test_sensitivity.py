@@ -1,17 +1,13 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
-import os
-import pathlib
-import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from portsens.estimate import ValueEstimate, difference_se, mean_estimate
-from portsens.market import CoefficientError, constant, dlambda_direction
+from portsens.estimate import combine_linear, mean_estimate
+from portsens.market import (CoefficientError, KernelStabilityError,
+                             MarketModel, constant, dlambda_direction)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (SecondOrderReport, _example1_model,
                                   example1_report, example2_reports,
@@ -58,8 +54,8 @@ def test_power_sensitivities_match_closed_form(det2d_model, det_ens):
         assert abs(weak.mean - expect) < 3.0 * weak.se, u.label
         # deterministic price of risk: the two sensitivities coincide
         assert abs(strong.mean - expect) < 3.0 * strong.se, u.label
-        gap_se = difference_se(weak, strong)
-        assert abs(weak.mean - strong.mean) < 3.0 * gap_se + 1e-12
+        gap = combine_linear([weak, strong], [1.0, -1.0], "gap")
+        assert abs(gap.mean) < 3.0 * gap.se + 1e-12
 
 
 def test_log_sensitivity_matches_closed_form(det2d_model, det_ens):
@@ -127,8 +123,28 @@ def test_fd_correction_vanishes_on_quadratic_curve(det2d_model, det_ens):
     # deterministic log curve is exactly quadratic in tau, so the central
     # differences already equal the slope and the correction is tiny
     assert abs(correction) < 1e-12
-    with pytest.raises(ValueError):
-        fd_sensitivity(rows, (0.1,), pert.label)
+
+
+def test_sensitivity_pair_refuses_a_direction_that_breaks_the_kernel(
+        generated):
+    # with no tau to check, the formulas alone need ker sigma in ker dsigma
+    # at every small tau: the rotation is refused before any path is drawn,
+    # while dsigma = -sigma, whose sigma + dsigma vanishes, keeps the
+    # kernel at every tau < 1 and is valued: lambda^tau = 0.05 / (1 - tau),
+    # so the strong log sensitivity int lambda Dlambda dt is 0.05^2
+    model = MarketModel(d=1, n=2, mu=constant([0.05]),
+                        sigma=constant([[1.0, 0.0]]))
+    ens = PathEnsemble(TimeGrid(1.0, 16), n=2, count=500, seed=1)
+    rotate = PerturbationSpec(dsigma=constant([[0.0, 1.0]]))
+    for u in (log_utility(), power_utility(3.0)):
+        with pytest.raises(KernelStabilityError,
+                           match=r"at small tau .* on t in \[0, 1\)"):
+            sensitivity_pair(model, u, rotate, ens)
+    assert sum(generated) == 0
+    shrink = PerturbationSpec(dsigma=constant([[-1.0, 0.0]]))
+    _, strong = sensitivity_pair(model, log_utility(), shrink, ens)
+    assert sum(generated) == 500
+    assert strong.mean == pytest.approx(0.0025, rel=1e-12)
 
 
 def test_richardson_tableau_reads_every_step():
@@ -219,13 +235,15 @@ def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
     assert 0.9 < off.slope < 1.2
 
 
-def test_second_order_check_refuses_bad_steps(switch_model):
-    # the expansion steps are checked as the difference steps are
+def test_second_order_check_refuses_bad_steps(switch_model, generated):
+    # the expansion steps are checked as the difference steps are, each by
+    # its library entry point, before any path is drawn
     ens = PathEnsemble(TimeGrid(1.0, 8), n=1, count=10, seed=1)
-    for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,)):
-        with pytest.raises(ValueError, match="positive step"):
-            second_order_check(switch_model, log_utility(), UNIT_DRIFT, ens,
-                               eps=eps)
+    for check in (second_order_check, sensitivity_reports):
+        for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,)):
+            with pytest.raises(ValueError, match="positive step"):
+                check(switch_model, log_utility(), UNIT_DRIFT, ens, eps=eps)
+    assert sum(generated) == 0
 
 
 def test_second_order_check_fails_with_an_off_derivative(switch_model):
@@ -257,57 +275,12 @@ def test_second_order_report_slope_threshold():
 def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
     weak, strong = sensitivity_pair(switch_model, log_utility(), UNIT_DRIFT,
                                     switch_ens)
-    gap, se = weak.mean - strong.mean, difference_se(weak, strong)
-    assert gap < 0.0
-    assert abs(gap) / se > 5.0
-    assert abs(gap - -0.13298076013381088) < 3.0 * se + 0.01
+    gap = combine_linear([weak, strong], [1.0, -1.0], "gap")
+    assert gap.mean < 0.0
+    assert gap.sigmas > 5.0
+    assert abs(gap.mean - -0.13298076013381088) < 3.0 * gap.se + 0.01
     weak, strong = sensitivity_pair(det2d_model, log_utility(),
                                     PerturbationSpec(dmu=DMU2), det_ens)
-    gap, se = weak.mean - strong.mean, difference_se(weak, strong)
-    assert abs(gap) <= 3.0 * se + 1e-12
+    gap = combine_linear([weak, strong], [1.0, -1.0], "gap")
+    assert abs(gap.mean) <= 3.0 * gap.se + 1e-12
 
-
-DEMO = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
-    / "run_sensitivity_demo.py"
-
-
-def test_sensitivity_demo_prints_the_gap():
-    proc = subprocess.run(
-        [sys.executable, str(DEMO), "--paths", "2000", "--steps", "16"],
-        env=dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src")),
-        capture_output=True, text=True, timeout=120)
-    assert "weak minus strong derivative: " in proc.stdout
-    # the verdict line and the exit code follow the sigma printed above
-    sigmas = float(re.search(r"([0-9.]+|inf) sigma from zero",
-                             proc.stdout).group(1))
-    agree = sigmas <= 3.0
-    assert proc.returncode == (0 if agree else 3), proc.stderr
-    last = proc.stdout.splitlines()[-1]
-    assert last.startswith("FAIL") != agree
-    assert ("agree within Monte Carlo error" in last) == agree
-
-
-def test_sensitivity_demo_fails_a_gap_beyond_three_se():
-    # the demo decides with gap.sigmas <= 3 on the estimate it prints;
-    # at se = 0 only a zero gap agrees
-    for gap, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
-                        (0.31, 0.1, False), (-0.31, 0.1, False),
-                        (1e-3, 0.0, False), (0.0, 0.0, True)):
-        est = ValueEstimate(mean=gap, se=se, estimator="weak-minus-strong",
-                            influence=np.zeros(2))
-        assert (est.sigmas <= 3.0) == ok
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--paths", "1"), ("--steps", "0"), ("--seed", "-1")])
-def test_sensitivity_demo_bad_flag_is_a_usage_error(flag, value):
-    # the commands' own argparse types: refused while parsing, so nothing
-    # is printed and no path is drawn
-    proc = subprocess.run(
-        [sys.executable, str(DEMO), "--paths", "200", "--steps", "8",
-         flag, value],
-        env=dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src")),
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert f"argument {flag}" in proc.stderr
-    assert "Traceback" not in proc.stderr

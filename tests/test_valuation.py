@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from portsens.cli import SURFACE_HEADER, main
-from portsens.estimate import difference_se
+from portsens.estimate import combine_linear
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator)
 from portsens.paths import PathEnsemble, TimeGrid
@@ -86,8 +86,8 @@ def test_deterministic_market_values_match_closed_form(det2d_model):
             * math.exp((q - 1.0) / 2.0 * float(lam @ lam) * T)
         assert abs(row.weak.mean - expect) < 3.0 * row.weak.se
         assert abs(row.strong.mean - expect) < 3.0 * row.strong.se
-        gap_se = difference_se(row.weak, row.strong)
-        assert abs(row.weak.mean - row.strong.mean) < 3.0 * gap_se + 1e-12
+        gap = combine_linear([row.weak, row.strong], [1.0, -1.0], "gap")
+        assert abs(gap.mean) < 3.0 * gap.se + 1e-12
     assert rows[0].weak.mean == pytest.approx(3.1261207041437253, abs=0.02)
 
 
@@ -115,13 +115,12 @@ def test_switch_market_strong_curve_and_gap(switch_model, switch_ens):
         assert abs(row.strong.mean - expect_strong) < tol
         # the measure tilt pushes paths away from the high-reward region,
         # so the weak value sits strictly below the strong one
-        gap = row.weak.mean - row.strong.mean
+        gap = combine_linear([row.weak, row.strong], [1.0, -1.0], "gap")
         occ = {0.05: 0.2689378861884327 - 0.27625,
                0.1: 0.2890582493934509 - 0.305,
                0.2: 0.3329136896628353 - 0.37}[tau]
-        gap_se = difference_se(row.weak, row.strong)
-        assert gap < 0.0
-        assert abs(gap - occ) < 3.0 * gap_se + 0.002
+        assert gap.mean < 0.0
+        assert abs(gap.mean - occ) < 3.0 * gap.se + 0.002
 
 
 def test_weight_mean_tracks_unit_expectation(switch_model, switch_ens):
