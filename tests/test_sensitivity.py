@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from portsens.estimate import combine_linear, mean_estimate
+from portsens.estimate import ValueEstimate, combine_linear, mean_estimate
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, dlambda_direction)
 from portsens.paths import PathEnsemble, TimeGrid
@@ -284,3 +284,14 @@ def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
     gap = combine_linear([weak, strong], [1.0, -1.0], "gap")
     assert abs(gap.mean) <= 3.0 * gap.se + 1e-12
 
+
+def test_sensitivity_demo_fails_a_gap_beyond_three_se():
+    # sens decides its deterministic weak - strong contrast with
+    # gap.sigmas <= 3 on the paired estimate it prints; at se = 0 only a
+    # zero gap agrees
+    for gap, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
+                        (0.31, 0.1, False), (-0.31, 0.1, False),
+                        (1e-3, 0.0, False), (0.0, 0.0, True)):
+        est = ValueEstimate(mean=gap, se=se, estimator="weak-minus-strong",
+                            influence=np.zeros(2))
+        assert (est.sigmas <= 3.0) == ok
