@@ -13,7 +13,10 @@ finitely many joint values along a path.  ``RegimeTable`` lists the joint
 values the Brownian motion can reach on a grid and numbers the regime of
 each node; everything computed from coefficient values alone (the market
 price of risk, its directional derivative, rank and null-space checks) is
-computed once per regime and spread over nodes by that index.
+computed once per regime.  A path pass reads one table, the joint table of
+every coefficient it reads: a per-regime table that ``reads_paths`` finds
+constant within each time segment is spread over nodes by ``time_rows``,
+any other is gathered per block by ``index``.
 
 The market price of risk is lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1).
 Volatility perturbations are admissible only when they preserve the null
@@ -226,10 +229,12 @@ class RegimeTable:
     nothing but the intervals that hold 0.
 
     ``values(proc)`` gives a member's value in each regime, (R, *shape),
-    and ``index(W)`` the regime of each node: (N,) when no member reads
-    the paths, else (B, N) from the left-node values of W (B, N+1, n).  A
-    table of per-regime values gathered by that index equals the member's
-    ``evaluate`` node by node.  Absent (None) members are skipped.
+    and ``index(W)`` the regime of each node, (B, N), from the left-node
+    values of W (B, N+1, n).  A table of per-regime values gathered by that
+    index equals the member's ``evaluate`` node by node.  A table whose
+    rows agree within every time segment (``reads_paths`` false) equals it
+    gathered by ``time_rows``, the (N,) first regime of each node's
+    segment, on every path.  Absent (None) members are skipped.
     """
 
     def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
@@ -272,7 +277,10 @@ class RegimeTable:
         # time breaks, the codes are the regime numbers
         self._identity = len(rows) == ncodes
         self._base = (seg * math.prod(sizes[:1])).astype(self._code_type)
-        self._nodes = None if self.drivers else self._lookup[seg]
+        # rows are sorted by segment: the first row of each node's segment
+        # and of each row's own
+        self.time_rows = np.searchsorted(self.segment, seg)
+        self._segment_rows = np.searchsorted(self.segment, self.segment)
 
     def __len__(self) -> int:
         return len(self.segment)
@@ -287,6 +295,11 @@ class RegimeTable:
         return proc.values[(self.intervals[:, j] <= np.searchsorted(
             self.cuts[j], proc.threshold)).astype(int)]
 
+    def reads_paths(self, table: np.ndarray) -> bool:
+        """Whether per-regime values (R, ...) differ, in any bit, between
+        regimes of one time segment, so that nodes need ``index``."""
+        return table[self._segment_rows].tobytes() != table.tobytes()
+
     def scratch(self, paths: int) -> list:
         """Buffers for ``index`` on blocks of up to ``paths`` paths."""
         types = [self._code_type, bool] + [self._lookup.dtype] * (
@@ -294,12 +307,8 @@ class RegimeTable:
         return [np.empty((paths, self.grid.steps), t) for t in types]
 
     def index(self, W: np.ndarray, out: list | None = None) -> np.ndarray:
-        """Regime number of every left node: (N,) or, with drivers, (B, N).
-
-        Without drivers W is not read and may be None; with drivers ``out``
-        (from ``scratch``) receives the result in its first B rows."""
-        if self._nodes is not None:
-            return self._nodes
+        """Regime number of every left node, (B, N); ``out`` (from
+        ``scratch``) receives the result in its first B rows."""
         N = self.grid.steps
         code, flag, *regime = [a[:W.shape[0]] for a in
                                out or self.scratch(W.shape[0])]
@@ -395,24 +404,10 @@ def mpr_table(model: MarketModel, regimes: RegimeTable) -> np.ndarray:
                            regimes.values(model.rate))
 
 
-def integrand(grid: TimeGrid, proc: CoefficientProcess) \
-        -> tuple[RegimeTable, np.ndarray]:
-    """A coefficient as a ``paths.path_sums`` integrand."""
-    regimes = RegimeTable(grid, proc)
-    return regimes, regimes.values(proc)
-
-
-def mpr_integrand(model: MarketModel, grid: TimeGrid) \
-        -> tuple[RegimeTable, np.ndarray]:
-    """The market price of risk as a ``paths.path_sums`` integrand."""
-    regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
-    return regimes, mpr_table(model, regimes)
-
-
 def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
-                      dsigma: CoefficientProcess | None, grid: TimeGrid,
-                      dr: CoefficientProcess | None = None) \
-        -> tuple[RegimeTable, np.ndarray]:
+                      dsigma: CoefficientProcess | None,
+                      regimes: RegimeTable,
+                      dr: CoefficientProcess | None = None) -> np.ndarray:
     """Directional derivative of the market price of risk per regime.
 
     With S = sigma sigma^T and excess = mu - r 1:
@@ -422,13 +417,10 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
                   - sigma^T S^{-1} (sigma dsigma^T + dsigma sigma^T) S^{-1} excess
 
     The optional rate direction enters exactly as a drift direction -dr 1.
-    Returned as a ``paths.path_sums`` integrand: the regimes of exactly the
-    coefficients the formula reads (sigma and the drift and rate directions,
-    plus mu and the rate when sigma moves) and the (R, n) values.
+    Returned as (R, n) values on ``regimes``, which must hold the market
+    and every direction given.
     """
     d, n = model.d, model.n
-    moved = (model.mu, model.rate, dsigma) if dsigma is not None else ()
-    regimes = RegimeTable(grid, model.sigma, dmu, dr, *moved)
     sigma_v = regimes.values(model.sigma)
     dmu_v = None if dmu is None else regimes.values(dmu)
     if dr is not None:
@@ -454,7 +446,7 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
         term = term - np.einsum("...nd,...d->...n", sigmaT,
                                 solve(np.einsum("...de,...e->...d", mixed, w)))
         out = term if dmu_v is None else out + term
-    return regimes, out
+    return out
 
 
 # ---------------------------------------------------------------------------

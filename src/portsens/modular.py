@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens.estimate import ValueEstimate, mean_estimate
-from portsens.market import MarketModel, RegimeTable, integrand, mpr_table
+from portsens.market import MarketModel, RegimeTable, mpr_table
 from portsens.paths import PathEnsemble, path_sums
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
@@ -65,14 +65,15 @@ def density_logs(model: MarketModel, family: tuple,
     """log Y^nu per (family member, path), discount included; one pass.
 
     Every member must lie in the null space of sigma in every regime the
-    paths can reach; each is checked on the regimes of its own density
-    before the pass."""
-    grid = ensemble.grid
-    sums = {"R": ("time", integrand(grid, model.rate))}
+    paths can reach; each is checked before the pass on its one table, the
+    joint regimes of the market and the whole family."""
+    regimes = RegimeTable(ensemble.grid, model.mu, model.sigma, model.rate,
+                          *family)
+    lam, sg_v = mpr_table(model, regimes), regimes.values(model.sigma)
+    scale = float(np.max(np.abs(sg_v))) or 1.0
+    sums = {"R": ("time", regimes.values(model.rate))}
     for i, nu in enumerate(family):
-        regimes = RegimeTable(grid, model.mu, model.sigma, model.rate, nu)
-        sg_v, nu_v = regimes.values(model.sigma), regimes.values(nu)
-        scale = float(np.max(np.abs(sg_v))) or 1.0
+        nu_v = regimes.values(nu)
         prod = np.einsum("...dn,...n->...d", sg_v, nu_v)
         worst = float(np.max(np.abs(prod))) if prod.size else 0.0
         nu_scale = float(np.max(np.abs(nu_v))) if nu_v.size else 0.0
@@ -81,9 +82,9 @@ def density_logs(model: MarketModel, family: tuple,
             raise ModularError(
                 f"family member {i} leaves the volatility null space "
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
-        gamma = (regimes, mpr_table(model, regimes) + nu_v)
+        gamma = lam + nu_v
         sums.update({f"S{i}": ("ito", gamma), f"Q{i}": ("quad", gamma, gamma)})
-    s = path_sums(ensemble, sums)
+    s = path_sums(ensemble, regimes, sums)
     return np.stack([-s["R"] - s[f"S{i}"] - 0.5 * s[f"Q{i}"]
                      for i in range(len(family))])
 

@@ -9,8 +9,10 @@ Python ints, which numpy reads faster than uint64 arrays.
 ``path_sums`` streams blocks of paths through one scratch set per worker
 and reduces each block to named per-path stochastic and time integrals,
 written into (M,) arrays by path range; means and standard errors are the
-caller's.  Memory stays at O(block), and no result depends on block size or
-worker count.  A block holds as many paths as fit one worker's scratch set
+caller's.  Integrands are per-regime values on the pass's one regime
+table, spread over nodes once per pass where they depend on time only and
+gathered per block by one regime index where not.  Memory stays at
+O(block), and no result depends on block size or worker count.  A block holds as many paths as fit one worker's scratch set
 in ``_SCRATCH_BYTES``, about a core's L2 cache, and at least one; tests fix
 the count instead through an ensemble's ``block_paths``.
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ WORKERS_ENV = "PORTSENS_WORKERS"
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
 # default scratch bytes of one worker's block buffers (increments, paths,
-# regime codes, node values): 2 MB, about the L2 of one core
+# regime codes, gathered node values): 2 MB, about the L2 of one core
 _SCRATCH_BYTES = 2**21
 
 # one Philox generator per thread: a generator is not thread-safe, and every
@@ -192,22 +193,24 @@ def _reduce(kind: str, args: list, dW, dt: float, out=None):
 # ---------------------------------------------------------------------------
 # the path-sum kernel
 
-def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
+def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     """Named per-path sums, all from one pass over the ensemble.
 
     Each request is ``("ito", a)`` for sum_k <a_k, dW_k>, ``("quad", a, b)``
     for sum_k <a_k, b_k> dt, or ``("time", c)`` for sum_k sum_j c_kj dt.
-    An integrand is a pair ``(regimes, table)`` whose node values are
-    ``table[regimes.index(W)]`` (see ``market.RegimeTable``): (N, k) when
-    it depends on time only, gathered once per pass however many requests
-    name the same integrand object, and (B, N, k) when it reads the paths.
+    An integrand is an (R, k) array of per-regime values on ``regimes``,
+    the pass's one ``market.RegimeTable``.  A table that does not
+    ``regimes.reads_paths`` is spread over nodes once per pass through
+    ``regimes.time_rows``, (N, k), however many requests name the same
+    array object; every other table is gathered per block, (B, N, k), by
+    the block's one ``regimes.index``.
 
     Each worker allocates one scratch set per pass, sized to the largest
-    block: increments, cumulative paths (only if some table has drivers),
-    index buffers per such table and node-value slots.  An adapted
-    integrand takes a slot on first use and frees it after the last request
-    that names the same object, so requests listed in groups hold one
-    group's node values at a time.  Unless the ensemble's ``block_paths``
+    block: increments and, if some table reads the paths, cumulative paths,
+    index buffers and as many gather buffers as the path-dependent tables
+    one request reads.  A buffer keeps its table until a request that does
+    not read it needs a buffer, so requests that name the same table in a
+    row gather it once per block.  Unless the ensemble's ``block_paths``
     fixes it, a block holds as many paths as keep that scratch set within
     ``_SCRATCH_BYTES``, and at least one.  With k workers
     (``PORTSENS_WORKERS``, default 1) worker w takes blocks w, w + k, ...
@@ -216,75 +219,64 @@ def path_sums(ensemble: PathEnsemble, sums: dict) -> dict:
     grid = ensemble.grid
     dt, N, n = grid.dt, grid.steps, ensemble.n
     out = {name: np.empty(ensemble.count) for name in sums}
-    uses = Counter(id(f) for _, *fs in sums.values() for f in fs)
-    tables, slot_of, free, slots, plan = {}, {}, defaultdict(list), [], []
-    fixed = {}  # node array of each deterministic integrand, by id
-    # an operand is a fixed node array or (table, regimes, slot, first),
-    # gathered into the slot on first use
-    for name, (kind, *fs) in sums.items():
-        ops, done = [], []
-        for f in fs:
-            regimes, table = f
-            if not regimes.drivers:
-                if id(f) not in fixed:
-                    fixed[id(f)] = table[regimes.index(None)]
-                ops.append(fixed[id(f)])
+    spread = {}  # node values of each time-only table, by id
+    held, width, plan = [], 1, []  # held: the table id in each buffer
+    # an operand is a node array or (table, buffer, whether to gather)
+    for name, (kind, *tables) in sums.items():
+        reads = {id(t) for t in tables if regimes.reads_paths(t)}
+        ops = []
+        for t in tables:
+            if id(t) not in reads:
+                if id(t) not in spread:
+                    spread[id(t)] = t[regimes.time_rows]
+                ops.append(spread[id(t)])
+            elif id(t) in held:
+                ops.append((t, held.index(id(t)), False))
             else:
-                layout = (table.shape[1:], table.dtype)
-                first = id(f) not in slot_of
-                if first:
-                    if not free[layout]:
-                        free[layout].append(len(slots))
-                        slots.append(layout)
-                    slot_of[id(f)] = free[layout].pop()
-                    tables[id(regimes)] = regimes
-                ops.append((table, regimes, slot_of[id(f)], first))
-                uses[id(f)] -= 1
-                if not uses[id(f)]:
-                    done.append((layout, slot_of[id(f)]))
-        # a slot freed here serves the next request, not this one's operands
-        for layout, slot in done:
-            free[layout].append(slot)
-        if all(isinstance(op, np.ndarray) for op in ops) and kind != "ito":
-            out[name][:] = _reduce(kind, ops, None, dt)  # reads no paths
-        else:
+                # the first buffer this request does not read, else a new one
+                j = next((j for j, h in enumerate(held) if h not in reads),
+                         len(held))
+                held[j:j + 1] = [id(t)]
+                width = max(width, t[0].size)
+                ops.append((t, j, True))
+        if reads or kind == "ito":
             plan.append((out[name], kind, ops))
+        else:
+            out[name][:] = _reduce(kind, ops, None, dt)  # reads no paths
 
     # one path's share of the scratch set that ``run`` allocates
-    per_path = 8 * N * n + sum(np.empty((1, N) + shape, dtype).nbytes
-                               for shape, dtype in slots)
-    if tables:
-        per_path += 8 * (N + 1) * n + sum(
-            a.nbytes for t in tables.values() for a in t.scratch(1))
+    per_path = 8 * N * n
+    if held:
+        per_path += 8 * ((N + 1) * n + len(held) * N * width) + sum(
+            a.nbytes for a in regimes.scratch(1))
     ranges = list(ensemble.block_ranges(
         ensemble.block_paths or max(1, _SCRATCH_BYTES // per_path)))
     B = max(stop - start for start, stop in ranges)
 
     def run(first_block: int) -> None:
         dW = np.empty((B, N, n))
-        W = np.empty((B, N + 1, n)) if tables else None
-        scratch = {key: t.scratch(B) for key, t in tables.items()}
-        buf = [np.empty((B, N) + shape, dtype) for shape, dtype in slots]
+        if held:
+            W, scratch = np.empty((B, N + 1, n)), regimes.scratch(B)
+            buf = [np.empty(B * N * width) for _ in held]
         for start, stop in ranges[first_block::nworkers]:
             b = stop - start
             dw = ensemble.increments(start, stop, out=dW[:b])
-            if tables:
-                w = cumulative(dw, out=W[:b])
-                index = {key: t.index(w, out=scratch[key])
-                         for key, t in tables.items()}
+            if held:
+                index = regimes.index(cumulative(dw, out=W[:b]), out=scratch)
             for res, kind, ops in plan:
                 args = []
                 for op in ops:
                     if isinstance(op, np.ndarray):
                         args.append(op)
-                    else:
-                        table, regimes, slot, first = op
-                        args.append(buf[slot][:b])
-                        # every code is below len(table); "raise" would
-                        # copy through a hidden buffer
-                        if first:
-                            np.take(table, index[id(regimes)], axis=0,
-                                    out=args[-1], mode="clip")
+                        continue
+                    table, j, gather = op
+                    args.append(buf[j][:b * N * table[0].size].reshape(
+                        (b, N) + table.shape[1:]))
+                    # every code is below len(table); "raise" would copy
+                    # through a hidden buffer
+                    if gather:
+                        np.take(table, index, axis=0, out=args[-1],
+                                mode="clip")
                 _reduce(kind, args, dw, dt, res[start:stop])
 
     nworkers = min(max(1, int(os.environ.get(WORKERS_ENV, "1"))),

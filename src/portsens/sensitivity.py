@@ -39,9 +39,9 @@ import numpy as np
 from portsens import utility as ut
 from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
                                mean_estimate)
-from portsens.market import (CoefficientError, MarketModel, constant,
-                             dlambda_direction, indicator, integrand,
-                             mpr_integrand)
+from portsens.market import (CoefficientError, MarketModel, RegimeTable,
+                             constant, dlambda_direction, indicator,
+                             mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
@@ -49,13 +49,13 @@ from portsens.valuation import (PerturbationSpec, SurfaceRow,
                                 surface_sums)
 
 
-def _direction(model: MarketModel, pert: PerturbationSpec, grid: TimeGrid):
-    """The price-of-risk direction as a path-sum integrand: a direct
-    dlambda as given, a coefficient direction through the chain rule once
-    per regime of the coefficients it reads."""
+def _direction(model: MarketModel, pert: PerturbationSpec,
+               regimes: RegimeTable) -> np.ndarray:
+    """The price-of-risk direction per regime of the pass's table: a direct
+    dlambda as given, a coefficient direction through the chain rule."""
     if pert.dlambda is not None:
-        return integrand(grid, pert.dlambda)
-    return dlambda_direction(model, pert.dmu, pert.dsigma, grid,
+        return regimes.values(pert.dlambda)
+    return dlambda_direction(model, pert.dmu, pert.dsigma, regimes,
                              dr=pert.drate)
 
 
@@ -67,7 +67,8 @@ def check_rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
 
 
 def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
-               pert: PerturbationSpec, grid: TimeGrid) -> dict:
+               pert: PerturbationSpec, regimes: RegimeTable,
+               lam: np.ndarray) -> dict:
     """The ``path_sums`` requests of the base-point sensitivities: r, s1,
     q11 for int r dt, int lambda^T dW and int |lambda|^2 dt; s2 and dq for
     int Dlambda^T dW and int lambda^T Dlambda dt; dr for int dr dt (rate
@@ -76,14 +77,14 @@ def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
     utility is refused here, the one rule that only the sensitivities
     have; ``valuation.check_experiment`` admits the rest."""
     check_rate_direction(u, pert)
-    lam, dlam = mpr_integrand(model, grid), _direction(model, pert, grid)
-    sums = {"r": ("time", integrand(grid, model.rate)),
+    dlam = _direction(model, pert, regimes)
+    sums = {"r": ("time", regimes.values(model.rate)),
             "q11": ("quad", lam, lam), "s2": ("ito", dlam),
             "dq": ("quad", lam, dlam)}
     if u.kind != "log":
         sums["s1"] = ("ito", lam)
     if pert.drate is not None:
-        sums["dr"] = ("time", integrand(grid, pert.drate))
+        sums["dr"] = ("time", regimes.values(pert.drate))
     return sums
 
 
@@ -102,9 +103,8 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                      ensemble: PathEnsemble) -> tuple[ValueEstimate,
                                                       ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
-    check_experiment(model, u, pert, (), ensemble.grid)
-    s = path_sums(ensemble, _sens_sums(model, u, pert, ensemble.grid))
-    return _sens_estimates(model, u, pert, s)
+    return _sens_estimates(model, u, pert, _surface_and_sens_sums(
+        model, u, pert, (), ensemble))
 
 
 def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
@@ -209,11 +209,14 @@ def _surface_and_sens_sums(model: MarketModel, u: ut.UtilitySpec,
                            pert: PerturbationSpec, taus,
                            ensemble: PathEnsemble) -> dict:
     """The sums of ``surface_sums`` over ``taus`` and of ``_sens_sums``,
-    from one path pass once the experiment is admitted."""
-    grid = ensemble.grid
-    check_experiment(model, u, pert, taus, grid)
-    return path_sums(ensemble, {**surface_sums(model, u, pert, taus, grid),
-                                **_sens_sums(model, u, pert, grid)})
+    from one path pass on ``pert.regimes`` once the experiment is
+    admitted."""
+    check_experiment(model, u, pert, taus, ensemble.grid)
+    regimes = pert.regimes(model, ensemble.grid)
+    lam = mpr_table(model, regimes)
+    return path_sums(ensemble, regimes,
+                     {**surface_sums(model, u, pert, taus, regimes, lam),
+                      **_sens_sums(model, u, pert, regimes, lam)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,17 +331,18 @@ def example2_reports(T: float, M: int, N: int, seed: int) \
     takes lambda = 1 on {W < 0} and is strictly positive.
     """
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
-    grid = ensemble.grid
-    dlam = integrand(grid, constant([-1.0]))
-    sums = {"s2": ("ito", dlam)}
+    direction = constant([-1.0])
     cases = ("det", constant([1.0])), \
         ("adapted", indicator(0, 0.0, [0.0], [1.0]))
+    regimes = RegimeTable(ensemble.grid, direction, *(c for _, c in cases))
+    dlam = regimes.values(direction)
+    sums = {"s2": ("ito", dlam)}
     for case, lam in cases:
-        lam = integrand(grid, lam)
+        lam = regimes.values(lam)
         sums.update({f"{case}.s1": ("ito", lam),
                      f"{case}.q11": ("quad", lam, lam),
                      f"{case}.dq": ("quad", lam, dlam)})
-    s = path_sums(ensemble, sums)
+    s = path_sums(ensemble, regimes, sums)
     return tuple(mean_estimate(
         np.exp(s[f"{case}.s1"] + 0.5 * s[f"{case}.q11"])
         * (s["s2"] - s[f"{case}.dq"]), "discrepancy") for case, _ in cases)

@@ -172,7 +172,7 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec,
     if u.kind not in ("log", "power"):
         raise SolverError(f"no closed form for utility {u.label!r}")
     regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
-    occupation = grid.dt * np.bincount(regimes.index(None),
+    occupation = grid.dt * np.bincount(regimes.time_rows,
                                        minlength=len(regimes))
     rint = float(occupation @ regimes.values(model.rate)[:, 0])
     lam2 = float(occupation @ np.sum(mpr_table(model, regimes) ** 2, axis=1))

@@ -29,8 +29,8 @@ optimizer, which holds in complete markets and for deterministic
 coefficients and directions; ``solver.check_dual_optimizer`` is the one
 test of that rule.  ``check_experiment`` is the one admission check of
 every value and sensitivity experiment, with that test among its rules:
-``value_surface``, ``sensitivity.sensitivity_pair`` and the fused pass of
-``sens`` and ``secondorder`` each run it once before drawing a path.
+``value_surface`` and the fused pass of ``sensitivity`` (``example1``,
+``sens`` and ``secondorder``) each run it once before drawing a path.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class PerturbationSpec:
         return (self.dmu, self.dsigma, self.drate, self.dlambda)
 
     def regimes(self, model: MarketModel, grid: TimeGrid) -> RegimeTable:
-        """The joint regimes of the market and every direction."""
+        """The joint regimes of the market and every direction: the one
+        table of every value and sensitivity pass."""
         return RegimeTable(grid, model.mu, model.sigma, model.rate,
                            *self.directions)
 
@@ -156,22 +157,21 @@ def check_experiment(model: MarketModel, u: ut.UtilitySpec,
 
 
 def surface_sums(model: MarketModel, u: ut.UtilitySpec,
-                 pert: PerturbationSpec, taus, grid: TimeGrid) -> dict:
+                 pert: PerturbationSpec, taus, regimes: RegimeTable,
+                 lam0: np.ndarray) -> dict:
     """The ``path_sums`` requests of the value surface over ``taus``, named
-    R, Q, S, G, GG and X with the tau's position appended, for an
-    experiment that ``check_experiment`` admitted.  The log estimators read
-    neither S nor X, so log utility requests neither."""
-    regimes = pert.regimes(model, grid)
-    rates = RegimeTable(grid, model.rate, pert.drate)
-    lam0 = mpr_table(model, regimes)
-    r0 = rates.values(model.rate)
+    R, Q, S, G, GG and X with the tau's position appended, on the table
+    ``pert.regimes`` of an experiment that ``check_experiment`` admitted,
+    whose price of risk is ``lam0``.  The log estimators read neither S
+    nor X, so log utility requests neither."""
+    r0 = regimes.values(model.rate)
     sums = {}
     for i, tau in enumerate(taus):
-        lam_t = pert.moved_lambda(model, regimes, lam0, tau)
-        lam, delta = (regimes, lam_t), (regimes, lam_t - lam0)
+        lam = pert.moved_lambda(model, regimes, lam0, tau)
+        delta = lam - lam0
         r_tau = r0 if pert.drate is None \
-            else r0 + tau * rates.values(pert.drate)
-        sums.update({f"R{i}": ("time", (rates, r_tau)),
+            else r0 + tau * regimes.values(pert.drate)
+        sums.update({f"R{i}": ("time", r_tau),
                      f"Q{i}": ("quad", lam, lam), f"G{i}": ("ito", delta),
                      f"GG{i}": ("quad", delta, delta)})
         if u.kind != "log":
@@ -250,6 +250,7 @@ def value_surface(model: MarketModel, u: ut.UtilitySpec,
     """Weak and strong values over a tau grid, one path pass in total."""
     taus = [float(t) for t in taus]
     check_experiment(model, u, pert, taus, ensemble.grid)
-    s = path_sums(ensemble,
-                  surface_sums(model, u, pert, taus, ensemble.grid))
+    regimes = pert.regimes(model, ensemble.grid)
+    s = path_sums(ensemble, regimes, surface_sums(
+        model, u, pert, taus, regimes, mpr_table(model, regimes)))
     return surface_rows(model, u, taus, s)

@@ -113,7 +113,8 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
         details.append(f"p={p:g} fd gap {rep.gap:.2g} tol {rep.tolerance:.2g}")
     pert = PerturbationSpec(dmu=dmu,
                             dsigma=constant([[0.02, 0.01], [0.0, 0.03]]))
-    _, vals = dlambda_direction(model, pert.dmu, pert.dsigma, grid)
+    vals = dlambda_direction(model, pert.dmu, pert.dsigma,
+                             pert.regimes(model, grid))
     direct = PerturbationSpec(dlambda=constant(vals[0]))
     for u in (ut.power_utility(2.0), ut.power_utility(3.0)):
         wa, sa = sensitivity_pair(model, u, pert, ens2d)

@@ -12,10 +12,11 @@ import pytest
 
 import portsens
 
-from portsens import cli, sensitivity
+from portsens import cli, paths, sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
                           SURFACE_HEADER, main)
+from portsens.market import RegimeTable
 from portsens.modular import luxemburg_norm
 from portsens.paths import path_sums
 
@@ -304,6 +305,48 @@ def test_sens_makes_one_path_pass(tmp_path, generated):
     assert sum(generated) == 500
 
 
+@pytest.mark.parametrize("command", ["sens", "secondorder"])
+def test_example1_config_indexes_each_block_once(tmp_path, monkeypatch,
+                                                 generated, command):
+    # every coefficient the fused pass reads lies on one regime table, so
+    # a block computes one regime index however many tables it gathers;
+    # a 3.5 kB scratch budget makes 8-path blocks
+    monkeypatch.setenv("PORTSENS_WORKERS", "1")
+    monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
+    indexed = []
+    index = RegimeTable.index
+
+    def counted(self, W, out=None):
+        indexed.append(self)
+        return index(self, W, out)
+
+    monkeypatch.setattr(RegimeTable, "index", counted)
+    code = main([command, "--config", "configs/example1.ini",
+                 "--paths", "100", "--steps", "16",
+                 "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    assert len(indexed) == len(generated)
+    assert len(set(map(id, indexed))) == 1
+    assert generated == [8] * 12 + [4]
+
+
+@pytest.mark.parametrize("command", [
+    ["example1"], ["value", "--config", "configs/example1.ini"],
+    ["sens", "--config", "configs/example1.ini"],
+    ["secondorder", "--config", "configs/example1.ini"]],
+    ids=["example1", "value", "sens", "secondorder"])
+def test_example1_passes_hold_forty_paths_of_2000_steps(tmp_path,
+                                                        monkeypatch,
+                                                        generated, command):
+    # each pass holds increments, paths, regime codes and flags and one
+    # gather buffer for the price of risk: 52 kB a path of 2000 steps
+    monkeypatch.setenv("PORTSENS_WORKERS", "1")
+    code = main(command + ["--paths", "100", "--steps", "2000",
+                           "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    assert generated == [40, 40, 20]
+
+
 def test_example2_makes_one_path_pass(tmp_path, generated):
     # both discrepancy cases read the same paths in one pass
     code = main(["example2", "--paths", "500", "--steps", "20",
@@ -320,9 +363,9 @@ def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
     # sensitivity sums.  Three steps make 6 taus, all of them read.
     requests = []
 
-    def counted(ensemble, sums):
+    def counted(ensemble, regimes, sums):
         requests.append(len(sums))
-        return path_sums(ensemble, sums)
+        return path_sums(ensemble, regimes, sums)
 
     monkeypatch.setattr(sensitivity, "path_sums", counted)
     runs = (("configs/deterministic2d.ini", []),
@@ -667,6 +710,30 @@ def test_cli_imports_the_traced_layers_but_no_danskin_or_pool():
     assert {f"portsens.{layer}" for layer in layers} <= set(loaded)
     assert "portsens.danskin" not in loaded
     assert "concurrent.futures" not in loaded
+
+
+def test_benchmark_tracer_spans_the_path_kernel(tmp_path):
+    # the tracer wraps functions by name, and a renamed kernel would drop
+    # out of every per-layer metric without an error; the child runs in
+    # its own interpreter, since installing the tracer here would leave
+    # its wrappers on the module globals of every later test
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(portsens.__file__))
+    env = dict(os.environ, PORTSENS_WORKERS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "child.py"),
+         "--mark", str(tmp_path / "mark"), "--trace", str(trace), "--",
+         "example1", "--paths", "200", "--steps", "50",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode in (0, 3), proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    names = [s[0] for s in spans]
+    assert names.count("paths.path_sums") == 1
+    draws = [s for s in spans if s[0] == "paths.PathEnsemble.increments"]
+    assert draws and all(spans[s[3]][0] == "paths.path_sums" for s in draws)
 
 
 @pytest.mark.parametrize("command, code", [

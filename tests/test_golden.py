@@ -137,9 +137,10 @@ def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
                                                 csv_digest, summary_digest,
                                                 tmp_path, capsys,
                                                 monkeypatch):
-    # a 3.5 kB scratch budget makes the computed blocks small, from 3 paths
-    # (value and sens on example1.ini) to 14 (example2), with an uneven
-    # last block; the sizes must not move a byte either
+    # a 3.5 kB scratch budget makes the computed blocks small, 4 paths on
+    # the sign-switching market (example1, example2 and example1.ini) and
+    # 7 on deterministic ones, with an uneven last block; the sizes must
+    # not move a byte either
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
     assert digests(command_argv(command, config), code, tmp_path,
                    capsys) == (csv_digest, summary_digest)

@@ -7,9 +7,15 @@ from hypothesis import given, settings, strategies as st
 from portsens.market import (CoefficientError, MarketModel, RegimeTable,
                              SingularVolatilityError, check_h1_direction,
                              constant, dlambda_direction, h1_from_values,
-                             indicator, mpr_from_values, mpr_integrand,
+                             indicator, mpr_from_values, mpr_table,
                              parse_coefficient, piecewise)
 from portsens.paths import PathEnsemble, TimeGrid, cumulative
+from portsens.valuation import PerturbationSpec
+
+
+def market_regimes(model, grid, *directions):
+    """The joint regime table of a market and the directions given."""
+    return RegimeTable(grid, model.mu, model.sigma, model.rate, *directions)
 
 
 def test_constant_infers_shape():
@@ -129,7 +135,7 @@ def test_model_shape_validation():
 
 def test_mpr_square_market_solves_linear_system(det2d_model):
     grid = TimeGrid(1.0, 4)
-    lam = mpr_integrand(det2d_model, grid)[1]
+    lam = mpr_table(det2d_model, market_regimes(det2d_model, grid))
     sig = det2d_model.sigma.values[0]
     mu = det2d_model.mu.values[0]
     expect = np.linalg.solve(sig, mu - 0.01)
@@ -143,8 +149,9 @@ def test_mpr_degenerate_market_minimal_norm():
     # the row space of sigma
     model = MarketModel(d=1, n=2, mu=constant([0.06]),
                         sigma=constant([[0.2, 0.0]]))
-    regimes, lam = mpr_integrand(model, TimeGrid(1.0, 2))
-    assert np.allclose(lam[regimes.index(None)], [[0.3, 0.0], [0.3, 0.0]])
+    regimes = market_regimes(model, TimeGrid(1.0, 2))
+    lam = mpr_table(model, regimes)
+    assert np.allclose(lam[regimes.time_rows], [[0.3, 0.0], [0.3, 0.0]])
 
 
 def test_mpr_fast_path_matches_general():
@@ -164,7 +171,7 @@ def test_mpr_rejects_singular_volatility():
     model = MarketModel(d=2, n=2, mu=constant([0.1, 0.1]),
                         sigma=constant([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularVolatilityError):
-        mpr_integrand(model, TimeGrid(1.0, 2))
+        mpr_table(model, market_regimes(model, TimeGrid(1.0, 2)))
     with pytest.raises(SingularVolatilityError):
         mpr_from_values(np.array([0.1]), np.array([[0.0, 0.0]]),
                         np.array([0.0]))
@@ -214,9 +221,10 @@ def _fd_dlambda(model, dmu, dsigma, dr, grid, W, h=1e-6):
 ])
 def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr):
     grid = TimeGrid(1.0, 4)
-    regimes, formula = dlambda_direction(det2d_model, dmu, dsigma, grid, dr=dr)
+    regimes = market_regimes(det2d_model, grid, dmu, dsigma, dr)
+    formula = dlambda_direction(det2d_model, dmu, dsigma, regimes, dr=dr)
     fd = _fd_dlambda(det2d_model, dmu, dsigma, dr, grid, None)
-    assert np.allclose(formula[regimes.index(None)], fd, atol=1e-8)
+    assert np.allclose(formula[regimes.time_rows], fd, atol=1e-8)
 
 
 def test_dlambda_direction_adapted(switch_model):
@@ -225,11 +233,40 @@ def test_dlambda_direction_adapted(switch_model):
     W = cumulative(ens.increments(0, 8))
     dmu = indicator(0, 0.0, [0.2], [0.6])
     grid = ens.grid
-    regimes, formula = dlambda_direction(switch_model, dmu, None, grid)
+    regimes = market_regimes(switch_model, grid, dmu)
+    formula = dlambda_direction(switch_model, dmu, None, regimes)
     assert formula.shape == (len(regimes), 1) == (2, 1)
     fd = _fd_dlambda(switch_model, dmu, None, None, grid, W)
     assert formula[regimes.index(W)].shape == (8, 16, 1)
     assert np.allclose(formula[regimes.index(W)], fd, atol=1e-8)
+
+
+def test_only_tables_that_differ_within_a_segment_read_the_paths():
+    # on the pass table of a sign-switching market with a rate break, the
+    # price of risk reads the paths; the rate, a constant Dlambda, an
+    # indicator with equal rows and the tau = 0 direction are time-only,
+    # and spreading them by time_rows gives the gather of every path
+    model = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [1.0]),
+                        sigma=constant([[1.0]]),
+                        rate=piecewise([0.5], [[0.0], [0.01]]))
+    pert = PerturbationSpec(dmu=constant([1.0]))
+    same = indicator(0, 0.3, [0.5], [0.5])
+    grid = TimeGrid(1.0, 16)
+    regimes = market_regimes(model, grid, pert.dmu, same)
+    assert regimes.drivers == [0] and len(regimes) == 2 * 3
+    lam = mpr_table(model, regimes)
+    time_only = [regimes.values(model.rate),
+                 dlambda_direction(model, pert.dmu, None, regimes),
+                 regimes.values(same),
+                 pert.moved_lambda(model, regimes, lam, 0.0) - lam]
+    assert regimes.reads_paths(lam)
+    W = cumulative(PathEnsemble(grid, n=1, count=20, seed=3).increments())
+    index = regimes.index(W)
+    assert len(np.unique(lam[index])) == 2 * 2  # sign of W, rate
+    for table in time_only:
+        assert not regimes.reads_paths(table)
+        assert np.array_equal(np.broadcast_to(table[regimes.time_rows],
+                                              (20, 16, 1)), table[index])
 
 
 def test_regime_table_counts_only_reachable_regimes():

@@ -14,10 +14,22 @@ import numpy as np
 import pytest
 
 from portsens import paths as paths_mod
-from portsens.market import (RegimeTable, constant, indicator, integrand,
-                             mpr_integrand, piecewise)
+from portsens.market import (RegimeTable, constant, indicator, mpr_table,
+                             piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
                             cumulative, ito_sum, path_sums, quad_sum)
+
+
+def on_table(grid, *procs):
+    """One regime table of ``procs`` and each one's values on it."""
+    regimes = RegimeTable(grid, *procs)
+    return (regimes, *(regimes.values(p) for p in procs))
+
+
+def market_lambda(model, grid):
+    """The market's regime table and its price of risk on it."""
+    regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
+    return regimes, mpr_table(model, regimes)
 
 
 def test_grid_validation():
@@ -112,8 +124,8 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
                                                 switch_model):
     # a block holds as many paths as fit one worker's whole scratch set in
     # 2 MiB: 2048 when the pass reads only increments (64 steps, n = 2);
-    # 40 when it also builds paths, regime codes and flags and a node-value
-    # slot (52 kB for a path of 2000 steps); 1 when one path's increments
+    # 40 when it also builds paths, regime codes and flags and a gather
+    # buffer (52 kB for a path of 2000 steps); 1 when one path's increments
     # alone exceed the budget
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     budget = paths_mod._SCRATCH_BYTES
@@ -133,13 +145,14 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
     for model, steps, n, M, blocks in cases:
         grid = TimeGrid(1.0, steps)
         ens = PathEnsemble(grid, n=n, count=M, seed=1)
-        lam = mpr_integrand(model, grid)
+        regimes, lam = market_lambda(model, grid)
         sizes.clear()
         held.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
+            path_sums(ens, regimes,
+                      {"S": ("ito", lam), "Q": ("quad", lam, lam)})
         finally:
             tracemalloc.stop()
         assert sizes == blocks
@@ -161,49 +174,52 @@ def test_block_paths_range():
 
 
 def kernel_requests(grid, model):
-    """Every request kind over adapted, spread and deterministic operands.
+    """One regime table and every request kind over adapted, spread and
+    deterministic operands on it.
 
     ``model`` is "switch" (price of risk 1 on {W < 0}; its codes are the
     regime numbers) or "two-drivers" (a time break before the first step
     and indicators on both coordinates, which needs the code lookup).
     """
     if model == "switch":
-        lam = integrand(grid, indicator(0, 0.0, [0.0], [1.0]))
-        det = integrand(grid, constant([0.5]))
-        spread = integrand(grid, constant([-0.25]))
-        return {"S": ("ito", lam), "Q": ("quad", lam, lam),
-                "X": ("quad", lam, det), "T": ("time", lam),
-                "C": ("ito", det), "CC": ("quad", det, det),
-                "Tc": ("time", spread)}
+        regimes, lam, det, spread = on_table(
+            grid, indicator(0, 0.0, [0.0], [1.0]), constant([0.5]),
+            constant([-0.25]))
+        return regimes, {"S": ("ito", lam), "Q": ("quad", lam, lam),
+                         "X": ("quad", lam, det), "T": ("time", lam),
+                         "C": ("ito", det), "CC": ("quad", det, det),
+                         "Tc": ("time", spread)}
     pw = piecewise([0.5 * grid.dt, 0.6], [[0.5, -1.0], [2.0, 0.25],
                                           [-0.75, 1.5]])
     ind0 = indicator(0, -0.1, [0.1, 0.4], [-0.3, 1.1])
     ind1 = indicator(1, 0.2, [1.0, 0.0], [0.0, 2.0])
     const = constant([0.3, -0.6])
     joint = RegimeTable(grid, pw, ind0, ind1, const)
-    # every table with drivers is dense, as the market's tables are; a
-    # constant member's broadcast view is copied
-    a, b, c, k = ((joint, np.array(joint.values(p)))
-                  for p in (pw, ind0, ind1, const))
-    d = (joint, joint.values(ind1) - joint.values(pw))
-    time_only = integrand(grid, pw)
+    # the tables are dense, as the market's tables are; a constant
+    # member's broadcast view is copied; a and time_only are two objects
+    # of the same time-only values, b, c and d read the paths
+    a, b, c, k = (np.array(joint.values(p)) for p in (pw, ind0, ind1, const))
+    d = joint.values(ind1) - joint.values(pw)
+    time_only = joint.values(pw)
     # c is last named where d is first: d must not take c's node values
-    return {"Ia": ("ito", a), "Ib": ("ito", b), "Ic": ("ito", c),
-            "Ik": ("ito", k), "Qab": ("quad", a, b), "Qbc": ("quad", b, c),
-            "Qkc": ("quad", k, c), "Qtb": ("quad", time_only, b),
-            "Tk": ("time", k), "It": ("ito", time_only),
-            "Qtt": ("quad", time_only, time_only), "Tc": ("time", c),
-            "Qcd": ("quad", c, d), "Id": ("ito", d)}
+    return joint, {"Ia": ("ito", a), "Ib": ("ito", b), "Ic": ("ito", c),
+                   "Ik": ("ito", k), "Qab": ("quad", a, b),
+                   "Qbc": ("quad", b, c), "Qkc": ("quad", k, c),
+                   "Qtb": ("quad", time_only, b), "Tk": ("time", k),
+                   "It": ("ito", time_only),
+                   "Qtt": ("quad", time_only, time_only),
+                   "Tc": ("time", c), "Qcd": ("quad", c, d),
+                   "Id": ("ito", d)}
 
 
-def direct_sums(ens, requests):
+def direct_sums(ens, regimes, requests):
     """Each request reduced over the whole ensemble from node values
     gathered afresh for it (the reference for ``path_sums``)."""
     dW = ens.increments()
     W = cumulative(dW)
     out = {}
     for name, (kind, *fs) in requests.items():
-        v = [table[regimes.index(W)] for regimes, table in fs]
+        v = [table[regimes.index(W)] for table in fs]
         if kind == "ito":
             r = ito_sum(v[0], dW)
         elif kind == "quad":
@@ -225,11 +241,11 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
         monkeypatch.setenv("PORTSENS_WORKERS", str(workers))
         ens = PathEnsemble(grid, n=2, count=100, seed=11,
                            block_paths=block_paths)
-        return path_sums(ens, kernel_requests(grid, model))
+        return path_sums(ens, *kernel_requests(grid, model))
 
     base = sums(1, None)
     want = direct_sums(PathEnsemble(grid, n=2, count=100, seed=11),
-                       kernel_requests(grid, model))
+                       *kernel_requests(grid, model))
     for name in want:
         assert base[name].shape == (100,)
         assert np.array_equal(base[name], want[name]), name
@@ -247,11 +263,11 @@ def test_path_sums_ignore_table_strides(kind):
     # gathered as a dense copy is, so both sum the same bits
     grid = TimeGrid(1.0, 100)
     ens = PathEnsemble(grid, n=3, count=20, seed=4)
-    regimes, table = integrand(grid, constant([0.1, -0.7, 1.3]))
+    regimes, table = on_table(grid, constant([0.1, -0.7, 1.3]))
     view = np.broadcast_to(table[0], table.shape)
     assert view.strides[0] == 0
     arity = 2 if kind == "quad" else 1
-    sums = [path_sums(ens, {"x": (kind,) + ((regimes, t),) * arity})["x"]
+    sums = [path_sums(ens, regimes, {"x": (kind,) + (t,) * arity})["x"]
             for t in (view, table)]
     assert np.array_equal(sums[0], sums[1])
 
@@ -270,7 +286,7 @@ def test_path_sums_reuse_one_increment_buffer(monkeypatch):
     monkeypatch.setattr(PathEnsemble, "increments", recorded)
     grid = TimeGrid(1.0, 16)
     ens = PathEnsemble(grid, n=2, count=100, seed=11, block_paths=7)
-    path_sums(ens, kernel_requests(grid, "two-drivers"))
+    path_sums(ens, *kernel_requests(grid, "two-drivers"))
     assert [b for b, _ in seen] == [7] * 14 + [2]
     assert len({address for _, address in seen}) == 1
 
@@ -330,8 +346,8 @@ def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
     for model, n, blocks in cases:
         built.clear()
         ens = PathEnsemble(grid, n=n, count=50, seed=13, block_paths=20)
-        lam = mpr_integrand(model, grid)
-        path_sums(ens, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
+        regimes, lam = market_lambda(model, grid)
+        path_sums(ens, regimes, {"S": ("ito", lam), "Q": ("quad", lam, lam)})
         assert built == blocks
 
 
@@ -344,8 +360,9 @@ def test_increment_moments(ens1d):
 
 def test_ito_isometry(ens1d):
     # E[(int H dW)^2] = E[int H^2 dt] for the adapted sign integrand
-    lam = integrand(ens1d.grid, indicator(0, 0.0, [0.0], [1.0]))
-    s = path_sums(ens1d, {"ito": ("ito", lam), "qv": ("quad", lam, lam)})
+    regimes, lam = on_table(ens1d.grid, indicator(0, 0.0, [0.0], [1.0]))
+    s = path_sums(ens1d, regimes,
+                  {"ito": ("ito", lam), "qv": ("quad", lam, lam)})
     vals, qv = s["ito"], s["qv"]
     lhs, rhs = float(np.mean(vals**2)), float(np.mean(qv))
     se = float(np.std(vals**2 - qv)) / math.sqrt(ens1d.count)
@@ -372,10 +389,10 @@ def test_path_sums_equal_sums_of_evaluated_coefficients():
     pw = piecewise([0.3, 0.55], [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
     ind = indicator(1, -0.2, [0.1, 0.4], [-0.3, 1.1])
     rate = constant([0.03])
-    a, b, c = integrand(grid, pw), integrand(grid, ind), integrand(grid, rate)
-    s = path_sums(ens, {"Ia": ("ito", a), "Ib": ("ito", b),
-                        "Qab": ("quad", a, b), "Qbb": ("quad", b, b),
-                        "R": ("time", c)})
+    regimes, a, b, c = on_table(grid, pw, ind, rate)
+    s = path_sums(ens, regimes, {"Ia": ("ito", a), "Ib": ("ito", b),
+                                 "Qab": ("quad", a, b), "Qbb": ("quad", b, b),
+                                 "R": ("time", c)})
     dW = ens.increments()
     W = cumulative(dW)
     pv, iv, rv = (p.evaluate(grid, W) for p in (pw, ind, rate))
@@ -393,8 +410,8 @@ def test_path_sums_equal_sums_of_evaluated_coefficients():
 
 
 def test_stochastic_exponential_is_positive_mean_one(ens1d):
-    g = integrand(ens1d.grid, constant([1.0]))
-    s = path_sums(ens1d, {"S": ("ito", g), "Q": ("quad", g, g)})
+    regimes, g = on_table(ens1d.grid, constant([1.0]))
+    s = path_sums(ens1d, regimes, {"S": ("ito", g), "Q": ("quad", g, g)})
     se_vals = np.exp(s["S"] - 0.5 * s["Q"])
     assert np.all(se_vals > 0)
     est = se_vals.mean()
@@ -405,8 +422,8 @@ def test_stochastic_exponential_is_positive_mean_one(ens1d):
 def test_girsanov_weight_tilts_the_mean(ens1d):
     # E[G f(W_T)] equals E[f(W_T + c T)] for the constant shift c
     c = 0.7
-    g = integrand(ens1d.grid, constant([c]))
-    s = path_sums(ens1d, {"S": ("ito", g), "Q": ("quad", g, g)})
+    regimes, g = on_table(ens1d.grid, constant([c]))
+    s = path_sums(ens1d, regimes, {"S": ("ito", g), "Q": ("quad", g, g)})
     G = np.exp(s["S"] - 0.5 * s["Q"])
     WT = np.sum(ens1d.increments(0, ens1d.count), axis=(1, 2))
     lhs = float(np.mean(G * WT))

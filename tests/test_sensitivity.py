@@ -82,8 +82,8 @@ def test_coefficient_and_mpr_directions_agree_pathwise(det2d_model, det_ens):
     # reproduce the estimates bit for bit, influence vectors included
     pert = PerturbationSpec(dmu=DMU2,
                             dsigma=constant([[0.02, 0.01], [0.0, 0.03]]))
-    _, vals = dlambda_direction(det2d_model, pert.dmu, pert.dsigma,
-                                det_ens.grid)
+    vals = dlambda_direction(det2d_model, pert.dmu, pert.dsigma,
+                             pert.regimes(det2d_model, det_ens.grid))
     assert vals.shape == (1, 2)
     direct = PerturbationSpec(dlambda=constant(vals[0]))
     for u in (log_utility(), power_utility(3.0)):
