@@ -15,8 +15,9 @@ each node; everything computed from coefficient values alone (the market
 price of risk, its directional derivative, rank and null-space checks) is
 computed once per regime.  A path pass reads one table, the joint table of
 every coefficient it reads: a per-regime table that ``reads_paths`` finds
-constant within each time segment is spread over nodes by ``time_rows``,
-any other is gathered per block by ``index``.
+constant within each time segment is spread over nodes by ``time_rows``;
+any other enters quad and time sums through each path's count of nodes
+per regime, taken from ``index``, and Ito sums through a gather by it.
 
 The market price of risk is lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1).
 Volatility perturbations are admissible only when they preserve the null
@@ -72,6 +73,8 @@ class CoefficientProcess:
         if self.kind == "piecewise":
             if self.breaks is None:
                 raise CoefficientError("piecewise needs breaks")
+            if not np.all(np.isfinite(self.breaks)):
+                raise CoefficientError("breakpoints must be finite")
             if np.any(np.diff(self.breaks) <= 0):
                 raise CoefficientError("breakpoints must increase strictly")
         elif self.kind != "indicator":
@@ -231,10 +234,12 @@ class RegimeTable:
     ``values(proc)`` gives a member's value in each regime, (R, *shape),
     and ``index(W)`` the regime of each node, (B, N), from the left-node
     values of W (B, N+1, n).  A table of per-regime values gathered by that
-    index equals the member's ``evaluate`` node by node.  A table whose
-    rows agree within every time segment (``reads_paths`` false) equals it
-    gathered by ``time_rows``, the (N,) first regime of each node's
-    segment, on every path.  Absent (None) members are skipped.
+    index equals the member's ``evaluate`` node by node, so a sum of such
+    values over a path's nodes is the sum over regimes of each value times
+    the path's count of nodes in that regime.  A table whose rows agree
+    within every time segment (``reads_paths`` false) equals it gathered
+    by ``time_rows``, the (N,) first regime of each node's segment, on
+    every path.  Absent (None) members are skipped.
     """
 
     def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
@@ -301,7 +306,9 @@ class RegimeTable:
         return table[self._segment_rows].tobytes() != table.tobytes()
 
     def scratch(self, paths: int) -> list:
-        """Buffers for ``index`` on blocks of up to ``paths`` paths."""
+        """Buffers for ``index`` on blocks of up to ``paths`` paths: codes,
+        (paths, N) bool flags, which ``index`` leaves free once it
+        returns, and regime numbers where codes are not."""
         types = [self._code_type, bool] + [self._lookup.dtype] * (
             not self._identity)
         return [np.empty((paths, self.grid.steps), t) for t in types]
@@ -361,10 +368,6 @@ class MarketModel:
         if self.rate.shape != (1,):
             raise ValueError("rate must have shape (1,)")
         check_drivers(self.n, self.mu, self.sigma, self.rate)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return deterministic(self.mu, self.sigma, self.rate)
 
 
 def _gram_cond(S: np.ndarray) -> np.ndarray:
@@ -463,62 +466,41 @@ class H1Report:
         return self.full_rank and self.kernel_equal
 
 
-def _numerical_rank(s: np.ndarray) -> np.ndarray:
-    """Ranks from singular-value stacks (..., k) at a relative threshold."""
-    cut = _RANK_TOL * s[..., :1]
-    return np.sum(s > cut, axis=-1)
+def _rank(values: np.ndarray, scale: np.ndarray | None = None) -> tuple:
+    """Numerical ranks of a (..., k, n) stack of matrices, counting the
+    singular values above _RANK_TOL times ``scale`` (..., 1), by default
+    each matrix's largest; and that largest singular value."""
+    s = np.linalg.svd(values, compute_uv=False)
+    top = s[..., :1]
+    return np.sum(s > _RANK_TOL * (top if scale is None else scale),
+                  axis=-1), top
 
 
 def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
                        taus, grid: TimeGrid) \
         -> tuple[RegimeTable, list[H1Report]]:
     """Full rank of sigma plus null-space equality of sigma and
-    sigma + tau dsigma, for each tau.
+    sigma + tau dsigma, for each nonzero tau, in every regime the paths can
+    reach.
 
-    Kernel equality is decided by comparing the numerical rank of the
-    stacked (2d, n) matrix with the individual ranks, in every regime the
-    paths can reach.  Given no tau, one report holds for every small
-    tau != 0: full rank and ker sigma in ker dsigma, the half of kernel
-    equality that is the same at every tau != 0.  The other half, rank
-    (sigma + tau dsigma) = rank sigma, follows for small tau from full rank.
+    For tau != 0 the null spaces agree exactly when ker sigma lies in
+    ker dsigma and rank (sigma + tau dsigma) = rank sigma.  The inclusion
+    does not depend on tau: stacking dsigma under sigma keeps the rank,
+    counted at sigma's own scale so that a rank-deficient pair cannot hide
+    behind its own tiny leading singular value.  Given no tau, one report
+    holds for every small tau != 0: full rank and the inclusion, since the
+    rank of sigma + tau dsigma follows for small tau from full rank.
     """
     if sigma.shape != dsigma.shape:
         raise CoefficientError("volatility shapes differ")
     regimes = RegimeTable(grid, sigma, dsigma)
     base, step = regimes.values(sigma), regimes.values(dsigma)
-    d = sigma.shape[0]
-    if not taus:
-        rank_base, _, kept = _ranks(base, step)
-        return regimes, [_report(rank_base == d, kept)]
-    return regimes, [h1_from_values(base, base + tau * step, d)
-                     for tau in taus]
-
-
-def _ranks(base_v: np.ndarray, other_v: np.ndarray) -> tuple:
-    """(rank of base, rank of other, whether stacking other under base
-    keeps the rank of base), one (d, n) matrix per row."""
-    base_v, other_v = np.broadcast_arrays(base_v, other_v)
-    s_base = np.linalg.svd(base_v, compute_uv=False)
-    s_other = np.linalg.svd(other_v, compute_uv=False)
-    stacked = np.concatenate((base_v, other_v), axis=-2)
-    s_stack = np.linalg.svd(stacked, compute_uv=False)
-
-    rank_base = _numerical_rank(s_base)
-    # stacked spectrum is compared against the base scale so that a rank-
-    # deficient pair cannot hide behind its own tiny leading singular value
-    cut = _RANK_TOL * s_base[..., :1]
-    kept = np.sum(s_stack > cut, axis=-1) == rank_base
-    return rank_base, _numerical_rank(s_other), kept
-
-
-def _report(full: np.ndarray, equal: np.ndarray) -> H1Report:
-    return H1Report(full_rank=bool(np.all(full)),
-                    kernel_equal=bool(np.all(equal)),
-                    worst_regime=int(np.argmax(np.ravel(~(full & equal)))))
-
-
-def h1_from_values(base_v: np.ndarray, pert_v: np.ndarray,
-                   d: int) -> H1Report:
-    """Same check on volatility values, one (d, n) matrix per row."""
-    rank_base, rank_pert, kept = _ranks(base_v, pert_v)
-    return _report(rank_base == d, kept & (rank_pert == rank_base))
+    rank, top = _rank(base)
+    full = rank == sigma.shape[0]
+    within = _rank(np.concatenate((base, step), axis=-2), top)[0] == rank
+    equal = [within] if not taus else [
+        within & (_rank(base + tau * step)[0] == rank) for tau in taus]
+    return regimes, [
+        H1Report(full_rank=bool(np.all(full)), kernel_equal=bool(np.all(e)),
+                 worst_regime=int(np.argmax(np.ravel(~(full & e)))))
+        for e in equal]

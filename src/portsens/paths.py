@@ -10,10 +10,12 @@ Python ints, which numpy reads faster than uint64 arrays.
 and reduces each block to named per-path stochastic and time integrals,
 written into (M,) arrays by path range; means and standard errors are the
 caller's.  Integrands are per-regime values on the pass's one regime
-table, spread over nodes once per pass where they depend on time only and
-gathered per block by one regime index where not.  Memory stays at
-O(block), and no result depends on block size or worker count.  A block holds as many paths as fit one worker's scratch set
-in ``_SCRATCH_BYTES``, about a core's L2 cache, and at least one; tests fix
+table.  Where they depend on time only, they are spread over nodes once
+per pass; otherwise a quad or time sum is read off each path's regime
+counts, and an Ito sum gathers its table per block by one regime index.
+Memory stays at O(block), and no result depends on block size or worker
+count.  A block holds as many paths as fit one worker's scratch set in
+``_SCRATCH_BYTES``, about a core's L2 cache, and at least one; tests fix
 the count instead through an ensemble's ``block_paths``.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
@@ -34,7 +36,7 @@ WORKERS_ENV = "PORTSENS_WORKERS"
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
 # default scratch bytes of one worker's block buffers (increments, paths,
-# regime codes, gathered node values): 2 MB, about the L2 of one core
+# regime codes and flags, gathered node values): 2 MB, about one core's L2
 _SCRATCH_BYTES = 2**21
 
 # one Philox generator per thread: a generator is not thread-safe, and every
@@ -175,19 +177,17 @@ def ito_sum(H: np.ndarray, dW: np.ndarray,
     return np.einsum("...kj,...kj->...", H, dW, out=out)
 
 
-def quad_sum(H: np.ndarray, G: np.ndarray, dt: float,
-             out: np.ndarray | None = None) -> np.ndarray:
+def quad_sum(H: np.ndarray, G: np.ndarray, dt: float) -> np.ndarray:
     """Per-path sum_k <H_k, G_k> dt (zero-dimensional if both deterministic)."""
-    return np.multiply(np.einsum("...kj,...kj->...", H, G, out=out), dt,
-                       out=out)
+    return np.multiply(np.einsum("...kj,...kj->...", H, G), dt)
 
 
-def _reduce(kind: str, args: list, dW, dt: float, out=None):
-    if kind == "ito":
-        return ito_sum(args[0], dW, out)
+def _reduce(kind: str, args: list, dt: float):
+    """A quad or time sum over time-only (N, k) node values; every path
+    shares it."""
     if kind == "quad":
-        return quad_sum(args[0], args[1], dt, out)
-    return np.multiply(np.sum(args[0], axis=(-2, -1), out=out), dt, out=out)
+        return quad_sum(args[0], args[1], dt)
+    return np.multiply(np.sum(args[0], axis=(-2, -1)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +199,19 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     Each request is ``("ito", a)`` for sum_k <a_k, dW_k>, ``("quad", a, b)``
     for sum_k <a_k, b_k> dt, or ``("time", c)`` for sum_k sum_j c_kj dt.
     An integrand is an (R, k) array of per-regime values on ``regimes``,
-    the pass's one ``market.RegimeTable``.  A table that does not
-    ``regimes.reads_paths`` is spread over nodes once per pass through
-    ``regimes.time_rows``, (N, k), however many requests name the same
-    array object; every other table is gathered per block, (B, N, k), by
-    the block's one ``regimes.index``.
+    the pass's one ``market.RegimeTable``.  Tables that do not
+    ``regimes.reads_paths`` are spread over nodes, (N, k), once per pass
+    through ``regimes.time_rows``, however many requests name one array.
+    Otherwise a quad or time request is a per-regime value f, (R,), of
+    sum_j a_j b_j or sum_j c_j, summed as dt sum_r f_r c_r over the path's
+    count c_r of left nodes in regime r, and an ito request gathers its
+    table per block, (B, N, k), by the block's one ``regimes.index``.
 
     Each worker allocates one scratch set per pass, sized to the largest
     block: increments and, if some table reads the paths, cumulative paths,
-    index buffers and as many gather buffers as the path-dependent tables
-    one request reads.  A buffer keeps its table until a request that does
-    not read it needs a buffer, so requests that name the same table in a
-    row gather it once per block.  Unless the ensemble's ``block_paths``
-    fixes it, a block holds as many paths as keep that scratch set within
+    index buffers, (R, B) regime counts and one gather buffer for the ito
+    requests.  Unless the ensemble's ``block_paths`` fixes it, a block
+    holds as many paths as keep that set, counts aside, within
     ``_SCRATCH_BYTES``, and at least one.  With k workers
     (``PORTSENS_WORKERS``, default 1) worker w takes blocks w, w + k, ...
     Returns an (M,) array per name.
@@ -220,34 +220,31 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     dt, N, n = grid.dt, grid.steps, ensemble.n
     out = {name: np.empty(ensemble.count) for name in sums}
     spread = {}  # node values of each time-only table, by id
-    held, width, plan = [], 1, []  # held: the table id in each buffer
-    # an operand is a node array or (table, buffer, whether to gather)
+    # itos: (result, table to gather or None, node values);
+    # counted: (result, per-regime value f); width: of the widest gather
+    itos, counted, width = [], [], 0
     for name, (kind, *tables) in sums.items():
-        reads = {id(t) for t in tables if regimes.reads_paths(t)}
-        ops = []
-        for t in tables:
-            if id(t) not in reads:
+        if not any(map(regimes.reads_paths, tables)):
+            for t in tables:
                 if id(t) not in spread:
                     spread[id(t)] = t[regimes.time_rows]
-                ops.append(spread[id(t)])
-            elif id(t) in held:
-                ops.append((t, held.index(id(t)), False))
+            args = [spread[id(t)] for t in tables]
+            if kind == "ito":
+                itos.append((out[name], None, args[0]))
             else:
-                # the first buffer this request does not read, else a new one
-                j = next((j for j, h in enumerate(held) if h not in reads),
-                         len(held))
-                held[j:j + 1] = [id(t)]
-                width = max(width, t[0].size)
-                ops.append((t, j, True))
-        if reads or kind == "ito":
-            plan.append((out[name], kind, ops))
+                out[name][:] = _reduce(kind, args, dt)  # reads no paths
+        elif kind == "ito":
+            width = max(width, tables[0][0].size)
+            itos.append((out[name], tables[0], None))
         else:
-            out[name][:] = _reduce(kind, ops, None, dt)  # reads no paths
+            counted.append((out[name], np.einsum("rj,rj->r", *tables)
+                            if kind == "quad" else np.sum(tables[0], axis=-1)))
+    reads = bool(width or counted)
 
     # one path's share of the scratch set that ``run`` allocates
     per_path = 8 * N * n
-    if held:
-        per_path += 8 * ((N + 1) * n + len(held) * N * width) + sum(
+    if reads:
+        per_path += 8 * ((N + 1) * n + N * width) + sum(
             a.nbytes for a in regimes.scratch(1))
     ranges = list(ensemble.block_ranges(
         ensemble.block_paths or max(1, _SCRATCH_BYTES // per_path)))
@@ -255,29 +252,34 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
 
     def run(first_block: int) -> None:
         dW = np.empty((B, N, n))
-        if held:
+        if reads:
             W, scratch = np.empty((B, N + 1, n)), regimes.scratch(B)
-            buf = [np.empty(B * N * width) for _ in held]
+            counts, buf = np.empty((len(regimes), B)), np.empty(B * N * width)
         for start, stop in ranges[first_block::nworkers]:
             b = stop - start
             dw = ensemble.increments(start, stop, out=dW[:b])
-            if held:
+            if reads:
                 index = regimes.index(cumulative(dw, out=W[:b]), out=scratch)
-            for res, kind, ops in plan:
-                args = []
-                for op in ops:
-                    if isinstance(op, np.ndarray):
-                        args.append(op)
-                        continue
-                    table, j, gather = op
-                    args.append(buf[j][:b * N * table[0].size].reshape(
-                        (b, N) + table.shape[1:]))
+            if counted:
+                # one mask per regime, in the flag buffer that ``index``
+                # leaves free once it returns
+                mask = scratch[1][:b]
+                for r, c in enumerate(counts[:, :b]):
+                    c[:] = np.count_nonzero(np.equal(index, r, out=mask),
+                                            axis=1)
+            for res, f in counted:
+                acc = np.multiply(counts[0, :b], f[0], out=res[start:stop])
+                for r in range(1, len(f)):
+                    acc += counts[r, :b] * f[r]
+                acc *= dt
+            for res, table, nodes in itos:
+                if table is not None:
+                    nodes = buf[:b * N * table[0].size].reshape(
+                        (b, N) + table.shape[1:])
                     # every code is below len(table); "raise" would copy
                     # through a hidden buffer
-                    if gather:
-                        np.take(table, index, axis=0, out=args[-1],
-                                mode="clip")
-                _reduce(kind, args, dw, dt, res[start:stop])
+                    np.take(table, index, axis=0, out=nodes, mode="clip")
+                ito_sum(nodes, dw, res[start:stop])
 
     nworkers = min(max(1, int(os.environ.get(WORKERS_ENV, "1"))),
                    len(ranges))

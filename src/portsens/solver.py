@@ -167,7 +167,7 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec,
     log utility:   log x0 + int r dt + 1/2 int |lambda|^2 dt;
     power utility: p x0^{1/p} exp((1/p) int r dt) exp((q-1)/2 int |lambda|^2 dt).
     """
-    if not model.is_deterministic:
+    if not deterministic(model.mu, model.sigma, model.rate):
         raise SolverError("closed forms need deterministic coefficients")
     if u.kind not in ("log", "power"):
         raise SolverError(f"no closed form for utility {u.label!r}")

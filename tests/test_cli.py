@@ -330,21 +330,52 @@ def test_example1_config_indexes_each_block_once(tmp_path, monkeypatch,
     assert generated == [8] * 12 + [4]
 
 
-@pytest.mark.parametrize("command", [
+EXAMPLE1_PASSES = pytest.mark.parametrize("command", [
     ["example1"], ["value", "--config", "configs/example1.ini"],
     ["sens", "--config", "configs/example1.ini"],
     ["secondorder", "--config", "configs/example1.ini"]],
     ids=["example1", "value", "sens", "secondorder"])
+
+
+@EXAMPLE1_PASSES
 def test_example1_passes_hold_forty_paths_of_2000_steps(tmp_path,
                                                         monkeypatch,
                                                         generated, command):
-    # each pass holds increments, paths, regime codes and flags and one
-    # gather buffer for the price of risk: 52 kB a path of 2000 steps
+    # each pass holds increments, paths, regime codes and flags: 36 kB a
+    # path of 2000 steps, 58 paths a block for example1, whose adapted
+    # sums are all counted; value, sens and secondorder add one gather
+    # buffer for their ito sums, 52 kB a path and 40 paths a block
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     code = main(command + ["--paths", "100", "--steps", "2000",
                            "--out", str(tmp_path / "o")])
     assert code in (0, 3)
-    assert generated == [40, 40, 20]
+    assert generated == ([58, 42] if command == ["example1"]
+                         else [40, 40, 20])
+
+
+@EXAMPLE1_PASSES
+def test_example1_passes_gather_only_for_ito_sums(tmp_path, monkeypatch,
+                                                  generated, command):
+    # quad and time sums are read off regime counts, so a block gathers
+    # only the tables of its ito sums that read the paths: none for
+    # example1 (log utility reads no int lambda dW, and Dlambda is
+    # constant), and the tilt direction of each nonzero tau for value (3),
+    # sens (+-h of two steps) and secondorder (four steps)
+    monkeypatch.setenv("PORTSENS_WORKERS", "1")
+    gathers = []
+    take = np.take
+
+    def counted(a, indices, axis=None, out=None, mode="raise"):
+        gathers.append(axis)
+        return take(a, indices, axis=axis, out=out, mode=mode)
+
+    monkeypatch.setattr(paths.np, "take", counted)
+    code = main(command + ["--paths", "400", "--steps", "200",
+                           "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    assert generated == [400]
+    want = {"example1": 0, "value": 3, "sens": 4, "secondorder": 4}
+    assert gathers == [0] * want[command[0]]
 
 
 def test_example2_makes_one_path_pass(tmp_path, generated):
@@ -910,6 +941,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert main(["value", "--config", str(badseed)]) == 2
         assert "seed" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("breaks", ["[nan]", "[0.5,nan]", "[inf]"])
+def test_non_finite_breakpoints_exit_two(tmp_path, capsys, breaks):
+    # a nan breakpoint passes every comparison-based check, and a row past
+    # an infinite one is never read; both are refused before any pass
+    rows = ",".join(["0.01"] * (breaks.count(",") + 2))
+    config = tmp_path / "nanbreak.ini"
+    config.write_text(load_text("configs/deterministic2d.ini").replace(
+        "dr = const:[0.01]", f"dr = pw:t={breaks};v=[{rows}]"))
+    out = tmp_path / "o"
+    assert main(["value", "--config", str(config), "--out", str(out)]) == 2
+    assert "breakpoints must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def norm_write(path, text):

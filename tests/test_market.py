@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from portsens.market import (CoefficientError, MarketModel, RegimeTable,
                              SingularVolatilityError, check_h1_direction,
-                             constant, dlambda_direction, h1_from_values,
-                             indicator, mpr_from_values, mpr_table,
-                             parse_coefficient, piecewise)
+                             constant, dlambda_direction, indicator,
+                             mpr_from_values, mpr_table, parse_coefficient,
+                             piecewise)
 from portsens.paths import PathEnsemble, TimeGrid, cumulative
 from portsens.valuation import PerturbationSpec
 
@@ -111,6 +111,13 @@ def test_parse_rejects_malformed():
                  "mystery:[1.0]", "const:[a,b]",
                  "ind:j=0;c=nan;lo=[0.0];hi=[1.0]"]:
         with pytest.raises(CoefficientError):
+            parse_coefficient(text, (1,))
+    # every comparison with nan is false, so only a finiteness check
+    # refuses these; the strict-increase check passes [0.5, nan]
+    for text in ["pw:t=[nan];v=[0.01,0.5]", "pw:t=[0.5,nan];v=[1,2,3]",
+                 "pw:t=[0.5,inf];v=[1,2,3]", "pw:t=[-inf];v=[1,2]"]:
+        with pytest.raises(CoefficientError, match="breakpoints must be "
+                           "finite"):
             parse_coefficient(text, (1,))
     with pytest.raises(CoefficientError):
         parse_coefficient("const:[1.0,2.0]", (3,))
@@ -310,10 +317,49 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
     shrink = constant([[-1.0, 0.0]])
     assert check_h1_direction(sigma, shrink, [], grid)[1][0].ok
     assert not check_h1_direction(sigma, shrink, [1.0], grid)[1][0].ok
-    # rank loss of the perturbed matrix is also flagged
-    lost = h1_from_values(np.broadcast_to([[1.0, 0.0]], (4, 1, 2)),
-                          np.zeros((4, 1, 2)), d=1)
-    assert not lost.ok
+
+
+def stacked_h1(base, pert):
+    """(full rank, kernel kept) of one (d, n) sigma and sigma + tau dsigma
+    by the per-tau stacked rule: rank sigma = d, and the ranks of
+    sigma + tau dsigma and of both stacked equal rank sigma, the stacked
+    one counted at sigma's scale."""
+    s, sp, st = (np.linalg.svd(m, compute_uv=False)
+                 for m in (base, pert, np.vstack((base, pert))))
+    rank = np.sum(s > 1e-10 * s[0])
+    kept = np.sum(st > 1e-10 * s[0]) == rank \
+        and np.sum(sp > 1e-10 * sp[0]) == rank
+    return rank == base.shape[0], kept
+
+
+_MATRIX = st.lists(st.integers(-2, 2), min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1), _MATRIX, _MATRIX, _MATRIX,
+       _MATRIX, st.booleans(), st.sampled_from([-1.0, -0.5, 0.25, 1.0, 2.0]))
+def test_h1_tau_free_inclusion_matches_the_per_tau_stacked_rule(
+        d, extra, lo, hi, dlo, dhi, in_row_space, tau):
+    # sigma and dsigma are indicators on one driver, so two regimes; small
+    # integer entries make rank-deficient sigma common, and dsigma = M sigma
+    # keeps its rows in sigma's row space, so ker sigma lies in ker dsigma
+    n = d + extra
+    lo, hi = (np.reshape(v[:d * n], (d, n)) for v in (lo, hi))
+    dlo, dhi = (np.reshape(v[:d * n], (d, n)) for v in (dlo, dhi))
+    if in_row_space:
+        dlo = np.reshape(dlo.ravel()[:d * d], (d, d)) @ lo
+        dhi = np.reshape(dhi.ravel()[:d * d], (d, d)) @ hi
+    sigma = indicator(0, 0.0, lo.astype(float), hi.astype(float))
+    dsigma = indicator(0, 0.0, dlo.astype(float), dhi.astype(float))
+    regimes, (rep,) = check_h1_direction(sigma, dsigma, [tau],
+                                         TimeGrid(1.0, 4))
+    base, step = regimes.values(sigma), regimes.values(dsigma)
+    want = [stacked_h1(b, b + tau * s) for b, s in zip(base, step)]
+    assert rep.full_rank == all(full for full, _ in want)
+    assert rep.kernel_equal == all(kept for _, kept in want)
+    if not rep.ok:
+        assert want[rep.worst_regime] != (True, True)
+        assert all(w == (True, True) for w in want[:rep.worst_regime])
 
 
 def test_h1_adapted_is_exact_over_regimes():

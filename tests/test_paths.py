@@ -124,9 +124,10 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
                                                 switch_model):
     # a block holds as many paths as fit one worker's whole scratch set in
     # 2 MiB: 2048 when the pass reads only increments (64 steps, n = 2);
-    # 40 when it also builds paths, regime codes and flags and a gather
-    # buffer (52 kB for a path of 2000 steps); 1 when one path's increments
-    # alone exceed the budget
+    # 40 when it also builds paths, regime codes and flags and the gather
+    # buffer of an ito sum (52 kB for a path of 2000 steps); 58 when the
+    # adapted sums are all counted and nothing is gathered (36 kB); 1 when
+    # one path's increments alone exceed the budget
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     budget = paths_mod._SCRATCH_BYTES
     sizes, held = [], []
@@ -139,27 +140,30 @@ def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
         return increments(self, start, stop, out)
 
     monkeypatch.setattr(PathEnsemble, "increments", recorded)
-    cases = [(det2d_model, 64, 2, 3000, [2048, 952]),
-             (switch_model, 2000, 1, 100, [40, 40, 20]),
-             (det2d_model, 2**17 + 1, 2, 3, [1, 1, 1])]
-    for model, steps, n, M, blocks in cases:
+    both, quad = ("S", "Q"), ("Q",)
+    cases = [(det2d_model, 64, 2, 3000, both, [2048, 952]),
+             (switch_model, 2000, 1, 100, both, [40, 40, 20]),
+             (switch_model, 2000, 1, 100, quad, [58, 42]),
+             (det2d_model, 2**17 + 1, 2, 3, both, [1, 1, 1])]
+    for model, steps, n, M, names, blocks in cases:
         grid = TimeGrid(1.0, steps)
         ens = PathEnsemble(grid, n=n, count=M, seed=1)
         regimes, lam = market_lambda(model, grid)
+        requests = {"S": ("ito", lam), "Q": ("quad", lam, lam)}
         sizes.clear()
         held.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            path_sums(ens, regimes,
-                      {"S": ("ito", lam), "Q": ("quad", lam, lam)})
+            path_sums(ens, regimes, {k: requests[k] for k in names})
         finally:
             tracemalloc.stop()
         assert sizes == blocks
         # where a path fits, the pass holds at its first draw the scratch
-        # set within the budget plus under 64 kB of outputs and node tables;
-        # where it does not, one path's increments and the price of risk,
-        # gathered once for both requests that name it, as (N, n) arrays
+        # set within the budget plus under 64 kB of outputs, counts and
+        # node tables; where it does not, one path's increments and the
+        # price of risk, spread once for both requests that name it, as
+        # (N, n) arrays
         scratch = budget if blocks[0] > 1 else 2 * 8 * steps * n
         assert held[0] - before <= scratch + 2**16
 
@@ -201,7 +205,8 @@ def kernel_requests(grid, model):
     a, b, c, k = (np.array(joint.values(p)) for p in (pw, ind0, ind1, const))
     d = joint.values(ind1) - joint.values(pw)
     time_only = joint.values(pw)
-    # c is last named where d is first: d must not take c's node values
+    # Ib, Ic and Id take the one gather buffer in turn: each must read its
+    # own table's node values, not those the buffer held before
     return joint, {"Ia": ("ito", a), "Ib": ("ito", b), "Ic": ("ito", c),
                    "Ik": ("ito", k), "Qab": ("quad", a, b),
                    "Qbc": ("quad", b, c), "Qkc": ("quad", k, c),
@@ -230,31 +235,83 @@ def direct_sums(ens, regimes, requests):
     return out
 
 
+def counted(regimes, requests):
+    """Names of the quad and time requests that ``path_sums`` reads off
+    regime counts rather than summing node by node."""
+    return {name for name, (kind, *fs) in requests.items()
+            if kind != "ito" and any(map(regimes.reads_paths, fs))}
+
+
+# a counted sum adds per-regime products of exact counts in another order
+# than the node-by-node reference; each order's rounding error is below
+# (N + R + k + 2) ulps of the sum of absolute terms, under 256 for the
+# tables here (N <= 200 nodes, R <= 9 regimes, k <= 2 columns)
+COUNTED_REL = 512 * np.finfo(float).eps
+
+
+def assert_counted_close(got, want, ens, regimes, request):
+    kind, *fs = request
+    scale = direct_sums(ens, regimes, {"x": (kind, *map(np.abs, fs))})["x"]
+    assert np.all(np.abs(got - want) <= COUNTED_REL * scale)
+
+
 @pytest.mark.parametrize("model", ["switch", "two-drivers"])
 def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
     # every block writes its own path range of the outputs from its own
     # scratch views, so neither the worker count nor the block size (100
-    # paths in 7-path blocks leave an uneven last block) moves a bit
-    grid = TimeGrid(1.0, 16)
+    # paths in blocks of 1, 3 and 7 leave uneven last blocks) moves a bit
+    for steps in (16, 200):
+        grid = TimeGrid(1.0, steps)
 
-    def sums(workers, block_paths):
-        monkeypatch.setenv("PORTSENS_WORKERS", str(workers))
-        ens = PathEnsemble(grid, n=2, count=100, seed=11,
-                           block_paths=block_paths)
-        return path_sums(ens, *kernel_requests(grid, model))
+        def sums(workers, block_paths):
+            monkeypatch.setenv("PORTSENS_WORKERS", str(workers))
+            ens = PathEnsemble(grid, n=2, count=100, seed=11,
+                               block_paths=block_paths)
+            return path_sums(ens, *kernel_requests(grid, model))
 
-    base = sums(1, None)
-    want = direct_sums(PathEnsemble(grid, n=2, count=100, seed=11),
-                       *kernel_requests(grid, model))
-    for name in want:
-        assert base[name].shape == (100,)
-        assert np.array_equal(base[name], want[name]), name
-    for workers, block_paths in ((2, None), (4, None), (1, 7), (2, 7),
-                                 (4, 7)):
-        got = sums(workers, block_paths)
-        for name in base:
-            assert np.array_equal(got[name], base[name]), \
-                (name, workers, block_paths)
+        base = sums(1, None)
+        ens = PathEnsemble(grid, n=2, count=100, seed=11)
+        regimes, requests = kernel_requests(grid, model)
+        want = direct_sums(ens, regimes, requests)
+        # the switch market's counted sums read the 0/1 price of risk and
+        # 0.5 times it: exact counts times exact values, summed exactly
+        loose = counted(regimes, requests)
+        assert loose == ({"Q", "X", "T"} if model == "switch" else
+                         {"Qab", "Qbc", "Qkc", "Qtb", "Tc", "Qcd"})
+        for name in want:
+            assert base[name].shape == (100,)
+            if model == "switch" or name not in loose:
+                assert np.array_equal(base[name], want[name]), name
+            else:
+                assert_counted_close(base[name], want[name], ens, regimes,
+                                     requests[name])
+        for workers in (1, 2, 4):
+            for block_paths in (None, 1, 3, 7):
+                got = sums(workers, block_paths)
+                for name in base:
+                    assert np.array_equal(got[name], base[name]), \
+                        (name, steps, workers, block_paths)
+
+
+def test_counted_sums_of_zero_one_tables_are_exact():
+    # on the sign-switching market every quad and time sum is counted, and
+    # the price of risk is 0 or 1: each path's sum is its count of nodes
+    # in {W < 0} times dt, as the node-by-node reference adds it, so the
+    # benchmark's example1 bytes do not move
+    grid = TimeGrid(1.0, 2000)
+    ens = PathEnsemble(grid, n=1, count=60, seed=7)
+    regimes, lam, one = on_table(grid, indicator(0, 0.0, [0.0], [1.0]),
+                                 constant([1.0]))
+    requests = {"Q": ("quad", lam, lam), "T": ("time", lam),
+                "X": ("quad", lam, one)}
+    assert counted(regimes, requests) == set(requests)
+    got = path_sums(ens, regimes, requests)
+    want = direct_sums(ens, regimes, requests)
+    below = np.count_nonzero(cumulative(ens.increments())[:, :-1, 0] < 0,
+                             axis=1)
+    for name in requests:
+        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(got[name], below * grid.dt), name
 
 
 @pytest.mark.parametrize("kind", ["ito", "quad", "time"])
@@ -381,8 +438,9 @@ def test_kernels_agree_with_direct_sums(rng):
 
 def test_path_sums_equal_sums_of_evaluated_coefficients():
     # gathering per-regime tables by the regime index reproduces the
-    # evaluated node arrays, so every sum matches the direct reduction
-    # bit for bit, for any block size
+    # evaluated node arrays, so every ito and time-only sum matches the
+    # direct reduction bit for bit, for any block size, and every counted
+    # sum matches it within a few ulps
     ens = PathEnsemble(TimeGrid(1.0, 24), n=2, count=300, seed=14,
                        block_paths=64)
     grid = ens.grid
@@ -398,9 +456,12 @@ def test_path_sums_equal_sums_of_evaluated_coefficients():
     pv, iv, rv = (p.evaluate(grid, W) for p in (pw, ind, rate))
     assert np.array_equal(s["Ia"], ito_sum(pv, dW))
     assert np.array_equal(s["Ib"], ito_sum(iv, dW))
-    assert np.array_equal(s["Qab"], quad_sum(pv, iv, grid.dt))
-    assert np.array_equal(s["Qbb"], quad_sum(iv, iv, grid.dt))
     assert np.array_equal(s["R"], np.full(300, np.sum(rv) * grid.dt))
+    # the quads read the indicator's non-integer values off regime counts
+    for name, (x, y), (f, g) in (("Qab", (pv, iv), (a, b)),
+                                 ("Qbb", (iv, iv), (b, b))):
+        assert_counted_close(s[name], quad_sum(x, y, grid.dt), ens, regimes,
+                             ("quad", f, g))
     # a joint table gathers the same values as each member's own table
     joint = RegimeTable(grid, pw, ind)
     assert len(joint) == 3 * 2
