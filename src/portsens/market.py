@@ -10,14 +10,15 @@ information up to t_k only).
 
 Every coefficient takes finitely many values, so a set of coefficients takes
 finitely many joint values along a path.  ``RegimeTable`` lists the joint
-values the Brownian motion can reach on a grid and numbers the regime of
-each node; everything computed from coefficient values alone (the market
-price of risk, its directional derivative, rank and null-space checks) is
-computed once per regime.  A path pass reads one table, the joint table of
-every coefficient it reads: a per-regime table that ``reads_paths`` finds
-constant within each time segment is spread over nodes by ``time_rows``;
-any other enters quad and time sums through each path's count of nodes
-per regime, taken from ``index``, and Ito sums through a gather by it.
+values the Brownian motion can reach on a grid and masks the nodes of each
+regime on paths; everything computed from coefficient values alone (the
+market price of risk, its directional derivative, rank and null-space
+checks) is computed once per regime.  A path pass reads one table, the
+joint table of every coefficient it reads: a per-regime table that
+``reads_paths`` finds constant within each time segment is spread over
+nodes by ``time_rows``; any other enters quad and time sums through each
+path's count of nodes per regime, and Ito sums through its sum of
+increments over them, both taken from ``mask``.
 
 The market price of risk is lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1).
 Volatility perturbations are admissible only when they preserve the null
@@ -86,7 +87,8 @@ class CoefficientProcess:
             raise CoefficientError(f"{self.kind} needs {rows} value rows")
         if len(self.shape) > 2:
             raise CoefficientError("coefficients are at most matrix-shaped")
-        if not (np.isfinite(self.bound) and math.isfinite(self.threshold)):
+        if not (np.all(np.isfinite(self.values))
+                and math.isfinite(self.threshold)):
             raise CoefficientError("coefficient values and threshold must "
                                    "be finite")
 
@@ -97,11 +99,6 @@ class CoefficientProcess:
     @property
     def is_deterministic(self) -> bool:
         return self.kind == "piecewise"
-
-    @property
-    def bound(self) -> float:
-        """Uniform bound on |values|."""
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def evaluate(self, grid: TimeGrid, W: np.ndarray | None = None) -> np.ndarray:
         """Per-node values: (N, *shape) if deterministic, else (B, N, *shape).
@@ -232,14 +229,17 @@ class RegimeTable:
     nothing but the intervals that hold 0.
 
     ``values(proc)`` gives a member's value in each regime, (R, *shape),
-    and ``index(W)`` the regime of each node, (B, N), from the left-node
-    values of W (B, N+1, n).  A table of per-regime values gathered by that
-    index equals the member's ``evaluate`` node by node, so a sum of such
-    values over a path's nodes is the sum over regimes of each value times
-    the path's count of nodes in that regime.  A table whose rows agree
-    within every time segment (``reads_paths`` false) equals it gathered
-    by ``time_rows``, the (N,) first regime of each node's segment, on
-    every path.  Absent (None) members are skipped.
+    and ``mask(r, W)`` which left nodes of regime r's segment, ``nodes[r]``,
+    lie in its driver intervals on each path of W (B, N+1, n).  The
+    member's ``evaluate`` takes its value in regime r at exactly those
+    nodes, so a sum of its values over a path's nodes is the sum over
+    regimes of each value times the path's count of nodes in that regime,
+    and a sum of its values times increments the sum over regimes of each
+    value times the path's increments summed over those nodes.  A table
+    whose rows agree within every time segment (``reads_paths`` false)
+    equals, node by node, its rows picked by ``time_rows``, the (N,) first
+    regime of each node's segment, on every path.  Absent (None) members
+    are skipped.
     """
 
     def __init__(self, grid: TimeGrid, *procs: CoefficientProcess | None):
@@ -259,29 +259,22 @@ class RegimeTable:
                         for c in self.cuts)
         combos = list(itertools.product(*map(range, sizes)))
         seg = np.searchsorted(self.breaks, grid.left_nodes, side="right")
-        rows = []  # (segment, first left node, interval per driver)
+        rows = []  # (segment, its left nodes, interval per driver)
         for s in sorted(set(seg.tolist())):
             nodes = np.flatnonzero(seg == s)
-            rows += [(s, nodes[0], c)
+            rows += [(s, slice(nodes[0], nodes[-1] + 1), c)
                      for c in (combos if nodes[-1] > 0 else [at_zero])]
         self.segment = np.array([r[0] for r in rows])
-        self.time = grid.left_nodes[[r[1] for r in rows]]
+        self.nodes = [r[1] for r in rows]
+        self.time = grid.left_nodes[[r[1].start for r in rows]]
         self.intervals = np.array([r[2] for r in rows], dtype=int)  # (R, J)
-        # node code: the mixed-radix digits (segment, interval per driver),
-        # accumulated Horner-wise; codes no path can produce map past the
-        # end of every table
-        codes = self.segment
-        for i, size in enumerate(sizes):
-            codes = codes * size + self.intervals[:, i]
-        ncodes = (len(self.breaks) + 1) * math.prod(sizes)
-        self._code_type = np.min_scalar_type(ncodes - 1)
-        self._lookup = np.full(ncodes, len(rows),
-                               dtype=np.min_scalar_type(len(rows)))
-        self._lookup[codes] = np.arange(len(rows))
-        # when every segment reaches every interval combination, as without
-        # time breaks, the codes are the regime numbers
-        self._identity = len(rows) == ncodes
-        self._base = (seg * math.prod(sizes[:1])).astype(self._code_type)
+        # each regime's bounds on W at its nodes: the cuts that close its
+        # interval of each driver, below (>=) and above (<)
+        self._bounds = [[(j, op, float(c[0]))
+                         for j, cuts, i in zip(self.drivers, self.cuts, row)
+                         for op, c in ((np.greater_equal, cuts[i - 1:i]),
+                                       (np.less, cuts[i:i + 1])) if c.size]
+                        for row in self.intervals.tolist()]
         # rows are sorted by segment: the first row of each node's segment
         # and of each row's own
         self.time_rows = np.searchsorted(self.segment, seg)
@@ -302,32 +295,21 @@ class RegimeTable:
 
     def reads_paths(self, table: np.ndarray) -> bool:
         """Whether per-regime values (R, ...) differ, in any bit, between
-        regimes of one time segment, so that nodes need ``index``."""
+        regimes of one time segment, so that sums of them need ``mask``."""
         return table[self._segment_rows].tobytes() != table.tobytes()
 
-    def scratch(self, paths: int) -> list:
-        """Buffers for ``index`` on blocks of up to ``paths`` paths: codes,
-        (paths, N) bool flags, which ``index`` leaves free once it
-        returns, and regime numbers where codes are not."""
-        types = [self._code_type, bool] + [self._lookup.dtype] * (
-            not self._identity)
-        return [np.empty((paths, self.grid.steps), t) for t in types]
-
-    def index(self, W: np.ndarray, out: list | None = None) -> np.ndarray:
-        """Regime number of every left node, (B, N); ``out`` (from
-        ``scratch``) receives the result in its first B rows."""
-        N = self.grid.steps
-        code, flag, *regime = [a[:W.shape[0]] for a in
-                               out or self.scratch(W.shape[0])]
-        code[:] = self._base
-        for i, (j, cuts) in enumerate(zip(self.drivers, self.cuts)):
-            if i:
-                code *= len(cuts) + 1
-            for c in cuts:
-                code += np.greater_equal(W[:, :N, j], c, out=flag)
-        if self._identity:
-            return code
-        return np.take(self._lookup, code, out=regime[0], mode="clip")
+    def mask(self, r: int, W: np.ndarray, out: np.ndarray) -> tuple:
+        """The left nodes of regime r's segment, a slice, and whether each
+        lies in r's driver intervals on each path of W (B, N+1, n), a
+        (B, len) view of ``out[0]``; ``out`` is a (2, B, N) bool buffer
+        whose ``out[1]`` holds each further bound's comparison."""
+        nodes = self.nodes[r]
+        mask, flag = out[..., :nodes.stop - nodes.start]
+        for k, (j, op, c) in enumerate(self._bounds[r]):
+            op(W[:, nodes, j], c, out=flag if k else mask)
+            if k:
+                mask &= flag
+        return nodes, mask
 
     def describe(self, r: int) -> str:
         """The time segment and driver intervals of regime r."""

@@ -11,12 +11,13 @@ and reduces each block to named per-path stochastic and time integrals,
 written into (M,) arrays by path range; means and standard errors are the
 caller's.  Integrands are per-regime values on the pass's one regime
 table.  Where they depend on time only, they are spread over nodes once
-per pass; otherwise a quad or time sum is read off each path's regime
-counts, and an Ito sum gathers its table per block by one regime index.
-Memory stays at O(block), and no result depends on block size or worker
-count.  A block holds as many paths as fit one worker's scratch set in
-``_SCRATCH_BYTES``, about a core's L2 cache, and at least one; tests fix
-the count instead through an ensemble's ``block_paths``.
+per pass; otherwise a sum is read off each path's per-regime statistics,
+its count of nodes and sum of increments in each regime, taken per block
+from one mask per regime.  Memory stays at O(block), and no result
+depends on block size or worker count.  A block holds as many paths as
+fit one worker's scratch set in ``_SCRATCH_BYTES``, about a core's L2
+cache, and at least one; tests fix the count instead through an
+ensemble's ``block_paths``.
 
 Integrands follow the left-endpoint convention: the coefficient value at node
 t_k multiplies the increment over [t_k, t_{k+1}).  Per-node arrays therefore
@@ -36,7 +37,8 @@ WORKERS_ENV = "PORTSENS_WORKERS"
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
 
 # default scratch bytes of one worker's block buffers (increments, paths,
-# regime codes and flags, gathered node values): 2 MB, about one core's L2
+# a mask and flag and a weight per node, per-regime increment sums): 2 MB,
+# about one core's L2
 _SCRATCH_BYTES = 2**21
 
 # one Philox generator per thread: a generator is not thread-safe, and every
@@ -169,25 +171,13 @@ def cumulative(dW: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block-level reductions; H may be deterministic (N, n) or adapted (B, N, n)
+# the block-level reduction: H is (N, n) node values against increments,
+# or (R, n) per-regime values against (B, R, n) increment sums
 
 def ito_sum(H: np.ndarray, dW: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """Per-path sum_k <H_k, dW_k> with left-endpoint H."""
     return np.einsum("...kj,...kj->...", H, dW, out=out)
-
-
-def quad_sum(H: np.ndarray, G: np.ndarray, dt: float) -> np.ndarray:
-    """Per-path sum_k <H_k, G_k> dt (zero-dimensional if both deterministic)."""
-    return np.multiply(np.einsum("...kj,...kj->...", H, G), dt)
-
-
-def _reduce(kind: str, args: list, dt: float):
-    """A quad or time sum over time-only (N, k) node values; every path
-    shares it."""
-    if kind == "quad":
-        return quad_sum(args[0], args[1], dt)
-    return np.multiply(np.sum(args[0], axis=(-2, -1)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +192,29 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     the pass's one ``market.RegimeTable``.  Tables that do not
     ``regimes.reads_paths`` are spread over nodes, (N, k), once per pass
     through ``regimes.time_rows``, however many requests name one array.
-    Otherwise a quad or time request is a per-regime value f, (R,), of
-    sum_j a_j b_j or sum_j c_j, summed as dt sum_r f_r c_r over the path's
-    count c_r of left nodes in regime r, and an ito request gathers its
-    table per block, (B, N, k), by the block's one ``regimes.index``.
+    Otherwise a request is read off per-regime statistics of each path,
+    from one ``regimes.mask`` of its nodes per regime and block: a quad or
+    time request is a per-regime value f, (R,), of sum_j a_j b_j or
+    sum_j c_j, summed as dt sum_r f_r c_r over the path's count c_r of
+    left nodes in regime r, and an ito request is sum_r <a_r, D_r> over
+    its increment sums D_r, (n,), over those nodes.
 
     Each worker allocates one scratch set per pass, sized to the largest
     block: increments and, if some table reads the paths, cumulative paths,
-    index buffers, (R, B) regime counts and one gather buffer for the ito
-    requests.  Unless the ensemble's ``block_paths`` fixes it, a block
-    holds as many paths as keep that set, counts aside, within
-    ``_SCRATCH_BYTES``, and at least one.  With k workers
-    (``PORTSENS_WORKERS``, default 1) worker w takes blocks w, w + k, ...
-    Returns an (M,) array per name.
+    a mask and flag per node, (R, B) regime counts and, for ito requests
+    that read the paths, a weight per node and (B, R, n) increment sums.
+    Unless the ensemble's ``block_paths`` fixes it, a block holds as many
+    paths as keep that set, counts aside, within ``_SCRATCH_BYTES``, and at
+    least one.  With k workers (``PORTSENS_WORKERS``, default 1) worker w
+    takes blocks w, w + k, ...  Returns an (M,) array per name.
     """
     grid = ensemble.grid
-    dt, N, n = grid.dt, grid.steps, ensemble.n
+    dt, N, n, R = grid.dt, grid.steps, ensemble.n, len(regimes)
     out = {name: np.empty(ensemble.count) for name in sums}
     spread = {}  # node values of each time-only table, by id
-    # itos: (result, table to gather or None, node values);
-    # counted: (result, per-regime value f); width: of the widest gather
-    itos, counted, width = [], [], 0
+    # itos: (result, node values); regime_itos: (result, table) of the ito
+    # requests that read the paths; counted: (result, per-regime value f)
+    itos, regime_itos, counted = [], [], []
     for name, (kind, *tables) in sums.items():
         if not any(map(regimes.reads_paths, tables)):
             for t in tables:
@@ -230,22 +222,25 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
                     spread[id(t)] = t[regimes.time_rows]
             args = [spread[id(t)] for t in tables]
             if kind == "ito":
-                itos.append((out[name], None, args[0]))
+                itos.append((out[name], args[0]))
+            elif kind == "quad":  # reads no paths
+                out[name][:] = np.multiply(
+                    np.einsum("...kj,...kj->...", *args), dt)
             else:
-                out[name][:] = _reduce(kind, args, dt)  # reads no paths
+                out[name][:] = np.multiply(np.sum(args[0], axis=(-2, -1)), dt)
         elif kind == "ito":
-            width = max(width, tables[0][0].size)
-            itos.append((out[name], tables[0], None))
+            regime_itos.append((out[name], tables[0]))
         else:
             counted.append((out[name], np.einsum("rj,rj->r", *tables)
                             if kind == "quad" else np.sum(tables[0], axis=-1)))
-    reads = bool(width or counted)
+    reads = bool(regime_itos or counted)
 
     # one path's share of the scratch set that ``run`` allocates
     per_path = 8 * N * n
     if reads:
-        per_path += 8 * ((N + 1) * n + N * width) + sum(
-            a.nbytes for a in regimes.scratch(1))
+        per_path += 8 * (N + 1) * n + 2 * N
+    if regime_itos:
+        per_path += 8 * (N + R * n)
     ranges = list(ensemble.block_ranges(
         ensemble.block_paths or max(1, _SCRATCH_BYTES // per_path)))
     B = max(stop - start for start, stop in ranges)
@@ -253,33 +248,34 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     def run(first_block: int) -> None:
         dW = np.empty((B, N, n))
         if reads:
-            W, scratch = np.empty((B, N + 1, n)), regimes.scratch(B)
-            counts, buf = np.empty((len(regimes), B)), np.empty(B * N * width)
+            W, masks = np.empty((B, N + 1, n)), np.empty((2, B, N), bool)
+            counts = np.empty((R, B))
+        if regime_itos:
+            weight, D = np.empty(B * N), np.empty((B, R, n))
         for start, stop in ranges[first_block::nworkers]:
             b = stop - start
             dw = ensemble.increments(start, stop, out=dW[:b])
             if reads:
-                index = regimes.index(cumulative(dw, out=W[:b]), out=scratch)
-            if counted:
-                # one mask per regime, in the flag buffer that ``index``
-                # leaves free once it returns
-                mask = scratch[1][:b]
-                for r, c in enumerate(counts[:, :b]):
-                    c[:] = np.count_nonzero(np.equal(index, r, out=mask),
-                                            axis=1)
+                w = cumulative(dw, out=W[:b])
+                for r in range(R):
+                    nodes, mask = regimes.mask(r, w, out=masks[:, :b])
+                    if counted:
+                        counts[r, :b] = np.count_nonzero(mask, axis=1)
+                    if regime_itos:
+                        # a float copy of the mask times the increments:
+                        # a batched (1, len) by (len, n) product per path
+                        x = weight[:mask.size].reshape(b, 1, -1)
+                        np.copyto(x[:, 0], mask)
+                        np.matmul(x, dw[:, nodes], out=D[:b, r:r + 1])
             for res, f in counted:
                 acc = np.multiply(counts[0, :b], f[0], out=res[start:stop])
                 for r in range(1, len(f)):
                     acc += counts[r, :b] * f[r]
                 acc *= dt
-            for res, table, nodes in itos:
-                if table is not None:
-                    nodes = buf[:b * N * table[0].size].reshape(
-                        (b, N) + table.shape[1:])
-                    # every code is below len(table); "raise" would copy
-                    # through a hidden buffer
-                    np.take(table, index, axis=0, out=nodes, mode="clip")
-                ito_sum(nodes, dw, res[start:stop])
+            for res, values in itos:
+                ito_sum(values, dw, res[start:stop])
+            for res, table in regime_itos:
+                ito_sum(table, D[:b], res[start:stop])
 
     nworkers = min(max(1, int(os.environ.get(WORKERS_ENV, "1"))),
                    len(ranges))

@@ -48,6 +48,22 @@ def generated(monkeypatch):
     return counts
 
 
+def node_regimes(regimes, W):
+    """Regime of every left node, (B, N), looked up row by row from its
+    segment and driver intervals: the test-side reference for the regimes
+    that ``path_sums`` reads off ``RegimeTable.mask``."""
+    grid = regimes.grid
+    row_of = {(s, *iv): r for r, (s, iv) in
+              enumerate(zip(regimes.segment.tolist(),
+                            regimes.intervals.tolist()))}
+    seg = np.searchsorted(regimes.breaks, grid.left_nodes, side="right")
+    digits = [np.searchsorted(c, W[:, :-1, j], side="right")
+              for j, c in zip(regimes.drivers, regimes.cuts)]
+    B, N = W.shape[0], grid.steps
+    return np.array([[row_of[(seg[k], *(d[b, k] for d in digits))]
+                      for k in range(N)] for b in range(B)], dtype=int)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

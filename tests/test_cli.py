@@ -309,24 +309,25 @@ def test_sens_makes_one_path_pass(tmp_path, generated):
 def test_example1_config_indexes_each_block_once(tmp_path, monkeypatch,
                                                  generated, command):
     # every coefficient the fused pass reads lies on one regime table, so
-    # a block computes one regime index however many tables it gathers;
-    # a 3.5 kB scratch budget makes 8-path blocks
+    # a block takes one mask per regime of that table however many tables
+    # it reads off them; a 3.5 kB scratch budget makes 8-path blocks
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
-    indexed = []
-    index = RegimeTable.index
+    masked = []
+    mask = RegimeTable.mask
 
-    def counted(self, W, out=None):
-        indexed.append(self)
-        return index(self, W, out)
+    def counted(self, r, W, out):
+        masked.append((self, r))
+        return mask(self, r, W, out)
 
-    monkeypatch.setattr(RegimeTable, "index", counted)
+    monkeypatch.setattr(RegimeTable, "mask", counted)
     code = main([command, "--config", "configs/example1.ini",
                  "--paths", "100", "--steps", "16",
                  "--out", str(tmp_path / "o")])
     assert code in (0, 3)
-    assert len(indexed) == len(generated)
-    assert len(set(map(id, indexed))) == 1
+    table = masked[0][0]
+    assert all(t is table for t, _ in masked)
+    assert [r for _, r in masked] == list(range(len(table))) * len(generated)
     assert generated == [8] * 12 + [4]
 
 
@@ -341,10 +342,11 @@ EXAMPLE1_PASSES = pytest.mark.parametrize("command", [
 def test_example1_passes_hold_forty_paths_of_2000_steps(tmp_path,
                                                         monkeypatch,
                                                         generated, command):
-    # each pass holds increments, paths, regime codes and flags: 36 kB a
-    # path of 2000 steps, 58 paths a block for example1, whose adapted
-    # sums are all counted; value, sens and secondorder add one gather
-    # buffer for their ito sums, 52 kB a path and 40 paths a block
+    # each pass holds increments, paths and a mask and flag per node:
+    # 36008 bytes a path of 2000 steps, 58 paths a block for example1,
+    # whose adapted sums are all counted; value, sens and secondorder add
+    # a weight per node and two regimes' increment sums for their ito
+    # sums, 52024 bytes a path and 40 paths a block
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     code = main(command + ["--paths", "100", "--steps", "2000",
                            "--out", str(tmp_path / "o")])
@@ -356,11 +358,11 @@ def test_example1_passes_hold_forty_paths_of_2000_steps(tmp_path,
 @EXAMPLE1_PASSES
 def test_example1_passes_gather_only_for_ito_sums(tmp_path, monkeypatch,
                                                   generated, command):
-    # quad and time sums are read off regime counts, so a block gathers
-    # only the tables of its ito sums that read the paths: none for
-    # example1 (log utility reads no int lambda dW, and Dlambda is
-    # constant), and the tilt direction of each nonzero tau for value (3),
-    # sens (+-h of two steps) and secondorder (four steps)
+    # quad and time sums are read off regime counts and ito sums off
+    # per-regime increment sums, so no pass gathers a table over nodes:
+    # not example1 (log utility reads no int lambda dW, and Dlambda is
+    # constant), nor the tilt direction of each nonzero tau in value (3
+    # taus), sens (+-h of two steps) or secondorder (four steps)
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     gathers = []
     take = np.take
@@ -374,8 +376,7 @@ def test_example1_passes_gather_only_for_ito_sums(tmp_path, monkeypatch,
                            "--out", str(tmp_path / "o")])
     assert code in (0, 3)
     assert generated == [400]
-    want = {"example1": 0, "value": 3, "sens": 4, "secondorder": 4}
-    assert gathers == [0] * want[command[0]]
+    assert gathers == []
 
 
 def test_example2_makes_one_path_pass(tmp_path, generated):

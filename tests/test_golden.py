@@ -36,9 +36,12 @@ STEM = {"value": "surface", "sens": "sens", "secondorder": "secondorder",
 GOLDEN = [
     # CSV re-recorded when quad and time sums of adapted tables came to be
     # read off regime counts: estimates and standard errors moved by at
-    # most 6.2e-16 relative; the summary held
+    # most 6.2e-16 relative; the summary held.  CSV re-recorded when ito
+    # sums of adapted tables came to be read off per-regime increment
+    # sums: only se_weak moved, by at most 2.1e-16 relative; the summary
+    # held
     ("value", "example1", 0,
-     "a062e2549bfd05e55081d77828a996ed79b0735361ab0195531ec115ca1a2557",
+     "9e332645a5f42e618e560112425484e633c5737cb8e2313c56ea7f8858e57b96",
      "415260c1cf3906452bbd15a9a31e30b459957db49ecb45296fb7e558f96e2d4d"),
     ("value", "deterministic2d", 0,
      "20d7a808286fc078a1e4a518be8aa3e33f7183054982b1b93a6134c14c365547",
@@ -50,9 +53,12 @@ GOLDEN = [
     # standard errors moved by at most 1.6e-15 relative; on the strong
     # row the gap, itself a rounding-level number that the summary prints,
     # went from 1.1e-16 to 8.9e-16, and its 1.5e-11 tolerance moved by
-    # 1.1e-5 relative
+    # 1.1e-5 relative.  CSV re-recorded when ito sums of adapted tables
+    # came to be read off per-regime increment sums: only se_fd moved, by
+    # at most 1.4e-16 relative, and the strong row's tolerance, by 1.7e-14;
+    # the summary held
     ("sens", "example1", 0,
-     "9027408c573aab3440487a97e9a29258854a171b8d06d4d29ecc01d81c7069ee",
+     "91f3bc0f86cf29c486251a6c7583bfd9b27e9481c7f772805d5b6d0d1d8aa587",
      "1dedb2112f0a6d58c8e28935be1c77914ddc0698ebc7f24bee4fa6be2815ce95"),
     # summary re-recorded when sens began to state weak - strong for a
     # deterministic market and direction, one line (-0.0167947, 2.33
@@ -151,10 +157,10 @@ def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
                                                 tmp_path, capsys,
                                                 monkeypatch):
     # a 3.5 kB scratch budget makes the computed blocks small, 4 paths on
-    # the sign-switching market where a pass gathers (example2 and
-    # example1.ini), 6 for example1, which only counts, and 7 on
-    # deterministic ones, with an uneven last block; the sizes must not
-    # move a byte either
+    # the sign-switching market where a pass reads per-regime increment
+    # sums (example2 and example1.ini), 6 for example1, which only counts,
+    # and 7 on deterministic ones, with an uneven last block; the sizes
+    # must not move a byte either
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
     assert digests(command_argv(command, config), code, tmp_path,
                    capsys) == (csv_digest, summary_digest)

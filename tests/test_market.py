@@ -12,6 +12,8 @@ from portsens.market import (CoefficientError, MarketModel, RegimeTable,
 from portsens.paths import PathEnsemble, TimeGrid, cumulative
 from portsens.valuation import PerturbationSpec
 
+from conftest import node_regimes
+
 
 def market_regimes(model, grid, *directions):
     """The joint regime table of a market and the directions given."""
@@ -244,15 +246,16 @@ def test_dlambda_direction_adapted(switch_model):
     formula = dlambda_direction(switch_model, dmu, None, regimes)
     assert formula.shape == (len(regimes), 1) == (2, 1)
     fd = _fd_dlambda(switch_model, dmu, None, None, grid, W)
-    assert formula[regimes.index(W)].shape == (8, 16, 1)
-    assert np.allclose(formula[regimes.index(W)], fd, atol=1e-8)
+    at = node_regimes(regimes, W)
+    assert formula[at].shape == (8, 16, 1)
+    assert np.allclose(formula[at], fd, atol=1e-8)
 
 
 def test_only_tables_that_differ_within_a_segment_read_the_paths():
     # on the pass table of a sign-switching market with a rate break, the
     # price of risk reads the paths; the rate, a constant Dlambda, an
     # indicator with equal rows and the tau = 0 direction are time-only,
-    # and spreading them by time_rows gives the gather of every path
+    # and spreading them by time_rows gives each path's node values
     model = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [1.0]),
                         sigma=constant([[1.0]]),
                         rate=piecewise([0.5], [[0.0], [0.01]]))
@@ -268,7 +271,7 @@ def test_only_tables_that_differ_within_a_segment_read_the_paths():
                  pert.moved_lambda(model, regimes, lam, 0.0) - lam]
     assert regimes.reads_paths(lam)
     W = cumulative(PathEnsemble(grid, n=1, count=20, seed=3).increments())
-    index = regimes.index(W)
+    index = node_regimes(regimes, W)
     assert len(np.unique(lam[index])) == 2 * 2  # sign of W, rate
     for table in time_only:
         assert not regimes.reads_paths(table)
@@ -294,7 +297,7 @@ def test_regime_table_counts_only_reachable_regimes():
     assert len(RegimeTable(grid, constant([1.0]))) == 1
     W = np.zeros((1, 9, 2))
     W[0, 1:, 0], W[0, 1:, 1] = -4.0, 2.0
-    assert two.describe(int(two.index(W)[0, 3])) \
+    assert two.describe(int(node_regimes(two, W)[0, 3])) \
         == "t in [0, 1), W^0 in [-inf, -3), W^1 in [0, inf)"
     # a driver beyond the market's Brownian coordinates is refused when the
     # market is built, before any table indexes paths
@@ -379,8 +382,9 @@ def test_h1_adapted_is_exact_over_regimes():
 
 
 def test_zeros_and_bound():
-    z = constant(np.zeros((2, 3)))
-    assert z.bound == 0.0
-    assert indicator(0, 0.0, [-3.0], [2.0]).bound == 3.0
+    # every value row must be finite, nan included
     with pytest.raises(CoefficientError):
         constant([np.inf])
+    with pytest.raises(CoefficientError):
+        indicator(0, 0.0, [0.0], [np.nan])
+    assert constant(np.zeros((2, 3))).shape == (2, 3)

@@ -17,7 +17,9 @@ from portsens import paths as paths_mod
 from portsens.market import (RegimeTable, constant, indicator, mpr_table,
                              piecewise)
 from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
-                            cumulative, ito_sum, path_sums, quad_sum)
+                            cumulative, ito_sum, path_sums)
+
+from conftest import node_regimes
 
 
 def on_table(grid, *procs):
@@ -123,11 +125,12 @@ def test_seed_range():
 def test_default_blocks_fill_the_scratch_budget(monkeypatch, det2d_model,
                                                 switch_model):
     # a block holds as many paths as fit one worker's whole scratch set in
-    # 2 MiB: 2048 when the pass reads only increments (64 steps, n = 2);
-    # 40 when it also builds paths, regime codes and flags and the gather
-    # buffer of an ito sum (52 kB for a path of 2000 steps); 58 when the
-    # adapted sums are all counted and nothing is gathered (36 kB); 1 when
-    # one path's increments alone exceed the budget
+    # 2 MiB: 2048 when the pass reads only increments (64 steps, n = 2,
+    # 1 kB a path); 58 when it also builds paths and a mask and flag per
+    # node for counted sums (36008 bytes a path of 2000 steps, n = 1); 40
+    # when an ito sum reads the paths too, adding a weight per node and
+    # two regimes' increment sums (52024 bytes); 1 when one path's
+    # increments alone exceed the budget
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     budget = paths_mod._SCRATCH_BYTES
     sizes, held = [], []
@@ -181,9 +184,9 @@ def kernel_requests(grid, model):
     """One regime table and every request kind over adapted, spread and
     deterministic operands on it.
 
-    ``model`` is "switch" (price of risk 1 on {W < 0}; its codes are the
-    regime numbers) or "two-drivers" (a time break before the first step
-    and indicators on both coordinates, which needs the code lookup).
+    ``model`` is "switch" (price of risk 1 on {W < 0}, two regimes) or
+    "two-drivers" (a time break before the first step, whose segment
+    holds t_0 alone, and indicators on both coordinates).
     """
     if model == "switch":
         regimes, lam, det, spread = on_table(
@@ -205,8 +208,8 @@ def kernel_requests(grid, model):
     a, b, c, k = (np.array(joint.values(p)) for p in (pw, ind0, ind1, const))
     d = joint.values(ind1) - joint.values(pw)
     time_only = joint.values(pw)
-    # Ib, Ic and Id take the one gather buffer in turn: each must read its
-    # own table's node values, not those the buffer held before
+    # Ib, Ic and Id read the same per-regime increment sums, each with its
+    # own table
     return joint, {"Ia": ("ito", a), "Ib": ("ito", b), "Ic": ("ito", c),
                    "Ik": ("ito", k), "Qab": ("quad", a, b),
                    "Qbc": ("quad", b, c), "Qkc": ("quad", k, c),
@@ -217,42 +220,45 @@ def kernel_requests(grid, model):
                    "Id": ("ito", d)}
 
 
-def direct_sums(ens, regimes, requests):
+def direct_sums(ens, regimes, requests, absolute=False):
     """Each request reduced over the whole ensemble from node values
-    gathered afresh for it (the reference for ``path_sums``)."""
+    looked up afresh for it by ``node_regimes`` (the reference for
+    ``path_sums``); with ``absolute``, from |values| and |dW|."""
     dW = ens.increments()
-    W = cumulative(dW)
+    at = node_regimes(regimes, cumulative(dW))
+    f = np.abs if absolute else np.asarray
     out = {}
     for name, (kind, *fs) in requests.items():
-        v = [table[regimes.index(W)] for table in fs]
+        v = [f(table)[at] for table in fs]
         if kind == "ito":
-            r = ito_sum(v[0], dW)
+            r = ito_sum(v[0], f(dW))
         elif kind == "quad":
-            r = quad_sum(v[0], v[1], ens.grid.dt)
+            r = np.multiply(np.einsum("...kj,...kj->...", v[0], v[1]),
+                            ens.grid.dt)
         else:
             r = np.sum(v[0], axis=(-2, -1)) * ens.grid.dt
         out[name] = np.broadcast_to(r, (ens.count,))
     return out
 
 
-def counted(regimes, requests):
-    """Names of the quad and time requests that ``path_sums`` reads off
-    regime counts rather than summing node by node."""
+def per_regime(regimes, requests):
+    """Names of the requests that ``path_sums`` reads off per-regime
+    counts or increment sums rather than summing node by node."""
     return {name for name, (kind, *fs) in requests.items()
-            if kind != "ito" and any(map(regimes.reads_paths, fs))}
+            if any(map(regimes.reads_paths, fs))}
 
 
-# a counted sum adds per-regime products of exact counts in another order
-# than the node-by-node reference; each order's rounding error is below
-# (N + R + k + 2) ulps of the sum of absolute terms, under 256 for the
-# tables here (N <= 200 nodes, R <= 9 regimes, k <= 2 columns)
-COUNTED_REL = 512 * np.finfo(float).eps
+# a sum read off per-regime statistics adds the same terms in another
+# order than the node-by-node reference; each order's rounding error is
+# below (N + R + k + 2) ulps of the sum of absolute terms, sum_k |a_k| dt
+# or sum_k |a_k||dW_k|, under 256 for the tables here (N <= 200 nodes,
+# R <= 9 regimes, k <= 2 columns)
+PER_REGIME_REL = 512 * np.finfo(float).eps
 
 
-def assert_counted_close(got, want, ens, regimes, request):
-    kind, *fs = request
-    scale = direct_sums(ens, regimes, {"x": (kind, *map(np.abs, fs))})["x"]
-    assert np.all(np.abs(got - want) <= COUNTED_REL * scale)
+def assert_per_regime_close(got, want, ens, regimes, request):
+    scale = direct_sums(ens, regimes, {"x": request}, absolute=True)["x"]
+    assert np.all(np.abs(got - want) <= PER_REGIME_REL * scale)
 
 
 @pytest.mark.parametrize("model", ["switch", "two-drivers"])
@@ -274,17 +280,20 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
         regimes, requests = kernel_requests(grid, model)
         want = direct_sums(ens, regimes, requests)
         # the switch market's counted sums read the 0/1 price of risk and
-        # 0.5 times it: exact counts times exact values, summed exactly
-        loose = counted(regimes, requests)
-        assert loose == ({"Q", "X", "T"} if model == "switch" else
-                         {"Qab", "Qbc", "Qkc", "Qtb", "Tc", "Qcd"})
+        # 0.5 times it: exact counts times exact values, summed exactly;
+        # its ito sum of the price of risk adds the increments of the
+        # nodes in {W < 0} in another order
+        loose = per_regime(regimes, requests)
+        assert loose == ({"S", "Q", "X", "T"} if model == "switch" else
+                         {"Ib", "Ic", "Id", "Qab", "Qbc", "Qkc", "Qtb",
+                          "Tc", "Qcd"})
         for name in want:
             assert base[name].shape == (100,)
-            if model == "switch" or name not in loose:
+            if name not in loose or (model == "switch" and name != "S"):
                 assert np.array_equal(base[name], want[name]), name
             else:
-                assert_counted_close(base[name], want[name], ens, regimes,
-                                     requests[name])
+                assert_per_regime_close(base[name], want[name], ens,
+                                        regimes, requests[name])
         for workers in (1, 2, 4):
             for block_paths in (None, 1, 3, 7):
                 got = sums(workers, block_paths)
@@ -304,7 +313,7 @@ def test_counted_sums_of_zero_one_tables_are_exact():
                                  constant([1.0]))
     requests = {"Q": ("quad", lam, lam), "T": ("time", lam),
                 "X": ("quad", lam, one)}
-    assert counted(regimes, requests) == set(requests)
+    assert per_regime(regimes, requests) == set(requests)
     got = path_sums(ens, regimes, requests)
     want = direct_sums(ens, regimes, requests)
     below = np.count_nonzero(cumulative(ens.increments())[:, :-1, 0] < 0,
@@ -330,61 +339,89 @@ def test_path_sums_ignore_table_strides(kind):
 
 
 def test_path_sums_reuse_one_increment_buffer(monkeypatch):
-    # one worker draws every block's increments into the same scratch
+    # one worker draws every block's increments into the same scratch, and
+    # takes every mask, weight and increment sum in the buffers it
+    # allocated once for the pass; the buffers are kept alive here, so a
+    # fresh allocation could not reuse their address
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
-    seen = []
-    increments = PathEnsemble.increments
+    seen, masks, products = [], [], []
+    increments, mask, matmul = (PathEnsemble.increments, RegimeTable.mask,
+                                np.matmul)
 
     def recorded(self, start=0, stop=None, out=None):
         dW = increments(self, start, stop, out)
         seen.append((dW.shape[0], dW.__array_interface__["data"][0]))
         return dW
 
+    def masked(self, r, W, out):
+        masks.append(out.base)
+        return mask(self, r, W, out)
+
+    def product(x, y, out):
+        products.append((x.base, out.base))
+        return matmul(x, y, out=out)
+
     monkeypatch.setattr(PathEnsemble, "increments", recorded)
+    monkeypatch.setattr(RegimeTable, "mask", masked)
+    monkeypatch.setattr(paths_mod.np, "matmul", product)
     grid = TimeGrid(1.0, 16)
     ens = PathEnsemble(grid, n=2, count=100, seed=11, block_paths=7)
-    path_sums(ens, *kernel_requests(grid, "two-drivers"))
+    regimes, requests = kernel_requests(grid, "two-drivers")
+    path_sums(ens, regimes, requests)
     assert [b for b, _ in seen] == [7] * 14 + [2]
     assert len({address for _, address in seen}) == 1
-
-
-def node_regimes(regimes, W):
-    """Regime of every left node, looked up row by row from its segment
-    and driver intervals (the reference for ``RegimeTable.index``)."""
-    grid = regimes.grid
-    row_of = {(s, *iv): r for r, (s, iv) in
-              enumerate(zip(regimes.segment.tolist(),
-                            regimes.intervals.tolist()))}
-    seg = np.searchsorted(regimes.breaks, grid.left_nodes, side="right")
-    digits = [np.searchsorted(c, W[:, :-1, j], side="right")
-              for j, c in zip(regimes.drivers, regimes.cuts)]
-    B, N = W.shape[0], grid.steps
-    return np.array([[row_of[(seg[k], *(d[b, k] for d in digits))]
-                      for k in range(N)] for b in range(B)])
+    assert len(masks) == len(products) == 15 * len(regimes)
+    for buffers in [masks, *zip(*products)]:
+        assert all(buf is buffers[0] for buf in buffers)
 
 
 @pytest.mark.parametrize("breaks", [[], [0.4], [0.05], [0.4, 3.0]])
-def test_regime_index_matches_the_row_lookup(breaks):
-    # codes are the regime numbers when every segment reaches every
-    # interval combination; a break before the first step (only t_0 in its
-    # segment) or past the horizon (an empty segment) needs the lookup
+def test_regime_statistics_match_the_row_lookup(breaks):
+    # in blocks of 16 paths, each regime's mask over its segment's nodes,
+    # its node counts and its increment sums match the regimes that
+    # node_regimes looks up row by row: with no break, a break inside the
+    # grid, one before the first step (t_0 alone in its segment) and one
+    # past the horizon (an empty segment)
     grid = TimeGrid(1.0, 12)
     procs = [indicator(0, -0.2, [0.0], [1.0]), indicator(0, 0.3, [1.0], [0.0]),
              indicator(1, 0.0, [0.5], [0.0])]
     if breaks:
         procs.append(piecewise(breaks, np.arange(len(breaks) + 1.0)[:, None]))
     regimes = RegimeTable(grid, *procs)
-    assert regimes._identity == (breaks in ([], [0.4]))
+    R, N = len(regimes), grid.steps
     ens = PathEnsemble(grid, n=2, count=40, seed=15, block_paths=16)
-    W = cumulative(ens.increments())
-    want = node_regimes(regimes, W)
-    got = regimes.index(W)
-    assert np.array_equal(got, want) and got.max() < len(regimes)
-    scratch = regimes.scratch(16)
+    dW = ens.increments()
+    W = cumulative(dW)
+    at = node_regimes(regimes, W)
+    buf = np.empty((2, 16, N), bool)
     for start, stop in ens.block_ranges(16):
-        got = regimes.index(W[start:stop], out=scratch)
-        assert np.array_equal(got, want[start:stop])
-        assert any(np.shares_memory(got, buf) for buf in scratch)
+        for r in range(R):
+            nodes, mask = regimes.mask(r, W[start:stop],
+                                       out=buf[:, :stop - start])
+            inside = at[start:stop] == r
+            assert np.array_equal(mask, inside[:, nodes])
+            assert np.shares_memory(mask, buf)
+            assert not np.any(np.delete(inside, np.arange(N)[nodes], 1))
+    # one-hot tables: regime r's time sum is dt c_r, and its ito sum on
+    # coordinate j the increment sum D_rj
+    requests = {}
+    for r in range(R):
+        requests[f"c{r}"] = ("time", np.eye(R)[:, r:r + 1])
+        for j in range(2):
+            table = np.zeros((R, 2))
+            table[r, j] = 1.0
+            requests[f"D{r}{j}"] = ("ito", table)
+    got = path_sums(ens, regimes, requests)
+    for r in range(R):
+        inside = at == r
+        assert np.array_equal(got[f"c{r}"],
+                              np.count_nonzero(inside, axis=1) * grid.dt)
+        for j in range(2):
+            terms = np.where(inside, dW[..., j], 0.0)
+            # both orders of adding at most N terms: 2 N ulps of sum |dW|
+            assert np.all(np.abs(got[f"D{r}{j}"] - np.sum(terms, axis=1))
+                          <= 2 * N * np.finfo(float).eps
+                          * np.sum(np.abs(terms), axis=1))
 
 
 def test_cumulative_paths_only_for_tables_with_drivers(monkeypatch,
@@ -431,16 +468,13 @@ def test_kernels_agree_with_direct_sums(rng):
     H = rng.normal(size=(10, 3))
     expect = np.array([np.sum(H * dW[i]) for i in range(5)])
     assert np.allclose(ito_sum(H, dW), expect, atol=1e-15)
-    G = rng.normal(size=(5, 10, 3))
-    qs = quad_sum(G, G, 0.25)
-    assert np.allclose(qs, np.sum(G * G, axis=(1, 2)) * 0.25, atol=1e-15)
 
 
 def test_path_sums_equal_sums_of_evaluated_coefficients():
-    # gathering per-regime tables by the regime index reproduces the
-    # evaluated node arrays, so every ito and time-only sum matches the
-    # direct reduction bit for bit, for any block size, and every counted
-    # sum matches it within a few ulps
+    # per-regime tables looked up by node_regimes reproduce the evaluated
+    # node arrays; every time-only sum matches the direct reduction of
+    # them bit for bit, for any block size, and every sum read off
+    # per-regime statistics matches it within a few ulps
     ens = PathEnsemble(TimeGrid(1.0, 24), n=2, count=300, seed=14,
                        block_paths=64)
     grid = ens.grid
@@ -455,19 +489,22 @@ def test_path_sums_equal_sums_of_evaluated_coefficients():
     W = cumulative(dW)
     pv, iv, rv = (p.evaluate(grid, W) for p in (pw, ind, rate))
     assert np.array_equal(s["Ia"], ito_sum(pv, dW))
-    assert np.array_equal(s["Ib"], ito_sum(iv, dW))
     assert np.array_equal(s["R"], np.full(300, np.sum(rv) * grid.dt))
-    # the quads read the indicator's non-integer values off regime counts
+    # the indicator's non-integer values are read off regime counts and
+    # increment sums
+    assert_per_regime_close(s["Ib"], ito_sum(iv, dW), ens, regimes,
+                            ("ito", b))
     for name, (x, y), (f, g) in (("Qab", (pv, iv), (a, b)),
                                  ("Qbb", (iv, iv), (b, b))):
-        assert_counted_close(s[name], quad_sum(x, y, grid.dt), ens, regimes,
-                             ("quad", f, g))
-    # a joint table gathers the same values as each member's own table
+        assert_per_regime_close(
+            s[name], np.multiply(np.einsum("...kj,...kj->...", x, y),
+                                 grid.dt), ens, regimes, ("quad", f, g))
+    # a joint table looks up the same values as each member's own table
     joint = RegimeTable(grid, pw, ind)
     assert len(joint) == 3 * 2
-    assert np.array_equal(joint.values(ind)[joint.index(W)], iv)
-    assert np.array_equal(joint.values(pw)[joint.index(W)],
-                          np.broadcast_to(pv, iv.shape))
+    at = node_regimes(joint, W)
+    assert np.array_equal(joint.values(ind)[at], iv)
+    assert np.array_equal(joint.values(pw)[at], np.broadcast_to(pv, iv.shape))
 
 
 def test_stochastic_exponential_is_positive_mean_one(ens1d):
