@@ -13,12 +13,14 @@ norms        modular functionals and norms at the optimal payoff
 danskin      support function of a point cloud: value, ties, derivative
 secondorder  decay of the below-tangent residual of the weak value curve
 
-Each command writes one CSV with a fixed schema plus a plain-text summary
-recording seeds and tolerances, and prints the summary to stdout.  Exit
-codes: 0 success, 1 usage error, 2 invalid configuration or input file,
-3 numerical failure or a failed verdict.  Identical configuration and seed
-give byte-identical CSVs for any worker count; set PORTSENS_WORKERS to use
-threads.
+Each command returns its verdicts as ``estimate.Check`` records; ``main``
+writes one CSV with a fixed schema plus a plain-text summary recording
+seeds and tolerances, with one line per check last, and prints the summary
+to stdout.  Exit codes: 0 every check passed, 1 usage error, 2 invalid
+configuration or input file, or a refusal before any path is drawn, 3 a
+failed check or a numerical failure after it.  Identical configuration
+and seed give byte-identical CSVs for any worker count; set
+PORTSENS_WORKERS to use threads.
 
 The model lives in a line-oriented ``key = value`` config with sections;
 flags only override scale and seed.  Coefficient processes use the
@@ -41,17 +43,18 @@ import sys
 import numpy as np
 
 from . import utility as ut
-from .estimate import combine_linear
-from .market import (CoefficientError, MarketModel, check_drivers,
-                     check_h1_direction, constant, deterministic,
-                     parse_coefficient)
+from .estimate import Check, combine_linear
+from .market import (CoefficientError, KernelStabilityError, MarketModel,
+                     check_drivers, check_h1_direction, constant,
+                     deterministic, parse_coefficient)
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
-from .paths import PathEnsemble, TimeGrid, check_seed
+from .paths import PathEnsemble, ResourceLimitError, TimeGrid, check_seed
 from .sensitivity import (DIFFERENCE_STEPS, EXPANSION_STEPS, check_steps,
                           example1_report, example2_reports,
                           second_order_check, sensitivity_reports)
-from .solver import check_dual_optimizer, optimal_terminal_wealth
+from .solver import (IncompleteMarketError, check_dual_optimizer,
+                     optimal_terminal_wealth)
 from .valuation import PerturbationSpec, value_surface
 
 
@@ -261,15 +264,16 @@ def _perturbed(args, title: str):
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Result:
     """What a command computed: ``main`` writes ``rows`` under ``header``
-    to ``<stem>.csv`` and ``lines`` to ``<stem>_summary.txt`` in ``outdir``,
-    and exits 0 if ``passed``, else 3."""
+    to ``<stem>.csv``, and ``lines`` followed by the line of each of
+    ``checks`` to ``<stem>_summary.txt``, in ``outdir``; it exits 3 if a
+    check failed, else 0."""
 
     outdir: str
     stem: str
     header: list
     rows: list
     lines: list
-    passed: bool
+    checks: list
 
 
 def _write_csv(outdir: str, name: str, header: list, rows: list) -> str:
@@ -290,10 +294,6 @@ def _emit_summary(outdir: str, name: str, lines: list) -> None:
     sys.stdout.write(text)
 
 
-def _ok(passed) -> str:
-    return "ok" if passed else "FAIL"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -312,7 +312,7 @@ def cmd_value(args) -> _Result:
     return _Result(cfg.outdir, "surface", SURFACE_HEADER,
                    [[_r(r.tau), _r(r.weak.mean), _r(r.weak.se),
                      _r(r.strong.mean), _r(r.strong.se), _r(r.weight_mean),
-                     cfg.seed] for r in rows], lines, True)
+                     cfg.seed] for r in rows], lines, [])
 
 
 SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
@@ -323,64 +323,53 @@ def cmd_sens(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
     eps = _steps(args.eps)
     reports = sensitivity_reports(model, u, pert, ens, eps=eps)
+    checks = [rep.check for rep in reports]
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
-             _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se), _r(rep.gap),
-             _r(rep.tolerance), _flag(rep.verdict), cfg.seed]
-            for rep in reports]
+             _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se),
+             _r(c.error), _r(c.bound), _flag(c.passed), cfg.seed]
+            for rep, c in zip(reports, checks)]
     lines = [heading,
              f"  difference steps: {', '.join(f'{e:g}' for e in eps)}; "
-             "tolerance = 3 se of the paired contrast plus the "
-             "extrapolation correction"]
-    lines += ["  " + rep.line() for rep in reports]
-    passed = all(rep.verdict for rep in reports)
+             "each formula against its difference, tolerance = 3 se of the "
+             "paired contrast plus the extrapolation correction"]
     # deterministic coefficients and directions make the two derivatives
     # equal, so their paired difference must be Monte Carlo noise
     if deterministic(model.mu, model.sigma, model.rate, *pert.directions):
         gap = combine_linear([rep.formula for rep in reports], [1.0, -1.0],
                              f"weak-minus-strong[{pert.label}]")
-        gap_ok = gap.sigmas <= 3.0
-        lines.append(f"  weak - strong = {gap.mean:.6g} (se {gap.se:.2g}, "
-                     f"{gap.sigmas:.2f} sigma); deterministic market and "
-                     f"direction, so within 3 sigma of 0: {_ok(gap_ok)}")
-        passed = passed and gap_ok
-    return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines, passed)
+        lines.append("  deterministic market and direction, so weak = "
+                     "strong")
+        checks.append(Check("weak - strong", "sigmas", gap.mean, 0.0, 3.0,
+                            gap.se))
+    return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines, checks)
 
 
 EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
                    "abs_error", "tolerance", "verdict", "seed"]
 
-# largest |estimate - expected| that example1 accepts on each side
-_TOL_STRONG = 0.01
-_TOL_WEAK = 0.015
-
 
 def cmd_example1(args) -> _Result:
     rep = example1_report(T=args.T, M=args.paths, N=args.steps,
                           seed=args.seed)
-    checks = [(side, est, expected, tol, abs(est.mean - expected) <= tol)
-              for side, est, expected, tol in (
-                  ("strong", rep.strong, rep.expected_strong, _TOL_STRONG),
-                  ("weak", rep.weak, rep.expected_weak, _TOL_WEAK))]
-    rows = [[_r(args.T), side, _r(est.mean), _r(est.se), _r(expected),
-             _r(abs(est.mean - expected)), _r(tol), _flag(ok), args.seed]
-            for side, est, expected, tol, ok in checks]
-    # the weak-minus-strong gap must be negative and clearly resolved
     gap = rep.gap
-    gap_ok = gap.mean < 0 and gap.sigmas > 5.0
+    # fixed tolerances on each side; the gap must be negative and clearly
+    # resolved
+    checks = [Check("strong", "within", rep.strong.mean, rep.expected_strong,
+                    0.01, rep.strong.se),
+              Check("weak", "within", rep.weak.mean, rep.expected_weak,
+                    0.015, rep.weak.se),
+              Check("weak - strong", "below", gap.mean, 0.0, 5.0, gap.se)]
+    rows = [[_r(args.T), side, _r(c.value), _r(c.se), _r(c.reference),
+             _r(c.error), _r(c.bound), _flag(c.passed), args.seed]
+            for side, c in zip(("strong", "weak"), checks)]
     rows.append([_r(args.T), "gap", _r(gap.mean), _r(gap.se),
                  _r(rep.expected_gap), _r(abs(gap.mean - rep.expected_gap)),
-                 _r(5.0 * gap.se), _flag(gap_ok), args.seed])
+                 _r(5.0 * gap.se), _flag(checks[2].passed), args.seed])
     lines = [f"sign-switching market, unit drift direction: T={args.T:g} "
-             f"paths={args.paths} steps={args.steps} seed={args.seed}"]
-    lines += [f"  {side}: {est.mean:.6g} (se {est.se:.2g}), expected "
-              f"{expected:.6g}, |error| <= {tol:g}: {_ok(ok)}"
-              for side, est, expected, tol, ok in checks]
-    lines.append(f"  weak - strong = {gap.mean:.6g} (se {gap.se:.2g}, "
-                 f"{gap.sigmas:.1f} sigma), expected "
-                 f"{rep.expected_gap:.6g}, negative and > 5 sigma: "
-                 f"{_ok(gap_ok)}")
+             f"paths={args.paths} steps={args.steps} seed={args.seed}",
+             f"  expected weak - strong = {rep.expected_gap:.6g}"]
     return _Result(args.out, "example1", EXAMPLE1_HEADER, rows, lines,
-                   gap_ok and all(c[-1] for c in checks))
+                   checks)
 
 
 EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
@@ -389,22 +378,17 @@ EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 def cmd_example2(args) -> _Result:
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
                                     seed=args.seed)
-    det_ok = det.sigmas <= 3.0
-    ad_ok = adapted.mean > 0 and adapted.sigmas > 3.0
-    rows = [[case, _r(est.mean), _r(est.se), _r(est.sigmas), _flag(ok),
+    checks = [Check("deterministic price of risk", "sigmas", det.mean, 0.0,
+                    3.0, det.se),
+              Check("adapted price of risk", "above", adapted.mean, 0.0,
+                    3.0, adapted.se)]
+    rows = [[case, _r(c.value), _r(c.se), _r(c.sigmas), _flag(c.passed),
              args.seed]
-            for case, est, ok in (("deterministic", det, det_ok),
-                                  ("adapted", adapted, ad_ok))]
+            for case, c in zip(("deterministic", "adapted"), checks)]
     lines = [f"discrepancy functional: T={args.T:g} paths={args.paths} "
-             f"steps={args.steps} seed={args.seed}",
-             f"  deterministic price of risk: {det.mean:.4g} "
-             f"(se {det.se:.2g}, {det.sigmas:.2f} sigma); "
-             f"within 3 sigma of 0: {_ok(det_ok)}",
-             f"  adapted price of risk: {adapted.mean:.4g} "
-             f"(se {adapted.se:.2g}, {adapted.sigmas:.1f} sigma); positive "
-             f"beyond 3 sigma: {_ok(ad_ok)}"]
+             f"steps={args.steps} seed={args.seed}"]
     return _Result(args.out, "example2", EXAMPLE2_HEADER, rows, lines,
-                   det_ok and ad_ok)
+                   checks)
 
 
 H1_HEADER = ["tau", "full_rank", "kernel_equal", "ok"]
@@ -421,20 +405,17 @@ def cmd_h1check(args) -> _Result:
         raise ConfigError("h1check needs a nonzero tau")
     regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
                                           TimeGrid(cfg.horizon, cfg.steps))
-    all_ok = all(rep.ok for rep in reports)
     rows = [[_r(tau), _flag(rep.full_rank), _flag(rep.kernel_equal),
-             _flag(rep.ok)] for tau, rep in zip(taus, reports)]
+             _flag(rep.check.passed)] for tau, rep in zip(taus, reports)]
     lines = [f"kernel stability of sigma + tau dsigma, exact over "
              f"{len(regimes)} reachable regimes: steps={cfg.steps} "
              f"horizon={cfg.horizon:g}"]
-    lines += [f"  tau={tau:g}: full rank "
-              f"{'yes' if rep.full_rank else 'NO'}, kernel "
-              f"preserved {'yes' if rep.kernel_equal else 'NO'}"
-              + ("" if rep.ok else " on "
-                 + regimes.describe(rep.worst_regime))
-              for tau, rep in zip(taus, reports)]
-    lines.append(f"verdict: {'stable' if all_ok else 'VIOLATED'}")
-    return _Result(cfg.outdir, "h1", H1_HEADER, rows, lines, all_ok)
+    lines += [f"  tau={tau:g}: full rank {_flag(rep.full_rank)}, kernel "
+              f"preserved {_flag(rep.kernel_equal)}, first broken on "
+              f"{regimes.describe(rep.worst_regime)}"
+              for tau, rep in zip(taus, reports) if not rep.check.passed]
+    return _Result(cfg.outdir, "h1", H1_HEADER, rows, lines,
+                   [rep.check for rep in reports])
 
 
 NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
@@ -456,37 +437,37 @@ def cmd_norms(args) -> _Result:
 
     j = j_functional(payoff, u.p, logs)
     j_tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
-    j_ok = abs(j.mean - model.x0) <= j_tol
     F = j_evaluator(u.p, logs)
     am = amemiya_norm(F, payoff)
     lux = luxemburg_norm(F, payoff)
     bound = 1.0 + model.x0
-    am_ok = am <= bound + j_tol
     hold = holder_check(np.exp(logs[0]), xstar, u.p, logs)
+    checks = [Check("j(optimal payoff)", "within", j.mean, model.x0, j_tol,
+                    j.se),
+              Check("amemiya norm", "at most", am, bound, j_tol, None),
+              hold.check]
+    j_ok, am_ok, hold_ok = (_flag(c.passed) for c in checks)
 
     rows = [
-        ["j_at_optimal_payoff", _r(j.mean), _r(j.se), _flag(j_ok), cfg.seed],
+        ["j_at_optimal_payoff", _r(j.mean), _r(j.se), j_ok, cfg.seed],
         ["budget_x0", _r(model.x0), "", "", cfg.seed],
-        ["amemiya_norm", _r(am), "", _flag(am_ok), cfg.seed],
+        ["amemiya_norm", _r(am), "", am_ok, cfg.seed],
         ["luxemburg_norm", _r(lux), "", "", cfg.seed],
         ["amemiya_bound", _r(bound), "", "", cfg.seed],
         ["norm_I_pricing_density", _r(hold.norm_i), "", "", cfg.seed],
         ["norm_J_optimal_wealth", _r(hold.norm_j), "", "", cfg.seed],
-        ["holder_lhs", _r(hold.lhs), "", _flag(hold.passed), cfg.seed],
+        ["holder_lhs", _r(hold.lhs), "", hold_ok, cfg.seed],
         ["holder_rhs", _r(hold.rhs), "", "", cfg.seed],
     ]
     lines = [f"modular norms: utility={u.label} family size {len(family)} "
              f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
              f"seed={cfg.seed}",
-             f"  j(optimal payoff) = {j.mean:.6g} (se {j.se:.2g}), budget "
-             f"x0 = {model.x0:g}, |gap| <= {j_tol:.2g}: {_ok(j_ok)}",
-             f"  amemiya = {am:.6g} <= 1 + x0 = {bound:g}: "
-             f"{_ok(am_ok)};  luxemburg = {lux:.6g}",
-             f"  norm_I(density) = {hold.norm_i:.6g}, norm_J(wealth) = "
-             f"{hold.norm_j:.6g}, pairing {hold.lhs:.6g} <= {hold.rhs:.6g}: "
-             f"{_ok(hold.passed)}"]
-    return _Result(cfg.outdir, "norms", NORMS_HEADER, rows, lines,
-                   j_ok and am_ok and hold.passed)
+             f"  budget x0 = {model.x0:g}, luxemburg = {lux:.6g}, "
+             f"norm_I(density) = {hold.norm_i:.6g}, norm_J(wealth) = "
+             f"{hold.norm_j:.6g}",
+             "  amemiya <= 1 + j (Young's inequality), so its bound follows "
+             "from the j check; the holder pairing is an identity check"]
+    return _Result(cfg.outdir, "norms", NORMS_HEADER, rows, lines, checks)
 
 
 DANSKIN_HEADER = ["value", "argmax", "radius", "derivative", "probe_gap",
@@ -494,16 +475,14 @@ DANSKIN_HEADER = ["value", "argmax", "radius", "derivative", "probe_gap",
 
 
 def cmd_danskin(args) -> _Result:
-    from .danskin import (TIE_TOL, CloudError, directional_derivative,
-                          hadamard_probe, load_cloud, support_value)
+    from .danskin import (TIE_TOL, CloudError, hadamard_probe, load_cloud,
+                          support_value)
     try:
         K = load_cloud(args.cloud)
         d = _floats(args.direction)
         res = support_value(d, K)
         if args.delta is not None:
-            delta = _floats(args.delta)
-            dv = directional_derivative(d, delta, K)
-            probe = hadamard_probe(d, delta, K)
+            probe = hadamard_probe(d, _floats(args.delta), K)
     except CloudError as exc:
         raise ConfigError(str(exc)) from None
     arg_text = ";".join(str(i) for i in res.argmax)
@@ -512,18 +491,15 @@ def cmd_danskin(args) -> _Result:
              f"  v({args.direction}) = {res.value:.12g}",
              f"  argmax point indices: {arg_text}",
              f"  radius max|z| = {res.radius:.6g}"]
-    deriv_cols = ["", "", "", ""]
+    deriv_cols, checks = ["", "", "", ""], []
     if args.delta is not None:
-        deriv_cols = [_r(dv), _r(probe.max_gap), _r(probe.tolerance),
-                      _flag(probe.passed)]
-        lines.append(f"  derivative toward {args.delta}: {dv:.12g}; "
-                     f"difference-quotient probe "
-                     f"{'converged' if probe.passed else 'FAILED'} "
-                     f"(last gap {abs(probe.quotients[-1] - dv):.2g}, "
-                     f"tolerance {probe.tolerance:.2g})")
+        checks = [probe.check]
+        deriv_cols = [_r(probe.derivative), _r(probe.max_gap),
+                      _r(probe.check.bound), _flag(probe.check.passed)]
+        lines.append(f"  derivative toward {args.delta}: "
+                     f"{probe.derivative:.12g}")
     row = [_r(res.value), arg_text, _r(res.radius)] + deriv_cols
-    return _Result(args.out, "danskin", DANSKIN_HEADER, [row], lines,
-                   args.delta is None or probe.passed)
+    return _Result(args.out, "danskin", DANSKIN_HEADER, [row], lines, checks)
 
 
 SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
@@ -536,18 +512,15 @@ def cmd_secondorder(args) -> _Result:
     rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
     steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),
-             _flag(rep.vacuous), _flag(rep.passed), cfg.seed]
+             _flag(rep.vacuous), _flag(rep.check.passed), cfg.seed]
             for e, res, neg in steps]
     lines = [heading] + [f"  eps={e:g}: residual {res:.4g}, below-tangent "
                          f"part {neg:.4g}" for e, res, neg in steps]
     if rep.vacuous:
         lines.append(f"  fewer than two residuals above the floor "
-                     f"{rep.floor:.2g}; decay check vacuous: ok")
-    else:
-        lines.append(f"  log-log slope of |residual| {rep.slope:.3f} "
-                     f"(need >= 1.8): {_ok(rep.passed)}")
+                     f"{rep.floor:.2g}: the decay check is vacuous")
     return _Result(cfg.outdir, "secondorder", SECOND_HEADER, rows, lines,
-                   rep.passed)
+                   [rep.check])
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +626,11 @@ def main(argv=None) -> int:
         res = args.func(args)
         path = _write_csv(res.outdir, f"{res.stem}.csv", res.header,
                           res.rows)
-        _emit_summary(res.outdir, res.stem, res.lines + [f"wrote {path}"])
-        return 0 if res.passed else 3
-    except (ConfigError, CoefficientError, OSError,
+        _emit_summary(res.outdir, res.stem, res.lines
+                      + [c.line() for c in res.checks] + [f"wrote {path}"])
+        return 0 if all(c.passed for c in res.checks) else 3
+    except (ConfigError, CoefficientError, KernelStabilityError,
+            IncompleteMarketError, ResourceLimitError, OSError,
             configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

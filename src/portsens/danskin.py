@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from portsens.estimate import Check
+
 
 # points within TIE_TOL * (1 + |v|) of the support value v tie with the max
 TIE_TOL = 1e-12
@@ -103,12 +105,7 @@ class HadamardReport:
     quotients: tuple
     taus: tuple
     max_gap: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.quotients[-1] == self.quotients[-1] and \
-            abs(self.quotients[-1] - self.derivative) <= self.tolerance
+    check: Check  # the last quotient near the derivative; nan fails
 
 
 def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
@@ -146,7 +143,9 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
     tol = K.radius * drift + 1e-9 * (1.0 + abs(deriv))
     gaps = [abs(qt - deriv) for qt in quotients]
     return HadamardReport(derivative=deriv, quotients=tuple(quotients),
-                          taus=tuple(taus), max_gap=max(gaps), tolerance=tol)
+                          taus=tuple(taus), max_gap=max(gaps),
+                          check=Check("last difference quotient", "within",
+                                      quotients[-1], deriv, tol, None))
 
 
 def load_cloud(path: str) -> CompactSet:

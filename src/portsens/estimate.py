@@ -7,7 +7,7 @@ weighted mean) carry a per-path influence vector: the first-order expansion
 of the functional around the sample means.  Every estimate carries one, of
 the ensemble's length, so standard errors of such functionals, and of
 differences of correlated estimates computed on common random numbers, are
-read off the influence vectors.
+read off the influence vectors.  A ``Check`` decides one verdict.
 """
 
 from __future__ import annotations
@@ -36,13 +36,64 @@ class ValueEstimate:
             raise ValueError(f"non-finite estimate in {self.estimator!r}: "
                              f"mean={self.mean} se={self.se}")
 
+
+# relation: (its test on a Check c, its summary phrase with reference r,
+# bound b and the thresholds hi = r + b and lo = r - b)
+_RELATIONS = {
+    "within": (lambda c: c.error <= c.bound, "within {b:.2g} of {r:.6g}"),
+    "at most": (lambda c: c.value <= c.reference + c.bound,
+                "at most {hi:.6g}"),
+    "at least": (lambda c: c.value >= c.reference - c.bound,
+                 "at least {lo:.6g}"),
+    "sigmas": (lambda c: c.sigmas <= c.bound,
+               "within {b:g} sigma of {r:.6g}"),
+    "below": (lambda c: c.value < c.reference and c.sigmas > c.bound,
+              "more than {b:g} sigma below {r:.6g}"),
+    "above": (lambda c: c.value > c.reference and c.sigmas > c.bound,
+              "more than {b:g} sigma above {r:.6g}"),
+}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``value``, with standard error ``se`` if it is an
+    estimate, against ``reference`` and ``bound`` under one of
+    ``_RELATIONS``.  Every comparison is false on nan, so a nan value fails
+    every relation."""
+
+    name: str
+    relation: str
+    value: float
+    reference: float
+    bound: float
+    se: float | None
+
+    @property
+    def error(self) -> float:
+        return abs(self.value - self.reference)
+
     @property
     def sigmas(self) -> float:
-        """|mean| in standard errors; with se = 0, 0 for a zero mean and
+        """``error`` in standard errors; with se = 0, 0 for no error and
         infinity otherwise."""
         if self.se == 0:
-            return math.inf if self.mean != 0 else 0.0
-        return abs(self.mean) / self.se
+            return math.inf if self.error != 0 else 0.0
+        return self.error / self.se
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation][0](self))
+
+    def line(self) -> str:
+        """The summary line, ending in ``: ok`` or ``: FAIL``."""
+        se = "" if self.se is None else f" (se {self.se:.2g}" + (
+            f", {self.sigmas:.2f} sigma)"
+            if self.relation in ("sigmas", "below", "above") else ")")
+        r, b = self.reference, self.bound
+        rule = _RELATIONS[self.relation][1].format(r=r, b=b, hi=r + b,
+                                                   lo=r - b)
+        return (f"  {self.name} = {self.value:.6g}{se}, {rule}: "
+                f"{'ok' if self.passed else 'FAIL'}")
 
 
 def _se_of(centered: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from portsens.estimate import Check
 from portsens.paths import TimeGrid
 
 _COND_CAP = 1e8  # largest condition number of sigma sigma^T accepted
@@ -441,11 +442,8 @@ def dlambda_direction(model: MarketModel, dmu: CoefficientProcess | None,
 class H1Report:
     full_rank: bool
     kernel_equal: bool
-    worst_regime: int  # first failing row; read only when not ok
-
-    @property
-    def ok(self) -> bool:
-        return self.full_rank and self.kernel_equal
+    worst_regime: int  # first failing row; read only when the check fails
+    check: Check  # no reachable regime loses full rank or the kernel
 
 
 def _rank(values: np.ndarray, scale: np.ndarray | None = None) -> tuple:
@@ -482,7 +480,11 @@ def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
     within = _rank(np.concatenate((base, step), axis=-2), top)[0] == rank
     equal = [within] if not taus else [
         within & (_rank(base + tau * step)[0] == rank) for tau in taus]
+    wheres = [f"tau={tau:g}" for tau in taus] or ["small tau"]
     return regimes, [
         H1Report(full_rank=bool(np.all(full)), kernel_equal=bool(np.all(e)),
-                 worst_regime=int(np.argmax(np.ravel(~(full & e)))))
-        for e in equal]
+                 worst_regime=int(np.argmax(np.ravel(~(full & e)))),
+                 check=Check(f"regimes breaking kernel stability at {where}",
+                             "at most", int(np.sum(~(full & e))), 0.0, 0.0,
+                             None))
+        for e, where in zip(equal, wheres)]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from portsens.estimate import ValueEstimate, mean_estimate
+from portsens.estimate import Check, ValueEstimate, mean_estimate
 from portsens.market import MarketModel, RegimeTable, mpr_table
 from portsens.paths import PathEnsemble, path_sums
 
@@ -241,17 +241,17 @@ class HolderReport:
     lhs: float  # |mean(Y Z)|
     norm_i: float  # norm_I(Y)
     norm_j: float  # norm_J(Z)
+    check: Check  # lhs at most rhs, up to a relative rounding slack
 
     @property
     def rhs(self) -> float:
         return self.norm_i * self.norm_j
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + _HOLDER_SLACK)
-
 
 def holder_check(Y, Z, p: float, logs: np.ndarray) -> HolderReport:
     """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
-    return HolderReport(lhs=abs(float(np.mean(Y * Z))),
-                        norm_i=norm_I(Y, p, logs), norm_j=norm_J(Z, p, logs))
+    lhs = abs(float(np.mean(Y * Z)))
+    ni, nj = norm_I(Y, p, logs), norm_J(Z, p, logs)
+    return HolderReport(lhs=lhs, norm_i=ni, norm_j=nj, check=Check(
+        "holder pairing |mean(Y Z)|", "at most", lhs,
+        ni * nj * (1.0 + _HOLDER_SLACK), 0.0, None))

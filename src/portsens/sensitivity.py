@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens import utility as ut
-from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
-                               mean_estimate)
+from portsens.estimate import (Check, ValueEstimate, combine_linear,
+                               delta_estimate, mean_estimate)
 from portsens.market import (CoefficientError, MarketModel, RegimeTable,
                              constant, dlambda_direction, indicator,
                              mpr_table)
@@ -227,16 +227,7 @@ class SensitivityReport:
     side: str
     formula: ValueEstimate
     fd: ValueEstimate
-    gap: float
-    tolerance: float
-    verdict: bool
-
-    def line(self) -> str:
-        flag = "ok" if self.verdict else "MISMATCH"
-        return (f"{self.direction} [{self.side}]: formula "
-                f"{self.formula.mean:.6g} (se {self.formula.se:.2g}), "
-                f"difference {self.fd.mean:.6g} (se {self.fd.se:.2g}), "
-                f"gap {self.gap:.2e} <= {self.tolerance:.2e}: {flag}")
+    check: Check  # the formula within tolerance of the difference
 
 
 def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
@@ -246,7 +237,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     """(weak, strong) closed-form sensitivities against the Richardson
     differences over every step of ``eps``, from one path pass.
 
-    The verdict tolerance combines the Monte Carlo error of the formula-
+    The check's tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
     with the extrapolation correction as a bias allowance, plus a floating-
     point floor: when the curve is exactly quadratic in tau the difference
@@ -261,13 +252,13 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     reports = []
     for side, formula, (fd, correction) in zip(("weak", "strong"), formulas,
                                                fds):
-        gap = abs(formula.mean - fd.mean)
         contrast = combine_linear([formula, fd], [1.0, -1.0], "contrast")
         tol = (3.0 * contrast.se + abs(correction)
                + 1e-11 * (1.0 + abs(formula.mean)))
         reports.append(SensitivityReport(
             direction=pert.label, side=side, formula=formula, fd=fd,
-            gap=gap, tolerance=tol, verdict=bool(gap <= tol)))
+            check=Check(f"{pert.label} [{side}]", "within", formula.mean,
+                        fd.mean, tol, formula.se)))
     return tuple(reports)
 
 
@@ -361,7 +352,8 @@ class SecondOrderReport:
     log-log slope to |residual| over the steps where it exceeds the
     numerical floor; with fewer than two such steps the check is vacuous
     and the slope reported as infinity.  ``negative_parts`` records the
-    below-tangent part of each residual.
+    below-tangent part of each residual.  The check passes a slope of at
+    least 1.8, so a vacuous one.
     """
 
     eps: tuple
@@ -370,10 +362,7 @@ class SecondOrderReport:
     floor: float
     slope: float
     vacuous: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.vacuous or self.slope >= 1.8
+    check: Check
 
 
 def second_order_check(model: MarketModel, u: ut.UtilitySpec,
@@ -409,4 +398,6 @@ def residual_decay(eps, base: float, curve, deriv: float) \
         slope, vacuous = float(np.polyfit(xs, ys, 1)[0]), False
     return SecondOrderReport(eps=tuple(eps), residuals=tuple(residuals),
                              negative_parts=tuple(neg), floor=floor,
-                             slope=slope, vacuous=vacuous)
+                             slope=slope, vacuous=vacuous,
+                             check=Check("log-log slope of |residual|",
+                                         "at least", slope, 1.8, 0.0, None))

@@ -52,6 +52,11 @@ class SolverError(RuntimeError):
     pass
 
 
+class IncompleteMarketError(SolverError):
+    """A market refused before any path is drawn: no closed-form dual
+    optimizer."""
+
+
 def check_dual_optimizer(model: MarketModel, *directions) -> None:
     """Refuse a market whose minimal measure need not be the dual
     optimizer: an incomplete one (n > d) where the market or one of the
@@ -59,8 +64,9 @@ def check_dual_optimizer(model: MarketModel, *directions) -> None:
     stochastic."""
     if not (model.n == model.d or deterministic(
             model.mu, model.sigma, model.rate, *directions)):
-        raise SolverError("incomplete market with stochastic coefficients: "
-                          "no closed-form dual optimizer")
+        raise IncompleteMarketError("incomplete market with stochastic "
+                                    "coefficients: no closed-form dual "
+                                    "optimizer")
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,

@@ -138,16 +138,14 @@ def check_experiment(model: MarketModel, u: ut.UtilitySpec,
     pert.validate_for(model)
     check_dual_optimizer(model, *pert.directions)
     if pert.dsigma is not None:
-        moved = sorted(set(taus) - {0.0})
-        regimes, reports = check_h1_direction(model.sigma, pert.dsigma,
-                                              moved, grid)
-        for where, rep in zip([f"tau={t:g}" for t in moved] or ["small tau"],
-                              reports):
-            if not rep.ok:
+        regimes, reports = check_h1_direction(
+            model.sigma, pert.dsigma, sorted(set(taus) - {0.0}), grid)
+        for rep in reports:
+            if not rep.check.passed:
                 raise KernelStabilityError(
-                    f"volatility direction breaks kernel stability at "
-                    f"{where} (full rank: {rep.full_rank}, kernel "
-                    f"preserved: {rep.kernel_equal}) on "
+                    f"volatility direction: {rep.check.name} = "
+                    f"{rep.check.value} (full rank: {rep.full_rank}, "
+                    f"kernel preserved: {rep.kernel_equal}), first on "
                     f"{regimes.describe(rep.worst_regime)}")
     if u.kind == "custom":
         try:

@@ -14,7 +14,7 @@ from portsens import utility as ut
 from portsens.cli import main
 from portsens.danskin import (CompactSet, directional_derivative,
                               hadamard_probe, support_value)
-from portsens.estimate import combine_linear
+from portsens.estimate import Check, combine_linear
 from portsens.market import (MarketModel, check_h1_direction, constant,
                              dlambda_direction, indicator)
 from portsens.modular import (amemiya_norm, density_logs, holder_check,
@@ -65,14 +65,16 @@ def test_criterion_1_strong_sensitivity(switch_report, capsys):
 def test_criterion_2_weak_sensitivity_and_gap(switch_report, capsys):
     rep = switch_report
     err = abs(rep.weak.mean - rep.expected_weak)
-    ok = err <= 0.015 and rep.gap.mean < 0 and rep.gap.sigmas > 5.0
     t4 = example1_report(T=4.0, M=50_000, N=1000, seed=1002)
-    ok = ok and t4.gap.mean < 0 and t4.gap.sigmas > 5.0
+    # negative and more than 5 se from zero, as example1 checks it
+    gap, t4_gap = (Check("gap", "below", r.gap.mean, 0.0, 5.0, r.gap.se)
+                   for r in (rep, t4))
+    ok = err <= 0.015 and gap.passed and t4_gap.passed
     verdict(capsys, 2, "weak drift sensitivity and weak-strong gap",
             ok,
             f"estimate {rep.weak.mean:.5f} vs {rep.expected_weak:.5f} "
-            f"+- 0.015; gap {rep.gap.mean:.4f} at {rep.gap.sigmas:.0f} "
-            f"sigma; T=4 gap {t4.gap.mean:.3f} at {t4.gap.sigmas:.0f} sigma")
+            f"+- 0.015; gap {rep.gap.mean:.4f} at {gap.sigmas:.0f} "
+            f"sigma; T=4 gap {t4.gap.mean:.3f} at {t4_gap.sigmas:.0f} sigma")
 
 
 def test_criterion_3_deterministic_coincidence(det2d, ens2d, capsys):
@@ -82,7 +84,8 @@ def test_criterion_3_deterministic_coincidence(det2d, ens2d, capsys):
     worst = 0.0
     for row in rows:
         gap = combine_linear([row.weak, row.strong], [1.0, -1.0], "gap")
-        worst = max(worst, gap.sigmas)
+        worst = max(worst, Check("gap", "sigmas", gap.mean, 0.0, 3.0,
+                                 gap.se).sigmas)
     verdict(capsys, 3, "weak equals strong for deterministic coefficients",
             worst <= 3.0,
             f"largest |u_w - u_s| over taus {{0, 0.1, 0.2}} is "
@@ -109,8 +112,9 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
             details.append(f"p={p:g} {pert.label} {sigmas:.2f} sigma")
         rep, _ = sensitivity_reports(model, u, PerturbationSpec(dmu=dmu),
                                      ens2d)
-        ok = ok and rep.verdict
-        details.append(f"p={p:g} fd gap {rep.gap:.2g} tol {rep.tolerance:.2g}")
+        ok = ok and rep.check.passed
+        details.append(f"p={p:g} fd gap {rep.check.error:.2g} "
+                       f"tol {rep.check.bound:.2g}")
     pert = PerturbationSpec(dmu=dmu,
                             dsigma=constant([[0.02, 0.01], [0.0, 0.03]]))
     vals = dlambda_direction(model, pert.dmu, pert.dsigma,
@@ -130,11 +134,12 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
 
 def test_criterion_5_discrepancy_functional(capsys):
     det, adapted = example2_reports(T=1.0, M=50_000, N=500, seed=1005)
-    ok = det.sigmas <= 3.0 and adapted.mean > 0 and adapted.sigmas > 3.0
+    det = Check("deterministic", "sigmas", det.mean, 0.0, 3.0, det.se)
+    adapted = Check("adapted", "above", adapted.mean, 0.0, 3.0, adapted.se)
     verdict(capsys, 5, "discrepancy functional, deterministic vs adapted",
-            ok,
-            f"deterministic {det.mean:.2g} at {det.sigmas:.2f} sigma; "
-            f"adapted {adapted.mean:.4f} at {adapted.sigmas:.0f} sigma "
+            det.passed and adapted.passed,
+            f"deterministic {det.value:.2g} at {det.sigmas:.2f} sigma; "
+            f"adapted {adapted.value:.4f} at {adapted.sigmas:.0f} sigma "
             f"above zero")
 
 
@@ -160,7 +165,8 @@ def test_criterion_6_second_order_residual(det2d, ens2d, capsys):
         return f"slope {rep.slope:.2f}"
 
     verdict(capsys, 6, "first-order residual decays at second order",
-            det_rep.passed and sw_rep.passed and t4_rep.passed
+            det_rep.check.passed and sw_rep.check.passed
+            and t4_rep.check.passed
             and not t4_rep.vacuous,
             f"deterministic: {text(det_rep)}; switching: {text(sw_rep)}; "
             f"switching T=4: {text(t4_rep)}")
@@ -235,7 +241,7 @@ def test_criterion_8_support_function(capsys):
              for k in range(len(taus))]]
     for seq in seqs:
         probe = hadamard_probe(d, delta, K, directions=seq, taus=taus)
-        ok = ok and probe.passed and probe.derivative == deriv
+        ok = ok and probe.check.passed and probe.derivative == deriv
     verdict(capsys, 8, "support function enumeration and Hadamard probes",
             ok,
             f"{checked} random clouds, {exact} integer clouds exact with "
@@ -264,7 +270,7 @@ def test_criterion_9_modular_norms(capsys):
     for _ in range(100):
         Y = np.exp(rng.normal(size=ens.count) * 0.3)
         Z = np.exp(rng.normal(size=ens.count) * 0.4 - 0.2)
-        holder_ok = holder_ok and holder_check(Y, Z, u.p, logs).passed
+        holder_ok = holder_ok and holder_check(Y, Z, u.p, logs).check.passed
 
     j = j_functional(payoff, u.p, logs)
     j_ok = abs(j.mean - model.x0) <= 3.0 * j.se + 1e-9
@@ -298,7 +304,7 @@ def test_criterion_10_reproducibility_and_kernel(tmp_path, monkeypatch,
                                      grid)
     _, (rotate,) = check_h1_direction(sigma, constant([[0.0, 0.8]]), [1.0],
                                       grid)
-    accepted, rejected = scale.ok, not rotate.ok
+    accepted, rejected = scale.check.passed, not rotate.check.passed
     verdict(capsys, 10, "bit-identical workers and kernel checker",
             identical and accepted and rejected,
             f"surface bytes equal for workers 1/2/5; row-scaling family "

@@ -300,3 +300,32 @@ def test_no_private_name_is_imported_across_modules():
     # commands and scripts reach each other through public names only, so
     # a private helper can change without breaking a caller elsewhere
     assert private_imports(_sources()) == []
+
+
+def verdict_members(files) -> list:
+    """"Class.name" of every method, property, field or class attribute
+    named ``passed``, ``ok`` or ``verdict`` of a class other than
+    ``Check``."""
+    out = []
+    for path in files:
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "Check":
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = getattr(item, "targets", [item.target])
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                out += [f"{cls.name}.{name}" for name in names
+                        if name in ("passed", "ok", "verdict")]
+    return out
+
+
+def test_only_check_decides_a_verdict():
+    # every pass rule is a relation of estimate.Check; a report keeps its
+    # numbers and may hold a Check, but decides nothing itself
+    pkg = (ROOT / "src" / "portsens").glob("*.py")
+    assert verdict_members(sorted(pkg)) == []

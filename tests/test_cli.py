@@ -190,14 +190,17 @@ def test_h1check_finds_a_rare_regime(tmp_path, capsys, seed):
     out = tmp_path / "h1"
     assert main(["h1check", "--config", str(cfg), "--seed", seed,
                  "--out", str(out)]) == 3
-    assert "verdict: VIOLATED" in capsys.readouterr().out
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  regimes breaking kernel stability")]
+    assert checks and all(line.endswith(": FAIL") for line in checks)
     assert all(r[3] == "false" for r in read_rows(out / "h1.csv")[1:])
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
 def test_value_refuses_a_rare_rank_loss(tmp_path, capsys, seed):
     # sigma + 0.1 dsigma vanishes on {W < -3}: no 20-path sample gets
-    # there, but the regime is reachable, so the surface is refused
+    # there, but the regime is reachable, so the surface is refused before
+    # any path is drawn
     cfg = tmp_path / "zero.ini"
     cfg.write_text("[market]\nd = 1\nn = 1\nmu = const:[0.05]\n"
                    "sigma = const:[1.0]\n\n[utility]\nspec = log\n\n"
@@ -206,7 +209,7 @@ def test_value_refuses_a_rare_rank_loss(tmp_path, capsys, seed):
                    "taus = 0.0,0.1\n\n[mc]\npaths = 20\nsteps = 32\n"
                    "horizon = 1.0\nseed = 5\n")
     assert main(["value", "--config", str(cfg), "--paths", "20",
-                 "--seed", seed, "--out", str(tmp_path / "v")]) == 3
+                 "--seed", seed, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert "kernel stability at tau=0.1" in err
     assert "W^0 in [-inf, -3)" in err
@@ -579,7 +582,7 @@ def test_incomplete_adapted_market_refused_before_the_pass(
         command, adapted, tmp_path, capsys, generated):
     # an adapted drift, or an adapted drift direction, in the incomplete
     # market of configs/norms.ini has no closed-form dual optimizer: every
-    # command that needs one refuses it with the same message, exit 3,
+    # command that needs one refuses it with the same message, exit 2,
     # no path drawn and nothing written
     text = load_text("configs/norms.ini")
     assert "mu = const:[0.06]" in text and "[perturbation]" not in text
@@ -596,7 +599,7 @@ def test_incomplete_adapted_market_refused_before_the_pass(
     code = main([command, "--config", str(cfg), "--paths", "3000",
                  "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 3 and "failure" in err
+    assert code == 2 and "config error" in err
     assert ("incomplete market with stochastic coefficients: no "
             "closed-form dual optimizer") in err
     assert not out.exists() and sum(generated) == 0
@@ -963,11 +966,31 @@ def norm_write(path, text):
     return path
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failures_exit_three(tmp_path, capsys):
+    # a kernel-breaking direction is refused before the pass (exit 2); a
+    # price of risk of 1e6 overflows the power-utility value after it, a
+    # non-finite estimate (exit 3); neither writes anything
     rotate = tmp_path / "rotate_value.ini"
     rotate.write_text(load_text("configs/h1_kernel.ini").replace(
         "dsigma = const:[0.5,0.0]", "dsigma = const:[0.0,1.0]")
         + "\n[utility]\nspec = log\n")
-    out = str(tmp_path / "rv")
-    assert main(["value", "--config", str(rotate), "--out", out]) == 3
-    assert "failure" in capsys.readouterr().err
+    out = tmp_path / "rv"
+    assert main(["value", "--config", str(rotate), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    huge = norm_write(tmp_path / "huge.ini", load_text(
+        "configs/deterministic2d.ini").replace(
+        "mu = const:[0.08,0.05]", "mu = const:[1e5,0.05]"))
+    assert main(["value", "--config", str(huge), "--paths", "20",
+                 "--out", str(out)]) == 3
+    assert "failure: non-finite estimate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resource_cap_exits_two(tmp_path, capsys, generated):
+    # 10^7 paths of 2000 steps exceed the cell cap: a refusal before any
+    # path is drawn, not a numerical failure
+    out = tmp_path / "big"
+    assert main(["example1", "--paths", "10000000", "--out", str(out)]) == 2
+    assert "exceeds the resource cap" in capsys.readouterr().err
+    assert not out.exists() and sum(generated) == 0

@@ -75,7 +75,7 @@ def test_hadamard_probe_default_sequences(rng):
         d = rng.normal(size=K.m)
         delta = rng.normal(size=K.m)
         rep = hadamard_probe(d, delta, K)
-        assert rep.passed, (rep.max_gap, rep.tolerance)
+        assert rep.check.passed, (rep.max_gap, rep.check.bound)
         assert len(rep.quotients) == len(rep.taus) == 10
 
 
@@ -86,7 +86,7 @@ def test_hadamard_probe_constant_directions():
     # no direction drift: the last quotients equal the derivative exactly
     assert rep.derivative == 1.0
     assert rep.quotients[-1] == 1.0
-    assert rep.passed
+    assert rep.check.passed
 
 
 def test_hadamard_quotient_bound_is_tight():
@@ -97,8 +97,8 @@ def test_hadamard_quotient_bound_is_tight():
     drift = 1.0 / len(rep.taus) ** 2
     assert rep.quotients[-1] - rep.derivative == pytest.approx(drift,
                                                                rel=1e-12)
-    assert rep.tolerance >= K.radius * drift
-    assert rep.passed
+    assert rep.check.bound >= K.radius * drift
+    assert rep.check.passed
 
 
 def test_hadamard_probe_validation():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from portsens.estimate import (ValueEstimate, combine_linear, delta_estimate,
-                               mean_estimate)
+from portsens.estimate import (Check, ValueEstimate, combine_linear,
+                               delta_estimate, mean_estimate)
 
 
 def test_mean_estimate_matches_formulas(rng):
@@ -33,11 +33,30 @@ def test_value_estimate_rejects_nonfinite():
 
 def test_sigmas_is_the_mean_in_standard_errors():
     est = mean_estimate([-1.0, -2.0, -3.0, -6.0], estimator="m")
-    assert est.sigmas == 3.0 / est.se
+    assert Check("m", "sigmas", est.mean, 0.0, 3.0, est.se).sigmas \
+        == 3.0 / est.se
     # with se = 0 a zero mean is 0 sigma from zero, any other infinitely far
-    zero = np.zeros(2)
-    assert ValueEstimate(0.0, 0.0, "z", zero).sigmas == 0.0
-    assert ValueEstimate(-1e-300, 0.0, "c", zero).sigmas == math.inf
+    assert Check("z", "sigmas", 0.0, 0.0, 3.0, 0.0).sigmas == 0.0
+    assert Check("c", "sigmas", -1e-300, 0.0, 3.0, 0.0).sigmas == math.inf
+
+
+@pytest.mark.parametrize("relation, value, bound, passed", [
+    ("within", 1.5, 0.5, True), ("within", 1.75, 0.5, False),
+    ("within", 0.5, 0.5, True), ("at most", 1.5, 0.5, True),
+    ("at most", 1.75, 0.5, False), ("at least", 0.5, 0.5, True),
+    ("at least", 0.25, 0.5, False), ("sigmas", 1.5, 2.0, True),
+    ("sigmas", 1.75, 2.0, False), ("sigmas", 0.5, 2.0, True),
+    ("below", 0.25, 2.0, True), ("below", 0.5, 2.0, False),
+    ("below", 2.0, 2.0, False), ("above", 2.0, 2.0, True),
+    ("above", 1.5, 2.0, False), ("above", 0.0, 2.0, False)])
+def test_check_relations(relation, value, bound, passed):
+    # reference 1 and se 0.25: the sigma relations count |value - 1| in
+    # quarters; "below" and "above" also need the value on their side
+    check = Check("c", relation, value, 1.0, bound, 0.25)
+    assert check.passed == passed
+    assert check.line().endswith(": ok" if passed else ": FAIL")
+    # a nan value fails every relation, as the Hadamard probe needs
+    assert not Check("c", relation, math.nan, 1.0, bound, 0.25).passed
 
 
 def test_delta_estimate_chain_rule(rng):

@@ -12,6 +12,7 @@ a refusal: the command exits with its code and writes no CSV, no summary
 and nothing to stdout.
 """
 
+import csv
 import functools
 import hashlib
 import json
@@ -32,7 +33,14 @@ STEM = {"value": "surface", "sens": "sens", "secondorder": "secondorder",
         "norms": "norms", "h1check": "h1", "example1": "example1",
         "example2": "example2"}
 
-# (command, config, exit code, CSV digest, summary digest)
+# (command, config, exit code, CSV digest, summary digest); every summary
+# with a verdict was re-recorded when each verdict became one Check: main
+# now ends the summary with one line per check in one format, "name =
+# value (se), relation: ok" or ": FAIL", in place of each command's own
+# wording.  h1check states no per-tau line unless a regime breaks, and
+# norms names the Amemiya bound as implied by the j check and the Hölder
+# pairing as an identity check.  Every CSV and exit code held.  The value
+# summaries, with no verdict, held
 GOLDEN = [
     # CSV re-recorded when quad and time sums of adapted tables came to be
     # read off regime counts: estimates and standard errors moved by at
@@ -59,13 +67,13 @@ GOLDEN = [
     # the summary held
     ("sens", "example1", 0,
      "91f3bc0f86cf29c486251a6c7583bfd9b27e9481c7f772805d5b6d0d1d8aa587",
-     "1dedb2112f0a6d58c8e28935be1c77914ddc0698ebc7f24bee4fa6be2815ce95"),
+     "429c3ae44084655220e715e0851e999a02db3b77379e1704aedb6ad438567384"),
     # summary re-recorded when sens began to state weak - strong for a
     # deterministic market and direction, one line (-0.0167947, 2.33
     # sigma: ok); the CSV held
     ("sens", "deterministic2d", 0,
      "805907b2880bc6c022eea4849410aa9c466fc050ada22679f37811df06515c3d",
-     "e5d56c6ba5c4cfae072a921871d3a0bf2cc2ff6d32fcec7ca780ab69cf1f87e1"),
+     "c278df8e1c136db627622bed6a0735318c6ba093e6d037ad0e19b4a9d20e026f"),
     # re-recorded when the decay check moved from the below-tangent part
     # to |residual|: only the slope and vacuous columns changed
     # CSV re-recorded when quad and time sums of adapted tables came to be
@@ -74,29 +82,29 @@ GOLDEN = [
     # summary held
     ("secondorder", "example1", 0,
      "9b6fd24f7411815a98f2a2d71c0273f9f190bac2b99190b1ec58602b9e32c234",
-     "baea2dc4acd328c217c7dabb1bb48847d6b578508c5eac5b647f40a82237f6b4"),
+     "be2876b2186d89388edf9623b8caaccee4697ecf13c73b1b49bbec18e3ac53e7"),
     ("secondorder", "deterministic2d", 0,
      "e966b6bf56fe00b061dd3f7b6370462095a554a6a8a785379895015c19ea7a7f",
-     "b816f3c1ac522f8eb3557b32b0f3ffb1951d018c0c0b9716e59675ba494a04ea"),
+     "2f1eb92ea6e9650256e70a2628cb6a2faf3e6c85befb0e26144528d9ed02693f"),
     ("norms", "example1", 2, None, None),  # log utility: refused, no CSV
     ("norms", "deterministic2d", 0,
      "9130ca4e6d905338f4313537501db7cfa913ba95e0200f32a94b2f2d190b5fc9",
-     "46ca1d9528ecb7266a3351c604d4d3a747f299f2a3e0cfd5734cb8353ea96c62"),
+     "99bbadcb1f063ae03d16e5b2e8974d0d2bb0d8c13f51a4ef3acfa2cae00b7df7"),
     ("norms", "norms", 0,
      "939c68238084b9ceeb7978e554a6f15baf81cffc589020d26742a9e6424c2e13",
-     "42dba3f1c874403b997ccc8fd2e01974c62b1e34270e0c2e27d3f7a8466fbd2b"),
+     "0ce49356bb36d8972074d438e2fef5d868ef31662a65bce3610d52d73b46b89f"),
     ("h1check", "h1_kernel", 0,
      "881ca22758fdfa5a31bce16e005219cb56c38da2f6210f557015f75db49e51e0",
-     "f844b5ee623103015770d9f3e2d6ec6ac3dd9a0778066c1947f020cd3f7c470f"),
+     "55b151db1176b5f7f010210ede38ecaef46c6280cb60b471d82ef7c25886990f"),
     ("example1", None, 3,
      "7930a3e9b04f4367f7959653b5a2900cc6225c7b7dd0402adf311aa6fed48f4f",
-     "fff2fe7d967962f09940ea2c4db8fd6322a63d5be318f99cf913bf882e4d595b"),
+     "426bf90d292abfb215639500e418f7c2c48acf10823b1bd93c9788445b24353e"),
     # CSV re-recorded when path_sums began to gather constant tables
     # densely, as every other table: the deterministic row's value and
     # sigmas moved by at most 5.6e-16 relative; the summary held
     ("example2", None, 0,
      "475119681610224e4ccf49e64f8dff63b8f8a8213d5f4c45437b6c701e9d1be3",
-     "fcb51290656d4429bb467adac650dad4089eb837cfbf6800401c2b45293ca6d0"),
+     "9389becb9e8da74b687dce0ad94a542620195a525211b09f0566bbc555f69982"),
 ]
 
 
@@ -164,6 +172,34 @@ def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 7 * 512)
     assert digests(command_argv(command, config), code, tmp_path,
                    capsys) == (csv_digest, summary_digest)
+
+
+@pytest.mark.parametrize(CASE, GOLDEN, ids=IDS)
+def test_exit_code_and_verdict_columns_follow_the_checks(
+        command, config, code, csv_digest, summary_digest, tmp_path,
+        capsys):
+    # main exits 3 iff a summary check line fails.  Each verdict cell of
+    # the CSV is its check's, in row order: secondorder's one decay check
+    # stands on every row, and sens's weak - strong check has no row
+    argv = command_argv(command, config) + SMALL + ["--out", str(tmp_path)]
+    assert main(argv) == code
+    checks = [(line, line.endswith(": ok"))
+              for line in capsys.readouterr().out.splitlines()
+              if line.endswith((": ok", ": FAIL"))]
+    assert (code == 3) == any(not ok for _, ok in checks)
+    csv_path = tmp_path / f"{STEM[command]}.csv"
+    if not csv_path.exists():  # a refusal writes nothing
+        assert code == 2 and not checks
+        return
+    with open(csv_path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    cells = [rec[col] == "true" for rec in records
+             for col in ("verdict", "ok", "passed") if rec.get(col)]
+    want = [ok for line, ok in checks
+            if not (command == "sens" and line.startswith("  weak - strong"))]
+    if command == "secondorder":
+        want *= len(records)
+    assert cells == want
 
 
 @pytest.mark.parametrize("name", ["switch-adapted", "norms-incomplete",

@@ -310,16 +310,17 @@ def test_h1_accepts_kernel_preserving_and_rejects_rotation():
     sigma = constant([[1.0, 0.0]])
     grid = TimeGrid(1.0, 4)
     _, (ok,) = check_h1_direction(sigma, constant([[0.5, 0.0]]), [1.0], grid)
-    assert ok.full_rank and ok.kernel_equal and ok.ok
+    assert ok.full_rank and ok.kernel_equal and ok.check.passed
     _, (bad,) = check_h1_direction(sigma, constant([[0.0, 0.5]]), [1.0], grid)
-    assert not bad.kernel_equal and not bad.ok
+    assert not bad.kernel_equal and not bad.check.passed
     # with no tau, the report holds for every small tau: the rotation
     # fails it, and -sigma, which loses rank at tau = 1 only, passes
     assert not check_h1_direction(sigma, constant([[0.0, 0.5]]), [],
-                                  grid)[1][0].ok
+                                  grid)[1][0].check.passed
     shrink = constant([[-1.0, 0.0]])
-    assert check_h1_direction(sigma, shrink, [], grid)[1][0].ok
-    assert not check_h1_direction(sigma, shrink, [1.0], grid)[1][0].ok
+    assert check_h1_direction(sigma, shrink, [], grid)[1][0].check.passed
+    assert not check_h1_direction(sigma, shrink, [1.0],
+                                  grid)[1][0].check.passed
 
 
 def stacked_h1(base, pert):
@@ -360,7 +361,8 @@ def test_h1_tau_free_inclusion_matches_the_per_tau_stacked_rule(
     want = [stacked_h1(b, b + tau * s) for b, s in zip(base, step)]
     assert rep.full_rank == all(full for full, _ in want)
     assert rep.kernel_equal == all(kept for _, kept in want)
-    if not rep.ok:
+    assert rep.check.passed == (rep.full_rank and rep.kernel_equal)
+    if not rep.check.passed:
         assert want[rep.worst_regime] != (True, True)
         assert all(w == (True, True) for w in want[:rep.worst_regime])
 
@@ -369,16 +371,16 @@ def test_h1_adapted_is_exact_over_regimes():
     sig = indicator(0, 0.0, [[1.0, 0.0]], [[2.0, 0.0]])
     grid = TimeGrid(1.0, 8)
     zero = constant([[0.0, 0.0]])
-    assert check_h1_direction(sig, zero, [1.0], grid)[1][0].ok
+    assert check_h1_direction(sig, zero, [1.0], grid)[1][0].check.passed
     # a rotation on {W < -3} is found although few paths ever get there
     base = constant([[1.0, 0.0]])
     rare = indicator(0, -3.0, [[0.5, 0.0]], [[0.0, 1.0]])
     regimes, reps = check_h1_direction(base, rare, [0.25, 1.0], grid)
-    assert not any(rep.ok for rep in reps)
+    assert not any(rep.check.passed for rep in reps)
     assert "W^0 in [-inf, -3)" in regimes.describe(reps[0].worst_regime)
     assert check_h1_direction(base, indicator(0, -3.0, [[0.5, 0.0]],
                                               [[2.0, 0.0]]),
-                              [0.25, 1.0], grid)[1][0].ok
+                              [0.25, 1.0], grid)[1][0].check.passed
 
 
 def test_zeros_and_bound():

@@ -140,8 +140,8 @@ def test_holder_inequality_on_random_pairs(mod_ens, logs3, rng):
         z = rng.normal(size=mod_ens.count) * rng.lognormal(
             sigma=0.5, size=mod_ens.count)
         rep = holder_check(y, z, 3.0, logs3)
-        assert rep.passed
-        assert rep.passed
+        assert rep.check.passed
+        assert rep.check.passed
     assert isinstance(rep, HolderReport)
 
 

@@ -5,15 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from portsens.estimate import ValueEstimate, combine_linear, mean_estimate
+from portsens.estimate import Check, combine_linear, mean_estimate
 from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, dlambda_direction)
 from portsens.paths import PathEnsemble, TimeGrid
-from portsens.sensitivity import (SecondOrderReport, _example1_model,
-                                  example1_report, example2_reports,
-                                  fd_sensitivity, residual_decay,
-                                  second_order_check, sensitivity_pair,
-                                  sensitivity_reports)
+from portsens.sensitivity import (_example1_model, example1_report,
+                                  example2_reports, fd_sensitivity,
+                                  residual_decay, second_order_check,
+                                  sensitivity_pair, sensitivity_reports)
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, SurfaceRow, value_surface
 
@@ -101,8 +100,8 @@ def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
                                        pert, det_ens)
     rep = weak if side == "weak" else strong
     assert rep.side == side
-    assert rep.verdict, rep.line()
-    assert rep.gap <= rep.tolerance
+    assert rep.check.passed, rep.check.line()
+    assert rep.check.error <= rep.check.bound
 
 
 @pytest.mark.parametrize("side", ["weak", "strong"])
@@ -111,7 +110,7 @@ def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
     weak, strong = sensitivity_reports(switch_model, log_utility(),
                                        UNIT_DRIFT, switch_ens)
     rep = weak if side == "weak" else strong
-    assert rep.verdict, rep.line()
+    assert rep.check.passed, rep.check.line()
 
 
 def test_fd_correction_vanishes_on_quadratic_curve(det2d_model, det_ens):
@@ -181,7 +180,7 @@ def test_example1_sign_switching_gap():
     assert abs(rep.strong.mean - 0.5) < 3.0 * rep.strong.se + 0.005
     assert abs(rep.weak.mean - rep.expected_weak) < 3.0 * rep.weak.se + 0.01
     assert rep.gap.mean < 0.0
-    assert rep.gap.sigmas > 5.0
+    assert Check("gap", "below", rep.gap.mean, 0.0, 5.0, rep.gap.se).passed
     assert abs(rep.gap.mean - rep.expected_gap) < 3.0 * rep.gap.se + 0.01
 
 
@@ -205,10 +204,11 @@ def test_long_path_pass_holds_only_small_blocks():
 def test_example2_discrepancy():
     det, adapted = example2_reports(T=1.0, M=30000, N=500, seed=504)
     # deterministic price of risk: the functional vanishes identically
-    assert det.sigmas < 3.0
+    assert Check("det", "sigmas", det.mean, 0.0, 3.0, det.se).sigmas < 3.0
     # adapted price of risk: strictly positive obstruction
     assert adapted.mean > 0.0
-    assert adapted.sigmas > 5.0
+    assert Check("adapted", "above", adapted.mean, 0.0, 5.0,
+                 adapted.se).passed
     # independent Euler estimate at N=1000 sits at 0.3841 +- 0.0023; the
     # N=500 grid carries a visible positive step bias, allowed for here
     assert abs(adapted.mean - 0.3841250605911561) \
@@ -224,14 +224,14 @@ def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
     ens = PathEnsemble(TimeGrid(1.0, 32), n=2, count=2000, seed=11)
     rep = second_order_check(det2d_model, u, pert, ens)
     assert all(v == 0.0 for v in rep.negative_parts)
-    assert not rep.vacuous and rep.passed and 1.9 < rep.slope < 2.1
+    assert not rep.vacuous and rep.check.passed and 1.9 < rep.slope < 2.1
     rows = value_surface(det2d_model, u, pert, (0.0,) + rep.eps, ens)
     base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
     deriv, _ = sensitivity_pair(det2d_model, u, pert, ens)
     assert residual_decay(rep.eps, base, curve, deriv.mean).slope \
         == rep.slope
     off = residual_decay(rep.eps, base, curve, deriv.mean - 0.05)
-    assert not off.vacuous and not off.passed
+    assert not off.vacuous and not off.check.passed
     assert 0.9 < off.slope < 1.2
 
 
@@ -257,19 +257,22 @@ def test_second_order_check_fails_with_an_off_derivative(switch_model):
     base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
     deriv, _ = sensitivity_pair(switch_model, log_utility(), UNIT_DRIFT, ens)
     good = residual_decay(eps, base, curve, deriv.mean)
-    assert not good.vacuous and good.slope >= 1.8 and good.passed
+    assert not good.vacuous and good.slope >= 1.8 and good.check.passed
     off = residual_decay(eps, base, curve, deriv.mean + 0.05)
-    assert not off.vacuous and not off.passed
+    assert not off.vacuous and not off.check.passed
     assert 0.9 < off.slope < 1.2
 
 
 def test_second_order_report_slope_threshold():
-    common = dict(eps=(0.05, 0.1), residuals=(-1e-4, -4e-4),
-                  negative_parts=(1e-4, 4e-4), floor=1e-12)
-    assert SecondOrderReport(slope=2.0, vacuous=False, **common).passed
-    assert SecondOrderReport(slope=1.9, vacuous=False, **common).passed
-    assert not SecondOrderReport(slope=1.2, vacuous=False, **common).passed
-    assert SecondOrderReport(slope=1.2, vacuous=True, **common).passed
+    # residuals -eps^k decay with slope k; residuals below the floor leave
+    # the check vacuous, which passes
+    eps = (0.05, 0.1)
+    for k, ok in ((2.0, True), (1.9, True), (1.2, False)):
+        rep = residual_decay(eps, 0.0, [-e ** k for e in eps], 0.0)
+        assert not rep.vacuous and rep.slope == pytest.approx(k)
+        assert rep.check.passed == ok
+    rep = residual_decay(eps, 1.0, [1.0, 1.0], 0.0)
+    assert rep.vacuous and rep.check.passed
 
 
 def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
@@ -277,7 +280,7 @@ def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
                                     switch_ens)
     gap = combine_linear([weak, strong], [1.0, -1.0], "gap")
     assert gap.mean < 0.0
-    assert gap.sigmas > 5.0
+    assert Check("gap", "below", gap.mean, 0.0, 5.0, gap.se).passed
     assert abs(gap.mean - -0.13298076013381088) < 3.0 * gap.se + 0.01
     weak, strong = sensitivity_pair(det2d_model, log_utility(),
                                     PerturbationSpec(dmu=DMU2), det_ens)
@@ -286,12 +289,11 @@ def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
 
 
 def test_sensitivity_demo_fails_a_gap_beyond_three_se():
-    # sens decides its deterministic weak - strong contrast with
-    # gap.sigmas <= 3 on the paired estimate it prints; at se = 0 only a
-    # zero gap agrees
+    # sens decides its deterministic weak - strong contrast with a check
+    # of the paired estimate it prints within 3 sigma of 0; at se = 0 only
+    # a zero gap agrees
     for gap, se, ok in ((0.29, 0.1, True), (-0.29, 0.1, True),
                         (0.31, 0.1, False), (-0.31, 0.1, False),
                         (1e-3, 0.0, False), (0.0, 0.0, True)):
-        est = ValueEstimate(mean=gap, se=se, estimator="weak-minus-strong",
-                            influence=np.zeros(2))
-        assert (est.sigmas <= 3.0) == ok
+        check = Check("weak - strong", "sigmas", gap, 0.0, 3.0, se)
+        assert check.passed == ok
