@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from portsens.estimate import Check
+from portsens.estimate import Check, ConfigError
 
 
 # points within TIE_TOL * (1 + |v|) of the support value v tie with the max
 TIE_TOL = 1e-12
 
 
-class CloudError(ValueError):
+class CloudError(ConfigError):
     pass
 
 

@@ -7,7 +7,8 @@ weighted mean) carry a per-path influence vector: the first-order expansion
 of the functional around the sample means.  Every estimate carries one, of
 the ensemble's length, so standard errors of such functionals, and of
 differences of correlated estimates computed on common random numbers, are
-read off the influence vectors.  A ``Check`` decides one verdict.
+read off the influence vectors.  A ``Check`` decides one verdict, and a
+``ConfigError`` refuses an input before any path is drawn.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ class ValueEstimate:
         if not np.isfinite(self.mean) or not np.isfinite(self.se):
             raise ValueError(f"non-finite estimate in {self.estimator!r}: "
                              f"mean={self.mean} se={self.se}")
+
+
+class ConfigError(ValueError):
+    """An input refused before any path is drawn: the command exits 2.  Every
+    refusal of the package derives from it; a failure after the pass does
+    not."""
 
 
 # relation: (its test on a Check c, its summary phrase with reference r,

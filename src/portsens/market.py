@@ -35,22 +35,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from portsens.estimate import Check
+from portsens.estimate import Check, ConfigError
 from portsens.paths import TimeGrid
 
 _COND_CAP = 1e8  # largest condition number of sigma sigma^T accepted
 _RANK_TOL = 1e-10  # singular values below this share of the largest are 0
 
 
-class CoefficientError(ValueError):
+class CoefficientError(ConfigError):
     pass
 
 
-class SingularVolatilityError(RuntimeError):
+class SingularVolatilityError(ConfigError):
     """sigma sigma^T is singular or beyond the condition cap somewhere."""
 
 
-class KernelStabilityError(RuntimeError):
+class KernelStabilityError(ConfigError):
     """A volatility perturbation changes the null space of sigma."""
 
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens.estimate import Check, ValueEstimate, mean_estimate
-from portsens.market import MarketModel, RegimeTable, mpr_table
+from portsens.market import (CoefficientError, MarketModel, RegimeTable,
+                             mpr_table)
 from portsens.paths import PathEnsemble, path_sums
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
@@ -57,7 +58,8 @@ _HOLDER_SLACK = 1e-9  # relative rounding allowance of the Hölder pairing
 
 
 class ModularError(RuntimeError):
-    pass
+    """A functional or norm that cannot be evaluated on the pass's
+    samples."""
 
 
 def density_logs(model: MarketModel, family: tuple,
@@ -79,7 +81,7 @@ def density_logs(model: MarketModel, family: tuple,
         nu_scale = float(np.max(np.abs(nu_v))) if nu_v.size else 0.0
         if worst > _KERNEL_TOL * max(1.0, scale * nu_scale):
             r = int(np.argmax(np.max(np.abs(prod), axis=-1)))
-            raise ModularError(
+            raise CoefficientError(
                 f"family member {i} leaves the volatility null space "
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
         gamma = lam + nu_v

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from portsens.estimate import ConfigError
+
 WORKERS_ENV = "PORTSENS_WORKERS"
 
 _MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
@@ -74,7 +76,7 @@ def _thread_generator() -> tuple[np.random.Generator, dict]:
     return pair
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(ConfigError):
     pass
 
 
@@ -87,9 +89,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
-            raise ValueError("horizon must be positive and finite")
+            raise ConfigError("horizon must be positive and finite")
         if self.steps < 1:
-            raise ValueError("need at least one step")
+            raise ConfigError("need at least one step")
 
     @property
     def dt(self) -> float:

@@ -285,7 +285,6 @@ class Example1Report:
     pushes them.
     """
 
-    horizon: float
     weak: ValueEstimate
     strong: ValueEstimate
     gap: ValueEstimate  # weak minus strong, on the same paths
@@ -302,7 +301,7 @@ def example1_report(T: float, M: int, N: int, seed: int) -> Example1Report:
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
     weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble)
     return Example1Report(
-        horizon=T, weak=weak, strong=strong,
+        weak=weak, strong=strong,
         gap=combine_linear([weak, strong], [1.0, -1.0],
                            f"weak-minus-strong[{pert.label}]"),
         expected_weak=T / 2.0 - T ** 1.5 / (3.0 * math.sqrt(2.0 * math.pi)),

@@ -29,7 +29,8 @@ E[Zhat^{1-q}] because nu is orthogonal to the price of risk pointwise.
 Incomplete markets with stochastic coefficients have no closed-form dual
 optimizer.  ``check_dual_optimizer`` is the one test of that rule: every
 command that needs the optimizer, with or without a perturbation, calls it
-before drawing a path.
+before drawing a path, and it refuses with a ``CoefficientError``.  A
+``SolverError`` is a failed solve, never a refusal.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from portsens import utility as ut
 from portsens.estimate import ValueEstimate, delta_estimate
-from portsens.market import (MarketModel, RegimeTable, deterministic,
-                             mpr_table)
+from portsens.market import (CoefficientError, MarketModel, RegimeTable,
+                             deterministic, mpr_table)
 from portsens.paths import TimeGrid
 
 _REL_TOL = 1e-12  # relative bracket width at which the search stops
@@ -52,11 +53,6 @@ class SolverError(RuntimeError):
     pass
 
 
-class IncompleteMarketError(SolverError):
-    """A market refused before any path is drawn: no closed-form dual
-    optimizer."""
-
-
 def check_dual_optimizer(model: MarketModel, *directions) -> None:
     """Refuse a market whose minimal measure need not be the dual
     optimizer: an incomplete one (n > d) where the market or one of the
@@ -64,9 +60,8 @@ def check_dual_optimizer(model: MarketModel, *directions) -> None:
     stochastic."""
     if not (model.n == model.d or deterministic(
             model.mu, model.sigma, model.rate, *directions)):
-        raise IncompleteMarketError("incomplete market with stochastic "
-                                    "coefficients: no closed-form dual "
-                                    "optimizer")
+        raise CoefficientError("incomplete market with stochastic "
+                               "coefficients: no closed-form dual optimizer")
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,

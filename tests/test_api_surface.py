@@ -12,10 +12,18 @@ exercise fails here.  An attribute of a module alias, such as
 Conversely every default is left to some call, in that code or in the
 tests: a default that every call overrides only hides what a call must
 say.
+
+Every exception class of the package is a refusal, an
+``estimate.ConfigError`` on which ``portsens`` exits 2, unless it is listed
+as a failure after the pass.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
+
+from portsens import estimate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -329,3 +337,39 @@ def test_only_check_decides_a_verdict():
     # numbers and may hold a Check, but decides nothing itself
     pkg = (ROOT / "src" / "portsens").glob("*.py")
     assert verdict_members(sorted(pkg)) == []
+
+
+# exception class -> why it is not a refusal: raised after the pass, on
+# its samples, so the command exits 3
+AFTER_THE_PASS = {
+    "SolverError": "the multiplier search or the optimal wealth fails on "
+                   "the sampled pricing density",
+    "ModularError": "a moment diverges or a norm search finds no scale on "
+                    "the sampled payoffs",
+}
+
+
+def exception_classes() -> dict:
+    """Name -> class of every public exception class that a module of
+    ``src/portsens`` defines."""
+    out = {}
+    for path in (ROOT / "src" / "portsens").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"portsens.{path.stem}")
+        out.update({name: obj for name, obj in vars(module).items()
+                    if inspect.isclass(obj)
+                    and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__
+                    and not name.startswith("_")})
+    return out
+
+
+def test_every_refusal_is_a_config_error():
+    # main names ConfigError alone for exit 2, so an exception class that
+    # refuses an input before the pass must derive from it
+    classes = exception_classes()
+    assert classes["ConfigError"] is estimate.ConfigError
+    assert sorted(name for name, cls in classes.items()
+                  if not issubclass(cls, estimate.ConfigError)) \
+        == sorted(AFTER_THE_PASS)

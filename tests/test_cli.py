@@ -605,6 +605,33 @@ def test_incomplete_adapted_market_refused_before_the_pass(
     assert not out.exists() and sum(generated) == 0
 
 
+SINGULAR = ("deterministic2d", "sigma = const:[0.2,0.05,0.0,0.15]",
+            "sigma = const:[0.2,0.05,0.4,0.1]",
+            "sigma sigma^T condition inf exceeds cap")
+
+
+@pytest.mark.parametrize("command, config, good, bad, message", [
+    ("value", *SINGULAR), ("sens", *SINGULAR), ("secondorder", *SINGULAR),
+    ("norms", "norms", "nu1 = const:[0.0,0.3]", "nu1 = const:[0.1,0.3]",
+     "family member 1 leaves the volatility null space")],
+    ids=["value-singular", "sens-singular", "secondorder-singular",
+         "norms-off-kernel"])
+def test_coefficient_refusals_exit_two_before_the_pass(
+        command, config, good, bad, message, tmp_path, capsys, generated):
+    # a singular sigma sigma^T, or a [norms] member outside the volatility
+    # null space, is found on the regime table before the pass: a refusal,
+    # exit 2 with no path drawn and nothing written
+    text = load_text(f"configs/{config}.ini")
+    assert good in text
+    cfg = norm_write(tmp_path / "bad.ini", text.replace(good, bad))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--paths", "200",
+                 "--steps", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error" in err and message in err
+    assert not out.exists() and sum(generated) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["value", "--config", "configs/example1.ini", "--paths", "0"],
     ["value", "--config", "configs/example1.ini", "--steps", "0"],
@@ -928,6 +955,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
     bogus.write_text(load_text("configs/example1.ini").replace(
         "seed = 7", "seed = 7\nunknown_knob = 1"))
     assert main(["value", "--config", str(bogus)]) == 2
+
+    headless = norm_write(tmp_path / "headless.ini", "d = 1\n[market]\n")
+    assert main(["value", "--config", str(headless)]) == 2
+    assert "no section headers" in capsys.readouterr().err
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"[market]\nd = \xff\xfe\n")
+    assert main(["value", "--config", str(binary)]) == 2
 
     nosec = tmp_path / "nopert.ini"
     text = load_text("configs/norms.ini")

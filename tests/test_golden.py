@@ -177,12 +177,14 @@ def test_csv_bytes_match_golden_in_small_blocks(command, config, code,
 @pytest.mark.parametrize(CASE, GOLDEN, ids=IDS)
 def test_exit_code_and_verdict_columns_follow_the_checks(
         command, config, code, csv_digest, summary_digest, tmp_path,
-        capsys):
-    # main exits 3 iff a summary check line fails.  Each verdict cell of
-    # the CSV is its check's, in row order: secondorder's one decay check
-    # stands on every row, and sens's weak - strong check has no row
+        capsys, generated):
+    # main exits 3 iff a summary check line fails, and 2 only for a
+    # refusal, which draws no path.  Each verdict cell of the CSV is its
+    # check's, in row order: secondorder's one decay check stands on every
+    # row, and sens's weak - strong check has no row
     argv = command_argv(command, config) + SMALL + ["--out", str(tmp_path)]
     assert main(argv) == code
+    assert code != 2 or sum(generated) == 0
     checks = [(line, line.endswith(": ok"))
               for line in capsys.readouterr().out.splitlines()
               if line.endswith((": ok", ": FAIL"))]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from portsens.market import MarketModel, constant, indicator
+from portsens.market import CoefficientError, MarketModel, constant, indicator
 from portsens.modular import (_MAX_ITER, _REL_TOL, HolderReport,
                               ModularError, amemiya_norm, density_logs,
                               holder_check, j_evaluator, j_functional,
@@ -44,12 +44,12 @@ def opt3(mod_model, logs3, mod_ens):
 
 
 def test_kernel_violation_rejected(mod_model, mod_ens):
-    with pytest.raises(ModularError, match="null space"):
+    with pytest.raises(CoefficientError, match="null space"):
         density_logs(mod_model, (constant([0.1, 0.0]),), mod_ens)
     # a member that leaves the null space only on {W^0 < -3} is refused
     # before any path is drawn, whether or not a path would get there
     rare = indicator(0, -3.0, [0.0, 0.2], [0.1, 0.2])
-    with pytest.raises(ModularError, match=r"W\^0 in \[-inf, -3\)"):
+    with pytest.raises(CoefficientError, match=r"W\^0 in \[-inf, -3\)"):
         density_logs(mod_model, (rare,), PathEnsemble(
             TimeGrid(1.0, 8), n=2, count=1, seed=1))
 

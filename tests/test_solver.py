@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from portsens import utility
-from portsens.market import MarketModel, constant, indicator, piecewise
+from portsens.market import (CoefficientError, MarketModel, constant,
+                             indicator, piecewise)
 from portsens.modular import density_logs
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.solver import (SolverError, bisect_budget, check_dual_optimizer,
@@ -169,7 +170,7 @@ def test_dual_optimizer_needs_deterministic_directions():
     det = PerturbationSpec(dmu=constant([0.1]), drate=constant([0.01]))
     adapted = PerturbationSpec(dmu=indicator(1, 0.0, [0.0], [0.1]))
     check_dual_optimizer(incomplete, *det.directions)
-    with pytest.raises(SolverError, match="incomplete market"):
+    with pytest.raises(CoefficientError, match="incomplete market"):
         check_dual_optimizer(incomplete, *adapted.directions)
     complete = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [0.5]),
                            sigma=constant([[1.0]]))

@@ -12,7 +12,6 @@ from portsens.market import (CoefficientError, KernelStabilityError,
                              MarketModel, constant, indicator)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import sensitivity_pair
-from portsens.solver import SolverError
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -163,9 +162,9 @@ def test_incomplete_adapted_market_refused(ens1d, generated):
     model = MarketModel(d=1, n=2, mu=indicator(0, 0.0, [0.0], [0.5]),
                         sigma=constant([[1.0, 0.0]]))
     pert = PerturbationSpec(dmu=constant([0.1]))
-    with pytest.raises(SolverError, match="incomplete"):
+    with pytest.raises(CoefficientError, match="incomplete"):
         value_surface(model, log_utility(), pert, [0.0, 0.1], ens1d)
-    with pytest.raises(SolverError, match="incomplete"):
+    with pytest.raises(CoefficientError, match="incomplete"):
         sensitivity_pair(model, power_utility(3.0), pert, ens1d)
     assert sum(generated) == 0
 
