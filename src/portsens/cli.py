@@ -16,14 +16,16 @@ secondorder  decay of the below-tangent residual of the weak value curve
 Each command returns its verdicts as ``estimate.Check`` records; ``main``
 writes one CSV with a fixed schema plus a plain-text summary recording
 seeds and tolerances, with one line per check last, and prints the summary
-to stdout.  Exit codes: 0 every check passed, 1 usage error, 2 an
-``estimate.ConfigError`` or an unreadable file, that is, an input refused
-before any path is drawn, 3 a failed check or a failure after the pass.
-Identical configuration and seed give byte-identical CSVs for any worker
-count; set PORTSENS_WORKERS to use threads.
+to stdout.  Exit codes: 0 every check passed, 1 argv that argparse cannot
+parse, 2 every refused value, whether a flag or the file gives it (an
+``estimate.ConfigError`` or an unreadable file, refused before any path is
+drawn), 3 a failed check or a failure after the pass.  Identical
+configuration and seed give byte-identical CSVs for any worker count; set
+PORTSENS_WORKERS to use threads.
 
 The model lives in a line-oriented ``key = value`` config with sections;
-flags only override scale and seed.  Coefficient processes use the
+the scale and output flags are written over its ``[mc]`` and ``[output]``
+keys before anything is built.  Coefficient processes use the
 mini-language of :func:`portsens.market.parse_coefficient` (``const:[...]``,
 ``pw:t=[...];v=[...]``, ``ind:j=<driver>;c=<threshold>;lo=[...];hi=[...]``
 with a 0-based Brownian component index) and utilities the syntax of
@@ -48,7 +50,7 @@ from .market import (MarketModel, check_drivers, check_h1_direction,
                      constant, deterministic, parse_coefficient)
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
-from .paths import PathEnsemble, TimeGrid, check_seed
+from .paths import PathEnsemble, TimeGrid
 from .sensitivity import (DIFFERENCE_STEPS, EXPANSION_STEPS, check_steps,
                           example1_report, example2_reports,
                           second_order_check, sensitivity_reports)
@@ -84,10 +86,7 @@ class ExperimentConfig:
     utility: ut.UtilitySpec | None
     pert: PerturbationSpec | None
     taus: tuple | None
-    paths: int | None
-    steps: int | None
-    horizon: float | None
-    seed: int | None
+    ensemble: PathEnsemble | None
     nu_family: tuple
     outdir: str
 
@@ -100,6 +99,10 @@ _KEYS = {
     "norms": None,  # any nu* keys
     "output": {"directory"},
 }
+
+# flag -> the (section, key) it is written over
+_FLAG_KEYS = {"out": ("output", "directory"),
+              **{key: ("mc", key) for key in _KEYS["mc"]}}
 
 
 def _floats(text: str) -> tuple:
@@ -122,7 +125,9 @@ def _steps(text: str) -> tuple:
         raise ConfigError(f"--eps: {exc}") from None
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, flags: dict) -> ExperimentConfig:
+    """The config at ``path`` with every ``flags`` value not None written
+    over the entry of ``_FLAG_KEYS`` it names, to meet the same checks."""
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=None)
     try:
@@ -131,6 +136,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for flag, (section, key) in _FLAG_KEYS.items():
+        if flags.get(flag) is not None:
+            cp.read_dict({section: {key: str(flags[flag])}})
     for section in cp.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -165,11 +173,12 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     utility = None
     if cp.has_section("utility"):
         utility = ut.parse_utility(cp["utility"]["spec"])
+    for section in ("perturbation", "mc", "norms"):
+        if cp.has_section(section) and model is None:
+            raise ConfigError(f"[{section}] needs a [market] section")
 
     pert, taus = None, None
     if cp.has_section("perturbation"):
-        if model is None:
-            raise ConfigError("[perturbation] needs a [market] section")
         s = cp["perturbation"]
 
         def coeff(key, shape):
@@ -187,21 +196,17 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             if not taus:
                 raise ConfigError("taus must list at least one value")
 
-    paths = steps = horizon = seed = None
+    ensemble = None
     if cp.has_section("mc"):
         mc = cp["mc"]
-        if "seed" not in mc:
-            raise ConfigError("[mc] requires an explicit seed")
-        paths, steps = int(mc["paths"]), int(mc["steps"])
-        horizon, seed = float(mc["horizon"]), check_seed(int(mc["seed"]))
-        if paths < 2:
-            raise ConfigError("paths must be at least 2 (a standard error "
-                              "needs two)")
+        if missing := sorted(_KEYS["mc"] - set(mc)):
+            raise ConfigError(f"[mc] needs {', '.join(missing)}")
+        ensemble = PathEnsemble(
+            TimeGrid(float(mc["horizon"]), int(mc["steps"])), n=model.n,
+            count=int(mc["paths"]), seed=int(mc["seed"]))
 
     nu_family = ()
     if cp.has_section("norms"):
-        if model is None:
-            raise ConfigError("[norms] needs a [market] section")
         items = sorted(cp["norms"].items())
         nu_family = tuple(parse_coefficient(v, (model.n,)) for _, v in items)
         check_drivers(model.n, *nu_family)
@@ -211,47 +216,40 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         outdir = cp["output"].get("directory", ".").strip() or "."
 
     return ExperimentConfig(model=model, utility=utility, pert=pert,
-                            taus=taus, paths=paths, steps=steps,
-                            horizon=horizon, seed=seed, nu_family=nu_family,
-                            outdir=outdir)
+                            taus=taus, ensemble=ensemble,
+                            nu_family=nu_family, outdir=_writable(outdir))
 
 
-def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    repl = {}
-    for field in ("seed", "paths", "steps", "horizon"):
-        val = getattr(args, field, None)
-        if val is not None:
-            repl[field] = val
-    if getattr(args, "out", None):
-        repl["outdir"] = args.out
-    return dataclasses.replace(cfg, **repl) if repl else cfg
+def _writable(outdir: str) -> str:
+    """``outdir`` if it is, or can be made, a writable directory."""
+    path = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {outdir!r}: {path!r} is not a "
+                          "writable directory")
+    return outdir
 
 
 def _need(cfg: ExperimentConfig, what: str):
     name = {"model": "[market]", "utility": "[utility]",
-            "pert": "[perturbation]", "seed": "[mc]"}[what]
+            "pert": "[perturbation]", "ensemble": "[mc]"}[what]
     val = getattr(cfg, what)
     if val is None:
         raise ConfigError(f"this command needs a {name} section")
     return val
 
 
-def _make_ensemble(cfg: ExperimentConfig):
-    _need(cfg, "seed")
-    return PathEnsemble(TimeGrid(cfg.horizon, cfg.steps), n=cfg.model.n,
-                        count=cfg.paths, seed=cfg.seed)
-
-
 def _perturbed(args, title: str):
     """What ``value``, ``sens`` and ``secondorder`` read: the config, its
     model, utility and direction, the ensemble, and the summary heading."""
-    cfg = _load(args)
-    model, u, pert = (_need(cfg, w) for w in ("model", "utility", "pert"))
+    cfg = load_config(args.config, vars(args))
+    model, u, pert, ens = (_need(cfg, w)
+                           for w in ("model", "utility", "pert", "ensemble"))
     heading = (f"{title}: utility={u.label} direction={pert.label} "
-               f"paths={cfg.paths} steps={cfg.steps} "
-               f"horizon={cfg.horizon:g} seed={cfg.seed}")
-    return cfg, model, u, pert, _make_ensemble(cfg), heading
+               f"paths={ens.count} steps={ens.grid.steps} "
+               f"horizon={ens.grid.horizon:g} seed={ens.seed}")
+    return cfg, model, u, pert, ens, heading
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +274,7 @@ def _write_csv(outdir: str, name: str, header: list, rows: list) -> str:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        csv.writer(fh).writerows([header, *rows])
     return path
 
 
@@ -308,7 +303,7 @@ def cmd_value(args) -> _Result:
     return _Result(cfg.outdir, "surface", SURFACE_HEADER,
                    [[_r(r.tau), _r(r.weak.mean), _r(r.weak.se),
                      _r(r.strong.mean), _r(r.strong.se), _r(r.weight_mean),
-                     cfg.seed] for r in rows], lines, [])
+                     ens.seed] for r in rows], lines, [])
 
 
 SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
@@ -322,7 +317,7 @@ def cmd_sens(args) -> _Result:
     checks = [rep.check for rep in reports]
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
              _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se),
-             _r(c.error), _r(c.bound), _flag(c.passed), cfg.seed]
+             _r(c.error), _r(c.bound), _flag(c.passed), ens.seed]
             for rep, c in zip(reports, checks)]
     lines = [heading,
              f"  difference steps: {', '.join(f'{e:g}' for e in eps)}; "
@@ -345,6 +340,7 @@ EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
 
 
 def cmd_example1(args) -> _Result:
+    _writable(args.out)
     rep = example1_report(T=args.T, M=args.paths, N=args.steps,
                           seed=args.seed)
     gap = rep.gap
@@ -372,6 +368,7 @@ EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 
 
 def cmd_example2(args) -> _Result:
+    _writable(args.out)
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
                                     seed=args.seed)
     checks = [Check("deterministic price of risk", "sigmas", det.mean, 0.0,
@@ -391,21 +388,20 @@ H1_HEADER = ["tau", "full_rank", "kernel_equal", "ok"]
 
 
 def cmd_h1check(args) -> _Result:
-    cfg = _load(args)
+    cfg = load_config(args.config, vars(args))
     model, pert = _need(cfg, "model"), _need(cfg, "pert")
     if pert.dsigma is None:
         raise ConfigError("h1check needs a dsigma direction")
-    _need(cfg, "seed")
+    grid = _need(cfg, "ensemble").grid
     taus = [t for t in (cfg.taus or (1.0,)) if t != 0.0]
     if not taus:
         raise ConfigError("h1check needs a nonzero tau")
-    regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus,
-                                          TimeGrid(cfg.horizon, cfg.steps))
+    regimes, reports = check_h1_direction(model.sigma, pert.dsigma, taus, grid)
     rows = [[_r(tau), _flag(rep.full_rank), _flag(rep.kernel_equal),
              _flag(rep.check.passed)] for tau, rep in zip(taus, reports)]
     lines = [f"kernel stability of sigma + tau dsigma, exact over "
-             f"{len(regimes)} reachable regimes: steps={cfg.steps} "
-             f"horizon={cfg.horizon:g}"]
+             f"{len(regimes)} reachable regimes: steps={grid.steps} "
+             f"horizon={grid.horizon:g}"]
     lines += [f"  tau={tau:g}: full rank {_flag(rep.full_rank)}, kernel "
               f"preserved {_flag(rep.kernel_equal)}, first broken on "
               f"{regimes.describe(rep.worst_regime)}"
@@ -418,8 +414,8 @@ NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
 
 
 def cmd_norms(args) -> _Result:
-    cfg = _load(args)
-    model, u = _need(cfg, "model"), _need(cfg, "utility")
+    cfg = load_config(args.config, vars(args))
+    model, u, ens = (_need(cfg, w) for w in ("model", "utility", "ensemble"))
     if u.kind != "power":
         raise ConfigError(f"norms needs a power utility, got {u.label}: "
                           "U^{-1}(|Z|) is the optimal wealth only where "
@@ -427,7 +423,7 @@ def cmd_norms(args) -> _Result:
                           "utility")
     check_dual_optimizer(model)
     family = (constant(np.zeros(model.n)),) + cfg.nu_family
-    logs = density_logs(model, family, _make_ensemble(cfg))
+    logs = density_logs(model, family, ens)
     xstar = optimal_terminal_wealth(model, u, logs[0])
     payoff = np.asarray(ut.evaluate(u, xstar))
 
@@ -445,19 +441,19 @@ def cmd_norms(args) -> _Result:
     j_ok, am_ok, hold_ok = (_flag(c.passed) for c in checks)
 
     rows = [
-        ["j_at_optimal_payoff", _r(j.mean), _r(j.se), j_ok, cfg.seed],
-        ["budget_x0", _r(model.x0), "", "", cfg.seed],
-        ["amemiya_norm", _r(am), "", am_ok, cfg.seed],
-        ["luxemburg_norm", _r(lux), "", "", cfg.seed],
-        ["amemiya_bound", _r(bound), "", "", cfg.seed],
-        ["norm_I_pricing_density", _r(hold.norm_i), "", "", cfg.seed],
-        ["norm_J_optimal_wealth", _r(hold.norm_j), "", "", cfg.seed],
-        ["holder_lhs", _r(hold.lhs), "", hold_ok, cfg.seed],
-        ["holder_rhs", _r(hold.rhs), "", "", cfg.seed],
+        ["j_at_optimal_payoff", _r(j.mean), _r(j.se), j_ok, ens.seed],
+        ["budget_x0", _r(model.x0), "", "", ens.seed],
+        ["amemiya_norm", _r(am), "", am_ok, ens.seed],
+        ["luxemburg_norm", _r(lux), "", "", ens.seed],
+        ["amemiya_bound", _r(bound), "", "", ens.seed],
+        ["norm_I_pricing_density", _r(hold.norm_i), "", "", ens.seed],
+        ["norm_J_optimal_wealth", _r(hold.norm_j), "", "", ens.seed],
+        ["holder_lhs", _r(hold.lhs), "", hold_ok, ens.seed],
+        ["holder_rhs", _r(hold.rhs), "", "", ens.seed],
     ]
     lines = [f"modular norms: utility={u.label} family size {len(family)} "
-             f"paths={cfg.paths} steps={cfg.steps} horizon={cfg.horizon:g} "
-             f"seed={cfg.seed}",
+             f"paths={ens.count} steps={ens.grid.steps} "
+             f"horizon={ens.grid.horizon:g} seed={ens.seed}",
              f"  budget x0 = {model.x0:g}, luxemburg = {lux:.6g}, "
              f"norm_I(density) = {hold.norm_i:.6g}, norm_J(wealth) = "
              f"{hold.norm_j:.6g}",
@@ -503,7 +499,7 @@ def cmd_secondorder(args) -> _Result:
     rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
     steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
     rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),
-             _flag(rep.vacuous), _flag(rep.check.passed), cfg.seed]
+             _flag(rep.vacuous), _flag(rep.check.passed), ens.seed]
             for e, res, neg in steps]
     lines = [heading] + [f"  eps={e:g}: residual {res:.4g}, below-tangent "
                          f"part {neg:.4g}" for e, res, neg in steps]
@@ -517,40 +513,13 @@ def cmd_secondorder(args) -> _Result:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _seed(text: str) -> int:
-    """argparse type: an integer in [0, 2**64)."""
-    try:
-        return check_seed(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive(cast, least=0):
-    """argparse type: a finite number of type ``cast`` above zero and at
-    least ``least``."""
-    def parse(text: str):
-        if not 0 < (value := cast(text)) < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"must be positive and finite, got {text}")
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {least}, got {text}")
-        return value
-
-    parse.__name__ = cast.__name__  # argparse's "invalid int value: ..."
-    return parse
-
-
-# a standard error needs at least two paths
-_PATHS = _positive(int, least=2)
-
 # each flag is (name, add_argument keywords)
 _CONFIG_FLAGS = (
     ("--config", dict(required=True, help="experiment file")),
-    ("--seed", dict(type=_seed, help="override [mc] seed")),
-    ("--paths", dict(type=_PATHS, help="override [mc] paths")),
-    ("--steps", dict(type=_positive(int), help="override [mc] steps")),
-    ("--horizon", dict(type=_positive(float), help="override [mc] horizon")),
+    ("--seed", dict(type=int, help="override [mc] seed")),
+    ("--paths", dict(type=int, help="override [mc] paths")),
+    ("--steps", dict(type=int, help="override [mc] steps")),
+    ("--horizon", dict(type=float, help="override [mc] horizon")),
     ("--out", dict(help="override [output] directory")))
 
 
@@ -559,10 +528,10 @@ def _eps_flag(steps: tuple, text: str) -> tuple:
 
 
 def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
-    return (("--T", dict(type=_positive(float), default=1.0, help="horizon")),
-            ("--paths", dict(type=_PATHS, default=paths)),
-            ("--steps", dict(type=_positive(int), default=steps)),
-            ("--seed", dict(type=_seed, default=seed)),
+    return (("--T", dict(type=float, default=1.0, help="horizon")),
+            ("--paths", dict(type=int, default=paths)),
+            ("--steps", dict(type=int, default=steps)),
+            ("--seed", dict(type=int, default=seed)),
             ("--out", dict(default=".", help="output directory")))
 
 
@@ -610,9 +579,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        code = exc.code
-        return int(code) if isinstance(code, int) else 0
+    except SystemExit:  # --help; every other exit is a _UsageError
+        return 0
     try:
         res = args.func(args)
         path = _write_csv(res.outdir, f"{res.stem}.csv", res.header,

@@ -51,7 +51,7 @@ _THREAD_RNG = threading.local()
 def check_seed(seed: int) -> int:
     """The seed unchanged if it fits the 64-bit Philox key word."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+        raise ConfigError(f"seed {seed} is outside [0, 2**64)")
     return seed
 
 
@@ -126,8 +126,11 @@ class PathEnsemble:
     block_paths: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.count < 1:
-            raise ValueError("need n >= 1 and count >= 1")
+        if self.n < 1:
+            raise ValueError("need n >= 1")
+        if self.count < 2:
+            raise ConfigError(f"paths must be at least 2 (a standard error "
+                              f"needs two), got {self.count}")
         check_seed(self.seed)
         if self.block_paths is not None and self.block_paths < 1:
             raise ValueError(

@@ -155,19 +155,11 @@ def custom_utility(x: np.ndarray, u: np.ndarray) -> UtilitySpec:
 
 def load_custom_utility(path: str) -> UtilitySpec:
     """Two-column whitespace- or comma-separated monotone table."""
-    data = np.loadtxt(path, delimiter=None if _is_whitespace_table(path) else ",")
+    with open(path) as fh:
+        data = np.loadtxt([line.replace(",", " ") for line in fh])
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
     return custom_utility(data[:, 0], data[:, 1])
-
-
-def _is_whitespace_table(path: str) -> bool:
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                return "," not in line
-    return True
 
 
 # ---------------------------------------------------------------------------

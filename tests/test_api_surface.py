@@ -13,6 +13,10 @@ Conversely every default is left to some call, in that code or in the
 tests: a default that every call overrides only hides what a call must
 say.
 
+Every flag of ``portsens`` is parsed as a plain ``int`` or ``float``, or
+left a string: a range rule has one owner, the object that holds the
+value, whether a flag or the config file gives it.
+
 Every exception class of the package is a refusal, an
 ``estimate.ConfigError`` on which ``portsens`` exits 2, unless it is listed
 as a failure after the pass.
@@ -373,3 +377,18 @@ def test_every_refusal_is_a_config_error():
     assert sorted(name for name, cls in classes.items()
                   if not issubclass(cls, estimate.ConfigError)) \
         == sorted(AFTER_THE_PASS)
+
+
+def flag_types(path) -> list:
+    """The ``type=`` keyword of every call in ``path``, as source text."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [ast.unparse(k.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for k in node.keywords if k.arg == "type"]
+
+
+def test_flags_parse_plain_numbers():
+    # argparse only converts a flag; TimeGrid, PathEnsemble and check_seed
+    # refuse its value as they refuse the [mc] key it is written over
+    assert set(flag_types(ROOT / "src" / "portsens" / "cli.py")) \
+        == {"int", "float"}

@@ -492,6 +492,52 @@ def test_custom_utility_inputs_refused_before_the_pass(
     assert not out.exists() and sum(generated) == 0
 
 
+ONE_PATH = "paths must be at least 2 (a standard error needs two), got 1"
+HORIZON = "horizon must be positive and finite"
+
+# rule -> (the [mc] key, its bad value, the refusal of the one object that
+# holds the value: TimeGrid, PathEnsemble or paths.check_seed)
+SCALE_RULES = {
+    "paths-1": ("paths", "1", ONE_PATH),
+    "steps-0": ("steps", "0", "need at least one step"),
+    "horizon-neg": ("horizon", "-1", HORIZON),
+    "horizon-inf": ("horizon", "inf", HORIZON),
+    "seed-neg": ("seed", "-1", "seed -1 is outside [0, 2**64)"),
+    "seed-2^64": ("seed", str(2**64), f"seed {2**64} is outside [0, 2**64)"),
+}
+
+
+def assert_refused(argv, message, out, capsys, generated):
+    """``main`` exits 2 on ``argv`` with ``message`` alone on stderr,
+    having drawn no path and written nothing to ``out``."""
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() and sum(generated) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "mc-key", "example1",
+                                    "example2"])
+@pytest.mark.parametrize("rule", list(SCALE_RULES))
+def test_scale_rule_is_refused_alike_from_flag_and_config(
+        rule, source, tmp_path, capsys, generated):
+    # a flag is written over its [mc] key before anything is built, so
+    # both meet the one owner of the rule: exit 2 and the same message
+    key, value, message = SCALE_RULES[rule]
+    config = "configs/deterministic2d.ini"
+    if source == "flag":
+        argv = ["value", "--config", config, f"--{key}", value]
+    elif source == "mc-key":
+        text = load_text(config)
+        line = next(line for line in text.splitlines()
+                    if line.startswith(f"{key} = "))
+        cfg = norm_write(tmp_path / "bad.ini",
+                         text.replace(line, f"{key} = {value}"))
+        argv = ["value", "--config", str(cfg)]
+    else:
+        argv = [source, "--T" if key == "horizon" else f"--{key}", value]
+    assert_refused(argv, message, tmp_path / "out", capsys, generated)
+
+
 @pytest.mark.parametrize("argv", [
     ["value", "--config", "configs/deterministic2d.ini"],
     ["sens", "--config", "configs/deterministic2d.ini"],
@@ -501,11 +547,10 @@ def test_custom_utility_inputs_refused_before_the_pass(
     ["example2", "--steps", "50"]],
     ids=["value", "sens", "secondorder", "norms", "example1", "example2"])
 def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
-    # a standard error needs two paths, so one path is refused while
-    # parsing, before any setup
-    assert main(argv + ["--paths", "1", "--out", str(tmp_path / "out")]) == 1
-    assert "--paths: must be at least 2, got 1" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir()) and sum(generated) == 0
+    # named when argparse refused it with exit 1: every command now
+    # refuses one path through PathEnsemble, with exit 2
+    assert_refused(argv + ["--paths", "1"], ONE_PATH, tmp_path / "out",
+                   capsys, generated)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -528,14 +573,45 @@ def test_market_without_assets_is_a_config_error(command, config, tmp_path,
     assert not out.exists() and sum(generated) == 0
 
 
-def test_one_path_in_the_config_is_a_config_error(tmp_path, capsys,
-                                                 generated):
+def test_scale_flags_stand_in_for_a_missing_mc_section(tmp_path, capsys,
+                                                      generated):
+    # the flags are written into an [mc] section the file lacks: a seed
+    # alone leaves the other three keys missing, a refusal rather than a
+    # crash, and all four scale flags make a runnable config
     text = load_text("configs/deterministic2d.ini")
-    cfg = norm_write(tmp_path / "one.ini",
-                     text.replace("paths = 40000", "paths = 1"))
+    mc = text[text.index("[mc]"):text.index("[output]")]
+    cfg = norm_write(tmp_path / "nomc.ini", text.replace(mc, ""))
     out = tmp_path / "out"
-    assert main(["value", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "paths must be at least 2" in capsys.readouterr().err
+    assert_refused(["value", "--config", str(cfg), "--seed", "3"],
+                   "[mc] needs horizon, paths, steps",
+                   out, capsys, generated)
+    assert main(["value", "--config", str(cfg), "--seed", "3", "--paths",
+                 "200", "--steps", "16", "--horizon", "1.0",
+                 "--out", str(out)]) == 0
+    assert len(read_rows(out / "surface.csv")) == 4
+
+
+@pytest.mark.parametrize("source", ["flag", "output-key", "example1",
+                                    "example2"])
+def test_unwritable_output_directory_is_refused_before_the_pass(
+        source, tmp_path, capsys, generated):
+    # an output directory below a regular file cannot be made: refused
+    # with exit 2 before any path is drawn, and the check creates nothing
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    config = "configs/deterministic2d.ini"
+    if source == "output-key":
+        cfg = norm_write(tmp_path / "out.ini", load_text(config).replace(
+            "directory = out/det2d", f"directory = {out}"))
+        argv = ["value", "--config", str(cfg), "--paths", "2000"]
+    else:
+        argv = (["value", "--config", config] if source == "flag"
+                else [source]) + ["--paths", "2000", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {str(out)!r}: {str(blocker)!r} is "
+        "not a writable directory\n")
     assert not out.exists() and sum(generated) == 0
 
 
@@ -544,7 +620,7 @@ def test_readme_configuration_reference_loads_and_runs(tmp_path):
     block = readme.split("## Configuration reference")[1]
     block = block.split("```ini\n")[1].split("```")[0]
     cfg = norm_write(tmp_path / "reference.ini", block)
-    assert cli.load_config(str(cfg)).utility.label == "power:p=3"
+    assert cli.load_config(str(cfg), {}).utility.label == "power:p=3"
     out = tmp_path / "out"
     assert main(["value", "--config", str(cfg), "--paths", "200",
                  "--steps", "16", "--out", str(out)]) == 0
@@ -632,25 +708,31 @@ def test_coefficient_refusals_exit_two_before_the_pass(
     assert not out.exists() and sum(generated) == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["value", "--config", "configs/example1.ini", "--paths", "0"],
-    ["value", "--config", "configs/example1.ini", "--steps", "0"],
-    ["norms", "--config", "configs/norms.ini", "--horizon", "-1"],
-    ["value", "--config", "configs/example1.ini", "--horizon", "inf"],
-    ["example1", "--paths", "0", "--steps", "20"],
-    ["example1", "--steps", "0", "--paths", "200"],
-    ["example1", "--T", "-1", "--paths", "200", "--steps", "20"],
-    ["example1", "--T", "inf", "--paths", "200", "--steps", "20"],
-    ["example2", "--paths", "-5", "--steps", "20"],
-    ["example2", "--T", "0", "--paths", "200", "--steps", "20"]],
+@pytest.mark.parametrize("argv, message", [
+    (["value", "--config", "configs/example1.ini", "--paths", "0"],
+     ONE_PATH.replace("got 1", "got 0")),
+    (["value", "--config", "configs/example1.ini", "--steps", "0"],
+     "need at least one step"),
+    (["norms", "--config", "configs/norms.ini", "--horizon", "-1"], HORIZON),
+    (["value", "--config", "configs/example1.ini", "--horizon", "inf"],
+     HORIZON),
+    (["example1", "--paths", "0", "--steps", "20"],
+     ONE_PATH.replace("got 1", "got 0")),
+    (["example1", "--steps", "0", "--paths", "200"],
+     "need at least one step"),
+    (["example1", "--T", "-1", "--paths", "200", "--steps", "20"], HORIZON),
+    (["example1", "--T", "inf", "--paths", "200", "--steps", "20"], HORIZON),
+    (["example2", "--paths", "-5", "--steps", "20"],
+     ONE_PATH.replace("got 1", "got -5")),
+    (["example2", "--T", "0", "--paths", "200", "--steps", "20"], HORIZON)],
     ids=["value-paths", "value-steps", "norms-horizon", "value-horizon-inf",
          "example1-paths", "example1-steps", "example1-T", "example1-T-inf",
          "example2-paths", "example2-T"])
-def test_non_positive_scale_flag_exits_one(argv, tmp_path, capsys):
-    # refused while parsing, as a bad seed is, before any setup
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert "must be positive" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+def test_non_positive_scale_flag_exits_one(argv, message, tmp_path, capsys,
+                                           generated):
+    # named when argparse refused it with exit 1: TimeGrid and
+    # PathEnsemble now refuse it with exit 2, as they refuse an [mc] key
+    assert_refused(argv, message, tmp_path / "out", capsys, generated)
 
 
 def test_custom_value_standard_errors_match_sqrt(tmp_path):
@@ -861,13 +943,15 @@ def test_usage_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys):
-    # refused while parsing, before any setup or path generation
+def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys,
+                                          generated):
+    # named when argparse refused it with exit 1: check_seed now refuses
+    # it with exit 2, as it refuses an [mc] seed
     for argv in (["value", "--config", "configs/example1.ini"],
                  ["example1"], ["example2"]):
-        assert main(argv + ["--seed", seed, "--out", str(tmp_path)]) == 1
-        assert "seed" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+        assert_refused(argv + ["--seed", seed],
+                       f"seed {seed} is outside [0, 2**64)",
+                       tmp_path / "out", capsys, generated)
 
 
 @pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1", "0.1,0.1",

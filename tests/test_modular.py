@@ -51,7 +51,7 @@ def test_kernel_violation_rejected(mod_model, mod_ens):
     rare = indicator(0, -3.0, [0.0, 0.2], [0.1, 0.2])
     with pytest.raises(CoefficientError, match=r"W\^0 in \[-inf, -3\)"):
         density_logs(mod_model, (rare,), PathEnsemble(
-            TimeGrid(1.0, 8), n=2, count=1, seed=1))
+            TimeGrid(1.0, 8), n=2, count=2, seed=1))
 
 
 def test_budget_identity_at_optimal_payoff(mod_model, mod_ens, logs3, opt3):
