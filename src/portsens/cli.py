@@ -58,15 +58,6 @@ from .solver import check_dual_optimizer, optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _r(x) -> str:
     return repr(float(x))
 
@@ -211,17 +202,16 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         nu_family = tuple(parse_coefficient(v, (model.n,)) for _, v in items)
         check_drivers(model.n, *nu_family)
 
-    outdir = "."
-    if cp.has_section("output"):
-        outdir = cp["output"].get("directory", ".").strip() or "."
-
-    return ExperimentConfig(model=model, utility=utility, pert=pert,
-                            taus=taus, ensemble=ensemble,
-                            nu_family=nu_family, outdir=_writable(outdir))
+    return ExperimentConfig(
+        model=model, utility=utility, pert=pert, taus=taus, ensemble=ensemble,
+        nu_family=nu_family,
+        outdir=_writable(cp.get("output", "directory", fallback="")))
 
 
 def _writable(outdir: str) -> str:
-    """``outdir`` if it is, or can be made, a writable directory."""
+    """``outdir`` stripped, or ``.`` if that is empty, if it is, or can be
+    made, a writable directory."""
+    outdir = outdir.strip() or "."
     path = os.path.abspath(outdir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -340,7 +330,7 @@ EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
 
 
 def cmd_example1(args) -> _Result:
-    _writable(args.out)
+    outdir = _writable(args.out)
     rep = example1_report(T=args.T, M=args.paths, N=args.steps,
                           seed=args.seed)
     gap = rep.gap
@@ -360,15 +350,14 @@ def cmd_example1(args) -> _Result:
     lines = [f"sign-switching market, unit drift direction: T={args.T:g} "
              f"paths={args.paths} steps={args.steps} seed={args.seed}",
              f"  expected weak - strong = {rep.expected_gap:.6g}"]
-    return _Result(args.out, "example1", EXAMPLE1_HEADER, rows, lines,
-                   checks)
+    return _Result(outdir, "example1", EXAMPLE1_HEADER, rows, lines, checks)
 
 
 EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 
 
 def cmd_example2(args) -> _Result:
-    _writable(args.out)
+    outdir = _writable(args.out)
     det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
                                     seed=args.seed)
     checks = [Check("deterministic price of risk", "sigmas", det.mean, 0.0,
@@ -380,8 +369,7 @@ def cmd_example2(args) -> _Result:
             for case, c in zip(("deterministic", "adapted"), checks)]
     lines = [f"discrepancy functional: T={args.T:g} paths={args.paths} "
              f"steps={args.steps} seed={args.seed}"]
-    return _Result(args.out, "example2", EXAMPLE2_HEADER, rows, lines,
-                   checks)
+    return _Result(outdir, "example2", EXAMPLE2_HEADER, rows, lines, checks)
 
 
 H1_HEADER = ["tau", "full_rank", "kernel_equal", "ok"]
@@ -468,6 +456,7 @@ DANSKIN_HEADER = ["value", "argmax", "radius", "derivative", "probe_gap",
 
 def cmd_danskin(args) -> _Result:
     from .danskin import TIE_TOL, hadamard_probe, load_cloud, support_value
+    outdir = _writable(args.out)
     K = load_cloud(args.cloud)
     d = _floats(args.direction)
     res = support_value(d, K)
@@ -486,7 +475,7 @@ def cmd_danskin(args) -> _Result:
         lines.append(f"  derivative toward {args.delta}: "
                      f"{probe.derivative:.12g}")
     row = [_r(res.value), arg_text, _r(res.radius)] + deriv_cols
-    return _Result(args.out, "danskin", DANSKIN_HEADER, [row], lines, checks)
+    return _Result(outdir, "danskin", DANSKIN_HEADER, [row], lines, checks)
 
 
 SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
@@ -558,12 +547,13 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="portsens",
-                description="perturbation experiments for optimal "
-                            "investment in Brownian markets",
-                epilog="PORTSENS_WORKERS sets the thread count; results "
-                       "are bit-identical for any value.")
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="portsens",
+        description="perturbation experiments for optimal investment in "
+                    "Brownian markets",
+        epilog="PORTSENS_WORKERS sets the thread count; results are "
+               "bit-identical for any value.")
     sub = p.add_subparsers(dest="command", required=True)
     for name, func, text, flags in _COMMANDS:
         sp = sub.add_parser(name, help=text)
@@ -576,11 +566,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit:  # --help; every other exit is a _UsageError
-        return 0
+    except SystemExit as exc:  # argparse printed the usage or the help
+        return 0 if exc.code == 0 else 1
     try:
         res = args.func(args)
         path = _write_csv(res.outdir, f"{res.stem}.csv", res.header,

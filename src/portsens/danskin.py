@@ -25,10 +25,6 @@ from portsens.estimate import Check, ConfigError
 TIE_TOL = 1e-12
 
 
-class CloudError(ConfigError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class CompactSet:
     """Finite point cloud in R^m; the convex hull is implied.
@@ -42,11 +38,11 @@ class CompactSet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
-            raise CloudError("cloud must contain at least one point")
+            raise ConfigError("cloud must contain at least one point")
         if pts.ndim != 2:
-            raise CloudError("cloud must be a (count, m) array")
+            raise ConfigError("cloud must be a (count, m) array")
         if not np.all(np.isfinite(pts)):
-            raise CloudError("cloud coordinates must be finite")
+            raise ConfigError("cloud coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -72,7 +68,7 @@ class SupportResult:
 def _check_dim(d: np.ndarray, K: CompactSet) -> np.ndarray:
     d = np.asarray(d, dtype=float).ravel()
     if d.shape != (K.m,):
-        raise CloudError(f"direction must have dimension {K.m}")
+        raise ConfigError(f"direction must have dimension {K.m}")
     return d
 
 
@@ -129,7 +125,7 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
                       for k in range(len(taus))]
     directions = [_check_dim(h, K) for h in directions]
     if len(directions) != len(taus):
-        raise CloudError("need one direction per step")
+        raise ConfigError("need one direction per step")
 
     v0 = support_value(d_base, K).value
     quotients = []
@@ -159,11 +155,11 @@ def load_cloud(path: str) -> CompactSet:
                 rows.append([float(c) for c in row])
             except ValueError:
                 if rows:
-                    raise CloudError(f"{path}: malformed row {row!r}")
+                    raise ConfigError(f"{path}: malformed row {row!r}")
                 continue  # header
     if not rows:
-        raise CloudError(f"{path}: no points")
+        raise ConfigError(f"{path}: no points")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise CloudError(f"{path}: rows have mixed dimensions {widths}")
+        raise ConfigError(f"{path}: rows have mixed dimensions {widths}")
     return CompactSet(np.asarray(rows, dtype=float))

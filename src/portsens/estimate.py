@@ -39,9 +39,9 @@ class ValueEstimate:
 
 
 class ConfigError(ValueError):
-    """An input refused before any path is drawn: the command exits 2.  Every
-    refusal of the package derives from it; a failure after the pass does
-    not."""
+    """An input refused before any path is drawn: the command exits 2.  It
+    is the package's one refusal type; a failure after the pass is a
+    built-in error (exit 3)."""
 
 
 # relation: (its test on a Check c, its summary phrase with reference r,

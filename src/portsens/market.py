@@ -42,18 +42,6 @@ _COND_CAP = 1e8  # largest condition number of sigma sigma^T accepted
 _RANK_TOL = 1e-10  # singular values below this share of the largest are 0
 
 
-class CoefficientError(ConfigError):
-    pass
-
-
-class SingularVolatilityError(ConfigError):
-    """sigma sigma^T is singular or beyond the condition cap somewhere."""
-
-
-class KernelStabilityError(ConfigError):
-    """A volatility perturbation changes the null space of sigma."""
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientProcess:
     """One bounded coefficient process of scalar, vector or matrix shape,
@@ -74,24 +62,24 @@ class CoefficientProcess:
     def __post_init__(self):
         if self.kind == "piecewise":
             if self.breaks is None:
-                raise CoefficientError("piecewise needs breaks")
+                raise ConfigError("piecewise needs breaks")
             if not np.all(np.isfinite(self.breaks)):
-                raise CoefficientError("breakpoints must be finite")
+                raise ConfigError("breakpoints must be finite")
             if np.any(np.diff(self.breaks) <= 0):
-                raise CoefficientError("breakpoints must increase strictly")
+                raise ConfigError("breakpoints must increase strictly")
         elif self.kind != "indicator":
-            raise CoefficientError(f"unknown coefficient kind {self.kind!r}")
+            raise ConfigError(f"unknown coefficient kind {self.kind!r}")
         if self.driver < 0:
-            raise CoefficientError("driver index must be >= 0")
+            raise ConfigError("driver index must be >= 0")
         rows = 2 if self.kind == "indicator" else len(self.breaks) + 1
         if len(self.values) != rows:
-            raise CoefficientError(f"{self.kind} needs {rows} value rows")
+            raise ConfigError(f"{self.kind} needs {rows} value rows")
         if len(self.shape) > 2:
-            raise CoefficientError("coefficients are at most matrix-shaped")
+            raise ConfigError("coefficients are at most matrix-shaped")
         if not (np.all(np.isfinite(self.values))
                 and math.isfinite(self.threshold)):
-            raise CoefficientError("coefficient values and threshold must "
-                                   "be finite")
+            raise ConfigError("coefficient values and threshold must "
+                              "be finite")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,10 +99,10 @@ class CoefficientProcess:
             return self.values[np.searchsorted(self.breaks, grid.left_nodes,
                                                side="right")]
         if W is None:
-            raise CoefficientError("indicator coefficient needs paths")
+            raise ConfigError("indicator coefficient needs paths")
         if self.driver >= W.shape[-1]:
-            raise CoefficientError(f"driver index {self.driver} out of range "
-                                   f"for n={W.shape[-1]}")
+            raise ConfigError(f"driver index {self.driver} out of range "
+                              f"for n={W.shape[-1]}")
         return self.values[(W[:, :grid.steps, self.driver]
                             < self.threshold).astype(int)]
 
@@ -147,8 +135,8 @@ def check_drivers(n: int, *procs: CoefficientProcess | None) -> None:
     """Refuse an indicator on a Brownian coordinate outside 0 .. n-1."""
     for p in procs:
         if p is not None and p.kind == "indicator" and p.driver >= n:
-            raise CoefficientError(f"driver index {p.driver} out of range "
-                                   f"for n={n}")
+            raise ConfigError(f"driver index {p.driver} out of range "
+                              f"for n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +149,21 @@ _NUM_LIST = re.compile(r"\[([^\]]*)\]")
 def _parse_list(text: str) -> np.ndarray:
     m = _NUM_LIST.fullmatch(text.strip())
     if m is None:
-        raise CoefficientError(f"expected a [..] list, got {text!r}")
+        raise ConfigError(f"expected a [..] list, got {text!r}")
     body = m.group(1).strip()
     if not body:
         return np.empty(0)
     try:
         return np.array([float(tok) for tok in body.split(",")])
     except ValueError as exc:
-        raise CoefficientError(f"bad number in list {text!r}") from exc
+        raise ConfigError(f"bad number in list {text!r}") from exc
 
 
 def _fields(body: str) -> dict[str, str]:
     out = {}
     for part in body.split(";"):
         if "=" not in part:
-            raise CoefficientError(f"expected key=value, got {part!r}")
+            raise ConfigError(f"expected key=value, got {part!r}")
         key, val = part.split("=", 1)
         out[key.strip()] = val.strip()
     return out
@@ -188,31 +176,31 @@ def parse_coefficient(text: str, shape: tuple[int, ...]) -> CoefficientProcess:
     if text.startswith("const:"):
         vals = _parse_list(text[len("const:"):])
         if vals.size != size:
-            raise CoefficientError(f"const needs {size} entries for shape "
-                                   f"{shape}, got {vals.size}")
+            raise ConfigError(f"const needs {size} entries for shape "
+                              f"{shape}, got {vals.size}")
         return constant(vals.reshape(shape))
     if text.startswith("pw:"):
         f = _fields(text[len("pw:"):])
         if set(f) != {"t", "v"}:
-            raise CoefficientError("pw needs exactly t=[...] and v=[...]")
+            raise ConfigError("pw needs exactly t=[...] and v=[...]")
         breaks = _parse_list(f["t"])
         vals = _parse_list(f["v"])
         if vals.size % size or vals.size // size != len(breaks) + 1:
-            raise CoefficientError(
+            raise ConfigError(
                 f"pw with {len(breaks)} breakpoints needs "
                 f"{(len(breaks) + 1) * size} values, got {vals.size}")
         return piecewise(breaks, vals.reshape(len(breaks) + 1, *shape))
     if text.startswith("ind:"):
         f = _fields(text[len("ind:"):])
         if set(f) != {"j", "c", "lo", "hi"}:
-            raise CoefficientError("ind needs j=, c=, lo=[...], hi=[...]")
+            raise ConfigError("ind needs j=, c=, lo=[...], hi=[...]")
         lo = _parse_list(f["lo"])
         hi = _parse_list(f["hi"])
         if lo.size != size or hi.size != size:
-            raise CoefficientError(f"ind lo/hi need {size} entries each")
+            raise ConfigError(f"ind lo/hi need {size} entries each")
         return indicator(int(f["j"]), float(f["c"]),
                          lo.reshape(shape), hi.reshape(shape))
-    raise CoefficientError(f"unknown coefficient spec {text!r}")
+    raise ConfigError(f"unknown coefficient spec {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +353,16 @@ def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray,
     """lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1) from coefficients.
 
     mu_v is (..., d), sigma_v (..., d, n), rate_v (..., 1); leading axes
-    (regimes or nodes) broadcast.  Raises SingularVolatilityError when the
-    Gram matrix is singular or its condition number exceeds the cap at any
-    of them; d = 1 passes the same gate.
+    (regimes or nodes) broadcast.  Raises ConfigError when the Gram matrix
+    is singular or its condition number exceeds the cap at any of them;
+    d = 1 passes the same gate.
     """
     excess = mu_v - rate_v
     S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
     cond = _gram_cond(S)
     worst = float(np.max(cond))
     if not worst < _COND_CAP:
-        raise SingularVolatilityError(
+        raise ConfigError(
             f"sigma sigma^T condition {worst:g} exceeds cap {_COND_CAP:g}")
     excess_b = np.broadcast_arrays(excess, S[..., 0])[0]
     x = np.linalg.solve(np.broadcast_to(S, excess_b.shape + (S.shape[-1],)),
@@ -472,7 +460,7 @@ def check_h1_direction(sigma: CoefficientProcess, dsigma: CoefficientProcess,
     rank of sigma + tau dsigma follows for small tau from full rank.
     """
     if sigma.shape != dsigma.shape:
-        raise CoefficientError("volatility shapes differ")
+        raise ConfigError("volatility shapes differ")
     regimes = RegimeTable(grid, sigma, dsigma)
     base, step = regimes.values(sigma), regimes.values(dsigma)
     rank, top = _rank(base)

@@ -46,20 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from portsens.estimate import Check, ValueEstimate, mean_estimate
-from portsens.market import (CoefficientError, MarketModel, RegimeTable,
-                             mpr_table)
+from portsens.estimate import Check, ConfigError, ValueEstimate, mean_estimate
+from portsens.market import MarketModel, RegimeTable, mpr_table
 from portsens.paths import PathEnsemble, path_sums
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
 _REL_TOL = 1e-12  # relative width at which the norm searches stop
 _MAX_ITER = 200  # steps of each doubling, halving or section loop
 _HOLDER_SLACK = 1e-9  # relative rounding allowance of the Hölder pairing
-
-
-class ModularError(RuntimeError):
-    """A functional or norm that cannot be evaluated on the pass's
-    samples."""
 
 
 def density_logs(model: MarketModel, family: tuple,
@@ -81,7 +75,7 @@ def density_logs(model: MarketModel, family: tuple,
         nu_scale = float(np.max(np.abs(nu_v))) if nu_v.size else 0.0
         if worst > _KERNEL_TOL * max(1.0, scale * nu_scale):
             r = int(np.argmax(np.max(np.abs(prod), axis=-1)))
-            raise CoefficientError(
+            raise ConfigError(
                 f"family member {i} leaves the volatility null space "
                 f"(max |sigma nu| = {worst:g} on {regimes.describe(r)})")
         gamma = lam + nu_v
@@ -112,7 +106,7 @@ def norm_I(Z, p: float, logs: np.ndarray) -> float:
         moments = [float(np.mean(np.exp((1.0 - q) * row) * vals**q))
                    for row in logs]
     if not all(math.isfinite(m) for m in moments):
-        raise ModularError("q-moment diverges on the sample")
+        raise RuntimeError("q-moment diverges on the sample")
     return min(moments) ** (1.0 / q)
 
 
@@ -122,7 +116,7 @@ def norm_J(X, p: float, logs: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         moments = [float(np.mean(np.exp(row) * vals**p)) for row in logs]
     if not all(math.isfinite(m) for m in moments):
-        raise ModularError("p-moment diverges on the sample")
+        raise RuntimeError("p-moment diverges on the sample")
     return max(moments) ** (1.0 / p)
 
 
@@ -151,7 +145,7 @@ def luxemburg_norm(F, Z) -> float:
     def ok(beta):
         v = F(z / beta)
         if math.isnan(v):
-            raise ModularError("modular evaluated to nan")
+            raise RuntimeError("modular evaluated to nan")
         return v <= 1.0
 
     # bracket [bad, good] by halving from 1 while F stays <= 1, or doubling
@@ -171,7 +165,7 @@ def luxemburg_norm(F, Z) -> float:
                 break
             bad, good = good, good * 2.0
         else:
-            raise ModularError("no finite scale brings the modular below 1")
+            raise RuntimeError("no finite scale brings the modular below 1")
     for _ in range(_MAX_ITER):
         mid = math.sqrt(bad * good)
         if ok(mid):
@@ -205,7 +199,7 @@ def amemiya_norm(F, Z) -> float:
     def g(t):
         v = F(math.exp(t) * z)
         if math.isnan(v):
-            raise ModularError("modular evaluated to nan")
+            raise RuntimeError("modular evaluated to nan")
         return (1.0 + v) * math.exp(-t) if math.isfinite(v) else math.inf
 
     ts = np.linspace(-45.0, 45.0, 181)
@@ -218,7 +212,7 @@ def amemiya_norm(F, Z) -> float:
         while k < last and (g_right := g(ts[k + 1])) < g_k:
             k, g_k = k + 1, g_right
     if k == 0 or k == last:
-        raise ModularError("Amemiya norm has no interior minimum in range")
+        raise RuntimeError("Amemiya norm has no interior minimum in range")
     a, b = float(ts[k - 1]), float(ts[k + 1])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

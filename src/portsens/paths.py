@@ -36,7 +36,10 @@ from portsens.estimate import ConfigError
 
 WORKERS_ENV = "PORTSENS_WORKERS"
 
-_MAX_CELLS = 2**34  # hard cap on M*N*n for any materialization request
+# cap on the path count M: every per-path sum and influence vector holds
+# 8*M bytes (128 MiB at the cap), and a command holds about 10 (example1)
+# to 30 (value) of them, while blocks stream within _SCRATCH_BYTES
+_MAX_PATHS = 2**24
 
 # default scratch bytes of one worker's block buffers (increments, paths,
 # a mask and flag and a weight per node, per-regime increment sums): 2 MB,
@@ -74,10 +77,6 @@ def _thread_generator() -> tuple[np.random.Generator, dict]:
         gen = np.random.Generator(np.random.Philox(key=0))
         pair = _THREAD_RNG.pair = (gen, state)
     return pair
-
-
-class ResourceLimitError(ConfigError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -131,14 +130,14 @@ class PathEnsemble:
         if self.count < 2:
             raise ConfigError(f"paths must be at least 2 (a standard error "
                               f"needs two), got {self.count}")
+        if self.count > _MAX_PATHS:
+            raise ConfigError(f"paths must be at most {_MAX_PATHS} (each "
+                              "per-path sum holds 8 bytes a path), got "
+                              f"{self.count}")
         check_seed(self.seed)
         if self.block_paths is not None and self.block_paths < 1:
             raise ValueError(
                 f"block_paths must be at least 1, got {self.block_paths}")
-        if self.count * self.grid.steps * self.n > _MAX_CELLS:
-            raise ResourceLimitError(
-                f"ensemble of {self.count}x{self.grid.steps}x{self.n} cells "
-                "exceeds the resource cap")
 
     def block_ranges(self, step: int):
         """Consecutive path ranges of ``step`` paths, the last one shorter."""

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens import utility as ut
-from portsens.estimate import (Check, ValueEstimate, combine_linear,
-                               delta_estimate, mean_estimate)
-from portsens.market import (CoefficientError, MarketModel, RegimeTable,
-                             constant, dlambda_direction, indicator,
-                             mpr_table)
+from portsens.estimate import (Check, ConfigError, ValueEstimate,
+                               combine_linear, delta_estimate, mean_estimate)
+from portsens.market import (MarketModel, RegimeTable, constant,
+                             dlambda_direction, indicator, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
@@ -63,7 +62,7 @@ def check_rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
     """Refuse a rate direction under a custom utility: the closed-form
     sensitivities of a table have no rate term."""
     if u.kind == "custom" and pert.drate is not None:
-        raise CoefficientError("rate directions need power or log utility")
+        raise ConfigError("rate directions need power or log utility")
 
 
 def _sens_sums(model: MarketModel, u: ut.UtilitySpec,

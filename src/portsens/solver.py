@@ -29,8 +29,8 @@ E[Zhat^{1-q}] because nu is orthogonal to the price of risk pointwise.
 Incomplete markets with stochastic coefficients have no closed-form dual
 optimizer.  ``check_dual_optimizer`` is the one test of that rule: every
 command that needs the optimizer, with or without a perturbation, calls it
-before drawing a path, and it refuses with a ``CoefficientError``.  A
-``SolverError`` is a failed solve, never a refusal.
+before drawing a path, and it refuses with a ``ConfigError``.  A failed
+solve is a ``RuntimeError``, never a refusal.
 """
 
 from __future__ import annotations
@@ -40,17 +40,12 @@ import math
 import numpy as np
 
 from portsens import utility as ut
-from portsens.estimate import ValueEstimate, delta_estimate
-from portsens.market import (CoefficientError, MarketModel, RegimeTable,
-                             deterministic, mpr_table)
+from portsens.estimate import ConfigError, ValueEstimate, delta_estimate
+from portsens.market import MarketModel, RegimeTable, deterministic, mpr_table
 from portsens.paths import TimeGrid
 
 _REL_TOL = 1e-12  # relative bracket width at which the search stops
 _MAX_ITER = 200  # steps of each bracket expansion and of the search
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 def check_dual_optimizer(model: MarketModel, *directions) -> None:
@@ -60,8 +55,8 @@ def check_dual_optimizer(model: MarketModel, *directions) -> None:
     stochastic."""
     if not (model.n == model.d or deterministic(
             model.mu, model.sigma, model.rate, *directions)):
-        raise CoefficientError("incomplete market with stochastic "
-                               "coefficients: no closed-form dual optimizer")
+        raise ConfigError("incomplete market with stochastic "
+                          "coefficients: no closed-form dual optimizer")
 
 
 def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
@@ -77,7 +72,7 @@ def optimal_terminal_wealth(model: MarketModel, u: ut.UtilitySpec,
     m0 = float(np.mean(np.exp((1.0 - q) * logzhat)))  # mean Zhat^{1-q}
     xstar = model.x0 * np.exp(-q * logzhat) / m0
     if np.any(xstar <= 0):
-        raise SolverError("optimal wealth must be strictly positive")
+        raise RuntimeError("optimal wealth must be strictly positive")
     return xstar
 
 
@@ -105,14 +100,14 @@ def bisect_budget(u: ut.UtilitySpec, zhat: np.ndarray, x0: float,
         y[1] *= 2.0
         b[1] = budget(y[1])
     else:
-        raise SolverError("budget bracket expansion failed (upper)")
+        raise RuntimeError("budget bracket expansion failed (upper)")
     for _ in range(_MAX_ITER):
         if b[0] > 0:
             break
         y[0] /= 2.0
         b[0] = budget(y[0])
     else:
-        raise SolverError("budget bracket expansion failed (lower)")
+        raise RuntimeError("budget bracket expansion failed (lower)")
     # log y and Illinois weight of each end, and the end replaced last
     t, w, last = [math.log(v) for v in y], [1.0, 1.0], None
 
@@ -169,9 +164,9 @@ def value_closed_form(model: MarketModel, u: ut.UtilitySpec,
     power utility: p x0^{1/p} exp((1/p) int r dt) exp((q-1)/2 int |lambda|^2 dt).
     """
     if not deterministic(model.mu, model.sigma, model.rate):
-        raise SolverError("closed forms need deterministic coefficients")
+        raise RuntimeError("closed forms need deterministic coefficients")
     if u.kind not in ("log", "power"):
-        raise SolverError(f"no closed form for utility {u.label!r}")
+        raise RuntimeError(f"no closed form for utility {u.label!r}")
     regimes = RegimeTable(grid, model.mu, model.sigma, model.rate)
     occupation = grid.dt * np.bincount(regimes.time_rows,
                                        minlength=len(regimes))

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from portsens import utility as ut
-from portsens.estimate import ValueEstimate, delta_estimate, mean_estimate
-from portsens.market import (CoefficientError, CoefficientProcess,
-                             KernelStabilityError, MarketModel, RegimeTable,
+from portsens.estimate import (ConfigError, ValueEstimate, delta_estimate,
+                               mean_estimate)
+from portsens.market import (CoefficientProcess, MarketModel, RegimeTable,
                              check_drivers, check_h1_direction,
                              mpr_from_values, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
@@ -68,9 +68,9 @@ class PerturbationSpec:
     def __post_init__(self):
         parts = [self.dmu, self.dsigma, self.drate]
         if self.dlambda is not None and any(p is not None for p in parts):
-            raise CoefficientError("dlambda excludes coefficient directions")
+            raise ConfigError("dlambda excludes coefficient directions")
         if self.dlambda is None and not any(p is not None for p in parts):
-            raise CoefficientError("perturbation needs at least one direction")
+            raise ConfigError("perturbation needs at least one direction")
         if not self.label:
             names = [n for n, p in [("dmu", self.dmu), ("dsigma", self.dsigma),
                                     ("drate", self.drate),
@@ -110,7 +110,7 @@ class PerturbationSpec:
         for name, proc in [("dmu", self.dmu), ("dsigma", self.dsigma),
                            ("drate", self.drate), ("dlambda", self.dlambda)]:
             if proc is not None and proc.shape != want[name]:
-                raise CoefficientError(
+                raise ConfigError(
                     f"{name} must have shape {want[name]}, got {proc.shape}")
         check_drivers(model.n, *self.directions)
 
@@ -142,7 +142,7 @@ def check_experiment(model: MarketModel, u: ut.UtilitySpec,
             model.sigma, pert.dsigma, sorted(set(taus) - {0.0}), grid)
         for rep in reports:
             if not rep.check.passed:
-                raise KernelStabilityError(
+                raise ConfigError(
                     f"volatility direction: {rep.check.name} = "
                     f"{rep.check.value} (full rank: {rep.full_rank}, "
                     f"kernel preserved: {rep.kernel_equal}), first on "
@@ -151,7 +151,7 @@ def check_experiment(model: MarketModel, u: ut.UtilitySpec,
         try:
             ut.derivative(u, model.x0)
         except ValueError as exc:
-            raise CoefficientError(f"x0 = {model.x0:g}: {exc}") from None
+            raise ConfigError(f"x0 = {model.x0:g}: {exc}") from None
 
 
 def surface_sums(model: MarketModel, u: ut.UtilitySpec,

@@ -17,11 +17,12 @@ Every flag of ``portsens`` is parsed as a plain ``int`` or ``float``, or
 left a string: a range rule has one owner, the object that holds the
 value, whether a flag or the config file gives it.
 
-Every exception class of the package is a refusal, an
-``estimate.ConfigError`` on which ``portsens`` exits 2, unless it is listed
-as a failure after the pass.
+The package defines one exception class, ``estimate.ConfigError``, on
+which ``portsens`` exits 2; a failure after the pass raises a built-in
+error, and ``portsens`` parses argv with a stock ``argparse`` parser.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -343,40 +344,28 @@ def test_only_check_decides_a_verdict():
     assert verdict_members(sorted(pkg)) == []
 
 
-# exception class -> why it is not a refusal: raised after the pass, on
-# its samples, so the command exits 3
-AFTER_THE_PASS = {
-    "SolverError": "the multiplier search or the optimal wealth fails on "
-                   "the sampled pricing density",
-    "ModularError": "a moment diverges or a norm search finds no scale on "
-                    "the sampled payoffs",
-}
-
-
-def exception_classes() -> dict:
-    """Name -> class of every public exception class that a module of
-    ``src/portsens`` defines."""
+def defined_classes(base) -> dict:
+    """Name -> class of every subclass of ``base``, private ones included,
+    that a module of ``src/portsens`` defines."""
     out = {}
     for path in (ROOT / "src" / "portsens").glob("*.py"):
         if path.name == "__init__.py":
             continue
         module = importlib.import_module(f"portsens.{path.stem}")
-        out.update({name: obj for name, obj in vars(module).items()
-                    if inspect.isclass(obj)
-                    and issubclass(obj, BaseException)
-                    and obj.__module__ == module.__name__
-                    and not name.startswith("_")})
+        out.update({f"{path.stem}.{name}": obj
+                    for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and issubclass(obj, base)
+                    and obj.__module__ == module.__name__})
     return out
 
 
 def test_every_refusal_is_a_config_error():
-    # main names ConfigError alone for exit 2, so an exception class that
-    # refuses an input before the pass must derive from it
-    classes = exception_classes()
-    assert classes["ConfigError"] is estimate.ConfigError
-    assert sorted(name for name, cls in classes.items()
-                  if not issubclass(cls, estimate.ConfigError)) \
-        == sorted(AFTER_THE_PASS)
+    # one type decides each exit code: ConfigError refuses an input (exit
+    # 2), a failure after the pass is a built-in error (exit 3) and argv
+    # that the stock argparse parser refuses exits 1
+    assert defined_classes(BaseException) \
+        == {"estimate.ConfigError": estimate.ConfigError}
+    assert defined_classes(argparse.ArgumentParser) == {}
 
 
 def flag_types(path) -> list:

@@ -499,7 +499,10 @@ HORIZON = "horizon must be positive and finite"
 # holds the value: TimeGrid, PathEnsemble or paths.check_seed)
 SCALE_RULES = {
     "paths-1": ("paths", "1", ONE_PATH),
+    "paths-0": ("paths", "0", ONE_PATH.replace("got 1", "got 0")),
+    "paths-neg": ("paths", "-5", ONE_PATH.replace("got 1", "got -5")),
     "steps-0": ("steps", "0", "need at least one step"),
+    "horizon-0": ("horizon", "0", HORIZON),
     "horizon-neg": ("horizon", "-1", HORIZON),
     "horizon-inf": ("horizon", "inf", HORIZON),
     "seed-neg": ("seed", "-1", "seed -1 is outside [0, 2**64)"),
@@ -515,17 +518,25 @@ def assert_refused(argv, message, out, capsys, generated):
     assert not out.exists() and sum(generated) == 0
 
 
-@pytest.mark.parametrize("source", ["flag", "mc-key", "example1",
+# command with config flags -> its config
+FLAG_SOURCES = {"flag": "deterministic2d", "sens": "deterministic2d",
+                "secondorder": "deterministic2d", "norms": "norms"}
+
+
+@pytest.mark.parametrize("source", [*FLAG_SOURCES, "mc-key", "example1",
                                     "example2"])
 @pytest.mark.parametrize("rule", list(SCALE_RULES))
 def test_scale_rule_is_refused_alike_from_flag_and_config(
         rule, source, tmp_path, capsys, generated):
     # a flag is written over its [mc] key before anything is built, so
-    # both meet the one owner of the rule: exit 2 and the same message
+    # both meet the one owner of the rule: exit 2 and the same message,
+    # from every command; source "flag" is the value command's flag
     key, value, message = SCALE_RULES[rule]
     config = "configs/deterministic2d.ini"
-    if source == "flag":
-        argv = ["value", "--config", config, f"--{key}", value]
+    if source in FLAG_SOURCES:
+        command = "value" if source == "flag" else source
+        argv = [command, "--config", f"configs/{FLAG_SOURCES[source]}.ini",
+                f"--{key}", value]
     elif source == "mc-key":
         text = load_text(config)
         line = next(line for line in text.splitlines()
@@ -536,21 +547,6 @@ def test_scale_rule_is_refused_alike_from_flag_and_config(
     else:
         argv = [source, "--T" if key == "horizon" else f"--{key}", value]
     assert_refused(argv, message, tmp_path / "out", capsys, generated)
-
-
-@pytest.mark.parametrize("argv", [
-    ["value", "--config", "configs/deterministic2d.ini"],
-    ["sens", "--config", "configs/deterministic2d.ini"],
-    ["secondorder", "--config", "configs/deterministic2d.ini"],
-    ["norms", "--config", "configs/norms.ini"],
-    ["example1", "--steps", "50"],
-    ["example2", "--steps", "50"]],
-    ids=["value", "sens", "secondorder", "norms", "example1", "example2"])
-def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
-    # named when argparse refused it with exit 1: every command now
-    # refuses one path through PathEnsemble, with exit 2
-    assert_refused(argv + ["--paths", "1"], ONE_PATH, tmp_path / "out",
-                   capsys, generated)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -592,7 +588,7 @@ def test_scale_flags_stand_in_for_a_missing_mc_section(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("source", ["flag", "output-key", "example1",
-                                    "example2"])
+                                    "example2", "danskin"])
 def test_unwritable_output_directory_is_refused_before_the_pass(
         source, tmp_path, capsys, generated):
     # an output directory below a regular file cannot be made: refused
@@ -605,6 +601,9 @@ def test_unwritable_output_directory_is_refused_before_the_pass(
         cfg = norm_write(tmp_path / "out.ini", load_text(config).replace(
             "directory = out/det2d", f"directory = {out}"))
         argv = ["value", "--config", str(cfg), "--paths", "2000"]
+    elif source == "danskin":
+        argv = ["danskin", "--cloud", "configs/cloud.csv", "--direction",
+                "2,1", "--out", str(out)]
     else:
         argv = (["value", "--config", config] if source == "flag"
                 else [source]) + ["--paths", "2000", "--out", str(out)]
@@ -613,6 +612,28 @@ def test_unwritable_output_directory_is_refused_before_the_pass(
         f"config error: output directory {str(out)!r}: {str(blocker)!r} is "
         "not a writable directory\n")
     assert not out.exists() and sum(generated) == 0
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("argv, stem", [
+    (["value", "--config", os.path.join(CONFIGS, "deterministic2d.ini"),
+      "--paths", "200", "--steps", "16"], "surface"),
+    (["example1", "--paths", "2000", "--steps", "200"], "example1"),
+    (["example2", "--paths", "200", "--steps", "20"], "example2"),
+    (["danskin", "--cloud", os.path.join(CONFIGS, "cloud.csv"),
+      "--direction", "2,1"], "danskin")],
+    ids=["value", "example1", "example2", "danskin"])
+def test_empty_output_directory_is_the_working_directory(
+        argv, stem, tmp_path, monkeypatch):
+    # every command reads an empty --out as ".", as an empty [output]
+    # directory, before any work
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", ""]) == 0
+    assert sorted(os.listdir(tmp_path)) == [f"{stem}.csv",
+                                            f"{stem}_summary.txt"]
 
 
 def test_readme_configuration_reference_loads_and_runs(tmp_path):
@@ -706,33 +727,6 @@ def test_coefficient_refusals_exit_two_before_the_pass(
     err = capsys.readouterr().err
     assert code == 2 and "config error" in err and message in err
     assert not out.exists() and sum(generated) == 0
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["value", "--config", "configs/example1.ini", "--paths", "0"],
-     ONE_PATH.replace("got 1", "got 0")),
-    (["value", "--config", "configs/example1.ini", "--steps", "0"],
-     "need at least one step"),
-    (["norms", "--config", "configs/norms.ini", "--horizon", "-1"], HORIZON),
-    (["value", "--config", "configs/example1.ini", "--horizon", "inf"],
-     HORIZON),
-    (["example1", "--paths", "0", "--steps", "20"],
-     ONE_PATH.replace("got 1", "got 0")),
-    (["example1", "--steps", "0", "--paths", "200"],
-     "need at least one step"),
-    (["example1", "--T", "-1", "--paths", "200", "--steps", "20"], HORIZON),
-    (["example1", "--T", "inf", "--paths", "200", "--steps", "20"], HORIZON),
-    (["example2", "--paths", "-5", "--steps", "20"],
-     ONE_PATH.replace("got 1", "got -5")),
-    (["example2", "--T", "0", "--paths", "200", "--steps", "20"], HORIZON)],
-    ids=["value-paths", "value-steps", "norms-horizon", "value-horizon-inf",
-         "example1-paths", "example1-steps", "example1-T", "example1-T-inf",
-         "example2-paths", "example2-T"])
-def test_non_positive_scale_flag_exits_one(argv, message, tmp_path, capsys,
-                                           generated):
-    # named when argparse refused it with exit 1: TimeGrid and
-    # PathEnsemble now refuse it with exit 2, as they refuse an [mc] key
-    assert_refused(argv, message, tmp_path / "out", capsys, generated)
 
 
 def test_custom_value_standard_errors_match_sqrt(tmp_path):
@@ -942,18 +936,6 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys,
-                                          generated):
-    # named when argparse refused it with exit 1: check_seed now refuses
-    # it with exit 2, as it refuses an [mc] seed
-    for argv in (["value", "--config", "configs/example1.ini"],
-                 ["example1"], ["example2"]):
-        assert_refused(argv + ["--seed", seed],
-                       f"seed {seed} is outside [0, 2**64)",
-                       tmp_path / "out", capsys, generated)
-
-
 @pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1", "0.1,0.1",
                                  "0.05,inf"])
 @pytest.mark.parametrize("command", ["sens", "secondorder"])
@@ -1105,10 +1087,16 @@ def test_numerical_failures_exit_three(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_resource_cap_exits_two(tmp_path, capsys, generated):
-    # 10^7 paths of 2000 steps exceed the cell cap: a refusal before any
-    # path is drawn, not a numerical failure
+def test_path_count_cap_exits_two(tmp_path, capsys, generated,
+                                  monkeypatch):
+    # the cap bounds the path count, which sizes every per-path sum, and
+    # not the step count: with the cap lowered to 1000 paths, 1001 paths of
+    # one step are refused before any path is drawn
+    monkeypatch.setattr(paths, "_MAX_PATHS", 1000)
     out = tmp_path / "big"
-    assert main(["example1", "--paths", "10000000", "--out", str(out)]) == 2
-    assert "exceeds the resource cap" in capsys.readouterr().err
+    assert main(["example1", "--paths", "1001", "--steps", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: paths must be at most 1000 (each per-path sum holds "
+        "8 bytes a path), got 1001\n")
     assert not out.exists() and sum(generated) == 0

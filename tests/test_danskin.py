@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsens.danskin import (CloudError, CompactSet, directional_derivative,
+from portsens.danskin import (CompactSet, directional_derivative,
                               hadamard_probe, load_cloud, support_value)
+from portsens.estimate import ConfigError
 
 DIAMOND = CompactSet(np.array([[1.0, 0.0], [-1.0, 0.0],
                                [0.0, 1.0], [0.0, -1.0]]))
@@ -102,10 +103,10 @@ def test_hadamard_quotient_bound_is_tight():
 
 
 def test_hadamard_probe_validation():
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match="one direction per step"):
         hadamard_probe([1.0, 0.0], [0.0, 1.0], DIAMOND,
                        directions=[[0.0, 1.0]] * 3, taus=(0.1, 0.05))
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match="direction must have dimension 2"):
         hadamard_probe([1.0, 0.0, 0.0], [0.0, 1.0], DIAMOND)
 
 
@@ -122,13 +123,13 @@ def test_support_function_is_sublinear(d1, d2, alpha):
 
 
 def test_cloud_validation():
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match="at least one point"):
         CompactSet(np.empty((0, 2)))
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match="coordinates must be finite"):
         CompactSet(np.array([[np.inf, 0.0]]))
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match=r"must be a \(count, m\) array"):
         CompactSet(np.zeros((2, 2, 2)))
-    with pytest.raises(CloudError):
+    with pytest.raises(ConfigError, match="direction must have dimension 2"):
         support_value([1.0, 0.0, 0.0], DIAMOND)
     one_d = CompactSet([1.0, 2.0])  # promoted to a single point in R^2
     assert one_d.points.shape == (1, 2)
@@ -148,17 +149,17 @@ def test_cloud_csv_round_trip(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\noops,3.0\n")
-    with pytest.raises(CloudError, match="malformed"):
+    with pytest.raises(ConfigError, match="malformed"):
         load_cloud(str(bad))
 
     mixed = tmp_path / "mixed.csv"
     mixed.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(CloudError, match="mixed"):
+    with pytest.raises(ConfigError, match="mixed"):
         load_cloud(str(mixed))
 
     empty = tmp_path / "empty.csv"
     empty.write_text("x,y\n")
-    with pytest.raises(CloudError, match="no points"):
+    with pytest.raises(ConfigError, match="no points"):
         load_cloud(str(empty))
 
     with pytest.raises(OSError):

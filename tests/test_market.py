@@ -1,11 +1,13 @@
 """Coefficient processes, market price of risk, and kernel stability."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsens.market import (CoefficientError, MarketModel, RegimeTable,
-                             SingularVolatilityError, check_h1_direction,
+from portsens.estimate import ConfigError
+from portsens.market import (MarketModel, RegimeTable, check_h1_direction,
                              constant, dlambda_direction, indicator,
                              mpr_from_values, mpr_table, parse_coefficient,
                              piecewise)
@@ -35,9 +37,9 @@ def test_piecewise_segment_selection():
     vals = pw.evaluate(TimeGrid(1.0, 8))
     # left nodes 0, .125, .25, ..., .875; segment switches at the breaks
     assert list(vals[:, 0]) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="increase strictly"):
         piecewise([0.5, 0.25], [[1.0], [2.0], [3.0]])
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="piecewise needs 2 value rows"):
         piecewise([0.5], [[1.0]])
 
 
@@ -49,9 +51,9 @@ def test_indicator_reads_left_nodes():
     vals = ind.evaluate(grid, W)
     # threshold is strict: W = 0 at t_0 counts as low
     assert list(vals[0, :, 0]) == [0.0, 1.0, 1.0, 0.0]
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="needs paths"):
         ind.evaluate(grid, None)
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="driver index 3 out of range"):
         indicator(3, 0.0, [0.0], [1.0]).evaluate(grid, W)
 
 
@@ -109,19 +111,22 @@ def test_mini_language_round_trip_random(values, kind):
 
 
 def test_parse_rejects_malformed():
-    for text in ["const:[1.0", "pw:t=[0.5];v=[1.0]", "ind:j=0;c=0.0",
-                 "mystery:[1.0]", "const:[a,b]",
-                 "ind:j=0;c=nan;lo=[0.0];hi=[1.0]"]:
-        with pytest.raises(CoefficientError):
+    for text, message in [
+            ("const:[1.0", "expected a"),
+            ("pw:t=[0.5];v=[1.0]", "pw with 1 breakpoints needs 2 values"),
+            ("ind:j=0;c=0.0", "ind needs j=, c="),
+            ("mystery:[1.0]", "unknown coefficient spec"),
+            ("const:[a,b]", "bad number in list"),
+            ("ind:j=0;c=nan;lo=[0.0];hi=[1.0]", "threshold must be finite")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_coefficient(text, (1,))
     # every comparison with nan is false, so only a finiteness check
     # refuses these; the strict-increase check passes [0.5, nan]
     for text in ["pw:t=[nan];v=[0.01,0.5]", "pw:t=[0.5,nan];v=[1,2,3]",
                  "pw:t=[0.5,inf];v=[1,2,3]", "pw:t=[-inf];v=[1,2]"]:
-        with pytest.raises(CoefficientError, match="breakpoints must be "
-                           "finite"):
+        with pytest.raises(ConfigError, match="breakpoints must be finite"):
             parse_coefficient(text, (1,))
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match=r"const needs 3 entries"):
         parse_coefficient("const:[1.0,2.0]", (3,))
 
 
@@ -179,9 +184,9 @@ def test_mpr_fast_path_matches_general():
 def test_mpr_rejects_singular_volatility():
     model = MarketModel(d=2, n=2, mu=constant([0.1, 0.1]),
                         sigma=constant([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularVolatilityError):
+    with pytest.raises(ConfigError, match="condition inf exceeds cap"):
         mpr_table(model, market_regimes(model, TimeGrid(1.0, 2)))
-    with pytest.raises(SingularVolatilityError):
+    with pytest.raises(ConfigError, match="condition inf exceeds cap"):
         mpr_from_values(np.array([0.1]), np.array([[0.0, 0.0]]),
                         np.array([0.0]))
 
@@ -198,7 +203,7 @@ def test_gram_condition_gates_every_dimension(sigma, refused):
     sigma_v = np.array(sigma)
     mu_v, rate_v = np.full(len(sigma), 0.05), np.array([0.01])
     if refused:
-        with pytest.raises(SingularVolatilityError, match="exceeds cap"):
+        with pytest.raises(ConfigError, match="exceeds cap"):
             mpr_from_values(mu_v, sigma_v, rate_v)
     else:
         lam = mpr_from_values(mu_v, sigma_v, rate_v)
@@ -301,7 +306,7 @@ def test_regime_table_counts_only_reachable_regimes():
         == "t in [0, 1), W^0 in [-inf, -3), W^1 in [0, inf)"
     # a driver beyond the market's Brownian coordinates is refused when the
     # market is built, before any table indexes paths
-    with pytest.raises(CoefficientError, match="driver index 1"):
+    with pytest.raises(ConfigError, match="driver index 1"):
         MarketModel(d=1, n=1, mu=indicator(1, 0.0, [0.0], [1.0]),
                     sigma=constant([[1.0]]))
 
@@ -385,8 +390,8 @@ def test_h1_adapted_is_exact_over_regimes():
 
 def test_zeros_and_bound():
     # every value row must be finite, nan included
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="values and threshold must be"):
         constant([np.inf])
-    with pytest.raises(CoefficientError):
+    with pytest.raises(ConfigError, match="values and threshold must be"):
         indicator(0, 0.0, [0.0], [np.nan])
     assert constant(np.zeros((2, 3))).shape == (2, 3)

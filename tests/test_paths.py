@@ -16,8 +16,9 @@ import pytest
 from portsens import paths as paths_mod
 from portsens.market import (RegimeTable, constant, indicator, mpr_table,
                              piecewise)
-from portsens.paths import (PathEnsemble, ResourceLimitError, TimeGrid,
-                            cumulative, ito_sum, path_sums)
+from portsens.estimate import ConfigError
+from portsens.paths import (PathEnsemble, TimeGrid, cumulative, ito_sum,
+                            path_sums)
 
 from conftest import node_regimes
 
@@ -530,6 +531,12 @@ def test_girsanov_weight_tilts_the_mean(ens1d):
     assert abs(lhs - c) <= 3 * se
 
 
-def test_resource_caps():
-    with pytest.raises(ResourceLimitError):
-        PathEnsemble(grid=TimeGrid(1.0, 10**6), n=64, count=10**7, seed=1)
+def test_path_count_cap():
+    # the cap bounds M, which sizes every per-path sum and influence
+    # vector, whatever the grid: 10^7 paths of 2000 steps (80 MB a vector)
+    # are admitted, 2^34 paths of one step (128 GiB a vector) are refused;
+    # constructing an ensemble draws nothing
+    PathEnsemble(grid=TimeGrid(1.0, 2000), n=1, count=10**7, seed=7)
+    with pytest.raises(ConfigError,
+                       match=rf"paths must be at most .*got {2**34}$"):
+        PathEnsemble(grid=TimeGrid(1.0, 1), n=1, count=2**34, seed=0)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from portsens import utility
-from portsens.market import (CoefficientError, MarketModel, constant,
-                             indicator, piecewise)
+from portsens.estimate import ConfigError
+from portsens.market import MarketModel, constant, indicator, piecewise
 from portsens.modular import density_logs
 from portsens.paths import PathEnsemble, TimeGrid
-from portsens.solver import (SolverError, bisect_budget, check_dual_optimizer,
+from portsens.solver import (bisect_budget, check_dual_optimizer,
                              optimal_terminal_wealth, value_closed_form)
 from portsens.utility import (custom_utility, derivative, inverse_marginal,
                               log_utility, power_utility, sqrt_utility)
@@ -106,10 +106,12 @@ def test_closed_form_is_the_grid_expectation():
 @pytest.mark.parametrize("case", ["adapted-power", "custom"])
 def test_value_closed_form_refusals(case, switch_model, unit_model):
     x = np.linspace(1e-6, 400.0, 100)
-    model, u = {"adapted-power": (switch_model, power_utility(3.0)),
-                "custom": (unit_model,
-                           custom_utility(x, 2.0 * np.sqrt(x)))}[case]
-    with pytest.raises(SolverError):
+    model, u, message = {
+        "adapted-power": (switch_model, power_utility(3.0),
+                          "closed forms need deterministic coefficients"),
+        "custom": (unit_model, custom_utility(x, 2.0 * np.sqrt(x)),
+                   "no closed form for utility 'custom'")}[case]
+    with pytest.raises(RuntimeError, match=message):
         value_closed_form(model, u, grid=TimeGrid(1.0, 64))
 
 
@@ -170,7 +172,7 @@ def test_dual_optimizer_needs_deterministic_directions():
     det = PerturbationSpec(dmu=constant([0.1]), drate=constant([0.01]))
     adapted = PerturbationSpec(dmu=indicator(1, 0.0, [0.0], [0.1]))
     check_dual_optimizer(incomplete, *det.directions)
-    with pytest.raises(CoefficientError, match="incomplete market"):
+    with pytest.raises(ConfigError, match="incomplete market"):
         check_dual_optimizer(incomplete, *adapted.directions)
     complete = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [0.5]),
                            sigma=constant([[1.0]]))
