@@ -549,6 +549,21 @@ def test_scale_rule_is_refused_alike_from_flag_and_config(
     assert_refused(argv, message, tmp_path / "out", capsys, generated)
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "--config", "configs/deterministic2d.ini"],
+    ["sens", "--config", "configs/deterministic2d.ini"],
+    ["secondorder", "--config", "configs/deterministic2d.ini"],
+    ["norms", "--config", "configs/norms.ini"],
+    ["example1", "--steps", "50"],
+    ["example2", "--steps", "50"]],
+    ids=["value", "sens", "secondorder", "norms", "example1", "example2"])
+def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
+    # named when argparse refused it with exit 1: every command now
+    # refuses one path through PathEnsemble, with exit 2
+    assert_refused(argv + ["--paths", "1"], ONE_PATH, tmp_path / "out",
+                   capsys, generated)
+
+
 @pytest.mark.parametrize("command, config", [
     ("value", "deterministic2d"), ("norms", "norms")])
 def test_market_without_assets_is_a_config_error(command, config, tmp_path,
@@ -727,6 +742,33 @@ def test_coefficient_refusals_exit_two_before_the_pass(
     err = capsys.readouterr().err
     assert code == 2 and "config error" in err and message in err
     assert not out.exists() and sum(generated) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["value", "--config", "configs/example1.ini", "--paths", "0"],
+     ONE_PATH.replace("got 1", "got 0")),
+    (["value", "--config", "configs/example1.ini", "--steps", "0"],
+     "need at least one step"),
+    (["norms", "--config", "configs/norms.ini", "--horizon", "-1"], HORIZON),
+    (["value", "--config", "configs/example1.ini", "--horizon", "inf"],
+     HORIZON),
+    (["example1", "--paths", "0", "--steps", "20"],
+     ONE_PATH.replace("got 1", "got 0")),
+    (["example1", "--steps", "0", "--paths", "200"],
+     "need at least one step"),
+    (["example1", "--T", "-1", "--paths", "200", "--steps", "20"], HORIZON),
+    (["example1", "--T", "inf", "--paths", "200", "--steps", "20"], HORIZON),
+    (["example2", "--paths", "-5", "--steps", "20"],
+     ONE_PATH.replace("got 1", "got -5")),
+    (["example2", "--T", "0", "--paths", "200", "--steps", "20"], HORIZON)],
+    ids=["value-paths", "value-steps", "norms-horizon", "value-horizon-inf",
+         "example1-paths", "example1-steps", "example1-T", "example1-T-inf",
+         "example2-paths", "example2-T"])
+def test_non_positive_scale_flag_exits_one(argv, message, tmp_path, capsys,
+                                           generated):
+    # named when argparse refused it with exit 1: TimeGrid and
+    # PathEnsemble now refuse it with exit 2, as they refuse an [mc] key
+    assert_refused(argv, message, tmp_path / "out", capsys, generated)
 
 
 def test_custom_value_standard_errors_match_sqrt(tmp_path):
@@ -934,6 +976,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["value"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys,
+                                          generated):
+    # named when argparse refused it with exit 1: check_seed now refuses
+    # it with exit 2, as it refuses an [mc] seed
+    for argv in (["value", "--config", "configs/example1.ini"],
+                 ["example1"], ["example2"]):
+        assert_refused(argv + ["--seed", seed],
+                       f"seed {seed} is outside [0, 2**64)",
+                       tmp_path / "out", capsys, generated)
 
 
 @pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1", "0.1,0.1",
