@@ -77,7 +77,8 @@ class ExperimentConfig:
     utility: ut.UtilitySpec | None
     pert: PerturbationSpec | None
     taus: tuple | None
-    ensemble: PathEnsemble | None
+    # the [mc] ensemble, or its grid alone for h1check, which draws no path
+    ensemble: PathEnsemble | TimeGrid | None
     nu_family: tuple
     outdir: str
 
@@ -141,14 +142,15 @@ def load_config(path: str, flags: dict) -> ExperimentConfig:
                 raise ConfigError(f"[norms] keys must start with 'nu', "
                                   f"got {key!r}")
     try:
-        return _build_config(cp)
+        return _build_config(cp, flags.get("command"))
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
+def _build_config(cp: configparser.ConfigParser,
+                  command: str | None) -> ExperimentConfig:
     model = None
     if cp.has_section("market"):
         m = cp["market"]
@@ -190,11 +192,15 @@ def _build_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     ensemble = None
     if cp.has_section("mc"):
         mc = cp["mc"]
-        if missing := sorted(_KEYS["mc"] - set(mc)):
+        # h1check draws no path: without paths or seed it reads the grid
+        need = {"steps", "horizon"} if command == "h1check" else _KEYS["mc"]
+        if missing := sorted(need - set(mc)):
             raise ConfigError(f"[mc] needs {', '.join(missing)}")
-        ensemble = PathEnsemble(
-            TimeGrid(float(mc["horizon"]), int(mc["steps"])), n=model.n,
-            count=int(mc["paths"]), seed=int(mc["seed"]))
+        ensemble = TimeGrid(float(mc["horizon"]), int(mc["steps"]))
+        if {"paths", "seed"} <= set(mc):
+            ensemble = PathEnsemble(ensemble, n=model.n,
+                                    count=int(mc["paths"]),
+                                    seed=int(mc["seed"]))
 
     nu_family = ()
     if cp.has_section("norms"):
@@ -380,7 +386,8 @@ def cmd_h1check(args) -> _Result:
     model, pert = _need(cfg, "model"), _need(cfg, "pert")
     if pert.dsigma is None:
         raise ConfigError("h1check needs a dsigma direction")
-    grid = _need(cfg, "ensemble").grid
+    grid = _need(cfg, "ensemble")
+    grid = grid if isinstance(grid, TimeGrid) else grid.grid
     taus = [t for t in (cfg.taus or (1.0,)) if t != 0.0]
     if not taus:
         raise ConfigError("h1check needs a nonzero tau")

@@ -122,11 +122,13 @@ def norm_J(X, p: float, logs: np.ndarray) -> float:
 
 def j_evaluator(p: float, logs: np.ndarray):
     """The J modular on density samples as a plain callable on payoffs,
-    for the Luxemburg and Amemiya norms; exponentiates the samples once."""
+    for the Luxemburg and Amemiya norms; exponentiates the samples once
+    and holds one member's products at a time."""
     y = np.exp(logs)
 
     def F(z: np.ndarray) -> float:
-        return float(np.max(np.mean(y * _wealth(z, p), axis=1)))
+        wealth = _wealth(z, p)
+        return float(np.max([np.mean(row * wealth) for row in y]))
 
     return F
 

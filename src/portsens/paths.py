@@ -11,7 +11,8 @@ and reduces each block to named per-path stochastic and time integrals,
 written into (M,) arrays by path range; means and standard errors are the
 caller's.  Integrands are per-regime values on the pass's one regime
 table.  Where they depend on time only, they are spread over nodes once
-per pass; otherwise a sum is read off each path's per-regime statistics,
+per pass, and a quad or time sum of them is one number for all paths;
+otherwise a sum is read off each path's per-regime statistics,
 its count of nodes and sum of increments in each regime, taken per block
 from one mask per regime.  Memory stays at O(block), and no result
 depends on block size or worker count.  A block holds as many paths as
@@ -37,8 +38,9 @@ from portsens.estimate import ConfigError
 WORKERS_ENV = "PORTSENS_WORKERS"
 
 # cap on the path count M: every per-path sum and influence vector holds
-# 8*M bytes (128 MiB at the cap), and a command holds about 10 (example1)
-# to 30 (value) of them, while blocks stream within _SCRATCH_BYTES
+# 8*M bytes (128 MiB at the cap), and a command holds about 8 (example1)
+# to 30 (secondorder) of them at its peak, while blocks stream within
+# _SCRATCH_BYTES
 _MAX_PATHS = 2**24
 
 # default scratch bytes of one worker's block buffers (increments, paths,
@@ -210,33 +212,40 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     Unless the ensemble's ``block_paths`` fixes it, a block holds as many
     paths as keep that set, counts aside, within ``_SCRATCH_BYTES``, and at
     least one.  With k workers (``PORTSENS_WORKERS``, default 1) worker w
-    takes blocks w, w + k, ...  Returns an (M,) array per name.
+    takes blocks w, w + k, ...  Returns an (M,) array per name.  A quad or
+    time request on tables that read no paths is the same number on every
+    path, and comes back as a read-only view of it with stride 0; every
+    other request gets its own writable array.
     """
     grid = ensemble.grid
     dt, N, n, R = grid.dt, grid.steps, ensemble.n, len(regimes)
-    out = {name: np.empty(ensemble.count) for name in sums}
+    M = ensemble.count
+    out = {}
     spread = {}  # node values of each time-only table, by id
     # itos: (result, node values); regime_itos: (result, table) of the ito
     # requests that read the paths; counted: (result, per-regime value f)
     itos, regime_itos, counted = [], [], []
     for name, (kind, *tables) in sums.items():
-        if not any(map(regimes.reads_paths, tables)):
-            for t in tables:
-                if id(t) not in spread:
-                    spread[id(t)] = t[regimes.time_rows]
-            args = [spread[id(t)] for t in tables]
+        if any(map(regimes.reads_paths, tables)):
+            out[name] = np.empty(M)
             if kind == "ito":
-                itos.append((out[name], args[0]))
-            elif kind == "quad":  # reads no paths
-                out[name][:] = np.multiply(
-                    np.einsum("...kj,...kj->...", *args), dt)
+                regime_itos.append((out[name], tables[0]))
             else:
-                out[name][:] = np.multiply(np.sum(args[0], axis=(-2, -1)), dt)
-        elif kind == "ito":
-            regime_itos.append((out[name], tables[0]))
-        else:
-            counted.append((out[name], np.einsum("rj,rj->r", *tables)
-                            if kind == "quad" else np.sum(tables[0], axis=-1)))
+                counted.append((out[name], np.einsum("rj,rj->r", *tables)
+                                if kind == "quad"
+                                else np.sum(tables[0], axis=-1)))
+            continue
+        for t in tables:
+            if id(t) not in spread:
+                spread[id(t)] = t[regimes.time_rows]
+        args = [spread[id(t)] for t in tables]
+        if kind == "ito":
+            out[name] = np.empty(M)
+            itos.append((out[name], args[0]))
+        else:  # the same number on every path: one read-only view of it
+            out[name] = np.broadcast_to(np.multiply(
+                np.einsum("...kj,...kj->...", *args) if kind == "quad"
+                else np.sum(args[0], axis=(-2, -1)), dt), M)
     reads = bool(regime_itos or counted)
 
     # one path's share of the scratch set that ``run`` allocates

@@ -111,7 +111,7 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
                     s: dict) -> tuple[ValueEstimate, ValueEstimate]:
     """(weak, strong) sensitivity estimates from the sums of ``_sens_sums``."""
     R, Q11, s2, dq = s["r"], s["q11"], s["s2"], s["dq"]
-    dR = s.get("dr", np.zeros(len(s2)))
+    dR = s.get("dr", 0.0)
     x0 = model.x0
     weak_name = f"weak-sens[{pert.label}]"
     strong_name = f"strong-sens[{pert.label}]"
@@ -122,8 +122,7 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
     elif u.kind == "log":
         lin = R + 0.5 * Q11
         weak = mean_estimate(s2 * (lin + math.log(x0)) + dq + dR, weak_name)
-        strong = mean_estimate(np.broadcast_to(dq + dR, s2.shape),
-                               strong_name)
+        strong = mean_estimate(dq + dR, strong_name)
     else:
         zhat = np.exp(-(R + s["s1"] + 0.5 * Q11))
         y = bisect_budget(u, zhat, x0)

@@ -1,6 +1,11 @@
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from portsens.cli import main
 from portsens.market import MarketModel, constant, indicator
 from portsens.paths import PathEnsemble, TimeGrid
 
@@ -67,3 +72,34 @@ def node_regimes(regimes, W):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _block_draws(self, start=0, stop=None, out=None):
+    """Normal increments of a block from one generator for the whole block,
+    into ``out``: the shape and buffer of ``PathEnsemble.increments``, not
+    its values."""
+    gen = np.random.default_rng([self.seed, start])
+    gen.standard_normal(out=out[:stop - start])
+    out *= np.sqrt(self.grid.dt)
+    return out
+
+
+def bytes_per_path(argv, m1, m2):
+    """Bytes a path that ``main(argv + ["--paths", m])`` holds at its
+    tracemalloc peak: the slope of that peak from ``m1`` to ``m2`` paths,
+    after one warm-up run.  Both counts must exceed the paths of one block,
+    whose scratch would otherwise grow with them.  Blocks draw from one
+    generator each, not one Philox key a path: tracemalloc traces every
+    object a re-key makes, which slows the draws tenfold, and no array's
+    size depends on the values drawn."""
+    peaks = []
+    with mock.patch.object(PathEnsemble, "increments", _block_draws):
+        for m in (m1, m1, m2):
+            with tempfile.TemporaryDirectory() as out:
+                tracemalloc.start()
+                try:
+                    main(argv + ["--paths", str(m), "--out", out])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+    return (peaks[2] - peaks[1]) / (m2 - m1)

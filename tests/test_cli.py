@@ -20,6 +20,8 @@ from portsens.market import RegimeTable
 from portsens.modular import luxemburg_norm
 from portsens.paths import path_sums
 
+from conftest import bytes_per_path
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
@@ -177,6 +179,24 @@ def test_h1check_stable_and_violated(tmp_path):
     assert main(["h1check", "--config", str(bad), "--out", out2]) == 3
     rows = read_rows(f"{out2}/h1.csv")
     assert all(r[3] == "false" for r in rows[1:])
+
+
+def test_h1check_reads_a_grid_without_paths_or_seed(tmp_path, capsys,
+                                                    generated):
+    # h1check draws no path, so an [mc] section of steps and horizon is
+    # enough for it; every command that draws paths still refuses it
+    text = load_text("configs/h1_kernel.ini")
+    cfg = norm_write(tmp_path / "grid.ini", text.replace(
+        "paths = 1000\n", "").replace("seed = 17\n", ""))
+    for name, config in (("grid", cfg), ("shipped", "configs/h1_kernel.ini")):
+        assert main(["h1check", "--config", str(config),
+                     "--out", str(tmp_path / name)]) == 0
+    assert read_rows(tmp_path / "grid" / "h1.csv") == read_rows(
+        tmp_path / "shipped" / "h1.csv")
+    for command in ("value", "sens", "secondorder", "norms"):
+        assert_refused([command, "--config", str(cfg)],
+                       "[mc] needs paths, seed", tmp_path / "out", capsys,
+                       generated)
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
@@ -1154,3 +1174,22 @@ def test_path_count_cap_exits_two(tmp_path, capsys, generated,
         "config error: paths must be at most 1000 (each per-path sum holds "
         "8 bytes a path), got 1001\n")
     assert not out.exists() and sum(generated) == 0
+
+
+# bytes a path at the peak, a slope from m1 to m2 paths above one block
+# (65536 paths of 2 steps with n = 2, 32768 of 4 steps, 3855 of 20 steps
+# with n = 1): a sum that reads no paths is one number for all of them,
+# and the J modular of norms forms one member's products at a time
+DET2D = ["--config", "configs/deterministic2d.ini", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, m1, m2, bound", [
+    (["value", *DET2D], 70_000, 140_000, 168),
+    (["sens", *DET2D], 70_000, 140_000, 232),
+    (["secondorder", *DET2D], 70_000, 140_000, 248),
+    (["example1", "--steps", "20"], 100_000, 200_000, 68),
+    (["norms", "--config", "configs/norms.ini", "--steps", "4"],
+     40_000, 80_000, 108)],
+    ids=["value", "sens", "secondorder", "example1", "norms"])
+def test_bytes_a_path(argv, m1, m2, bound):
+    assert bytes_per_path(argv, m1, m2) <= bound

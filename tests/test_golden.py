@@ -16,7 +16,10 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -222,3 +225,27 @@ def test_benchmark_bytes_match_its_reference(name, tmp_path, monkeypatch,
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert _sha256((tmp_path / work.csv).read_bytes()) \
         == reference["digests"][name]
+
+
+def test_benchmark_probes_pass_on_src():
+    # before it times anything, perfbench/run.py probes src in fresh
+    # interpreters: environment() reads PathEnsemble's scheme and
+    # block_paths fields, and a traced run installs tracing.py's hooks,
+    # which look up every name they wrap, CoefficientProcess.evaluate
+    # included; a src change that breaks either fails every benchmark run
+    probe = ("import json, run, tracing\n"
+             "from portsens.market import CoefficientProcess\n"
+             "from portsens.paths import PathEnsemble\n"
+             "env = run.environment()\n"
+             "tracing.install(tracing.Tracer(0))\n"
+             "print(json.dumps([env['scheme'], env['block_paths'], "
+             "hasattr(CoefficientProcess.evaluate, '__wrapped__'), "
+             "hasattr(PathEnsemble.increments, '__wrapped__')]))\n")
+    path = os.pathsep.join([str(PERFBENCH), str(PERFBENCH.parent / "src")])
+    res = subprocess.run([sys.executable, "-c", probe],
+                         cwd=PERFBENCH.parent, capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [PathEnsemble.scheme,
+                                      PathEnsemble.block_paths, True, True]

@@ -303,6 +303,41 @@ def test_path_sums_bitwise_across_workers_and_blocks(monkeypatch, model):
                         (name, steps, workers, block_paths)
 
 
+@pytest.mark.parametrize("model", ["switch", "two-drivers"])
+def test_sums_that_read_no_paths_are_one_read_only_number(monkeypatch,
+                                                          model):
+    # a quad or time sum on tables that read no paths is the same number
+    # on every path: path_sums returns it as a read-only (M,) view with
+    # stride 0, bit for bit the reference for any worker count and block
+    # size, so that writing into it, which would change every path, raises
+    grid = TimeGrid(1.0, 16)
+    regimes, requests = kernel_requests(grid, model)
+    constant_sums = {name for name, (kind, *_) in requests.items()
+                     if kind != "ito"} - per_regime(regimes, requests)
+    assert constant_sums == ({"CC", "Tc"} if model == "switch"
+                             else {"Qtt", "Tk"})
+    want = direct_sums(PathEnsemble(grid, n=2, count=100, seed=11),
+                       regimes, requests)
+    for workers in (1, 2, 4):
+        monkeypatch.setenv("PORTSENS_WORKERS", str(workers))
+        for block_paths in (None, 1, 3, 7):
+            got = path_sums(PathEnsemble(grid, n=2, count=100, seed=11,
+                                         block_paths=block_paths),
+                            regimes, requests)
+            for name, s in got.items():
+                assert s.shape == (100,)
+                if name in constant_sums:
+                    assert s.strides == (0,) and not s.flags.writeable
+                    assert np.array_equal(s, want[name]), name
+                else:
+                    assert s.strides == (8,) and s.flags.writeable
+    for name in constant_sums:
+        with pytest.raises(ValueError, match="read-only"):
+            got[name][0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            got[name] += 1.0
+
+
 def test_counted_sums_of_zero_one_tables_are_exact():
     # on the sign-switching market every quad and time sum is counted, and
     # the price of risk is 0 or 1: each path's sum is its count of nodes
