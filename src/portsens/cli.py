@@ -3,15 +3,14 @@
 Commands
 --------
 value        weak and strong value surface over a tau grid
-sens         closed-form sensitivities against Richardson differences, and
-             weak against strong where market and direction are
-             deterministic
+sens         closed-form sensitivities against Richardson differences,
+             second-order decay of each value curve's residual, and weak
+             against strong where market and direction are deterministic
 example1     sign-switching market, unit drift direction: weak vs strong
 example2     discrepancy functional: deterministic vs adapted price of risk
 h1check      kernel stability of a volatility perturbation
 norms        modular functionals and norms at the optimal payoff
 danskin      support function of a point cloud: value, ties, derivative
-secondorder  decay of the below-tangent residual of the weak value curve
 
 Each command returns its verdicts as ``estimate.Check`` records; ``main``
 writes one CSV with a fixed schema plus a plain-text summary recording
@@ -51,9 +50,8 @@ from .market import (MarketModel, check_drivers, check_h1_direction,
 from .modular import (amemiya_norm, density_logs, holder_check, j_evaluator,
                       j_functional, luxemburg_norm)
 from .paths import PathEnsemble, TimeGrid
-from .sensitivity import (DIFFERENCE_STEPS, EXPANSION_STEPS, check_steps,
-                          example1_report, example2_reports,
-                          second_order_check, sensitivity_reports)
+from .sensitivity import (DIFFERENCE_STEPS, check_steps, example1_report,
+                          example2_reports, sensitivity_reports)
 from .solver import check_dual_optimizer, optimal_terminal_wealth
 from .valuation import PerturbationSpec, value_surface
 
@@ -113,7 +111,7 @@ def _steps(text: str) -> tuple:
     """The --eps step sizes, checked and in increasing order."""
     try:
         return check_steps(_floats(text))
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"--eps: {exc}") from None
 
 
@@ -237,8 +235,8 @@ def _need(cfg: ExperimentConfig, what: str):
 
 
 def _perturbed(args, title: str):
-    """What ``value``, ``sens`` and ``secondorder`` read: the config, its
-    model, utility and direction, the ensemble, and the summary heading."""
+    """What ``value`` and ``sens`` read: the config, its model, utility and
+    direction, the ensemble, and the summary heading."""
     cfg = load_config(args.config, vars(args))
     model, u, pert, ens = (_need(cfg, w)
                            for w in ("model", "utility", "pert", "ensemble"))
@@ -309,7 +307,7 @@ SENS_HEADER = ["direction", "side", "formula", "se_formula", "fd", "se_fd",
 def cmd_sens(args) -> _Result:
     cfg, model, u, pert, ens, heading = _perturbed(args, "sensitivities")
     eps = _steps(args.eps)
-    reports = sensitivity_reports(model, u, pert, ens, eps=eps)
+    reports, decays = sensitivity_reports(model, u, pert, ens, eps=eps)
     checks = [rep.check for rep in reports]
     rows = [[rep.direction, rep.side, _r(rep.formula.mean),
              _r(rep.formula.se), _r(rep.fd.mean), _r(rep.fd.se),
@@ -318,7 +316,10 @@ def cmd_sens(args) -> _Result:
     lines = [heading,
              f"  difference steps: {', '.join(f'{e:g}' for e in eps)}; "
              "each formula against its difference, tolerance = 3 se of the "
-             "paired contrast plus the extrapolation correction"]
+             "paired contrast plus the extrapolation correction",
+             "  residual u(tau) - u(0) - tau D of each value curve at tau = "
+             "+-each step, D its formula: its log-log slope in the step, inf "
+             "if fewer than two residuals clear the rounding floor"]
     # deterministic coefficients and directions make the two derivatives
     # equal, so their paired difference must be Monte Carlo noise
     if deterministic(model.mu, model.sigma, model.rate, *pert.directions):
@@ -328,6 +329,7 @@ def cmd_sens(args) -> _Result:
                      "strong")
         checks.append(Check("weak - strong", "sigmas", gap.mean, 0.0, 3.0,
                             gap.se))
+    checks += [rep.check for rep in decays]
     return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines, checks)
 
 
@@ -485,27 +487,6 @@ def cmd_danskin(args) -> _Result:
     return _Result(outdir, "danskin", DANSKIN_HEADER, [row], lines, checks)
 
 
-SECOND_HEADER = ["eps", "residual", "negative_part", "floor", "slope",
-                 "vacuous", "passed", "seed"]
-
-
-def cmd_secondorder(args) -> _Result:
-    cfg, model, u, pert, ens, heading = _perturbed(
-        args, "first-order residual decay")
-    rep = second_order_check(model, u, pert, ens, eps=_steps(args.eps))
-    steps = list(zip(rep.eps, rep.residuals, rep.negative_parts))
-    rows = [[_r(e), _r(res), _r(neg), _r(rep.floor), _r(rep.slope),
-             _flag(rep.vacuous), _flag(rep.check.passed), ens.seed]
-            for e, res, neg in steps]
-    lines = [heading] + [f"  eps={e:g}: residual {res:.4g}, below-tangent "
-                         f"part {neg:.4g}" for e, res, neg in steps]
-    if rep.vacuous:
-        lines.append(f"  fewer than two residuals above the floor "
-                     f"{rep.floor:.2g}: the decay check is vacuous")
-    return _Result(cfg.outdir, "secondorder", SECOND_HEADER, rows, lines,
-                   [rep.check])
-
-
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
@@ -517,10 +498,6 @@ _CONFIG_FLAGS = (
     ("--steps", dict(type=int, help="override [mc] steps")),
     ("--horizon", dict(type=float, help="override [mc] horizon")),
     ("--out", dict(help="override [output] directory")))
-
-
-def _eps_flag(steps: tuple, text: str) -> tuple:
-    return (("--eps", dict(default=",".join(map(repr, steps)), help=text)),)
 
 
 def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
@@ -535,8 +512,9 @@ def _scale_flags(paths: int, steps: int, seed: int) -> tuple:
 _COMMANDS = (
     ("value", cmd_value, "weak/strong value surface", _CONFIG_FLAGS),
     ("sens", cmd_sens, "sensitivities vs differences",
-     _CONFIG_FLAGS + _eps_flag(DIFFERENCE_STEPS,
-                               "difference step sizes; each is read")),
+     _CONFIG_FLAGS + (("--eps", dict(
+         default=",".join(map(repr, DIFFERENCE_STEPS)),
+         help="difference step sizes; each is read")),)),
     ("example1", cmd_example1, "sign-switching market, drift direction",
      _scale_flags(paths=200_000, steps=2000, seed=7)),
     ("example2", cmd_example2, "discrepancy functional",
@@ -548,9 +526,6 @@ _COMMANDS = (
       ("--direction", dict(required=True, help="e.g. '2,1'")),
       ("--delta", dict(help="direction of differentiation")),
       ("--out", dict(default=".", help="output directory")))),
-    ("secondorder", cmd_secondorder, "residual decay of the tangent",
-     _CONFIG_FLAGS + _eps_flag(EXPANSION_STEPS,
-                               "expansion step sizes; each is read")),
 )
 
 

@@ -39,7 +39,7 @@ WORKERS_ENV = "PORTSENS_WORKERS"
 
 # cap on the path count M: every per-path sum and influence vector holds
 # 8*M bytes (128 MiB at the cap), and a command holds about 8 (example1)
-# to 30 (secondorder) of them at its peak, while blocks stream within
+# to 28 (sens) of them at its peak, while blocks stream within
 # _SCRATCH_BYTES
 _MAX_PATHS = 2**24
 

@@ -20,7 +20,9 @@ O(eps^2) with no Monte Carlo noise in the difference, which makes the
 formula-versus-difference verdicts sharp.  The differences read every
 step they are given: a Richardson tableau of central differences, coarse
 to fine, removes one more even power of the step per column
-(``fd_sensitivity``).
+(``fd_sensitivity``).  The same curves decide whether each formula is the
+derivative: the residual u(tau) - u(0) - tau D must vanish at second order
+on both sides of tau = 0 (``residual_decay``).
 
 Two classical pitfalls are packaged as reports: the drift example where
 the weak and strong sensitivities genuinely differ (an adapted price of
@@ -102,14 +104,17 @@ def sensitivity_pair(model: MarketModel, u: ut.UtilitySpec,
                      ensemble: PathEnsemble) -> tuple[ValueEstimate,
                                                       ValueEstimate]:
     """(weak, strong) closed-form sensitivity estimates from one pass."""
-    return _sens_estimates(model, u, pert, _surface_and_sens_sums(
+    _, weak, strong = _sens_estimates(model, u, pert, _surface_and_sens_sums(
         model, u, pert, (), ensemble))
+    return weak, strong
 
 
 def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
                     pert: PerturbationSpec,
-                    s: dict) -> tuple[ValueEstimate, ValueEstimate]:
-    """(weak, strong) sensitivity estimates from the sums of ``_sens_sums``."""
+                    s: dict) -> tuple[float, ValueEstimate, ValueEstimate]:
+    """The value at tau = 0, where the weak and strong values coincide path
+    by path, and the (weak, strong) sensitivity estimates, from the sums of
+    ``_sens_sums``."""
     R, Q11, s2, dq = s["r"], s["q11"], s["s2"], s["dq"]
     dR = s.get("dr", 0.0)
     x0 = model.x0
@@ -117,10 +122,12 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
     strong_name = f"strong-sens[{pert.label}]"
     if u.kind == "power":
         v = np.exp((u.q - 1.0) * (R + s["s1"] + 0.5 * Q11))
+        base = u.p * x0 ** (1.0 / u.p) * float(np.mean(v)) ** (1.0 / u.q)
         weak = _power_sens(u, x0, v, s2 + dR / u.p, weak_name)
         strong = _power_sens(u, x0, v, (s2 + dq + dR) / u.p, strong_name)
     elif u.kind == "log":
         lin = R + 0.5 * Q11
+        base = float(np.mean(lin)) + math.log(x0)
         weak = mean_estimate(s2 * (lin + math.log(x0)) + dq + dR, weak_name)
         strong = mean_estimate(dq + dR, strong_name)
     else:
@@ -128,6 +135,7 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
         y = bisect_budget(u, zhat, x0)
         xbar = np.asarray(ut.inverse_marginal(u, y * zhat))
         uvals = np.asarray(ut.evaluate(u, xbar))
+        base = float(np.mean(uvals))
         spent, fac = zhat * xbar, s2 + dq
         # y is solved on these paths, so its noise enters both estimates
         # (solver.budget_estimate): each one's slope is its y-derivative
@@ -143,16 +151,14 @@ def _sens_estimates(model: MarketModel, u: ut.UtilitySpec,
             y * spent * fac, spent,
             float(np.mean(zhat * (xbar + y * dx) * fac)) / dspent,
             strong_name)
-    return weak, strong
+    return base, weak, strong
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
-# the difference steps of ``sens`` and the expansion steps of
-# ``secondorder`` unless --eps names others
+# the difference steps of ``sens`` unless --eps names others
 DIFFERENCE_STEPS = (0.05, 0.025)
-EXPANSION_STEPS = (0.2, 0.1, 0.05, 0.025)
 
 
 def check_steps(eps) -> tuple:
@@ -161,8 +167,8 @@ def check_steps(eps) -> tuple:
     eps = tuple(sorted(float(e) for e in eps))
     if (len(eps) < 2 or len(set(eps)) < len(eps)
             or not all(0 < e < math.inf for e in eps)):
-        raise ValueError("need at least two distinct finite positive step "
-                         "sizes")
+        raise ConfigError("need at least two distinct finite positive step "
+                          "sizes")
     return eps
 
 
@@ -231,23 +237,30 @@ class SensitivityReport:
 def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
                         eps: tuple = DIFFERENCE_STEPS) \
-        -> tuple[SensitivityReport, SensitivityReport]:
+        -> tuple[tuple[SensitivityReport, SensitivityReport],
+                 tuple[SecondOrderReport, ...]]:
     """(weak, strong) closed-form sensitivities against the Richardson
-    differences over every step of ``eps``, from one path pass.
+    differences over every step of ``eps``, and the residual decay of each
+    value curve on each side, from one path pass.
 
     The check's tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
     with the extrapolation correction as a bias allowance, plus a floating-
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
+
+    The decay reports, weak +eps, weak -eps, strong +eps and strong -eps,
+    fit the residual u(tau) - u(0) - tau D of each value curve and its
+    formula D at tau = +eps and at tau = -eps (``residual_decay`` over the
+    steps with D and with -D); u(0) is read off the sensitivity sums.
     """
     eps = check_steps(eps)
     taus = sorted({s * e for e in eps for s in (1.0, -1.0)})
     s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
-    formulas = _sens_estimates(model, u, pert, s)
-    fds = fd_sensitivity(surface_rows(model, u, taus, s), eps[::-1],
-                         pert.label)
-    reports = []
+    base, *formulas = _sens_estimates(model, u, pert, s)
+    rows = surface_rows(model, u, taus, s)
+    fds = fd_sensitivity(rows, eps[::-1], pert.label)
+    reports, decays = [], []
     for side, formula, (fd, correction) in zip(("weak", "strong"), formulas,
                                                fds):
         contrast = combine_linear([formula, fd], [1.0, -1.0], "contrast")
@@ -257,7 +270,12 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
             direction=pert.label, side=side, formula=formula, fd=fd,
             check=Check(f"{pert.label} [{side}]", "within", formula.mean,
                         fd.mean, tol, formula.se)))
-    return tuple(reports)
+        curve = {r.tau: getattr(r, side).mean for r in rows}
+        for sign, text in ((1.0, "+"), (-1.0, "-")):
+            decays.append(residual_decay(
+                eps, base, [curve[sign * e] for e in eps],
+                sign * formula.mean, f"[{side}, {text}eps]"))
+    return tuple(reports), tuple(decays)
 
 
 # ---------------------------------------------------------------------------
@@ -341,60 +359,40 @@ def example2_reports(T: float, M: int, N: int, seed: int) \
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderReport:
-    """How fast the first-order residual of the value curve vanishes.
+    """How fast the first-order residual of a value curve vanishes.
 
     The residual u(eps) - u(0) - eps * D of the first-order expansion must
     be second order in eps for D to be the derivative; a wrong D leaves a
     first-order residual on either side of the tangent.  The report fits a
     log-log slope to |residual| over the steps where it exceeds the
     numerical floor; with fewer than two such steps the check is vacuous
-    and the slope reported as infinity.  ``negative_parts`` records the
-    below-tangent part of each residual.  The check passes a slope of at
+    and the slope reported as infinity.  The check passes a slope of at
     least 1.8, so a vacuous one.
     """
 
-    eps: tuple
-    residuals: tuple
-    negative_parts: tuple
-    floor: float
     slope: float
     vacuous: bool
     check: Check
 
 
-def second_order_check(model: MarketModel, u: ut.UtilitySpec,
-                       pert: PerturbationSpec, ensemble: PathEnsemble,
-                       eps: tuple = EXPANSION_STEPS) -> SecondOrderReport:
-    """Residual decay of the weak value curve at [0] + eps against the
-    closed-form weak sensitivity, both from one path pass."""
-    eps = check_steps(eps)
-    taus = [0.0] + list(eps)
-    s = _surface_and_sens_sums(model, u, pert, taus, ensemble)
-    rows = surface_rows(model, u, taus, s)
-    deriv, _ = _sens_estimates(model, u, pert, s)
-    return residual_decay(eps, rows[0].weak.mean,
-                          [r.weak.mean for r in rows[1:]], deriv.mean)
-
-
-def residual_decay(eps, base: float, curve, deriv: float) \
-        -> SecondOrderReport:
+def residual_decay(eps, base: float, curve, deriv: float,
+                   label: str) -> SecondOrderReport:
     """Decay of |curve[i] - base - eps[i] * deriv| with the step.
 
-    ``curve`` holds the values at the increasing steps ``eps``.
+    ``curve`` holds the values at the increasing steps ``eps``; ``label``
+    ends the check's name.
     """
     scale = abs(base) + max(abs(v) for v in curve)
     floor = 1e-12 * max(scale, 1.0)
-    residuals = [v - base - e * deriv for e, v in zip(eps, curve)]
-    neg = [max(-r, 0.0) for r in residuals]
-    pts = [(e, abs(r)) for e, r in zip(eps, residuals) if abs(r) > floor]
+    pts = [(e, abs(v - base - e * deriv)) for e, v in zip(eps, curve)]
+    pts = [p for p in pts if p[1] > floor]
     if len(pts) < 2:
         slope, vacuous = math.inf, True
     else:
         xs = np.log([p[0] for p in pts])
         ys = np.log([p[1] for p in pts])
         slope, vacuous = float(np.polyfit(xs, ys, 1)[0]), False
-    return SecondOrderReport(eps=tuple(eps), residuals=tuple(residuals),
-                             negative_parts=tuple(neg), floor=floor,
-                             slope=slope, vacuous=vacuous,
-                             check=Check("log-log slope of |residual|",
-                                         "at least", slope, 1.8, 0.0, None))
+    return SecondOrderReport(
+        slope=slope, vacuous=vacuous,
+        check=Check(f"log-log slope of |residual| {label}", "at least",
+                    slope, 1.8, 0.0, None))

@@ -29,13 +29,13 @@ optimizer, which holds in complete markets and for deterministic
 coefficients and directions; ``solver.check_dual_optimizer`` is the one
 test of that rule.  ``check_experiment`` is the one admission check of
 every value and sensitivity experiment, with that test among its rules:
-``value_surface`` and the fused pass of ``sensitivity`` (``example1``,
-``sens`` and ``secondorder``) each run it once before drawing a path.
+``value_surface`` and the fused pass of ``sensitivity`` (``example1`` and
+``sens``) each run it once before drawing a path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,22 +66,23 @@ class PerturbationSpec:
     label: str = ""
 
     def __post_init__(self):
-        parts = [self.dmu, self.dsigma, self.drate]
-        if self.dlambda is not None and any(p is not None for p in parts):
+        given = [name for name, p in self._named() if p is not None]
+        if self.dlambda is not None and len(given) > 1:
             raise ConfigError("dlambda excludes coefficient directions")
-        if self.dlambda is None and not any(p is not None for p in parts):
+        if not given:
             raise ConfigError("perturbation needs at least one direction")
         if not self.label:
-            names = [n for n, p in [("dmu", self.dmu), ("dsigma", self.dsigma),
-                                    ("drate", self.drate),
-                                    ("dlambda", self.dlambda)]
-                     if p is not None]
-            object.__setattr__(self, "label", "+".join(names))
+            object.__setattr__(self, "label", "+".join(given))
+
+    def _named(self) -> list:
+        """(name, process) of every direction, the fields before ``label``
+        in their order, absent ones as None."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[:-1]]
 
     @property
     def directions(self) -> tuple:
         """(dmu, dsigma, drate, dlambda), absent ones as None."""
-        return (self.dmu, self.dsigma, self.drate, self.dlambda)
+        return tuple(p for _, p in self._named())
 
     def regimes(self, model: MarketModel, grid: TimeGrid) -> RegimeTable:
         """The joint regimes of the market and every direction: the one
@@ -105,13 +106,12 @@ class PerturbationSpec:
         return mpr_from_values(mu, sg, r)
 
     def validate_for(self, model: MarketModel) -> None:
-        want = {"dmu": (model.d,), "dsigma": (model.d, model.n),
-                "drate": (1,), "dlambda": (model.n,)}
-        for name, proc in [("dmu", self.dmu), ("dsigma", self.dsigma),
-                           ("drate", self.drate), ("dlambda", self.dlambda)]:
-            if proc is not None and proc.shape != want[name]:
+        # the shapes of mu, sigma, r and lambda, in field order
+        shapes = [(model.d,), (model.d, model.n), (1,), (model.n,)]
+        for (name, proc), want in zip(self._named(), shapes):
+            if proc is not None and proc.shape != want:
                 raise ConfigError(
-                    f"{name} must have shape {want[name]}, got {proc.shape}")
+                    f"{name} must have shape {want}, got {proc.shape}")
         check_drivers(model.n, *self.directions)
 
 

@@ -21,8 +21,7 @@ from portsens.modular import (amemiya_norm, density_logs, holder_check,
                               j_evaluator, j_functional, norm_I, norm_J)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (example1_report, example2_reports,
-                                  second_order_check, sensitivity_pair,
-                                  sensitivity_reports)
+                                  sensitivity_pair, sensitivity_reports)
 from portsens.solver import optimal_terminal_wealth, value_closed_form
 from portsens.valuation import PerturbationSpec, value_surface
 
@@ -110,8 +109,8 @@ def test_criterion_4_formula_oracle_fd_chain(det2d, ens2d, capsys):
             sigmas = abs(est.mean - expected) / est.se
             ok = ok and sigmas <= 3.0
             details.append(f"p={p:g} {pert.label} {sigmas:.2f} sigma")
-        rep, _ = sensitivity_reports(model, u, PerturbationSpec(dmu=dmu),
-                                     ens2d)
+        (rep, _), _ = sensitivity_reports(model, u,
+                                          PerturbationSpec(dmu=dmu), ens2d)
         ok = ok and rep.check.passed
         details.append(f"p={p:g} fd gap {rep.check.error:.2g} "
                        f"tol {rep.check.bound:.2g}")
@@ -144,32 +143,35 @@ def test_criterion_5_discrepancy_functional(capsys):
 
 
 def test_criterion_6_second_order_residual(det2d, ens2d, capsys):
-    det_rep = second_order_check(det2d, ut.power_utility(3.0),
+    # each case reads the four decay checks of sens: the weak and the
+    # strong curve, each at +eps and at -eps
+    steps = (0.2, 0.1, 0.05, 0.025)
+    _, det = sensitivity_reports(det2d, ut.power_utility(3.0),
                                  PerturbationSpec(dmu=constant([0.04, 0.02])),
-                                 ens2d)
+                                 ens2d, eps=steps)
     switch = MarketModel(d=1, n=1, mu=indicator(0, 0.0, [0.0], [1.0]),
                          sigma=constant([[1.0]]))
     unit = PerturbationSpec(dmu=constant([1.0]))
     sw_ens = PathEnsemble(TimeGrid(1.0, 400), n=1, count=30_000, seed=1006)
-    sw_rep = second_order_check(switch, ut.log_utility(), unit, sw_ens)
+    _, sw = sensitivity_reports(switch, ut.log_utility(), unit, sw_ens,
+                                eps=steps)
     # at T = 4 the weak curve bends below its tangent, u_w''(0) = -0.255
     # (scripts/derive_oracles.py); its third-order term takes over beyond
     # steps of about 0.1, so the steps stay below that
     t4_ens = PathEnsemble(TimeGrid(4.0, 400), n=1, count=30_000, seed=1010)
-    t4_rep = second_order_check(switch, ut.log_utility(), unit, t4_ens,
+    _, t4 = sensitivity_reports(switch, ut.log_utility(), unit, t4_ens,
                                 eps=(0.05, 0.025, 0.0125, 0.00625))
 
-    def text(rep):
-        if rep.vacuous:
-            return "fewer than two residuals above floor, vacuous pass"
-        return f"slope {rep.slope:.2f}"
+    def text(decays):
+        return "slopes " + ", ".join("inf (vacuous)" if rep.vacuous
+                                     else f"{rep.slope:.2f}"
+                                     for rep in decays)
 
     verdict(capsys, 6, "first-order residual decays at second order",
-            det_rep.check.passed and sw_rep.check.passed
-            and t4_rep.check.passed
-            and not t4_rep.vacuous,
-            f"deterministic: {text(det_rep)}; switching: {text(sw_rep)}; "
-            f"switching T=4: {text(t4_rep)}")
+            all(rep.check.passed for rep in det + sw + t4)
+            and not any(rep.vacuous for rep in t4),
+            f"deterministic: {text(det)}; switching: {text(sw)}; "
+            f"switching T=4: {text(t4)}")
 
 
 def test_criterion_7_solver_closed_form(capsys):

@@ -14,8 +14,8 @@ import portsens
 
 from portsens import cli, paths, sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
-                          H1_HEADER, NORMS_HEADER, SECOND_HEADER, SENS_HEADER,
-                          SURFACE_HEADER, main)
+                          H1_HEADER, NORMS_HEADER, SENS_HEADER, SURFACE_HEADER,
+                          main)
 from portsens.market import RegimeTable
 from portsens.modular import luxemburg_norm
 from portsens.paths import path_sums
@@ -94,7 +94,8 @@ def test_sens_fails_a_weak_strong_gap_beyond_three_se(tmp_path, capsys,
     # weak sits 2.35 se below strong on these paths; the strong formula
     # moved up by 4 of its standard errors, with its difference moved
     # alike so that each side still matches, puts the gap 4.5 se below
-    # zero: every sens.csv verdict holds and the contrast alone fails
+    # zero: every sens.csv verdict holds and the contrast fails, as do the
+    # strong curve's decay checks, whose tangent the moved formula tilts
     formulas, fds, shift = sensitivity._sens_estimates, \
         sensitivity.fd_sensitivity, []
 
@@ -102,9 +103,9 @@ def test_sens_fails_a_weak_strong_gap_beyond_three_se(tmp_path, capsys,
         return dataclasses.replace(est, mean=est.mean + shift[0])
 
     def shifted_formulas(*args):
-        weak, strong = formulas(*args)
+        base, weak, strong = formulas(*args)
         shift.append(4.0 * strong.se)
-        return weak, moved(strong)
+        return base, weak, moved(strong)
 
     def shifted_fds(*args):
         weak, (strong, correction) = fds(*args)
@@ -115,10 +116,14 @@ def test_sens_fails_a_weak_strong_gap_beyond_three_se(tmp_path, capsys,
     out = tmp_path / "s"
     assert main(["sens", "--config", "configs/deterministic2d.ini",
                  "--paths", "2000", "--steps", "16", "--out", str(out)]) == 3
-    (line,) = contrast_lines(capsys.readouterr().out)
+    summary = capsys.readouterr().out
+    (line,) = contrast_lines(summary)
     assert "4.49 sigma" in line and line.endswith(": FAIL")
     assert [r["verdict"] for r in read_records(out / "sens.csv")] \
         == ["true", "true"]
+    assert [line.endswith(": ok") for line in summary.splitlines()
+            if line.startswith("  log-log slope")] == [True, True, False,
+                                                         False]
 
 
 def test_example1_command(tmp_path):
@@ -193,7 +198,7 @@ def test_h1check_reads_a_grid_without_paths_or_seed(tmp_path, capsys,
                      "--out", str(tmp_path / name)]) == 0
     assert read_rows(tmp_path / "grid" / "h1.csv") == read_rows(
         tmp_path / "shipped" / "h1.csv")
-    for command in ("value", "sens", "secondorder", "norms"):
+    for command in ("value", "sens", "norms"):
         assert_refused([command, "--config", str(cfg)],
                        "[mc] needs paths, seed", tmp_path / "out", capsys,
                        generated)
@@ -328,7 +333,7 @@ def test_sens_makes_one_path_pass(tmp_path, generated):
     assert sum(generated) == 500
 
 
-@pytest.mark.parametrize("command", ["sens", "secondorder"])
+@pytest.mark.parametrize("command", ["sens"])
 def test_example1_config_indexes_each_block_once(tmp_path, monkeypatch,
                                                  generated, command):
     # every coefficient the fused pass reads lies on one regime table, so
@@ -356,9 +361,8 @@ def test_example1_config_indexes_each_block_once(tmp_path, monkeypatch,
 
 EXAMPLE1_PASSES = pytest.mark.parametrize("command", [
     ["example1"], ["value", "--config", "configs/example1.ini"],
-    ["sens", "--config", "configs/example1.ini"],
-    ["secondorder", "--config", "configs/example1.ini"]],
-    ids=["example1", "value", "sens", "secondorder"])
+    ["sens", "--config", "configs/example1.ini"]],
+    ids=["example1", "value", "sens"])
 
 
 @EXAMPLE1_PASSES
@@ -367,9 +371,9 @@ def test_example1_passes_hold_forty_paths_of_2000_steps(tmp_path,
                                                         generated, command):
     # each pass holds increments, paths and a mask and flag per node:
     # 36008 bytes a path of 2000 steps, 58 paths a block for example1,
-    # whose adapted sums are all counted; value, sens and secondorder add
-    # a weight per node and two regimes' increment sums for their ito
-    # sums, 52024 bytes a path and 40 paths a block
+    # whose adapted sums are all counted; value and sens add a weight per
+    # node and two regimes' increment sums for their ito sums, 52024 bytes
+    # a path and 40 paths a block
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     code = main(command + ["--paths", "100", "--steps", "2000",
                            "--out", str(tmp_path / "o")])
@@ -385,7 +389,7 @@ def test_example1_passes_gather_only_for_ito_sums(tmp_path, monkeypatch,
     # per-regime increment sums, so no pass gathers a table over nodes:
     # not example1 (log utility reads no int lambda dW, and Dlambda is
     # constant), nor the tilt direction of each nonzero tau in value (3
-    # taus), sens (+-h of two steps) or secondorder (four steps)
+    # taus) or sens (+-h of two steps)
     monkeypatch.setenv("PORTSENS_WORKERS", "1")
     gathers = []
     take = np.take
@@ -443,15 +447,6 @@ def test_sens_requests_only_the_combined_steps(tmp_path, monkeypatch):
         assert rec["verdict"] == "true"
 
 
-def test_secondorder_makes_one_path_pass(tmp_path, generated):
-    # the value curve and the closed-form derivative read one pass
-    code = main(["secondorder", "--config", "configs/deterministic2d.ini",
-                 "--paths", "500", "--steps", "16",
-                 "--out", str(tmp_path / "s")])
-    assert code == 0
-    assert sum(generated) == 500
-
-
 def custom_sqrt_config(tmp_path):
     """configs/deterministic2d.ini with U(x) = 2 sqrt(x) tabulated on 801
     log-spaced rows over [1e-4, 1e4] as its custom utility."""
@@ -465,13 +460,10 @@ def custom_sqrt_config(tmp_path):
 
 
 @pytest.mark.parametrize("command, bad", [
-    ("value", "x0"), ("sens", "x0"), ("secondorder", "x0"), ("sens", "dr"),
-    ("secondorder", "dr"), ("value", "convex"), ("sens", "convex"),
-    ("secondorder", "convex"), ("value", "inf-row"),
-    ("value", "repeated-value")],
-    ids=["value-x0", "sens-x0", "secondorder-x0", "sens-dr", "secondorder-dr",
-         "value-convex", "sens-convex", "secondorder-convex", "value-inf-row",
-         "value-repeated-value"])
+    ("value", "x0"), ("sens", "x0"), ("sens", "dr"), ("value", "convex"),
+    ("sens", "convex"), ("value", "inf-row"), ("value", "repeated-value")],
+    ids=["value-x0", "sens-x0", "sens-dr", "value-convex", "sens-convex",
+         "value-inf-row", "value-repeated-value"])
 def test_custom_utility_inputs_refused_before_the_pass(
         command, bad, tmp_path, capsys, generated):
     # an x0 outside the table, a rate direction that the closed-form
@@ -540,7 +532,7 @@ def assert_refused(argv, message, out, capsys, generated):
 
 # command with config flags -> its config
 FLAG_SOURCES = {"flag": "deterministic2d", "sens": "deterministic2d",
-                "secondorder": "deterministic2d", "norms": "norms"}
+                "norms": "norms"}
 
 
 @pytest.mark.parametrize("source", [*FLAG_SOURCES, "mc-key", "example1",
@@ -572,11 +564,10 @@ def test_scale_rule_is_refused_alike_from_flag_and_config(
 @pytest.mark.parametrize("argv", [
     ["value", "--config", "configs/deterministic2d.ini"],
     ["sens", "--config", "configs/deterministic2d.ini"],
-    ["secondorder", "--config", "configs/deterministic2d.ini"],
     ["norms", "--config", "configs/norms.ini"],
     ["example1", "--steps", "50"],
     ["example2", "--steps", "50"]],
-    ids=["value", "sens", "secondorder", "norms", "example1", "example2"])
+    ids=["value", "sens", "norms", "example1", "example2"])
 def test_one_path_is_a_usage_error(argv, tmp_path, capsys, generated):
     # named when argparse refused it with exit 1: every command now
     # refuses one path through PathEnsemble, with exit 2
@@ -707,9 +698,8 @@ def test_driver_out_of_range_refused_with_the_config(
 
 
 @pytest.mark.parametrize("command, adapted", [
-    ("norms", "mu"), ("value", "mu"), ("sens", "mu"), ("secondorder", "mu"),
-    ("value", "dmu")],
-    ids=["norms", "value", "sens", "secondorder", "value-direction"])
+    ("norms", "mu"), ("value", "mu"), ("sens", "mu"), ("value", "dmu")],
+    ids=["norms", "value", "sens", "value-direction"])
 def test_incomplete_adapted_market_refused_before_the_pass(
         command, adapted, tmp_path, capsys, generated):
     # an adapted drift, or an adapted drift direction, in the incomplete
@@ -743,11 +733,10 @@ SINGULAR = ("deterministic2d", "sigma = const:[0.2,0.05,0.0,0.15]",
 
 
 @pytest.mark.parametrize("command, config, good, bad, message", [
-    ("value", *SINGULAR), ("sens", *SINGULAR), ("secondorder", *SINGULAR),
+    ("value", *SINGULAR), ("sens", *SINGULAR),
     ("norms", "norms", "nu1 = const:[0.0,0.3]", "nu1 = const:[0.1,0.3]",
      "family member 1 leaves the volatility null space")],
-    ids=["value-singular", "sens-singular", "secondorder-singular",
-         "norms-off-kernel"])
+    ids=["value-singular", "sens-singular", "norms-off-kernel"])
 def test_coefficient_refusals_exit_two_before_the_pass(
         command, config, good, bad, message, tmp_path, capsys, generated):
     # a singular sigma sigma^T, or a [norms] member outside the volatility
@@ -979,16 +968,39 @@ def test_danskin_input_errors_exit_two(cloud, direction, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_secondorder_command(tmp_path):
-    out = str(tmp_path / "so")
-    code = main(["secondorder", "--config", "configs/deterministic2d.ini",
-                 "--paths", "8000", "--steps", "16", "--out", out])
-    assert code == 0
-    rows = read_rows(f"{out}/secondorder.csv")
-    assert rows[0] == SECOND_HEADER
-    assert len(rows) == 5
-    # the curve lies above its tangent, and |residual| decays at order 2
-    assert all(r[5] == "false" and r[6] == "true" for r in rows[1:])
+def test_secondorder_command(tmp_path, capsys):
+    # the residual decay checks of the former secondorder command are
+    # sens's: argparse no longer knows the command, and sens states the
+    # decay of both value curves on both sides of tau = 0, at order 2
+    argv = ["--config", "configs/deterministic2d.ini", "--paths", "8000",
+            "--steps", "16", "--out", str(tmp_path / "s")]
+    assert main(["secondorder", *argv]) == 1
+    assert not (tmp_path / "s").exists()
+    capsys.readouterr()
+    assert main(["sens", *argv]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  log-log slope of |residual|")]
+    assert [line.split(" = ")[0].split("| ")[1] for line in lines] == [
+        "[weak, +eps]", "[weak, -eps]", "[strong, +eps]", "[strong, -eps]"]
+    for line in lines:
+        assert 1.9 < float(line.split(" = ")[1].split(",")[0]) < 2.1
+        assert line.endswith("at least 1.8: ok")
+
+
+def test_docs_list_exactly_the_commands():
+    # the README's command table and the cli module docstring name each
+    # command that main dispatches, once, in its order, and nothing else
+    names = [name for name, *_ in cli._COMMANDS]
+    with open(os.path.join(os.path.dirname(__file__), "..",
+                           "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("\n## Commands\n\n", 1)[1].split("\n\n", 1)[0]
+    assert [row.split("`")[1] for row in table.splitlines()
+            if row.startswith("| `")] == names
+    listing = cli.__doc__.split("Commands\n--------\n", 1)[1]
+    listing = listing.split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listing.splitlines()
+            if not line.startswith(" ")] == names
 
 
 def test_usage_errors_exit_one(capsys):
@@ -1012,7 +1024,7 @@ def test_out_of_range_seed_flag_exits_one(seed, tmp_path, capsys,
 
 @pytest.mark.parametrize("eps", ["-0.1,0.2", "0,0.1", "0.1", "0.1,0.1",
                                  "0.05,inf"])
-@pytest.mark.parametrize("command", ["sens", "secondorder"])
+@pytest.mark.parametrize("command", ["sens"])
 def test_bad_eps_flag_exits_two(command, eps, tmp_path, capsys):
     # a non-positive, non-finite or repeated step, or a single one, is a
     # usage error of the flag, refused before the path pass, not a
@@ -1186,10 +1198,9 @@ DET2D = ["--config", "configs/deterministic2d.ini", "--steps", "2"]
 @pytest.mark.parametrize("argv, m1, m2, bound", [
     (["value", *DET2D], 70_000, 140_000, 168),
     (["sens", *DET2D], 70_000, 140_000, 232),
-    (["secondorder", *DET2D], 70_000, 140_000, 248),
     (["example1", "--steps", "20"], 100_000, 200_000, 68),
     (["norms", "--config", "configs/norms.ini", "--steps", "4"],
      40_000, 80_000, 108)],
-    ids=["value", "sens", "secondorder", "example1", "norms"])
+    ids=["value", "sens", "example1", "norms"])
 def test_bytes_a_path(argv, m1, m2, bound):
     assert bytes_per_path(argv, m1, m2) <= bound

@@ -32,9 +32,8 @@ SMALL = ["--paths", "2000", "--steps", "32"]
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # every command writes <stem>.csv and <stem>_summary.txt
-STEM = {"value": "surface", "sens": "sens", "secondorder": "secondorder",
-        "norms": "norms", "h1check": "h1", "example1": "example1",
-        "example2": "example2"}
+STEM = {"value": "surface", "sens": "sens", "norms": "norms",
+        "h1check": "h1", "example1": "example1", "example2": "example2"}
 
 # (command, config, exit code, CSV digest, summary digest); every summary
 # with a verdict was re-recorded when each verdict became one Check: main
@@ -67,28 +66,22 @@ GOLDEN = [
     # 1.1e-5 relative.  CSV re-recorded when ito sums of adapted tables
     # came to be read off per-regime increment sums: only se_fd moved, by
     # at most 1.4e-16 relative, and the strong row's tolerance, by 1.7e-14;
-    # the summary held
+    # the summary held.  Summary re-recorded when sens took over the
+    # residual decay checks of the deleted secondorder command: one line
+    # states them, and four check lines give the slopes of the weak and
+    # strong curves at +eps and -eps (2.00267, 1.99787, 2, 2: ok); the CSV
+    # held
     ("sens", "example1", 0,
      "91f3bc0f86cf29c486251a6c7583bfd9b27e9481c7f772805d5b6d0d1d8aa587",
-     "429c3ae44084655220e715e0851e999a02db3b77379e1704aedb6ad438567384"),
+     "02b9189c0cc940091fe955176ad3656c670e7fb9264e6e501b8c99311d8c5a14"),
     # summary re-recorded when sens began to state weak - strong for a
     # deterministic market and direction, one line (-0.0167947, 2.33
-    # sigma: ok); the CSV held
+    # sigma: ok); the CSV held.  Summary re-recorded with the four residual
+    # decay checks, as for example1 (2.00152, 1.9985, 2.00101, 1.999: ok);
+    # the CSV held
     ("sens", "deterministic2d", 0,
      "805907b2880bc6c022eea4849410aa9c466fc050ada22679f37811df06515c3d",
-     "c278df8e1c136db627622bed6a0735318c6ba093e6d037ad0e19b4a9d20e026f"),
-    # re-recorded when the decay check moved from the below-tangent part
-    # to |residual|: only the slope and vacuous columns changed
-    # CSV re-recorded when quad and time sums of adapted tables came to be
-    # read off regime counts: slopes moved by at most 6.4e-15 relative and
-    # residuals, differences of nearly equal values, by 9.0e-14; the
-    # summary held
-    ("secondorder", "example1", 0,
-     "9b6fd24f7411815a98f2a2d71c0273f9f190bac2b99190b1ec58602b9e32c234",
-     "be2876b2186d89388edf9623b8caaccee4697ecf13c73b1b49bbec18e3ac53e7"),
-    ("secondorder", "deterministic2d", 0,
-     "e966b6bf56fe00b061dd3f7b6370462095a554a6a8a785379895015c19ea7a7f",
-     "2f1eb92ea6e9650256e70a2628cb6a2faf3e6c85befb0e26144528d9ed02693f"),
+     "f906088293723ece7797365bc1a89f69426741a0d9a15a850d4c6c50a4481b05"),
     ("norms", "example1", 2, None, None),  # log utility: refused, no CSV
     ("norms", "deterministic2d", 0,
      "9130ca4e6d905338f4313537501db7cfa913ba95e0200f32a94b2f2d190b5fc9",
@@ -183,8 +176,8 @@ def test_exit_code_and_verdict_columns_follow_the_checks(
         capsys, generated):
     # main exits 3 iff a summary check line fails, and 2 only for a
     # refusal, which draws no path.  Each verdict cell of the CSV is its
-    # check's, in row order: secondorder's one decay check stands on every
-    # row, and sens's weak - strong check has no row
+    # check's, in row order: sens's weak - strong and residual decay checks
+    # have no row
     argv = command_argv(command, config) + SMALL + ["--out", str(tmp_path)]
     assert main(argv) == code
     assert code != 2 or sum(generated) == 0
@@ -201,9 +194,8 @@ def test_exit_code_and_verdict_columns_follow_the_checks(
     cells = [rec[col] == "true" for rec in records
              for col in ("verdict", "ok", "passed") if rec.get(col)]
     want = [ok for line, ok in checks
-            if not (command == "sens" and line.startswith("  weak - strong"))]
-    if command == "secondorder":
-        want *= len(records)
+            if not (command == "sens" and line.startswith(
+                ("  weak - strong", "  log-log slope of |residual|")))]
     assert cells == want
 
 

@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from portsens import sensitivity
+from portsens.cli import load_config
 from portsens.estimate import Check, ConfigError, combine_linear, mean_estimate
 from portsens.market import MarketModel, constant, dlambda_direction
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (_example1_model, example1_report,
                                   example2_reports, fd_sensitivity,
-                                  residual_decay, second_order_check,
-                                  sensitivity_pair, sensitivity_reports)
+                                  residual_decay, sensitivity_pair,
+                                  sensitivity_reports)
 from portsens.utility import custom_utility, log_utility, power_utility
 from portsens.valuation import PerturbationSpec, SurfaceRow, value_surface
 
@@ -95,8 +97,8 @@ def test_coefficient_and_mpr_directions_agree_pathwise(det2d_model, det_ens):
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
     pert = PerturbationSpec(dmu=DMU2, drate=DRATE)
-    weak, strong = sensitivity_reports(det2d_model, power_utility(3.0),
-                                       pert, det_ens)
+    (weak, strong), _ = sensitivity_reports(det2d_model, power_utility(3.0),
+                                            pert, det_ens)
     rep = weak if side == "weak" else strong
     assert rep.side == side
     assert rep.check.passed, rep.check.line()
@@ -106,8 +108,8 @@ def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
                                                    side):
-    weak, strong = sensitivity_reports(switch_model, log_utility(),
-                                       UNIT_DRIFT, switch_ens)
+    (weak, strong), _ = sensitivity_reports(switch_model, log_utility(),
+                                            UNIT_DRIFT, switch_ens)
     rep = weak if side == "weak" else strong
     assert rep.check.passed, rep.check.line()
 
@@ -215,52 +217,83 @@ def test_example2_discrepancy():
         < 3.0 * adapted.se + 0.02
 
 
+def decay_inputs(monkeypatch, *args, **kwargs):
+    """The (eps, base, curve, deriv, label) of every ``residual_decay`` call
+    that ``sensitivity_reports(*args, **kwargs)`` makes, in call order
+    (weak +eps, weak -eps, strong +eps, strong -eps), and its decay
+    reports."""
+    calls, decay = [], sensitivity.residual_decay
+
+    def recorded(*call):
+        calls.append(call)
+        return decay(*call)
+
+    monkeypatch.setattr(sensitivity, "residual_decay", recorded)
+    _, decays = sensitivity_reports(*args, **kwargs)
+    assert [call[4] for call in calls] == ["[weak, +eps]", "[weak, -eps]",
+                                          "[strong, +eps]", "[strong, -eps]"]
+    return calls, decays
+
+
 def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
-        det2d_model):
-    # the deterministic2d curve lies above its tangent, so no residual has
-    # a below-tangent part; the check fits |residual| and still fails a
-    # derivative 0.05 off, whose residual turns first order
+        det2d_model, monkeypatch):
+    # both deterministic2d curves lie above their tangents on both sides;
+    # each decay check fits |residual| and still fails a derivative 0.05
+    # off, whose residual turns first order
     u, pert = power_utility(3.0), PerturbationSpec(dmu=DMU2, drate=DRATE)
     ens = PathEnsemble(TimeGrid(1.0, 32), n=2, count=2000, seed=11)
-    rep = second_order_check(det2d_model, u, pert, ens)
-    assert all(v == 0.0 for v in rep.negative_parts)
-    assert not rep.vacuous and rep.check.passed and 1.9 < rep.slope < 2.1
-    rows = value_surface(det2d_model, u, pert, (0.0,) + rep.eps, ens)
-    base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
-    deriv, _ = sensitivity_pair(det2d_model, u, pert, ens)
-    assert residual_decay(rep.eps, base, curve, deriv.mean).slope \
-        == rep.slope
-    off = residual_decay(rep.eps, base, curve, deriv.mean - 0.05)
-    assert not off.vacuous and not off.check.passed
-    assert 0.9 < off.slope < 1.2
+    calls, decays = decay_inputs(monkeypatch, det2d_model, u, pert, ens,
+                                 eps=(0.2, 0.1, 0.05, 0.025))
+    for (eps, base, curve, deriv, label), rep in zip(calls, decays):
+        assert eps == (0.025, 0.05, 0.1, 0.2)
+        assert all(v - base - e * deriv > 0.0 for e, v in zip(eps, curve))
+        assert not rep.vacuous and rep.check.passed and 1.9 < rep.slope < 2.1
+        off = residual_decay(eps, base, curve, deriv - 0.05, label)
+        assert not off.vacuous and not off.check.passed
+        assert 0.9 < off.slope < 1.2
 
 
 def test_second_order_check_refuses_bad_steps(switch_model, generated):
-    # the expansion steps are checked as the difference steps are, each by
-    # its library entry point, before any path is drawn
+    # the difference steps, which the decay checks read too, are refused
+    # before any path is drawn
     ens = PathEnsemble(TimeGrid(1.0, 8), n=1, count=10, seed=1)
-    for check in (second_order_check, sensitivity_reports):
-        for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,)):
-            with pytest.raises(ValueError, match="positive step"):
-                check(switch_model, log_utility(), UNIT_DRIFT, ens, eps=eps)
+    for eps in ((0.0, 0.1), (-0.1, 0.2), (0.1,), (0.1, 0.1)):
+        with pytest.raises(ConfigError, match="positive step"):
+            sensitivity_reports(switch_model, log_utility(), UNIT_DRIFT, ens,
+                                eps=eps)
     assert sum(generated) == 0
 
 
-def test_second_order_check_fails_with_an_off_derivative(switch_model):
-    # at T = 4 the weak curve bends below its tangent, so the decay check
-    # is not vacuous; handed a derivative 0.05 off, the residual turns
-    # first order and the fitted slope drops to about 1
+def test_second_order_check_fails_with_an_off_derivative(switch_model,
+                                                         monkeypatch):
+    # at T = 4 the weak curve bends below its tangent on both sides, so no
+    # decay check is vacuous; handed a derivative 0.05 off, the weak
+    # residual turns first order and the fitted slope drops to about 1
     ens = PathEnsemble(TimeGrid(4.0, 400), n=1, count=30000, seed=505)
-    eps = (0.00625, 0.0125, 0.025, 0.05)
-    rows = value_surface(switch_model, log_utility(), UNIT_DRIFT,
-                         (0.0,) + eps, ens)
-    base, curve = rows[0].weak.mean, [r.weak.mean for r in rows[1:]]
-    deriv, _ = sensitivity_pair(switch_model, log_utility(), UNIT_DRIFT, ens)
-    good = residual_decay(eps, base, curve, deriv.mean)
-    assert not good.vacuous and good.slope >= 1.8 and good.check.passed
-    off = residual_decay(eps, base, curve, deriv.mean + 0.05)
-    assert not off.vacuous and not off.check.passed
-    assert 0.9 < off.slope < 1.2
+    calls, decays = decay_inputs(monkeypatch, switch_model, log_utility(),
+                                 UNIT_DRIFT, ens,
+                                 eps=(0.00625, 0.0125, 0.025, 0.05))
+    assert all(not rep.vacuous and rep.check.passed for rep in decays)
+    for eps, base, curve, deriv, label in calls[:2]:
+        assert all(v - base - e * deriv < 0.0 for e, v in zip(eps, curve))
+        off = residual_decay(eps, base, curve, deriv + 0.05, label)
+        assert not off.vacuous and not off.check.passed
+        assert 0.9 < off.slope < 1.2
+
+
+def test_minus_eps_catches_an_off_derivative_that_plus_eps_passes(
+        monkeypatch):
+    # on configs/example1.ini at 2000 x 32 a weak derivative 2% high
+    # leaves a first-order residual that partly cancels the curvature at
+    # +eps, where the slope rises to about 3.5, and adds to it at -eps,
+    # where it falls to about 1.55: only the -eps side fails it
+    cfg = load_config("configs/example1.ini", {"paths": 2000, "steps": 32})
+    calls, _ = decay_inputs(monkeypatch, cfg.model, cfg.utility, cfg.pert,
+                            cfg.ensemble)
+    plus, minus = (residual_decay(eps, base, curve, 1.02 * deriv, label)
+                   for eps, base, curve, deriv, label in calls[:2])
+    assert plus.check.passed and 3.3 < plus.slope < 3.7
+    assert not minus.check.passed and 1.4 < minus.slope < 1.7
 
 
 def test_second_order_report_slope_threshold():
@@ -268,10 +301,10 @@ def test_second_order_report_slope_threshold():
     # the check vacuous, which passes
     eps = (0.05, 0.1)
     for k, ok in ((2.0, True), (1.9, True), (1.2, False)):
-        rep = residual_decay(eps, 0.0, [-e ** k for e in eps], 0.0)
+        rep = residual_decay(eps, 0.0, [-e ** k for e in eps], 0.0, "[k]")
         assert not rep.vacuous and rep.slope == pytest.approx(k)
         assert rep.check.passed == ok
-    rep = residual_decay(eps, 1.0, [1.0, 1.0], 0.0)
+    rep = residual_decay(eps, 1.0, [1.0, 1.0], 0.0, "[flat]")
     assert rep.vacuous and rep.check.passed
 
 
