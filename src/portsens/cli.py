@@ -225,12 +225,10 @@ def _writable(outdir: str) -> str:
     return outdir
 
 
-def _need(cfg: ExperimentConfig, what: str):
-    name = {"model": "[market]", "utility": "[utility]",
-            "pert": "[perturbation]", "ensemble": "[mc]"}[what]
-    val = getattr(cfg, what)
+def _need(val, section: str):
+    """``val``, the part of the config that ``section`` builds, if given."""
     if val is None:
-        raise ConfigError(f"this command needs a {name} section")
+        raise ConfigError(f"this command needs a {section} section")
     return val
 
 
@@ -238,8 +236,8 @@ def _perturbed(args, title: str):
     """What ``value`` and ``sens`` read: the config, its model, utility and
     direction, the ensemble, and the summary heading."""
     cfg = load_config(args.config, vars(args))
-    model, u, pert, ens = (_need(cfg, w)
-                           for w in ("model", "utility", "pert", "ensemble"))
+    model, u = _need(cfg.model, "[market]"), _need(cfg.utility, "[utility]")
+    pert, ens = _need(cfg.pert, "[perturbation]"), _need(cfg.ensemble, "[mc]")
     heading = (f"{title}: utility={u.label} direction={pert.label} "
                f"paths={ens.count} steps={ens.grid.steps} "
                f"horizon={ens.grid.horizon:g} seed={ens.seed}")
@@ -329,7 +327,7 @@ def cmd_sens(args) -> _Result:
                      "strong")
         checks.append(Check("weak - strong", "sigmas", gap.mean, 0.0, 3.0,
                             gap.se))
-    checks += [rep.check for rep in decays]
+    checks += decays
     return _Result(cfg.outdir, "sens", SENS_HEADER, rows, lines, checks)
 
 
@@ -339,25 +337,20 @@ EXAMPLE1_HEADER = ["horizon", "side", "estimate", "se", "expected",
 
 def cmd_example1(args) -> _Result:
     outdir = _writable(args.out)
-    rep = example1_report(T=args.T, M=args.paths, N=args.steps,
-                          seed=args.seed)
-    gap = rep.gap
-    # fixed tolerances on each side; the gap must be negative and clearly
-    # resolved
-    checks = [Check("strong", "within", rep.strong.mean, rep.expected_strong,
-                    0.01, rep.strong.se),
-              Check("weak", "within", rep.weak.mean, rep.expected_weak,
-                    0.015, rep.weak.se),
-              Check("weak - strong", "below", gap.mean, 0.0, 5.0, gap.se)]
+    checks = strong, weak, gap = example1_report(T=args.T, M=args.paths,
+                                                 N=args.steps, seed=args.seed)
+    expected_gap = weak.reference - strong.reference
     rows = [[_r(args.T), side, _r(c.value), _r(c.se), _r(c.reference),
              _r(c.error), _r(c.bound), _flag(c.passed), args.seed]
-            for side, c in zip(("strong", "weak"), checks)]
-    rows.append([_r(args.T), "gap", _r(gap.mean), _r(gap.se),
-                 _r(rep.expected_gap), _r(abs(gap.mean - rep.expected_gap)),
-                 _r(5.0 * gap.se), _flag(checks[2].passed), args.seed])
+            for side, c in (("strong", strong), ("weak", weak))]
+    # the gap check is in standard errors of zero; its row reads the
+    # expected gap and the bound in units of the estimate
+    rows.append([_r(args.T), "gap", _r(gap.value), _r(gap.se),
+                 _r(expected_gap), _r(abs(gap.value - expected_gap)),
+                 _r(gap.bound * gap.se), _flag(gap.passed), args.seed])
     lines = [f"sign-switching market, unit drift direction: T={args.T:g} "
              f"paths={args.paths} steps={args.steps} seed={args.seed}",
-             f"  expected weak - strong = {rep.expected_gap:.6g}"]
+             f"  expected weak - strong = {expected_gap:.6g}"]
     return _Result(outdir, "example1", EXAMPLE1_HEADER, rows, lines, checks)
 
 
@@ -366,12 +359,8 @@ EXAMPLE2_HEADER = ["case", "value", "se", "sigmas", "verdict", "seed"]
 
 def cmd_example2(args) -> _Result:
     outdir = _writable(args.out)
-    det, adapted = example2_reports(T=args.T, M=args.paths, N=args.steps,
-                                    seed=args.seed)
-    checks = [Check("deterministic price of risk", "sigmas", det.mean, 0.0,
-                    3.0, det.se),
-              Check("adapted price of risk", "above", adapted.mean, 0.0,
-                    3.0, adapted.se)]
+    checks = example2_reports(T=args.T, M=args.paths, N=args.steps,
+                              seed=args.seed)
     rows = [[case, _r(c.value), _r(c.se), _r(c.sigmas), _flag(c.passed),
              args.seed]
             for case, c in zip(("deterministic", "adapted"), checks)]
@@ -385,10 +374,11 @@ H1_HEADER = ["tau", "full_rank", "kernel_equal", "ok"]
 
 def cmd_h1check(args) -> _Result:
     cfg = load_config(args.config, vars(args))
-    model, pert = _need(cfg, "model"), _need(cfg, "pert")
+    model = _need(cfg.model, "[market]")
+    pert = _need(cfg.pert, "[perturbation]")
     if pert.dsigma is None:
         raise ConfigError("h1check needs a dsigma direction")
-    grid = _need(cfg, "ensemble")
+    grid = _need(cfg.ensemble, "[mc]")
     grid = grid if isinstance(grid, TimeGrid) else grid.grid
     taus = [t for t in (cfg.taus or (1.0,)) if t != 0.0]
     if not taus:
@@ -412,7 +402,8 @@ NORMS_HEADER = ["quantity", "value", "se", "verdict", "seed"]
 
 def cmd_norms(args) -> _Result:
     cfg = load_config(args.config, vars(args))
-    model, u, ens = (_need(cfg, w) for w in ("model", "utility", "ensemble"))
+    model, u = _need(cfg.model, "[market]"), _need(cfg.utility, "[utility]")
+    ens = _need(cfg.ensemble, "[mc]")
     if u.kind != "power":
         raise ConfigError(f"norms needs a power utility, got {u.label}: "
                           "U^{-1}(|Z|) is the optimal wealth only where "
@@ -445,7 +436,7 @@ def cmd_norms(args) -> _Result:
         ["amemiya_bound", _r(bound), "", "", ens.seed],
         ["norm_I_pricing_density", _r(hold.norm_i), "", "", ens.seed],
         ["norm_J_optimal_wealth", _r(hold.norm_j), "", "", ens.seed],
-        ["holder_lhs", _r(hold.lhs), "", hold_ok, ens.seed],
+        ["holder_lhs", _r(hold.check.value), "", hold_ok, ens.seed],
         ["holder_rhs", _r(hold.rhs), "", "", ens.seed],
     ]
     lines = [f"modular norms: utility={u.label} family size {len(family)} "
@@ -479,10 +470,10 @@ def cmd_danskin(args) -> _Result:
     if args.delta is not None:
         probe = hadamard_probe(d, _floats(args.delta), K)
         checks = [probe.check]
-        deriv_cols = [_r(probe.derivative), _r(probe.max_gap),
+        deriv_cols = [_r(probe.check.reference), _r(probe.max_gap),
                       _r(probe.check.bound), _flag(probe.check.passed)]
         lines.append(f"  derivative toward {args.delta}: "
-                     f"{probe.derivative:.12g}")
+                     f"{probe.check.reference:.12g}")
     row = [_r(res.value), arg_text, _r(res.radius)] + deriv_cols
     return _Result(outdir, "danskin", DANSKIN_HEADER, [row], lines, checks)
 

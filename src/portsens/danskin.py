@@ -95,9 +95,9 @@ def directional_derivative(d_base, delta, K: CompactSet) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HadamardReport:
-    """Difference quotients along a converging sequence of directions."""
+    """Difference quotients along a converging sequence of directions; the
+    check's reference is the directional derivative."""
 
-    derivative: float
     quotients: tuple
     taus: tuple
     max_gap: float
@@ -138,8 +138,8 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
     drift = float(np.linalg.norm(directions[-1] - delta))
     tol = K.radius * drift + 1e-9 * (1.0 + abs(deriv))
     gaps = [abs(qt - deriv) for qt in quotients]
-    return HadamardReport(derivative=deriv, quotients=tuple(quotients),
-                          taus=tuple(taus), max_gap=max(gaps),
+    return HadamardReport(quotients=tuple(quotients), taus=tuple(taus),
+                          max_gap=max(gaps),
                           check=Check("last difference quotient", "within",
                                       quotients[-1], deriv, tol, None))
 

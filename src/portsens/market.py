@@ -85,10 +85,6 @@ class CoefficientProcess:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape[1:]
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self.kind == "piecewise"
-
     def evaluate(self, grid: TimeGrid, W: np.ndarray | None = None) -> np.ndarray:
         """Per-node values: (N, *shape) if deterministic, else (B, N, *shape).
 
@@ -128,7 +124,7 @@ def deterministic(*procs: CoefficientProcess | None) -> bool:
     an absent direction.  A market and directions that all are make the
     minimal measure the dual optimizer and the weak and strong
     sensitivities equal."""
-    return all(p is None or p.is_deterministic for p in procs)
+    return all(p is None or p.kind == "piecewise" for p in procs)
 
 
 def check_drivers(n: int, *procs: CoefficientProcess | None) -> None:
@@ -353,9 +349,9 @@ def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray,
     """lambda = sigma^T (sigma sigma^T)^{-1} (mu - r 1) from coefficients.
 
     mu_v is (..., d), sigma_v (..., d, n), rate_v (..., 1); leading axes
-    (regimes or nodes) broadcast.  Raises ConfigError when the Gram matrix
-    is singular or its condition number exceeds the cap at any of them;
-    d = 1 passes the same gate.
+    index regimes and broadcast as in np.linalg.solve.  Raises ConfigError
+    when the Gram matrix is singular or its condition number exceeds the
+    cap at any of them; d = 1 passes the same gate.
     """
     excess = mu_v - rate_v
     S = sigma_v @ np.swapaxes(sigma_v, -1, -2)
@@ -364,9 +360,7 @@ def mpr_from_values(mu_v: np.ndarray, sigma_v: np.ndarray,
     if not worst < _COND_CAP:
         raise ConfigError(
             f"sigma sigma^T condition {worst:g} exceeds cap {_COND_CAP:g}")
-    excess_b = np.broadcast_arrays(excess, S[..., 0])[0]
-    x = np.linalg.solve(np.broadcast_to(S, excess_b.shape + (S.shape[-1],)),
-                        excess_b[..., None])[..., 0]
+    x = np.linalg.solve(S, excess[..., None])[..., 0]
     return np.einsum("...dn,...d->...n", sigma_v, x)
 
 

@@ -236,10 +236,9 @@ def amemiya_norm(F, Z) -> float:
 
 @dataclass(frozen=True)
 class HolderReport:
-    lhs: float  # |mean(Y Z)|
     norm_i: float  # norm_I(Y)
     norm_j: float  # norm_J(Z)
-    check: Check  # lhs at most rhs, up to a relative rounding slack
+    check: Check  # |mean(Y Z)| at most rhs, up to a relative rounding slack
 
     @property
     def rhs(self) -> float:
@@ -250,6 +249,6 @@ def holder_check(Y, Z, p: float, logs: np.ndarray) -> HolderReport:
     """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
     lhs = abs(float(np.mean(Y * Z)))
     ni, nj = norm_I(Y, p, logs), norm_J(Z, p, logs)
-    return HolderReport(lhs=lhs, norm_i=ni, norm_j=nj, check=Check(
+    return HolderReport(norm_i=ni, norm_j=nj, check=Check(
         "holder pairing |mean(Y Z)|", "at most", lhs,
         ni * nj * (1.0 + _HOLDER_SLACK), 0.0, None))

@@ -24,11 +24,11 @@ to fine, removes one more even power of the step per column
 derivative: the residual u(tau) - u(0) - tau D must vanish at second order
 on both sides of tau = 0 (``residual_decay``).
 
-Two classical pitfalls are packaged as reports: the drift example where
-the weak and strong sensitivities genuinely differ (an adapted price of
-risk reacts to the tilted paths), and the discrepancy functional showing
-that the base-point derivative formula cannot be transported to perturbed
-points when the price of risk is adapted.
+Two classical pitfalls come as checks, each with its reference and bound:
+the drift example where the weak and strong sensitivities genuinely differ
+(an adapted price of risk reacts to the tilted paths), and the discrepancy
+functional showing that the base-point derivative formula cannot be
+transported to perturbed points when the price of risk is adapted.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
                         eps: tuple = DIFFERENCE_STEPS) \
         -> tuple[tuple[SensitivityReport, SensitivityReport],
-                 tuple[SecondOrderReport, ...]]:
+                 tuple[Check, ...]]:
     """(weak, strong) closed-form sensitivities against the Richardson
     differences over every step of ``eps``, and the residual decay of each
     value curve on each side, from one path pass.
@@ -249,7 +249,7 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
     point floor: when the curve is exactly quadratic in tau the difference
     reproduces the formula path by path and only rounding noise remains.
 
-    The decay reports, weak +eps, weak -eps, strong +eps and strong -eps,
+    The decay checks, weak +eps, weak -eps, strong +eps and strong -eps,
     fit the residual u(tau) - u(0) - tau D of each value curve and its
     formula D at tau = +eps and at tau = -eps (``residual_decay`` over the
     steps with D and with -D); u(0) is read off the sensitivity sums.
@@ -290,51 +290,45 @@ def _example1_model() -> tuple[MarketModel, PerturbationSpec]:
     return model, PerturbationSpec(dmu=constant([1.0]), label="unit-drift")
 
 
-@dataclass(frozen=True, eq=False)
-class Example1Report:
-    """Weak and strong drift sensitivities of the sign-switching market.
+def example1_report(T: float, M: int, N: int, seed: int) \
+        -> tuple[Check, Check, Check]:
+    """The strong, weak and weak - strong drift sensitivities of the
+    sign-switching market against their closed forms.
 
     The strong sensitivity is T/2: the perturbation only matters while the
     price of risk is on, which happens half the time.  The weak one is
     smaller by T^{3/2} / (3 sqrt(2 pi)): tilting the measure moves the
     paths, and the price of risk switches off exactly where the tilt
-    pushes them.
+    pushes them.  Each side passes within a fixed absolute error, and the
+    gap, weak minus strong on the same paths, must lie more than 5
+    standard errors below zero; the expected gap is the weak reference
+    minus the strong one.
     """
-
-    weak: ValueEstimate
-    strong: ValueEstimate
-    gap: ValueEstimate  # weak minus strong, on the same paths
-    expected_weak: float
-    expected_strong: float
-
-    @property
-    def expected_gap(self) -> float:
-        return self.expected_weak - self.expected_strong
-
-
-def example1_report(T: float, M: int, N: int, seed: int) -> Example1Report:
     model, pert = _example1_model()
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
     weak, strong = sensitivity_pair(model, ut.log_utility(), pert, ensemble)
-    return Example1Report(
-        weak=weak, strong=strong,
-        gap=combine_linear([weak, strong], [1.0, -1.0],
-                           f"weak-minus-strong[{pert.label}]"),
-        expected_weak=T / 2.0 - T ** 1.5 / (3.0 * math.sqrt(2.0 * math.pi)),
-        expected_strong=T / 2.0)
+    gap = combine_linear([weak, strong], [1.0, -1.0],
+                         f"weak-minus-strong[{pert.label}]")
+    return (Check("strong", "within", strong.mean, T / 2.0, 0.01, strong.se),
+            Check("weak", "within", weak.mean,
+                  T / 2.0 - T ** 1.5 / (3.0 * math.sqrt(2.0 * math.pi)),
+                  0.015, weak.se),
+            Check("weak - strong", "below", gap.mean, 0.0, 5.0, gap.se))
 
 
 def example2_reports(T: float, M: int, N: int, seed: int) \
-        -> tuple[ValueEstimate, ValueEstimate]:
-    """(deterministic, adapted) values of the discrepancy functional
+        -> tuple[Check, Check]:
+    """(deterministic, adapted) checks of the discrepancy functional
     E[ exp(int lambda dW + int |lambda|^2 dt / 2) *
     (int Dlambda dW - int lambda^T Dlambda dt) ] from one pass over shared
     paths: the obstruction to reusing the base-point derivative formula at
     a perturbed point (square-root utility normalization).
 
     Both take Dlambda = -1.  The deterministic case takes lambda = 1 and
-    vanishes, as for every deterministic price of risk; the adapted case
-    takes lambda = 1 on {W < 0} and is strictly positive.
+    vanishes, as for every deterministic price of risk: it must lie within
+    3 standard errors of zero.  The adapted case takes lambda = 1 on
+    {W < 0} and is strictly positive: more than 3 standard errors above
+    zero.
     """
     ensemble = PathEnsemble(TimeGrid(T, N), n=1, count=M, seed=seed)
     direction = constant([-1.0])
@@ -349,35 +343,29 @@ def example2_reports(T: float, M: int, N: int, seed: int) \
                      f"{case}.q11": ("quad", lam, lam),
                      f"{case}.dq": ("quad", lam, dlam)})
     s = path_sums(ensemble, regimes, sums)
-    return tuple(mean_estimate(
+    det, adapted = (mean_estimate(
         np.exp(s[f"{case}.s1"] + 0.5 * s[f"{case}.q11"])
         * (s["s2"] - s[f"{case}.dq"]), "discrepancy") for case, _ in cases)
+    return (Check("deterministic price of risk", "sigmas", det.mean, 0.0,
+                  3.0, det.se),
+            Check("adapted price of risk", "above", adapted.mean, 0.0, 3.0,
+                  adapted.se))
 
 
 # ---------------------------------------------------------------------------
 # second-order expansion quality
 
-@dataclass(frozen=True, eq=False)
-class SecondOrderReport:
+def residual_decay(eps, base: float, curve, deriv: float,
+                   label: str) -> Check:
     """How fast the first-order residual of a value curve vanishes.
 
     The residual u(eps) - u(0) - eps * D of the first-order expansion must
     be second order in eps for D to be the derivative; a wrong D leaves a
-    first-order residual on either side of the tangent.  The report fits a
-    log-log slope to |residual| over the steps where it exceeds the
-    numerical floor; with fewer than two such steps the check is vacuous
-    and the slope reported as infinity.  The check passes a slope of at
-    least 1.8, so a vacuous one.
-    """
-
-    slope: float
-    vacuous: bool
-    check: Check
-
-
-def residual_decay(eps, base: float, curve, deriv: float,
-                   label: str) -> SecondOrderReport:
-    """Decay of |curve[i] - base - eps[i] * deriv| with the step.
+    first-order residual on either side of the tangent.  The check's value
+    is the log-log slope of |curve[i] - base - eps[i] * deriv| in the step
+    over the steps where it exceeds the numerical floor; with fewer than
+    two such steps the check is vacuous and its value infinity.  It passes
+    a slope of at least 1.8, so a vacuous one.
 
     ``curve`` holds the values at the increasing steps ``eps``; ``label``
     ends the check's name.
@@ -386,13 +374,10 @@ def residual_decay(eps, base: float, curve, deriv: float,
     floor = 1e-12 * max(scale, 1.0)
     pts = [(e, abs(v - base - e * deriv)) for e, v in zip(eps, curve)]
     pts = [p for p in pts if p[1] > floor]
-    if len(pts) < 2:
-        slope, vacuous = math.inf, True
-    else:
+    slope = math.inf
+    if len(pts) >= 2:
         xs = np.log([p[0] for p in pts])
         ys = np.log([p[1] for p in pts])
-        slope, vacuous = float(np.polyfit(xs, ys, 1)[0]), False
-    return SecondOrderReport(
-        slope=slope, vacuous=vacuous,
-        check=Check(f"log-log slope of |residual| {label}", "at least",
-                    slope, 1.8, 0.0, None))
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    return Check(f"log-log slope of |residual| {label}", "at least", slope,
+                 1.8, 0.0, None)

@@ -1,8 +1,8 @@
 """Every public top-level function and class in the package serves a command
 or a script: some other code in ``src/portsens`` or ``scripts`` names it.
-Every public method and property of a public class is reached there
-through an attribute access.  Likewise every default serves a setting that
-some command or script varies: a call in that code sets it.
+Every public method, property and field of a public class is reached
+there through an attribute access.  Likewise every default serves a
+setting that some command or script varies: a call in that code sets it.
 
 Tests do not count as callers, so a helper or a setting that only tests
 exercise fails here.  An attribute of a module alias, such as
@@ -131,6 +131,40 @@ ALLOWED_METHODS = {
 def test_every_public_method_has_a_caller():
     # an allowed method that gains a caller leaves the list too
     assert unreached_methods(_sources()) == sorted(ALLOWED_METHODS)
+
+
+def unread_fields(files) -> list:
+    """"Class.field" of every annotated field of a public top-level class
+    whose name no attribute read in ``files`` names."""
+    fields, read = [], set()
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = _module_aliases(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and not _on_alias(node, aliases)}
+        fields += [(node.name, sub.target.id) for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and not node.name.startswith("_")
+                   for sub in node.body if isinstance(sub, ast.AnnAssign)]
+    return sorted(f"{cls}.{name}" for cls, name in fields
+                  if name not in read)
+
+
+# "Class.field" -> why it stays although no command or script reads it
+ALLOWED_FIELDS = {
+    "PathEnsemble.scheme": "read by the benchmark's environment probe",
+    "HadamardReport.quotients": "the approach sequences that the danskin "
+                                "tests inspect",
+}
+
+
+def test_every_public_field_is_read():
+    # a field that only its constructor sets restates another or carries
+    # nothing a command reports; an allowed field that gains a reader
+    # leaves the list too
+    assert unread_fields(_sources()) == sorted(ALLOWED_FIELDS)
 
 
 # "function.parameter" or "Dataclass.field" -> why its default stays

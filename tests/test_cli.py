@@ -1003,6 +1003,15 @@ def test_docs_list_exactly_the_commands():
             if not line.startswith(" ")] == names
 
 
+def test_readme_python_examples_run():
+    # every fenced python block of the README runs as written
+    blocks = [block.split("\n```", 1)[0]
+              for block in load_text("README.md").split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["value"]) == 1

@@ -85,7 +85,7 @@ def test_hadamard_probe_constant_directions():
                          directions=[[1.0, -1.0]] * 4,
                          taus=(0.25, 0.125, 0.0625, 0.03125))
     # no direction drift: the last quotients equal the derivative exactly
-    assert rep.derivative == 1.0
+    assert rep.check.reference == 1.0
     assert rep.quotients[-1] == 1.0
     assert rep.check.passed
 
@@ -96,8 +96,8 @@ def test_hadamard_quotient_bound_is_tight():
     K = CompactSet(np.array([[1.0, 0.0]]))
     rep = hadamard_probe([0.3, 0.7], [0.2, -0.4], K)
     drift = 1.0 / len(rep.taus) ** 2
-    assert rep.quotients[-1] - rep.derivative == pytest.approx(drift,
-                                                               rel=1e-12)
+    assert rep.quotients[-1] - rep.check.reference \
+        == pytest.approx(drift, rel=1e-12)
     assert rep.check.bound >= K.radius * drift
     assert rep.check.passed
 

@@ -1,5 +1,6 @@
 """Closed-form sensitivities against oracles, differences and each other."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -176,14 +177,15 @@ def test_custom_utility_rate_direction_refused(det2d_model, det_ens):
 
 
 def test_example1_sign_switching_gap():
-    rep = example1_report(T=1.0, M=30000, N=300, seed=503)
-    assert rep.expected_strong == 0.5
-    assert rep.expected_weak == pytest.approx(0.3670192398661891, rel=1e-12)
-    assert abs(rep.strong.mean - 0.5) < 3.0 * rep.strong.se + 0.005
-    assert abs(rep.weak.mean - rep.expected_weak) < 3.0 * rep.weak.se + 0.01
-    assert rep.gap.mean < 0.0
-    assert Check("gap", "below", rep.gap.mean, 0.0, 5.0, rep.gap.se).passed
-    assert abs(rep.gap.mean - rep.expected_gap) < 3.0 * rep.gap.se + 0.01
+    strong, weak, gap = example1_report(T=1.0, M=30000, N=300, seed=503)
+    assert strong.reference == 0.5
+    assert weak.reference == pytest.approx(0.3670192398661891, rel=1e-12)
+    assert abs(strong.value - 0.5) < 3.0 * strong.se + 0.005
+    assert abs(weak.value - weak.reference) < 3.0 * weak.se + 0.01
+    assert gap.value < 0.0
+    assert gap.passed and gap.sigmas > 5.0
+    expected_gap = weak.reference - strong.reference
+    assert abs(gap.value - expected_gap) < 3.0 * gap.se + 0.01
 
 
 def test_long_path_pass_holds_only_small_blocks():
@@ -206,14 +208,13 @@ def test_long_path_pass_holds_only_small_blocks():
 def test_example2_discrepancy():
     det, adapted = example2_reports(T=1.0, M=30000, N=500, seed=504)
     # deterministic price of risk: the functional vanishes identically
-    assert Check("det", "sigmas", det.mean, 0.0, 3.0, det.se).sigmas < 3.0
+    assert det.passed and det.sigmas < 3.0
     # adapted price of risk: strictly positive obstruction
-    assert adapted.mean > 0.0
-    assert Check("adapted", "above", adapted.mean, 0.0, 5.0,
-                 adapted.se).passed
+    assert adapted.value > 0.0
+    assert adapted.passed and adapted.sigmas > 5.0
     # independent Euler estimate at N=1000 sits at 0.3841 +- 0.0023; the
     # N=500 grid carries a visible positive step bias, allowed for here
-    assert abs(adapted.mean - 0.3841250605911561) \
+    assert abs(adapted.value - 0.3841250605911561) \
         < 3.0 * adapted.se + 0.02
 
 
@@ -221,7 +222,7 @@ def decay_inputs(monkeypatch, *args, **kwargs):
     """The (eps, base, curve, deriv, label) of every ``residual_decay`` call
     that ``sensitivity_reports(*args, **kwargs)`` makes, in call order
     (weak +eps, weak -eps, strong +eps, strong -eps), and its decay
-    reports."""
+    checks, whose value is the fitted slope, infinite if vacuous."""
     calls, decay = [], sensitivity.residual_decay
 
     def recorded(*call):
@@ -247,10 +248,9 @@ def test_second_order_check_fails_an_off_derivative_on_a_convex_curve(
     for (eps, base, curve, deriv, label), rep in zip(calls, decays):
         assert eps == (0.025, 0.05, 0.1, 0.2)
         assert all(v - base - e * deriv > 0.0 for e, v in zip(eps, curve))
-        assert not rep.vacuous and rep.check.passed and 1.9 < rep.slope < 2.1
+        assert rep.passed and 1.9 < rep.value < 2.1
         off = residual_decay(eps, base, curve, deriv - 0.05, label)
-        assert not off.vacuous and not off.check.passed
-        assert 0.9 < off.slope < 1.2
+        assert not off.passed and 0.9 < off.value < 1.2
 
 
 def test_second_order_check_refuses_bad_steps(switch_model, generated):
@@ -273,12 +273,11 @@ def test_second_order_check_fails_with_an_off_derivative(switch_model,
     calls, decays = decay_inputs(monkeypatch, switch_model, log_utility(),
                                  UNIT_DRIFT, ens,
                                  eps=(0.00625, 0.0125, 0.025, 0.05))
-    assert all(not rep.vacuous and rep.check.passed for rep in decays)
+    assert all(rep.passed and math.isfinite(rep.value) for rep in decays)
     for eps, base, curve, deriv, label in calls[:2]:
         assert all(v - base - e * deriv < 0.0 for e, v in zip(eps, curve))
         off = residual_decay(eps, base, curve, deriv + 0.05, label)
-        assert not off.vacuous and not off.check.passed
-        assert 0.9 < off.slope < 1.2
+        assert not off.passed and 0.9 < off.value < 1.2
 
 
 def test_minus_eps_catches_an_off_derivative_that_plus_eps_passes(
@@ -292,8 +291,8 @@ def test_minus_eps_catches_an_off_derivative_that_plus_eps_passes(
                             cfg.ensemble)
     plus, minus = (residual_decay(eps, base, curve, 1.02 * deriv, label)
                    for eps, base, curve, deriv, label in calls[:2])
-    assert plus.check.passed and 3.3 < plus.slope < 3.7
-    assert not minus.check.passed and 1.4 < minus.slope < 1.7
+    assert plus.passed and 3.3 < plus.value < 3.7
+    assert not minus.passed and 1.4 < minus.value < 1.7
 
 
 def test_second_order_report_slope_threshold():
@@ -302,10 +301,10 @@ def test_second_order_report_slope_threshold():
     eps = (0.05, 0.1)
     for k, ok in ((2.0, True), (1.9, True), (1.2, False)):
         rep = residual_decay(eps, 0.0, [-e ** k for e in eps], 0.0, "[k]")
-        assert not rep.vacuous and rep.slope == pytest.approx(k)
-        assert rep.check.passed == ok
+        assert rep.value == pytest.approx(k)
+        assert rep.passed == ok
     rep = residual_decay(eps, 1.0, [1.0, 1.0], 0.0, "[flat]")
-    assert rep.vacuous and rep.check.passed
+    assert rep.value == math.inf and rep.passed
 
 
 def test_gap_report_sides(det2d_model, det_ens, switch_model, switch_ens):
