@@ -65,10 +65,10 @@ class SupportResult:
     radius: float
 
 
-def _check_dim(d: np.ndarray, K: CompactSet) -> np.ndarray:
+def _check_dim(d, K: CompactSet, what: str = "direction") -> np.ndarray:
     d = np.asarray(d, dtype=float).ravel()
     if d.shape != (K.m,):
-        raise ConfigError(f"direction must have dimension {K.m}")
+        raise ConfigError(f"{what} must have dimension {K.m}")
     return d
 
 
@@ -89,7 +89,7 @@ def directional_derivative(d_base, delta, K: CompactSet) -> float:
     feel an infinitesimal change of direction.
     """
     res = support_value(d_base, K)
-    delta = _check_dim(delta, K)
+    delta = _check_dim(delta, K, "delta")
     return float(np.max(K.points[list(res.argmax)] @ delta))
 
 
@@ -115,7 +115,7 @@ def hadamard_probe(d_base, delta, K: CompactSet, directions=None,
     quotient is compared with a tolerance built from the drift of h_k.
     """
     d_base = _check_dim(d_base, K)
-    delta = _check_dim(delta, K)
+    delta = _check_dim(delta, K, "delta")
     if taus is None:
         taus = tuple(0.5 ** k for k in range(4, 14))
     if directions is None:

@@ -2,7 +2,7 @@
 
 Everything here is for the paper's model case, the positive-power utility
 U(x) = p x^{1/p} with p > 1, and takes its exponent p; q = p/(p-1).
-``portsens norms`` refuses every other utility before it gets here.
+``norms_report`` refuses every other utility before its pass.
 
 A market with price of risk lambda and null-space directions nu (sigma
 nu = 0 in every reachable regime) prices payoffs through the density family
@@ -35,20 +35,21 @@ note the Amemiya norm at k = 1 gives amemiya(J, U(X*)) <= 1 + J(U(X*)) =
 
 The functionals and norms take density samples, not an ensemble: the
 (family, M) array of log Y^nu that ``density_logs`` computes in one path
-pass.  A caller streams the paths once and evaluates every functional, norm
-and pairing on the same samples.
+pass.  ``norms_report`` streams the paths once and evaluates every
+functional, norm and pairing of ``portsens norms`` on the same samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from portsens import utility as ut
 from portsens.estimate import Check, ConfigError, ValueEstimate, mean_estimate
-from portsens.market import MarketModel, RegimeTable, mpr_table
+from portsens.market import MarketModel, RegimeTable, constant, mpr_table
 from portsens.paths import PathEnsemble, path_sums
+from portsens.solver import check_dual_optimizer, optimal_terminal_wealth
 
 _KERNEL_TOL = 1e-10  # largest |sigma nu| accepted, per max(1, |sigma| |nu|)
 _REL_TOL = 1e-12  # relative width at which the norm searches stop
@@ -98,26 +99,26 @@ def j_functional(Z, p: float, logs: np.ndarray) -> ValueEstimate:
                 for i, row in enumerate(logs)), key=lambda est: est.mean)
 
 
+def _family_norm(Z, r: float, tilt: float, logs, pick, name) -> float:
+    """(pick over family of mean Y^tilt |Z|^r)^{1/r} on density samples."""
+    vals = np.abs(Z)
+    with np.errstate(over="ignore"):
+        moments = [float(np.mean(np.exp(tilt * row) * vals**r))
+                   for row in logs]
+    if not all(math.isfinite(m) for m in moments):
+        raise RuntimeError(f"{name}-moment diverges on the sample")
+    return pick(moments) ** (1.0 / r)
+
+
 def norm_I(Z, p: float, logs: np.ndarray) -> float:
     """(min over family of mean Y^{1-q} |Z|^q)^{1/q} on density samples."""
     q = p / (p - 1.0)
-    vals = np.abs(Z)
-    with np.errstate(over="ignore"):
-        moments = [float(np.mean(np.exp((1.0 - q) * row) * vals**q))
-                   for row in logs]
-    if not all(math.isfinite(m) for m in moments):
-        raise RuntimeError("q-moment diverges on the sample")
-    return min(moments) ** (1.0 / q)
+    return _family_norm(Z, q, 1.0 - q, logs, min, "q")
 
 
 def norm_J(X, p: float, logs: np.ndarray) -> float:
     """(max over family of mean Y |X|^p)^{1/p} on density samples."""
-    vals = np.abs(X)
-    with np.errstate(over="ignore"):
-        moments = [float(np.mean(np.exp(row) * vals**p)) for row in logs]
-    if not all(math.isfinite(m) for m in moments):
-        raise RuntimeError("p-moment diverges on the sample")
-    return max(moments) ** (1.0 / p)
+    return _family_norm(X, p, 1.0, logs, max, "p")
 
 
 def j_evaluator(p: float, logs: np.ndarray):
@@ -234,21 +235,39 @@ def amemiya_norm(F, Z) -> float:
     return g(0.5 * (a + b))
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    norm_i: float  # norm_I(Y)
-    norm_j: float  # norm_J(Z)
-    check: Check  # |mean(Y Z)| at most rhs, up to a relative rounding slack
-
-    @property
-    def rhs(self) -> float:
-        return self.norm_i * self.norm_j
-
-
-def holder_check(Y, Z, p: float, logs: np.ndarray) -> HolderReport:
-    """|mean(Y Z)| <= norm_I(Y) * norm_J(Z), exact on the sample."""
+def holder_check(Y, Z, p: float, logs: np.ndarray) -> tuple:
+    """norm_I(Y), norm_J(Z) and the check |mean(Y Z)| <= their product."""
     lhs = abs(float(np.mean(Y * Z)))
     ni, nj = norm_I(Y, p, logs), norm_J(Z, p, logs)
-    return HolderReport(norm_i=ni, norm_j=nj, check=Check(
-        "holder pairing |mean(Y Z)|", "at most", lhs,
-        ni * nj * (1.0 + _HOLDER_SLACK), 0.0, None))
+    return ni, nj, Check("holder pairing |mean(Y Z)|", "at most", lhs,
+                         ni * nj * (1.0 + _HOLDER_SLACK), 0.0, None)
+
+
+def norms_report(model: MarketModel, u: ut.UtilitySpec, nu_family: tuple,
+                 ensemble: PathEnsemble) -> tuple:
+    """The Luxemburg norm of U(X*), norm_I of the pricing density, norm_J
+    of the optimal wealth X* and the j, Amemiya and Hölder checks, from one
+    pass on the zero member and ``nu_family``, for power utility only.
+
+    j(U(X*)) must lie within 3 se plus a rounding floor of x0; the Amemiya
+    norm, at most 1 + j by Young's inequality, at most 1 + x0 up to the
+    same tolerance; the Hölder pairing is an identity check."""
+    if u.kind != "power":
+        raise ConfigError(f"norms needs a power utility, got {u.label}: "
+                          "U^{-1}(|Z|) is the optimal wealth only where "
+                          "U >= 0, and in closed form only for power utility")
+    check_dual_optimizer(model)
+    family = (constant(np.zeros(model.n)),) + tuple(nu_family)
+    logs = density_logs(model, family, ensemble)
+    xstar = optimal_terminal_wealth(model, u, logs[0])
+    payoff = np.asarray(ut.evaluate(u, xstar))
+
+    j = j_functional(payoff, u.p, logs)
+    tol = 3.0 * j.se + 1e-9 * (1.0 + model.x0)
+    F = j_evaluator(u.p, logs)
+    am, lux = amemiya_norm(F, payoff), luxemburg_norm(F, payoff)
+    ni, nj, holder = holder_check(np.exp(logs[0]), xstar, u.p, logs)
+    return lux, ni, nj, (
+        Check("j(optimal payoff)", "within", j.mean, model.x0, tol, j.se),
+        Check("amemiya norm", "at most", am, 1.0 + model.x0, tol, None),
+        holder)

@@ -42,7 +42,8 @@ from portsens import utility as ut
 from portsens.estimate import (Check, ConfigError, ValueEstimate,
                                combine_linear, delta_estimate, mean_estimate)
 from portsens.market import (MarketModel, RegimeTable, constant,
-                             dlambda_direction, indicator, mpr_table)
+                             deterministic, dlambda_direction, indicator,
+                             mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
@@ -238,10 +239,12 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
                         pert: PerturbationSpec, ensemble: PathEnsemble,
                         eps: tuple = DIFFERENCE_STEPS) \
         -> tuple[tuple[SensitivityReport, SensitivityReport],
-                 tuple[Check, ...]]:
+                 tuple[Check, ...], Check | None]:
     """(weak, strong) closed-form sensitivities against the Richardson
-    differences over every step of ``eps``, and the residual decay of each
-    value curve on each side, from one path pass.
+    differences over every step of ``eps``, the residual decay of each
+    value curve on each side, and weak - strong within 3 standard errors
+    of zero where the market and the direction are deterministic, which
+    makes the derivatives equal (None elsewhere), from one path pass.
 
     The check's tolerance combines the Monte Carlo error of the formula-
     minus-difference contrast (tight, because both ride on the same paths)
@@ -275,7 +278,12 @@ def sensitivity_reports(model: MarketModel, u: ut.UtilitySpec,
             decays.append(residual_decay(
                 eps, base, [curve[sign * e] for e in eps],
                 sign * formula.mean, f"[{side}, {text}eps]"))
-    return tuple(reports), tuple(decays)
+    gap = None
+    if deterministic(model.mu, model.sigma, model.rate, *pert.directions):
+        diff = combine_linear(formulas, [1.0, -1.0],
+                              f"weak-minus-strong[{pert.label}]")
+        gap = Check("weak - strong", "sigmas", diff.mean, 0.0, 3.0, diff.se)
+    return tuple(reports), tuple(decays), gap
 
 
 # ---------------------------------------------------------------------------

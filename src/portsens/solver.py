@@ -11,8 +11,9 @@ their solutions into estimates whose errors include the multiplier's.
 
 For power utility U(x) = p x^{1/p} everything is explicit, and
 ``optimal_terminal_wealth`` returns the optimal wealth samples that the
-``norms`` command reads; ``cli.cmd_norms`` refuses every other utility and
-every market without a closed-form dual optimizer before its pass:
+``norms`` command reads; ``modular.norms_report`` refuses every other
+utility and every market without a closed-form dual optimizer before its
+pass:
 
     X* = x0 Zhat^{-q} / E[Zhat^{1-q}],      q = p/(p-1),
     value = p x0^{1/p} E[Zhat^{1-q}]^{1/q}.

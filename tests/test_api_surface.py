@@ -20,6 +20,9 @@ value, whether a flag or the config file gives it.
 The package defines one exception class, ``estimate.ConfigError``, on
 which ``portsens`` exits 2; a failure after the pass raises a built-in
 error, and ``portsens`` parses argv with a stock ``argparse`` parser.
+
+``cli`` builds no verdict: it calls no ``Check`` and imports nothing from
+``estimate`` but ``ConfigError``.
 """
 
 import argparse
@@ -415,3 +418,29 @@ def test_flags_parse_plain_numbers():
     # refuse its value as they refuse the [mc] key it is written over
     assert set(flag_types(ROOT / "src" / "portsens" / "cli.py")) \
         == {"int", "float"}
+
+
+def verdicts_built(path) -> list:
+    """What ``path`` could build a verdict with: "line N: Check(" for each
+    call of ``Check``, and "estimate.name" for each name but
+    ``ConfigError`` that it imports from ``estimate``, the module itself
+    included."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "Check":
+            out.append(f"line {node.lineno}: Check(")
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").rsplit(".", 1)[-1] == "estimate":
+            out += [f"estimate.{a.name}" for a in node.names
+                    if a.name != "ConfigError"]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [f"estimate.{a.name}" for a in node.names
+                    if a.name.rsplit(".", 1)[-1] == "estimate"]
+    return out
+
+
+def test_cli_builds_no_verdict():
+    # every verdict is built once, next to its estimate in the library; the
+    # commands only format the checks that the library returns
+    assert verdicts_built(ROOT / "src" / "portsens" / "cli.py") == []

@@ -12,7 +12,7 @@ import pytest
 
 import portsens
 
-from portsens import cli, paths, sensitivity
+from portsens import cli, modular, paths, sensitivity
 from portsens.cli import (DANSKIN_HEADER, EXAMPLE1_HEADER, EXAMPLE2_HEADER,
                           H1_HEADER, NORMS_HEADER, SENS_HEADER, SURFACE_HEADER,
                           main)
@@ -313,7 +313,7 @@ def test_norms_luxemburg_bracket_evaluates_no_scale_twice(tmp_path,
 
         return luxemburg_norm(G, Z)
 
-    monkeypatch.setattr(cli, "luxemburg_norm", counted)
+    monkeypatch.setattr(modular, "luxemburg_norm", counted)
     out = tmp_path / "n"
     assert main(["norms", "--config", "configs/norms.ini", "--paths", "15000",
                  "--seed", "13", "--out", str(out)]) == 0
@@ -965,6 +965,18 @@ def test_danskin_input_errors_exit_two(cloud, direction, tmp_path, capsys):
     assert main(["danskin", "--cloud", str(path), "--direction", direction,
                  "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_danskin_names_the_delta_in_its_dimension_error(tmp_path, capsys):
+    # a delta of the wrong dimension is refused as the delta, not as the
+    # direction, which has the cloud's dimension
+    out = tmp_path / "out"
+    assert main(["danskin", "--cloud", "configs/cloud.csv", "--direction",
+                 "2,1", "--delta", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "delta must have dimension 2" in err
+    assert "direction" not in err
     assert not out.exists()
 
 

@@ -98,21 +98,25 @@ def test_coefficient_and_mpr_directions_agree_pathwise(det2d_model, det_ens):
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_power(det2d_model, det_ens, side):
     pert = PerturbationSpec(dmu=DMU2, drate=DRATE)
-    (weak, strong), _ = sensitivity_reports(det2d_model, power_utility(3.0),
-                                            pert, det_ens)
+    (weak, strong), _, gap = sensitivity_reports(det2d_model,
+                                                 power_utility(3.0), pert,
+                                                 det_ens)
     rep = weak if side == "weak" else strong
     assert rep.side == side
     assert rep.check.passed, rep.check.line()
     assert rep.check.error <= rep.check.bound
+    # a deterministic market and direction: weak = strong up to 3 se
+    assert gap.passed and gap.bound == 3.0
 
 
 @pytest.mark.parametrize("side", ["weak", "strong"])
 def test_formula_matches_finite_difference_adapted(switch_model, switch_ens,
                                                    side):
-    (weak, strong), _ = sensitivity_reports(switch_model, log_utility(),
-                                            UNIT_DRIFT, switch_ens)
+    (weak, strong), _, gap = sensitivity_reports(switch_model, log_utility(),
+                                                 UNIT_DRIFT, switch_ens)
     rep = weak if side == "weak" else strong
     assert rep.check.passed, rep.check.line()
+    assert gap is None  # an adapted market: no weak - strong check
 
 
 def test_fd_correction_vanishes_on_quadratic_curve(det2d_model, det_ens):
@@ -230,7 +234,7 @@ def decay_inputs(monkeypatch, *args, **kwargs):
         return decay(*call)
 
     monkeypatch.setattr(sensitivity, "residual_decay", recorded)
-    _, decays = sensitivity_reports(*args, **kwargs)
+    _, decays, _ = sensitivity_reports(*args, **kwargs)
     assert [call[4] for call in calls] == ["[weak, +eps]", "[weak, -eps]",
                                           "[strong, +eps]", "[strong, -eps]"]
     return calls, decays
