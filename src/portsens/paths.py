@@ -211,12 +211,16 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
     that read the paths, a weight per node and (B, R, n) increment sums.
     Unless the ensemble's ``block_paths`` fixes it, a block holds as many
     paths as keep that set, counts aside, within ``_SCRATCH_BYTES``, and at
-    least one.  With k workers (``PORTSENS_WORKERS``, default 1) worker w
-    takes blocks w, w + k, ...  Returns an (M,) array per name.  A quad or
-    time request on tables that read no paths is the same number on every
-    path, and comes back as a read-only view of it with stride 0; every
+    least one.  With k workers (``PORTSENS_WORKERS``, 1 if unset or empty)
+    worker w takes blocks w, w + k, ...  Returns an (M,) array per name.  A
+    quad or time request on tables that read no paths is the same number on
+    every path, and comes back as a read-only view of it with stride 0; every
     other request gets its own writable array.
     """
+    workers = os.environ.get(WORKERS_ENV) or "1"
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a whole number of at "
+                          f"least 1, got {workers!r}")
     grid = ensemble.grid
     dt, N, n, R = grid.dt, grid.steps, ensemble.n, len(regimes)
     M = ensemble.count
@@ -290,8 +294,7 @@ def path_sums(ensemble: PathEnsemble, regimes, sums: dict) -> dict:
             for res, table in regime_itos:
                 ito_sum(table, D[:b], res[start:stop])
 
-    nworkers = min(max(1, int(os.environ.get(WORKERS_ENV, "1"))),
-                   len(ranges))
+    nworkers = min(int(workers), len(ranges))
     if nworkers == 1:
         run(0)
     else:

@@ -5,8 +5,9 @@ The central objects are the weak and strong sensitivities at the base
 market: derivatives of the perturbed value in tau at tau = 0.  Both have
 closed-form representations as expectations of path functionals of the
 BASE optimum, so one simulation estimates them without any differencing.
-With S = sigma sigma^T, Dlambda the price-of-risk direction induced by
-(dmu, dsigma, dr), and X the base optimal wealth:
+With S = sigma sigma^T, Dlambda and dr the tau-derivatives of the price
+of risk and the rate (``PerturbationSpec.derivative``), and X the base
+optimal wealth:
 
 weak     E[ U(X) ( int Dlambda^T dW + (1/p) int dr dt ) ]  (power index p)
 strong   adds the quadratic coupling int lambda^T Dlambda dt of the fixed
@@ -42,30 +43,12 @@ from portsens import utility as ut
 from portsens.estimate import (Check, ConfigError, ValueEstimate,
                                combine_linear, delta_estimate, mean_estimate)
 from portsens.market import (MarketModel, RegimeTable, constant,
-                             deterministic, dlambda_direction, indicator,
-                             mpr_table)
+                             deterministic, indicator, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import bisect_budget, budget_estimate
 from portsens.valuation import (PerturbationSpec, SurfaceRow,
                                 check_experiment, surface_rows,
                                 surface_sums)
-
-
-def _direction(model: MarketModel, pert: PerturbationSpec,
-               regimes: RegimeTable) -> np.ndarray:
-    """The price-of-risk direction per regime of the pass's table: a direct
-    dlambda as given, a coefficient direction through the chain rule."""
-    if pert.dlambda is not None:
-        return regimes.values(pert.dlambda)
-    return dlambda_direction(model, pert.dmu, pert.dsigma, regimes,
-                             dr=pert.drate)
-
-
-def check_rate_direction(u: ut.UtilitySpec, pert: PerturbationSpec) -> None:
-    """Refuse a rate direction under a custom utility: the closed-form
-    sensitivities of a table have no rate term."""
-    if u.kind == "custom" and pert.drate is not None:
-        raise ConfigError("rate directions need power or log utility")
 
 
 def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
@@ -74,19 +57,21 @@ def _sens_sums(model: MarketModel, u: ut.UtilitySpec,
     """The ``path_sums`` requests of the base-point sensitivities: r, s1,
     q11 for int r dt, int lambda^T dW and int |lambda|^2 dt; s2 and dq for
     int Dlambda^T dW and int lambda^T Dlambda dt; dr for int dr dt (rate
-    directions only).  Log utility never reads s1, so it is left out there.
-    No name is one of ``surface_sums``.  A rate direction under a custom
-    utility is refused here, the one rule that only the sensitivities
-    have; ``valuation.check_experiment`` admits the rest."""
-    check_rate_direction(u, pert)
-    dlam = _direction(model, pert, regimes)
+    directions only), Dlambda and dr from ``pert.derivative``.  Log utility
+    never reads s1.  No name is one of ``surface_sums``.  A table's closed
+    forms have no rate term, so a rate direction under a custom utility is
+    refused here, the one rule that only the sensitivities have;
+    ``valuation.check_experiment`` admits the rest."""
+    if u.kind == "custom" and pert.drate is not None:
+        raise ConfigError("rate directions need power or log utility")
+    dlam, dr = pert.derivative(model, regimes)
     sums = {"r": ("time", regimes.values(model.rate)),
             "q11": ("quad", lam, lam), "s2": ("ito", dlam),
             "dq": ("quad", lam, dlam)}
     if u.kind != "log":
         sums["s1"] = ("ito", lam)
-    if pert.drate is not None:
-        sums["dr"] = ("time", regimes.values(pert.drate))
+    if dr is not None:
+        sums["dr"] = ("time", dr)
     return sums
 
 

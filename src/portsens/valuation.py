@@ -2,8 +2,9 @@
 
 Both perturbations move the market coefficients along fixed directions,
 mu + tau dmu, sigma + tau dsigma, r + tau dr, or the price of risk directly
-along lambda + tau dlambda.  They differ in what the perturbation does to
-the underlying randomness:
+along lambda + tau dlambda, as ``PerturbationSpec.moved`` forms them, with
+their tau-derivatives from ``.derivative``.  They differ in what the
+perturbation does to the underlying randomness:
 
 strong   the driving paths and their law are kept, the coefficients change;
          the value is the plug-in optimum in the perturbed market.
@@ -44,7 +45,7 @@ from portsens.estimate import (ConfigError, ValueEstimate, delta_estimate,
                                mean_estimate)
 from portsens.market import (CoefficientProcess, MarketModel, RegimeTable,
                              check_drivers, check_h1_direction,
-                             mpr_from_values, mpr_table)
+                             dlambda_direction, mpr_from_values, mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid, path_sums
 from portsens.solver import (bisect_budget, budget_estimate,
                              check_dual_optimizer)
@@ -90,20 +91,29 @@ class PerturbationSpec:
         return RegimeTable(grid, model.mu, model.sigma, model.rate,
                            *self.directions)
 
-    def moved_lambda(self, model: MarketModel, regimes: RegimeTable,
-                     lam0: np.ndarray, tau: float) -> np.ndarray:
-        """Price of risk lambda^tau per regime, given lam0 at tau = 0."""
+    def moved(self, model: MarketModel, regimes: RegimeTable,
+              lam0: np.ndarray, tau: float) -> tuple:
+        """Price of risk lambda^tau and rate r^tau per regime, given lam0
+        at tau = 0."""
+        r0 = regimes.values(model.rate)
+        r = r0 if self.drate is None else r0 + tau * regimes.values(self.drate)
         if self.dlambda is not None:
-            return lam0 + tau * regimes.values(self.dlambda)
-        mu, sg, r = (regimes.values(p)
-                     for p in (model.mu, model.sigma, model.rate))
+            return lam0 + tau * regimes.values(self.dlambda), r
+        mu, sg = (regimes.values(p) for p in (model.mu, model.sigma))
         if self.dmu is not None:
             mu = mu + tau * regimes.values(self.dmu)
         if self.dsigma is not None:
             sg = sg + tau * regimes.values(self.dsigma)
-        if self.drate is not None:
-            r = r + tau * regimes.values(self.drate)
-        return mpr_from_values(mu, sg, r)
+        return mpr_from_values(mu, sg, r), r
+
+    def derivative(self, model: MarketModel, regimes: RegimeTable) -> tuple:
+        """Dlambda and dr per regime, the tau-derivatives of ``moved``, dr
+        None without a rate direction; Dlambda by the chain rule."""
+        dr = None if self.drate is None else regimes.values(self.drate)
+        if self.dlambda is not None:
+            return regimes.values(self.dlambda), dr
+        return dlambda_direction(model, self.dmu, self.dsigma, regimes,
+                                 dr=self.drate), dr
 
     def validate_for(self, model: MarketModel) -> None:
         # the shapes of mu, sigma, r and lambda, in field order
@@ -162,13 +172,10 @@ def surface_sums(model: MarketModel, u: ut.UtilitySpec,
     ``pert.regimes`` of an experiment that ``check_experiment`` admitted,
     whose price of risk is ``lam0``.  The log estimators read neither S
     nor X, so log utility requests neither."""
-    r0 = regimes.values(model.rate)
     sums = {}
     for i, tau in enumerate(taus):
-        lam = pert.moved_lambda(model, regimes, lam0, tau)
+        lam, r_tau = pert.moved(model, regimes, lam0, tau)
         delta = lam - lam0
-        r_tau = r0 if pert.drate is None \
-            else r0 + tau * regimes.values(pert.drate)
         sums.update({f"R{i}": ("time", r_tau),
                      f"Q{i}": ("quad", lam, lam), f"G{i}": ("ito", delta),
                      f"GG{i}": ("quad", delta, delta)})
@@ -182,47 +189,48 @@ def surface_rows(model: MarketModel, u: ut.UtilitySpec, taus,
                  s: dict) -> list[SurfaceRow]:
     """Weak and strong values per tau from the sums of ``surface_sums``.
 
-    Per tau the per-path building blocks are, as (M,) arrays:
-    log_g      log of the measure-change weight G
-    g          the weight G itself
-    log_zw     log pricing density under the tilted measure, discount included
-    log_zs     same but on the base measure (strong)
-    lin        int r^tau dt + 1/2 int |lambda^tau|^2 dt (log utility only,
-               which has neither log_zw nor log_zs)
+    Per tau each side's value reads its log pricing density, discount
+    included, as an (M,) array: under the tilted measure on the weak side,
+    which also reads the measure-change weight G as (log G, G), and on the
+    base measure on the strong side.  Log utility reads neither S nor X, so
+    there both sides read -(int r^tau dt + 1/2 int |lambda^tau|^2 dt).
     """
     rows = []
     for i, tau in enumerate(taus):
         R, Q = s[f"R{i}"], s[f"Q{i}"]
         log_g = s[f"G{i}"] - 0.5 * s[f"GG{i}"]
-        arrs = {"log_g": log_g, "g": np.exp(log_g)}
+        g = np.exp(log_g)
         if u.kind == "log":
-            arrs["lin"] = R + 0.5 * Q
+            log_zw = log_zs = -(R + 0.5 * Q)
         else:
             S, X = s[f"S{i}"], s[f"X{i}"]
-            arrs.update(log_zw=-S + X - 0.5 * Q - R, log_zs=-S - 0.5 * Q - R)
+            log_zw, log_zs = -S + X - 0.5 * Q - R, -S - 0.5 * Q - R
+        name = f"value[tau={tau:g},{u.label}]"
         rows.append(SurfaceRow(
             tau=tau,
-            weak=_estimate_value(model, u, arrs, tau, weak=True),
-            strong=_estimate_value(model, u, arrs, tau, weak=False),
-            weight_mean=float(np.mean(arrs["g"]))))
+            weak=_estimate_value(u, model.x0, log_zw, (log_g, g),
+                                 f"weak-{name}"),
+            strong=_estimate_value(u, model.x0, log_zs, None,
+                                   f"strong-{name}"),
+            weight_mean=float(np.mean(g))))
     return rows
 
 
-def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
-                    tau: float, weak: bool) -> ValueEstimate:
-    side = "weak" if weak else "strong"
-    name = f"{side}-value[tau={tau:g},{u.label}]"
-    x0, g = model.x0, arrs["g"]
+def _estimate_value(u: ut.UtilitySpec, x0: float, log_z: np.ndarray,
+                    weight: tuple | None, name: str) -> ValueEstimate:
+    """The plug-in value of one side from its log pricing density log_z
+    and, on the weak side, the measure-change weight as (log G, G)."""
+    log_g, g = weight or (None, None)
     if u.kind == "log":
-        vals = arrs["lin"] + np.log(x0)
-        if weak:
+        vals = np.log(x0) - log_z
+        if g is not None:
             vals = g * vals
         return mean_estimate(vals, name)
     if u.kind == "power":
         q = u.q
-        expo = (1.0 - q) * (arrs["log_zw"] if weak else arrs["log_zs"])
-        if weak:
-            expo = expo + arrs["log_g"]
+        expo = (1.0 - q) * log_z
+        if g is not None:
+            expo = expo + log_g
         v = np.exp(expo)
         scale = u.p * x0 ** (1.0 / u.p)
         return delta_estimate(
@@ -232,12 +240,11 @@ def _estimate_value(model: MarketModel, u: ut.UtilitySpec, arrs: dict,
     # custom utility: budget bisection under the relevant measure; the
     # multiplier y solves mean(g z X*) = x0, and differentiating that
     # equation implicitly adds -y (g z X* - x0) to the influence of g U(X*)
-    z = np.exp(arrs["log_zw"] if weak else arrs["log_zs"])
-    w = g if weak else None
-    y = bisect_budget(u, z, x0, weights=w)
+    z = np.exp(log_z)
+    y = bisect_budget(u, z, x0, weights=g)
     xs = np.asarray(ut.inverse_marginal(u, y * z))
     vals, spent = np.asarray(ut.evaluate(u, xs)), z * xs
-    if weak:
+    if g is not None:
         vals, spent = g * vals, g * spent
     return budget_estimate(vals, spent, y, name)
 

@@ -444,3 +444,26 @@ def test_cli_builds_no_verdict():
     # every verdict is built once, next to its estimate in the library; the
     # commands only format the checks that the library returns
     assert verdicts_built(ROOT / "src" / "portsens" / "cli.py") == []
+
+
+def market_formula_calls(files) -> list:
+    """"file: name" of every call of ``dlambda_direction`` or
+    ``mpr_from_values`` in ``files``, by name or as an attribute."""
+    out = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("dlambda_direction", "mpr_from_values"):
+                out.append(f"{path.name}: {name}")
+    return out
+
+
+def test_only_the_perturbation_moves_the_market():
+    # how a direction moves lambda and r, and their tau-derivatives, is
+    # PerturbationSpec.moved and .derivative; market defines the formulas
+    # they call, and no other module calls those formulas
+    pkg = sorted((ROOT / "src" / "portsens").glob("*.py"))
+    assert [c for c in market_formula_calls(pkg)
+            if not c.startswith(("market.py:", "valuation.py:"))] == []

@@ -1116,6 +1116,26 @@ def test_block_paths_key_is_unknown(block, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["two", "1.5", "0", "-3", ""])
+def test_workers_variable_is_a_whole_number(workers, tmp_path, monkeypatch,
+                                            capsys, generated):
+    # PORTSENS_WORKERS is a thread count of at least 1, or unset or empty
+    # for one: any other value is refused with exit 2 and one message that
+    # names it, before any path is drawn and before anything is written
+    monkeypatch.setenv("PORTSENS_WORKERS", workers)
+    out = tmp_path / "out"
+    code = main(["value", "--config", "configs/example1.ini", "--paths",
+                 "200", "--steps", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    if workers == "":
+        assert code == 0 and (out / "surface.csv").exists()
+        return
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("config error: PORTSENS_WORKERS must be a whole "
+                          f"number of at least 1, got {workers!r}")
+    assert not out.exists() and sum(generated) == 0
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "PORTSENS_WORKERS" in capsys.readouterr().out

@@ -226,19 +226,36 @@ def _fd_dlambda(model, dmu, dsigma, dr, grid, W, h=1e-6):
     return (shifted(1.0) - shifted(-1.0)) / (2.0 * h)
 
 
-@pytest.mark.parametrize("dmu,dsigma,dr", [
-    (constant([0.04, 0.02]), None, None),
-    (None, constant([[0.05, -0.02], [0.01, 0.03]]), None),
-    (None, None, constant([0.01])),
-    (constant([0.04, 0.02]), constant([[0.05, -0.02], [0.01, 0.03]]),
-     constant([0.01])),
+@pytest.mark.parametrize("dmu,dsigma,dr,dlam", [
+    pytest.param(constant([0.04, 0.02]), None, None, None,
+                 id="dmu0-None-None"),
+    pytest.param(None, constant([[0.05, -0.02], [0.01, 0.03]]), None, None,
+                 id="None-dsigma1-None"),
+    pytest.param(None, None, constant([0.01]), None, id="None-None-dr2"),
+    pytest.param(constant([0.04, 0.02]),
+                 constant([[0.05, -0.02], [0.01, 0.03]]), constant([0.01]),
+                 None, id="dmu3-dsigma3-dr3"),
+    pytest.param(None, None, None, constant([0.03, -0.01]), id="dlambda"),
 ])
-def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr):
+def test_dlambda_direction_matches_fd(det2d_model, dmu, dsigma, dr, dlam):
     grid = TimeGrid(1.0, 4)
-    regimes = market_regimes(det2d_model, grid, dmu, dsigma, dr)
-    formula = dlambda_direction(det2d_model, dmu, dsigma, regimes, dr=dr)
-    fd = _fd_dlambda(det2d_model, dmu, dsigma, dr, grid, None)
-    assert np.allclose(formula[regimes.time_rows], fd, atol=1e-8)
+    pert = PerturbationSpec(dmu=dmu, dsigma=dsigma, drate=dr, dlambda=dlam)
+    regimes = pert.regimes(det2d_model, grid)
+    if dlam is None:
+        formula = dlambda_direction(det2d_model, dmu, dsigma, regimes, dr=dr)
+        fd = _fd_dlambda(det2d_model, dmu, dsigma, dr, grid, None)
+        assert np.allclose(formula[regimes.time_rows], fd, atol=1e-8)
+    # PerturbationSpec.derivative is the tau-derivative of .moved at 0,
+    # the rate part included
+    lam0, h = mpr_table(det2d_model, regimes), 1e-5
+    (lam_up, r_up), (lam_down, r_down) = (
+        pert.moved(det2d_model, regimes, lam0, t) for t in (h, -h))
+    dlam_v, dr_v = pert.derivative(det2d_model, regimes)
+    assert np.allclose(dlam_v, (lam_up - lam_down) / (2.0 * h), atol=1e-8)
+    if dr is None:
+        assert dr_v is None and np.array_equal(r_up, r_down)
+    else:
+        assert np.allclose(dr_v, (r_up - r_down) / (2.0 * h), atol=1e-10)
 
 
 def test_dlambda_direction_adapted(switch_model):
@@ -273,7 +290,7 @@ def test_only_tables_that_differ_within_a_segment_read_the_paths():
     time_only = [regimes.values(model.rate),
                  dlambda_direction(model, pert.dmu, None, regimes),
                  regimes.values(same),
-                 pert.moved_lambda(model, regimes, lam, 0.0) - lam]
+                 pert.moved(model, regimes, lam, 0.0)[0] - lam]
     assert regimes.reads_paths(lam)
     W = cumulative(PathEnsemble(grid, n=1, count=20, seed=3).increments())
     index = node_regimes(regimes, W)

@@ -9,14 +9,16 @@ import pytest
 from portsens import sensitivity
 from portsens.cli import load_config
 from portsens.estimate import Check, ConfigError, combine_linear, mean_estimate
-from portsens.market import MarketModel, constant, dlambda_direction
+from portsens.market import (MarketModel, constant, dlambda_direction,
+                             mpr_table)
 from portsens.paths import PathEnsemble, TimeGrid
 from portsens.sensitivity import (_example1_model, example1_report,
                                   example2_reports, fd_sensitivity,
                                   residual_decay, sensitivity_pair,
                                   sensitivity_reports)
 from portsens.utility import custom_utility, log_utility, power_utility
-from portsens.valuation import PerturbationSpec, SurfaceRow, value_surface
+from portsens.valuation import (PerturbationSpec, SurfaceRow, surface_sums,
+                                value_surface)
 
 DMU2 = constant([0.04, 0.02])
 DRATE = constant([0.01])
@@ -178,6 +180,38 @@ def test_custom_utility_rate_direction_refused(det2d_model, det_ens):
     with pytest.raises(ConfigError, match="rate directions need power or "
                        "log utility"):
         sensitivity_pair(det2d_model, table, pert, det_ens)
+
+
+SQRT_NODES = np.linspace(1e-6, 60.0, 500)
+CUSTOM_SQRT = custom_utility(SQRT_NODES, 2.0 * np.sqrt(SQRT_NODES))
+
+
+@pytest.mark.parametrize("u, pert", [
+    (u, pert) for u in (power_utility(3.0), log_utility(), CUSTOM_SQRT)
+    for pert in (PerturbationSpec(dmu=DMU2, drate=DRATE),
+                 PerturbationSpec(dsigma=constant([[0.02, 0.01],
+                                                   [0.0, 0.03]])),
+                 PerturbationSpec(dlambda=constant([0.03, -0.01])))
+    # a custom table refuses a rate direction
+    if not (u.kind == "custom" and pert.drate is not None)],
+    ids=lambda v: v.label)
+def test_surface_and_sensitivity_requests_never_share_a_name(
+        det2d_model, u, pert, monkeypatch):
+    # the fused pass merges the two request dicts: a shared name would
+    # silently drop one of them
+    ens = PathEnsemble(TimeGrid(1.0, 8), n=2, count=4, seed=1)
+    taus = [-0.05, -0.025, 0.025, 0.05]
+    regimes = pert.regimes(det2d_model, ens.grid)
+    lam = mpr_table(det2d_model, regimes)
+    surface = surface_sums(det2d_model, u, pert, taus, regimes, lam)
+    sens = sensitivity._sens_sums(det2d_model, u, pert, regimes, lam)
+    assert not surface.keys() & sens.keys()
+    requested = []
+    monkeypatch.setattr(sensitivity, "path_sums",
+                        lambda ensemble, table, sums: requested.append(sums))
+    sensitivity._surface_and_sens_sums(det2d_model, u, pert, taus, ens)
+    kinds = {name: req[0] for name, req in {**surface, **sens}.items()}
+    assert {name: req[0] for name, req in requested[0].items()} == kinds
 
 
 def test_example1_sign_switching_gap():
